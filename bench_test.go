@@ -215,14 +215,14 @@ func BenchmarkFigure13HysteresisSweep(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures the offline job simulator on job F
 // (6139 vertices); the reported tasks/op quantifies the event engine. The
-// one-shot variant pays a fresh engine per run (the compatibility path);
+// one-shot variant pays a fresh Runner per run;
 // the reused variant is what the model builds actually do — one Runner's
 // arenas recycled across runs.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	p := workload.MustGenerate(mustSpec(b, "F"), 1)
 	b.Run("one-shot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr, err := sim.Run(sim.Config{Profile: p, Alloc: 50, Seed: uint64(i)})
+			tr, err := sim.NewRunner().Run(sim.Config{Profile: p, Alloc: 50, Seed: uint64(i)})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -72,14 +72,6 @@ type Config struct {
 	// EpochPeriod is the OnEpoch cadence (default 1 minute when OnEpoch is
 	// set; ignored otherwise).
 	EpochPeriod time.Duration
-	// EventPolicy selects the event queue's storage regime (see
-	// internal/eventq): the zero value, eventq.PolicyAuto, starts on the
-	// reference binary heap and promotes to the calendar queue at cosmos-
-	// scale event counts; PolicyHeap or PolicyCalendar pin one regime. The
-	// replay is bit-identical under every policy — (time, seq) is a strict
-	// total order — so the knob exists for differential tests and
-	// benchmarks, not for tuning output.
-	EventPolicy eventq.Policy
 }
 
 // RackOutage takes a contiguous range of machines down together at a fixed
@@ -432,7 +424,6 @@ func (c *Cluster) init(cfg Config) error {
 	} else {
 		stats.ReseedSource(c.rngSrc, seed)
 	}
-	c.q.SetPolicy(cfg.EventPolicy)
 	c.q.Reset()
 	c.now = 0
 	c.tracked = 0

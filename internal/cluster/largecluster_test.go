@@ -15,11 +15,11 @@ import (
 // regime (ROADMAP item 3), midScale is small enough that pre-optimization
 // engines can replay it in seconds, so trend lines stay comparable.
 type largeScale struct {
-	machines, slots            int
-	bgTasks, bg2Tasks          int
-	fgMap, fgReduce            int
-	bgGuar, bg2Guar, fgGuar    int
-	mtbf                       time.Duration
+	machines, slots         int
+	bgTasks, bg2Tasks       int
+	fgMap, fgReduce         int
+	bgGuar, bg2Guar, fgGuar int
+	mtbf                    time.Duration
 }
 
 // cosmosScale: 10k machines × 10 slots = 100k tokens; guarantees alone pin

@@ -67,11 +67,6 @@ type Options struct {
 	// and samples are merged in deterministic order — so this is purely a
 	// wall-clock knob.
 	Parallelism int
-	// QuantizeModel stores C(p, a) cells as fixed-point int32 milliseconds,
-	// halving each table's resident size (for fleets holding hundreds of
-	// models). Control decisions may differ from the exact table by the 1ms
-	// cell resolution; default off, which preserves exact outputs.
-	QuantizeModel bool
 }
 
 // Jockey holds the precomputed model for one recurring job.
@@ -108,7 +103,6 @@ func New(p *profile.Profile, opts Options) (*Jockey, error) {
 		SampleEvery:  opts.SampleEvery,
 		Seed:         stats.DeriveSeed(opts.Seed, "cpa"),
 		Parallelism:  opts.Parallelism,
-		Quantize:     opts.QuantizeModel,
 	})
 	if err != nil {
 		return nil, err
@@ -157,7 +151,7 @@ func BuildIndicator(name IndicatorName, p *profile.Profile, seed uint64) (progre
 		if alloc < 1 {
 			alloc = 1
 		}
-		ref, err := sim.Run(sim.Config{Profile: p, Alloc: alloc, Seed: seed})
+		ref, err := sim.NewRunner().Run(sim.Config{Profile: p, Alloc: alloc, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +240,6 @@ func (j *Jockey) GuardConfig(ctrl *control.Controller, tuning control.GuardTunin
 			SampleEvery:  j.opts.SampleEvery,
 			Seed:         stats.DeriveSeed(j.opts.Seed, "guard-cpa", fmt.Sprint(gen)),
 			Parallelism:  j.opts.Parallelism,
-			Quantize:     j.opts.QuantizeModel,
 		})
 	}
 	onlineSim := func(p *profile.Profile, gen int) (model.Predictor, error) {

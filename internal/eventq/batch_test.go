@@ -3,7 +3,7 @@ package eventq
 // PushBatch must be observably indistinguishable from k sequential Pushes:
 // entries get consecutive insertion sequences in slice order, so the pop
 // sequence is pinned regardless of which regime (heap or calendar) absorbs
-// the batch, whether the batch crosses the PolicyAuto promotion threshold,
+// the batch, whether the batch crosses the default promotion threshold,
 // and whether the calendar takes the incremental or the bulk-rebuild path.
 
 import (
@@ -36,26 +36,25 @@ func drainBoth(t *testing.T, name string, got, want *Queue[int]) {
 
 // TestPushBatchMatchesSequentialPushes drives a batched and an unbatched
 // queue through identical randomized workloads (interleaved batches, single
-// pushes, and pops) for every policy, at sizes that exercise both regimes
+// pushes, and pops) under every regime, at sizes that exercise both regimes
 // and the promotion crossing.
 func TestPushBatchMatchesSequentialPushes(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		pol     Policy
+		regime  string
 		batches []int // batch sizes pushed in turn
 	}{
-		{"heap-small", PolicyHeap, []int{1, 7, 63, 2, 300}},
-		{"heap-large-heapify", PolicyHeap, []int{2000, 1, 2000}},
-		{"calendar-incremental", PolicyCalendar, []int{3, 50, 3, 50}},
-		{"calendar-bulk-rebuild", PolicyCalendar, []int{10000, 20000}},
-		{"auto-promotion-crossing", PolicyAuto, []int{4000, 200, 4000}},
-		{"auto-exact-threshold", PolicyAuto, []int{calendarPromoteLen}},
+		{"heap-small", "heap", []int{1, 7, 63, 2, 300}},
+		{"heap-large-heapify", "heap", []int{2000, 1, 2000}},
+		{"calendar-incremental", "calendar", []int{3, 50, 3, 50}},
+		{"calendar-bulk-rebuild", "calendar", []int{10000, 20000}},
+		{"auto-promotion-crossing", "auto", []int{4000, 200, 4000}},
+		{"auto-exact-threshold", "auto", []int{defaultPromoteLen}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			PinRegime(t, tc.regime)
 			rng := stats.NewRNG(stats.DeriveSeed(42, "pushbatch-"+tc.name))
 			var batched, plain Queue[int]
-			batched.SetPolicy(tc.pol)
-			plain.SetPolicy(tc.pol)
 			v := 0
 			for _, k := range tc.batches {
 				es := make([]Entry[int], k)
@@ -90,9 +89,9 @@ func TestPushBatchMatchesSequentialPushes(t *testing.T) {
 // A same-timestamp burst must pop in slice order: the batch assigns
 // consecutive sequences, and (at, seq) breaks the tie.
 func TestPushBatchSameTimestampBurst(t *testing.T) {
-	for _, pol := range []Policy{PolicyHeap, PolicyCalendar} {
+	for _, regime := range []string{"heap", "calendar"} {
+		PinRegime(t, regime)
 		var q Queue[int]
-		q.SetPolicy(pol)
 		es := make([]Entry[int], 5000)
 		for i := range es {
 			es[i] = Entry[int]{At: time.Minute, V: i}
@@ -101,7 +100,7 @@ func TestPushBatchSameTimestampBurst(t *testing.T) {
 		for i := range es {
 			_, v, ok := q.Pop()
 			if !ok || v != i {
-				t.Fatalf("policy %d: pop %d got (%d, %v), want (%d, true)", pol, i, v, ok, i)
+				t.Fatalf("%s: pop %d got (%d, %v), want (%d, true)", regime, i, v, ok, i)
 			}
 		}
 	}
@@ -121,9 +120,9 @@ func TestPushBatchEmpty(t *testing.T) {
 // under a pinned heap and a pinned calendar pops identically.
 func TestPushBatchRegimeIndependent(t *testing.T) {
 	rng := stats.NewRNG(stats.DeriveSeed(42, "pushbatch-regimes"))
+	PinRegime(t, "heap")
 	var heapQ, calQ Queue[int]
-	heapQ.SetPolicy(PolicyHeap)
-	calQ.SetPolicy(PolicyCalendar)
+	calQ.promote() // a promoted queue stays on the calendar until Reset
 	v := 0
 	for round := 0; round < 40; round++ {
 		k := 1 + int(rng.Int64N(700))
@@ -152,16 +151,10 @@ func TestPushBatchRegimeIndependent(t *testing.T) {
 // into standing capacity.
 func TestPushBatchZeroAllocs(t *testing.T) {
 	const k = 3000
-	for _, tc := range []struct {
-		name string
-		pol  Policy
-	}{
-		{"heap", PolicyHeap},
-		{"calendar", PolicyCalendar},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, regime := range []string{"heap", "calendar"} {
+		t.Run(regime, func(t *testing.T) {
+			PinRegime(t, regime)
 			var q Queue[int]
-			q.SetPolicy(tc.pol)
 			es := make([]Entry[int], k)
 			for i := range es {
 				es[i] = Entry[int]{At: time.Duration(i%97) * time.Second, V: i}
@@ -176,7 +169,7 @@ func TestPushBatchZeroAllocs(t *testing.T) {
 			}
 			cycle() // reach high-water capacity
 			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-				t.Fatalf("%s: batch cycle allocated %.1f times, want 0", tc.name, allocs)
+				t.Fatalf("%s: batch cycle allocated %.1f times, want 0", regime, allocs)
 			}
 		})
 	}
@@ -196,9 +189,9 @@ func waveEntries(n int) []Entry[int] {
 
 // BenchmarkArrivalWaveSingle is the retired idiom: one Push per task-end
 // event. Only the wave absorption is timed; the drain (identical in both
-// variants) runs with the clock stopped. Under PolicyAuto the wave crosses the promotion threshold mid-burst,
-// so the binary heap absorbs thousands of events only to hand them to the
-// calendar.
+// variants) runs with the clock stopped. The wave crosses the promotion
+// threshold mid-burst, so the binary heap absorbs thousands of events only to
+// hand them to the calendar.
 func BenchmarkArrivalWaveSingle(b *testing.B) {
 	es := waveEntries(500_000)
 	var q Queue[int]

@@ -2,11 +2,12 @@ package eventq
 
 // Differential tests pinning the calendar queue to the reference heap: with
 // (time, seq) a strict total order, every workload must produce the same pop
-// sequence under PolicyHeap, PolicyCalendar, and PolicyAuto (which promotes
-// mid-run). The workloads target the calendar's weak spots: bucket-width
-// re-estimation under random times, same-timestamp bursts that pile one
-// bucket high (seq ordering inside a bucket), and monotone time advance
-// (steady-state bucket rotation with jumpToMin skips over sparse regions).
+// sequence with the heap pinned, the calendar pinned, and the default
+// threshold (which promotes mid-run). The workloads target the calendar's
+// weak spots: bucket-width re-estimation under random times, same-timestamp
+// bursts that pile one bucket high (seq ordering inside a bucket), and
+// monotone time advance (steady-state bucket rotation with jumpToMin skips
+// over sparse regions).
 
 import (
 	"fmt"
@@ -17,13 +18,13 @@ import (
 	"github.com/jockeysim/jockey/internal/stats"
 )
 
-// drive applies an identical op sequence to a policy-pinned queue and the
+// drive applies an identical op sequence to a regime-pinned queue and the
 // reference heap, failing at the first divergence. gen(i) returns the next
 // op: push at time `at` (do=0) or pop (do=1).
-func drive(t *testing.T, pol Policy, ops int, gen func(i int, qLen int) (do int, at time.Duration)) {
+func drive(t *testing.T, regime string, ops int, gen func(i int, qLen int) (do int, at time.Duration)) {
 	t.Helper()
+	PinRegime(t, regime)
 	var q Queue[int]
-	q.SetPolicy(pol)
 	var ref refQueue
 	for i := 0; i < ops; i++ {
 		do, at := gen(i, q.Len())
@@ -35,16 +36,16 @@ func drive(t *testing.T, pol Policy, ops int, gen func(i int, qLen int) (do int,
 		at, v, ok := q.Pop()
 		rat, rv, rok := ref.Pop()
 		if at != rat || v != rv || ok != rok {
-			t.Fatalf("policy %d diverged at op %d: got (%v, %d, %v), reference (%v, %d, %v)",
-				pol, i, at, v, ok, rat, rv, rok)
+			t.Fatalf("%s regime diverged at op %d: got (%v, %d, %v), reference (%v, %d, %v)",
+				regime, i, at, v, ok, rat, rv, rok)
 		}
 	}
 	for {
 		at, v, ok := q.Pop()
 		rat, rv, rok := ref.Pop()
 		if at != rat || v != rv || ok != rok {
-			t.Fatalf("policy %d diverged during drain: got (%v, %d, %v), reference (%v, %d, %v)",
-				pol, at, v, ok, rat, rv, rok)
+			t.Fatalf("%s regime diverged during drain: got (%v, %d, %v), reference (%v, %d, %v)",
+				regime, at, v, ok, rat, rv, rok)
 		}
 		if !ok {
 			return
@@ -52,29 +53,25 @@ func drive(t *testing.T, pol Policy, ops int, gen func(i int, qLen int) (do int,
 	}
 }
 
-// policies every differential runs under: both pinned regimes plus the
-// auto-promoting default (which crosses calendarPromoteLen mid-workload at
-// the sizes below, so promotion itself is exercised).
-var diffPolicies = []Policy{PolicyHeap, PolicyCalendar, PolicyAuto}
-
 // TestCalendarDifferentialLarge grows the queue to ~10⁵ events and drains
 // it, with randomized times spanning wide and narrow ranges — the scale the
-// calendar exists for, far past the PolicyAuto promotion threshold.
+// calendar exists for, far past the default promotion threshold. Every
+// differential runs under all of Regimes; the default crosses the threshold
+// mid-workload at these sizes, so promotion itself is exercised. The shards
+// run sequentially because a pinned regime is shared by the whole package.
 func TestCalendarDifferentialLarge(t *testing.T) {
 	const n = 100_000
 	for shard := 0; shard < 4; shard++ {
-		shard := shard
 		t.Run(fmt.Sprintf("shard%d", shard), func(t *testing.T) {
-			t.Parallel()
 			seed := stats.DeriveSeed(2026, "calendar-diff-large", fmt.Sprint(shard))
-			for _, pol := range diffPolicies {
+			for _, regime := range Regimes {
 				rng := stats.NewRNG(seed)
 				// Grow phase: 3 pushes per pop until n events are queued,
 				// then drain. Time range varies per shard to shift the
 				// calendar's estimated bucket width.
 				span := []int64{1 << 10, 1 << 20, 1 << 30, 1 << 34}[shard]
 				pushed := 0
-				drive(t, pol, 4*n/3, func(i, qLen int) (int, time.Duration) {
+				drive(t, regime, 4*n/3, func(i, qLen int) (int, time.Duration) {
 					if (rng.IntN(4) != 0 || qLen == 0) && pushed < n {
 						pushed++
 						return 0, time.Duration(rng.Int64N(span))
@@ -92,11 +89,11 @@ func TestCalendarDifferentialLarge(t *testing.T) {
 // with pops that straddle burst boundaries.
 func TestCalendarDifferentialBursts(t *testing.T) {
 	seed := stats.DeriveSeed(2026, "calendar-diff-bursts")
-	for _, pol := range diffPolicies {
+	for _, regime := range Regimes {
 		rng := stats.NewRNG(seed)
 		at := time.Duration(0)
 		left := 0
-		drive(t, pol, 60_000, func(i, qLen int) (int, time.Duration) {
+		drive(t, regime, 60_000, func(i, qLen int) (int, time.Duration) {
 			if left == 0 {
 				// Next burst: a new shared timestamp — sometimes moving
 				// backwards, sometimes far forward — and a burst length up
@@ -122,10 +119,10 @@ func TestCalendarDifferentialBursts(t *testing.T) {
 // (the jumpToMin fast-forward path runs constantly).
 func TestCalendarDifferentialMonotone(t *testing.T) {
 	seed := stats.DeriveSeed(2026, "calendar-diff-monotone")
-	for _, pol := range diffPolicies {
+	for _, regime := range Regimes {
 		rng := stats.NewRNG(seed)
 		now := time.Duration(0)
-		drive(t, pol, 80_000, func(i, qLen int) (int, time.Duration) {
+		drive(t, regime, 80_000, func(i, qLen int) (int, time.Duration) {
 			if qLen >= 8192 || (qLen > 0 && rng.IntN(2) == 0) {
 				return 1, 0
 			}
@@ -145,11 +142,11 @@ func TestCalendarDifferentialMonotone(t *testing.T) {
 // differential with the calendar pinned on, so the whole workload — however
 // small — is served by the bucketed structure.
 func TestForcedCalendarMatchesReference(t *testing.T) {
+	PinRegime(t, "calendar")
 	f := func(seed uint64, opsRaw uint16) bool {
 		rng := stats.NewRNG(seed)
 		ops := 50 + int(opsRaw)%2000
 		var q Queue[int]
-		q.SetPolicy(PolicyCalendar)
 		var ref refQueue
 		for i := 0; i < ops; i++ {
 			if rng.IntN(3) != 0 || q.Len() == 0 {
@@ -177,37 +174,5 @@ func TestForcedCalendarMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestPolicySwitchMidstream flips a loaded queue between regimes and checks
-// the pop sequence is unaffected: promote/demote preserve (at, seq) keys.
-func TestPolicySwitchMidstream(t *testing.T) {
-	seed := stats.DeriveSeed(2026, "calendar-diff-switch")
-	rng := stats.NewRNG(seed)
-	var q Queue[int]
-	var ref refQueue
-	for i := 0; i < 20_000; i++ {
-		at := time.Duration(rng.Int64N(1 << 24))
-		q.Push(at, i)
-		ref.Push(at, i)
-		if i%1024 == 1023 {
-			if i%2048 == 2047 {
-				q.SetPolicy(PolicyCalendar)
-			} else {
-				q.SetPolicy(PolicyHeap)
-			}
-		}
-	}
-	for {
-		at, v, ok := q.Pop()
-		rat, rv, rok := ref.Pop()
-		if at != rat || v != rv || ok != rok {
-			t.Fatalf("diverged after policy flips: got (%v, %d, %v), reference (%v, %d, %v)",
-				at, v, ok, rat, rv, rok)
-		}
-		if !ok {
-			return
-		}
 	}
 }

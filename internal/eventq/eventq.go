@@ -23,9 +23,10 @@
 // determined by the push sequence and is identical across the heap, the
 // calendar, and the old container/heap adapter (pinned by the randomized
 // differential tests in eventq_ref_test.go, including a 10⁵-event run).
-// Which regime serves an operation is a pure function of the operation
-// history, so replays are bit-identical whether or not promotion happens —
-// and SetPolicy can force either regime for differential testing.
+// Which regime serves an operation is a pure function of the queue length
+// since the last Reset — the heap until Len first reaches
+// calendarPromoteLen, the calendar from then on — so replays are
+// bit-identical whether or not promotion happens.
 package eventq
 
 import (
@@ -38,47 +39,21 @@ type item[T any] struct {
 	v   T
 }
 
-// Policy selects the queue's storage regime.
-type Policy int8
-
-const (
-	// PolicyAuto (the zero value) starts on the reference heap and promotes
-	// to the calendar queue when Len reaches calendarPromoteLen. Promotion
-	// never changes the pop sequence; small queues keep the heap's lower
-	// constant overhead.
-	PolicyAuto Policy = iota
-	// PolicyHeap pins the reference binary heap.
-	PolicyHeap
-	// PolicyCalendar pins the calendar queue regardless of size.
-	PolicyCalendar
-)
-
-// calendarPromoteLen is the PolicyAuto promotion threshold. Replays sized
-// like the paper's Table 2 experiments stay well below it (the heap is
-// faster there); a 10k-machine replay crosses it during the first arrival
-// burst.
-const calendarPromoteLen = 4096
+// calendarPromoteLen is the promotion threshold: a queue starts on the
+// reference heap and moves to the calendar when Len reaches it. Promotion
+// never changes the pop sequence; small queues keep the heap's lower
+// constant overhead. Replays sized like the paper's Table 2 experiments
+// stay well below it (the heap is faster there); a 10k-machine replay
+// crosses it during the first arrival burst. It is a variable only so that
+// tests can pin either regime (export_test.go); nothing else assigns it.
+var calendarPromoteLen = 4096
 
 // Queue is a time-ordered event queue. The zero value is ready to use.
 type Queue[T any] struct {
 	h     []item[T]
 	seq   uint64
-	pol   Policy
 	onCal bool
 	cal   calendar[T]
-}
-
-// SetPolicy selects the storage regime, migrating any queued events. The
-// pop order is identical under any policy; only performance differs. It is
-// not reset by Reset.
-func (q *Queue[T]) SetPolicy(p Policy) {
-	q.pol = p
-	switch {
-	case p == PolicyCalendar && !q.onCal:
-		q.promote()
-	case p == PolicyHeap && q.onCal:
-		q.demote()
-	}
 }
 
 // promote moves every queued event from the heap into the calendar. Items
@@ -88,20 +63,6 @@ func (q *Queue[T]) promote() {
 	clear(q.h)
 	q.h = q.h[:0]
 	q.onCal = true
-}
-
-// demote moves every queued event from the calendar back onto the heap.
-func (q *Queue[T]) demote() {
-	for i := range q.cal.buckets {
-		q.h = append(q.h, q.cal.buckets[i]...)
-	}
-	q.cal.reset()
-	// Heapify bottom-up; order is (at, seq), so the layout the sifts
-	// produce does not affect the pop sequence.
-	for i := len(q.h)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
-	q.onCal = false
 }
 
 // less orders the heap by (time, insertion sequence). seq values are unique,
@@ -128,7 +89,7 @@ func (q *Queue[T]) Push(at time.Duration, v T) {
 	}
 	q.h = append(q.h, item[T]{at: at, seq: q.seq, v: v})
 	q.up(len(q.h) - 1)
-	if q.pol == PolicyAuto && len(q.h) >= calendarPromoteLen {
+	if len(q.h) >= calendarPromoteLen {
 		q.promote()
 	}
 }
@@ -147,8 +108,8 @@ type Entry[T any] struct {
 //
 //   - heap regime: entries are appended in bulk; a large batch is folded in
 //     with one bottom-up heapify (O(n+k)) instead of k sift-ups
-//     (O(k log n)), a small one sifts per entry. The PolicyAuto promotion
-//     check runs once, after the batch.
+//     (O(k log n)), a small one sifts per entry. The promotion check runs
+//     once, after the batch.
 //   - calendar regime: a batch big enough to force ring growth is staged
 //     and rebuilt in one resize sized for the whole batch (the rebuild also
 //     sees the batch's time span, so the bucket width is tuned to where
@@ -170,7 +131,7 @@ func (q *Queue[T]) PushBatch(es []Entry[T]) {
 	// would grow it to n+k big items, heapify them, and immediately throw
 	// that layout away on promotion. Storage regime is performance-only,
 	// so promoting early cannot change the pop order.
-	if !q.onCal && q.pol == PolicyAuto && len(q.h)+k >= calendarPromoteLen {
+	if !q.onCal && len(q.h)+k >= calendarPromoteLen {
 		q.promote()
 	}
 	if q.onCal {
@@ -194,7 +155,7 @@ func (q *Queue[T]) PushBatch(es []Entry[T]) {
 			q.up(i)
 		}
 	}
-	if q.pol == PolicyAuto && len(q.h) >= calendarPromoteLen {
+	if len(q.h) >= calendarPromoteLen {
 		q.promote()
 	}
 }
@@ -271,7 +232,7 @@ func (q *Queue[T]) Reset() {
 	q.h = q.h[:0]
 	q.cal.reset()
 	q.seq = 0
-	q.onCal = q.pol == PolicyCalendar
+	q.onCal = false
 }
 
 // up restores the heap property from index i toward the root.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -462,12 +463,23 @@ func TestAdmissionControlSmall(t *testing.T) {
 		t.Fatalf("mode order: %+v", e2.Outcomes)
 	}
 	if gated.Admitted >= open.Admitted {
-		t.Errorf("arbiter should reject some jobs: %d vs %d", gated.Admitted, open.Admitted)
+		t.Errorf("fit check should reject some jobs: %d vs %d", gated.Admitted, open.Admitted)
 	}
 	if gated.Met != gated.Admitted {
 		t.Errorf("admitted jobs must all meet their SLOs: %d of %d", gated.Met, gated.Admitted)
 	}
-	if !strings.Contains(e2.Render(), "Extension E2") {
-		t.Error("render broken")
+	// The exact outcome is pinned so that any change to the fit check's
+	// admission decisions shows up here, not only in results/ext2.txt.
+	if want := []string{"C-2", "E-3", "F-4", "E-5"}; !reflect.DeepEqual(e2.Rejected, want) {
+		t.Errorf("rejected %v, want %v", e2.Rejected, want)
+	}
+	const wantRender = "Extension E2: admission control over a stream of SLO jobs (§1's fit check)\n" +
+		"rejected by the arbiter: [C-2 E-3 F-4 E-5]\n" +
+		"mode               offered  admitted  deadlines met\n" +
+		"-----------------  -------  --------  -------------\n" +
+		"admission-control  6        2         2 (100.0%)   \n" +
+		"admit-everything   6        6         6 (100.0%)   \n"
+	if got := e2.Render(); got != wantRender {
+		t.Errorf("render:\n%s\nwant:\n%s", got, wantRender)
 	}
 }

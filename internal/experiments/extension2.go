@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/jockeysim/jockey/internal/cluster"
-	"github.com/jockeysim/jockey/internal/core"
 	"github.com/jockeysim/jockey/internal/invariant"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
@@ -26,15 +25,17 @@ type AdmissionOutcome struct {
 // able to meet their deadlines").
 type ExtensionE2 struct {
 	Outcomes []AdmissionOutcome
-	// Rejected lists the jobs the arbiter turned away.
+	// Rejected lists the jobs the fit check turned away.
 	Rejected []string
 }
 
 // AdmissionControl offers a stream of SLO jobs with tight deadlines to a
-// shared cluster whose SLO budget is limited, once gated by the arbiter and
-// once admitting everything. With the arbiter, every admitted job should
-// meet its deadline; without it, the over-committed guarantees collide and
-// some jobs miss.
+// shared cluster whose SLO budget is limited, once gated by the fit check
+// and once admitting everything. The fit check admits a job only if its
+// model-estimated required allocation fits in the guaranteed tokens not yet
+// committed to earlier admissions. With the check, every admitted job
+// should meet its deadline; without it, the over-committed guarantees
+// collide and some jobs miss.
 func AdmissionControl(env *Env, offers int) (*ExtensionE2, error) {
 	if offers <= 0 {
 		offers = 8
@@ -80,10 +81,7 @@ func AdmissionControl(env *Env, offers int) (*ExtensionE2, error) {
 		if _, err := workload.SubmitBackground(c, bg); err != nil {
 			return nil, err
 		}
-		arbiter, err := core.NewArbiter(env.MaxTokens)
-		if err != nil {
-			return nil, err
-		}
+		committed := 0
 		o := AdmissionOutcome{Mode: mode, Offered: len(stream)}
 		var handles []*cluster.Handle
 		for i, of := range stream {
@@ -91,16 +89,13 @@ func AdmissionControl(env *Env, offers int) (*ExtensionE2, error) {
 			if err != nil {
 				return nil, err
 			}
-			id := fmt.Sprintf("%s-%d", of.job, i)
 			if gate {
-				_, ok, err := arbiter.TryAdmit(id, jk, of.deadline)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					out.Rejected = append(out.Rejected, id)
+				need, ok := jk.RequiredAllocation(of.deadline)
+				if !ok || need > env.MaxTokens-committed {
+					out.Rejected = append(out.Rejected, fmt.Sprintf("%s-%d", of.job, i))
 					continue
 				}
+				committed += need
 			}
 			pol, err := jk.Policy(of.deadline)
 			if err != nil {

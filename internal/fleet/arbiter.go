@@ -105,9 +105,10 @@ type bidder struct {
 // jump buys the most utility per token. Ties break in admission order.
 //
 // The greedy rounds run on an indexed max-heap over per-bidder marginal
-// rates (see greedyFill); the retired O(rounds × bidders) scan survives as
-// fillRef, the reference implementation the heap is differential-tested
-// against on every epoch of every test replay (Config.selfCheck).
+// rates (see greedyFill); the retired O(rounds × bidders) scan survives in
+// arbiter_ref_test.go as the reference implementation the heap is
+// differential-tested against on every epoch of every test replay
+// (Config.checkFill).
 func (r *replay) waterFill(now time.Duration, budget int) (latched int) {
 	remaining := budget
 	r.bidders = r.bidders[:0]
@@ -155,8 +156,8 @@ func (r *replay) waterFill(now time.Duration, budget int) (latched int) {
 		r.bidders = append(r.bidders, bidder{fj: fj, cands: cands, util: util, idx: -1})
 	}
 
-	if r.cfg.selfCheck != nil {
-		defer r.checkAgainstRef(snapshotBidders(r.bidders), remaining)
+	if r.cfg.checkFill != nil {
+		defer r.cfg.checkFill(r, remaining)()
 	}
 
 	remaining = r.fill(remaining)
@@ -179,7 +180,7 @@ func (r *replay) waterFill(now time.Duration, budget int) (latched int) {
 
 // fill seats every bidder at the floor and runs the greedy heap rounds;
 // factored out of waterFill so tests can drive the exact production path
-// on hand-built bidder sets against fillRef.
+// on hand-built bidder sets against the reference scan.
 //
 //jockey:hotpath
 func (r *replay) fill(remaining int) int {

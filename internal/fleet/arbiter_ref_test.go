@@ -1,10 +1,12 @@
 package fleet
 
+import "testing"
+
 // This file keeps the retired O(rounds × bidders) greedy water-fill as a
 // reference implementation. The production path (greedyFill) runs the same
 // discipline on an indexed max-heap; tests pin the two together by running
-// fillRef on a snapshot of every epoch's bidder set (Config.selfCheck) and
-// on hand-built edge cases, requiring grant-identical results.
+// fillRef on a snapshot of every epoch's bidder set (armRefCheck) and on
+// hand-built edge cases, requiring grant-identical results.
 //
 // One deliberate nuance: the retired scan folds with an epsilon hysteresis
 // (`rate > pickRate+flatEps`), so a later candidate had to beat the running
@@ -22,8 +24,7 @@ type refBidder struct {
 }
 
 // snapshotBidders captures the bidder set before the floor pass so fillRef
-// can re-run the epoch from the same starting state. Test-only (selfCheck);
-// allocation here never runs in production replays.
+// can re-run the epoch from the same starting state.
 func snapshotBidders(bs []bidder) []refBidder {
 	ref := make([]refBidder, len(bs))
 	for i := range bs {
@@ -80,10 +81,19 @@ func fillRef(bidders []refBidder, remaining int) int {
 	return remaining
 }
 
+// armRefCheck makes every water-fill epoch of a replay run under cfg diff
+// the heap rounds against fillRef, reporting any divergence to tb.
+func armRefCheck(tb testing.TB, cfg *Config) {
+	cfg.checkFill = func(r *replay, budget int) func() {
+		ref := snapshotBidders(r.bidders)
+		return func() { r.checkAgainstRef(tb, ref, budget) }
+	}
+}
+
 // checkAgainstRef replays the epoch through fillRef and reports any grant
-// divergence through the selfCheck hook. It runs deferred from waterFill,
-// after the heap rounds have actuated r.bidders.
-func (r *replay) checkAgainstRef(ref []refBidder, remaining int) {
+// divergence. It runs deferred from waterFill, after the heap rounds have
+// actuated r.bidders.
+func (r *replay) checkAgainstRef(tb testing.TB, ref []refBidder, remaining int) {
 	fillRef(ref, remaining)
 	for i := range ref {
 		want := 0
@@ -95,7 +105,7 @@ func (r *replay) checkAgainstRef(ref []refBidder, remaining int) {
 			got = b.cands[b.idx]
 		}
 		if got != want {
-			r.cfg.selfCheck("water-fill divergence: bidder %d granted %d, reference %d", i, got, want)
+			tb.Errorf("water-fill divergence: bidder %d granted %d, reference %d", i, got, want)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // The heap water-fill must grant exactly what the retired greedy scan
-// granted. Full replays pin it epoch by epoch through Config.selfCheck
+// granted. Full replays pin it epoch by epoch through armRefCheck
 // (checkAgainstRef re-runs fillRef on every epoch's bidder snapshot);
 // hand-built bidder sets pin the edge geometry the replays may not hit.
 
@@ -19,7 +19,7 @@ import (
 func TestWaterFillMatchesReferenceOnReplays(t *testing.T) {
 	for _, guarded := range []bool{false, true} {
 		cfg := stressConfig(7, UtilityGreedy, guarded)
-		cfg.selfCheck = t.Errorf
+		armRefCheck(t, &cfg)
 		mustRun(t, cfg)
 	}
 	cfg := Config{
@@ -29,8 +29,8 @@ func TestWaterFillMatchesReferenceOnReplays(t *testing.T) {
 		Budget:           1000,
 		Arrivals:         400,
 		MeanInterarrival: 30 * time.Second,
-		selfCheck:        t.Errorf,
 	}
+	armRefCheck(t, &cfg)
 	res := mustRun(t, cfg)
 	if res.Admitted < 100 {
 		t.Fatalf("differential replay admitted only %d jobs; too small to exercise the heap", res.Admitted)

@@ -101,11 +101,11 @@ type Config struct {
 	// OnEpoch, if set, observes every arbitration epoch (jockeyd -v).
 	OnEpoch func(EpochStats)
 
-	// selfCheck, set only by tests, receives a formatted report whenever
-	// the heap water-fill diverges from the retired reference scan (see
-	// arbiter_ref.go). Nil in production: the differential replay costs an
-	// extra full fillRef per epoch.
-	selfCheck func(format string, args ...any)
+	// checkFill, set only by tests, is called before every epoch's
+	// water-fill and returns a check to run after it; the tests diff the
+	// heap rounds against the retired reference scan (arbiter_ref_test.go).
+	// Nil in production: the check costs an extra full scan per epoch.
+	checkFill func(r *replay, budget int) (after func())
 }
 
 // EpochStats is the per-epoch observer record.
@@ -206,7 +206,7 @@ type fleetJob struct {
 	util        utility.Fn
 	reservation int
 	grant       int
-	wanted      int // last epoch's unconstrained desire, for gap attribution
+	wanted      int       // last epoch's unconstrained desire, for gap attribution
 	utilBuf     []float64 // per-grid utility scratch, sized once at admission
 	latched     bool
 	finalized   bool

@@ -33,7 +33,7 @@ func TestFleetScaleReplay(t *testing.T) {
 		t.Skip("differential fleet-scale replay pays the reference scan's quadratic cost")
 	}
 	cfg := fleetScaleConfig()
-	cfg.selfCheck = t.Errorf
+	armRefCheck(t, &cfg)
 	rungs := maxGridRungs(t)
 	cfg.OnEpoch = func(s EpochStats) {
 		if s.Bidders > 0 && s.HeapOps > 8*s.Bidders*rungs {

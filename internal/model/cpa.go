@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -41,14 +40,6 @@ type CPAConfig struct {
 	// the others, workers only fill their own cell's sample slice, and the
 	// slices are folded into the reservoirs in fixed index order afterwards.
 	Parallelism int
-	// Quantize stores the table's cells as fixed-point int32 milliseconds
-	// instead of time.Duration, halving the table's resident size (the knob
-	// for cosmos-scale fleets holding hundreds of tables). Quantization is
-	// applied once at build time, after the presort; queries never convert
-	// per-sample. Remaining/ExpectedUtility results differ from the exact
-	// table by at most the 1ms cell resolution, so the default is off and
-	// golden outputs are unchanged unless a caller opts in.
-	Quantize bool
 }
 
 func (c *CPAConfig) fill() error {
@@ -136,10 +127,6 @@ type CPA struct {
 	// per-cell checksum and samplesAt asserts it on every access.
 	cells [][]*stats.Reservoir
 	sums  [][]uint64
-	// quant replaces cells when CPAConfig.Quantize is set: the same sorted
-	// samples as int32 milliseconds (truncated, which preserves order).
-	// Exactly one of cells/quant is non-nil after construction.
-	quant [][][]int32
 }
 
 // BuildCPA runs the offline simulator across the allocation grid and builds
@@ -250,26 +237,6 @@ func BuildCPA(p *profile.Profile, ind progress.Indicator, cfg CPAConfig) (*CPA, 
 			c.cells[ai][b].Sort()
 		}
 	}
-	// Phase 4 (opt-in) — quantize: copy each sorted cell into fixed-point
-	// int32 milliseconds and drop the Duration reservoirs. Truncation is
-	// monotone, so the quantized cells stay sorted and the widening search
-	// sees the same empty/non-empty structure.
-	if cfg.Quantize {
-		c.quant = make([][][]int32, len(c.cells))
-		for ai := range c.cells {
-			c.quant[ai] = make([][]int32, len(c.cells[ai]))
-			for b := range c.cells[ai] {
-				vs := c.cells[ai][b].Values()
-				qs := make([]int32, len(vs))
-				for i, v := range vs {
-					qs[i] = int32(v / time.Millisecond)
-				}
-				c.quant[ai][b] = qs
-			}
-		}
-		c.cells = nil
-		return c, nil
-	}
 	if invariant.Debug {
 		c.sums = make([][]uint64, len(c.cells))
 		for ai := range c.cells {
@@ -343,65 +310,26 @@ func (c *CPA) samplesAt(p float64, a int) []time.Duration {
 	return c.readOnly(ai, b, c.cells[ai][b].Values())
 }
 
-// cellLen returns the sample count of cell (ai, b) under either storage.
-//
-//jockey:hotpath
-func (c *CPA) cellLen(ai, b int) int {
-	if c.quant != nil {
-		return len(c.quant[ai][b])
-	}
-	return len(c.cells[ai][b].Values())
-}
-
 // findCell locates the cell serving progress p at allocation a, widening
 // symmetrically to neighbouring progress buckets (preferring the lower, more
-// pessimistic one) until it finds a non-empty cell. The widening structure
-// depends only on which cells are empty, which quantization preserves, so
-// exact and quantized tables always answer from the same cell.
+// pessimistic one) until it finds a non-empty cell.
 //
 //jockey:hotpath
 func (c *CPA) findCell(p float64, a int) (ai, b int, ok bool) {
 	ai = c.allocIndex(a)
 	b = c.bucket(p)
-	if c.cellLen(ai, b) > 0 {
+	if c.cells[ai][b].Len() > 0 {
 		return ai, b, true
 	}
 	for d := 1; d <= c.buckets; d++ {
-		if b-d >= 0 && c.cellLen(ai, b-d) > 0 {
+		if b-d >= 0 && c.cells[ai][b-d].Len() > 0 {
 			return ai, b - d, true
 		}
-		if b+d <= c.buckets && c.cellLen(ai, b+d) > 0 {
+		if b+d <= c.buckets && c.cells[ai][b+d].Len() > 0 {
 			return ai, b + d, true
 		}
 	}
 	return 0, 0, false
-}
-
-// quantileMillis is stats.QuantileDurations over a sorted fixed-point
-// millisecond cell: identical clamp and interpolation semantics, with the
-// conversion to time.Duration applied only to the (at most two) samples the
-// quantile touches.
-//
-//jockey:hotpath
-func quantileMillis(sorted []int32, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return time.Duration(sorted[0]) * time.Millisecond
-	}
-	if q >= 1 {
-		return time.Duration(sorted[len(sorted)-1]) * time.Millisecond
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return time.Duration(sorted[lo]) * time.Millisecond
-	}
-	frac := pos - float64(lo)
-	ms := float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
-	return time.Duration(ms * float64(time.Millisecond))
 }
 
 // readOnly enforces the read-only-cells contract in debug builds: the cell
@@ -428,13 +356,6 @@ func (c *CPA) Progress(st State) float64 { return c.indicator.Progress(st.FracDo
 // index — zero allocations per query (pinned by TestCPAQueryZeroAllocs),
 // where it previously copied and re-sorted the cell on every call.
 func (c *CPA) Remaining(st State, a int, q float64) time.Duration {
-	if c.quant != nil {
-		ai, b, ok := c.findCell(c.Progress(st), a)
-		if !ok {
-			return 0
-		}
-		return quantileMillis(c.quant[ai][b], q)
-	}
 	return stats.QuantileDurations(c.samplesAt(c.Progress(st), a), q)
 }
 
@@ -443,20 +364,6 @@ func (c *CPA) Remaining(st State, a int, q float64) time.Duration {
 // than a point estimate reproduces the paper's safety buffer: a heavy upper
 // tail of C(p, a) drags expected utility down near the deadline.
 func (c *CPA) ExpectedUtility(st State, a int, slack float64, u utility.Fn) float64 {
-	if c.quant != nil {
-		ai, b, ok := c.findCell(c.Progress(st), a)
-		if !ok {
-			return u.Utility(st.Elapsed)
-		}
-		cell := c.quant[ai][b]
-		var sum float64
-		for _, ms := range cell {
-			rem := time.Duration(ms) * time.Millisecond
-			t := st.Elapsed + time.Duration(float64(rem)*slack)
-			sum += u.Utility(t)
-		}
-		return sum / float64(len(cell))
-	}
 	samples := c.samplesAt(c.Progress(st), a)
 	if len(samples) == 0 {
 		return u.Utility(st.Elapsed)

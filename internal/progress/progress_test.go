@@ -153,7 +153,7 @@ func TestSpansFromTrace(t *testing.T) {
 
 func TestAll(t *testing.T) {
 	p := testProfile(t)
-	run, err := sim.Run(sim.Config{Profile: p, Alloc: 5, Seed: 1})
+	run, err := sim.NewRunner().Run(sim.Config{Profile: p, Alloc: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // its per-stage spans parameterize the minstage-inf progress indicator
 // ("a simulation of the job with no constraint on resources", §5.4).
 func RunInfinite(p *profile.Profile, seed uint64) (*trace.JobTrace, error) {
-	return Run(Config{
+	return NewRunner().Run(Config{
 		Profile:         p,
 		Alloc:           p.Job.TotalTasks(),
 		Seed:            seed,

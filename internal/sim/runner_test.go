@@ -39,7 +39,7 @@ func cloneTrace(tr *trace.JobTrace) *trace.JobTrace {
 
 // TestRunnerReuseBitIdentical is the golden determinism test for the arena
 // reuse: a Runner re-run across many (seed, alloc, initial-state, sampling)
-// configurations must reproduce the one-shot Run's trace byte for byte —
+// configurations must reproduce a fresh Runner's trace byte for byte —
 // same events in the same order, same completion — even though it reuses
 // every arena from the previous, differently-shaped run.
 func TestRunnerReuseBitIdentical(t *testing.T) {
@@ -53,15 +53,18 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 		{Profile: p, Alloc: 80, Seed: 77, DisableFailures: true},
 		{Profile: p, Alloc: 7, Seed: 99, SampleEvery: 15 * time.Second}, // repeat of cfg 1
 	}
-	// Reference: fresh engine per run (the compatibility wrapper).
+	// Reference: fresh engine per run.
 	var want []*trace.JobTrace
 	var wantSnaps [][]Snapshot
 	for i, cfg := range cfgs {
 		var snaps []Snapshot
 		if cfg.SampleEvery > 0 {
-			cfg.OnSample = func(s Snapshot) { snaps = append(snaps, s) }
+			cfg.OnSample = func(s Snapshot) {
+				s.FracDone = append([]float64(nil), s.FracDone...)
+				snaps = append(snaps, s)
+			}
 		}
-		tr, err := Run(cfg)
+		tr, err := NewRunner().Run(cfg)
 		if err != nil {
 			t.Fatalf("cfg %d: %v", i, err)
 		}
@@ -198,14 +201,14 @@ func TestReadyFIFOCompaction(t *testing.T) {
 
 // BenchmarkSimRun measures one simulation of job-E scale (plan from the
 // workload generator is too heavy for a micro-bench; this DAG matches its
-// structure) with a reused Runner vs the one-shot Run. The reused variant
+// structure) with a reused Runner vs a fresh Runner per run. The reused variant
 // must show >= 30% fewer allocs/op (it is in practice ~1000x).
 func BenchmarkSimRun(b *testing.B) {
 	p := noisyRunnerProfile(b)
 	b.Run("fresh-engine", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(Config{Profile: p, Alloc: 20, Seed: 7}); err != nil {
+			if _, err := NewRunner().Run(Config{Profile: p, Alloc: 20, Seed: 7}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -116,8 +116,9 @@ const readyCompactMin = 1024
 //
 // A Runner is NOT safe for concurrent use: callers that fan simulations
 // out across goroutines hold one Runner per worker (see model.BuildCPA).
-// Results are bit-identical to the one-shot Run function — same RNG draws,
-// same event order, same trace — pinned by TestRunnerReuseBitIdentical.
+// A reused Runner's results are bit-identical to a fresh one's — same RNG
+// draws, same event order, same trace — pinned by
+// TestRunnerReuseBitIdentical.
 type Runner struct {
 	// Immutable per job shape (rebuilt only when the job changes).
 	job *dag.Job
@@ -153,12 +154,6 @@ type Runner struct {
 	rng       *rand.Rand
 	fracBuf   []float64 // scratch for Snapshot.FracDone
 
-	// snapshotCopy makes emitSample hand each OnSample callback a freshly
-	// allocated FracDone slice (the one-shot Run contract, where callers
-	// may retain snapshots). Runner's default hands out fracBuf, valid only
-	// during the callback.
-	snapshotCopy bool
-
 	// Per-run state.
 	cfg       Config
 	p         *profile.Profile
@@ -180,8 +175,7 @@ func NewRunner() *Runner {
 // Reuse contract: the returned trace AND the Snapshot.FracDone slices
 // passed to cfg.OnSample are backed by the Runner's arenas and are valid
 // only until the next Run call. Callers that need to retain them must
-// copy; callers that cannot honour that use the package-level Run, which
-// allocates a fresh Runner per call and therefore carries no aliasing.
+// copy.
 func (r *Runner) Run(cfg Config) (*trace.JobTrace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -200,17 +194,6 @@ func (r *Runner) Run(cfg Config) (*trace.JobTrace, error) {
 		return nil, err
 	}
 	return &r.tr, nil
-}
-
-// Run simulates one execution of the profiled job and returns its trace.
-// It is the one-shot convenience wrapper around Runner: a fresh Runner per
-// call, so the returned trace and every Snapshot handed to OnSample are
-// independently owned by the caller. Loops over many runs of the same job
-// should hold a Runner instead.
-func Run(cfg Config) (*trace.JobTrace, error) {
-	r := NewRunner()
-	r.snapshotCopy = true
-	return r.Run(cfg)
 }
 
 // shape (re)builds the arenas for a new job plan: one flat array per
@@ -445,16 +428,12 @@ func (r *Runner) run() error {
 }
 
 func (r *Runner) emitSample() {
-	frac := r.fracBuf
-	if r.snapshotCopy {
-		frac = make([]float64, r.job.NumStages())
-	}
-	for s := range frac {
-		frac[s] = float64(r.doneCount[s]) / float64(r.job.Stages[s].Tasks)
+	for s := range r.fracBuf {
+		r.fracBuf[s] = float64(r.doneCount[s]) / float64(r.job.Stages[s].Tasks)
 	}
 	r.cfg.OnSample(Snapshot{
 		Time:     r.now,
-		FracDone: frac,
+		FracDone: r.fracBuf,
 		Running:  r.running,
 		Ready:    r.readyLen(),
 	})

@@ -39,7 +39,7 @@ func TestRunDeterministicLatency(t *testing.T) {
 		{100, 30 * time.Second},
 	}
 	for _, c := range cases {
-		tr, err := Run(Config{Profile: p, Alloc: c.alloc, Seed: 1})
+		tr, err := NewRunner().Run(Config{Profile: p, Alloc: c.alloc, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestRunDeterministicLatency(t *testing.T) {
 
 func TestBarrierEnforced(t *testing.T) {
 	p := fixedProfile(t)
-	tr, err := Run(Config{Profile: p, Alloc: 4, Seed: 1})
+	tr, err := NewRunner().Run(Config{Profile: p, Alloc: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestOneToOnePipelines(t *testing.T) {
 		{Exec: stats.Point{V: 10 * time.Second}},
 		{Exec: stats.Point{V: 10 * time.Second}},
 	})
-	tr, err := Run(Config{Profile: p, Alloc: 3, Seed: 1})
+	tr, err := NewRunner().Run(Config{Profile: p, Alloc: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestSameSeedSameTrace(t *testing.T) {
 			Queue: stats.Exponential{MeanValue: time.Second}, FailureProb: 0.1},
 		{Exec: stats.LognormalFromMedian(10*time.Second, 30*time.Second)},
 	})
-	a, err := Run(Config{Profile: p, Alloc: 7, Seed: 99})
+	a, err := NewRunner().Run(Config{Profile: p, Alloc: 7, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Profile: p, Alloc: 7, Seed: 99})
+	b, err := NewRunner().Run(Config{Profile: p, Alloc: 7, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSameSeedSameTrace(t *testing.T) {
 			t.Fatalf("event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
 		}
 	}
-	c, err := Run(Config{Profile: p, Alloc: 7, Seed: 100})
+	c, err := NewRunner().Run(Config{Profile: p, Alloc: 7, Seed: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFailuresAreRetriedAndRecorded(t *testing.T) {
 	p := profile.MustNew(job, []profile.StageProfile{
 		{Exec: stats.Point{V: 10 * time.Second}, FailureProb: 0.3},
 	})
-	tr, err := Run(Config{Profile: p, Alloc: 10, Seed: 5})
+	tr, err := NewRunner().Run(Config{Profile: p, Alloc: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestDisableFailures(t *testing.T) {
 	p := profile.MustNew(job, []profile.StageProfile{
 		{Exec: stats.Point{V: 10 * time.Second}, FailureProb: 0.5},
 	})
-	tr, err := Run(Config{Profile: p, Alloc: 10, Seed: 5, DisableFailures: true})
+	tr, err := NewRunner().Run(Config{Profile: p, Alloc: 10, Seed: 5, DisableFailures: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestMaxAttemptsBoundsRetries(t *testing.T) {
 	p := profile.MustNew(job, []profile.StageProfile{
 		{Exec: stats.Point{V: time.Second}, FailureProb: 0.999},
 	})
-	tr, err := Run(Config{Profile: p, Alloc: 3, Seed: 1, MaxAttempts: 5})
+	tr, err := NewRunner().Run(Config{Profile: p, Alloc: 3, Seed: 1, MaxAttempts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestMaxAttemptsBoundsRetries(t *testing.T) {
 }
 
 func TestConfigErrors(t *testing.T) {
-	if _, err := Run(Config{}); err == nil || !strings.Contains(err.Error(), "nil profile") {
+	if _, err := NewRunner().Run(Config{}); err == nil || !strings.Contains(err.Error(), "nil profile") {
 		t.Errorf("nil profile: %v", err)
 	}
 	p := fixedProfile(t)
-	if _, err := Run(Config{Profile: p, Alloc: 0}); err == nil {
+	if _, err := NewRunner().Run(Config{Profile: p, Alloc: 0}); err == nil {
 		t.Error("zero alloc must fail")
 	}
 }
@@ -243,7 +243,7 @@ func TestInitialFracDoneLengthMismatch(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tr, err := Run(Config{Profile: p, Alloc: 4, Seed: 1, InitialFracDone: c.fracs})
+			tr, err := NewRunner().Run(Config{Profile: p, Alloc: 4, Seed: 1, InitialFracDone: c.fracs})
 			if c.ok {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -267,11 +267,11 @@ func TestInitialFracDoneLengthMismatch(t *testing.T) {
 // the validated path must still apply the pre-completed state.
 func TestInitialFracDoneResume(t *testing.T) {
 	p := fixedProfile(t)
-	fresh, err := Run(Config{Profile: p, Alloc: 4, Seed: 1})
+	fresh, err := NewRunner().Run(Config{Profile: p, Alloc: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Run(Config{Profile: p, Alloc: 4, Seed: 1, InitialFracDone: []float64{1, 0}})
+	resumed, err := NewRunner().Run(Config{Profile: p, Alloc: 4, Seed: 1, InitialFracDone: []float64{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +283,13 @@ func TestInitialFracDoneResume(t *testing.T) {
 func TestSampling(t *testing.T) {
 	p := fixedProfile(t)
 	var snaps []Snapshot
-	_, err := Run(Config{
+	_, err := NewRunner().Run(Config{
 		Profile: p, Alloc: 2, Seed: 1,
 		SampleEvery: 5 * time.Second,
-		OnSample:    func(s Snapshot) { snaps = append(snaps, s) },
+		OnSample: func(s Snapshot) {
+			s.FracDone = append([]float64(nil), s.FracDone...) // valid only during the callback
+			snaps = append(snaps, s)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +397,7 @@ func TestQueueDelayCountedInTrace(t *testing.T) {
 	p := profile.MustNew(job, []profile.StageProfile{
 		{Exec: stats.Point{V: 10 * time.Second}, Queue: stats.Point{V: 2 * time.Second}},
 	})
-	tr, err := Run(Config{Profile: p, Alloc: 4, Seed: 1})
+	tr, err := NewRunner().Run(Config{Profile: p, Alloc: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

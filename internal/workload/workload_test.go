@@ -133,7 +133,7 @@ func TestJobsGeneratesAllSeven(t *testing.T) {
 
 func TestGeneratedJobRunsInSimulator(t *testing.T) {
 	p := MustGenerate(TableTwo[1], 3) // job B: no barriers, 1605 vertices
-	tr, err := sim.Run(sim.Config{Profile: p, Alloc: 50, Seed: 9})
+	tr, err := sim.NewRunner().Run(sim.Config{Profile: p, Alloc: 50, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

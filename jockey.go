@@ -288,8 +288,11 @@ type (
 	Predictor = model.Predictor
 )
 
-// Simulate runs the offline job simulator once and returns the trace.
-func Simulate(cfg SimConfig) (*JobTrace, error) { return sim.Run(cfg) }
+// Simulate runs the offline job simulator once on a fresh SimRunner and
+// returns its trace, which the caller owns. The snapshots handed to
+// SimConfig.OnSample are valid only during the callback; copy FracDone to
+// retain one.
+func Simulate(cfg SimConfig) (*JobTrace, error) { return sim.NewRunner().Run(cfg) }
 
 // SimRunner is a reusable simulation engine: the first Run against a job
 // plan allocates the engine's arenas, subsequent Runs against the same
@@ -307,20 +310,7 @@ func NewSimRunner() *SimRunner { return sim.NewRunner() }
 // and deadline d.
 func Oracle(totalWork, deadline time.Duration) int { return model.Oracle(totalWork, deadline) }
 
-// Arbiter is the admission-control component of §1: it commits
-// guaranteed-token budget to SLO jobs and admits a new job only if every
-// admitted job can still meet its deadline.
-type Arbiter = core.Arbiter
-
-// NewArbiter creates an admission-control arbiter over a guaranteed-token
-// budget.
-func NewArbiter(budget int) (*Arbiter, error) { return core.NewArbiter(budget) }
-
-// ErrDuplicateAdmission reports an Arbiter.TryAdmit for a job id that is
-// already admitted and not yet released. Match with errors.Is.
-var ErrDuplicateAdmission = core.ErrDuplicateAdmission
-
-// Fleet arbitration: the dynamic multi-job layer above the static Arbiter.
+// Fleet arbitration: the multi-job admission and arbitration layer.
 // FleetRun replays a deterministic stream of recurring SLO-job offers
 // through admission, per-epoch utility-driven re-arbitration of the global
 // token budget, and graceful degradation (deferral, rejection, guard-panic

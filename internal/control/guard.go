@@ -165,7 +165,8 @@ type Guard struct {
 	panicFrom GuardMode
 
 	live       *trace.JobTrace
-	liveOK     int // successful (non-failed) events in live
+	liveOK     int            // successful (non-failed) events in live
+	window     trace.JobTrace // recentLive's reused result
 	slips      []float64
 	slipN      int // valid entries in slips (ring fill)
 	slipI      int // ring index
@@ -301,7 +302,8 @@ const detectorQuantile = 0.5
 // under the current grant isolates model error from control actions.
 func (g *Guard) observe(st model.State) float64 {
 	defer func() {
-		g.prevState = model.State{Elapsed: st.Elapsed, FracDone: append([]float64(nil), st.FracDone...)}
+		g.prevState.Elapsed = st.Elapsed
+		g.prevState.FracDone = append(g.prevState.FracDone[:0], st.FracDone...)
 		g.prevSet = true
 	}()
 	if !g.prevSet {
@@ -360,14 +362,16 @@ func (g *Guard) resetDetector() {
 
 // recentLive returns the live trace restricted to the tuning's recency
 // window (events that completed within LiveWindow of now) and whether it
-// holds enough successful observations to blend.
+// holds enough successful observations to blend. The windowed trace is the
+// guard's reused buffer, valid until the next call.
 func (g *Guard) recentLive(now time.Duration) (*trace.JobTrace, bool) {
 	w := g.cfg.Tuning.LiveWindow
 	if w < 0 {
 		return g.live, g.liveOK >= g.cfg.Tuning.MinLiveSamples
 	}
 	cutoff := now - w
-	out := trace.New(g.live.JobName, g.live.NumStages)
+	out := &g.window
+	out.Reset(g.live.JobName, g.live.NumStages)
 	ok := 0
 	for _, e := range g.live.Events {
 		if e.Ended < cutoff {
@@ -388,6 +392,12 @@ func (g *Guard) blended(now time.Duration) *profile.Profile {
 	if !ok {
 		return g.cfg.Prior
 	}
+	return g.blend(live)
+}
+
+// blend returns the prior profile with the given live observations blended
+// in, or the prior itself if the blend fails.
+func (g *Guard) blend(live *trace.JobTrace) *profile.Profile {
 	p, err := profile.Blend(g.cfg.Prior, live, profile.BlendOptions{
 		PriorWeight: g.cfg.Tuning.BlendPriorWeight,
 		// Extrapolate an observed job-wide slowdown to the stages still ahead
@@ -412,12 +422,10 @@ func (g *Guard) deadlineAtRisk(st model.State) bool {
 
 // maybeRebuild runs the re-profiling rung: blend live stats into the prior
 // and rebuild the current rung's predictor, rate-limited by the backoff.
-// It reports whether a rebuild happened.
+// It reports whether a rebuild happened. The cheap, pure checks run first,
+// so a stale model inside the backoff costs no copy of the live trace.
 func (g *Guard) maybeRebuild(st model.State, score float64) bool {
 	if g.cfg.Tuning.DisableReprofile {
-		return false
-	}
-	if _, ok := g.recentLive(st.Elapsed); !ok {
 		return false
 	}
 	if g.builtOnce && st.Elapsed-g.lastBuild < g.cfg.Tuning.RebuildBackoff {
@@ -437,8 +445,12 @@ func (g *Guard) maybeRebuild(st model.State, score float64) bool {
 	if build == nil {
 		return false
 	}
+	live, ok := g.recentLive(st.Elapsed)
+	if !ok {
+		return false
+	}
 	g.rebuilds++
-	pred, err := build(g.blended(st.Elapsed), g.rebuilds)
+	pred, err := build(g.blend(live), g.rebuilds)
 	if err != nil {
 		return false
 	}

@@ -241,3 +241,63 @@ func TestNewGuardValidation(t *testing.T) {
 		t.Fatalf("NewGuard accepted nil prior")
 	}
 }
+
+// TestGuardRebuildBackoffAllocatesNothing: a stale model inside the rebuild
+// backoff is refused before the live trace is windowed, so the refusal
+// costs no allocation however many live observations have accumulated;
+// once the backoff has passed, the rebuild still happens.
+func TestGuardRebuildBackoffAllocatesNothing(t *testing.T) {
+	builds := 0
+	rebuild := func(p *profile.Profile, gen int) (model.Predictor, error) {
+		builds++
+		return linearPred{K: 60 * time.Minute}, nil
+	}
+	g := guardFixture(t, 300*time.Minute, GuardTuning{MinLiveSamples: 5}, rebuild)
+	for i := 0; i < 50; i++ {
+		g.ObserveTask(trace.TaskEvent{
+			Stage: 0, Task: i % 10,
+			Started: time.Duration(i) * time.Second,
+			Ended:   time.Duration(i)*time.Second + time.Minute,
+		})
+	}
+	st := model.State{Elapsed: 2 * time.Minute, FracDone: []float64{0.1}}
+	if !g.maybeRebuild(st, 1) {
+		t.Fatal("first rebuild with enough live samples did not happen")
+	}
+	st.Elapsed += g.cfg.Tuning.RebuildBackoff / 2
+	allocs := testing.AllocsPerRun(100, func() {
+		if g.maybeRebuild(st, 1) {
+			t.Fatal("rebuild inside the backoff")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("maybeRebuild inside the backoff = %v allocs/run, want 0", allocs)
+	}
+	st.Elapsed += g.cfg.Tuning.RebuildBackoff
+	if !g.maybeRebuild(st, 1) || builds != 2 {
+		t.Fatalf("rebuild after the backoff: builds = %d, want 2", builds)
+	}
+}
+
+// TestGuardObserveReusesStateBuffer: the detector's previous-state copy is
+// refilled in place each tick instead of reallocated.
+func TestGuardObserveReusesStateBuffer(t *testing.T) {
+	g := guardFixture(t, 300*time.Minute, GuardTuning{}, nil)
+	st := model.State{Elapsed: time.Minute, FracDone: []float64{0.01}}
+	g.observe(st)
+	allocs := testing.AllocsPerRun(100, func() {
+		st.Elapsed += time.Minute
+		st.FracDone[0] += 0.001
+		g.observe(st)
+	})
+	if allocs != 0 {
+		t.Errorf("observe = %v allocs/tick, want 0", allocs)
+	}
+	if g.prevState.Elapsed != st.Elapsed || g.prevState.FracDone[0] != st.FracDone[0] {
+		t.Errorf("prevState = %+v, want a copy of %+v", g.prevState, st)
+	}
+	st.FracDone[0] = 0.9
+	if g.prevState.FracDone[0] == 0.9 {
+		t.Error("prevState aliases the caller's FracDone")
+	}
+}

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,7 +39,7 @@ type CPAConfig struct {
 	// (default runtime.GOMAXPROCS(0)). The table is bit-identical at any
 	// value: each (alloc, run) cell derives its RNG seed independently of
 	// the others, workers only fill their own cell's sample slice, and the
-	// slices are folded into the reservoirs in fixed index order afterwards.
+	// slices are folded into the table in fixed index order afterwards.
 	Parallelism int
 }
 
@@ -119,14 +120,17 @@ type CPA struct {
 	indicator progress.Indicator
 	allocs    []int
 	buckets   int
-	// cells[ai][b] holds remaining-time samples for allocation index ai and
-	// progress bucket b. Every cell is sorted ascending once at build time,
-	// so quantile queries index the sorted slice directly (no per-query
-	// copy or sort). The cell slices are therefore shared and READ-ONLY
-	// after construction; in `-tags invariantdebug` builds, sums holds a
-	// per-cell checksum and samplesAt asserts it on every access.
-	cells [][]*stats.Reservoir
-	sums  [][]uint64
+	// vals holds every cell's retained remaining-time samples back to back,
+	// row by row: cell i = ai*(buckets+1) + b (allocation index ai,
+	// progress bucket b) is vals[offs[i]:offs[i+1]]. Every cell is sorted
+	// ascending once at build time, so quantile queries index the sorted
+	// slice directly (no per-query copy or sort). The cells are therefore
+	// shared and READ-ONLY after construction; in `-tags invariantdebug`
+	// builds, sums holds a per-cell checksum and samplesAt asserts it on
+	// every access.
+	vals []time.Duration
+	offs []int
+	sums []uint64
 }
 
 // BuildCPA runs the offline simulator across the allocation grid and builds
@@ -144,13 +148,6 @@ func BuildCPA(p *profile.Profile, ind progress.Indicator, cfg CPAConfig) (*CPA, 
 		indicator: ind,
 		allocs:    append([]int(nil), cfg.Allocs...),
 		buckets:   cfg.Buckets,
-		cells:     make([][]*stats.Reservoir, len(cfg.Allocs)),
-	}
-	for ai := range c.cells {
-		c.cells[ai] = make([]*stats.Reservoir, cfg.Buckets+1)
-		for b := range c.cells[ai] {
-			c.cells[ai][b] = stats.NewReservoir(cfg.ReservoirCap)
-		}
 	}
 	// Phase 1 — fan out: every (alloc, run) cell is an independent
 	// simulation whose seed depends only on (Seed, alloc, run), so the
@@ -158,51 +155,35 @@ func BuildCPA(p *profile.Profile, ind progress.Indicator, cfg CPAConfig) (*CPA, 
 	// goroutines. Each worker writes only its own cellObs slot, and holds
 	// one reusable simulation engine plus one sample scratch buffer —
 	// worker identity touches memory reuse only, never results.
-	type obs struct {
-		bucket int
-		v      time.Duration
-	}
-	type sample struct {
-		t time.Duration
-		p float64
-	}
 	nCells := len(c.allocs) * cfg.RunsPerAlloc
 	cellObs := make([][]obs, nCells)
 	cellErr := make([]error, nCells)
-	runners := make([]*sim.Runner, cfg.Parallelism)
-	scratch := make([][]sample, cfg.Parallelism)
+	workers := make([]*cpaWorker, cfg.Parallelism)
 	runParallelWorkers(nCells, cfg.Parallelism, func(worker, idx int) {
-		ai := idx / cfg.RunsPerAlloc
-		run := idx % cfg.RunsPerAlloc
-		alloc := c.allocs[ai]
-		r := runners[worker]
-		if r == nil {
-			r = sim.NewRunner()
-			runners[worker] = r
+		w := workers[worker]
+		if w == nil {
+			w = newCPAWorker(ind)
+			workers[worker] = w
 		}
-		samples := scratch[worker][:0]
-		seed := stats.DeriveSeed(cfg.Seed, "cpa", strconv.Itoa(alloc), strconv.Itoa(run))
-		tr, err := r.Run(sim.Config{
+		alloc := c.allocs[idx/cfg.RunsPerAlloc]
+		run := idx % cfg.RunsPerAlloc
+		w.samples = w.samples[:0]
+		completion, err := w.r.Completion(sim.Config{
 			Profile:     p,
 			Alloc:       alloc,
-			Seed:        seed,
+			Seed:        stats.DeriveSeed(cfg.Seed, "cpa", strconv.Itoa(alloc), strconv.Itoa(run)),
 			SampleEvery: cfg.SampleEvery,
-			OnSample: func(s sim.Snapshot) {
-				// s.FracDone is the Runner's scratch buffer; Progress
-				// consumes it inside the callback, nothing is retained.
-				samples = append(samples, sample{t: s.Time, p: ind.Progress(s.FracDone)})
-			},
+			OnSample:    w.onSample,
 		})
-		scratch[worker] = samples // keep the grown capacity for the next cell
 		if err != nil {
 			cellErr[idx] = err
 			return
 		}
 		// t = 0 with p = 0 is always a valid observation.
-		out := make([]obs, 0, len(samples)+2)
-		out = append(out, obs{bucket: 0, v: tr.Completion})
-		for _, s := range samples {
-			remaining := tr.Completion - s.t
+		out := make([]obs, 0, len(w.samples)+2)
+		out = append(out, obs{bucket: 0, v: completion})
+		for _, s := range w.samples {
+			remaining := completion - s.t
 			if remaining < 0 {
 				continue
 			}
@@ -212,42 +193,98 @@ func BuildCPA(p *profile.Profile, ind progress.Indicator, cfg CPAConfig) (*CPA, 
 		out = append(out, obs{bucket: c.buckets, v: 0})
 		cellObs[idx] = out
 	})
-	// Phase 2 — deterministic merge: fold the per-cell observations into
-	// the reservoirs in fixed (alloc, run) index order with one shared
-	// reservoir RNG. This replays the exact Add sequence of a sequential
-	// build, so the table is bit-identical at any Parallelism.
-	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "cpa-reservoir"))
-	for idx := 0; idx < nCells; idx++ {
-		if err := cellErr[idx]; err != nil {
+	for _, err := range cellErr {
+		if err != nil {
 			return nil, err
 		}
-		ai := idx / cfg.RunsPerAlloc
-		for _, o := range cellObs[idx] {
-			c.cells[ai][o.bucket].Add(o.v, rng)
+	}
+	// Phase 2 — size the table: a cell keeps min(seen, ReservoirCap)
+	// samples, so counting every cell's observations fixes each cell's
+	// offset before any value is placed.
+	nb := c.buckets + 1
+	seen := make([]int64, len(c.allocs)*nb)
+	for idx, out := range cellObs {
+		row := idx / cfg.RunsPerAlloc * nb
+		for _, o := range out {
+			seen[row+o.bucket]++
 		}
 	}
-	// Phase 3 — presort: order every cell ascending exactly once, so
+	c.offs = make([]int, len(seen)+1)
+	for i, n := range seen {
+		c.offs[i+1] = c.offs[i] + int(min(n, int64(cfg.ReservoirCap)))
+	}
+	c.vals = make([]time.Duration, c.offs[len(seen)])
+	// Phase 3 — deterministic merge: replay reservoir sampling (Vitter's
+	// algorithm R) over the observations in fixed (alloc, run) index order
+	// with one shared RNG — keep while the cell has room, else replace slot
+	// Int64N(seen) if it falls inside the cell. This is the exact draw
+	// sequence of a sequential build, so the table is bit-identical at any
+	// Parallelism.
+	clear(seen)
+	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "cpa-reservoir"))
+	capacity := int64(cfg.ReservoirCap)
+	for idx, out := range cellObs {
+		row := idx / cfg.RunsPerAlloc * nb
+		for _, o := range out {
+			i := row + o.bucket
+			seen[i]++
+			if seen[i] <= capacity {
+				c.vals[c.offs[i]+int(seen[i])-1] = o.v
+			} else if j := rng.Int64N(seen[i]); j < capacity {
+				c.vals[c.offs[i]+int(j)] = o.v
+			}
+		}
+	}
+	// Phase 4 — presort: order every cell ascending exactly once, so
 	// Remaining is an O(1)-allocation quantile lookup and ExpectedUtility
 	// iterates the shared sorted slice. Sorting after the merge preserves
-	// the reservoirs' retained multisets, so quantiles equal the old
+	// each cell's retained multiset, so quantiles equal the old
 	// copy-and-sort-per-query values bit for bit
 	// (TestPresortedQuantilesMatchReference).
-	for ai := range c.cells {
-		for b := range c.cells[ai] {
-			c.cells[ai][b].Sort()
-		}
+	for i := range seen {
+		slices.Sort(c.cell(i))
 	}
 	if invariant.Debug {
-		c.sums = make([][]uint64, len(c.cells))
-		for ai := range c.cells {
-			c.sums[ai] = make([]uint64, len(c.cells[ai]))
-			for b := range c.cells[ai] {
-				c.sums[ai][b] = invariant.ChecksumDurations(c.cells[ai][b].Values())
-			}
+		c.sums = make([]uint64, len(seen))
+		for i := range c.sums {
+			c.sums[i] = invariant.ChecksumDurations(c.cell(i))
 		}
 	}
 	return c, nil
 }
+
+// obs is one remaining-time observation and the progress bucket it falls in.
+type obs struct {
+	bucket int
+	v      time.Duration
+}
+
+// cpaWorker is one BuildCPA worker's reusable state: a simulation engine,
+// the progress samples of the run in flight, and the one OnSample callback
+// that appends to them, built once per worker rather than once per run.
+type cpaWorker struct {
+	r        *sim.Runner
+	samples  []progressSample
+	onSample func(sim.Snapshot)
+}
+
+type progressSample struct {
+	t time.Duration
+	p float64
+}
+
+func newCPAWorker(ind progress.Indicator) *cpaWorker {
+	w := &cpaWorker{r: sim.NewRunner()}
+	w.onSample = func(s sim.Snapshot) {
+		// s.FracDone is the Runner's scratch buffer; Progress consumes it
+		// inside the callback, nothing is retained.
+		w.samples = append(w.samples, progressSample{t: s.Time, p: ind.Progress(s.FracDone)})
+	}
+	return w
+}
+
+// cell returns cell i's samples (see CPA.vals).
+func (c *CPA) cell(i int) []time.Duration { return c.vals[c.offs[i]:c.offs[i+1]] }
 
 func (c *CPA) bucket(p float64) int { return bucketOf(p, c.buckets) }
 
@@ -303,44 +340,47 @@ func (c *CPA) allocIndex(a int) int {
 // Debug builds (-tags invariantdebug) verify a build-time checksum of the
 // cell on every access and panic on mutation.
 func (c *CPA) samplesAt(p float64, a int) []time.Duration {
-	ai, b, ok := c.findCell(p, a)
+	i, ok := c.findCell(p, a)
 	if !ok {
 		return nil
 	}
-	return c.readOnly(ai, b, c.cells[ai][b].Values())
+	return c.readOnly(i, c.cell(i))
 }
 
 // findCell locates the cell serving progress p at allocation a, widening
 // symmetrically to neighbouring progress buckets (preferring the lower, more
-// pessimistic one) until it finds a non-empty cell.
+// pessimistic one) until it finds a non-empty cell. It returns the cell's
+// index into offs.
 //
 //jockey:hotpath
-func (c *CPA) findCell(p float64, a int) (ai, b int, ok bool) {
-	ai = c.allocIndex(a)
-	b = c.bucket(p)
-	if c.cells[ai][b].Len() > 0 {
-		return ai, b, true
+func (c *CPA) findCell(p float64, a int) (cell int, ok bool) {
+	base := c.allocIndex(a) * (c.buckets + 1)
+	// row[b] and row[b+1] bound bucket b's samples.
+	row := c.offs[base : base+c.buckets+2]
+	b := c.bucket(p)
+	if row[b+1] > row[b] {
+		return base + b, true
 	}
 	for d := 1; d <= c.buckets; d++ {
-		if b-d >= 0 && c.cells[ai][b-d].Len() > 0 {
-			return ai, b - d, true
+		if lo := b - d; lo >= 0 && row[lo+1] > row[lo] {
+			return base + lo, true
 		}
-		if b+d <= c.buckets && c.cells[ai][b+d].Len() > 0 {
-			return ai, b + d, true
+		if hi := b + d; hi <= c.buckets && row[hi+1] > row[hi] {
+			return base + hi, true
 		}
 	}
-	return 0, 0, false
+	return 0, false
 }
 
 // readOnly enforces the read-only-cells contract in debug builds: the cell
 // being handed out must still hash to its build-time checksum. The Debug
 // constant is false in default builds, so the check (and the sums table)
 // compiles away.
-func (c *CPA) readOnly(ai, b int, vs []time.Duration) []time.Duration {
+func (c *CPA) readOnly(i int, vs []time.Duration) []time.Duration {
 	if invariant.Debug && c.sums != nil {
-		invariant.Assertf(invariant.ChecksumDurations(vs) == c.sums[ai][b],
+		invariant.Assertf(invariant.ChecksumDurations(vs) == c.sums[i],
 			"model: C(p,a) cell (alloc=%d, bucket=%d) mutated since build; cell slices are read-only",
-			c.allocs[ai], b)
+			c.allocs[i/(c.buckets+1)], i%(c.buckets+1))
 	}
 	return vs
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/jockeysim/jockey/internal/progress"
-	"github.com/jockeysim/jockey/internal/stats"
 )
 
 // widenCPA hand-builds a 10-bucket, single-allocation table with samples
@@ -15,20 +14,11 @@ import (
 func widenCPA(t *testing.T, filled ...int) *CPA {
 	t.Helper()
 	const buckets = 10
-	c := &CPA{
-		indicator: progress.NewTotalWork(detProfile(t)),
-		allocs:    []int{4},
-		buckets:   buckets,
-		cells:     [][]*stats.Reservoir{make([]*stats.Reservoir, buckets+1)},
-	}
-	rng := stats.NewRNG(1)
-	for b := range c.cells[0] {
-		c.cells[0][b] = stats.NewReservoir(4)
-	}
+	cells := make([][]time.Duration, buckets+1)
 	for _, b := range filled {
-		c.cells[0][b].Add(time.Duration(b+1)*time.Second, rng)
+		cells[b] = []time.Duration{time.Duration(b+1) * time.Second}
 	}
-	return c
+	return cpaFromCells(progress.NewTotalWork(detProfile(t)), []int{4}, [][][]time.Duration{cells})
 }
 
 func TestSamplesAtWidening(t *testing.T) {
@@ -44,6 +34,7 @@ func TestSamplesAtWidening(t *testing.T) {
 		{name: "p=0 widens upward", filled: []int{3}, p: 0, want: 4 * time.Second},
 		{name: "p=1 hits the terminal bucket", filled: []int{10}, p: 1, want: 11 * time.Second},
 		{name: "p=1 widens downward", filled: []int{7}, p: 1, want: 8 * time.Second},
+		{name: "widens down to bucket 0", filled: []int{0}, p: 0.55, want: 1 * time.Second},
 		{name: "p beyond 1 clamps then widens", filled: []int{2}, p: 3.7, want: 3 * time.Second},
 		{name: "negative p clamps to bucket 0", filled: []int{0, 10}, p: -0.4, want: 1 * time.Second},
 		{name: "tie prefers the lower (pessimistic) bucket", filled: []int{4, 6}, p: 0.55, want: 5 * time.Second},

@@ -7,10 +7,12 @@ package model
 // path must not allocate.
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"github.com/jockeysim/jockey/internal/progress"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/utility"
 )
@@ -52,41 +54,23 @@ func TestPresortedQuantilesMatchReference(t *testing.T) {
 // BuildCPA — the invariant Remaining's direct indexing depends on.
 func TestCPACellsSortedAscending(t *testing.T) {
 	c := buildCPAWithParallelism(t, 2)
-	for ai := range c.cells {
-		for b := range c.cells[ai] {
-			vs := c.cells[ai][b].Values()
-			for i := 1; i < len(vs); i++ {
-				if vs[i-1] > vs[i] {
-					t.Fatalf("cell (a=%d, b=%d) unsorted at %d: %v > %v",
-						c.allocs[ai], b, i, vs[i-1], vs[i])
-				}
-			}
+	for i := 0; i < len(c.offs)-1; i++ {
+		if vs := c.cell(i); !slices.IsSorted(vs) {
+			t.Fatalf("cell (a=%d, b=%d) unsorted: %v", c.allocs[i/(c.buckets+1)], i%(c.buckets+1), vs)
 		}
 	}
 }
 
-// TestCPABitIdenticalAcrossParallelism extends the PR-1 determinism pin to
-// the reused-engine fan-out at the issue's required worker counts: the
-// retained samples of every cell, and the quantiles read from them, must
-// be bit-identical at parallelism 1, 4 and 8.
+// TestCPABitIdenticalAcrossParallelism extends the determinism pin to the
+// reused-engine fan-out: the flat table — every cell's offsets and
+// retained samples, and so every quantile read from them — must be
+// bit-identical at parallelism 1, 4 and 8.
 func TestCPABitIdenticalAcrossParallelism(t *testing.T) {
 	seq := buildCPAWithParallelism(t, 1)
 	for _, par := range []int{4, 8} {
 		c := buildCPAWithParallelism(t, par)
-		for ai := range seq.cells {
-			for b := range seq.cells[ai] {
-				sv, cv := seq.cells[ai][b].Values(), c.cells[ai][b].Values()
-				if len(sv) != len(cv) {
-					t.Fatalf("par %d: cell (a=%d, b=%d) has %d samples, want %d",
-						par, seq.allocs[ai], b, len(cv), len(sv))
-				}
-				for i := range sv {
-					if sv[i] != cv[i] {
-						t.Fatalf("par %d: cell (a=%d, b=%d)[%d] = %v, want %v",
-							par, seq.allocs[ai], b, i, cv[i], sv[i])
-					}
-				}
-			}
+		if !slices.Equal(c.offs, seq.offs) || !slices.Equal(c.vals, seq.vals) {
+			t.Fatalf("par %d: table differs from the sequential build", par)
 		}
 	}
 }
@@ -145,6 +129,33 @@ func TestCPAQueryZeroAllocs(t *testing.T) {
 		t.Errorf("ExpectedUtility = %v allocs/run, want 0", allocs)
 	}
 	_, _ = sink, fsink
+}
+
+// TestBuildCPAAllocsIndependentOfBuckets: the flat table costs a fixed
+// number of allocations whatever its cell count — ten times the progress
+// buckets must not add a single one (a per-cell sample object would add
+// thousands).
+func TestBuildCPAAllocsIndependentOfBuckets(t *testing.T) {
+	p := noisyProfile(t)
+	ind := progress.NewTotalWorkWithQ(p)
+	allocsAt := func(buckets int) float64 {
+		cfg := CPAConfig{
+			Allocs:       []int{2, 5, 15, 40},
+			RunsPerAlloc: 6,
+			SampleEvery:  10 * time.Second,
+			Buckets:      buckets,
+			Seed:         42,
+			Parallelism:  1,
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := BuildCPA(p, ind, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a100, a1000 := allocsAt(100), allocsAt(1000); a100 != a1000 {
+		t.Errorf("BuildCPA = %v allocs at 100 buckets, %v at 1000; want equal", a100, a1000)
+	}
 }
 
 // TestOnlineSimMemoHitZeroAllocs: within one control tick (unchanged

@@ -141,7 +141,7 @@ func (o *OnlineSim) samples(st State, a int) []time.Duration {
 			o.runners[worker] = rn
 		}
 		seed := stats.DeriveSeed(o.seed, "online", o.seedKey, aLabel, strconv.Itoa(r))
-		tr, err := rn.Run(sim.Config{
+		completion, err := rn.Completion(sim.Config{
 			Profile:         o.p,
 			Alloc:           a,
 			Seed:            seed,
@@ -152,7 +152,7 @@ func (o *OnlineSim) samples(st State, a int) []time.Duration {
 			// inconsistent with the plan; treat as "no information".
 			return
 		}
-		completions[r] = tr.Completion
+		completions[r] = completion
 		succeeded[r] = true
 	})
 	out := make([]time.Duration, 0, o.runs)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -27,35 +28,23 @@ func buildCPAWithParallelism(t testing.TB, par int) *CPA {
 
 // TestCPAParallelDeterminism is the regression test that forbids "fast but
 // flaky": the C(p, a) table must be bit-identical regardless of worker
-// count or completion order. It compares every (p, a) cell's retained
-// reservoir samples — a stronger check than comparing a few quantiles —
-// and then spot-checks the quantiles the controller actually consumes.
+// count or completion order. It diffs every (p, a) cell's retained samples
+// against the retired sequential reservoir build (cpa_ref_test.go) — a
+// stronger check than comparing a few quantiles — and then spot-checks the
+// quantiles the controller actually consumes.
 func TestCPAParallelDeterminism(t *testing.T) {
+	p := noisyProfile(t)
+	ref := buildCPAReference(t, p, progress.NewTotalWorkWithQ(p), CPAConfig{
+		Allocs:       []int{2, 5, 15, 40},
+		RunsPerAlloc: 6,
+		SampleEvery:  10 * time.Second,
+		Seed:         42,
+	})
 	seq := buildCPAWithParallelism(t, 1)
+	diffCPA(t, "parallelism 1", ref, seq)
 	for _, par := range []int{2, 8} {
 		p := buildCPAWithParallelism(t, par)
-		if len(p.cells) != len(seq.cells) {
-			t.Fatalf("parallelism %d: %d alloc rows, want %d", par, len(p.cells), len(seq.cells))
-		}
-		for ai := range seq.cells {
-			for b := range seq.cells[ai] {
-				sv, pv := seq.cells[ai][b].Values(), p.cells[ai][b].Values()
-				if len(sv) != len(pv) {
-					t.Fatalf("parallelism %d: cell (a=%d, b=%d) has %d samples, want %d",
-						par, seq.allocs[ai], b, len(pv), len(sv))
-				}
-				for i := range sv {
-					if sv[i] != pv[i] {
-						t.Fatalf("parallelism %d: cell (a=%d, b=%d) sample %d = %v, want %v",
-							par, seq.allocs[ai], b, i, pv[i], sv[i])
-					}
-				}
-				if seq.cells[ai][b].Seen() != p.cells[ai][b].Seen() {
-					t.Fatalf("parallelism %d: cell (a=%d, b=%d) saw %d values, want %d",
-						par, seq.allocs[ai], b, p.cells[ai][b].Seen(), seq.cells[ai][b].Seen())
-				}
-			}
-		}
+		diffCPA(t, fmt.Sprintf("parallelism %d", par), ref, p)
 		// The quantiles the control loop reads must therefore agree too.
 		for _, a := range seq.allocs {
 			for _, frac := range []float64{0, 0.25, 0.6, 1} {

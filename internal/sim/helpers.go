@@ -28,11 +28,11 @@ func EstimateLatency(p *profile.Profile, alloc, n int, seed uint64) ([]time.Dura
 	out := make([]time.Duration, 0, n)
 	r := NewRunner()
 	for i := 0; i < n; i++ {
-		tr, err := r.Run(Config{Profile: p, Alloc: alloc, Seed: seed + uint64(i)*0x9e37})
+		c, err := r.Completion(Config{Profile: p, Alloc: alloc, Seed: seed + uint64(i)*0x9e37})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, tr.Completion)
+		out = append(out, c)
 	}
 	sortDur(out)
 	return out, nil

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,6 +131,109 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestCompletionMatchesRun is the differential for the trace-free mode:
+// on generated configurations — failures, queue delays, partial initial
+// state, sampling — Completion must return Run's completion time and hand
+// OnSample the same snapshots, from fresh and from reused Runners alike.
+func TestCompletionMatchesRun(t *testing.T) {
+	profiles := []*profile.Profile{noisyRunnerProfile(t), fixedProfile(t)}
+	rng := stats.NewRNG(20121)
+	reusedRun, reusedCompletion := NewRunner(), NewRunner()
+	for i := 0; i < 60; i++ {
+		p := profiles[rng.IntN(len(profiles))]
+		cfg := Config{
+			Profile:         p,
+			Alloc:           1 + rng.IntN(50),
+			Seed:            rng.Uint64(),
+			DisableFailures: rng.IntN(5) == 0,
+			MaxAttempts:     rng.IntN(4),
+		}
+		if rng.IntN(2) == 0 {
+			cfg.InitialFracDone = make([]float64, p.Job.NumStages())
+			for s := range cfg.InitialFracDone {
+				cfg.InitialFracDone[s] = rng.Float64() * 1.1
+			}
+		}
+		if rng.IntN(2) == 0 {
+			cfg.SampleEvery = time.Duration(1+rng.IntN(30)) * time.Second
+		}
+		record := func(snaps *[]Snapshot) Config {
+			c := cfg
+			if c.SampleEvery > 0 {
+				c.OnSample = func(s Snapshot) {
+					s.FracDone = append([]float64(nil), s.FracDone...)
+					*snaps = append(*snaps, s)
+				}
+			}
+			return c
+		}
+		for _, pair := range []struct {
+			name   string
+			run, c *Runner
+		}{{"fresh", NewRunner(), NewRunner()}, {"reused", reusedRun, reusedCompletion}} {
+			var runSnaps, compSnaps []Snapshot
+			tr, err := pair.run.Run(record(&runSnaps))
+			if err != nil {
+				t.Fatalf("cfg %d %s Run: %v", i, pair.name, err)
+			}
+			got, err := pair.c.Completion(record(&compSnaps))
+			if err != nil {
+				t.Fatalf("cfg %d %s Completion: %v", i, pair.name, err)
+			}
+			if got != tr.Completion {
+				t.Fatalf("cfg %d %s: Completion = %v, Run completion = %v", i, pair.name, got, tr.Completion)
+			}
+			if !reflect.DeepEqual(compSnaps, runSnaps) {
+				t.Fatalf("cfg %d %s: Completion snapshots differ from Run's", i, pair.name)
+			}
+		}
+	}
+}
+
+// TestCompletionSteadyStateAllocs: a warm Runner's Completion stays within
+// the same budget as a warm Run (TestRunnerSteadyStateAllocs); it records
+// no trace, so it has less to grow, not more.
+func TestCompletionSteadyStateAllocs(t *testing.T) {
+	p := noisyRunnerProfile(t)
+	r := NewRunner()
+	cfg := Config{Profile: p, Alloc: 20, Seed: 42, InitialFracDone: []float64{0.3, 0.1, 0}}
+	if _, err := r.Completion(cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := r.Completion(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("steady-state Completion = %v allocs/run, want <= 16", allocs)
+	}
+}
+
+// TestStageTooLargeRejected: events carry int32 task indices, so a stage
+// wider than that is refused with an error naming the job and the stage,
+// before any arena is sized to it, and the Runner keeps working.
+func TestStageTooLargeRejected(t *testing.T) {
+	job := dag.NewBuilder("huge").Stage("tiny", 2).Stage("wide", math.MaxInt32+1).
+		Edge("tiny", "wide", dag.AllToAll).MustBuild()
+	p := profile.MustNew(job, []profile.StageProfile{
+		{Exec: stats.Point{V: time.Second}},
+		{Exec: stats.Point{V: time.Second}},
+	})
+	r := NewRunner()
+	_, err := r.Completion(Config{Profile: p, Alloc: 4})
+	var tooLarge *stageTooLargeError
+	if !errors.As(err, &tooLarge) {
+		t.Fatalf("Completion error = %v, want a stageTooLargeError", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"huge"`) || !strings.Contains(msg, `"wide"`) {
+		t.Errorf("error %q does not name the job and the stage", msg)
+	}
+	if _, err := r.Run(Config{Profile: fixedProfile(t), Alloc: 2, Seed: 1}); err != nil {
+		t.Errorf("valid run after a rejected plan: %v", err)
+	}
+}
+
 // TestRunnerValidation: the reusable path applies the same Config
 // validation as the one-shot wrapper.
 func TestRunnerValidation(t *testing.T) {
@@ -218,6 +324,31 @@ func BenchmarkSimRun(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := r.Run(Config{Profile: p, Alloc: 20, Seed: 7}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkRunner compares a warm Runner's traced Run with its trace-free
+// Completion on the same run; the difference is the cost of recording.
+func BenchmarkRunner(b *testing.B) {
+	p := noisyRunnerProfile(b)
+	cfg := Config{Profile: p, Alloc: 20, Seed: 7}
+	b.Run("Run", func(b *testing.B) {
+		r := NewRunner()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Run(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Completion", func(b *testing.B) {
+		r := NewRunner()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Completion(cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

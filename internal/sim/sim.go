@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
@@ -86,14 +87,16 @@ type taskRef struct {
 	stage, task int
 }
 
+// event is what the queue orders. It is 12 bytes, so a queue item with its
+// time and sequence number is 32; shape rejects a stage whose task index
+// would not fit in int32.
 type event struct {
-	kind   eventKind
-	stage  int
-	task   int
-	failed bool
+	stage, task int32
+	kind        eventKind
+	failed      bool
 }
 
-type eventKind int
+type eventKind uint8
 
 const (
 	evTaskEnd eventKind = iota
@@ -104,15 +107,16 @@ const (
 // ready FIFO compacts (see popReady); small queues never pay the copy.
 const readyCompactMin = 1024
 
-// Runner is a reusable simulation engine. The first Run against a job plan
+// Runner is a reusable simulation engine. The first run against a job plan
 // allocates the engine's state arenas — per-task completion/dependency/
 // attempt/timestamp arrays (flat backing arrays with per-stage views), the
-// consumer adjacency, the ready FIFO, the event queue, and the trace
-// buffer — sized to that plan; subsequent Runs against the same plan
-// (pointer-identical *dag.Job) reset them in place and allocate nothing
-// beyond what the run itself records. This is the hot-path engine behind
-// C(p, a) table builds and per-tick online re-simulation, where thousands
-// of runs share one job shape.
+// consumer adjacency, the ready FIFO and the event queue — sized to that
+// plan; subsequent runs against the same plan (pointer-identical *dag.Job)
+// reset them in place. Run also records every task attempt into a reused
+// trace, which stops growing at the plan's high-water attempt count;
+// Completion records nothing. This is the hot-path engine behind C(p, a)
+// table builds and per-tick online re-simulation, where thousands of runs
+// share one job shape and read only the completion time.
 //
 // A Runner is NOT safe for concurrent use: callers that fan simulations
 // out across goroutines hold one Runner per worker (see model.BuildCPA).
@@ -156,6 +160,7 @@ type Runner struct {
 
 	// Per-run state.
 	cfg       Config
+	record    bool // append every finished attempt to tr (Run, not Completion)
 	p         *profile.Profile
 	now       time.Duration
 	running   int
@@ -174,33 +179,74 @@ func NewRunner() *Runner {
 //
 // Reuse contract: the returned trace AND the Snapshot.FracDone slices
 // passed to cfg.OnSample are backed by the Runner's arenas and are valid
-// only until the next Run call. Callers that need to retain them must
-// copy.
+// only until the Runner's next Run or Completion call. Callers that need
+// to retain them must copy.
 func (r *Runner) Run(cfg Config) (*trace.JobTrace, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	r.cfg = cfg
-	r.p = cfg.Profile
-	r.maxA = cfg.MaxAttempts
-	if r.maxA <= 0 {
-		r.maxA = DefaultMaxAttempts
-	}
-	if r.job != cfg.Profile.Job {
-		r.shape(cfg.Profile.Job)
-	}
-	r.reset()
-	if err := r.run(); err != nil {
+	if err := r.exec(cfg, true); err != nil {
 		return nil, err
 	}
 	return &r.tr, nil
 }
 
+// Completion simulates one execution exactly as Run does — same RNG draws,
+// same event order, same samples — and returns only its completion time,
+// recording no task trace. It is for callers that read nothing else, such
+// as C(p, a) builds and online forward simulation. The Snapshot.FracDone
+// reuse contract of Run applies.
+func (r *Runner) Completion(cfg Config) (time.Duration, error) {
+	if err := r.exec(cfg, false); err != nil {
+		return 0, err
+	}
+	return r.now, nil
+}
+
+// exec validates cfg, shapes and resets the arenas, and runs the event
+// loop; record selects whether finished attempts go into the trace.
+// Recording draws no randomness, so it cannot change the run.
+func (r *Runner) exec(cfg Config, record bool) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	if r.job != cfg.Profile.Job {
+		if err := r.shape(cfg.Profile.Job); err != nil {
+			return err
+		}
+	}
+	r.cfg = cfg
+	r.p = cfg.Profile
+	r.record = record
+	r.maxA = cfg.MaxAttempts
+	if r.maxA <= 0 {
+		r.maxA = DefaultMaxAttempts
+	}
+	r.reset()
+	return r.run()
+}
+
+// stageTooLargeError rejects a plan whose stage holds more tasks than an
+// event's int32 task index can name.
+type stageTooLargeError struct {
+	job, stage string
+	index      int
+	tasks      int
+}
+
+func (e *stageTooLargeError) Error() string {
+	return fmt.Sprintf("sim: job %q stage %q (index %d) has %d tasks; the simulator supports at most %d per stage",
+		e.job, e.stage, e.index, e.tasks, math.MaxInt32)
+}
+
 // shape (re)builds the arenas for a new job plan: one flat array per
 // per-task field, sliced into per-stage windows, plus the consumer
 // adjacency and base dependency counts, both of which depend only on the
-// plan and are reused unchanged across runs.
-func (r *Runner) shape(job *dag.Job) {
+// plan and are reused unchanged across runs. A plan it rejects leaves the
+// Runner as it was.
+func (r *Runner) shape(job *dag.Job) error {
+	for s, st := range job.Stages {
+		if int64(st.Tasks) > math.MaxInt32 {
+			return &stageTooLargeError{job: job.Name, stage: st.Name, index: s, tasks: st.Tasks}
+		}
+	}
 	r.job = job
 	n := job.NumStages()
 	total := 0
@@ -258,6 +304,7 @@ func (r *Runner) shape(job *dag.Job) {
 		}
 	}
 	copy(r.baseDeps, r.remFlat)
+	return nil
 }
 
 // reset reinitializes the per-run state in place: counters and flags are
@@ -400,7 +447,7 @@ func (r *Runner) startTask(stage, task int) {
 	r.dispatchedAt[stage][task] = r.now
 	r.startedAt[stage][task] = r.now + initDelay
 	r.running++
-	r.q.Push(r.now+initDelay+exec, event{kind: evTaskEnd, stage: stage, task: task, failed: fails})
+	r.q.Push(r.now+initDelay+exec, event{kind: evTaskEnd, stage: int32(stage), task: int32(task), failed: fails})
 }
 
 //jockey:hotpath
@@ -441,18 +488,20 @@ func (r *Runner) emitSample() {
 
 //jockey:hotpath
 func (r *Runner) finishTask(ev event) {
-	stage, task := ev.stage, ev.task
+	stage, task := int(ev.stage), int(ev.task)
 	r.running--
-	r.tr.AddTask(trace.TaskEvent{
-		Stage:      stage,
-		Task:       task,
-		Attempt:    r.attempts[stage][task],
-		Queued:     r.queuedAt[stage][task],
-		Dispatched: r.dispatchedAt[stage][task],
-		Started:    r.startedAt[stage][task],
-		Ended:      r.now,
-		Failed:     ev.failed,
-	})
+	if r.record {
+		r.tr.AddTask(trace.TaskEvent{
+			Stage:      stage,
+			Task:       task,
+			Attempt:    r.attempts[stage][task],
+			Queued:     r.queuedAt[stage][task],
+			Dispatched: r.dispatchedAt[stage][task],
+			Started:    r.startedAt[stage][task],
+			Ended:      r.now,
+			Failed:     ev.failed,
+		})
+	}
 	if ev.failed {
 		r.attempts[stage][task]++
 		r.markReady(stage, task)

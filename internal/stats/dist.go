@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/invariant"
@@ -208,7 +208,7 @@ func NewEmpirical(samples []time.Duration) *Empirical {
 	invariant.Assertf(len(samples) > 0, "stats: NewEmpirical with no samples")
 	s := make([]time.Duration, len(samples))
 	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	var sum float64
 	for _, v := range s {
 		sum += float64(v)

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 )
@@ -58,14 +57,16 @@ func QuantileDurations(sorted []time.Duration, q float64) time.Duration {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
+	// pos >= 0, so truncation is Floor, and Ceil is lo+1 exactly when pos
+	// has a fractional part. Every simulated task start samples through
+	// here (Empirical.Sample), so it skips the math.Floor/Ceil calls.
 	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if frac == 0 {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return time.Duration(float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac)
+	return time.Duration(float64(sorted[lo])*(1-frac) + float64(sorted[lo+1])*frac)
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty input.
@@ -157,51 +158,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f p50=%.3f p90=%.3f p99=%.3f",
 		s.N, s.Mean, s.StdDev, s.P50, s.P90, s.P99)
 }
-
-// Reservoir keeps a bounded uniform random sample of a stream of durations.
-// The C(p,a) model uses reservoirs so that arbitrarily many offline
-// simulations contribute to each progress bucket in constant memory.
-type Reservoir struct {
-	cap  int
-	seen int64
-	vals []time.Duration
-}
-
-// NewReservoir creates a reservoir holding at most capacity samples.
-func NewReservoir(capacity int) *Reservoir {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Reservoir{cap: capacity}
-}
-
-// Add offers a value to the reservoir. r selects which retained sample to
-// replace once the reservoir is full (Vitter's algorithm R).
-func (rv *Reservoir) Add(v time.Duration, r interface{ Int64N(int64) int64 }) {
-	rv.seen++
-	if len(rv.vals) < rv.cap {
-		rv.vals = append(rv.vals, v)
-		return
-	}
-	if j := r.Int64N(rv.seen); j < int64(rv.cap) {
-		rv.vals[j] = v
-	}
-}
-
-// Sort orders the retained samples ascending, in place. The C(p, a) table
-// sorts every cell once after construction so that quantile queries index
-// the sorted slice directly instead of copying and re-sorting per query.
-// Algorithm R does not depend on element order, so Add remains correct
-// after a Sort (though the table never adds post-build).
-func (rv *Reservoir) Sort() {
-	slices.Sort(rv.vals)
-}
-
-// Len returns the number of retained samples.
-func (rv *Reservoir) Len() int { return len(rv.vals) }
-
-// Seen returns how many values have been offered.
-func (rv *Reservoir) Seen() int64 { return rv.seen }
-
-// Values returns the retained samples. The slice is owned by the reservoir.
-func (rv *Reservoir) Values() []time.Duration { return rv.vals }

@@ -121,51 +121,6 @@ func TestQuantileSortedAgreesWithQuantileProperty(t *testing.T) {
 	}
 }
 
-func TestReservoirBelowCapacityKeepsAll(t *testing.T) {
-	rv := NewReservoir(10)
-	r := NewRNG(1)
-	for i := 1; i <= 5; i++ {
-		rv.Add(time.Duration(i), r)
-	}
-	if rv.Len() != 5 || rv.Seen() != 5 {
-		t.Fatalf("len=%d seen=%d", rv.Len(), rv.Seen())
-	}
-}
-
-func TestReservoirBoundedAndUniformish(t *testing.T) {
-	const capacity, n = 100, 10000
-	rv := NewReservoir(capacity)
-	r := NewRNG(2)
-	for i := 0; i < n; i++ {
-		rv.Add(time.Duration(i), r)
-	}
-	if rv.Len() != capacity {
-		t.Fatalf("len = %d, want %d", rv.Len(), capacity)
-	}
-	if rv.Seen() != n {
-		t.Fatalf("seen = %d", rv.Seen())
-	}
-	// A uniform sample of 0..n-1 should have mean near n/2.
-	var sum float64
-	for _, v := range rv.Values() {
-		sum += float64(v)
-	}
-	mean := sum / capacity
-	if mean < n*0.35 || mean > n*0.65 {
-		t.Errorf("reservoir mean %.0f suggests bias (want ~%d)", mean, n/2)
-	}
-}
-
-func TestReservoirZeroCapacity(t *testing.T) {
-	rv := NewReservoir(0)
-	r := NewRNG(3)
-	rv.Add(time.Second, r)
-	rv.Add(2*time.Second, r)
-	if rv.Len() != 1 {
-		t.Fatalf("capacity-0 reservoir should clamp to 1, got len %d", rv.Len())
-	}
-}
-
 func TestZScore(t *testing.T) {
 	cases := []struct{ q, want float64 }{
 		{0.5, 0},

@@ -1,11 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper (one
-// benchmark per artifact, on reduced run counts — cmd/experiments runs the
-// full versions), plus throughput and ablation benchmarks for the design
-// choices called out in DESIGN.md.
+// Layer micro-benchmarks for model construction and the ablations of the
+// design choices called out in DESIGN.md. End-to-end figures (every paper
+// artifact, the fleet replays, the cosmos replay) come from bench/run.sh.
 //
 // Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 package jockey_test
 
 import (
@@ -15,237 +14,15 @@ import (
 
 	"github.com/jockeysim/jockey/internal/cluster"
 	"github.com/jockeysim/jockey/internal/dag"
-	"github.com/jockeysim/jockey/internal/experiments"
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/progress"
-	"github.com/jockeysim/jockey/internal/sim"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/utility"
 	"github.com/jockeysim/jockey/internal/workload"
 )
 
-// benchEnv is shared across benchmarks: the expensive per-job model builds
-// are cached inside it, so each benchmark measures its experiment's runs.
-var benchEnv = experiments.NewEnv(1)
-
-// benchJobs keeps the per-figure benchmarks affordable; cmd/experiments
-// uses all seven jobs.
-var benchJobs = []string{"B", "E"}
-
-func BenchmarkTable1CoV(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t1, err := experiments.RecurringVariance(benchEnv, experiments.Table1Config{
-			Jobs: benchJobs, RunsPerJob: 6,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(t1.PerJobCoV[0], "cov-job0")
-		}
-	}
-}
-
-func BenchmarkFigure1Dependencies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f1, err := experiments.Dependencies(benchEnv, 5000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(f1.MedianGap().Minutes(), "median-gap-min")
-		}
-	}
-}
-
-func BenchmarkTable2JobStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.JobStatistics(benchEnv); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3DAGs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f3, err := experiments.StageGraphs(benchEnv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(f3.DOT) != 7 {
-			b.Fatal("missing DOT outputs")
-		}
-	}
-}
-
-func BenchmarkFigure4PolicyComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmp, err := experiments.PolicyComparison(benchEnv, experiments.ComparisonConfig{
-			Jobs: benchJobs, SeedsPerCase: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, s := range cmp.Summaries() {
-				if s.Policy == experiments.PolicyJockey {
-					b.ReportMetric(s.MissedFrac, "jockey-missed")
-					b.ReportMetric(s.AboveOracle, "jockey-above-oracle")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFigure5CompletionCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmp, err := experiments.PolicyComparison(benchEnv, experiments.ComparisonConfig{
-			Jobs: benchJobs, SeedsPerCase: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out := cmp.RenderFig5(); len(out) == 0 {
-			b.Fatal("empty CDF")
-		}
-	}
-}
-
-func BenchmarkFigure6Timelapse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f6, err := experiments.Timelapses(benchEnv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(f6.Cases) != 3 {
-			b.Fatal("missing cases")
-		}
-	}
-}
-
-func BenchmarkTable3TrainingVsRuns(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.TrainingVsActual(benchEnv); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7DeadlineChanges(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f7, err := experiments.DeadlineChanges(benchEnv, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			met := 0
-			for _, r := range f7.Runs {
-				if r.Outcome.Met {
-					met++
-				}
-			}
-			b.ReportMetric(float64(met)/float64(len(f7.Runs)), "met-frac")
-		}
-	}
-}
-
-func BenchmarkFigure8PredictionError(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f8, err := experiments.PredictionAccuracy(benchEnv, benchJobs, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(f8.AvgSim, "sim-err")
-			b.ReportMetric(f8.AvgAmdahl, "amdahl-err")
-		}
-	}
-}
-
-func BenchmarkFigure9IndicatorTraces(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f9, err := experiments.IndicatorTraces(benchEnv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(f9.Series) != 2 {
-			b.Fatal("missing series")
-		}
-	}
-}
-
-func BenchmarkFigure10IndicatorComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f10, err := experiments.IndicatorComparison(benchEnv, []string{"G"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(f10.Rows[0].AvgDeltaT, "totalworkWithQ-deltaT")
-		}
-	}
-}
-
-func BenchmarkFigure11Sensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Sensitivity(benchEnv, []string{"B"}, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12SlackSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SlackSweep(benchEnv, []string{"B"}, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure13HysteresisSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HysteresisSweep(benchEnv, []string{"B"}, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- system throughput benchmarks ---
-
-// BenchmarkSimulatorThroughput measures the offline job simulator on job F
-// (6139 vertices); the reported tasks/op quantifies the event engine. The
-// one-shot variant pays a fresh Runner per run;
-// the reused variant is what the model builds actually do — one Runner's
-// arenas recycled across runs.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	p := workload.MustGenerate(mustSpec(b, "F"), 1)
-	b.Run("one-shot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tr, err := sim.NewRunner().Run(sim.Config{Profile: p, Alloc: 50, Seed: uint64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if tr.Completion <= 0 {
-				b.Fatal("no completion")
-			}
-		}
-		b.ReportMetric(float64(p.Job.TotalTasks()), "tasks/op")
-	})
-	b.Run("reused-runner", func(b *testing.B) {
-		r := sim.NewRunner()
-		for i := 0; i < b.N; i++ {
-			tr, err := r.Run(sim.Config{Profile: p, Alloc: 50, Seed: uint64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if tr.Completion <= 0 {
-				b.Fatal("no completion")
-			}
-		}
-		b.ReportMetric(float64(p.Job.TotalTasks()), "tasks/op")
-	})
-}
+// --- model construction benchmarks ---
 
 // BenchmarkCPABuild measures the offline model construction for one job —
 // the precomputation Jockey amortizes across runs of a recurring job. The

@@ -390,14 +390,6 @@ type Cluster struct {
 	scratchSlots    []int32
 	scratchJobs     []*jobRun
 	scratchReplicas []int
-
-	// endBatch buffers the task-end events of one scheduling pass so they
-	// are bulk-pushed (eventq.PushBatch) when the pass finishes: an arrival
-	// burst that dispatches k tasks pays one amortized queue insert instead
-	// of k sifts. No other event is pushed while a pass runs, so the batch
-	// gets the same insertion sequences the per-task pushes got and the
-	// replay is bit-identical.
-	endBatch []eventq.Entry[event]
 }
 
 // New creates an empty cluster.
@@ -430,14 +422,6 @@ func (c *Cluster) init(cfg Config) error {
 	c.holds = 0
 	c.jobs = c.jobs[:0] // arenas were recycled by Engine.Reset
 	c.live = c.live[:0]
-	// One scheduling pass can start at most a task per slot, so sizing the
-	// batch buffer to cluster capacity up front turns the first dispatch
-	// wave's append chain (hundreds of MB of doubling copies at 5e5 slots)
-	// into a single exact allocation that Reset then reuses.
-	if want := cfg.Machines * cfg.SlotsPerMachine; cap(c.endBatch) < want {
-		c.endBatch = make([]eventq.Entry[event], 0, want)
-	}
-	c.endBatch = c.endBatch[:0]
 	c.store.reset()
 	c.totalRunning = 0
 	c.busySecs = 0

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/jockeysim/jockey/internal/dag"
-	"github.com/jockeysim/jockey/internal/eventq"
 	"github.com/jockeysim/jockey/internal/invariant"
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/stats"
@@ -709,19 +708,11 @@ func (c *Cluster) freeMachine() int {
 
 // reschedule enforces the token-sharing policy: reclassify running tasks,
 // satisfy guaranteed demand (evicting spare tasks when necessary), then
-// hand out spare capacity round-robin. Every task dispatched by the pass
-// buffered its end event; the bulk push at the end amortizes one queue
-// restructure over the whole dispatch wave (and assigns the exact insertion
-// sequences the per-task pushes would have, since nothing else pushes
-// mid-pass).
+// hand out spare capacity round-robin.
 func (c *Cluster) reschedule() {
 	c.reclassify()
 	c.dispatchGuaranteed()
 	c.dispatchSpare()
-	if len(c.endBatch) > 0 {
-		c.q.PushBatch(c.endBatch)
-		c.endBatch = c.endBatch[:0]
-	}
 }
 
 // reclassify restores, per job, the invariant that the guaranteed class is
@@ -995,7 +986,7 @@ func (c *Cluster) startDuplicate(jr *jobRun, orig int32, machine int) {
 	st.maxPush(&jr.dupHeap, s)
 	jr.duplicates++
 	c.attachMachine(machine, s)
-	c.endBatch = append(c.endBatch, eventq.Entry[event]{At: c.now + initDelay + exec, V: event{
+	c.q.Push(c.now+initDelay+exec, event{
 		kind:    evTaskEnd,
 		job:     jr.id,
 		stage:   stage,
@@ -1003,7 +994,7 @@ func (c *Cluster) startDuplicate(jr *jobRun, orig int32, machine int) {
 		attempt: int(attempt),
 		failed:  fails,
 		dup:     true,
-	}})
+	})
 }
 
 //jockey:hotpath
@@ -1050,14 +1041,14 @@ func (c *Cluster) startTask(jr *jobRun, r taskRef, machine int, guaranteed bool)
 	jr.liveRunning++
 	c.totalRunning++
 	c.attachMachine(machine, s)
-	c.endBatch = append(c.endBatch, eventq.Entry[event]{At: c.now + initDelay + exec, V: event{
+	c.q.Push(c.now+initDelay+exec, event{
 		kind:    evTaskEnd,
 		job:     jr.id,
 		stage:   r.stage,
 		task:    r.task,
 		attempt: int(st.attempt[s]),
 		failed:  fails,
-	}})
+	})
 }
 
 // driftExec applies the stage's current runtime-drift factor to a sampled

@@ -42,11 +42,11 @@ var midScale = largeScale{
 	mtbf: 200 * time.Hour,
 }
 
-// hugeScale is the arrival-burst regime (ROADMAP item 3's leftover): 25k
-// machines × 20 slots = 5e5 tokens, with enough queued background work that
-// the cluster stays saturated — ≥5e5 concurrent tasks once the burst lands.
-// Dispatching each admission wave used to push its task-end events one sift
-// at a time; this scale is where PushBatch's amortization is measured.
+// hugeScale is the arrival-burst regime: 25k machines × 20 slots = 5e5
+// tokens, with enough queued background work that the cluster stays
+// saturated — ≥5e5 concurrent tasks once the burst lands. One scheduling
+// pass pushes up to 5e5 task-end events, so this scale measures the event
+// queue's promotion and ring growth under an admission wave.
 var hugeScale = largeScale{
 	machines: 25000, slots: 20,
 	fgMap: 100000, fgReduce: 20000,

@@ -76,62 +76,17 @@ func (c *calendar[T]) bucketFor(at time.Duration) int {
 
 // push files an event into its bucket's heap, rewinding the pop frontier if
 // the event lands before it (a discrete-event simulator schedules at or
-// after "now", but the queue does not rely on that).
+// after "now", but the queue does not rely on that), and grows the ring
+// when occupancy passes calGrowAt.
 //
 //jockey:hotpath
 func (c *calendar[T]) push(it item[T]) {
-	c.pushNoGrow(it)
-	c.maybeGrow()
-}
-
-// pushBatch files a batch of entries, assigning consecutive sequences from
-// *seq in slice order — exactly what len(es) push calls would do. A batch
-// big enough to force ring growth is folded in with a single rebuild sized
-// (and width-tuned) for the whole batch; smaller batches skip the per-push
-// grow check and re-examine the ring once at the end. Either way the ring
-// geometry is performance-only: the pop order is pinned by (at, seq).
-//
-//jockey:hotpath
-func (c *calendar[T]) pushBatch(es []Entry[T], seq *uint64) {
-	total := c.n + len(es)
-	if total > calGrowAt*len(c.buckets) && len(c.buckets) < calMaxBuckets {
-		c.scratch = c.scratch[:0]
-		for i := range c.buckets {
-			c.scratch = append(c.scratch, c.buckets[i]...)
-			clear(c.buckets[i])
-			c.buckets[i] = c.buckets[i][:0]
-		}
-		for i := range es {
-			*seq++
-			c.scratch = append(c.scratch, item[T]{at: es[i].At, seq: *seq, v: es[i].V})
-		}
-		c.rebuild(c.scratch)
-		clear(c.scratch) // drop duplicated references held by T
-		c.scratch = c.scratch[:0]
-		return
-	}
-	for i := range es {
-		*seq++
-		c.pushNoGrow(item[T]{at: es[i].At, seq: *seq, v: es[i].V})
-	}
-	c.maybeGrow()
-}
-
-// pushNoGrow is push without the occupancy check, so a batch can defer the
-// (possibly repeated) ring growth to one decision after all items landed.
-//
-//jockey:hotpath
-func (c *calendar[T]) pushNoGrow(it item[T]) {
 	if int64(it.at) < c.day {
 		c.day = floorDiv(int64(it.at), c.width) * c.width
 		c.cur = c.bucketFor(it.at)
 	}
 	c.heapPush(c.bucketFor(it.at), it)
 	c.n++
-}
-
-//jockey:hotpath
-func (c *calendar[T]) maybeGrow() {
 	if c.n > calGrowAt*len(c.buckets) && len(c.buckets) < calMaxBuckets {
 		c.resize()
 	}

@@ -94,85 +94,6 @@ func (q *Queue[T]) Push(at time.Duration, v T) {
 	}
 }
 
-// Entry is one element of a PushBatch bulk insert.
-type Entry[T any] struct {
-	At time.Duration
-	V  T
-}
-
-// PushBatch schedules every entry in slice order. It is semantically
-// identical to len(es) sequential Pushes — entries get consecutive
-// insertion sequences, so the pop order is bit-identical (pinned by the
-// differential tests in batch_test.go) — but the structural work is
-// amortized once per batch instead of once per event:
-//
-//   - heap regime: entries are appended in bulk; a large batch is folded in
-//     with one bottom-up heapify (O(n+k)) instead of k sift-ups
-//     (O(k log n)), a small one sifts per entry. The promotion check runs
-//     once, after the batch.
-//   - calendar regime: a batch big enough to force ring growth is staged
-//     and rebuilt in one resize sized for the whole batch (the rebuild also
-//     sees the batch's time span, so the bucket width is tuned to where
-//     the events actually land); otherwise entries skip the per-push grow
-//     check and one deferred check runs at the end.
-//
-// Steady-state batches (within the queue's high-water capacity) do not
-// allocate.
-//
-//jockey:hotpath
-func (q *Queue[T]) PushBatch(es []Entry[T]) {
-	k := len(es)
-	if k == 0 {
-		return
-	}
-	// A batch that will cross the promotion threshold goes to the calendar
-	// FIRST: promoting the (small) existing heap and bulk-filing the batch
-	// is one right-sized rebuild, where absorbing the batch into the heap
-	// would grow it to n+k big items, heapify them, and immediately throw
-	// that layout away on promotion. Storage regime is performance-only,
-	// so promoting early cannot change the pop order.
-	if !q.onCal && len(q.h)+k >= calendarPromoteLen {
-		q.promote()
-	}
-	if q.onCal {
-		q.cal.pushBatch(es, &q.seq)
-		return
-	}
-	n := len(q.h)
-	for i := range es {
-		q.seq++
-		q.h = append(q.h, item[T]{at: es[i].At, seq: q.seq, v: es[i].V})
-	}
-	// k sift-ups cost O(k log(n+k)); one bottom-up heapify costs O(n+k).
-	// Pick the cheaper; either layout pops identically, since (at, seq) is
-	// a strict total order.
-	if lg := bitlen(n + k); k*lg >= n+k {
-		for i := (n+k)/2 - 1; i >= 0; i-- {
-			q.down(i)
-		}
-	} else {
-		for i := n; i < n+k; i++ {
-			q.up(i)
-		}
-	}
-	if len(q.h) >= calendarPromoteLen {
-		q.promote()
-	}
-}
-
-// bitlen is bits.Len for small non-negative ints (≈ ⌈log2⌉), open-coded so
-// the hot path stays dependency-free.
-//
-//jockey:hotpath
-func bitlen(v int) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
 // Pop removes and returns the earliest event. ok is false if the queue is
 // empty. Pop never allocates.
 //

@@ -8,6 +8,7 @@ package eventq
 
 import (
 	"container/heap"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -160,5 +161,82 @@ func BenchmarkEventQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		at, v, _ := q.Pop()
 		q.Push(at+256, v)
+	}
+}
+
+// waveEvent is one event of an arrival wave.
+type waveEvent struct {
+	at time.Duration
+	v  int
+}
+
+// waveEntries builds one n-event arrival wave: the shape a fleet-scale
+// replay's first scheduling pass produces when hundreds of thousands of
+// runnable tasks start at once.
+func waveEntries(n int) []waveEvent {
+	rng := stats.NewRNG(stats.DeriveSeed(17, "arrival-wave"))
+	es := make([]waveEvent, n)
+	for i := range es {
+		es[i] = waveEvent{at: time.Duration(rng.Int64N(int64(2 * time.Hour))), v: i}
+	}
+	return es
+}
+
+// TestArrivalWaveZeroAllocs pins the wave path allocation-free: once a
+// queue has reached its high-water capacity, a cycle of Reset, one Push per
+// event and a full drain allocates nothing, in every regime. The 5e5-event
+// wave crosses the promotion threshold under "auto" and grows the calendar
+// ring several times, so promotion and resize stage through reused
+// capacity too.
+func TestArrivalWaveZeroAllocs(t *testing.T) {
+	for _, regime := range Regimes {
+		t.Run(regime, func(t *testing.T) {
+			PinRegime(t, regime)
+			for _, n := range []int{3000, 500_000} {
+				t.Run(strconv.Itoa(n), func(t *testing.T) {
+					es := waveEntries(n)
+					var q Queue[int]
+					cycle := func() {
+						q.Reset()
+						for _, e := range es {
+							q.Push(e.at, e.v)
+						}
+						for {
+							if _, _, ok := q.Pop(); !ok {
+								break
+							}
+						}
+					}
+					cycle() // reach high-water capacity
+					if allocs := testing.AllocsPerRun(3, cycle); allocs != 0 {
+						t.Fatalf("wave cycle allocated %.1f times, want 0", allocs)
+					}
+				})
+			}
+		})
+	}
+}
+
+// BenchmarkArrivalWave times absorbing a 5e5-event wave into a Reset
+// queue, one Push per event. Only the pushes are timed; the drain runs with
+// the clock stopped. The wave crosses the promotion threshold mid-burst, so
+// the binary heap absorbs the first events and hands them to the calendar.
+func BenchmarkArrivalWave(b *testing.B) {
+	es := waveEntries(500_000)
+	var q Queue[int]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Reset()
+		for _, e := range es {
+			q.Push(e.at, e.v)
+		}
+		b.StopTimer()
+		for {
+			if _, _, ok := q.Pop(); !ok {
+				break
+			}
+		}
+		b.StartTimer()
 	}
 }

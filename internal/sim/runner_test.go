@@ -307,8 +307,8 @@ func TestReadyFIFOCompaction(t *testing.T) {
 
 // BenchmarkSimRun measures one simulation of job-E scale (plan from the
 // workload generator is too heavy for a micro-bench; this DAG matches its
-// structure) with a reused Runner vs a fresh Runner per run. The reused variant
-// must show >= 30% fewer allocs/op (it is in practice ~1000x).
+// structure) with a reused Runner vs a fresh Runner per run.
+// TestRunnerSteadyStateAllocs pins the reused variant's allocation count.
 func BenchmarkSimRun(b *testing.B) {
 	p := noisyRunnerProfile(b)
 	b.Run("fresh-engine", func(b *testing.B) {

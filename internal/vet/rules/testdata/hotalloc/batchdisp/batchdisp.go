@@ -1,8 +1,8 @@
-// Fixture: hotalloc over batch-dispatch idiom — the arrival-burst shape
-// internal/cluster's scheduling pass uses. Task-end events buffer into a
-// struct-owned batch slice and flush through one bulk insert (allowed:
-// amortized appends, in-place reslice), while per-pass fresh buffers and
-// per-event boxing are what the gate must flag.
+// Fixture: hotalloc over a batch-dispatch idiom, in which events buffer
+// into a struct-owned batch slice and flush through one bulk insert
+// (allowed: amortized appends, in-place reslice), while per-pass fresh
+// buffers and per-event boxing are what the gate must flag. The shape is
+// generic; no engine in this repository batches its events.
 package batchdisp
 
 type event struct {

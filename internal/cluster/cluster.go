@@ -21,6 +21,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
@@ -123,6 +124,9 @@ func (c *Config) fill() error {
 	if c.Machines < 1 || c.SlotsPerMachine < 1 {
 		return fmt.Errorf("cluster: need at least one machine and one slot, got %d×%d",
 			c.Machines, c.SlotsPerMachine)
+	}
+	if int64(c.Machines) > math.MaxInt32 {
+		return &machinesTooManyError{machines: c.Machines}
 	}
 	if c.MachineRecovery == nil {
 		c.MachineRecovery = stats.Exponential{MeanValue: 5 * time.Minute}
@@ -293,7 +297,7 @@ func (h *Handle) Name() string { return h.cfg.Profile.Job.Name }
 // effect at the next scheduling pass; Config.OnEpoch callbacks get one
 // automatically when the epoch handler returns.
 func (h *Handle) SetGuarantee(g int) {
-	h.c.jobs[h.id].setGuarantee(h.c.now, g)
+	h.c.setGuarantee(h.c.jobs[h.id], g)
 }
 
 // Guarantee returns the job's current guaranteed token count.
@@ -339,12 +343,27 @@ type Cluster struct {
 	holds   int // open Hold()s keeping Run alive (the fleet arbiter's latch)
 
 	// live indexes the jobs every scheduling pass actually iterates: arrived
-	// and not yet completed, kept in job-id (submission) order so dispatch
-	// tie-breaks match the full c.jobs scans of earlier engines exactly. A
-	// fleet replay admits thousands of jobs over one cluster's lifetime;
-	// without this index each reschedule pays O(admitted) even when a
-	// handful of jobs are running.
-	live []*jobRun
+	// and not yet completed. It is two sublists in one array, tracked jobs
+	// in live[:liveTracked] and untracked ones after them, each in job-id
+	// (submission) order, so walking it in order is the guaranteed-dispatch
+	// order; picks that break ties by job order (spare round-robin,
+	// speculation, eviction) compare job ids explicitly. A fleet replay
+	// admits thousands of jobs over one cluster's lifetime; without this
+	// index each reschedule pays O(admitted) even when a handful of jobs
+	// are running.
+	live        []*jobRun
+	liveTracked int
+
+	// dirty heads the intrusive stack (jobRun.dirtyNext) of jobs whose
+	// class partition the next reclassify must repair.
+	dirty *jobRun
+	// frac is the contention factor in force at c.now (contentionFrac),
+	// re-derived only when the clock moves.
+	frac float64
+	// spareTops is a max-heap of the live jobs that have a spare attempt,
+	// keyed by each job's latest-started spare (jobRun.spareTop), so the
+	// eviction pick is its root.
+	spareTops []*jobRun
 
 	// Machine state is struct-of-arrays, indexed by machine id. Every
 	// machine has cfg.SlotsPerMachine slots; up/available membership lives
@@ -385,10 +404,9 @@ type Cluster struct {
 	eng *Engine
 
 	// Scheduling scratch buffers, reused across events so the hot path
-	// (dispatch / eviction / locality lookup, which run on nearly every
-	// event) does not allocate. Their contents never outlive one call.
+	// (eviction / locality lookup, which run on nearly every event) does
+	// not allocate. Their contents never outlive one call.
 	scratchSlots    []int32
-	scratchJobs     []*jobRun
 	scratchReplicas []int
 }
 
@@ -422,6 +440,10 @@ func (c *Cluster) init(cfg Config) error {
 	c.holds = 0
 	c.jobs = c.jobs[:0] // arenas were recycled by Engine.Reset
 	c.live = c.live[:0]
+	c.liveTracked = 0
+	c.dirty = nil
+	c.frac = c.contentionFrac()
+	c.spareTops = c.spareTops[:0]
 	c.store.reset()
 	c.totalRunning = 0
 	c.busySecs = 0
@@ -448,7 +470,7 @@ func (c *Cluster) init(cfg Config) error {
 		c.scheduleNextMachineFailure()
 	}
 	for i, r := range cfg.RackOutages {
-		c.q.Push(r.At, event{kind: evRackOutage, change: i})
+		c.q.Push(r.At, event{kind: evRackOutage, arg: int32(i)})
 	}
 	for _, w := range cfg.Contention {
 		// Boundary events force a scheduling pass when the effective
@@ -536,6 +558,11 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 				i, d.Stage, cfg.Profile.Job.Name, cfg.Profile.Job.NumStages())
 		}
 	}
+	for s, st := range cfg.Profile.Job.Stages {
+		if int64(st.Tasks) > math.MaxInt32 {
+			return nil, &stageTooLargeError{job: cfg.Profile.Job.Name, stage: st.Name, index: s, tasks: st.Tasks}
+		}
+	}
 	id := len(c.jobs)
 	var jr *jobRun
 	if c.eng != nil {
@@ -549,7 +576,7 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 	if cfg.Tracked {
 		c.tracked++
 	}
-	c.q.Push(cfg.Start, event{kind: evArrival, job: id})
+	c.q.Push(cfg.Start, event{kind: evArrival, job: int32(id)})
 	return &Handle{id: id, c: c, cfg: cfg}, nil
 }
 
@@ -560,6 +587,30 @@ func SLODefaults(max int) []int {
 		out[i] = i + 1
 	}
 	return out
+}
+
+// stageTooLargeError rejects a plan whose stage holds more tasks than the
+// engine's int32 task indices can name.
+type stageTooLargeError struct {
+	job, stage string
+	index      int
+	tasks      int
+}
+
+func (e *stageTooLargeError) Error() string {
+	return fmt.Sprintf("cluster: job %q stage %q (index %d) has %d tasks; the cluster supports at most %d per stage",
+		e.job, e.stage, e.index, e.tasks, math.MaxInt32)
+}
+
+// machinesTooManyError rejects a cluster with more machines than the
+// engine's int32 machine indices can name.
+type machinesTooManyError struct {
+	machines int
+}
+
+func (e *machinesTooManyError) Error() string {
+	return fmt.Sprintf("cluster: %d machines; the cluster supports at most %d",
+		e.machines, math.MaxInt32)
 }
 
 // jobRun is the runtime state of one submitted job. It is split into an
@@ -618,6 +669,15 @@ type jobRun struct {
 	dupHeap     slotHeap
 	liveRunning int
 	guarCount   int
+
+	// dirty marks membership in the cluster's dirty stack, linked through
+	// dirtyNext.
+	dirty     bool
+	dirtyNext *jobRun
+	// spareTop is the job's latest-started spare attempt (-1 when it has
+	// none) and topPos its index in Cluster.spareTops (-1 when absent).
+	spareTop int32
+	topPos   int32
 
 	stageP90 []time.Duration // per stage, the service-time p90 (speculation trigger)
 	// driftFactor multiplies each stage's sampled service times (1 until a
@@ -720,6 +780,10 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.dupHeap.s = jr.dupHeap.s[:0]
 	jr.liveRunning = 0
 	jr.guarCount = 0
+	jr.dirty = false
+	jr.dirtyNext = nil
+	jr.spareTop = -1
+	jr.topPos = -1
 	for s := range jr.done {
 		clear(jr.done[s])
 		jr.doneCount[s] = 0
@@ -784,14 +848,6 @@ func (jr *jobRun) popReady() (taskRef, bool) {
 func (jr *jobRun) markReady(now time.Duration, stage, task int) {
 	jr.queuedAt[stage][task] = now
 	jr.ready = append(jr.ready, taskRef{stage, task})
-}
-
-func (jr *jobRun) setGuarantee(now time.Duration, g int) {
-	if g < 0 {
-		g = 0
-	}
-	jr.accrueAlloc(now)
-	jr.guarantee = g
 }
 
 //jockey:hotpath

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/jockeysim/jockey/internal/control"
 	"github.com/jockeysim/jockey/internal/dag"
@@ -47,6 +50,59 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if c.Capacity() != c.TotalCapacity() {
 		t.Error("all machines should start up")
+	}
+}
+
+// TestEventIs24Bytes pins the packed event layout: the queue moves every
+// event by value on each push, pop and calendar resize.
+func TestEventIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want 24", got)
+	}
+}
+
+// TestStageTooLargeRejected: events and the task store carry int32 task
+// indices, so Submit refuses a stage wider than that with an error naming
+// the job and the stage, before any arena is sized to it, and the cluster
+// keeps working.
+func TestStageTooLargeRejected(t *testing.T) {
+	job := dag.NewBuilder("huge").Stage("tiny", 2).Stage("wide", math.MaxInt32+1).
+		Edge("tiny", "wide", dag.AllToAll).MustBuild()
+	p := profile.MustNew(job, []profile.StageProfile{
+		{Exec: stats.Point{V: time.Second}},
+		{Exec: stats.Point{V: time.Second}},
+	})
+	c, err := New(Config{Machines: 2, SlotsPerMachine: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Submit(JobConfig{Profile: p, Guarantee: 2, Tracked: true})
+	var tooLarge *stageTooLargeError
+	if !errors.As(err, &tooLarge) {
+		t.Fatalf("Submit error = %v, want a stageTooLargeError", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"huge"`) || !strings.Contains(msg, `"wide"`) {
+		t.Errorf("error %q does not name the job and the stage", msg)
+	}
+	h, err := c.Submit(JobConfig{Profile: fixedJob(t, "ok"), Guarantee: 2, Tracked: true})
+	if err != nil {
+		t.Fatalf("valid submit after a rejected plan: %v", err)
+	}
+	if err := c.Run(); err != nil || !h.Done() {
+		t.Errorf("valid run after a rejected plan: done %v, err %v", h.Done(), err)
+	}
+}
+
+// TestTooManyMachinesRejected: machine indices are int32 too, so New and
+// Engine.Reset refuse a larger cluster before sizing any machine array.
+func TestTooManyMachinesRejected(t *testing.T) {
+	cfg := Config{Machines: math.MaxInt32 + 1}
+	var tooMany *machinesTooManyError
+	if _, err := New(cfg); !errors.As(err, &tooMany) {
+		t.Errorf("New error = %v, want a machinesTooManyError", err)
+	}
+	if _, err := NewEngine().Reset(cfg); !errors.As(err, &tooMany) {
+		t.Errorf("Engine.Reset error = %v, want a machinesTooManyError", err)
 	}
 }
 
@@ -433,5 +489,89 @@ func TestLateSubmitClampsToNow(t *testing.T) {
 	}
 	if got := h.Result().Start; got != 5*time.Second {
 		t.Errorf("late job start = %v, want clamped to 5s", got)
+	}
+}
+
+// TestCrossJobTiesGoToLowerJobID pins the tie-breaks that used to follow
+// from walking live jobs in id order. The live list now holds tracked jobs
+// first, so each pick below sees the tracked job 1 before the untracked
+// job 0, and must still choose job 0 on an exact tie, as the id-ordered
+// walk did.
+func TestCrossJobTiesGoToLowerJobID(t *testing.T) {
+	setup := func(slots int, spec float64) *Cluster {
+		t.Helper()
+		c, err := New(Config{Machines: 1, SlotsPerMachine: slots, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := bigJob(t, "twin", 4, time.Minute)
+		for _, tracked := range []bool{false, true} {
+			if _, err := c.Submit(JobConfig{Profile: p, Guarantee: 1, Tracked: tracked,
+				SpeculativeThreshold: spec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, jr := range c.jobs {
+			jr.arrived = true
+			c.liveAdd(jr)
+		}
+		if c.live[0].id != 1 {
+			t.Fatal("the tracked job should lead the live list")
+		}
+		return c
+	}
+
+	// Spare round-robin: both jobs accrue equal credit for the one slot.
+	c := setup(1, 0)
+	for _, jr := range c.jobs {
+		jr.markReady(0, 0, 0)
+	}
+	c.dispatchSpare()
+	if c.jobs[0].liveRunning != 1 || c.jobs[1].liveRunning != 0 {
+		t.Error("the spare slot went to job 1 on a credit tie, want job 0")
+	}
+
+	// Speculation: identical stragglers (same start, stage, task and p90)
+	// tie on ratio and on taskStore.less.
+	c = setup(3, 1.5)
+	for _, jr := range c.jobs {
+		c.startTask(jr, taskRef{0, 0}, 0, false)
+	}
+	c.now = time.Hour
+	if !c.dispatchDuplicate(0) {
+		t.Fatal("no straggler qualified for speculation")
+	}
+	if c.jobs[0].dupSlot[0][0] < 0 || c.jobs[1].dupSlot[0][0] >= 0 {
+		t.Error("the speculative copy went to job 1 on an exact tie, want job 0")
+	}
+}
+
+// TestEvictionSeesOrphanedDuplicate: a speculative duplicate whose primary
+// died with its machine is the job's only running attempt. It started
+// after the last pass, so only reclassify can seat it in the spare-top
+// heap, and it must do so even though the job has no running primary.
+func TestEvictionSeesOrphanedDuplicate(t *testing.T) {
+	c, err := New(Config{Machines: 2, SlotsPerMachine: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(JobConfig{Profile: bigJob(t, "spec", 4, time.Minute), Guarantee: 1,
+		SpeculativeThreshold: 1.5}); err != nil {
+		t.Fatal(err)
+	}
+	jr := c.jobs[0]
+	jr.arrived = true
+	c.liveAdd(jr)
+	c.startTask(jr, taskRef{0, 0}, 0, true)
+	c.reclassify()
+	c.now = time.Hour
+	if !c.dispatchDuplicate(1) {
+		t.Fatal("no straggler qualified for speculation")
+	}
+	c.killMachine(0) // the guaranteed primary dies; the duplicate carries on
+	c.reclassify()
+	checkAgainstRef(c)
+	if s, job := c.youngestSpare(); job != jr || s != jr.dupSlot[0][0] {
+		t.Errorf("eviction pick = slot %d, want the orphaned duplicate %d", s, jr.dupSlot[0][0])
 	}
 }

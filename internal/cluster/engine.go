@@ -12,7 +12,7 @@ import (
 	"github.com/jockeysim/jockey/internal/utility"
 )
 
-type evKind int
+type evKind uint8
 
 const (
 	evArrival evKind = iota
@@ -29,16 +29,19 @@ const (
 	evEpoch
 )
 
+// event is what the queue moves on every push, pop and calendar resize, so
+// it is packed to 24 bytes (a queue item is 40): int32 identifiers, which
+// Submit and Config validation guarantee fit, and one arg field, since no
+// event kind needs both a machine and a change index.
 type event struct {
+	job     int32
+	stage   int32
+	task    int32
+	attempt int32
+	arg     int32 // machine (evMachineRecover), or index into DeadlineChanges, Drifts, or RackOutages
 	kind    evKind
-	job     int
-	stage   int
-	task    int
-	attempt int
 	failed  bool
 	dup     bool // the attempt is a speculative duplicate
-	machine int
-	change  int // index into DeadlineChanges, Drifts, or RackOutages
 }
 
 // Run processes events until every tracked job has completed and every Hold
@@ -56,30 +59,35 @@ func (c *Cluster) Run() error {
 				c.cfg.MaxSimTime, c.tracked, c.unfinishedTracked())
 		}
 		c.accrueUtil(at)
-		c.now = at
+		if at != c.now {
+			c.now = at
+			c.clockAdvanced()
+		}
 		switch ev.kind {
 		case evArrival:
-			c.handleArrival(ev.job)
+			c.handleArrival(int(ev.job))
 		case evTaskEnd:
 			c.handleTaskEnd(ev)
 		case evControlTick:
-			c.handleControlTick(ev.job)
+			c.handleControlTick(int(ev.job))
 		case evDeadlineChange:
 			c.handleDeadlineChange(ev)
 		case evMachineFail:
 			c.handleMachineFail()
 		case evMachineRecover:
-			c.handleMachineRecover(ev.machine)
+			c.handleMachineRecover(int(ev.arg))
 		case evJobSample:
-			c.handleJobSample(ev.job)
+			c.handleJobSample(int(ev.job))
 		case evSpecTick:
-			c.handleSpecTick(ev.job)
+			c.handleSpecTick(int(ev.job))
 		case evStageDrift:
 			c.handleStageDrift(ev)
 		case evRackOutage:
-			c.handleRackOutage(ev.change)
+			c.handleRackOutage(int(ev.arg))
 		case evContention:
-			c.reschedule() // effective guarantees changed at this boundary
+			// The factor itself changed when the clock reached the boundary
+			// (clockAdvanced); this event only guarantees a pass there.
+			c.reschedule()
 		case evEpoch:
 			c.handleEpoch()
 		}
@@ -151,19 +159,19 @@ func (c *Cluster) handleArrival(id int) {
 	}
 	if jr.cfg.Policy != nil {
 		c.controlDecision(jr)
-		c.q.Push(c.now+jr.cfg.ControlPeriod, event{kind: evControlTick, job: id})
+		c.q.Push(c.now+jr.cfg.ControlPeriod, event{kind: evControlTick, job: int32(id)})
 	}
 	for i, dc := range jr.cfg.DeadlineChanges {
-		c.q.Push(jr.start+dc.At, event{kind: evDeadlineChange, job: id, change: i})
+		c.q.Push(jr.start+dc.At, event{kind: evDeadlineChange, job: int32(id), arg: int32(i)})
 	}
 	if jr.cfg.OnSample != nil {
 		if jr.cfg.SamplePeriod <= 0 {
 			jr.cfg.SamplePeriod = time.Minute
 		}
-		c.q.Push(c.now+jr.cfg.SamplePeriod, event{kind: evJobSample, job: id})
+		c.q.Push(c.now+jr.cfg.SamplePeriod, event{kind: evJobSample, job: int32(id)})
 	}
 	if jr.cfg.SpeculativeThreshold > 0 {
-		c.q.Push(c.now+specTickPeriod, event{kind: evSpecTick, job: id})
+		c.q.Push(c.now+specTickPeriod, event{kind: evSpecTick, job: int32(id)})
 	}
 	for i, d := range jr.cfg.Drifts {
 		if d.At == 0 {
@@ -171,7 +179,7 @@ func (c *Cluster) handleArrival(id int) {
 			c.applyDrift(jr, i)
 			continue
 		}
-		c.q.Push(jr.start+d.At, event{kind: evStageDrift, job: id, change: i})
+		c.q.Push(jr.start+d.At, event{kind: evStageDrift, job: int32(id), arg: int32(i)})
 	}
 	c.reschedule()
 }
@@ -189,7 +197,7 @@ func (c *Cluster) handleSpecTick(id int) {
 	if jr.completed || jr.tasksLeft == 0 || jr.cfg.SpeculativeThreshold <= 0 {
 		return
 	}
-	c.q.Push(c.now+specTickPeriod, event{kind: evSpecTick, job: id})
+	c.q.Push(c.now+specTickPeriod, event{kind: evSpecTick, job: int32(id)})
 	c.reschedule()
 }
 
@@ -198,7 +206,7 @@ func (c *Cluster) handleStageDrift(ev event) {
 	if jr.completed {
 		return
 	}
-	c.applyDrift(jr, ev.change)
+	c.applyDrift(jr, int(ev.arg))
 }
 
 // applyDrift folds one StageDrift into the job's runtime factors.
@@ -228,7 +236,7 @@ func (c *Cluster) handleRackOutage(idx int) {
 		// its downtime extended; its earlier recover event goes stale.
 		if until > c.mDown[mi] {
 			c.mDown[mi] = until
-			c.q.Push(until, event{kind: evMachineRecover, machine: mi})
+			c.q.Push(until, event{kind: evMachineRecover, arg: int32(mi)})
 		}
 	}
 	c.reschedule()
@@ -248,6 +256,27 @@ func (c *Cluster) contentionFrac() float64 {
 	return f
 }
 
+// clockAdvanced re-derives the contention factor whenever the clock moves.
+// The factor is a function of the clock alone, so an event popped at a
+// window boundary ahead of that boundary's own event already sees the new
+// factor; a change marks every live job dirty, because it moves every
+// job's effective guarantee.
+//
+//jockey:hotpath
+func (c *Cluster) clockAdvanced() {
+	if len(c.cfg.Contention) == 0 {
+		return
+	}
+	f := c.contentionFrac()
+	if f == c.frac {
+		return
+	}
+	c.frac = f
+	for _, jr := range c.live {
+		c.markDirty(jr)
+	}
+}
+
 // effectiveGuarantee returns how many guaranteed tokens the scheduler
 // actually honors for the job right now. Allocation accounting still charges
 // the nominal guarantee: during contention the job pays for a promise the
@@ -255,11 +284,36 @@ func (c *Cluster) contentionFrac() float64 {
 //
 //jockey:hotpath
 func (c *Cluster) effectiveGuarantee(jr *jobRun) int {
-	f := c.contentionFrac()
-	if f >= 1 {
+	if c.frac >= 1 {
 		return jr.guarantee
 	}
-	return int(float64(jr.guarantee) * f)
+	return int(float64(jr.guarantee) * c.frac)
+}
+
+// markDirty queues the job for the next reclassify. The dirty set is an
+// intrusive stack through jobRun, so marking never allocates; the order
+// jobs are repaired in does not matter, since each repair touches only its
+// own job's heaps.
+//
+//jockey:hotpath
+func (c *Cluster) markDirty(jr *jobRun) {
+	if jr.dirty {
+		return
+	}
+	jr.dirty = true
+	jr.dirtyNext = c.dirty
+	c.dirty = jr
+}
+
+// setGuarantee re-sets a job's nominal guarantee, accruing allocation at
+// the old one up to now, and queues the job for reclassification.
+func (c *Cluster) setGuarantee(jr *jobRun, g int) {
+	if g < 0 {
+		g = 0
+	}
+	jr.accrueAlloc(c.now)
+	jr.guarantee = g
+	c.markDirty(jr)
 }
 
 func (c *Cluster) handleJobSample(id int) {
@@ -268,7 +322,7 @@ func (c *Cluster) handleJobSample(id int) {
 		return
 	}
 	jr.cfg.OnSample(c.now-jr.start, jr.state(c.now))
-	c.q.Push(c.now+jr.cfg.SamplePeriod, event{kind: evJobSample, job: id})
+	c.q.Push(c.now+jr.cfg.SamplePeriod, event{kind: evJobSample, job: int32(id)})
 }
 
 func (c *Cluster) handleControlTick(id int) {
@@ -277,15 +331,14 @@ func (c *Cluster) handleControlTick(id int) {
 		return
 	}
 	c.controlDecision(jr)
-	c.q.Push(c.now+jr.cfg.ControlPeriod, event{kind: evControlTick, job: id})
+	c.q.Push(c.now+jr.cfg.ControlPeriod, event{kind: evControlTick, job: int32(id)})
 	c.reschedule()
 }
 
 func (c *Cluster) controlDecision(jr *jobRun) {
 	st := jr.state(c.now)
 	d := jr.cfg.Policy.Decide(st)
-	jr.accrueAlloc(c.now)
-	jr.setGuarantee(c.now, d.Granted)
+	c.setGuarantee(jr, d.Granted)
 	if jr.cfg.OnDecision != nil {
 		jr.cfg.OnDecision(c.now-jr.start, d)
 	}
@@ -310,7 +363,7 @@ func (c *Cluster) handleDeadlineChange(ev event) {
 	if jr.completed {
 		return
 	}
-	dc := jr.cfg.DeadlineChanges[ev.change]
+	dc := jr.cfg.DeadlineChanges[ev.arg]
 	jr.deadline = dc.Deadline
 	if jr.cfg.Policy != nil {
 		jr.cfg.Policy.ChangeUtility(utility.Deadline(dc.Deadline))
@@ -323,13 +376,14 @@ func (c *Cluster) handleDeadlineChange(ev event) {
 func (c *Cluster) handleTaskEnd(ev event) {
 	jr := c.jobs[ev.job]
 	st := &c.store
+	stage, task := int(ev.stage), int(ev.task)
 	var s int32
 	if ev.dup {
-		s = jr.dupSlot[ev.stage][ev.task]
+		s = jr.dupSlot[stage][task]
 	} else {
-		s = jr.slot[ev.stage][ev.task]
+		s = jr.slot[stage][task]
 	}
-	if s < 0 || int(st.attempt[s]) != ev.attempt {
+	if s < 0 || st.attempt[s] != ev.attempt {
 		return // stale event: the attempt was evicted, killed, or outraced
 	}
 	jr.accrueAlloc(c.now)
@@ -341,9 +395,9 @@ func (c *Cluster) handleTaskEnd(ev event) {
 	// primary just ended, or vice versa).
 	var sibling int32
 	if ev.dup {
-		sibling = jr.slot[ev.stage][ev.task]
+		sibling = jr.slot[stage][task]
 	} else {
-		sibling = jr.dupSlot[ev.stage][ev.task]
+		sibling = jr.dupSlot[stage][task]
 	}
 	if ev.failed {
 		st.release(s)
@@ -352,8 +406,8 @@ func (c *Cluster) handleTaskEnd(ev event) {
 			c.reschedule()
 			return
 		}
-		jr.attempts[ev.stage][ev.task]++
-		jr.markReady(c.now, ev.stage, ev.task)
+		jr.attempts[stage][task]++
+		jr.markReady(c.now, stage, task)
 		c.reschedule()
 		return
 	}
@@ -366,9 +420,9 @@ func (c *Cluster) handleTaskEnd(ev event) {
 	} else {
 		jr.spareDone++
 	}
-	if len(jr.job.Inputs(ev.stage)) == 0 {
+	if len(jr.job.Inputs(stage)) == 0 {
 		jr.rootDone++
-		for _, mi := range c.replicaMachines(jr, ev.stage, ev.task) {
+		for _, mi := range c.replicaMachines(jr, stage, task) {
 			if mi == machine {
 				jr.localDone++
 				break
@@ -376,17 +430,17 @@ func (c *Cluster) handleTaskEnd(ev event) {
 		}
 	}
 	st.release(s)
-	jr.done[ev.stage][ev.task] = true
-	jr.doneCount[ev.stage]++
+	jr.done[stage][task] = true
+	jr.doneCount[stage]++
 	jr.tasksLeft--
-	for _, cons := range jr.consumers[ev.stage][ev.task] {
+	for _, cons := range jr.consumers[stage][task] {
 		jr.remDeps[cons.stage][cons.task]--
 		if jr.remDeps[cons.stage][cons.task] == 0 {
 			jr.markReady(c.now, cons.stage, cons.task)
 		}
 	}
-	if jr.doneCount[ev.stage] == jr.job.Stages[ev.stage].Tasks {
-		for _, edge := range jr.job.Outputs(ev.stage) {
+	if jr.doneCount[stage] == jr.job.Stages[stage].Tasks {
+		for _, edge := range jr.job.Outputs(stage) {
 			if edge.Kind != dag.AllToAll {
 				continue
 			}
@@ -434,13 +488,23 @@ func (c *Cluster) recordAttempt(jr *jobRun, s int32, ended time.Duration, failed
 	}
 }
 
-// liveAdd inserts an arriving job into the live index, keeping job-id order
-// (arrival events can fire out of submission order when Start times differ).
+// liveAdd inserts an arriving job into the live index. Tracked jobs fill
+// the front sublist and untracked ones the back, each in job-id
+// (submission) order; arrival events can fire out of submission order when
+// Start times differ. O(live), once per job lifetime.
 func (c *Cluster) liveAdd(jr *jobRun) {
-	c.live = append(c.live, jr)
-	for i := len(c.live) - 1; i > 0 && c.live[i-1].id > jr.id; i-- {
-		c.live[i], c.live[i-1] = c.live[i-1], c.live[i]
+	lo, hi := c.liveTracked, len(c.live)
+	if jr.cfg.Tracked {
+		lo, hi = 0, c.liveTracked
+		c.liveTracked++
 	}
+	c.live = append(c.live, nil)
+	i := hi
+	for i > lo && c.live[i-1].id > jr.id {
+		i--
+	}
+	copy(c.live[i+1:], c.live[i:len(c.live)-1])
+	c.live[i] = jr
 }
 
 // liveRemove drops a completed job from the live index. O(live), once per
@@ -449,6 +513,9 @@ func (c *Cluster) liveRemove(jr *jobRun) {
 	for i, other := range c.live {
 		if other == jr {
 			c.live = append(c.live[:i], c.live[i+1:]...)
+			if jr.cfg.Tracked {
+				c.liveTracked--
+			}
 			return
 		}
 	}
@@ -458,7 +525,7 @@ func (c *Cluster) completeJob(jr *jobRun) {
 	jr.accrueAlloc(c.now)
 	jr.completed = true
 	c.liveRemove(jr)
-	jr.setGuarantee(c.now, 0)
+	c.setGuarantee(jr, 0)
 	completion := c.now - jr.start
 	totalWork := jr.p.TotalWork()
 	if jr.result.Trace != nil {
@@ -503,7 +570,7 @@ func (c *Cluster) handleMachineFail() {
 		if c.now+rec > c.mDown[mi] {
 			c.mDown[mi] = c.now + rec
 		}
-		c.q.Push(c.now+rec, event{kind: evMachineRecover, machine: mi})
+		c.q.Push(c.now+rec, event{kind: evMachineRecover, arg: int32(mi)})
 	}
 	c.scheduleNextMachineFailure()
 	c.reschedule()
@@ -544,8 +611,10 @@ func (c *Cluster) victimLess(a, b int32) bool {
 }
 
 // detach removes an attempt from every index that tracks it — the slot
-// table, its class heaps, the machine task list, the machine's used count,
-// and the running totals — leaving the slot readable until released.
+// table, its class heaps, the spare-top heap, the machine task list, the
+// machine's used count, and the running totals — leaving the slot readable
+// until released. Detaching a primary changes its job's running count, so
+// the job is queued for reclassification.
 //
 //jockey:hotpath
 func (c *Cluster) detach(jr *jobRun, s int32) {
@@ -554,6 +623,7 @@ func (c *Cluster) detach(jr *jobRun, s int32) {
 	if st.flags[s]&flagDup != 0 {
 		jr.dupSlot[stage][task] = -1
 		st.maxRemove(&jr.dupHeap, s)
+		c.refreshTop(jr)
 	} else {
 		jr.slot[stage][task] = -1
 		if st.flags[s]&flagGuar != 0 {
@@ -562,9 +632,11 @@ func (c *Cluster) detach(jr *jobRun, s int32) {
 		} else {
 			st.maxRemove(&jr.spareMax, s)
 			st.minRemove(&jr.spareMin, s)
+			c.refreshTop(jr)
 		}
 		jr.liveRunning--
 		c.totalRunning--
+		c.markDirty(jr)
 	}
 	mi := int(st.machine[s])
 	if prev := st.prevM[s]; prev >= 0 {
@@ -711,15 +783,25 @@ func (c *Cluster) freeMachine() int {
 // hand out spare capacity round-robin.
 func (c *Cluster) reschedule() {
 	c.reclassify()
+	if checkPass != nil {
+		checkPass(c)
+	}
 	c.dispatchGuaranteed()
 	c.dispatchSpare()
 }
 
+// checkPass, set only by tests, runs after every reclassify; the tests diff
+// the incremental state against the retired full walks
+// (engine_ref_test.go).
+var checkPass func(c *Cluster)
+
 // reclassify restores, per job, the invariant that the guaranteed class is
 // exactly the job's effectiveGuarantee() earliest-started primaries (by the
-// taskStore.less total order) and everything else is spare. Earlier engines
-// re-derived the partition from scratch with a full sort per pass; here it is
-// repaired incrementally from the class heaps:
+// taskStore.less total order) and everything else is spare. Only jobs in the
+// dirty set are visited: the invariant can only break where a primary
+// started or ended, the guarantee was re-set, or the contention factor
+// moved, and each of those marks the job. Each visited job is repaired
+// incrementally from its class heaps:
 //
 //  1. count rebalance — while the guaranteed class is too big, demote its
 //     maximum (latest-started) member; while too small, promote the spare
@@ -729,15 +811,19 @@ func (c *Cluster) reschedule() {
 //
 // Step 2 strictly shrinks the number of cross-class inversions each swap, so
 // it terminates with min(spare) ≥ max(guaranteed): with the class sizes fixed
-// by step 1, that is precisely the rank partition the full sort produced.
+// by step 1, that is precisely the rank partition a full sort produces.
 //
 //jockey:hotpath
 func (c *Cluster) reclassify() {
 	st := &c.store
-	for _, jr := range c.live {
-		if jr.liveRunning == 0 {
-			continue
-		}
+	for c.dirty != nil {
+		jr := c.dirty
+		c.dirty = jr.dirtyNext
+		jr.dirtyNext = nil
+		jr.dirty = false
+		// A job with no running primary (every job that is not live, too)
+		// runs none of the loops below, but may still hold a duplicate
+		// whose spare top is stale.
 		target := c.effectiveGuarantee(jr)
 		if jr.liveRunning < target {
 			target = jr.liveRunning
@@ -771,31 +857,18 @@ func (c *Cluster) reclassify() {
 			st.flags[sp] |= flagGuar
 			st.maxPush(&jr.guarHeap, sp)
 		}
+		c.refreshTop(jr)
 	}
 }
 
-// guaranteedOrder returns the live jobs with tracked (SLO) jobs first, then
-// arrival order: admission control promised SLO jobs their guarantees, so
-// they win when guarantees are over-subscribed. Only live jobs are walked —
-// completed and not-yet-arrived jobs were skipped by the dispatcher anyway.
-func (c *Cluster) guaranteedOrder() []*jobRun {
-	out := c.scratchJobs[:0]
-	for _, jr := range c.live {
-		if jr.cfg.Tracked {
-			out = append(out, jr)
-		}
-	}
-	for _, jr := range c.live {
-		if !jr.cfg.Tracked {
-			out = append(out, jr)
-		}
-	}
-	c.scratchJobs = out
-	return out
-}
-
+// dispatchGuaranteed starts ready tasks on guaranteed tokens. c.live holds
+// tracked (SLO) jobs before untracked ones, so walking it in order serves
+// SLO jobs first: admission control promised them their guarantees, so
+// they win when guarantees are over-subscribed.
+//
+//jockey:hotpath
 func (c *Cluster) dispatchGuaranteed() {
-	for _, jr := range c.guaranteedOrder() {
+	for _, jr := range c.live {
 		eff := c.effectiveGuarantee(jr)
 		for jr.guarCount < eff && jr.readyLen() > 0 {
 			r, _ := jr.popReady()
@@ -816,34 +889,142 @@ func (c *Cluster) dispatchGuaranteed() {
 	}
 }
 
-// youngestSpare finds the most recently started spare task in the cluster —
-// the cheapest one to evict. Each job's latest-started spare is the max of
-// the tops of its two spare-class max-heaps (spare primaries and speculative
-// duplicates), so the cluster-wide pick costs one comparison per job instead
-// of the full task scan of earlier engines. Ties across jobs cannot break
-// differently from the retired scan: it compared with a strict less, so the
-// first job in c.jobs order kept the pick, exactly as this loop does.
+// youngestSpare returns the most recently started spare task in the
+// cluster — the cheapest one to evict — and its job: the root of the
+// spare-top heap.
 //
 //jockey:hotpath
 func (c *Cluster) youngestSpare() (int32, *jobRun) {
-	st := &c.store
-	best := int32(-1)
-	var bestJob *jobRun
-	for _, jr := range c.live {
-		cand := int32(-1)
-		if len(jr.spareMax.s) > 0 {
-			cand = jr.spareMax.s[0]
-		}
-		if len(jr.dupHeap.s) > 0 && (cand < 0 || st.less(cand, jr.dupHeap.s[0])) {
-			cand = jr.dupHeap.s[0]
-		}
-		if cand >= 0 && (best < 0 || st.less(best, cand)) {
-			best, bestJob = cand, jr
-		}
+	if len(c.spareTops) == 0 {
+		return -1, nil
 	}
-	return best, bestJob
+	jr := c.spareTops[0]
+	return jr.spareTop, jr
 }
 
+// refreshTop re-derives the job's spare top — its latest-started spare
+// attempt, the max of the tops of its spare-primary and duplicate heaps —
+// and re-seats the job in the cluster's spare-top heap when it changed.
+// detach calls it eagerly, since an eviction inside dispatchGuaranteed must
+// be seen by the next pick and a released slot must not stay a heap key.
+// A spare start (startTask, startDuplicate) only marks its job dirty, and
+// reclassify refreshes it before the next pass's first pick; until then
+// the heap is ordered by the job's older top, a live attempt whose key
+// does not change.
+//
+//jockey:hotpath
+func (c *Cluster) refreshTop(jr *jobRun) {
+	st := &c.store
+	top := int32(-1)
+	if len(jr.spareMax.s) > 0 {
+		top = jr.spareMax.s[0]
+	}
+	if len(jr.dupHeap.s) > 0 && (top < 0 || st.less(top, jr.dupHeap.s[0])) {
+		top = jr.dupHeap.s[0]
+	}
+	old := jr.spareTop
+	if top == old {
+		return
+	}
+	jr.spareTop = top
+	switch {
+	case top < 0:
+		c.topRemove(jr)
+	case old < 0:
+		c.spareTops = append(c.spareTops, jr)
+		i := len(c.spareTops) - 1
+		jr.topPos = int32(i)
+		c.topUp(i)
+	case st.less(old, top):
+		c.topUp(int(jr.topPos))
+	default:
+		c.topDown(int(jr.topPos))
+	}
+}
+
+// topAbove orders the spare-top max-heap: the later-started top first, and
+// on a tie across jobs the lower job id, which is the pick of the retired
+// strict-less scan over jobs in id order.
+//
+//jockey:hotpath
+func (c *Cluster) topAbove(a, b *jobRun) bool {
+	st := &c.store
+	if st.less(b.spareTop, a.spareTop) {
+		return true
+	}
+	return !st.less(a.spareTop, b.spareTop) && a.id < b.id
+}
+
+//jockey:hotpath
+func (c *Cluster) topSwap(i, j int) {
+	h := c.spareTops
+	h[i], h[j] = h[j], h[i]
+	h[i].topPos = int32(i)
+	h[j].topPos = int32(j)
+}
+
+//jockey:hotpath
+func (c *Cluster) topUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !c.topAbove(c.spareTops[i], c.spareTops[parent]) {
+			return
+		}
+		c.topSwap(i, parent)
+		i = parent
+	}
+}
+
+// topDown sifts index i toward the leaves, reporting whether it moved.
+//
+//jockey:hotpath
+func (c *Cluster) topDown(i int) bool {
+	h := c.spareTops
+	n := len(h)
+	moved := false
+	for {
+		left := 2*i + 1
+		if left >= n {
+			return moved
+		}
+		big := left
+		if right := left + 1; right < n && c.topAbove(h[right], h[left]) {
+			big = right
+		}
+		if !c.topAbove(h[big], h[i]) {
+			return moved
+		}
+		c.topSwap(i, big)
+		i = big
+		moved = true
+	}
+}
+
+//jockey:hotpath
+func (c *Cluster) topRemove(jr *jobRun) {
+	i := int(jr.topPos)
+	jr.topPos = -1
+	n := len(c.spareTops) - 1
+	last := c.spareTops[n]
+	c.spareTops[n] = nil
+	c.spareTops = c.spareTops[:n]
+	if i == n {
+		return
+	}
+	c.spareTops[i] = last
+	last.topPos = int32(i)
+	if !c.topDown(i) {
+		c.topUp(i)
+	}
+}
+
+// dispatchSpare hands free slots to jobs with pending work by smooth
+// weighted round-robin: each eligible job accrues credit proportional to
+// its weight, the highest-credit job gets the slot, and its credit is
+// charged the total weight. Over time a job receives spare slots in
+// proportion to its weight (the cluster's weighted fair sharing). Credit
+// ties go to the lower job id, so the pick does not depend on the order
+// c.live is walked in.
 func (c *Cluster) dispatchSpare() {
 	if len(c.live) == 0 {
 		return
@@ -854,39 +1035,20 @@ func (c *Cluster) dispatchSpare() {
 		if mi < 0 {
 			return
 		}
-		// Smooth weighted round-robin over jobs with pending work: each
-		// eligible job accrues credit proportional to its weight, the
-		// highest-credit job gets the slot, and its credit is charged the
-		// total weight. Over time a job receives spare slots in proportion
-		// to its weight (the cluster's weighted fair sharing).
-		eligible := c.scratchJobs[:0]
+		var pick *jobRun
 		totalWeight := 0.0
 		for _, jr := range c.live {
 			if jr.cfg.NoSpare || jr.readyLen() == 0 {
 				continue
 			}
-			eligible = append(eligible, jr)
 			totalWeight += float64(jr.cfg.Weight)
-		}
-		c.scratchJobs = eligible
-		dispatched := false
-		if len(eligible) > 0 {
-			var pick *jobRun
-			for _, jr := range eligible {
-				jr.spareCredit += float64(jr.cfg.Weight)
-				if pick == nil || jr.spareCredit > pick.spareCredit {
-					pick = jr
-				}
+			jr.spareCredit += float64(jr.cfg.Weight)
+			if pick == nil || jr.spareCredit > pick.spareCredit ||
+				(jr.spareCredit == pick.spareCredit && jr.id < pick.id) {
+				pick = jr
 			}
-			pick.spareCredit -= totalWeight
-			r, _ := pick.popReady()
-			if local := c.freeMachineFor(pick, r.stage, r.task); local >= 0 {
-				mi = local
-			}
-			c.startTask(pick, r, mi, false)
-			dispatched = true
 		}
-		if !dispatched {
+		if pick == nil {
 			// No fresh work anywhere: spend truly idle slots on speculative
 			// duplicates of straggling tasks.
 			if !c.dispatchDuplicate(mi) {
@@ -894,6 +1056,12 @@ func (c *Cluster) dispatchSpare() {
 			}
 			continue
 		}
+		pick.spareCredit -= totalWeight
+		r, _ := pick.popReady()
+		if local := c.freeMachineFor(pick, r.stage, r.task); local >= 0 {
+			mi = local
+		}
+		c.startTask(pick, r, mi, false)
 		idle++
 		if idle > 1<<20 { // guard the Assertf so its args only box on failure
 			invariant.Assertf(false, "cluster: spare dispatch runaway at t=%v (machine %d)", c.now, mi)
@@ -904,10 +1072,10 @@ func (c *Cluster) dispatchSpare() {
 // dispatchDuplicate launches a speculative copy of the most-overdue
 // straggler (across speculation-enabled jobs) on the given machine. It
 // returns false if no task qualifies. Candidates are every unspeculated
-// running primary, walked through the job's two primary heaps (heap layout
-// order, which is fine: the scan keeps a strict best with deterministic
-// tie-breaks, so the winner is order-independent, exactly as with the
-// retired map walk).
+// running primary, walked through the job's two primary heaps in heap
+// layout order, which is fine: the scan keeps a strict best under a total
+// order (ratio, then taskStore.before), so the winner does not depend on
+// the order jobs or tasks are walked in.
 //
 //jockey:hotpath
 func (c *Cluster) dispatchDuplicate(mi int) bool {
@@ -939,9 +1107,9 @@ func (c *Cluster) dispatchDuplicate(mi int) bool {
 					continue
 				}
 				// Deterministic despite scan order: strictly-better ratio
-				// wins; exact ties resolve by task identity.
+				// wins; exact ties resolve by task identity, then job id.
 				if worst < 0 || ratio > worstRatio ||
-					(ratio == worstRatio && st.less(s, worst)) {
+					(ratio == worstRatio && st.before(s, worst)) {
 					worst, worstJob, worstRatio = s, jr, ratio
 				}
 			}
@@ -984,14 +1152,15 @@ func (c *Cluster) startDuplicate(jr *jobRun, orig int32, machine int) {
 	st.flags[s] = flagDup // duplicates are always spare-class
 	jr.dupSlot[stage][task] = s
 	st.maxPush(&jr.dupHeap, s)
+	c.markDirty(jr) // reclassify refreshes the job's spare top
 	jr.duplicates++
 	c.attachMachine(machine, s)
 	c.q.Push(c.now+initDelay+exec, event{
 		kind:    evTaskEnd,
-		job:     jr.id,
-		stage:   stage,
-		task:    task,
-		attempt: int(attempt),
+		job:     int32(jr.id),
+		stage:   int32(stage),
+		task:    int32(task),
+		attempt: attempt,
 		failed:  fails,
 		dup:     true,
 	})
@@ -1040,13 +1209,14 @@ func (c *Cluster) startTask(jr *jobRun, r taskRef, machine int, guaranteed bool)
 	}
 	jr.liveRunning++
 	c.totalRunning++
+	c.markDirty(jr) // reclassify repairs its classes and spare top
 	c.attachMachine(machine, s)
 	c.q.Push(c.now+initDelay+exec, event{
 		kind:    evTaskEnd,
-		job:     jr.id,
-		stage:   r.stage,
-		task:    r.task,
-		attempt: int(st.attempt[s]),
+		job:     st.job[s],
+		stage:   st.stage[s],
+		task:    st.task[s],
+		attempt: st.attempt[s],
 		failed:  fails,
 	})
 }

@@ -125,6 +125,7 @@ func (p *largeProfiles) run(tb testing.TB, c *Cluster, ls largeScale) []Result {
 }
 
 func benchLargeCluster(b *testing.B, ls largeScale) {
+	withoutPassCheck(b)
 	p := newLargeProfiles(b, ls)
 	cfg := ls.config()
 	eng := NewEngine()

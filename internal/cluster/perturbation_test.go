@@ -241,7 +241,7 @@ func TestSpecTickStopsAfterCompletion(t *testing.T) {
 		}
 		c.now = at
 		if ev.kind == evSpecTick {
-			c.handleSpecTick(ev.job)
+			c.handleSpecTick(int(ev.job))
 		}
 	}
 	if c.q.Len() != 0 {

@@ -282,6 +282,7 @@ func TestEnginePolicySteadyStateAllocations(t *testing.T) {
 }
 
 func BenchmarkEngineFresh(b *testing.B) {
+	withoutPassCheck(b)
 	cfg, fg, bg := steadyCfg()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -302,6 +303,7 @@ func BenchmarkEngineFresh(b *testing.B) {
 }
 
 func BenchmarkEngineReuse(b *testing.B) {
+	withoutPassCheck(b)
 	cfg, fg, bg := steadyCfg()
 	eng := NewEngine()
 	b.ReportAllocs()
@@ -316,6 +318,62 @@ func BenchmarkEngineReuse(b *testing.B) {
 		}
 		if _, err := c.Submit(fg); err != nil {
 			b.Fatal(err)
+		}
+		if err := c.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineManyJobs is the scheduling-pass layer benchmark: 300 jobs
+// on a 100 × 5 cluster, hundreds of them live at once and over-subscribing
+// it, every guarantee re-set each epoch from OnEpoch, on a reused engine —
+// the fleet-scale shape without the arbiter. Each pass changes a few jobs
+// and the epochs re-guarantee all of them, so its cost is what the dirty
+// set, the class-ordered live list and the spare-top heap scale with.
+func BenchmarkEngineManyJobs(b *testing.B) {
+	withoutPassCheck(b)
+	job := dag.NewBuilder("many").
+		Stage("m", 12).
+		Stage("r", 3).
+		Edge("m", "r", dag.AllToAll).
+		MustBuild()
+	p := profile.MustNew(job, []profile.StageProfile{
+		{Exec: stats.LognormalFromMedian(30*time.Second, 90*time.Second)},
+		{Exec: stats.LognormalFromMedian(20*time.Second, time.Minute)},
+	})
+	const jobs = 300
+	hs := make([]*Handle, 0, jobs)
+	epoch := 0
+	cfg := Config{
+		Machines:        100,
+		SlotsPerMachine: 5,
+		Seed:            5,
+		EpochPeriod:     30 * time.Second,
+		OnEpoch: func(time.Duration) bool {
+			epoch++
+			for i, h := range hs {
+				h.SetGuarantee(1 + (epoch+i)%4)
+			}
+			return true
+		},
+	}
+	eng := NewEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := eng.Reset(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hs, epoch = hs[:0], 0
+		for j := 0; j < jobs; j++ {
+			h, err := c.Submit(JobConfig{Profile: p, Guarantee: 2, Tracked: j%3 == 0, NoTrace: true,
+				Start: time.Duration(j%40) * 15 * time.Second})
+			if err != nil {
+				b.Fatal(err)
+			}
+			hs = append(hs, h)
 		}
 		if err := c.Run(); err != nil {
 			b.Fatal(err)

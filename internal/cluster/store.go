@@ -101,8 +101,8 @@ func (st *taskStore) reset() {
 // less totally orders attempts by start time, then stage/task position —
 // the same order the pointer-based engine's cmpTask used. Within one job the
 // order has no ties (a primary and its duplicate cannot share a start time,
-// and stage/task is unique); across jobs the scheduler always breaks ties by
-// job iteration order before consulting less.
+// and stage/task is unique); across jobs the scheduler breaks ties by job id
+// (before, Cluster.topAbove).
 //
 //jockey:hotpath
 func (st *taskStore) less(a, b int32) bool {
@@ -113,6 +113,18 @@ func (st *taskStore) less(a, b int32) bool {
 		return st.stage[a] < st.stage[b]
 	}
 	return st.task[a] < st.task[b]
+}
+
+// before extends less across jobs: attempts less leaves tied (the same
+// start time, stage and task in different jobs) order by job id, so a pick
+// over several jobs does not depend on the order the jobs are walked in.
+//
+//jockey:hotpath
+func (st *taskStore) before(a, b int32) bool {
+	if st.less(a, b) {
+		return true
+	}
+	return !st.less(b, a) && st.job[a] < st.job[b]
 }
 
 // slotHeap is a binary heap of store slot ids. Max-heaps (guarHeap,

@@ -51,11 +51,6 @@ type Config struct {
 	// MaxSimTime aborts a run that exceeds this simulated horizon
 	// (default 10 days) — a guard against misconfigured workloads.
 	MaxSimTime time.Duration
-	// Replicas is the number of machines holding each input partition of a
-	// root (extract) stage in the distributed file system (default 3, like
-	// GFS/HDFS/Cosmos). Root tasks prefer these machines; running there
-	// co-locates storage and computation ("locality", §2.1/§3.1).
-	Replicas int
 	// RackOutages schedules correlated multi-machine failures (a rack or
 	// container losing power/network), unlike the independent failures MTBF
 	// models. Used to manufacture conditions a training run never saw.
@@ -134,12 +129,6 @@ func (c *Config) fill() error {
 	if c.MaxSimTime <= 0 {
 		c.MaxSimTime = 240 * time.Hour
 	}
-	if c.Replicas == 0 {
-		c.Replicas = 3
-	}
-	if c.Replicas < 1 {
-		return fmt.Errorf("cluster: need at least one replica, got %d", c.Replicas)
-	}
 	for i, r := range c.RackOutages {
 		if r.At < 0 || r.Duration <= 0 {
 			return fmt.Errorf("cluster: rack outage %d needs At >= 0 and Duration > 0, got At=%v Duration=%v",
@@ -216,8 +205,6 @@ type JobConfig struct {
 	// Drifts injects per-stage runtime drift mid-run (see StageDrift) —
 	// ground truth diverging from the profile the job's policy was built on.
 	Drifts []StageDrift
-	// OnDecision, if set, observes every control decision.
-	OnDecision func(at time.Duration, d control.Decision)
 	// OnTaskEvent, if set, observes every completed task attempt as it
 	// happens — the live feed the guard-rail layer (control.Guard) blends
 	// into its profile for online re-profiling. Fires for Tracked and

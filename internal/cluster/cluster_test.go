@@ -241,14 +241,12 @@ func TestJockeyPolicyMeetsDeadlineOnCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := New(Config{Machines: 4, SlotsPerMachine: 2, Seed: 2})
-	var decisions int
 	h, err := c.Submit(JobConfig{
 		Profile:       p,
 		Policy:        pol,
 		Deadline:      90 * time.Second,
 		ControlPeriod: 10 * time.Second,
 		Tracked:       true,
-		OnDecision:    func(time.Duration, control.Decision) { decisions++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,11 +258,8 @@ func TestJockeyPolicyMeetsDeadlineOnCluster(t *testing.T) {
 	if !r.Met {
 		t.Errorf("missed deadline: completion %v", r.Completion)
 	}
-	if decisions == 0 {
-		t.Error("policy never ran")
-	}
 	if len(r.Trace.Timeline) == 0 {
-		t.Error("no allocation timeline recorded")
+		t.Error("policy never ran: no allocation timeline recorded")
 	}
 	if r.AllocTokenSeconds <= 0 {
 		t.Error("no allocation accounted")
@@ -299,11 +294,6 @@ func TestDeadlineChangeTriggersAdaptation(t *testing.T) {
 	if _, err := c.Submit(JobConfig{Profile: bg, Guarantee: 34}); err != nil {
 		t.Fatal(err)
 	}
-	type obs struct {
-		at time.Duration
-		g  int
-	}
-	var seen []obs
 	h, err := c.Submit(JobConfig{
 		Profile:       p,
 		Policy:        pol,
@@ -312,9 +302,6 @@ func TestDeadlineChangeTriggersAdaptation(t *testing.T) {
 		Tracked:       true,
 		DeadlineChanges: []DeadlineChange{
 			{At: 2 * time.Minute, Deadline: 7 * time.Minute},
-		},
-		OnDecision: func(at time.Duration, d control.Decision) {
-			seen = append(seen, obs{at, d.Granted})
 		},
 	})
 	if err != nil {
@@ -331,12 +318,12 @@ func TestDeadlineChangeTriggersAdaptation(t *testing.T) {
 		t.Errorf("missed tightened deadline: %v", r.Completion)
 	}
 	var before, after int
-	for _, o := range seen {
-		if o.at < 2*time.Minute && o.g > before {
-			before = o.g
+	for _, pt := range r.Trace.Timeline {
+		if pt.T < 2*time.Minute && pt.Granted > before {
+			before = pt.Granted
 		}
-		if o.at >= 2*time.Minute && o.g > after {
-			after = o.g
+		if pt.T >= 2*time.Minute && pt.Granted > after {
+			after = pt.Granted
 		}
 	}
 	if after <= before {

@@ -339,9 +339,6 @@ func (c *Cluster) controlDecision(jr *jobRun) {
 	st := jr.state(c.now)
 	d := jr.cfg.Policy.Decide(st)
 	c.setGuarantee(jr, d.Granted)
-	if jr.cfg.OnDecision != nil {
-		jr.cfg.OnDecision(c.now-jr.start, d)
-	}
 	if jr.result.Trace != nil {
 		oracle := model.Oracle(jr.p.TotalWork(), jr.deadline)
 		jr.result.Trace.AddAlloc(trace.AllocPoint{
@@ -733,6 +730,12 @@ func (c *Cluster) scheduleNextMachineFailure() {
 	c.q.Push(c.now+gap, event{kind: evMachineFail})
 }
 
+// replicas is the number of machines holding each input partition of a root
+// (extract) stage in the distributed file system, like GFS/HDFS/Cosmos. Root
+// tasks prefer these machines; running there co-locates storage and
+// computation ("locality", §2.1/§3.1).
+const replicas = 3
+
 // replicaMachines returns the machines holding the input partition of a
 // root-stage task, derived deterministically from the job and task
 // identity (the DFS placement).
@@ -748,7 +751,7 @@ func (c *Cluster) replicaMachines(jr *jobRun, stage, task int) []int {
 		stride = 1 + int((h>>40)%uint64(n-1))
 	}
 	first := int(h % uint64(n))
-	for i := 0; i < c.cfg.Replicas && i < n; i++ {
+	for i := 0; i < replicas && i < n; i++ {
 		out = append(out, (first+i*stride)%n)
 	}
 	c.scratchReplicas = out

@@ -73,7 +73,7 @@ func TestLocalityDegradesUnderContention(t *testing.T) {
 }
 
 func TestReplicaMachinesDeterministicAndBounded(t *testing.T) {
-	c, _ := New(Config{Machines: 7, SlotsPerMachine: 1, Replicas: 3, Seed: 1})
+	c, _ := New(Config{Machines: 7, SlotsPerMachine: 1, Seed: 1})
 	p := localityJob(t, 10)
 	h, _ := c.Submit(JobConfig{Profile: p, Guarantee: 7, Tracked: true})
 	_ = h
@@ -102,11 +102,5 @@ func TestReplicaMachinesDeterministicAndBounded(t *testing.T) {
 	c1.Submit(JobConfig{Profile: p, Guarantee: 1, Tracked: true})
 	if got := c1.replicaMachines(c1.jobs[0], 0, 3); len(got) != 1 || got[0] != 0 {
 		t.Errorf("single-machine replicas = %v", got)
-	}
-}
-
-func TestReplicasValidation(t *testing.T) {
-	if _, err := New(Config{Replicas: -2}); err == nil {
-		t.Error("negative replicas must fail")
 	}
 }

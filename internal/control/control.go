@@ -80,10 +80,6 @@ type Config struct {
 	// DeadZone is D (default 3 minutes; negative disables, zero means
 	// default).
 	DeadZone time.Duration
-	// PredictQuantile selects the quantile of the remaining-time
-	// distribution reported as the worst-case prediction T_t (default 1.0,
-	// the maximum observed sample).
-	PredictQuantile float64
 }
 
 func (c *Config) fill() error {
@@ -120,12 +116,6 @@ func (c *Config) fill() error {
 	}
 	if c.DeadZone < 0 {
 		c.DeadZone = 0
-	}
-	if c.PredictQuantile == 0 {
-		c.PredictQuantile = 1.0
-	}
-	if c.PredictQuantile < 0 || c.PredictQuantile > 1 {
-		return fmt.Errorf("control: predict quantile %v out of (0, 1]", c.PredictQuantile)
 	}
 	return nil
 }
@@ -286,15 +276,15 @@ func (c *Controller) Deadline() time.Duration { return c.deadline }
 // Candidates returns the ascending candidate allocation grid.
 func (c *Controller) Candidates() []int { return c.cfg.Candidates }
 
-// PredictAt returns the controller's completion-time estimate at the given
-// allocation: elapsed + slack · Remaining at the configured quantile.
+// PredictAt returns the controller's worst-case completion-time estimate at
+// the given allocation: elapsed + slack · the maximum remaining-time sample.
 func (c *Controller) PredictAt(st model.State, a int) time.Duration {
 	return c.predictAt(st, a)
 }
 
 //jockey:hotpath
 func (c *Controller) predictAt(st model.State, a int) time.Duration {
-	rem := c.cfg.Predictor.Remaining(st, a, c.cfg.PredictQuantile)
+	rem := c.cfg.Predictor.Remaining(st, a, 1.0)
 	return st.Elapsed + time.Duration(float64(rem)*c.cfg.Slack)
 }
 

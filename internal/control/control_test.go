@@ -50,7 +50,6 @@ func TestConfigValidation(t *testing.T) {
 		{"zero candidate", Config{Predictor: pred, Utility: u, Candidates: []int{0, 2}}},
 		{"slack below 1", Config{Predictor: pred, Utility: u, Candidates: []int{1}, Slack: 0.5}},
 		{"hysteresis above 1", Config{Predictor: pred, Utility: u, Candidates: []int{1}, Hysteresis: 1.5}},
-		{"bad quantile", Config{Predictor: pred, Utility: u, Candidates: []int{1}, PredictQuantile: 2}},
 	}
 	for _, c := range cases {
 		if _, err := NewController(c.cfg); err == nil {

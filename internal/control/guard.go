@@ -67,63 +67,34 @@ type GuardEvent struct {
 	LiveSamples int
 }
 
-// GuardTuning holds the detector and re-profiling knobs. The zero value
-// gives the defaults.
-type GuardTuning struct {
-	// Window is the number of control ticks the deviation detector averages
-	// over (default 5).
-	Window int
-	// Threshold is the normalized misprediction score above which the model
-	// is declared stale (default 0.3). The score is the windowed mean of
-	// per-tick predicted-completion slip divided by wall time: 0 for a
-	// perfectly calibrated model, ~0.5 under a 2× runtime drift.
-	Threshold float64
-	// RebuildBackoff is the minimum elapsed time between model rebuilds, so
-	// refreshes cannot storm the control period (default 4 minutes).
-	RebuildBackoff time.Duration
-	// MinLiveSamples is the number of successful live task observations
-	// required before the prior profile is blended and a model rebuilt
-	// (default 20).
-	MinLiveSamples int
-	// BlendPriorWeight scales the prior profile's effective sample count in
-	// the blend (default 0.25: by the time the guard rebuilds, the detector
-	// has already proven the prior wrong, so live observations dominate).
-	BlendPriorWeight float64
-	// LiveWindow restricts the blend to live observations that completed
-	// within this much elapsed time before the rebuild (default 10 minutes;
-	// negative = unlimited). Recency weighting is what lets the blend track a
-	// regime change instead of averaging it away: after a mid-run drift the
-	// window soon holds only post-drift samples.
-	LiveWindow time.Duration
-	// DisableReprofile skips the in-place rebuild rung: staleness steps
-	// straight down the fallback chain.
-	DisableReprofile bool
-	// DisableFallback pins the guard to the primary rung: the detector and
-	// re-profiling still run, but the chain never steps down and never
-	// panics. Used to isolate the detector in experiments.
-	DisableFallback bool
-}
-
-func (t *GuardTuning) fill() {
-	if t.Window <= 0 {
-		t.Window = 5
-	}
-	if t.Threshold <= 0 {
-		t.Threshold = 0.3
-	}
-	if t.RebuildBackoff <= 0 {
-		t.RebuildBackoff = 4 * time.Minute
-	}
-	if t.MinLiveSamples <= 0 {
-		t.MinLiveSamples = 20
-	}
-	if t.BlendPriorWeight <= 0 {
-		t.BlendPriorWeight = 0.25
-	}
-	if t.LiveWindow == 0 {
-		t.LiveWindow = 10 * time.Minute
-	}
-}
+// The detector and re-profiling settings.
+const (
+	// guardWindow is the number of control ticks the deviation detector
+	// averages over, and the consecutive comfortable ticks panic needs before
+	// it clears.
+	guardWindow = 5
+	// guardThreshold is the normalized misprediction score above which the
+	// model is declared stale. The score is the windowed mean of per-tick
+	// predicted-completion slip divided by wall time: 0 for a perfectly
+	// calibrated model, ~0.5 under a 2× runtime drift.
+	guardThreshold = 0.3
+	// rebuildBackoff is the minimum elapsed time between model rebuilds, so
+	// refreshes cannot storm the control period.
+	rebuildBackoff = 4 * time.Minute
+	// minLiveSamples is the number of successful recent live task
+	// observations required before the prior profile is blended and a model
+	// rebuilt.
+	minLiveSamples = 20
+	// blendPriorWeight scales the prior profile's effective sample count in
+	// the blend: by the time the guard rebuilds, the detector has already
+	// proven the prior wrong, so live observations dominate.
+	blendPriorWeight = 0.25
+	// liveWindow restricts the blend to live observations that completed
+	// within this much elapsed time before the rebuild. Recency weighting is
+	// what lets the blend track a regime change instead of averaging it away:
+	// after a mid-run drift the window soon holds only post-drift samples.
+	liveWindow = 10 * time.Minute
+)
 
 // GuardConfig wires a Guard around a Controller.
 type GuardConfig struct {
@@ -141,11 +112,6 @@ type GuardConfig struct {
 	// NewOnlineSim builds the forward-simulation fallback predictor from a
 	// blended profile. Nil skips the rung (falls through to Amdahl).
 	NewOnlineSim func(p *profile.Profile, generation int) (model.Predictor, error)
-	// MaxAllocation is the panic grant (default: the controller's top
-	// candidate, i.e. the same token budget the rest of the chain can reach).
-	MaxAllocation int
-	// Tuning holds the detector and blending knobs.
-	Tuning GuardTuning
 }
 
 // Guard is the model-staleness guard-rail layer around the Jockey control
@@ -161,22 +127,26 @@ type GuardConfig struct {
 type Guard struct {
 	cfg  GuardConfig
 	mode GuardMode
+	// maxAlloc is the panic grant: the controller's top candidate, the same
+	// token budget the rest of the chain can reach.
+	maxAlloc int
+	// minLive is the blend's sample floor (minLiveSamples; tests lower it).
+	minLive int
 	// preP panicFrom remember the rung to return to when panic clears.
 	panicFrom GuardMode
 
-	live       *trace.JobTrace
-	liveOK     int            // successful (non-failed) events in live
-	window     trace.JobTrace // recentLive's reused result
-	slips      []float64
-	slipN      int // valid entries in slips (ring fill)
-	slipI      int // ring index
-	prevState  model.State
-	prevSet    bool
-	rebuilds   int // rebuilt-or-fallback predictor generations
-	reprofiles int
-	lastBuild  time.Duration
-	builtOnce  bool
-	stale      bool // latched: detector fired at least once on this rung
+	live      *trace.JobTrace
+	liveOK    int            // successful (non-failed) events in live
+	window    trace.JobTrace // recentLive's reused result
+	slips     []float64
+	slipN     int // valid entries in slips (ring fill)
+	slipI     int // ring index
+	prevState model.State
+	prevSet   bool
+	rebuilds  int // rebuilt-or-fallback predictor generations
+	lastBuild time.Duration
+	builtOnce bool
+	stale     bool // latched: detector fired at least once on this rung
 	// alarm survives detector resets: once staleness fires it stays raised
 	// until predictions comfortably meet the deadline again, so rescue
 	// actions are not suspended while a freshly swapped model refills the
@@ -247,15 +217,13 @@ func NewGuard(cfg GuardConfig) (*Guard, error) {
 	if cfg.Prior == nil {
 		return nil, fmt.Errorf("control: GuardConfig.Prior is required")
 	}
-	cfg.Tuning.fill()
-	if cfg.MaxAllocation <= 0 {
-		cand := cfg.Controller.Candidates()
-		cfg.MaxAllocation = cand[len(cand)-1]
-	}
+	cand := cfg.Controller.Candidates()
 	return &Guard{
-		cfg:   cfg,
-		live:  trace.New(cfg.Prior.Job.Name, cfg.Prior.Job.NumStages()),
-		slips: make([]float64, cfg.Tuning.Window),
+		cfg:      cfg,
+		maxAlloc: cand[len(cand)-1],
+		minLive:  minLiveSamples,
+		live:     trace.New(cfg.Prior.Job.Name, cfg.Prior.Job.NumStages()),
+		slips:    make([]float64, guardWindow),
 	}, nil
 }
 
@@ -274,9 +242,6 @@ func (g *Guard) Mode() GuardMode { return g.mode }
 func (g *Guard) Events() []GuardEvent {
 	return append([]GuardEvent(nil), g.events...)
 }
-
-// Reprofiles returns how many in-place model rebuilds have happened.
-func (g *Guard) Reprofiles() int { return g.reprofiles }
 
 // ObserveTask ingests one completed task attempt from the running job. Wire
 // it to the cluster's JobConfig.OnTaskEvent so the guard can re-profile
@@ -360,16 +325,12 @@ func (g *Guard) resetDetector() {
 	g.stale = false
 }
 
-// recentLive returns the live trace restricted to the tuning's recency
-// window (events that completed within LiveWindow of now) and whether it
-// holds enough successful observations to blend. The windowed trace is the
+// recentLive returns the live trace restricted to the recency window
+// (events that completed within liveWindow of now) and whether it holds
+// enough successful observations to blend. The windowed trace is the
 // guard's reused buffer, valid until the next call.
 func (g *Guard) recentLive(now time.Duration) (*trace.JobTrace, bool) {
-	w := g.cfg.Tuning.LiveWindow
-	if w < 0 {
-		return g.live, g.liveOK >= g.cfg.Tuning.MinLiveSamples
-	}
-	cutoff := now - w
+	cutoff := now - liveWindow
 	out := &g.window
 	out.Reset(g.live.JobName, g.live.NumStages)
 	ok := 0
@@ -382,7 +343,7 @@ func (g *Guard) recentLive(now time.Duration) (*trace.JobTrace, bool) {
 			ok++
 		}
 	}
-	return out, ok >= g.cfg.Tuning.MinLiveSamples
+	return out, ok >= g.minLive
 }
 
 // blended returns the prior profile with recent live observations blended
@@ -399,7 +360,7 @@ func (g *Guard) blended(now time.Duration) *profile.Profile {
 // in, or the prior itself if the blend fails.
 func (g *Guard) blend(live *trace.JobTrace) *profile.Profile {
 	p, err := profile.Blend(g.cfg.Prior, live, profile.BlendOptions{
-		PriorWeight: g.cfg.Tuning.BlendPriorWeight,
+		PriorWeight: blendPriorWeight,
 		// Extrapolate an observed job-wide slowdown to the stages still ahead
 		// of the job: that is where most of the remaining time lives.
 		ScaleUnobserved: true,
@@ -417,7 +378,7 @@ func (g *Guard) deadlineAtRisk(st model.State) bool {
 	if d <= 0 {
 		return false
 	}
-	return g.cfg.Controller.PredictAt(st, g.cfg.MaxAllocation) > d
+	return g.cfg.Controller.PredictAt(st, g.maxAlloc) > d
 }
 
 // maybeRebuild runs the re-profiling rung: blend live stats into the prior
@@ -425,10 +386,7 @@ func (g *Guard) deadlineAtRisk(st model.State) bool {
 // It reports whether a rebuild happened. The cheap, pure checks run first,
 // so a stale model inside the backoff costs no copy of the live trace.
 func (g *Guard) maybeRebuild(st model.State, score float64) bool {
-	if g.cfg.Tuning.DisableReprofile {
-		return false
-	}
-	if g.builtOnce && st.Elapsed-g.lastBuild < g.cfg.Tuning.RebuildBackoff {
+	if g.builtOnce && st.Elapsed-g.lastBuild < rebuildBackoff {
 		return false
 	}
 	var build func(p *profile.Profile, generation int) (model.Predictor, error)
@@ -457,7 +415,6 @@ func (g *Guard) maybeRebuild(st model.State, score float64) bool {
 	g.cfg.Controller.SetPredictor(pred)
 	g.lastBuild = st.Elapsed
 	g.builtOnce = true
-	g.reprofiles++
 	g.logEvent(st, GuardEventReprofile, g.mode, g.mode, score)
 	g.resetDetector()
 	return true
@@ -512,15 +469,15 @@ func (g *Guard) Decide(st model.State) Decision {
 		return g.panicDecision(st)
 	}
 	score := g.observe(st)
-	optimistic := g.signedScore() > g.cfg.Tuning.Threshold
-	if score > g.cfg.Tuning.Threshold {
+	optimistic := g.signedScore() > guardThreshold
+	if score > guardThreshold {
 		g.stale = true
 		g.alarm = true
 	}
-	if g.stale && !g.cfg.Tuning.DisableFallback {
+	if g.stale {
 		// Ladder: refresh the current rung's model first. Step down to a less
 		// profile-dependent rung only when the refresh is unavailable (no data
-		// yet, backoff, disabled) AND the model is still underestimating: a
+		// yet, backoff, no rebuild path) AND the model is still underestimating: a
 		// pessimistic model wastes tokens but cannot miss the deadline, so it
 		// only warrants a reprofile, never a downgrade.
 		if !g.maybeRebuild(st, score) && optimistic {
@@ -529,7 +486,7 @@ func (g *Guard) Decide(st model.State) Decision {
 	}
 	// Panic is orthogonal to the ladder: whenever confidence is low and even
 	// the full budget is predicted to miss, stop trusting models entirely.
-	if (g.stale || g.alarm) && !g.cfg.Tuning.DisableFallback && g.deadlineAtRisk(st) {
+	if (g.stale || g.alarm) && g.deadlineAtRisk(st) {
 		g.panicFrom = g.mode
 		g.recoverStreak = 0
 		g.logEvent(st, GuardEventPanic, g.mode, GuardPanic, score)
@@ -538,7 +495,7 @@ func (g *Guard) Decide(st model.State) Decision {
 	}
 	d := g.cfg.Controller.Decide(st)
 	boosted := false
-	if g.alarm && !g.cfg.Tuning.DisableFallback {
+	if g.alarm {
 		c := g.cfg.Controller
 		if dl := c.Deadline(); dl > 0 {
 			switch pred := c.PredictAt(st, d.Granted); {
@@ -580,21 +537,21 @@ func (g *Guard) Decide(st model.State) Decision {
 func (g *Guard) panicDecision(st model.State) Decision {
 	c := g.cfg.Controller
 	d := c.Deadline()
-	pred := c.PredictAt(st, g.cfg.MaxAllocation)
+	pred := c.PredictAt(st, g.maxAlloc)
 	if d > 0 && pred+c.cfg.DeadZone <= d {
 		g.recoverStreak++
 	} else {
 		g.recoverStreak = 0
 	}
-	if g.recoverStreak >= g.cfg.Tuning.Window {
+	if g.recoverStreak >= guardWindow {
 		g.recoverStreak = 0
 		g.mode = g.panicFrom
 		g.logEvent(st, GuardEventRecover, GuardPanic, g.mode, 0)
 		g.resetDetector()
 		// Fall through to a normal decision on the restored rung, seeding the
 		// controller's smoothing at the panic grant so release is gradual.
-		c.smoothed = float64(g.cfg.MaxAllocation)
-		c.granted = g.cfg.MaxAllocation
+		c.smoothed = float64(g.maxAlloc)
+		c.granted = g.maxAlloc
 		dec := c.Decide(st)
 		dec.Mode = g.mode.String()
 		g.flushPending(dec, "")
@@ -602,11 +559,11 @@ func (g *Guard) panicDecision(st model.State) Decision {
 	}
 	// Keep the controller's bookkeeping consistent with the forced grant.
 	c.started = true
-	c.smoothed = float64(g.cfg.MaxAllocation)
-	c.granted = g.cfg.MaxAllocation
+	c.smoothed = float64(g.maxAlloc)
+	c.granted = g.maxAlloc
 	dec := Decision{
-		Raw:       g.cfg.MaxAllocation,
-		Granted:   g.cfg.MaxAllocation,
+		Raw:       g.maxAlloc,
+		Granted:   g.maxAlloc,
 		Predicted: pred,
 		Mode:      GuardPanic.String(),
 	}

@@ -35,7 +35,7 @@ func (f linearPred) ExpectedUtility(st model.State, a int, slack float64, u util
 	return u.Utility(st.Elapsed + time.Duration(float64(rem)*slack))
 }
 
-func guardFixture(t *testing.T, deadline time.Duration, tn GuardTuning, rebuild func(p *profile.Profile, gen int) (model.Predictor, error)) *Guard {
+func guardFixture(t *testing.T, deadline time.Duration, rebuild func(p *profile.Profile, gen int) (model.Predictor, error)) *Guard {
 	t.Helper()
 	job := dag.NewBuilder("guard-test").Stage("only", 10).MustBuild()
 	prior := profile.MustNew(job, []profile.StageProfile{
@@ -53,7 +53,6 @@ func guardFixture(t *testing.T, deadline time.Duration, tn GuardTuning, rebuild 
 		Controller:     ctrl,
 		Prior:          prior,
 		RebuildPrimary: rebuild,
-		Tuning:         tn,
 	})
 	if err != nil {
 		t.Fatalf("NewGuard: %v", err)
@@ -70,7 +69,7 @@ func tick(g *Guard, minute int, frac float64) Decision {
 }
 
 func TestGuardCalibratedModelStaysPrimary(t *testing.T) {
-	g := guardFixture(t, 90*time.Minute, GuardTuning{}, nil)
+	g := guardFixture(t, 90*time.Minute, nil)
 	// Progress exactly at the model's rate: slip stays ~0.
 	for m := 1; m <= 30; m++ {
 		d := tick(g, m, float64(m)/60)
@@ -87,7 +86,7 @@ func TestGuardCalibratedModelStaysPrimary(t *testing.T) {
 }
 
 func TestGuardDetectsDriftAndFallsBack(t *testing.T) {
-	g := guardFixture(t, 300*time.Minute, GuardTuning{}, nil)
+	g := guardFixture(t, 300*time.Minute, nil)
 	// 10 calibrated minutes, then progress halves (a 2× runtime drift):
 	// slip ≈ 0.5 per tick, crossing the 0.3 threshold once the window
 	// majority sees drift.
@@ -127,7 +126,8 @@ func TestGuardReprofilesBeforeFallingBack(t *testing.T) {
 		// The "rebuilt" model knows about the drift: completion takes 2K.
 		return linearPred{K: 120 * time.Minute}, nil
 	}
-	g := guardFixture(t, 300*time.Minute, GuardTuning{MinLiveSamples: 5}, rebuild)
+	g := guardFixture(t, 300*time.Minute, rebuild)
+	g.minLive = 5
 	// Feed live observations so re-profiling has data.
 	for i := 0; i < 8; i++ {
 		g.ObserveTask(trace.TaskEvent{
@@ -142,12 +142,9 @@ func TestGuardReprofilesBeforeFallingBack(t *testing.T) {
 	for m := 11; m <= 25; m++ {
 		frac := 10.0/60 + float64(m-10)/120
 		tick(g, m, frac)
-		if g.Reprofiles() > 0 {
+		if len(g.events) > 0 {
 			break
 		}
-	}
-	if g.Reprofiles() != 1 {
-		t.Fatalf("reprofiles = %d, want 1; events: %+v", g.Reprofiles(), g.Events())
 	}
 	if g.Mode() != GuardPrimary {
 		t.Fatalf("mode = %v after reprofile, want primary", g.Mode())
@@ -174,7 +171,7 @@ func TestGuardReprofilesBeforeFallingBack(t *testing.T) {
 
 func TestGuardPanicsWhenDeadlineAtRisk(t *testing.T) {
 	// Deadline so tight that even max allocation misses once drift appears.
-	g := guardFixture(t, 40*time.Minute, GuardTuning{}, nil)
+	g := guardFixture(t, 40*time.Minute, nil)
 	for m := 1; m <= 8; m++ {
 		tick(g, m, float64(m)/60)
 	}
@@ -209,22 +206,6 @@ func TestGuardPanicsWhenDeadlineAtRisk(t *testing.T) {
 	}
 }
 
-func TestGuardDisableFallbackPinsPrimary(t *testing.T) {
-	g := guardFixture(t, 60*time.Minute, GuardTuning{DisableFallback: true}, nil)
-	for m := 1; m <= 10; m++ {
-		tick(g, m, float64(m)/60)
-	}
-	for m := 11; m <= 30; m++ {
-		frac := 10.0/60 + float64(m-10)/240
-		if d := tick(g, m, frac); d.Mode != "primary" {
-			t.Fatalf("DisableFallback left primary at minute %d: %+v", m, d)
-		}
-	}
-	if len(g.Events()) != 0 {
-		t.Fatalf("DisableFallback logged events: %+v", g.Events())
-	}
-}
-
 func TestNewGuardValidation(t *testing.T) {
 	if _, err := NewGuard(GuardConfig{}); err == nil {
 		t.Fatalf("NewGuard accepted nil controller")
@@ -252,7 +233,8 @@ func TestGuardRebuildBackoffAllocatesNothing(t *testing.T) {
 		builds++
 		return linearPred{K: 60 * time.Minute}, nil
 	}
-	g := guardFixture(t, 300*time.Minute, GuardTuning{MinLiveSamples: 5}, rebuild)
+	g := guardFixture(t, 300*time.Minute, rebuild)
+	g.minLive = 5
 	for i := 0; i < 50; i++ {
 		g.ObserveTask(trace.TaskEvent{
 			Stage: 0, Task: i % 10,
@@ -264,7 +246,7 @@ func TestGuardRebuildBackoffAllocatesNothing(t *testing.T) {
 	if !g.maybeRebuild(st, 1) {
 		t.Fatal("first rebuild with enough live samples did not happen")
 	}
-	st.Elapsed += g.cfg.Tuning.RebuildBackoff / 2
+	st.Elapsed += rebuildBackoff / 2
 	allocs := testing.AllocsPerRun(100, func() {
 		if g.maybeRebuild(st, 1) {
 			t.Fatal("rebuild inside the backoff")
@@ -273,7 +255,7 @@ func TestGuardRebuildBackoffAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("maybeRebuild inside the backoff = %v allocs/run, want 0", allocs)
 	}
-	st.Elapsed += g.cfg.Tuning.RebuildBackoff
+	st.Elapsed += rebuildBackoff
 	if !g.maybeRebuild(st, 1) || builds != 2 {
 		t.Fatalf("rebuild after the backoff: builds = %d, want 2", builds)
 	}
@@ -282,7 +264,7 @@ func TestGuardRebuildBackoffAllocatesNothing(t *testing.T) {
 // TestGuardObserveReusesStateBuffer: the detector's previous-state copy is
 // refilled in place each tick instead of reallocated.
 func TestGuardObserveReusesStateBuffer(t *testing.T) {
-	g := guardFixture(t, 300*time.Minute, GuardTuning{}, nil)
+	g := guardFixture(t, 300*time.Minute, nil)
 	st := model.State{Elapsed: time.Minute, FracDone: []float64{0.01}}
 	g.observe(st)
 	allocs := testing.AllocsPerRun(100, func() {

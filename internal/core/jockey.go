@@ -44,21 +44,11 @@ const (
 type Options struct {
 	// Indicator selects the progress indicator (default TotalWorkWithQ).
 	Indicator IndicatorName
-	// AllocGrid is the candidate allocation grid; default: geometric steps
-	// from 1 to MaxTokens.
-	AllocGrid []int
-	// MaxTokens caps the grid (default 100, the experiments' full slice).
+	// MaxTokens tops the candidate allocation grid, DefaultGrid(MaxTokens)
+	// (default 100, the experiments' full slice).
 	MaxTokens int
 	// RunsPerAlloc for the offline C(p, a) table (default 10).
 	RunsPerAlloc int
-	// SampleEvery for offline progress samples (default 30s).
-	SampleEvery time.Duration
-	// Slack, Hysteresis, DeadZone, ControlPeriod: the control-loop knobs
-	// (§4.3); zero values take the paper's defaults (1.2, 0.2, 3min, 1min).
-	Slack         float64
-	Hysteresis    float64
-	DeadZone      time.Duration
-	ControlPeriod time.Duration
 	// Seed drives offline simulation.
 	Seed uint64
 	// Parallelism bounds the worker pool for the offline C(p, a)
@@ -72,6 +62,7 @@ type Options struct {
 // Jockey holds the precomputed model for one recurring job.
 type Jockey struct {
 	opts      Options
+	grid      []int
 	p         *profile.Profile
 	indicator progress.Indicator
 	cpa       *model.CPA
@@ -90,17 +81,14 @@ func New(p *profile.Profile, opts Options) (*Jockey, error) {
 	if opts.MaxTokens <= 0 {
 		opts.MaxTokens = 100
 	}
-	if len(opts.AllocGrid) == 0 {
-		opts.AllocGrid = DefaultGrid(opts.MaxTokens)
-	}
+	grid := DefaultGrid(opts.MaxTokens)
 	ind, err := BuildIndicator(opts.Indicator, p, stats.DeriveSeed(opts.Seed, "indicator"))
 	if err != nil {
 		return nil, err
 	}
 	cpa, err := model.BuildCPA(p, ind, model.CPAConfig{
-		Allocs:       opts.AllocGrid,
+		Allocs:       grid,
 		RunsPerAlloc: opts.RunsPerAlloc,
-		SampleEvery:  opts.SampleEvery,
 		Seed:         stats.DeriveSeed(opts.Seed, "cpa"),
 		Parallelism:  opts.Parallelism,
 	})
@@ -109,6 +97,7 @@ func New(p *profile.Profile, opts Options) (*Jockey, error) {
 	}
 	return &Jockey{
 		opts:      opts,
+		grid:      grid,
 		p:         p,
 		indicator: ind,
 		cpa:       cpa,
@@ -177,17 +166,10 @@ func (j *Jockey) Indicator() progress.Indicator { return j.indicator }
 func (j *Jockey) Model() *model.CPA { return j.cpa }
 
 // Grid returns the candidate allocation grid.
-func (j *Jockey) Grid() []int { return j.opts.AllocGrid }
+func (j *Jockey) Grid() []int { return j.grid }
 
 func (j *Jockey) controlConfig(pred model.Predictor, u utility.Fn) control.Config {
-	return control.Config{
-		Predictor:  pred,
-		Utility:    u,
-		Candidates: j.opts.AllocGrid,
-		Slack:      j.opts.Slack,
-		Hysteresis: j.opts.Hysteresis,
-		DeadZone:   j.opts.DeadZone,
-	}
+	return control.Config{Predictor: pred, Utility: u, Candidates: j.grid}
 }
 
 // Policy returns a fresh full-Jockey controller for the given deadline.
@@ -202,30 +184,24 @@ func (j *Jockey) PolicyWithUtility(u utility.Fn) (control.Policy, error) {
 }
 
 // GuardedPolicy wraps the full Jockey controller in the model-staleness
-// guard-rail layer (control.Guard): a deviation detector scoring the C(p, a)
-// model against observed progress, online re-profiling that blends live task
-// observations into the prior profile and rebuilds the table mid-run (the
-// parallel build, deterministic at any Options.Parallelism), and the
-// CPA → OnlineSim → Amdahl → max-allocation fallback chain. Wire the
-// returned guard's ObserveTask to cluster.JobConfig.OnTaskEvent so it sees
-// live task completions. The zero GuardTuning gives the defaults.
-func (j *Jockey) GuardedPolicy(deadline time.Duration, tuning control.GuardTuning) (*control.Guard, error) {
-	return j.GuardedPolicyWithUtility(utility.Deadline(deadline), tuning)
-}
-
-// GuardedPolicyWithUtility is GuardedPolicy with an explicit utility curve.
-func (j *Jockey) GuardedPolicyWithUtility(u utility.Fn, tuning control.GuardTuning) (*control.Guard, error) {
-	ctrl, err := control.NewController(j.controlConfig(j.cpa, u))
+// guard-rail layer: see Guard.
+func (j *Jockey) GuardedPolicy(deadline time.Duration) (*control.Guard, error) {
+	ctrl, err := control.NewController(j.controlConfig(j.cpa, utility.Deadline(deadline)))
 	if err != nil {
 		return nil, err
 	}
-	return control.NewGuard(j.GuardConfig(ctrl, tuning))
+	return j.Guard(ctrl)
 }
 
-// GuardConfig wires a caller-built controller (any knob combination) to this
-// runtime's prior profile and model-rebuild paths, ready for
-// control.NewGuard. Most callers use GuardedPolicy instead.
-func (j *Jockey) GuardConfig(ctrl *control.Controller, tuning control.GuardTuning) control.GuardConfig {
+// Guard wraps a controller (any knob combination) in the model-staleness
+// guard-rail layer (control.Guard): a deviation detector scoring the
+// controller's predictor against observed progress, online re-profiling that
+// blends live task observations into this runtime's prior profile and
+// rebuilds the C(p, a) table mid-run (the parallel build, deterministic at
+// any Options.Parallelism), and the CPA → OnlineSim → Amdahl →
+// max-allocation fallback chain. Wire the guard's ObserveTask to
+// cluster.JobConfig.OnTaskEvent so it sees live task completions.
+func (j *Jockey) Guard(ctrl *control.Controller) (*control.Guard, error) {
 	rebuild := func(p *profile.Profile, gen int) (model.Predictor, error) {
 		// Per-generation seeds keep rebuilds deterministic for a fixed
 		// Options.Seed no matter when staleness fires.
@@ -235,9 +211,8 @@ func (j *Jockey) GuardConfig(ctrl *control.Controller, tuning control.GuardTunin
 			return nil, err
 		}
 		return model.BuildCPA(p, ind, model.CPAConfig{
-			Allocs:       j.opts.AllocGrid,
+			Allocs:       j.grid,
 			RunsPerAlloc: j.opts.RunsPerAlloc,
-			SampleEvery:  j.opts.SampleEvery,
 			Seed:         stats.DeriveSeed(j.opts.Seed, "guard-cpa", fmt.Sprint(gen)),
 			Parallelism:  j.opts.Parallelism,
 		})
@@ -251,13 +226,12 @@ func (j *Jockey) GuardConfig(ctrl *control.Controller, tuning control.GuardTunin
 		os.SetParallelism(j.opts.Parallelism)
 		return os, nil
 	}
-	return control.GuardConfig{
+	return control.NewGuard(control.GuardConfig{
 		Controller:     ctrl,
 		Prior:          j.p,
 		RebuildPrimary: rebuild,
 		NewOnlineSim:   onlineSim,
-		Tuning:         tuning,
-	}
+	})
 }
 
 // StaticPolicy returns the "Jockey w/o adaptation" baseline: the simulator
@@ -274,7 +248,7 @@ func (j *Jockey) AmdahlPolicy(deadline time.Duration) (control.Policy, error) {
 
 // MaxPolicy returns the max-allocation baseline at the grid's maximum.
 func (j *Jockey) MaxPolicy() (control.Policy, error) {
-	return control.NewMaxAllocation(j.opts.AllocGrid[len(j.opts.AllocGrid)-1])
+	return control.NewMaxAllocation(j.grid[len(j.grid)-1])
 }
 
 // PredictLatency returns the q-quantile of the modelled end-to-end latency
@@ -291,15 +265,11 @@ func (j *Jockey) Feasible(deadline time.Duration) bool {
 }
 
 // RequiredAllocation returns the minimum grid allocation whose predicted
-// worst-case latency (with the configured slack) meets the deadline, or
-// (0, false) if none does.
+// worst-case latency (padded by the default slack, control.DefaultSlack)
+// meets the deadline, or (0, false) if none does.
 func (j *Jockey) RequiredAllocation(deadline time.Duration) (int, bool) {
-	slack := j.opts.Slack
-	if slack == 0 {
-		slack = control.DefaultSlack
-	}
-	for _, a := range j.opts.AllocGrid {
-		pred := time.Duration(float64(j.PredictLatency(a, 1.0)) * slack)
+	for _, a := range j.grid {
+		pred := time.Duration(float64(j.PredictLatency(a, 1.0)) * control.DefaultSlack)
 		if pred <= deadline {
 			return a, true
 		}
@@ -312,12 +282,4 @@ func (j *Jockey) RequiredAllocation(deadline time.Duration) (int, bool) {
 func (j *Jockey) Fits(deadline time.Duration, available int) bool {
 	need, ok := j.RequiredAllocation(deadline)
 	return ok && need <= available
-}
-
-// ControlPeriod returns the configured control period (defaulted).
-func (j *Jockey) ControlPeriod() time.Duration {
-	if j.opts.ControlPeriod > 0 {
-		return j.opts.ControlPeriod
-	}
-	return control.DefaultPeriod
 }

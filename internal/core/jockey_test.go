@@ -30,7 +30,6 @@ func newJockey(t testing.TB) *Jockey {
 	jk, err := New(detProfile(t), Options{
 		MaxTokens:    20,
 		RunsPerAlloc: 3,
-		SampleEvery:  15 * time.Second,
 		Seed:         1,
 	})
 	if err != nil {
@@ -164,11 +163,10 @@ func TestEndToEndOnCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, err := c.Submit(cluster.JobConfig{
-		Profile:       jk.Profile(),
-		Policy:        pol,
-		Deadline:      4 * time.Minute,
-		ControlPeriod: jk.ControlPeriod(),
-		Tracked:       true,
+		Profile:  jk.Profile(),
+		Policy:   pol,
+		Deadline: 4 * time.Minute,
+		Tracked:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +187,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if len(jk.Grid()) == 0 {
 		t.Error("empty grid")
-	}
-	if jk.ControlPeriod() != time.Minute {
-		t.Errorf("default period = %v", jk.ControlPeriod())
 	}
 }
 

@@ -228,57 +228,19 @@ func (e *Env) Deadlines(job string) (short, long time.Duration, err error) {
 }
 
 // Knobs optionally overrides control-loop parameters for a run. Zero fields
-// keep the §5.1 defaults.
+// keep the §5.1 defaults; the values pass through to control.Config (Slack,
+// Hysteresis, DeadZone: 1 disables slack or smoothing, negative disables the
+// dead zone) and cluster.JobConfig (Period).
 type Knobs struct {
 	Slack      float64
 	Hysteresis float64
-	DeadZone   time.Duration // negative disables
+	DeadZone   time.Duration
 	Period     time.Duration
 	Indicator  core.IndicatorName
 	// OnlinePredictor drives the Jockey controller with online forward
 	// simulation (model.OnlineSim, the §4.4 enhancement) instead of the
 	// precomputed C(p, a) table. Only affects PolicyJockey.
 	OnlinePredictor bool
-	NoSlack         bool // force slack = 1.0
-	NoHysteresis    bool // force α = 1.0
-	DisableDeadZone bool
-}
-
-func (k Knobs) slack() float64 {
-	if k.NoSlack {
-		return 1.0
-	}
-	if k.Slack > 0 {
-		return k.Slack
-	}
-	return control.DefaultSlack
-}
-
-func (k Knobs) hysteresis() float64 {
-	if k.NoHysteresis {
-		return 1.0
-	}
-	if k.Hysteresis > 0 {
-		return k.Hysteresis
-	}
-	return control.DefaultHysteresis
-}
-
-func (k Knobs) deadZone() time.Duration {
-	if k.DisableDeadZone {
-		return -1
-	}
-	if k.DeadZone != 0 {
-		return k.DeadZone
-	}
-	return control.DefaultDeadZone
-}
-
-func (k Knobs) period() time.Duration {
-	if k.Period > 0 {
-		return k.Period
-	}
-	return control.DefaultPeriod
 }
 
 // SLORun describes one experiment run.
@@ -302,8 +264,6 @@ type SLORun struct {
 	// layer (control.Guard), fed live task events from the cluster. Only
 	// affects PolicyJockey.
 	Guarded bool
-	// GuardTuning tunes the guard when Guarded is set (zero = defaults).
-	GuardTuning control.GuardTuning
 	// Drifts injects per-stage runtime drift into the SLO job (offsets
 	// relative to job start, i.e. SLOJobStart on the cluster clock).
 	Drifts []cluster.StageDrift
@@ -311,7 +271,6 @@ type SLORun struct {
 	// cluster clock; the SLO job arrives at SLOJobStart).
 	RackOutages []cluster.RackOutage
 	Contention  []cluster.ContentionWindow
-	OnDecision  func(at time.Duration, d control.Decision)
 	OnSample    func(at time.Duration, st model.State)
 	// Flight, if non-nil, receives one control.DecisionRecord per control
 	// tick of the SLO job's policy. Only policies that support recording
@@ -372,9 +331,9 @@ func (e *Env) buildPolicy(r SLORun) (control.Policy, error) {
 	cfg := control.Config{
 		Utility:    u,
 		Candidates: jk.Grid(),
-		Slack:      r.Knobs.slack(),
-		Hysteresis: r.Knobs.hysteresis(),
-		DeadZone:   r.Knobs.deadZone(),
+		Slack:      r.Knobs.Slack,
+		Hysteresis: r.Knobs.Hysteresis,
+		DeadZone:   r.Knobs.DeadZone,
 	}
 	switch r.Policy {
 	case PolicyJockey:
@@ -384,7 +343,7 @@ func (e *Env) buildPolicy(r SLORun) (control.Policy, error) {
 			if err != nil {
 				return nil, err
 			}
-			return control.NewGuard(jk.GuardConfig(ctrl, r.GuardTuning))
+			return jk.Guard(ctrl)
 		}
 		if r.Knobs.OnlinePredictor {
 			train, err := e.Training(r.Job)
@@ -509,12 +468,11 @@ func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 		Profile:         ground,
 		Policy:          pol,
 		Deadline:        r.Deadline,
-		ControlPeriod:   r.Knobs.period(),
+		ControlPeriod:   r.Knobs.Period,
 		Start:           SLOJobStart, // arrive into a warmed-up cluster
 		Tracked:         true,
 		DeadlineChanges: r.DeadlineChanges,
 		Drifts:          r.Drifts,
-		OnDecision:      r.OnDecision,
 		OnSample:        r.OnSample,
 		OnTaskEvent:     onTask,
 	})

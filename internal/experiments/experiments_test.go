@@ -60,6 +60,14 @@ func TestRunValidation(t *testing.T) {
 	if _, err := sharedEnv.Run(SLORun{Job: "ZZ", Deadline: time.Hour, Policy: PolicyJockey}); err == nil {
 		t.Error("unknown job must fail")
 	}
+	// Knobs pass straight through to control.Config, whose range checks
+	// reject them instead of silently running at the defaults.
+	for _, k := range []Knobs{{Slack: -1}, {Hysteresis: -0.5}} {
+		_, err := sharedEnv.Run(SLORun{Job: "A", Deadline: time.Hour, Policy: PolicyJockey, Knobs: k})
+		if err == nil {
+			t.Errorf("Knobs%+v must fail", k)
+		}
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

@@ -18,9 +18,9 @@ type SensitivityCase struct {
 func SensitivityCases() []SensitivityCase {
 	return []SensitivityCase{
 		{Name: "baseline", Knobs: Knobs{}},
-		{Name: "no hysteresis, no deadzone", Knobs: Knobs{NoHysteresis: true, DisableDeadZone: true}},
-		{Name: "no deadzone", Knobs: Knobs{DisableDeadZone: true}},
-		{Name: "no slack, less hysteresis", Knobs: Knobs{NoSlack: true, Hysteresis: 0.4}},
+		{Name: "no hysteresis, no deadzone", Knobs: Knobs{Hysteresis: 1, DeadZone: -1}},
+		{Name: "no deadzone", Knobs: Knobs{DeadZone: -1}},
+		{Name: "no slack, less hysteresis", Knobs: Knobs{Slack: 1, Hysteresis: 0.4}},
 		{Name: "5-min period", Knobs: Knobs{Period: 5 * time.Minute}},
 		{Name: "minstage progress", Knobs: Knobs{Indicator: core.MinStage}},
 		{Name: "CP progress", Knobs: Knobs{Indicator: core.CP}},

@@ -111,13 +111,7 @@ func sweep(env *Env, jobs []string, seedsPerJob int, param string,
 func SlackSweep(env *Env, jobs []string, seedsPerJob int) (*Sweep, error) {
 	return sweep(env, jobs, seedsPerJob, "slack",
 		[]float64{1.0, 1.1, 1.2, 1.4, 1.6},
-		func(v float64) Knobs {
-			k := Knobs{Slack: v}
-			if v == 1.0 {
-				k.NoSlack = true
-			}
-			return k
-		})
+		func(v float64) Knobs { return Knobs{Slack: v} })
 }
 
 // HysteresisSweep reproduces Fig. 13: hysteresis α 0.05–1.0.

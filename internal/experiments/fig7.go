@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/jockeysim/jockey/internal/cluster"
-	"github.com/jockeysim/jockey/internal/control"
 	"github.com/jockeysim/jockey/internal/stats"
 )
 
@@ -59,7 +58,6 @@ func DeadlineChanges(env *Env, jobs []string) (*Fig7, error) {
 			case TripleDeadline:
 				newDeadline = 3 * long
 			}
-			var before, after []float64
 			changeAt := 10 * time.Minute
 			o, err := env.Run(SLORun{
 				Job:      job,
@@ -72,16 +70,17 @@ func DeadlineChanges(env *Env, jobs []string) (*Fig7, error) {
 				DeadlineChanges: []cluster.DeadlineChange{
 					{At: changeAt, Deadline: newDeadline},
 				},
-				OnDecision: func(at time.Duration, d control.Decision) {
-					if at < changeAt {
-						before = append(before, float64(d.Granted))
-					} else {
-						after = append(after, float64(d.Granted))
-					}
-				},
 			})
 			if err != nil {
 				return nil, err
+			}
+			var before, after []float64
+			for _, p := range o.Trace.Timeline {
+				if p.T < changeAt {
+					before = append(before, float64(p.Granted))
+				} else {
+					after = append(after, float64(p.Granted))
+				}
 			}
 			f.Runs = append(f.Runs, Fig7Run{
 				Job:         job,

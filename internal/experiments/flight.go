@@ -11,8 +11,6 @@ import (
 type FlightConfig struct {
 	// Level selects recording depth (LevelNone returns no record).
 	Level flight.Level
-	// TopK bounds the candidates kept per tick (default flight.DefaultTopK).
-	TopK int
 	// ReplayCandidates is how many constant allocations the counterfactual
 	// analyzer replays, spanning the policy's candidate grid (default 6).
 	ReplayCandidates int
@@ -26,9 +24,6 @@ type FlightConfig struct {
 }
 
 func (fc *FlightConfig) fill() {
-	if fc.TopK <= 0 {
-		fc.TopK = flight.DefaultTopK
-	}
 	if fc.ReplayCandidates <= 0 {
 		fc.ReplayCandidates = 6
 	}
@@ -58,7 +53,6 @@ func (e *Env) RunFlight(x *Exec, r SLORun, fc FlightConfig) (Outcome, *flight.Re
 		Policy:   policyLabel(r),
 		Level:    fc.Level,
 		Deadline: r.Deadline,
-		TopK:     fc.TopK,
 	})
 	r.Flight = rec
 	o, err := e.RunExec(x, r)
@@ -93,7 +87,6 @@ func (e *Env) flightReplayer(x *Exec, r SLORun, fc FlightConfig) flight.Replayer
 	run := func(alloc int) (flight.ReplayOutcome, error) {
 		rr := r
 		rr.Flight = nil
-		rr.OnDecision = nil
 		rr.OnSample = nil
 		rr.fixedAlloc = alloc
 		o, err := e.RunExec(x, rr)

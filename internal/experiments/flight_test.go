@@ -236,7 +236,7 @@ func TestRobustnessFlightAttributesDriftMiss(t *testing.T) {
 // TestRobustnessLevelNoneUnchanged pins that the zero-value config keeps the
 // legacy shape: no records, no regret columns, render without regret headers.
 func TestRobustnessLevelNoneUnchanged(t *testing.T) {
-	res, err := Robustness(sharedEnv, "B", 1)
+	res, err := RobustnessFlight(sharedEnv, RobustnessConfig{Job: "B", SeedsPerCell: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func goldenRenders(t *testing.T, parallel int) string {
 		t.Fatal(err)
 	}
 	b.WriteString(f11.Render())
-	rb, err := Robustness(env, "B", 1)
+	rb, err := RobustnessFlight(env, RobustnessConfig{Job: "B", SeedsPerCell: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func BenchmarkGridSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Robustness(env, "B", 1); err != nil {
+		if _, err := RobustnessFlight(env, RobustnessConfig{Job: "B", SeedsPerCell: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func BenchmarkGridParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Robustness(env, "B", 1); err != nil {
+		if _, err := RobustnessFlight(env, RobustnessConfig{Job: "B", SeedsPerCell: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

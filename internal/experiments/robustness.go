@@ -107,8 +107,8 @@ func (r RobustnessRow) MissRate() float64 {
 	return float64(r.Runs-r.Met) / float64(r.Runs)
 }
 
-// RobustnessConfig parameterizes the robustness grid; the zero value gives
-// the legacy Robustness(env, "B", 3) behavior with no flight recording.
+// RobustnessConfig parameterizes the robustness grid; the zero value runs
+// job B with three seeds per cell and no flight recording.
 type RobustnessConfig struct {
 	// Job is the Table 2 job (default "B").
 	Job string
@@ -118,8 +118,7 @@ type RobustnessConfig struct {
 	// LevelCounterfactual each run also gets a hindsight regret report, the
 	// rows gain regret columns, and Records carries the per-run files.
 	Flight flight.Level
-	// FlightTopK and ReplayCandidates tune the recorder (see FlightConfig).
-	FlightTopK       int
+	// ReplayCandidates tunes the counterfactual replays (see FlightConfig).
 	ReplayCandidates int
 }
 
@@ -144,19 +143,15 @@ type RobustnessResult struct {
 	Records []RobustnessRecord
 }
 
-// Robustness runs the perturbation grid with flight recording off. Every
-// variant in a (scenario, seed) pair sees the identical cluster, background
-// load and faults, so the comparison is paired. Input scale is pinned to 1
-// so the injected faults are the only source of model staleness.
-func Robustness(env *Env, job string, seedsPerCell int) (*RobustnessResult, error) {
-	return RobustnessFlight(env, RobustnessConfig{Job: job, SeedsPerCell: seedsPerCell})
-}
-
-// RobustnessFlight is Robustness with per-run decision flight recording. At
-// LevelCounterfactual the hindsight replays are shared across policy
-// variants through a single-flight cache: a replay's outcome depends only on
-// (scenario, seed, alloc), not on which policy was recorded, so the paired
-// grid costs one replay sweep per (scenario, seed) instead of four.
+// RobustnessFlight runs the perturbation grid, with per-run decision flight
+// recording at cfg.Flight. Every variant in a (scenario, seed) pair sees the
+// identical cluster, background load and faults, so the comparison is
+// paired. Input scale is pinned to 1 so the injected faults are the only
+// source of model staleness. At LevelCounterfactual the hindsight replays
+// are shared across policy variants through a single-flight cache: a
+// replay's outcome depends only on (scenario, seed, alloc), not on which
+// policy was recorded, so the paired grid costs one replay sweep per
+// (scenario, seed) instead of four.
 func RobustnessFlight(env *Env, cfg RobustnessConfig) (*RobustnessResult, error) {
 	job := cfg.Job
 	if job == "" {
@@ -197,7 +192,6 @@ func RobustnessFlight(env *Env, cfg RobustnessConfig) (*RobustnessResult, error)
 						}
 						o, rec, err := env.RunFlight(x, r, FlightConfig{
 							Level:            cfg.Flight,
-							TopK:             cfg.FlightTopK,
 							ReplayCandidates: cfg.ReplayCandidates,
 							replayKey:        fmt.Sprintf("robust/%s/%d", sc.Name, s),
 							replays:          &replays,

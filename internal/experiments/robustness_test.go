@@ -117,7 +117,7 @@ func TestGuardedRunDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestRobustnessSmall(t *testing.T) {
-	res, err := Robustness(sharedEnv, "B", 1)
+	res, err := RobustnessFlight(sharedEnv, RobustnessConfig{Job: "B", SeedsPerCell: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,12 +83,14 @@ type Config struct {
 	// reservation — the failure mode the containment test measures.
 	NoContainment bool
 	// MaxDefers bounds how many times one admission may be deferred before
-	// it is rejected outright (default 8; FIFO never defers).
+	// it is rejected outright (default 8; negative is an error; FIFO never
+	// defers).
 	MaxDefers int
 	// RackOutages forwards correlated failures to the cluster.
 	RackOutages []cluster.RackOutage
 	// DriftEvery marks every Nth arrival to drift mid-run (ground truth
-	// service times inflate by DriftFactor); 0 disables drift.
+	// service times inflate by DriftFactor); 0 disables drift, negative is an
+	// error.
 	DriftEvery int
 	// DriftFactor is the drift multiplier (default 2).
 	DriftFactor float64
@@ -174,6 +176,12 @@ func (c *Config) fill() error {
 	}
 	if c.MaxDefers == 0 {
 		c.MaxDefers = 8
+	}
+	if c.MaxDefers < 0 {
+		return fmt.Errorf("fleet: MaxDefers %d must not be negative", c.MaxDefers)
+	}
+	if c.DriftEvery < 0 {
+		return fmt.Errorf("fleet: DriftEvery %d must not be negative", c.DriftEvery)
 	}
 	if c.DriftFactor == 0 {
 		c.DriftFactor = 2
@@ -658,7 +666,7 @@ func (r *replay) admit(now time.Duration, fj *fleetJob, need int) error {
 		}
 		fj.ctrl = ctrl
 		if r.cfg.Guarded {
-			guard, err := control.NewGuard(fj.jk.GuardConfig(ctrl, control.GuardTuning{}))
+			guard, err := fj.jk.Guard(ctrl)
 			if err != nil {
 				return fmt.Errorf("fleet: guard for job %d: %w", fj.arr.id, err)
 			}

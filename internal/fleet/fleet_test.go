@@ -200,16 +200,26 @@ func TestFleetTalliesAndAttribution(t *testing.T) {
 
 // Config validation: unsupported combinations fail loudly, not silently.
 func TestFleetConfigValidation(t *testing.T) {
-	cases := []Config{
-		{Arbitration: "priority"},
-		{Guarded: true, Arbitration: FIFO},
-		{NoContainment: true},
-		{Budget: -1},
-		{LoadFactor: -2},
+	cases := []struct {
+		cfg  Config
+		want string // a substring naming the offending field
+	}{
+		{Config{Arbitration: "priority"}, "arbitration"},
+		{Config{Guarded: true, Arbitration: FIFO}, "guarded"},
+		{Config{NoContainment: true}, "NoContainment"},
+		{Config{Budget: -1}, "budget"},
+		{Config{LoadFactor: -2}, "load factor"},
+		{Config{MaxDefers: -1}, "MaxDefers"},
+		{Config{DriftEvery: -3}, "DriftEvery"},
 	}
-	for _, cfg := range cases {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("Run(%+v) accepted an invalid config", cfg)
+	for _, tc := range cases {
+		_, err := Run(tc.cfg)
+		if err == nil {
+			t.Errorf("Run(%+v) accepted an invalid config", tc.cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run(%+v) error %q does not name %q", tc.cfg, err, tc.want)
 		}
 	}
 }

@@ -197,17 +197,17 @@ func NewMaxAllocationPolicy(tokens int) (Policy, error) {
 }
 
 // Model-staleness guard rails (package internal/control). Jockey.GuardedPolicy
-// builds a ready-wired Guard for a profiled job; these aliases let callers
-// tune it or assemble one from custom parts.
+// builds a ready-wired Guard for a deadline, and Jockey.Guard wraps a
+// caller-built controller the same way. The detector and re-profiling
+// settings are fixed (README, "Model-staleness guard rails"); the panic grant
+// is the controller's top candidate.
 type (
 	// Guard wraps a controller with deviation detection, online
 	// re-profiling and the CPA → OnlineSim → Amdahl → max-allocation
 	// fallback chain. Wire Guard.ObserveTask to JobConfig.OnTaskEvent.
 	Guard = control.Guard
-	// GuardTuning holds the guard's knobs; the zero value gives defaults.
-	GuardTuning = control.GuardTuning
-	// GuardConfig assembles a Guard from custom parts (see
-	// Jockey.GuardConfig for the ready-wired path).
+	// GuardConfig assembles a Guard from custom parts (see Jockey.Guard for
+	// the ready-wired path).
 	GuardConfig = control.GuardConfig
 	// GuardEvent is one logged guard transition (reprofile, fallback,
 	// panic, recover).
@@ -219,7 +219,7 @@ type (
 )
 
 // NewGuard builds the guard-rail layer around a controller; most callers use
-// Jockey.GuardedPolicy instead.
+// Jockey.GuardedPolicy or Jockey.Guard instead.
 func NewGuard(cfg GuardConfig) (*Guard, error) { return control.NewGuard(cfg) }
 
 // BlendProfiles merges live task observations into a prior profile,

@@ -70,6 +70,60 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPublicGuardedPolicy drives the guard-rail entry point of the facade:
+// a guarded policy fed the job's live task stream runs to completion under a
+// mid-run 2x service-time drift, and every control tick reports its rung.
+func TestPublicGuardedPolicy(t *testing.T) {
+	job := jockey.NewJobBuilder("drifting").
+		Stage("map", 40).
+		Stage("reduce", 8).
+		Edge("map", "reduce", jockey.AllToAll).
+		MustBuild()
+	prof := jockey.MustNewProfile(job, []jockey.StageProfile{
+		{Exec: jockey.LognormalFromMedian(5*time.Second, 15*time.Second)},
+		{Exec: jockey.LognormalFromMedian(20*time.Second, 40*time.Second)},
+	})
+	jk, err := jockey.New(prof, jockey.Options{MaxTokens: 30, RunsPerAlloc: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := 10 * time.Minute
+	guard, err := jk.GuardedPolicy(deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := jockey.NewCluster(jockey.ClusterConfig{Machines: 10, SlotsPerMachine: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cl.Submit(jockey.JobConfig{
+		Profile:     prof,
+		Policy:      guard,
+		Deadline:    deadline,
+		Tracked:     true,
+		Drifts:      []jockey.StageDrift{{At: 2 * time.Minute, Stage: -1, Factor: 2}},
+		OnTaskEvent: guard.ObserveTask,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	r := h.Result()
+	if r.Completion <= 0 {
+		t.Fatalf("guarded job did not complete: %+v", r)
+	}
+	if len(r.Trace.Timeline) == 0 {
+		t.Fatal("guarded policy never ran")
+	}
+	for _, p := range r.Trace.Timeline {
+		if p.Mode == "" {
+			t.Fatalf("timeline point at %v has no guard mode", p.T)
+		}
+	}
+}
+
 func TestPublicScriptCompilation(t *testing.T) {
 	job, err := jockey.CompileScript(`
 JOB "clicks";

@@ -48,7 +48,7 @@ func main() {
 		indicator = flag.String("indicator", "", "progress indicator (default totalworkWithQ)")
 		scale     = flag.Float64("scale", 0, "input-size scale factor (0 = per-run jitter)")
 		csvPath   = flag.String("csv", "", "write the allocation timeline as CSV to this file")
-		online    = flag.Bool("online", false, "drive the controller with online forward simulation instead of the C(p,a) table")
+		online    = flag.Bool("online", false, "drive the controller with online forward simulation instead of the C(p,a) table (policy jockey only, not with -guard)")
 		utilSpec  = flag.String("utility", "", `custom utility curve, e.g. "deadline 60m", "soft 1h grace 20m" or "0:1, 60m:1, 70m:-1"`)
 		profOut   = flag.String("save-profile", "", "write the job's training profile as JSON to this file")
 		traceOut  = flag.String("save-trace", "", "write the run's full task trace as JSON to this file")

@@ -48,6 +48,9 @@ type Decision struct {
 	// Deviation is the guard's normalized misprediction score at this tick
 	// (0 for unguarded policies).
 	Deviation float64
+	// Mechanism is the Mech* constant naming what determined the grant (""
+	// for the baseline policies).
+	Mechanism string
 }
 
 // Policy decides a job's guaranteed token allocation at each control tick.
@@ -130,11 +133,13 @@ type Controller struct {
 	smoothed float64 // A^s, kept fractional between ticks
 	granted  int
 
-	// rec, when non-nil, receives one DecisionRecord per Decide call;
-	// cands and recScratch are its reused staging buffers (see record.go).
-	rec        Recorder
-	cands      []CandidateEval
-	recScratch DecisionRecord
+	// rec, when non-nil, receives one DecisionRecord per Decide call.
+	// staging makes the argmax stage each candidate's evaluation into
+	// record, the reused emit buffer; a Guard turns it on without a rec,
+	// because the guard emits the tick itself (see record.go).
+	rec     Recorder
+	staging bool
+	record  DecisionRecord
 }
 
 // NewController builds the Jockey control loop.
@@ -190,19 +195,23 @@ func utilityKnee(u utility.Fn) time.Duration {
 	return knee
 }
 
-// rawAllocation returns the minimum candidate allocation maximizing expected
-// utility under the dead-zone-shifted curve:
-// A^r = argmin_a { a : U_a = max_b U_b }.
+// argmax returns the minimum candidate allocation maximizing expected
+// utility under u, A^r = argmin_a { a : U_a = max_b U_b }, where utilities
+// within 1e-9 of the best count as equal. With a non-nil stage it also
+// stages every candidate's evaluation into stage.Candidates.
 //
 //jockey:hotpath
-func (c *Controller) rawAllocation(st model.State) int {
-	if c.rec != nil {
-		return c.rawAllocationRecorded(st)
+func (cfg *Config) argmax(st model.State, u utility.Fn, stage *DecisionRecord) int {
+	if stage != nil {
+		stage.Candidates = stage.Candidates[:0]
 	}
 	best := -1
 	bestU := 0.0
-	for _, a := range c.cfg.Candidates {
-		ua := c.cfg.Predictor.ExpectedUtility(st, a, c.cfg.Slack, c.effU)
+	for _, a := range cfg.Candidates {
+		ua := cfg.Predictor.ExpectedUtility(st, a, cfg.Slack, u)
+		if stage != nil {
+			stage.Candidates = append(stage.Candidates, CandidateEval{Alloc: a, Utility: ua, Predicted: cfg.predictAt(st, a)})
+		}
 		if best == -1 || ua > bestU+1e-9 {
 			best, bestU = a, ua
 		}
@@ -210,19 +219,45 @@ func (c *Controller) rawAllocation(st model.State) int {
 	return best
 }
 
+// rawAllocation is the argmax under the dead-zone-shifted curve, staging
+// the candidate evaluations while recording.
+//
+//jockey:hotpath
+func (c *Controller) rawAllocation(st model.State) int {
+	var stage *DecisionRecord
+	if c.staging {
+		stage = &c.record
+	}
+	return c.cfg.argmax(st, c.effU, stage)
+}
+
 // Decide implements Policy.
 //
 //jockey:hotpath
 func (c *Controller) Decide(st model.State) Decision {
 	raw := c.rawAllocation(st)
+	mech := MechFirstTick
 	if !c.started {
 		// The first decision jumps straight to the raw allocation — the
 		// paper's pessimistic initial over-allocation.
 		c.started = true
 		c.smoothed = float64(raw)
 		c.granted = raw
-		return c.emit(st, raw, MechFirstTick)
+	} else {
+		mech = c.smooth(st, raw)
 	}
+	d := c.decision(st, raw, mech)
+	if c.rec != nil {
+		c.publish(c.rec, st, d)
+	}
+	return d
+}
+
+// smooth moves the grant toward raw through the dead zone and hysteresis
+// and returns the mechanism that determined it.
+//
+//jockey:hotpath
+func (c *Controller) smooth(st model.State, raw int) string {
 	target := raw
 	mech := MechModel
 	if target > c.granted && c.cfg.DeadZone > 0 && c.deadline > 0 {
@@ -231,7 +266,7 @@ func (c *Controller) Decide(st model.State) Decision {
 		// completion at the current grant misses the original deadline.
 		// Within the band (deadline−D, deadline] the raw allocation wants to
 		// rise but the controller holds, damping indicator noise.
-		predicted := c.predictAt(st, c.granted)
+		predicted := c.cfg.predictAt(st, c.granted)
 		if predicted <= c.deadline {
 			target = c.granted
 			mech = MechDeadZone
@@ -249,11 +284,12 @@ func (c *Controller) Decide(st model.State) Decision {
 	}
 	c.granted = g
 	if g == raw {
-		mech = MechModel
-	} else if mech != MechDeadZone {
-		mech = MechHysteresis
+		return MechModel
 	}
-	return c.emit(st, raw, mech)
+	if mech != MechDeadZone {
+		return MechHysteresis
+	}
+	return mech
 }
 
 // SetPredictor swaps the latency predictor mid-run, keeping the smoothing
@@ -279,21 +315,22 @@ func (c *Controller) Candidates() []int { return c.cfg.Candidates }
 // PredictAt returns the controller's worst-case completion-time estimate at
 // the given allocation: elapsed + slack · the maximum remaining-time sample.
 func (c *Controller) PredictAt(st model.State, a int) time.Duration {
-	return c.predictAt(st, a)
+	return c.cfg.predictAt(st, a)
 }
 
 //jockey:hotpath
-func (c *Controller) predictAt(st model.State, a int) time.Duration {
-	rem := c.cfg.Predictor.Remaining(st, a, 1.0)
-	return st.Elapsed + time.Duration(float64(rem)*c.cfg.Slack)
+func (cfg *Config) predictAt(st model.State, a int) time.Duration {
+	rem := cfg.Predictor.Remaining(st, a, 1.0)
+	return st.Elapsed + time.Duration(float64(rem)*cfg.Slack)
 }
 
 //jockey:hotpath
-func (c *Controller) decision(st model.State, raw int) Decision {
+func (c *Controller) decision(st model.State, raw int, mech string) Decision {
 	d := Decision{
 		Raw:       raw,
 		Granted:   c.granted,
-		Predicted: c.predictAt(st, c.granted),
+		Predicted: c.cfg.predictAt(st, c.granted),
+		Mechanism: mech,
 	}
 	if prog, ok := c.cfg.Predictor.(interface{ Progress(model.State) float64 }); ok {
 		d.Progress = prog.Progress(st)

@@ -132,7 +132,7 @@ type Guard struct {
 	maxAlloc int
 	// minLive is the blend's sample floor (minLiveSamples; tests lower it).
 	minLive int
-	// preP panicFrom remember the rung to return to when panic clears.
+	// panicFrom is the rung to return to when panic clears.
 	panicFrom GuardMode
 
 	live      *trace.JobTrace
@@ -159,54 +159,27 @@ type Guard struct {
 	recoverStreak int
 	events        []GuardEvent
 
-	// rec, when non-nil, receives the final per-tick DecisionRecord. The
-	// inner controller emits into capture (stashing the record in pending)
-	// so the guard can amend it — mode, deviation, urgency overrides —
-	// before forwarding; panic ticks, which bypass the controller, publish
-	// through pscratch instead.
-	rec      Recorder
-	capture  guardCapture
-	pending  *DecisionRecord
-	pscratch DecisionRecord
+	// rec, when non-nil, receives each tick's DecisionRecord after the
+	// guard's overrides; the inner controller only stages candidates.
+	rec Recorder
 }
-
-// guardCapture intercepts the inner controller's decision records so the
-// guard can finalize them after its own overrides run.
-type guardCapture struct{ g *Guard }
-
-// RecordDecision implements Recorder.
-func (gc *guardCapture) RecordDecision(r *DecisionRecord) { gc.g.pending = r }
 
 // SetRecorder installs (or, with nil, removes) the decision recorder. The
-// guard re-emits the inner controller's records after applying its
-// overrides, so recorders see the grant that actually took effect.
+// guard emits each tick's record itself, after its overrides, so recorders
+// see the decision that actually took effect.
 func (g *Guard) SetRecorder(rec Recorder) {
 	g.rec = rec
-	g.pending = nil
-	if rec == nil {
-		g.cfg.Controller.SetRecorder(nil)
-		return
-	}
-	g.capture = guardCapture{g: g}
-	g.cfg.Controller.SetRecorder(&g.capture)
+	c := g.cfg.Controller
+	c.rec = nil
+	c.staging = rec != nil
 }
 
-// flushPending forwards the controller's captured record, synced to the
-// decision as finally returned. mech overrides the mechanism when non-empty.
-func (g *Guard) flushPending(d Decision, mech string) {
-	r := g.pending
-	g.pending = nil
-	if g.rec == nil || r == nil {
-		return
+// emit publishes the tick's final decision when recording and returns it.
+func (g *Guard) emit(st model.State, d Decision) Decision {
+	if g.rec != nil {
+		g.cfg.Controller.publish(g.rec, st, d)
 	}
-	r.Granted = d.Granted
-	r.Predicted = d.Predicted
-	r.Mode = d.Mode
-	r.Deviation = d.Deviation
-	if mech != "" {
-		r.Mechanism = mech
-	}
-	g.rec.RecordDecision(r)
+	return d
 }
 
 // NewGuard builds the guard-rail layer. See GuardConfig.
@@ -237,8 +210,8 @@ func (g *Guard) ChangeUtility(u utility.Fn) { g.cfg.Controller.ChangeUtility(u) 
 func (g *Guard) Mode() GuardMode { return g.mode }
 
 // Events returns a copy of the transition log (reprofiles, fallbacks,
-// panics). The copy keeps callers from mutating — or observing later
-// appends to — the guard's internal log.
+// panics, recoveries). The copy keeps callers from mutating — or observing
+// later appends to — the guard's internal log.
 func (g *Guard) Events() []GuardEvent {
 	return append([]GuardEvent(nil), g.events...)
 }
@@ -494,7 +467,6 @@ func (g *Guard) Decide(st model.State) Decision {
 		return g.panicDecision(st)
 	}
 	d := g.cfg.Controller.Decide(st)
-	boosted := false
 	if g.alarm {
 		c := g.cfg.Controller
 		if dl := c.Deadline(); dl > 0 {
@@ -509,7 +481,7 @@ func (g *Guard) Decide(st model.State) Decision {
 				c.granted = d.Raw
 				d.Granted = d.Raw
 				d.Predicted = c.PredictAt(st, d.Raw)
-				boosted = true
+				d.Mechanism = MechUrgencyBoost
 			case pred+c.cfg.DeadZone <= dl:
 				// Predictions are comfortably inside the deadline again: stand
 				// down until the detector re-fires.
@@ -519,12 +491,7 @@ func (g *Guard) Decide(st model.State) Decision {
 	}
 	d.Mode = g.mode.String()
 	d.Deviation = score
-	if boosted {
-		g.flushPending(d, MechUrgencyBoost)
-	} else {
-		g.flushPending(d, "")
-	}
-	return d
+	return g.emit(st, d)
 }
 
 // panicDecision grants the full token budget and watches for recovery: once
@@ -554,8 +521,7 @@ func (g *Guard) panicDecision(st model.State) Decision {
 		c.granted = g.maxAlloc
 		dec := c.Decide(st)
 		dec.Mode = g.mode.String()
-		g.flushPending(dec, "")
-		return dec
+		return g.emit(st, dec)
 	}
 	// Keep the controller's bookkeeping consistent with the forced grant.
 	c.started = true
@@ -566,25 +532,16 @@ func (g *Guard) panicDecision(st model.State) Decision {
 		Granted:   g.maxAlloc,
 		Predicted: pred,
 		Mode:      GuardPanic.String(),
+		Mechanism: MechGuardPanic,
 	}
 	if prog, ok := c.cfg.Predictor.(interface{ Progress(model.State) float64 }); ok {
 		dec.Progress = prog.Progress(st)
 	}
 	if g.rec != nil {
-		// Panic bypasses the controller, so no record was captured; build
-		// one. The candidate sweep runs only when recording and queries only
-		// pure or memoized predictors, so it cannot perturb the trajectory.
-		c.rawAllocationRecorded(st)
-		g.pscratch = DecisionRecord{
-			At:         st.Elapsed,
-			Raw:        dec.Raw,
-			Granted:    dec.Granted,
-			Mechanism:  MechGuardPanic,
-			Mode:       dec.Mode,
-			Predicted:  dec.Predicted,
-			Candidates: c.cands,
-		}
-		g.rec.RecordDecision(&g.pscratch)
+		// Panic bypasses the controller's argmax; run it only to stage the
+		// record's candidates. It queries only pure or memoized predictors,
+		// so it cannot perturb the trajectory.
+		c.rawAllocation(st)
 	}
-	return dec
+	return g.emit(st, dec)
 }

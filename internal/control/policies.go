@@ -41,15 +41,7 @@ func (s *Static) ChangeUtility(u utility.Fn) {
 func (s *Static) Decide(st model.State) Decision {
 	if !s.decided {
 		s.decided = true
-		best := -1
-		bestU := 0.0
-		for _, a := range s.cfg.Candidates {
-			ua := s.cfg.Predictor.ExpectedUtility(st, a, s.cfg.Slack, s.cfg.Utility)
-			if best == -1 || ua > bestU+1e-9 {
-				best, bestU = a, ua
-			}
-		}
-		s.alloc = best
+		s.alloc = s.cfg.argmax(st, s.cfg.Utility, nil)
 	}
 	return Decision{Raw: s.alloc, Granted: s.alloc}
 }

@@ -6,8 +6,8 @@ import (
 	"github.com/jockeysim/jockey/internal/model"
 )
 
-// Mechanism labels for decision records: which control mechanism determined
-// the final grant at a tick. The flight recorder's counterfactual analyzer
+// Mechanism labels for Decision.Mechanism: which control mechanism
+// determined the final grant at a tick. The flight recorder's counterfactual analyzer
 // groups regret attribution by these names, so they are part of the stable
 // flight-record schema (internal/flight/json.go).
 const (
@@ -42,9 +42,9 @@ type CandidateEval struct {
 	Predicted time.Duration
 }
 
-// DecisionRecord is the flight recorder's view of one control decision: the
-// Decision plus the mechanism that determined the grant and the full
-// candidate evaluation the argmax ran over.
+// DecisionRecord is the flight recorder's view of one control tick: the
+// Decision the policy returned — grant, mechanism, guard mode — plus when it
+// was made and the full candidate evaluation the argmax ran over.
 //
 // Candidates aliases an internal scratch buffer owned by the emitting policy;
 // it is valid only for the duration of the RecordDecision call and must be
@@ -52,18 +52,10 @@ type CandidateEval struct {
 type DecisionRecord struct {
 	// At is the job's elapsed time at the tick.
 	At time.Duration
-	// Raw and Granted mirror Decision.Raw and Decision.Granted.
-	Raw, Granted int
-	// Mechanism is the Mech* constant naming what determined the grant.
-	Mechanism string
-	// Mode and Deviation mirror Decision.Mode and Decision.Deviation ("" and
-	// 0 for unguarded controllers).
-	Mode      string
-	Deviation float64
-	// Predicted mirrors Decision.Predicted (the estimate at the grant).
-	Predicted time.Duration
+	// Decision is the tick exactly as the policy returned it.
+	Decision
 	// Candidates holds every candidate's evaluation, ascending by
-	// allocation. Empty when the tick bypassed the argmax entirely.
+	// allocation.
 	Candidates []CandidateEval
 }
 
@@ -84,44 +76,19 @@ type Recordable interface {
 }
 
 // SetRecorder installs (or, with nil, removes) the decision recorder.
-func (c *Controller) SetRecorder(rec Recorder) { c.rec = rec }
-
-// rawAllocationRecorded is rawAllocation with per-candidate capture: same
-// argmax, but every candidate's utility and predicted completion are staged
-// into the controller's scratch buffer for the recorder.
-//
-//jockey:hotpath
-func (c *Controller) rawAllocationRecorded(st model.State) int {
-	c.cands = c.cands[:0]
-	best := -1
-	bestU := 0.0
-	for _, a := range c.cfg.Candidates {
-		ua := c.cfg.Predictor.ExpectedUtility(st, a, c.cfg.Slack, c.effU)
-		c.cands = append(c.cands, CandidateEval{Alloc: a, Utility: ua, Predicted: c.predictAt(st, a)})
-		if best == -1 || ua > bestU+1e-9 {
-			best, bestU = a, ua
-		}
-	}
-	return best
+func (c *Controller) SetRecorder(rec Recorder) {
+	c.rec = rec
+	c.staging = rec != nil
 }
 
-// emit finalizes a decision and, when a recorder is installed, publishes the
-// tick's DecisionRecord. The record and its candidate slice are scratch
-// state reused across ticks.
+// publish stamps the staged record with the tick and hands it to rec. It is
+// the one emit point for decision records: the outermost policy calls it
+// once per tick with the decision it returns — Controller.Decide when the
+// controller runs alone, the Guard after its overrides otherwise.
 //
 //jockey:hotpath
-func (c *Controller) emit(st model.State, raw int, mech string) Decision {
-	d := c.decision(st, raw)
-	if c.rec != nil {
-		c.recScratch = DecisionRecord{
-			At:         st.Elapsed,
-			Raw:        raw,
-			Granted:    d.Granted,
-			Mechanism:  mech,
-			Predicted:  d.Predicted,
-			Candidates: c.cands,
-		}
-		c.rec.RecordDecision(&c.recScratch)
-	}
-	return d
+func (c *Controller) publish(rec Recorder, st model.State, d Decision) {
+	c.record.At = st.Elapsed
+	c.record.Decision = d
+	rec.RecordDecision(&c.record)
 }

@@ -190,6 +190,10 @@ func TestGuardEventsReturnsACopy(t *testing.T) {
 	}
 }
 
+// TestGuardRecorderSeesFinalGrant drives a guarded controller so far behind
+// schedule that the guard first boosts the grant past hysteresis and then
+// panics, and checks that every tick's record carries exactly the decision
+// the guard returned — mechanism, mode and deviation included.
 func TestGuardRecorderSeesFinalGrant(t *testing.T) {
 	prior, _ := testSetup(t)
 	ctrl := newRecordController(t, 30*time.Minute)
@@ -200,24 +204,30 @@ func TestGuardRecorderSeesFinalGrant(t *testing.T) {
 	rec := &captureRecorder{}
 	g.SetRecorder(rec)
 
+	const ticks = 30
+	seen := map[string]int{}
 	st := model.State{FracDone: []float64{0, 0}}
 	frac := 0.0
-	for i := 0; i < 20; i++ {
+	for i := 0; i < ticks; i++ {
 		st.Elapsed = time.Duration(i) * time.Minute
 		st.FracDone[0] = frac
 		d := g.Decide(st)
-		last := rec.recs[len(rec.recs)-1]
-		if last.Granted != d.Granted || last.Raw != d.Raw {
-			t.Fatalf("tick %d: record (raw %d, granted %d) disagrees with decision (raw %d, granted %d)",
-				i, last.Raw, last.Granted, d.Raw, d.Granted)
+		if len(rec.recs) != i+1 {
+			t.Fatalf("tick %d: got %d records, want one per tick", i, len(rec.recs))
 		}
-		if last.Mode != d.Mode || last.Deviation != d.Deviation {
-			t.Fatalf("tick %d: record mode/deviation %q/%v, decision %q/%v",
-				i, last.Mode, last.Deviation, d.Mode, d.Deviation)
+		last := rec.recs[i]
+		if last.Decision != d || last.At != st.Elapsed {
+			t.Fatalf("tick %d: record %+v at %v disagrees with decision %+v", i, last.Decision, last.At, d)
 		}
-		frac += 0.01 // fall badly behind: exercises alarm paths
+		if len(last.Candidates) != len(ctrl.Candidates()) {
+			t.Fatalf("tick %d (%s): got %d candidate evals, want %d", i, d.Mechanism, len(last.Candidates), len(ctrl.Candidates()))
+		}
+		seen[d.Mechanism]++
+		frac += 0.005 // fall badly behind: exercises the alarm paths
 	}
-	if len(rec.recs) != 20 {
-		t.Fatalf("got %d records for 20 ticks", len(rec.recs))
+	for _, mech := range []string{MechUrgencyBoost, MechGuardPanic} {
+		if seen[mech] == 0 {
+			t.Errorf("no %s tick in %d ticks (mechanisms seen: %v)", mech, ticks, seen)
+		}
 	}
 }

@@ -239,7 +239,8 @@ type Knobs struct {
 	Indicator  core.IndicatorName
 	// OnlinePredictor drives the Jockey controller with online forward
 	// simulation (model.OnlineSim, the §4.4 enhancement) instead of the
-	// precomputed C(p, a) table. Only affects PolicyJockey.
+	// precomputed C(p, a) table. Only valid with PolicyJockey and without
+	// SLORun.Guarded; RunExec rejects the other combinations.
 	OnlinePredictor bool
 }
 
@@ -262,7 +263,7 @@ type SLORun struct {
 	DeadlineChanges []cluster.DeadlineChange
 	// Guarded wraps the Jockey controller in the model-staleness guard-rail
 	// layer (control.Guard), fed live task events from the cluster. Only
-	// affects PolicyJockey.
+	// valid with PolicyJockey; RunExec rejects it on any other policy.
 	Guarded bool
 	// Drifts injects per-stage runtime drift into the SLO job (offsets
 	// relative to job start, i.e. SLOJobStart on the cluster clock).
@@ -402,6 +403,14 @@ func (e *Env) Run(r SLORun) (Outcome, error) {
 func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 	if r.Deadline <= 0 {
 		return Outcome{}, fmt.Errorf("experiments: run needs a deadline")
+	}
+	switch {
+	case r.Guarded && r.Policy != PolicyJockey:
+		return Outcome{}, fmt.Errorf("experiments: SLORun.Guarded needs policy %q, not %q", PolicyJockey, r.Policy)
+	case r.Knobs.OnlinePredictor && r.Policy != PolicyJockey:
+		return Outcome{}, fmt.Errorf("experiments: Knobs.OnlinePredictor needs policy %q, not %q", PolicyJockey, r.Policy)
+	case r.Guarded && r.Knobs.OnlinePredictor:
+		return Outcome{}, fmt.Errorf("experiments: SLORun.Guarded and Knobs.OnlinePredictor cannot be combined (the guard drives its own model ladder)")
 	}
 	ground, err := e.Ground(r.Job)
 	if err != nil {

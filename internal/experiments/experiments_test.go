@@ -68,6 +68,24 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("Knobs%+v must fail", k)
 		}
 	}
+	// Settings that only the Jockey controller honours are rejected, naming
+	// the field, instead of being silently dropped.
+	for _, c := range []struct {
+		r     SLORun
+		field string
+	}{
+		{SLORun{Policy: PolicyMax, Guarded: true}, "Guarded"},
+		{SLORun{Policy: PolicyAmdahl, Guarded: true}, "Guarded"},
+		{SLORun{Policy: PolicyStatic, Knobs: Knobs{OnlinePredictor: true}}, "OnlinePredictor"},
+		{SLORun{Policy: PolicyJockey, Guarded: true, Knobs: Knobs{OnlinePredictor: true}}, "OnlinePredictor"},
+	} {
+		c.r.Job, c.r.Deadline = "A", time.Hour
+		_, err := sharedEnv.Run(c.r)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("policy %s, guarded %v, online %v: err = %v, want one naming %s",
+				c.r.Policy, c.r.Guarded, c.r.Knobs.OnlinePredictor, err, c.field)
+		}
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

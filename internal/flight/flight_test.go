@@ -26,10 +26,8 @@ func TestParseLevelRoundTrip(t *testing.T) {
 func TestRecorderTopKAndRegret(t *testing.T) {
 	rec := NewRecorder(Config{Job: "B", Policy: "jockey", Deadline: 20 * time.Minute, TopK: 2})
 	d := &control.DecisionRecord{
-		At:        time.Minute,
-		Raw:       50,
-		Granted:   10,
-		Mechanism: control.MechHysteresis,
+		At:       time.Minute,
+		Decision: control.Decision{Raw: 50, Granted: 10, Mechanism: control.MechHysteresis},
 		Candidates: []control.CandidateEval{
 			{Alloc: 10, Utility: 0.2, Predicted: 30 * time.Minute},
 			{Alloc: 50, Utility: 0.9, Predicted: 15 * time.Minute},
@@ -68,7 +66,7 @@ func TestDecisionRegretGrantBetweenCandidates(t *testing.T) {
 	// A guard override can grant an allocation that is not on the grid; the
 	// regret lookup uses the smallest candidate at or above the grant.
 	d := &control.DecisionRecord{
-		Granted: 30,
+		Decision: control.Decision{Granted: 30},
 		Candidates: []control.CandidateEval{
 			{Alloc: 10, Utility: 0.1},
 			{Alloc: 50, Utility: 0.6},
@@ -115,8 +113,8 @@ func TestWriteJSONRejectsInvalid(t *testing.T) {
 func TestReadJSONRoundTrip(t *testing.T) {
 	rec := NewRecorder(Config{Job: "B", Policy: "jockey-guarded", Level: LevelCounterfactual, Deadline: 35 * time.Minute})
 	rec.RecordDecision(&control.DecisionRecord{
-		At: time.Minute, Raw: 54, Granted: 54, Mechanism: control.MechFirstTick,
-		Mode: "primary",
+		At:       time.Minute,
+		Decision: control.Decision{Raw: 54, Granted: 54, Mechanism: control.MechFirstTick, Mode: "primary"},
 		Candidates: []control.CandidateEval{
 			{Alloc: 1, Utility: 0, Predicted: time.Hour},
 			{Alloc: 54, Utility: 1, Predicted: 20 * time.Minute},

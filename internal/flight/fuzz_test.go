@@ -20,8 +20,11 @@ func seedRecord() *flight.Record {
 		Deadline: 35 * time.Minute, TopK: 2,
 	})
 	rec.RecordDecision(&control.DecisionRecord{
-		At: time.Minute, Raw: 54, Granted: 54, Mechanism: control.MechFirstTick, Mode: "primary",
-		Predicted: 20 * time.Minute,
+		At: time.Minute,
+		Decision: control.Decision{
+			Raw: 54, Granted: 54, Mechanism: control.MechFirstTick, Mode: "primary",
+			Predicted: 20 * time.Minute,
+		},
 		Candidates: []control.CandidateEval{
 			{Alloc: 1, Utility: 0, Predicted: 4 * time.Hour},
 			{Alloc: 54, Utility: 1, Predicted: 20 * time.Minute},
@@ -29,8 +32,11 @@ func seedRecord() *flight.Record {
 		},
 	})
 	rec.RecordDecision(&control.DecisionRecord{
-		At: 2 * time.Minute, Raw: 54, Granted: 54, Mechanism: control.MechModel, Mode: "primary",
-		Deviation: 0.12, Predicted: 21 * time.Minute,
+		At: 2 * time.Minute,
+		Decision: control.Decision{
+			Raw: 54, Granted: 54, Mechanism: control.MechModel, Mode: "primary",
+			Deviation: 0.12, Predicted: 21 * time.Minute,
+		},
 		Candidates: []control.CandidateEval{
 			{Alloc: 1, Utility: 0, Predicted: 4 * time.Hour},
 			{Alloc: 54, Utility: 1, Predicted: 21 * time.Minute},

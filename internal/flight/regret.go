@@ -45,13 +45,13 @@ type MechanismShare struct {
 // Attribution labels: the per-tick mechanisms collapsed into the paper-level
 // question "model error vs. damping vs. guard intervention".
 const (
-	AttributionModelError   = "model-error"
-	AttributionHysteresis   = "hysteresis"
-	AttributionDeadZone     = "dead-zone"
-	AttributionGuardFallbck = "guard-fallback"
-	AttributionGuardPanic   = "guard-panic"
-	AttributionUrgencyBoost = "urgency-boost"
-	AttributionUnknown      = "unattributed"
+	AttributionModelError    = "model-error"
+	AttributionHysteresis    = "hysteresis"
+	AttributionDeadZone      = "dead-zone"
+	AttributionGuardFallback = "guard-fallback"
+	AttributionGuardPanic    = "guard-panic"
+	AttributionUrgencyBoost  = "urgency-boost"
+	AttributionUnknown       = "unattributed"
 )
 
 // attributionOrder fixes the iteration order of attribution aggregation so
@@ -60,7 +60,7 @@ var attributionOrder = []string{
 	AttributionModelError,
 	AttributionHysteresis,
 	AttributionDeadZone,
-	AttributionGuardFallbck,
+	AttributionGuardFallback,
 	AttributionGuardPanic,
 	AttributionUrgencyBoost,
 	AttributionUnknown,
@@ -244,7 +244,7 @@ func attributionOf(t Tick) string {
 		return AttributionGuardPanic
 	}
 	if t.Mode != "" && t.Mode != "primary" {
-		return AttributionGuardFallbck
+		return AttributionGuardFallback
 	}
 	switch t.Mechanism {
 	case control.MechModel, control.MechFirstTick:

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -30,33 +31,45 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "jockeyd:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, replays the fleet, and writes the per-job table to
+// stdout and, with -v, the per-epoch stream to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	// ExitOnError keeps the command's exit status 2 on a bad flag.
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed    = flag.Uint64("seed", 1, "master seed for arrivals, cluster, and models")
-		arb     = flag.String("arbitration", "utility-greedy", "arbitration discipline: fifo, fair-share, or utility-greedy")
-		guarded = flag.Bool("guarded", false, "wrap each controller in a guard (requires utility-greedy)")
-		noCont  = flag.Bool("no-containment", false, "let guard-panic latches bid their full max allocation (requires -guarded)")
+		seed    = fs.Uint64("seed", 1, "master seed for arrivals, cluster, and models")
+		arb     = fs.String("arbitration", "utility-greedy", "arbitration discipline: fifo, fair-share, or utility-greedy")
+		guarded = fs.Bool("guarded", false, "wrap each controller in a guard (requires utility-greedy)")
+		noCont  = fs.Bool("no-containment", false, "let guard-panic latches bid their full max allocation (requires -guarded)")
 
-		arrivals = flag.Int("arrivals", 0, "number of job offers (0 = default)")
-		meanIA   = flag.Duration("mean-interarrival", 0, "mean arrival gap before load scaling (0 = default)")
-		load     = flag.Float64("load", 0, "load factor multiplying the arrival rate (0 = default 1)")
-		maxDefer = flag.Int("max-defer", 0, "admission deferrals before an offer is rejected (0 = default)")
+		arrivals = fs.Int("arrivals", 0, "number of job offers (0 = default)")
+		meanIA   = fs.Duration("mean-interarrival", 0, "mean arrival gap before load scaling (0 = default)")
+		load     = fs.Float64("load", 0, "load factor multiplying the arrival rate (0 = default 1)")
+		maxDefer = fs.Int("max-defer", 0, "admission deferrals before an offer is rejected (0 = default)")
 
-		machines = flag.Int("machines", 0, "cluster machines (0 = default)")
-		slots    = flag.Int("slots", 0, "slots per machine (0 = default)")
-		budget   = flag.Int("budget", 0, "global token budget (0 = cluster capacity)")
-		epoch    = flag.Duration("epoch", 0, "control epoch period (0 = default 1m)")
+		machines = fs.Int("machines", 0, "cluster machines (0 = default)")
+		slots    = fs.Int("slots", 0, "slots per machine (0 = default)")
+		budget   = fs.Int("budget", 0, "global token budget (0 = cluster capacity)")
+		epoch    = fs.Duration("epoch", 0, "control epoch period (0 = default 1m)")
 
-		driftEvery  = flag.Int("drift-every", 0, "every Nth offer drifts from its profile mid-run (0 = none)")
-		driftFactor = flag.Float64("drift-factor", 0, "service-time inflation for drifting jobs (0 = default 2)")
+		driftEvery  = fs.Int("drift-every", 0, "every Nth offer drifts from its profile mid-run (0 = none)")
+		driftFactor = fs.Float64("drift-factor", 0, "service-time inflation for drifting jobs (0 = default 2)")
 
-		outageAt       = flag.Duration("outage-at", 0, "rack outage start (0 = no outage)")
-		outageMachines = flag.Int("outage-machines", 0, "machines lost to the outage")
-		outageDuration = flag.Duration("outage-duration", 0, "outage length")
+		outageAt       = fs.Duration("outage-at", 0, "rack outage start (0 = no outage)")
+		outageMachines = fs.Int("outage-machines", 0, "machines lost to the outage")
+		outageDuration = fs.Duration("outage-duration", 0, "outage length")
 
-		par     = flag.Int("parallelism", 0, "worker pool for offline model builds (0 = GOMAXPROCS); results are identical at any value")
-		verbose = flag.Bool("v", false, "stream per-epoch arbitration stats to stderr")
+		par     = fs.Int("parallelism", 0, "worker pool for offline model builds (0 = GOMAXPROCS); results are identical at any value")
+		verbose = fs.Bool("v", false, "stream per-epoch arbitration stats to stderr")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
 
 	cfg := fleet.Config{
 		Seed:             *seed,
@@ -93,15 +106,15 @@ func main() {
 		cfg.OnEpoch = func(s fleet.EpochStats) {
 			// bidders/heapops expose the arbiter's per-epoch cost (the
 			// fleet-scale contract: heap ops stay linear in active jobs).
-			fmt.Fprintf(os.Stderr, "[%8s] active %2d granted %3d/%-3d deferred %d rejected %d latched %d bidders %d heapops %d\n",
+			fmt.Fprintf(stderr, "[%8s] active %2d granted %3d/%-3d deferred %d rejected %d latched %d bidders %d heapops %d\n",
 				s.At.Truncate(time.Second), s.Active, s.Granted, s.Budget, s.Deferred, s.Rejected, s.Latched, s.Bidders, s.HeapOps)
 		}
 	}
 
 	res, err := fleet.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "jockeyd:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Print(res.Render())
+	_, err = io.WriteString(stdout, res.Render())
+	return err
 }

@@ -2,6 +2,8 @@ package eventq_test
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,7 +87,10 @@ func (p *midScaleProfiles) replay(t *testing.T, c *cluster.Cluster) string {
 // enough that the default threshold promotes, and every scheduler path
 // fires) must produce byte-identical results and utilization whichever
 // storage regime serves the event queue. (time, seq) is a strict total
-// order, so any difference means the calendar reordered events.
+// order, so any difference means the calendar reordered events. The heap
+// replay must also match the committed golden, which pins the cluster
+// engine's output across commits; a deliberate behaviour change replaces
+// the golden with the replay this test prints on a mismatch.
 func TestEventRegimeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mid-size replay is ~100ms per regime; skipped in -short")
@@ -101,6 +106,14 @@ func TestEventRegimeByteIdentical(t *testing.T) {
 			}
 			out[regime] = p.replay(t, c)
 		})
+	}
+	const golden = "testdata/midscale_replay.golden"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out["heap"]; got != strings.TrimSuffix(string(want), "\n") {
+		t.Errorf("heap replay differs from %s; this build replays:\n%s", golden, got)
 	}
 	for _, regime := range eventq.Regimes[1:] {
 		if out[regime] != out["heap"] {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,9 @@ func TestPerturbationConfigValidation(t *testing.T) {
 		{RackOutages: []RackOutage{{FirstMachine: 24, Machines: 2, Duration: time.Minute}}},
 		{RackOutages: []RackOutage{{FirstMachine: -1, Machines: 1, Duration: time.Minute}}},
 		{RackOutages: []RackOutage{{FirstMachine: 0, Machines: 0, Duration: time.Minute}}},
+		// FirstMachine+Machines overflows int in both.
+		{RackOutages: []RackOutage{{FirstMachine: math.MaxInt, Machines: 1, Duration: time.Minute}}},
+		{RackOutages: []RackOutage{{FirstMachine: 1, Machines: math.MaxInt, Duration: time.Minute}}},
 		{Contention: []ContentionWindow{{From: time.Minute, To: time.Second, Frac: 0.5}}},
 		{Contention: []ContentionWindow{{From: -time.Second, To: time.Minute, Frac: 0.5}}},
 		{Contention: []ContentionWindow{{From: 0, To: time.Minute, Frac: 1}}},

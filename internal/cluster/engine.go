@@ -293,7 +293,7 @@ func (c *Cluster) effectiveGuarantee(jr *jobRun) int {
 // markDirty queues the job for the next reclassify. The dirty set is an
 // intrusive stack through jobRun, so marking never allocates; the order
 // jobs are repaired in does not matter, since each repair touches only its
-// own job's heaps.
+// own job's classes.
 //
 //jockey:hotpath
 func (c *Cluster) markDirty(jr *jobRun) {
@@ -608,7 +608,8 @@ func (c *Cluster) victimLess(a, b int32) bool {
 }
 
 // detach removes an attempt from every index that tracks it — the slot
-// table, its class heaps, the spare-top heap, the machine task list, the
+// table, its job list (moving the guaranteed boundary back when it removes
+// the boundary attempt), the spare-top heap, the machine task list, the
 // machine's used count, and the running totals — leaving the slot readable
 // until released. Detaching a primary changes its job's running count, so
 // the job is queued for reclassification.
@@ -619,22 +620,21 @@ func (c *Cluster) detach(jr *jobRun, s int32) {
 	stage, task := st.stage[s], st.task[s]
 	if st.flags[s]&flagDup != 0 {
 		jr.dupSlot[stage][task] = -1
-		st.maxRemove(&jr.dupHeap, s)
-		c.refreshTop(jr)
+		st.unlink(&jr.dups, s)
 	} else {
 		jr.slot[stage][task] = -1
 		if st.flags[s]&flagGuar != 0 {
-			st.maxRemove(&jr.guarHeap, s)
 			jr.guarCount--
-		} else {
-			st.maxRemove(&jr.spareMax, s)
-			st.minRemove(&jr.spareMin, s)
-			c.refreshTop(jr)
+			if s == jr.guarLast {
+				jr.guarLast = st.prevJ[s]
+			}
 		}
+		st.unlink(&jr.prim, s)
 		jr.liveRunning--
 		c.totalRunning--
 		c.markDirty(jr)
 	}
+	c.refreshTop(jr)
 	mi := int(st.machine[s])
 	if prev := st.prevM[s]; prev >= 0 {
 		st.nextM[prev] = st.nextM[s]
@@ -799,22 +799,15 @@ func (c *Cluster) reschedule() {
 var checkPass func(c *Cluster)
 
 // reclassify restores, per job, the invariant that the guaranteed class is
-// exactly the job's effectiveGuarantee() earliest-started primaries (by the
-// taskStore.less total order) and everything else is spare. Only jobs in the
-// dirty set are visited: the invariant can only break where a primary
-// started or ended, the guarantee was re-set, or the contention factor
-// moved, and each of those marks the job. Each visited job is repaired
-// incrementally from its class heaps:
-//
-//  1. count rebalance — while the guaranteed class is too big, demote its
-//     maximum (latest-started) member; while too small, promote the spare
-//     minimum (earliest-started);
-//  2. boundary repair — while some spare started before some guaranteed task
-//     (min(spare) < max(guaranteed)), swap the two.
-//
-// Step 2 strictly shrinks the number of cross-class inversions each swap, so
-// it terminates with min(spare) ≥ max(guaranteed): with the class sizes fixed
-// by step 1, that is precisely the rank partition a full sort produces.
+// exactly the job's min(effectiveGuarantee(), running) earliest-started
+// primaries (by the taskStore.less total order) and everything else is
+// spare. Only jobs in the dirty set are visited: the invariant can only
+// break where a primary started or ended, the guarantee was re-set, or the
+// contention factor moved, and each of those marks the job. The job's
+// primaries are listed in less order with the guaranteed class a prefix of
+// the list, so the repair moves the boundary one attempt at a time: back,
+// unflagging the latest-started guaranteed attempt, while the class is too
+// big; forward, flagging the earliest-started spare, while it is too small.
 //
 //jockey:hotpath
 func (c *Cluster) reclassify() {
@@ -827,38 +820,20 @@ func (c *Cluster) reclassify() {
 		// A job with no running primary (every job that is not live, too)
 		// runs none of the loops below, but may still hold a duplicate
 		// whose spare top is stale.
-		target := c.effectiveGuarantee(jr)
-		if jr.liveRunning < target {
-			target = jr.liveRunning
-		}
+		target := min(c.effectiveGuarantee(jr), jr.liveRunning)
 		for jr.guarCount > target {
-			s := jr.guarHeap.s[0]
-			st.maxRemove(&jr.guarHeap, s)
-			st.flags[s] &^= flagGuar
-			st.maxPush(&jr.spareMax, s)
-			st.minPush(&jr.spareMin, s)
+			st.flags[jr.guarLast] &^= flagGuar
+			jr.guarLast = st.prevJ[jr.guarLast]
 			jr.guarCount--
 		}
 		for jr.guarCount < target {
-			s := jr.spareMin.s[0]
-			st.minRemove(&jr.spareMin, s)
-			st.maxRemove(&jr.spareMax, s)
-			st.flags[s] |= flagGuar
-			st.maxPush(&jr.guarHeap, s)
+			next := jr.prim.head
+			if jr.guarLast >= 0 {
+				next = st.nextJ[jr.guarLast]
+			}
+			st.flags[next] |= flagGuar
+			jr.guarLast = next
 			jr.guarCount++
-		}
-		for len(jr.spareMin.s) > 0 && len(jr.guarHeap.s) > 0 &&
-			st.less(jr.spareMin.s[0], jr.guarHeap.s[0]) {
-			g := jr.guarHeap.s[0]
-			sp := jr.spareMin.s[0]
-			st.maxRemove(&jr.guarHeap, g)
-			st.flags[g] &^= flagGuar
-			st.maxPush(&jr.spareMax, g)
-			st.minPush(&jr.spareMin, g)
-			st.minRemove(&jr.spareMin, sp)
-			st.maxRemove(&jr.spareMax, sp)
-			st.flags[sp] |= flagGuar
-			st.maxPush(&jr.guarHeap, sp)
 		}
 		c.refreshTop(jr)
 	}
@@ -906,24 +881,21 @@ func (c *Cluster) youngestSpare() (int32, *jobRun) {
 }
 
 // refreshTop re-derives the job's spare top — its latest-started spare
-// attempt, the max of the tops of its spare-primary and duplicate heaps —
-// and re-seats the job in the cluster's spare-top heap when it changed.
-// detach calls it eagerly, since an eviction inside dispatchGuaranteed must
-// be seen by the next pick and a released slot must not stay a heap key.
-// A spare start (startTask, startDuplicate) only marks its job dirty, and
-// reclassify refreshes it before the next pass's first pick; until then
-// the heap is ordered by the job's older top, a live attempt whose key
-// does not change.
+// attempt, the later of its two list tails, counting the primary tail only
+// when it is spare — and re-seats the job in the cluster's spare-top heap
+// when it changed. detach calls it eagerly, since an eviction inside
+// dispatchGuaranteed must be seen by the next pick and a released slot must
+// not stay a heap key. A start (startTask, startDuplicate) only marks its
+// job dirty, and reclassify refreshes it before the next pass's first pick;
+// until then the heap is ordered by the job's older top, a live attempt
+// whose key does not change.
 //
 //jockey:hotpath
 func (c *Cluster) refreshTop(jr *jobRun) {
 	st := &c.store
-	top := int32(-1)
-	if len(jr.spareMax.s) > 0 {
-		top = jr.spareMax.s[0]
-	}
-	if len(jr.dupHeap.s) > 0 && (top < 0 || st.less(top, jr.dupHeap.s[0])) {
-		top = jr.dupHeap.s[0]
+	top := jr.dups.tail
+	if p := jr.prim.tail; p >= 0 && st.flags[p]&flagGuar == 0 && (top < 0 || st.less(top, p)) {
+		top = p
 	}
 	old := jr.spareTop
 	if top == old {
@@ -1075,10 +1047,9 @@ func (c *Cluster) dispatchSpare() {
 // dispatchDuplicate launches a speculative copy of the most-overdue
 // straggler (across speculation-enabled jobs) on the given machine. It
 // returns false if no task qualifies. Candidates are every unspeculated
-// running primary, walked through the job's two primary heaps in heap
-// layout order, which is fine: the scan keeps a strict best under a total
-// order (ratio, then taskStore.before), so the winner does not depend on
-// the order jobs or tasks are walked in.
+// running primary; the scan keeps a strict best under a total order (ratio,
+// then taskStore.before), so the winner does not depend on the order jobs
+// or tasks are walked in.
 //
 //jockey:hotpath
 func (c *Cluster) dispatchDuplicate(mi int) bool {
@@ -1091,30 +1062,24 @@ func (c *Cluster) dispatchDuplicate(mi int) bool {
 		if th <= 0 {
 			continue
 		}
-		for pass := 0; pass < 2; pass++ {
-			h := jr.guarHeap.s
-			if pass == 1 {
-				h = jr.spareMax.s
+		for s := jr.prim.head; s >= 0; s = st.nextJ[s] {
+			if jr.dupSlot[st.stage[s]][st.task[s]] >= 0 {
+				continue // already speculated
 			}
-			for _, s := range h {
-				if jr.dupSlot[st.stage[s]][st.task[s]] >= 0 {
-					continue // already speculated
-				}
-				p90 := jr.stageP90[st.stage[s]]
-				if p90 <= 0 {
-					continue
-				}
-				elapsed := c.now - st.execStart[s]
-				ratio := float64(elapsed) / float64(p90)
-				if ratio < th {
-					continue
-				}
-				// Deterministic despite scan order: strictly-better ratio
-				// wins; exact ties resolve by task identity, then job id.
-				if worst < 0 || ratio > worstRatio ||
-					(ratio == worstRatio && st.before(s, worst)) {
-					worst, worstJob, worstRatio = s, jr, ratio
-				}
+			p90 := jr.stageP90[st.stage[s]]
+			if p90 <= 0 {
+				continue
+			}
+			elapsed := c.now - st.execStart[s]
+			ratio := float64(elapsed) / float64(p90)
+			if ratio < th {
+				continue
+			}
+			// Deterministic despite scan order: strictly-better ratio wins;
+			// exact ties resolve by task identity, then job id.
+			if worst < 0 || ratio > worstRatio ||
+				(ratio == worstRatio && st.before(s, worst)) {
+				worst, worstJob, worstRatio = s, jr, ratio
 			}
 		}
 	}
@@ -1154,7 +1119,7 @@ func (c *Cluster) startDuplicate(jr *jobRun, orig int32, machine int) {
 	st.execStart[s] = c.now + initDelay
 	st.flags[s] = flagDup // duplicates are always spare-class
 	jr.dupSlot[stage][task] = s
-	st.maxPush(&jr.dupHeap, s)
+	st.link(&jr.dups, s)
 	c.markDirty(jr) // reclassify refreshes the job's spare top
 	jr.duplicates++
 	c.attachMachine(machine, s)
@@ -1203,12 +1168,20 @@ func (c *Cluster) startTask(jr *jobRun, r taskRef, machine int, guaranteed bool)
 		st.flags[s] = 0
 	}
 	jr.slot[r.stage][r.task] = s
+	st.link(&jr.prim, s)
 	if guaranteed {
-		st.maxPush(&jr.guarHeap, s)
+		// dispatchGuaranteed starts work only while the guaranteed class is
+		// smaller than the guarantee, which after reclassify means it holds
+		// every primary; so the class grows to the whole list.
 		jr.guarCount++
-	} else {
-		st.maxPush(&jr.spareMax, s)
-		st.minPush(&jr.spareMin, s)
+		jr.guarLast = jr.prim.tail
+	} else if g := jr.guarLast; g >= 0 && st.less(s, g) {
+		// A guaranteed attempt started at this same instant sorts after s.
+		// Hand the boundary attempt's flag to s, so the guaranteed class
+		// stays a prefix; the next reclassify settles the rank partition.
+		st.flags[s] |= flagGuar
+		st.flags[g] &^= flagGuar
+		jr.guarLast = st.prevJ[g]
 	}
 	jr.liveRunning++
 	c.totalRunning++

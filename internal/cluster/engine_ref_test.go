@@ -1,23 +1,29 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 )
 
-// This file keeps the retired full-fleet walks of the scheduling pass as
-// reference implementations. The production pass repairs only the jobs in
-// its dirty set and reads the eviction pick off the spare-top heap; init
-// installs checkAgainstRef as the per-pass hook (checkPass), so every
-// scheduling pass of every test in this package diffs that incremental
-// state against the walks it replaced:
+// This file keeps the reference check of the scheduling pass. The
+// production pass repairs only the jobs in its dirty set, keeps each job's
+// attempts in start-ordered lists with the guaranteed class a prefix, and
+// reads the eviction pick off the spare-top heap; init installs
+// checkAgainstRef as the per-pass hook (checkPass), so every scheduling pass
+// of every test in this package diffs that incremental state against a
+// from-scratch derivation that trusts none of it. The live attempts are
+// gathered from the machine task lists, the one index the class structures
+// do not maintain, and sorted by taskStore.less; from that:
 //
-//   - refReclassify, the retired reclassify, walks every live job with the
-//     contention factor read off the clock, and must find nothing to move;
-//   - checkRankPartition re-derives each live job's guaranteed class from
-//     scratch and compares it with the rank partition;
-//   - refYoungestSpare, the retired eviction scan over live jobs in id
-//     order, must pick the spare-top heap's root.
+//   - checkRankPartition requires each live job's guaranteed flags on
+//     exactly its first min(effective guarantee, running) primaries, and
+//     its two lists to hold exactly its primaries and duplicates, in order;
+//   - checkLive pins the live index and each job's spare top and place in
+//     the spare-top heap;
+//   - refYoungestSpare, a scan over the gathered spare attempts with jobs
+//     in id order, must pick the spare-top heap's root.
 //
 // A divergence panics, which fails the test (or fuzz input) that drove the
 // pass. Benchmarks turn the hook off with withoutPassCheck.
@@ -42,124 +48,133 @@ func refEffectiveGuarantee(c *Cluster, jr *jobRun) int {
 	return int(float64(jr.guarantee) * f)
 }
 
-// refReclassify is the retired reclassify, verbatim except that it reports
-// how many attempts it moved: a full walk over every live job.
-func refReclassify(c *Cluster) int {
+// refSlots is the gathering buffer, reused across passes so that the hook
+// adds no allocations to this package's steady-state allocation tests.
+var refSlots []int32
+
+// refLiveAttempts gathers every live attempt from the machine task lists,
+// sorted by job, then primaries before duplicates, then taskStore.less.
+func refLiveAttempts(c *Cluster) []int32 {
 	st := &c.store
-	moves := 0
-	for _, jr := range c.live {
-		if jr.liveRunning == 0 {
-			continue
-		}
-		target := refEffectiveGuarantee(c, jr)
-		if jr.liveRunning < target {
-			target = jr.liveRunning
-		}
-		for jr.guarCount > target {
-			s := jr.guarHeap.s[0]
-			st.maxRemove(&jr.guarHeap, s)
-			st.flags[s] &^= flagGuar
-			st.maxPush(&jr.spareMax, s)
-			st.minPush(&jr.spareMin, s)
-			jr.guarCount--
-			moves++
-		}
-		for jr.guarCount < target {
-			s := jr.spareMin.s[0]
-			st.minRemove(&jr.spareMin, s)
-			st.maxRemove(&jr.spareMax, s)
-			st.flags[s] |= flagGuar
-			st.maxPush(&jr.guarHeap, s)
-			jr.guarCount++
-			moves++
-		}
-		for len(jr.spareMin.s) > 0 && len(jr.guarHeap.s) > 0 &&
-			st.less(jr.spareMin.s[0], jr.guarHeap.s[0]) {
-			g := jr.guarHeap.s[0]
-			sp := jr.spareMin.s[0]
-			st.maxRemove(&jr.guarHeap, g)
-			st.flags[g] &^= flagGuar
-			st.maxPush(&jr.spareMax, g)
-			st.minPush(&jr.spareMin, g)
-			st.minRemove(&jr.spareMin, sp)
-			st.maxRemove(&jr.spareMax, sp)
-			st.flags[sp] |= flagGuar
-			st.maxPush(&jr.guarHeap, sp)
-			moves += 2
+	all := refSlots[:0]
+	for _, head := range c.mHead {
+		for s := head; s >= 0; s = st.nextM[s] {
+			all = append(all, s)
 		}
 	}
-	return moves
+	slices.SortFunc(all, func(a, b int32) int {
+		if d := cmp.Compare(st.job[a], st.job[b]); d != 0 {
+			return d
+		}
+		if d := cmp.Compare(st.flags[a]&flagDup, st.flags[b]&flagDup); d != 0 {
+			return d
+		}
+		if st.less(a, b) {
+			return -1
+		}
+		if st.less(b, a) {
+			return 1
+		}
+		return 0
+	})
+	refSlots = all
+	return all
 }
 
-// refYoungestSpare is the retired eviction scan: every live job in job-id
-// order, each contributing the later of its two spare heap tops, with a
-// strict less so the first job keeps a tie.
-func refYoungestSpare(c *Cluster) (int32, *jobRun) {
+// refJobAttempts splits the gathered attempts of job id, which lead all,
+// into its primaries and duplicates, and returns the rest.
+func refJobAttempts(c *Cluster, all []int32, id int) (prim, dups, rest []int32) {
 	st := &c.store
-	best := int32(-1)
-	var bestJob *jobRun
-	for _, jr := range c.jobs {
-		if !jr.arrived || jr.completed {
-			continue
-		}
-		cand := int32(-1)
-		if len(jr.spareMax.s) > 0 {
-			cand = jr.spareMax.s[0]
-		}
-		if len(jr.dupHeap.s) > 0 && (cand < 0 || st.less(cand, jr.dupHeap.s[0])) {
-			cand = jr.dupHeap.s[0]
-		}
-		if cand >= 0 && (best < 0 || st.less(best, cand)) {
-			best, bestJob = cand, jr
-		}
+	n := 0
+	for n < len(all) && st.job[all[n]] == int32(id) {
+		n++
 	}
-	return best, bestJob
+	np := 0
+	for np < n && st.flags[all[np]]&flagDup == 0 {
+		np++
+	}
+	return all[:np], all[np:n], all[n:]
 }
 
-// checkRankPartition re-derives one job's classes by linear scans, trusting
-// no heap order: the guaranteed class must hold exactly
-// min(effective guarantee, running primaries) attempts, every one of them
-// started before every spare primary.
-func checkRankPartition(c *Cluster, jr *jobRun) error {
-	st := &c.store
-	if jr.guarCount != len(jr.guarHeap.s) || jr.liveRunning != len(jr.guarHeap.s)+len(jr.spareMax.s) ||
-		len(jr.spareMin.s) != len(jr.spareMax.s) {
-		return fmt.Errorf("class counts: guarCount %d, liveRunning %d, heaps %d/%d/%d",
-			jr.guarCount, jr.liveRunning, len(jr.guarHeap.s), len(jr.spareMax.s), len(jr.spareMin.s))
+// refTarget is the size of the job's guaranteed class in the rank partition.
+func refTarget(c *Cluster, jr *jobRun, prim []int32) int {
+	return min(refEffectiveGuarantee(c, jr), len(prim))
+}
+
+// refSpareTop is the job's latest-started spare attempt in the rank
+// partition (-1 when it has none).
+func refSpareTop(c *Cluster, jr *jobRun, prim, dups []int32) int32 {
+	top := int32(-1)
+	if refTarget(c, jr, prim) < len(prim) {
+		top = prim[len(prim)-1]
 	}
-	target := refEffectiveGuarantee(c, jr)
-	if jr.liveRunning < target {
-		target = jr.liveRunning
+	if n := len(dups); n > 0 && (top < 0 || c.store.less(top, dups[n-1])) {
+		top = dups[n-1]
 	}
-	if jr.guarCount != target {
-		return fmt.Errorf("guaranteed class holds %d attempts, rank partition %d", jr.guarCount, target)
+	return top
+}
+
+// checkList requires list l to hold exactly want, in order, with
+// consistent back links.
+func checkList(st *taskStore, name string, l slotList, want []int32) error {
+	prev := int32(-1)
+	s := l.head
+	for i, w := range want {
+		if s != w {
+			return fmt.Errorf("%s list position %d holds slot %d, want %d", name, i, s, w)
+		}
+		if st.prevJ[s] != prev {
+			return fmt.Errorf("%s list slot %d links back to %d, want %d", name, s, st.prevJ[s], prev)
+		}
+		prev, s = s, st.nextJ[s]
 	}
-	latestGuar := int32(-1)
-	for _, s := range jr.guarHeap.s {
-		if st.flags[s]&(flagGuar|flagDup) != flagGuar {
-			return fmt.Errorf("guaranteed-heap slot %d has flags %b", s, st.flags[s])
-		}
-		if latestGuar < 0 || st.less(latestGuar, s) {
-			latestGuar = s
-		}
-	}
-	for _, s := range jr.spareMax.s {
-		if st.flags[s]&(flagGuar|flagDup) != 0 {
-			return fmt.Errorf("spare-heap slot %d has flags %b", s, st.flags[s])
-		}
-		if latestGuar >= 0 && !st.less(latestGuar, s) {
-			return fmt.Errorf("spare slot %d started before guaranteed slot %d", s, latestGuar)
-		}
+	if s >= 0 || l.tail != prev {
+		return fmt.Errorf("%s list runs past its %d attempts (next %d, tail %d, want %d)", name, len(want), s, l.tail, prev)
 	}
 	return nil
 }
 
+// checkRankPartition requires the job's guaranteed flags, counts, boundary
+// and lists to match the rank partition of its gathered attempts: the
+// first min(effective guarantee, running) primaries guaranteed, the rest
+// spare.
+func checkRankPartition(c *Cluster, jr *jobRun, prim, dups []int32) error {
+	st := &c.store
+	target := refTarget(c, jr, prim)
+	if jr.liveRunning != len(prim) || jr.guarCount != target {
+		return fmt.Errorf("liveRunning %d, guarCount %d; %d primaries run, rank partition guarantees %d",
+			jr.liveRunning, jr.guarCount, len(prim), target)
+	}
+	for i, s := range prim {
+		if guar := st.flags[s]&flagGuar != 0; guar != (i < target) {
+			return fmt.Errorf("primary slot %d of rank %d has flags %b, want guaranteed %t", s, i, st.flags[s], i < target)
+		}
+	}
+	for _, s := range dups {
+		if st.flags[s]&flagGuar != 0 {
+			return fmt.Errorf("duplicate slot %d has flags %b", s, st.flags[s])
+		}
+	}
+	last := int32(-1)
+	if target > 0 {
+		last = prim[target-1]
+	}
+	if jr.guarLast != last {
+		return fmt.Errorf("guaranteed boundary at slot %d, want %d", jr.guarLast, last)
+	}
+	if err := checkList(st, "primary", jr.prim, prim); err != nil {
+		return err
+	}
+	return checkList(st, "duplicate", jr.dups, dups)
+}
+
 // checkLive pins the live index and the spare-top heap against the job
-// table: live is the tracked live jobs, then the untracked ones, each in
-// id order, and the heap holds exactly the live jobs with a spare attempt,
-// each at its recorded position with its current top.
-func checkLive(c *Cluster) error {
-	i, inHeap := 0, 0
+// table and the gathered attempts: live is the tracked live jobs, then the
+// untracked ones, each in id order; only live jobs run attempts; and the
+// heap holds exactly the jobs with a spare attempt, each at its recorded
+// position with its from-scratch spare top.
+func checkLive(c *Cluster, all []int32) error {
+	i := 0
 	for _, tracked := range []bool{true, false} {
 		for _, jr := range c.jobs {
 			if !jr.arrived || jr.completed || jr.cfg.Tracked != tracked {
@@ -169,27 +184,32 @@ func checkLive(c *Cluster) error {
 				return fmt.Errorf("live[%d] is not job %d", i, jr.id)
 			}
 			i++
-			top := int32(-1)
-			if len(jr.spareMax.s) > 0 {
-				top = jr.spareMax.s[0]
-			}
-			if len(jr.dupHeap.s) > 0 && (top < 0 || c.store.less(top, jr.dupHeap.s[0])) {
-				top = jr.dupHeap.s[0]
-			}
-			if jr.spareTop != top {
-				return fmt.Errorf("job %d spare top %d, want %d", jr.id, jr.spareTop, top)
-			}
-			if top < 0 {
-				continue
-			}
-			inHeap++
-			if p := int(jr.topPos); p < 0 || p >= len(c.spareTops) || c.spareTops[p] != jr {
-				return fmt.Errorf("job %d not at its spare-top heap position %d", jr.id, p)
-			}
 		}
 	}
 	if i != len(c.live) || i < c.liveTracked {
 		return fmt.Errorf("live holds %d jobs (%d tracked), want %d", len(c.live), c.liveTracked, i)
+	}
+	inHeap := 0
+	for _, jr := range c.jobs {
+		var prim, dups []int32
+		prim, dups, all = refJobAttempts(c, all, jr.id)
+		if (!jr.arrived || jr.completed) && len(prim)+len(dups) > 0 {
+			return fmt.Errorf("job %d is not live but runs %d attempts", jr.id, len(prim)+len(dups))
+		}
+		top := refSpareTop(c, jr, prim, dups)
+		if jr.spareTop != top {
+			return fmt.Errorf("job %d spare top %d, want %d", jr.id, jr.spareTop, top)
+		}
+		if top < 0 {
+			continue
+		}
+		inHeap++
+		if p := int(jr.topPos); p < 0 || p >= len(c.spareTops) || c.spareTops[p] != jr {
+			return fmt.Errorf("job %d not at its spare-top heap position %d", jr.id, p)
+		}
+	}
+	if len(all) > 0 {
+		return fmt.Errorf("slot %d runs for unknown job %d", all[0], c.store.job[all[0]])
 	}
 	if inHeap != len(c.spareTops) {
 		return fmt.Errorf("spare-top heap holds %d jobs, want %d", len(c.spareTops), inHeap)
@@ -197,10 +217,26 @@ func checkLive(c *Cluster) error {
 	return nil
 }
 
+// refYoungestSpare is the eviction scan: over the live jobs in id order,
+// each contributing its from-scratch spare top, with a strict less so the
+// first job keeps a tie.
+func refYoungestSpare(c *Cluster, all []int32) (int32, *jobRun) {
+	best := int32(-1)
+	var bestJob *jobRun
+	for _, jr := range c.jobs {
+		var prim, dups []int32
+		prim, dups, all = refJobAttempts(c, all, jr.id)
+		if cand := refSpareTop(c, jr, prim, dups); cand >= 0 && (best < 0 || c.store.less(best, cand)) {
+			best, bestJob = cand, jr
+		}
+	}
+	return best, bestJob
+}
+
 // checkAgainstRef is the per-pass hook: it runs right after reclassify.
 func checkAgainstRef(c *Cluster) {
 	fail := func(format string, args ...any) {
-		panic(fmt.Sprintf("cluster: pass at t=%v diverged from the reference walks: ", c.now) +
+		panic(fmt.Sprintf("cluster: pass at t=%v diverged from the reference check: ", c.now) +
 			fmt.Sprintf(format, args...))
 	}
 	if c.dirty != nil {
@@ -209,19 +245,20 @@ func checkAgainstRef(c *Cluster) {
 	if f := c.contentionFrac(); f != c.frac {
 		fail("contention factor %v, clock says %v", c.frac, f)
 	}
-	if err := checkLive(c); err != nil {
+	all := refLiveAttempts(c)
+	if err := checkLive(c, all); err != nil {
 		fail("%v", err)
 	}
-	for _, jr := range c.live {
-		if err := checkRankPartition(c, jr); err != nil {
+	rest := all
+	for _, jr := range c.jobs {
+		var prim, dups []int32
+		prim, dups, rest = refJobAttempts(c, rest, jr.id)
+		if err := checkRankPartition(c, jr, prim, dups); err != nil {
 			fail("job %d: %v", jr.id, err)
 		}
 	}
-	if n := refReclassify(c); n != 0 {
-		fail("the full-walk reclassify moved %d attempts", n)
-	}
 	got, gotJob := c.youngestSpare()
-	want, wantJob := refYoungestSpare(c)
+	want, wantJob := refYoungestSpare(c, all)
 	if got != want || gotJob != wantJob {
 		fail("eviction pick slot %d, scan picks slot %d", got, want)
 	}

@@ -17,7 +17,7 @@ import (
 //     state after the first run;
 //   - task-attempt state lives in the cluster's taskStore (store.go), whose
 //     flat arrays and free list keep their capacity across Reset;
-//   - the event queue, machine arrays, and class heaps keep their capacity
+//   - the event queue, machine arrays, and spare-top heap keep their capacity
 //     across Reset.
 //
 // A reset engine is bit-identical in behavior to cluster.New with the same

@@ -26,12 +26,11 @@ type taskStore struct {
 	startedAt []time.Duration // dispatch time
 	execStart []time.Duration // after init delay
 	flags     []uint8
-	// heapPos is the slot's index in the one job heap it belongs to
-	// (guarHeap, spareMax, or dupHeap — membership is exclusive); minPos is
-	// its index in the job's spareMin heap (spare primaries only). The back
-	// pointers make removal from the middle of a heap O(log n).
-	heapPos []int32
-	minPos  []int32
+	// nextJ/prevJ link the slot into one of its job's two intrusive
+	// doubly-linked lists, primaries or duplicates (jobRun.prim, jobRun.dups),
+	// each kept in less order.
+	nextJ []int32
+	prevJ []int32
 	// nextM/prevM link the slot into its machine's intrusive doubly-linked
 	// task list, so killing a machine touches only that machine's tasks.
 	nextM []int32
@@ -66,15 +65,15 @@ func (st *taskStore) alloc() int32 {
 	st.startedAt = append(st.startedAt, 0)
 	st.execStart = append(st.execStart, 0)
 	st.flags = append(st.flags, 0)
-	st.heapPos = append(st.heapPos, -1)
-	st.minPos = append(st.minPos, -1)
+	st.nextJ = append(st.nextJ, -1)
+	st.prevJ = append(st.prevJ, -1)
 	st.nextM = append(st.nextM, -1)
 	st.prevM = append(st.prevM, -1)
 	return s
 }
 
 // release returns a slot to the free list. The slot must already be detached
-// from its heaps and machine list.
+// from its job and machine lists.
 //
 //jockey:hotpath
 func (st *taskStore) release(s int32) {
@@ -91,8 +90,8 @@ func (st *taskStore) reset() {
 	st.startedAt = st.startedAt[:0]
 	st.execStart = st.execStart[:0]
 	st.flags = st.flags[:0]
-	st.heapPos = st.heapPos[:0]
-	st.minPos = st.minPos[:0]
+	st.nextJ = st.nextJ[:0]
+	st.prevJ = st.prevJ[:0]
 	st.nextM = st.nextM[:0]
 	st.prevM = st.prevM[:0]
 	st.free = st.free[:0]
@@ -127,142 +126,51 @@ func (st *taskStore) before(a, b int32) bool {
 	return !st.less(b, a) && st.job[a] < st.job[b]
 }
 
-// slotHeap is a binary heap of store slot ids. Max-heaps (guarHeap,
-// spareMax, dupHeap) track positions in taskStore.heapPos; the one min-heap
-// (spareMin) tracks positions in taskStore.minPos, so a spare primary can
-// sit in both a max- and a min-heap at once.
-type slotHeap struct {
-	s []int32
+// slotList heads an intrusive doubly-linked list of store slots, linked
+// through taskStore.nextJ/prevJ; -1 marks an empty end.
+type slotList struct {
+	head, tail int32
 }
 
-//jockey:hotpath
-func (st *taskStore) maxSwap(h *slotHeap, i, j int) {
-	h.s[i], h.s[j] = h.s[j], h.s[i]
-	st.heapPos[h.s[i]] = int32(i)
-	st.heapPos[h.s[j]] = int32(j)
-}
-
-//jockey:hotpath
-func (st *taskStore) maxUp(h *slotHeap, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !st.less(h.s[parent], h.s[i]) {
-			return
-		}
-		st.maxSwap(h, i, parent)
-		i = parent
-	}
-}
-
-//jockey:hotpath
-func (st *taskStore) maxDown(h *slotHeap, i int) bool {
-	moved := false
-	n := len(h.s)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return moved
-		}
-		big := left
-		if right := left + 1; right < n && st.less(h.s[left], h.s[right]) {
-			big = right
-		}
-		if !st.less(h.s[i], h.s[big]) {
-			return moved
-		}
-		st.maxSwap(h, i, big)
-		i = big
-		moved = true
-	}
-}
-
-//jockey:hotpath
-func (st *taskStore) maxPush(h *slotHeap, s int32) {
-	h.s = append(h.s, s)
-	i := len(h.s) - 1
-	st.heapPos[s] = int32(i)
-	st.maxUp(h, i)
-}
-
-// maxRemove deletes slot s from anywhere in the heap via its back pointer.
+// link inserts slot s into l, keeping l in less order. Every attempt is
+// dispatched at the current clock, so s sorts after every attempt that
+// started earlier: the walk back from the tail passes only same-time
+// attempts that sort after it, and is usually empty.
 //
 //jockey:hotpath
-func (st *taskStore) maxRemove(h *slotHeap, s int32) {
-	i := int(st.heapPos[s])
-	n := len(h.s) - 1
-	last := h.s[n]
-	h.s = h.s[:n]
-	if i == n {
-		return
+func (st *taskStore) link(l *slotList, s int32) {
+	prev := l.tail
+	for prev >= 0 && st.less(s, prev) {
+		prev = st.prevJ[prev]
 	}
-	h.s[i] = last
-	st.heapPos[last] = int32(i)
-	if !st.maxDown(h, i) {
-		st.maxUp(h, i)
+	st.prevJ[s] = prev
+	if prev >= 0 {
+		st.nextJ[s] = st.nextJ[prev]
+		st.nextJ[prev] = s
+	} else {
+		st.nextJ[s] = l.head
+		l.head = s
 	}
-}
-
-//jockey:hotpath
-func (st *taskStore) minSwap(h *slotHeap, i, j int) {
-	h.s[i], h.s[j] = h.s[j], h.s[i]
-	st.minPos[h.s[i]] = int32(i)
-	st.minPos[h.s[j]] = int32(j)
-}
-
-//jockey:hotpath
-func (st *taskStore) minUp(h *slotHeap, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !st.less(h.s[i], h.s[parent]) {
-			return
-		}
-		st.minSwap(h, i, parent)
-		i = parent
+	if next := st.nextJ[s]; next >= 0 {
+		st.prevJ[next] = s
+	} else {
+		l.tail = s
 	}
 }
 
+// unlink removes slot s from l in O(1), leaving s's own links readable.
+//
 //jockey:hotpath
-func (st *taskStore) minDown(h *slotHeap, i int) bool {
-	moved := false
-	n := len(h.s)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return moved
-		}
-		small := left
-		if right := left + 1; right < n && st.less(h.s[right], h.s[left]) {
-			small = right
-		}
-		if !st.less(h.s[small], h.s[i]) {
-			return moved
-		}
-		st.minSwap(h, i, small)
-		i = small
-		moved = true
+func (st *taskStore) unlink(l *slotList, s int32) {
+	prev, next := st.prevJ[s], st.nextJ[s]
+	if prev >= 0 {
+		st.nextJ[prev] = next
+	} else {
+		l.head = next
 	}
-}
-
-//jockey:hotpath
-func (st *taskStore) minPush(h *slotHeap, s int32) {
-	h.s = append(h.s, s)
-	i := len(h.s) - 1
-	st.minPos[s] = int32(i)
-	st.minUp(h, i)
-}
-
-//jockey:hotpath
-func (st *taskStore) minRemove(h *slotHeap, s int32) {
-	i := int(st.minPos[s])
-	n := len(h.s) - 1
-	last := h.s[n]
-	h.s = h.s[:n]
-	if i == n {
-		return
-	}
-	h.s[i] = last
-	st.minPos[last] = int32(i)
-	if !st.minDown(h, i) {
-		st.minUp(h, i)
+	if next >= 0 {
+		st.prevJ[next] = prev
+	} else {
+		l.tail = prev
 	}
 }

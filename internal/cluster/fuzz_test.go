@@ -20,8 +20,9 @@ import (
 // failures and speculation — and checks the promises the engine makes on
 // each of them:
 //
-//   - every scheduling pass matches the retired full walks (the checkPass
-//     hook of engine_ref_test.go, active in every test of this package);
+//   - every scheduling pass matches the classes derived from scratch by
+//     the checkPass hook of engine_ref_test.go, active in every test of
+//     this package;
 //   - the replay is byte-identical on the event queue's heap and calendar
 //     regimes;
 //   - it is byte-identical on a fresh cluster and on a reused engine, over

@@ -366,7 +366,15 @@ func TestRandomJobsInvariantsProperty(t *testing.T) {
 		}
 		// Critical path with unit costs is between 1 and #stages.
 		cp := j.CriticalPath(func(int) time.Duration { return time.Second })
-		return cp >= time.Second && cp <= time.Duration(j.NumStages())*time.Second
+		if cp < time.Second || cp > time.Duration(j.NumStages())*time.Second {
+			return false
+		}
+		// The dependency tracker agrees with the definition of readiness.
+		if err := checkTracker(j, r); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

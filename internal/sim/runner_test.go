@@ -254,57 +254,6 @@ func TestRunnerValidation(t *testing.T) {
 	}
 }
 
-// TestReadyFIFOCompaction pins the ready-queue policy: entries are served
-// strictly FIFO, compaction (copy-down at >= readyCompactMin dead entries
-// occupying >= half the slice) preserves both order and content, and reset
-// rewinds the queue while keeping its capacity.
-func TestReadyFIFOCompaction(t *testing.T) {
-	r := NewRunner()
-	// Exercise popReady/markReady directly: push 3000, pop interleaved.
-	r.job = dag.NewBuilder("fifo").Stage("s", 1).MustBuild()
-	r.queuedAt = [][]time.Duration{make([]time.Duration, 3000)}
-	next := 0
-	popped := 0
-	for next < 3000 {
-		r.markReady(0, next%1) // stage 0, task 0; identity tracked via order
-		next++
-		if next%2 == 0 {
-			if _, ok := r.popReady(); !ok {
-				t.Fatal("pop failed with entries pending")
-			}
-			popped++
-		}
-	}
-	for {
-		if _, ok := r.popReady(); !ok {
-			break
-		}
-		popped++
-	}
-	if popped != 3000 {
-		t.Fatalf("popped %d entries, want 3000", popped)
-	}
-	// Compaction must have bounded the slice: without it the backing array
-	// holds all 3000 entries; with the copy-down policy the head index can
-	// never exceed len once readyCompactMin dead entries dominate.
-	if len(r.ready) > 2*readyCompactMin {
-		t.Errorf("ready slice holds %d entries after drain; compaction did not run", len(r.ready))
-	}
-	// FIFO order with distinct refs across a compaction boundary.
-	r.ready = r.ready[:0]
-	r.readyHead = 0
-	r.queuedAt = [][]time.Duration{make([]time.Duration, 4096)}
-	for i := 0; i < 4096; i++ {
-		r.markReady(0, i)
-	}
-	for i := 0; i < 4096; i++ {
-		ref, ok := r.popReady()
-		if !ok || ref.task != i {
-			t.Fatalf("FIFO order broken at %d: got task %d ok=%v", i, ref.task, ok)
-		}
-	}
-}
-
 // BenchmarkSimRun measures one simulation of job-E scale (plan from the
 // workload generator is too heavy for a micro-bench; this DAG matches its
 // structure) with a reused Runner vs a fresh Runner per run.

@@ -13,6 +13,7 @@ package profile
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/dag"
@@ -40,6 +41,32 @@ type StageProfile struct {
 	TotalQueue time.Duration
 	// LongestTask is l_s: the longest observed task execution time.
 	LongestTask time.Duration
+}
+
+// SampleAttempt draws one task attempt from the stage's distributions, in
+// this order: the queue delay, the service time (multiplied by drift), and,
+// if mayFail and the stage can fail, the failure draw. A failing attempt
+// dies a uniform fraction of the way through its service time, drawn last,
+// and exec is that partial time. A service time that comes out zero or
+// negative is 1 ms instead.
+//
+//jockey:hotpath
+func (sp *StageProfile) SampleAttempt(rng *rand.Rand, drift float64, mayFail bool) (queue, exec time.Duration, fails bool) {
+	queue = sp.Queue.Sample(rng)
+	exec = sp.Exec.Sample(rng)
+	if drift != 1 {
+		exec = time.Duration(float64(exec) * drift)
+	}
+	if exec <= 0 {
+		exec = time.Millisecond
+	}
+	if mayFail && sp.FailureProb > 0 && rng.Float64() < sp.FailureProb {
+		fails = true
+		if exec = time.Duration(float64(exec) * rng.Float64()); exec <= 0 {
+			exec = time.Millisecond
+		}
+	}
+	return queue, exec, fails
 }
 
 // Profile is a complete job profile: the plan plus per-stage statistics.

@@ -3,6 +3,7 @@ package profile
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"time"
@@ -286,6 +287,42 @@ func TestProfileUnmarshalErrors(t *testing.T) {
 		var p Profile
 		if err := json.Unmarshal([]byte(c), &p); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+// TestSampleAttemptDrawOrder pins the order of SampleAttempt's draws, which
+// fixes every simulated run: queue delay, service time, then the failure
+// draw and the failed fraction. A run that may not fail draws no more.
+func TestSampleAttemptDrawOrder(t *testing.T) {
+	sp := StageProfile{
+		Exec:        stats.Exponential{MeanValue: 9 * time.Second},
+		Queue:       stats.Uniform{Lo: time.Second, Hi: 4 * time.Second},
+		FailureProb: 0.4,
+	}
+	for seed := uint64(0); seed < 200; seed++ {
+		for _, mayFail := range []bool{false, true} {
+			got := rand.New(rand.NewPCG(seed, 1))
+			want := rand.New(rand.NewPCG(seed, 1))
+			queue, exec, fails := sp.SampleAttempt(got, 2, mayFail)
+			wantQueue := sp.Queue.Sample(want)
+			wantExec := time.Duration(float64(sp.Exec.Sample(want)) * 2)
+			if wantExec <= 0 {
+				wantExec = time.Millisecond
+			}
+			wantFails := mayFail && want.Float64() < sp.FailureProb
+			if wantFails {
+				if wantExec = time.Duration(float64(wantExec) * want.Float64()); wantExec <= 0 {
+					wantExec = time.Millisecond
+				}
+			}
+			if queue != wantQueue || exec != wantExec || fails != wantFails {
+				t.Fatalf("seed %d mayFail %v: got (%v, %v, %v), want (%v, %v, %v)",
+					seed, mayFail, queue, exec, fails, wantQueue, wantExec, wantFails)
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("seed %d mayFail %v: SampleAttempt consumed a different number of draws", seed, mayFail)
+			}
 		}
 	}
 }

@@ -34,6 +34,8 @@ const ModulePath = "github.com/jockeysim/jockey"
 // the experiment harness may read the wall clock (progress logs, measured
 // speedups); these packages may not.
 var DeterministicPackages = map[string]bool{
+	ModulePath + "/internal/dag":      true,
+	ModulePath + "/internal/eventq":   true,
 	ModulePath + "/internal/sim":      true,
 	ModulePath + "/internal/cluster":  true,
 	ModulePath + "/internal/model":    true,

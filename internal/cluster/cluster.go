@@ -330,17 +330,21 @@ type Cluster struct {
 	tracked int // tracked jobs not yet completed
 	holds   int // open Hold()s keeping Run alive (the fleet arbiter's latch)
 
-	// live indexes the jobs every scheduling pass actually iterates: arrived
-	// and not yet completed. It is two sublists in one array, tracked jobs
-	// in live[:liveTracked] and untracked ones after them, each in job-id
-	// (submission) order, so walking it in order is the guaranteed-dispatch
-	// order; picks that break ties by job order (spare round-robin,
-	// speculation, eviction) compare job ids explicitly. A fleet replay
-	// admits thousands of jobs over one cluster's lifetime; without this
-	// index each reschedule pays O(admitted) even when a handful of jobs
-	// are running.
-	live        []*jobRun
-	liveTracked int
+	// live indexes the jobs that have arrived and not yet completed, in
+	// live order (cmpLive): tracked jobs first, then untracked ones, each in
+	// job-id (submission) order. A fleet replay admits thousands of jobs
+	// over one cluster's lifetime; without this index each reschedule pays
+	// O(admitted) even when a handful of jobs are running.
+	live []*jobRun
+	// ready and spec are the subsets of live the dispatchers walk, both in
+	// live order: ready holds the jobs with ready work (syncReady), spec the
+	// jobs that speculate. On a fleet replay most live jobs have no ready
+	// work at any one pass, and a walk over ready costs only the jobs that
+	// can take a slot. Picks
+	// that break ties by job order (spare round-robin, speculation,
+	// eviction) compare job ids explicitly.
+	ready []*jobRun
+	spec  []*jobRun
 
 	// dirty heads the intrusive stack (jobRun.dirtyNext) of jobs whose
 	// class partition the next reclassify must repair.
@@ -428,7 +432,8 @@ func (c *Cluster) init(cfg Config) error {
 	c.holds = 0
 	c.jobs = c.jobs[:0] // arenas were recycled by Engine.Reset
 	c.live = c.live[:0]
-	c.liveTracked = 0
+	c.ready = c.ready[:0]
+	c.spec = c.spec[:0]
 	c.dirty = nil
 	c.frac = c.contentionFrac()
 	c.spareTops = c.spareTops[:0]
@@ -615,8 +620,12 @@ type jobRun struct {
 
 	arrived   bool
 	completed bool
-	start     time.Duration
-	result    Result
+	// inReady marks membership in the cluster's ready index: whether deps
+	// held ready work when it last changed. It sits in the padding after
+	// the flags above, so it moves no other field.
+	inReady bool
+	start   time.Duration
+	result  Result
 
 	guarantee int
 	deadline  time.Duration
@@ -711,6 +720,7 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.guarantee = cfg.Guarantee
 	jr.deadline = cfg.Deadline
 	jr.deps.Reset()
+	jr.inReady = false
 	jr.prim = slotList{-1, -1}
 	jr.dups = slotList{-1, -1}
 	jr.guarLast = -1

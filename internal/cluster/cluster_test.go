@@ -512,6 +512,7 @@ func TestCrossJobTiesGoToLowerJobID(t *testing.T) {
 	c := setup(1, 0)
 	for _, jr := range c.jobs {
 		jr.deps.MarkReady(0, 0, 0)
+		c.syncReady(jr)
 	}
 	c.dispatchSpare()
 	if c.jobs[0].liveRunning != 1 || c.jobs[1].liveRunning != 0 {
@@ -560,6 +561,95 @@ func TestEvictionSeesOrphanedDuplicate(t *testing.T) {
 	checkAgainstRef(c)
 	if s, job := c.youngestSpare(); job != jr || s != jr.dupSlot[0][0] {
 		t.Errorf("eviction pick = slot %d, want the orphaned duplicate %d", s, jr.dupSlot[0][0])
+	}
+}
+
+// TestGuaranteedPassServesVictimsInLiveOrder pins the order in which one
+// guaranteed pass serves jobs when a guaranteed start evicts another job's
+// spare attempt and so requeues the victim's task mid-pass. The rule is the
+// walk over every live job in live order: a victim that sorts after the job
+// it was evicted for is served in the same pass, one that sorts before it
+// waits for the next pass. Only an orphaned duplicate can be evicted from a
+// job below its guarantee (a job with a spare primary holds its whole
+// guarantee), so each case builds one on a cluster of four one-slot
+// machines:
+//
+//   - the victim (guarantee 1, speculating) ran its one task on machine 3
+//     and a duplicate of it on machine 0; machine 3 then failed;
+//   - the filler (guarantee 1) runs its two tasks on machines 1 and 2, the
+//     second on a spare token;
+//   - the arriving job (guarantee 1, one task) needs a guaranteed slot.
+//
+// By the live-walk rule, the arriving job evicts the youngest spare, the
+// duplicate, and starts on machine 0. A victim after it then evicts the
+// filler's spare and starts on machine 2 in the same pass; a victim before
+// it holds its requeued task until the next pass does the same.
+func TestGuaranteedPassServesVictimsInLiveOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		arriving, victim, filler int
+		victimServed             bool
+	}{
+		{"victim after", 0, 1, 2, true},
+		{"victim before", 1, 0, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Config{Machines: 4, SlotsPerMachine: 1, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgs := make([]JobConfig, 3)
+			cfgs[tc.arriving] = JobConfig{Profile: bigJob(t, "arriving", 1, time.Minute), Guarantee: 1}
+			cfgs[tc.victim] = JobConfig{Profile: bigJob(t, "victim", 1, time.Minute), Guarantee: 1,
+				SpeculativeThreshold: 1.5}
+			cfgs[tc.filler] = JobConfig{Profile: bigJob(t, "filler", 2, time.Minute), Guarantee: 1}
+			for _, cfg := range cfgs {
+				if _, err := c.Submit(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			arriving, victim, filler := c.jobs[tc.arriving], c.jobs[tc.victim], c.jobs[tc.filler]
+			for _, jr := range []*jobRun{victim, filler} {
+				jr.arrived = true
+				c.liveAdd(jr)
+			}
+			c.startTask(victim, dag.TaskRef{}, 3, true)
+			c.startTask(filler, dag.TaskRef{Task: 0}, 1, false)
+			c.startTask(filler, dag.TaskRef{Task: 1}, 2, false)
+			c.reclassify()
+			c.now = time.Hour
+			if !c.dispatchDuplicate(0) {
+				t.Fatal("no straggler qualified for speculation")
+			}
+			c.killMachine(3)
+
+			machine := func(jr *jobRun, task int) int {
+				if s := jr.slot[0][task]; s >= 0 {
+					return int(c.store.machine[s])
+				}
+				return -1
+			}
+			check := func(pass string, victimMachine, fillerReady int) {
+				t.Helper()
+				if got := machine(arriving, 0); got != 0 {
+					t.Errorf("%s: the arriving job runs on machine %d, want 0", pass, got)
+				}
+				if got := machine(victim, 0); got != victimMachine {
+					t.Errorf("%s: the victim runs on machine %d, want %d", pass, got, victimMachine)
+				}
+				if got := filler.deps.Len(); got != fillerReady {
+					t.Errorf("%s: the filler has %d ready tasks, want %d", pass, got, fillerReady)
+				}
+			}
+			c.handleArrival(tc.arriving)
+			if tc.victimServed {
+				check("arrival pass", 2, 1)
+				return
+			}
+			check("arrival pass", -1, 0)
+			c.reschedule()
+			check("next pass", 2, 1)
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/dag"
@@ -151,6 +152,7 @@ func (c *Cluster) handleArrival(id int) {
 		jr.result.Trace = trace.New(jr.job.Name, jr.job.NumStages())
 	}
 	jr.deps.Seed(c.now)
+	c.syncReady(jr)
 	if jr.cfg.Policy != nil {
 		c.controlDecision(jr)
 		c.q.Push(c.now+jr.cfg.ControlPeriod, event{kind: evControlTick, job: int32(id)})
@@ -397,7 +399,7 @@ func (c *Cluster) handleTaskEnd(ev event) {
 			c.reschedule()
 			return
 		}
-		jr.deps.Requeue(c.now, stage, task)
+		c.requeue(jr, stage, task)
 		c.reschedule()
 		return
 	}
@@ -421,6 +423,7 @@ func (c *Cluster) handleTaskEnd(ev event) {
 	}
 	st.release(s)
 	jr.deps.Complete(c.now, stage, task)
+	c.syncReady(jr)
 	if jr.deps.Left() == 0 {
 		c.completeJob(jr)
 	}
@@ -456,37 +459,91 @@ func (c *Cluster) recordAttempt(jr *jobRun, s int32, ended time.Duration, failed
 	}
 }
 
-// liveAdd inserts an arriving job into the live index. Tracked jobs fill
-// the front sublist and untracked ones the back, each in job-id
-// (submission) order; arrival events can fire out of submission order when
-// Start times differ. O(live), once per job lifetime.
-func (c *Cluster) liveAdd(jr *jobRun) {
-	lo, hi := c.liveTracked, len(c.live)
-	if jr.cfg.Tracked {
-		lo, hi = 0, c.liveTracked
-		c.liveTracked++
+// cmpLive is the live order: tracked jobs before untracked ones, each in
+// job-id (submission) order. Every job list the cluster keeps sorted (live,
+// ready, spec) is in this order, so walking one serves SLO jobs first.
+//
+//jockey:hotpath
+func cmpLive(a, b *jobRun) int {
+	if a.cfg.Tracked != b.cfg.Tracked {
+		if a.cfg.Tracked {
+			return -1
+		}
+		return 1
 	}
-	c.live = append(c.live, nil)
-	i := hi
-	for i > lo && c.live[i-1].id > jr.id {
-		i--
-	}
-	copy(c.live[i+1:], c.live[i:len(c.live)-1])
-	c.live[i] = jr
+	return a.id - b.id // ids are small and non-negative
 }
 
-// liveRemove drops a completed job from the live index. O(live), once per
-// job lifetime.
-func (c *Cluster) liveRemove(jr *jobRun) {
-	for i, other := range c.live {
-		if other == jr {
-			c.live = append(c.live[:i], c.live[i+1:]...)
-			if jr.cfg.Tracked {
-				c.liveTracked--
-			}
-			return
-		}
+// insertLive inserts jr at its place in list, which is in live order.
+func insertLive(list []*jobRun, jr *jobRun) []*jobRun {
+	i, _ := slices.BinarySearchFunc(list, jr, cmpLive)
+	return slices.Insert(list, i, jr)
+}
+
+// removeLive deletes jr, which list must hold, from list, which is in live
+// order.
+//
+//jockey:hotpath
+func removeLive(list []*jobRun, jr *jobRun) []*jobRun {
+	i, _ := slices.BinarySearchFunc(list, jr, cmpLive)
+	return slices.Delete(list, i, i+1)
+}
+
+// liveAdd inserts an arriving job into the live index, and into the
+// speculation list when it speculates. It also reserves room in the ready
+// index for every live job, so that syncReady never grows it. Arrival
+// events can fire out of submission order when Start times differ.
+// O(live), once per job lifetime.
+func (c *Cluster) liveAdd(jr *jobRun) {
+	c.live = insertLive(c.live, jr)
+	if jr.cfg.SpeculativeThreshold > 0 {
+		c.spec = insertLive(c.spec, jr)
 	}
+	c.ready = slices.Grow(c.ready, len(c.live)-len(c.ready))
+}
+
+// liveRemove drops a completed job from the live index and the speculation
+// list. A completed job has no ready work, so the ready index no longer
+// holds it. O(live), once per job lifetime.
+func (c *Cluster) liveRemove(jr *jobRun) {
+	c.live = removeLive(c.live, jr)
+	if jr.cfg.SpeculativeThreshold > 0 {
+		c.spec = removeLive(c.spec, jr)
+	}
+}
+
+// syncReady restores the job's ready-index membership after its ready
+// queue changed: the index holds exactly the live jobs with ready work, so
+// only a change between empty and non-empty edits it. It is small enough to
+// inline, since most calls find nothing to do.
+//
+//jockey:hotpath
+func (c *Cluster) syncReady(jr *jobRun) {
+	if (jr.deps.Len() > 0) != jr.inReady {
+		c.toggleReady(jr)
+	}
+}
+
+// toggleReady inserts the job into the ready index or removes it. liveAdd
+// reserved room for every live job, so an insert never grows the index.
+//
+//jockey:hotpath
+func (c *Cluster) toggleReady(jr *jobRun) {
+	jr.inReady = !jr.inReady
+	if jr.inReady {
+		c.ready = insertLive(c.ready, jr)
+	} else {
+		c.ready = removeLive(c.ready, jr)
+	}
+}
+
+// requeue counts a task's ended attempt and puts it back on its job's ready
+// queue.
+//
+//jockey:hotpath
+func (c *Cluster) requeue(jr *jobRun, stage, task int) {
+	jr.deps.Requeue(c.now, stage, task)
+	c.syncReady(jr)
 }
 
 func (c *Cluster) completeJob(jr *jobRun) {
@@ -659,7 +716,7 @@ func (c *Cluster) evictTask(jr *jobRun, s int32) {
 		if jr.slot[stage][task] < 0 {
 			// The duplicate was the only live copy (the primary had already
 			// failed or been evicted): requeue the task.
-			jr.deps.Requeue(c.now, stage, task)
+			c.requeue(jr, stage, task)
 		}
 		return
 	}
@@ -670,7 +727,7 @@ func (c *Cluster) evictTask(jr *jobRun, s int32) {
 		// The duplicate carries on; no requeue.
 		return
 	}
-	jr.deps.Requeue(c.now, stage, task)
+	c.requeue(jr, stage, task)
 }
 
 func (c *Cluster) handleMachineRecover(mi int) {
@@ -806,17 +863,27 @@ func (c *Cluster) reclassify() {
 	}
 }
 
-// dispatchGuaranteed starts ready tasks on guaranteed tokens. c.live holds
-// tracked (SLO) jobs before untracked ones, so walking it in order serves
-// SLO jobs first: admission control promised them their guarantees, so
-// they win when guarantees are over-subscribed.
+// dispatchGuaranteed starts ready tasks on guaranteed tokens. It walks the
+// ready index, which is in live order, so SLO jobs are served first:
+// admission control promised them their guarantees, so they win when
+// guarantees are over-subscribed.
+//
+// Serving a job can drop it from the index, and an eviction inside the
+// pass can requeue a victim's task and so insert the victim. After each job
+// the cursor moves to the first ready job that sorts after it: by position
+// while the job still stands at the cursor, else through readyAfter. So the
+// pass visits jobs in live order: a victim that sorts after the job it was
+// evicted for is served in this pass, and one that sorts before it waits
+// for the next pass.
 //
 //jockey:hotpath
 func (c *Cluster) dispatchGuaranteed() {
-	for _, jr := range c.live {
+	for i := 0; i < len(c.ready); {
+		jr := c.ready[i]
 		eff := c.effectiveGuarantee(jr)
 		for jr.guarCount < eff && jr.deps.Len() > 0 {
 			r, _ := jr.deps.Pop()
+			c.syncReady(jr)
 			mi := c.freeMachineFor(jr, r.Stage, r.Task)
 			if mi < 0 {
 				vs, vjob := c.youngestSpare()
@@ -824,6 +891,7 @@ func (c *Cluster) dispatchGuaranteed() {
 					// Every slot is running guaranteed work; put the task
 					// back for the next scheduling pass.
 					jr.deps.MarkReady(c.now, r.Stage, r.Task)
+					c.syncReady(jr)
 					return
 				}
 				mi = int(c.store.machine[vs])
@@ -831,7 +899,31 @@ func (c *Cluster) dispatchGuaranteed() {
 			}
 			c.startTask(jr, r, mi, true)
 		}
+		if i < len(c.ready) && c.ready[i] == jr {
+			i++
+		} else {
+			i = c.readyAfter(jr, i)
+		}
 	}
+}
+
+// readyAfter returns the position of the first ready job that sorts after
+// jr, which stood at position i when dispatchGuaranteed reached it and no
+// longer does. Usually jr left the index and its successor slid into i;
+// that is verified in O(1) against the index order. Otherwise (a victim
+// inserted before i) a binary search finds the position.
+//
+//jockey:hotpath
+func (c *Cluster) readyAfter(jr *jobRun, i int) int {
+	n := len(c.ready)
+	if (i == 0 || cmpLive(c.ready[i-1], jr) < 0) && (i == n || cmpLive(jr, c.ready[i]) < 0) {
+		return i
+	}
+	i, found := slices.BinarySearchFunc(c.ready, jr, cmpLive)
+	if found {
+		i++
+	}
+	return i
 }
 
 // youngestSpare returns the most recently started spare task in the
@@ -964,11 +1056,14 @@ func (c *Cluster) topRemove(jr *jobRun) {
 // weighted round-robin: each eligible job accrues credit proportional to
 // its weight, the highest-credit job gets the slot, and its credit is
 // charged the total weight. Over time a job receives spare slots in
-// proportion to its weight (the cluster's weighted fair sharing). Credit
-// ties go to the lower job id, so the pick does not depend on the order
-// c.live is walked in.
+// proportion to its weight (the cluster's weighted fair sharing). The
+// eligible jobs are the ready index less the NoSpare jobs, so a pick costs
+// the jobs that have ready work, not every live job. Credits are sums of
+// integer weights, which float64 holds exactly, and credit ties go to the
+// lower job id, so the pick does not depend on the order the jobs are
+// walked in.
 func (c *Cluster) dispatchSpare() {
-	if len(c.live) == 0 {
+	if len(c.ready) == 0 && len(c.spec) == 0 {
 		return
 	}
 	idle := 0
@@ -979,8 +1074,8 @@ func (c *Cluster) dispatchSpare() {
 		}
 		var pick *jobRun
 		totalWeight := 0.0
-		for _, jr := range c.live {
-			if jr.cfg.NoSpare || jr.deps.Len() == 0 {
+		for _, jr := range c.ready {
+			if jr.cfg.NoSpare {
 				continue
 			}
 			totalWeight += float64(jr.cfg.Weight)
@@ -1000,6 +1095,7 @@ func (c *Cluster) dispatchSpare() {
 		}
 		pick.spareCredit -= totalWeight
 		r, _ := pick.deps.Pop()
+		c.syncReady(pick)
 		if local := c.freeMachineFor(pick, r.Stage, r.Task); local >= 0 {
 			mi = local
 		}
@@ -1012,11 +1108,11 @@ func (c *Cluster) dispatchSpare() {
 }
 
 // dispatchDuplicate launches a speculative copy of the most-overdue
-// straggler (across speculation-enabled jobs) on the given machine. It
-// returns false if no task qualifies. Candidates are every unspeculated
-// running primary; the scan keeps a strict best under a total order (ratio,
-// then taskStore.before), so the winner does not depend on the order jobs
-// or tasks are walked in.
+// straggler (across the live jobs in the speculation list) on the given
+// machine. It returns false if no task qualifies, at once when no live job
+// speculates. Candidates are every unspeculated running primary; the scan
+// keeps a strict best under a total order (ratio, then taskStore.before),
+// so the winner does not depend on the order jobs or tasks are walked in.
 //
 //jockey:hotpath
 func (c *Cluster) dispatchDuplicate(mi int) bool {
@@ -1024,11 +1120,8 @@ func (c *Cluster) dispatchDuplicate(mi int) bool {
 	worst := int32(-1)
 	var worstJob *jobRun
 	var worstRatio float64
-	for _, jr := range c.live {
+	for _, jr := range c.spec {
 		th := jr.cfg.SpeculativeThreshold
-		if th <= 0 {
-			continue
-		}
 		for s := jr.prim.head; s >= 0; s = st.nextJ[s] {
 			if jr.dupSlot[st.stage[s]][st.task[s]] >= 0 {
 				continue // already speculated

@@ -20,8 +20,8 @@ import (
 //   - checkRankPartition requires each live job's guaranteed flags on
 //     exactly its first min(effective guarantee, running) primaries, and
 //     its two lists to hold exactly its primaries and duplicates, in order;
-//   - checkLive pins the live index and each job's spare top and place in
-//     the spare-top heap;
+//   - checkLive pins the live index, the ready index, the speculation list
+//     and each job's spare top and place in the spare-top heap;
 //   - refYoungestSpare, a scan over the gathered spare attempts with jobs
 //     in id order, must pick the spare-top heap's root.
 //
@@ -168,26 +168,44 @@ func checkRankPartition(c *Cluster, jr *jobRun, prim, dups []int32) error {
 	return checkList(st, "duplicate", jr.dups, dups)
 }
 
-// checkLive pins the live index and the spare-top heap against the job
-// table and the gathered attempts: live is the tracked live jobs, then the
-// untracked ones, each in id order; only live jobs run attempts; and the
+// checkLive pins the job indexes against the job table and the gathered
+// attempts: live is the tracked live jobs, then the untracked ones, each in
+// id order; ready is, in the same order, the live jobs with ready work, and
+// spec the live jobs that speculate; only live jobs run attempts; and the
 // heap holds exactly the jobs with a spare attempt, each at its recorded
 // position with its from-scratch spare top.
 func checkLive(c *Cluster, all []int32) error {
-	i := 0
-	for _, tracked := range []bool{true, false} {
-		for _, jr := range c.jobs {
-			if !jr.arrived || jr.completed || jr.cfg.Tracked != tracked {
-				continue
+	indexes := []struct {
+		name string
+		list []*jobRun
+		in   func(jr *jobRun) bool
+	}{
+		{"live", c.live, func(*jobRun) bool { return true }},
+		{"ready", c.ready, func(jr *jobRun) bool { return jr.deps.Len() > 0 }},
+		{"spec", c.spec, func(jr *jobRun) bool { return jr.cfg.SpeculativeThreshold > 0 }},
+	}
+	for _, ix := range indexes {
+		i := 0
+		for _, tracked := range []bool{true, false} {
+			for _, jr := range c.jobs {
+				if !jr.arrived || jr.completed || jr.cfg.Tracked != tracked || !ix.in(jr) {
+					continue
+				}
+				if i >= len(ix.list) || ix.list[i] != jr {
+					return fmt.Errorf("%s[%d] is not job %d", ix.name, i, jr.id)
+				}
+				i++
 			}
-			if i >= len(c.live) || c.live[i] != jr {
-				return fmt.Errorf("live[%d] is not job %d", i, jr.id)
-			}
-			i++
+		}
+		if i != len(ix.list) {
+			return fmt.Errorf("%s holds %d jobs, want %d", ix.name, len(ix.list), i)
 		}
 	}
-	if i != len(c.live) || i < c.liveTracked {
-		return fmt.Errorf("live holds %d jobs (%d tracked), want %d", len(c.live), c.liveTracked, i)
+	for _, jr := range c.jobs {
+		if ready := jr.deps.Len() > 0; jr.inReady != ready || ready && (!jr.arrived || jr.completed) {
+			return fmt.Errorf("job %d (arrived %t, completed %t) has %d ready tasks and ready flag %t",
+				jr.id, jr.arrived, jr.completed, jr.deps.Len(), jr.inReady)
+		}
 	}
 	inHeap := 0
 	for _, jr := range c.jobs {

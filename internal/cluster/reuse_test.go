@@ -330,7 +330,8 @@ func BenchmarkEngineReuse(b *testing.B) {
 // it, every guarantee re-set each epoch from OnEpoch, on a reused engine —
 // the fleet-scale shape without the arbiter. Each pass changes a few jobs
 // and the epochs re-guarantee all of them, so its cost is what the dirty
-// set, the class-ordered live list and the spare-top heap scale with.
+// set, the spare-top heap and the ready index scale with: the dispatchers
+// walk only the live jobs with ready work, a handful of the hundreds live.
 func BenchmarkEngineManyJobs(b *testing.B) {
 	withoutPassCheck(b)
 	job := dag.NewBuilder("many").

@@ -70,23 +70,43 @@ type Jockey struct {
 }
 
 // New builds the Jockey runtime for a profiled job, running the offline
-// simulations that populate the C(p, a) table.
+// simulations that populate the C(p, a) table. It is NewIndicators with the
+// one indicator opts.Indicator.
 func New(p *profile.Profile, opts Options) (*Jockey, error) {
+	if opts.Indicator == "" {
+		opts.Indicator = TotalWorkWithQ
+	}
+	js, err := NewIndicators(p, opts, opts.Indicator)
+	if err != nil {
+		return nil, err
+	}
+	return js[0], nil
+}
+
+// NewIndicators builds one runtime per named indicator under one Options,
+// from a single pass of offline simulations (model.BuildCPAs). Runtime j is
+// exactly New(p, opts) with opts.Indicator set to names[j]; opts.Indicator
+// itself is ignored.
+func NewIndicators(p *profile.Profile, opts Options, names ...IndicatorName) ([]*Jockey, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: nil profile")
 	}
-	if opts.Indicator == "" {
-		opts.Indicator = TotalWorkWithQ
+	if len(names) == 0 {
+		return nil, fmt.Errorf("core: no indicator to build")
 	}
 	if opts.MaxTokens <= 0 {
 		opts.MaxTokens = 100
 	}
 	grid := DefaultGrid(opts.MaxTokens)
-	ind, err := BuildIndicator(opts.Indicator, p, stats.DeriveSeed(opts.Seed, "indicator"))
-	if err != nil {
-		return nil, err
+	inds := make([]progress.Indicator, len(names))
+	for j, name := range names {
+		ind, err := BuildIndicator(name, p, stats.DeriveSeed(opts.Seed, "indicator"))
+		if err != nil {
+			return nil, err
+		}
+		inds[j] = ind
 	}
-	cpa, err := model.BuildCPA(p, ind, model.CPAConfig{
+	cpas, err := model.BuildCPAs(p, inds, model.CPAConfig{
 		Allocs:       grid,
 		RunsPerAlloc: opts.RunsPerAlloc,
 		Seed:         stats.DeriveSeed(opts.Seed, "cpa"),
@@ -95,14 +115,22 @@ func New(p *profile.Profile, opts Options) (*Jockey, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Jockey{
-		opts:      opts,
-		grid:      grid,
-		p:         p,
-		indicator: ind,
-		cpa:       cpa,
-		amdahl:    model.NewAmdahl(p),
-	}, nil
+	// The grid and the Amdahl model are read-only, so the runtimes share them.
+	amdahl := model.NewAmdahl(p)
+	out := make([]*Jockey, len(names))
+	for j, name := range names {
+		o := opts
+		o.Indicator = name
+		out[j] = &Jockey{
+			opts:      o,
+			grid:      grid,
+			p:         p,
+			indicator: inds[j],
+			cpa:       cpas[j],
+			amdahl:    amdahl,
+		}
+	}
+	return out, nil
 }
 
 // DefaultGrid returns geometric candidate allocations 1..max (≈1.33× steps).

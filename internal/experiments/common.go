@@ -12,6 +12,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -78,6 +79,7 @@ type Env struct {
 	grounds  grid.Cache[*profile.Profile] // ground truth by job name
 	trains   grid.Cache[*trainEntry]      // training run by job name
 	runtimes grid.Cache[*core.Jockey]     // by job name + indicator
+	others   grid.Cache[[]*core.Jockey]   // by job name: AllIndicators[1:]
 	surge    grid.Cache[*profile.Profile] // the big-tenant surge profile
 }
 
@@ -186,6 +188,12 @@ func (e *Env) training(job string) (*trainEntry, error) {
 // for a job under the given indicator. Builds are single-flight per
 // (job, indicator): concurrent grid workers needing the same model block on
 // one construction, while hits for other models return immediately.
+//
+// The default totalworkWithQ runtime is built alone. The first request for
+// any other indicator of a job builds the other five of AllIndicators
+// together, from one pass of offline simulations under the default
+// runtime's Options.Seed, so all six tables come from the same simulated
+// runs.
 func (e *Env) Runtime(job string, ind core.IndicatorName) (*core.Jockey, error) {
 	if ind == "" {
 		ind = core.TotalWorkWithQ
@@ -196,13 +204,25 @@ func (e *Env) Runtime(job string, ind core.IndicatorName) (*core.Jockey, error) 
 		if err != nil {
 			return nil, err
 		}
-		return core.New(train, core.Options{
+		opts := core.Options{
 			Indicator:    ind,
 			MaxTokens:    e.MaxTokens,
 			RunsPerAlloc: 8,
-			Seed:         stats.DeriveSeed(e.Seed, "jockey", job, string(ind)),
+			Seed:         stats.DeriveSeed(e.Seed, "jockey", job, string(core.TotalWorkWithQ)),
 			Parallelism:  e.Parallelism,
+		}
+		others := AllIndicators[1:]
+		i := slices.Index(others, ind)
+		if i < 0 {
+			return core.New(train, opts)
+		}
+		js, err := e.others.Get(job, func() ([]*core.Jockey, error) {
+			return core.NewIndicators(train, opts, others...)
 		})
+		if err != nil {
+			return nil, err
+		}
+		return js[i], nil
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/jockeysim/jockey/internal/core"
+	"github.com/jockeysim/jockey/internal/stats"
 )
 
 // sharedEnv is reused across tests: building runtimes is the expensive part
@@ -37,6 +38,32 @@ func TestEnvCaching(t *testing.T) {
 	}
 	if r3 == r1 {
 		t.Error("different indicators must build different runtimes")
+	}
+	// The default runtime is built alone, exactly as before the other
+	// indicators shared a pass; the others come from that pass under the
+	// default runtime's seed, and each equals its own single build.
+	train, err := e.Training("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{
+		MaxTokens:    e.MaxTokens,
+		RunsPerAlloc: 8,
+		Seed:         stats.DeriveSeed(e.Seed, "jockey", "A", string(core.TotalWorkWithQ)),
+		Parallelism:  e.Parallelism,
+	}
+	for _, tc := range []struct {
+		got *core.Jockey
+		ind core.IndicatorName
+	}{{r1, core.TotalWorkWithQ}, {r3, core.CP}} {
+		opts.Indicator = tc.ind
+		want, err := core.New(train, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tc.got.Model(), want.Model()) {
+			t.Errorf("%s runtime's C(p,a) differs from core.New with the default runtime's seed", tc.ind)
+		}
 	}
 }
 

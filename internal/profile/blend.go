@@ -70,8 +70,10 @@ func Blend(prior *Profile, live *trace.JobTrace, opts BlendOptions) (*Profile, e
 	// Job-wide drift ratio: count-weighted mean of live/prior mean runtime
 	// across observed stages, used to extrapolate to unobserved ones.
 	var ratioNum, ratioDen float64
+	execs := make([][]time.Duration, n)
 	for s := 0; s < n; s++ {
 		exec := live.ExecSamples(s)
+		execs[s] = exec
 		if len(exec) < opts.MinStageSamples {
 			continue
 		}
@@ -95,7 +97,7 @@ func Blend(prior *Profile, live *trace.JobTrace, opts BlendOptions) (*Profile, e
 	stages := make([]StageProfile, n)
 	for s := range stages {
 		sp := prior.Stages[s]
-		exec := live.ExecSamples(s)
+		exec := execs[s]
 		if len(exec) < opts.MinStageSamples {
 			if opts.ScaleUnobserved && drift > 0 && drift != 1 {
 				stages[s] = StageProfile{

@@ -11,6 +11,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -99,7 +100,7 @@ func (t *JobTrace) ExecSamples(stage int) []time.Duration {
 			out = append(out, e.ExecTime())
 		}
 	}
-	sortDurations(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -112,7 +113,7 @@ func (t *JobTrace) QueueSamples(stage int) []time.Duration {
 			out = append(out, e.QueueTime())
 		}
 	}
-	sortDurations(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -125,7 +126,7 @@ func (t *JobTrace) InitSamples(stage int) []time.Duration {
 			out = append(out, e.InitTime())
 		}
 	}
-	sortDurations(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -138,7 +139,7 @@ func (t *JobTrace) AllExecSamples() []time.Duration {
 			out = append(out, e.ExecTime())
 		}
 	}
-	sortDurations(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -151,7 +152,7 @@ func (t *JobTrace) AllQueueSamples() []time.Duration {
 			out = append(out, e.QueueTime())
 		}
 	}
-	sortDurations(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -316,8 +317,4 @@ func (t *JobTrace) WriteTimelineCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-func sortDurations(ds []time.Duration) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }

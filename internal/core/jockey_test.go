@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,6 +44,35 @@ func TestNewValidation(t *testing.T) {
 		t.Error("nil profile must fail")
 	}
 	if _, err := New(detProfile(t), Options{Indicator: "bogus"}); err == nil {
+		t.Error("unknown indicator must fail")
+	}
+}
+
+// TestNewIndicatorsMatchesNew: each runtime of a shared build is the
+// runtime New builds for that indicator under the same Options.
+func TestNewIndicatorsMatchesNew(t *testing.T) {
+	p := detProfile(t)
+	opts := Options{MaxTokens: 20, RunsPerAlloc: 3, Seed: 5}
+	names := []IndicatorName{CP, MinStage, VertexFrac}
+	js, err := NewIndicators(p, opts, names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, name := range names {
+		o := opts
+		o.Indicator = name
+		want, err := New(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js[j].opts != want.opts || !reflect.DeepEqual(js[j].Model(), want.Model()) {
+			t.Errorf("%s: shared-build runtime differs from New", name)
+		}
+	}
+	if _, err := NewIndicators(p, opts); err == nil {
+		t.Error("no indicator must fail")
+	}
+	if _, err := NewIndicators(p, opts, CP, "bogus"); err == nil {
 		t.Error("unknown indicator must fail")
 	}
 }

@@ -152,6 +152,12 @@ func TestBuildCPAValidation(t *testing.T) {
 	if _, err := BuildCPA(p, ind, CPAConfig{Allocs: []int{0, 3}}); err == nil {
 		t.Error("non-positive alloc must fail")
 	}
+	if _, err := BuildCPAs(p, nil, CPAConfig{Allocs: []int{1}}); err == nil {
+		t.Error("an empty indicator list must fail")
+	}
+	if _, err := BuildCPAs(p, []progress.Indicator{ind, nil}, CPAConfig{Allocs: []int{1}}); err == nil {
+		t.Error("a nil indicator in the list must fail")
+	}
 }
 
 func TestCPARemainingShrinksWithProgress(t *testing.T) {

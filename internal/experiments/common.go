@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -589,36 +588,26 @@ func (e *Env) submitSurge(c *cluster.Cluster, at time.Duration) error {
 	return err
 }
 
-// execTask is one experiment grid point: a stable key (for debugging and the
-// executor's per-task seed derivation) and a body receiving the worker's
-// reusable Exec. Bodies derive their own run seeds from Env.Seed with the
-// same labels the serial implementation used, so results are bit-compatible
-// with historical serial runs; the executor-provided seed goes unused.
-type execTask[T any] struct {
-	key string
-	run func(x *Exec) (T, error)
-}
-
-// runGrid executes the tasks on Env.GridParallel workers and returns their
-// results in task order. Each worker lazily creates one Exec and reuses it
-// for every task it claims; worker indices partition the exec slice, so no
-// synchronization is needed beyond the executor's own. Output is
-// bit-identical at any parallelism (grid.Run's contract plus per-task seed
-// derivations independent of scheduling).
-func runGrid[T any](env *Env, tasks []execTask[T]) ([]T, error) {
+// runGrid executes the grid points on Env.GridParallel workers and returns
+// their results in task order. Each task receives its worker's reusable
+// Exec: a worker lazily creates one and reuses it for every task it claims,
+// and worker indices partition the exec slice, so no synchronization is
+// needed beyond grid.Run's own. Tasks derive their run seeds from Env.Seed
+// with labels of their grid coordinates, never of the worker or the claim
+// order, so output is bit-identical at any parallelism.
+func runGrid[T any](env *Env, tasks []func(x *Exec) (T, error)) ([]T, error) {
 	execs := make([]*Exec, grid.Workers(env.GridParallel, len(tasks)))
-	gts := make([]grid.Task[T], len(tasks))
-	for i, t := range tasks {
-		t := t
-		gts[i] = grid.Task[T]{
-			Key: t.key,
-			Run: func(_ context.Context, _ uint64, worker int) (T, error) {
-				if execs[worker] == nil {
-					execs[worker] = NewExec()
-				}
-				return t.run(execs[worker])
-			},
+	out := make([]T, len(tasks))
+	err := grid.Run(len(tasks), env.GridParallel, func(worker, i int) error {
+		if execs[worker] == nil {
+			execs[worker] = NewExec()
 		}
+		var err error
+		out[i], err = tasks[i](execs[worker])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return grid.Run(context.Background(), env.Seed, env.GridParallel, gts)
+	return out, nil
 }

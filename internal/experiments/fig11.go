@@ -52,26 +52,23 @@ func Sensitivity(env *Env, jobs []string, seedsPerJob int) (*Fig11, error) {
 		seedsPerJob = 3
 	}
 	cases := SensitivityCases()
-	var tasks []execTask[Outcome]
+	var tasks []func(x *Exec) (Outcome, error)
 	for _, cse := range cases {
 		for _, job := range jobs {
 			for s := 0; s < seedsPerJob; s++ {
 				cse, job, s := cse, job, s
-				tasks = append(tasks, execTask[Outcome]{
-					key: fmt.Sprintf("fig11/%s/%s/%d", cse.Name, job, s),
-					run: func(x *Exec) (Outcome, error) {
-						short, _, err := env.Deadlines(job)
-						if err != nil {
-							return Outcome{}, err
-						}
-						return env.RunExec(x, SLORun{
-							Job:      job,
-							Deadline: short,
-							Policy:   PolicyJockey,
-							Seed:     stats.DeriveSeed(env.Seed, "fig11", cse.Name, job, fmt.Sprint(s)),
-							Knobs:    cse.Knobs,
-						})
-					},
+				tasks = append(tasks, func(x *Exec) (Outcome, error) {
+					short, _, err := env.Deadlines(job)
+					if err != nil {
+						return Outcome{}, err
+					}
+					return env.RunExec(x, SLORun{
+						Job:      job,
+						Deadline: short,
+						Policy:   PolicyJockey,
+						Seed:     stats.DeriveSeed(env.Seed, "fig11", cse.Name, job, fmt.Sprint(s)),
+						Knobs:    cse.Knobs,
+					})
 				})
 			}
 		}

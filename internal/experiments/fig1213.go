@@ -36,26 +36,23 @@ func sweep(env *Env, jobs []string, seedsPerJob int, param string,
 	if seedsPerJob <= 0 {
 		seedsPerJob = 3
 	}
-	var tasks []execTask[Outcome]
+	var tasks []func(x *Exec) (Outcome, error)
 	for _, v := range values {
 		for _, job := range jobs {
 			for s := 0; s < seedsPerJob; s++ {
 				v, job, s := v, job, s
-				tasks = append(tasks, execTask[Outcome]{
-					key: fmt.Sprintf("sweep/%s/%v/%s/%d", param, v, job, s),
-					run: func(x *Exec) (Outcome, error) {
-						short, _, err := env.Deadlines(job)
-						if err != nil {
-							return Outcome{}, err
-						}
-						return env.RunExec(x, SLORun{
-							Job:      job,
-							Deadline: short,
-							Policy:   PolicyJockey,
-							Seed:     stats.DeriveSeed(env.Seed, "sweep", param, fmt.Sprint(v), job, fmt.Sprint(s)),
-							Knobs:    knobsFor(v),
-						})
-					},
+				tasks = append(tasks, func(x *Exec) (Outcome, error) {
+					short, _, err := env.Deadlines(job)
+					if err != nil {
+						return Outcome{}, err
+					}
+					return env.RunExec(x, SLORun{
+						Job:      job,
+						Deadline: short,
+						Policy:   PolicyJockey,
+						Seed:     stats.DeriveSeed(env.Seed, "sweep", param, fmt.Sprint(v), job, fmt.Sprint(s)),
+						Knobs:    knobsFor(v),
+					})
 				})
 			}
 		}

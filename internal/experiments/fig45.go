@@ -50,27 +50,24 @@ type Comparison struct {
 // at any parallelism.
 func PolicyComparison(env *Env, cfg ComparisonConfig) (*Comparison, error) {
 	cfg.fill()
-	var tasks []execTask[Outcome]
+	var tasks []func(x *Exec) (Outcome, error)
 	for _, job := range cfg.Jobs {
 		for di := 0; di < 2; di++ {
 			for s := 0; s < cfg.SeedsPerCase; s++ {
 				for _, pol := range cfg.Policies {
 					job, di, s, pol := job, di, s, pol
-					tasks = append(tasks, execTask[Outcome]{
-						key: fmt.Sprintf("fig45/%s/%d/%d/%s", job, di, s, pol),
-						run: func(x *Exec) (Outcome, error) {
-							short, long, err := env.Deadlines(job)
-							if err != nil {
-								return Outcome{}, err
-							}
-							deadline := []time.Duration{short, long}[di]
-							return env.RunExec(x, SLORun{
-								Job:      job,
-								Deadline: deadline,
-								Policy:   pol,
-								Seed:     stats.DeriveSeed(env.Seed, "fig45", job, fmt.Sprint(deadline), fmt.Sprint(s)),
-							})
-						},
+					tasks = append(tasks, func(x *Exec) (Outcome, error) {
+						short, long, err := env.Deadlines(job)
+						if err != nil {
+							return Outcome{}, err
+						}
+						deadline := []time.Duration{short, long}[di]
+						return env.RunExec(x, SLORun{
+							Job:      job,
+							Deadline: deadline,
+							Policy:   pol,
+							Seed:     stats.DeriveSeed(env.Seed, "fig45", job, fmt.Sprint(deadline), fmt.Sprint(s)),
+						})
 					})
 				}
 			}

@@ -195,14 +195,11 @@ func IndicatorComparison(env *Env, jobs []string) (*Fig10, error) {
 	if len(jobs) == 0 {
 		jobs = DefaultJobs
 	}
-	var tasks []execTask[[]IndicatorSeries]
+	var tasks []func(x *Exec) ([]IndicatorSeries, error)
 	for _, job := range jobs {
 		job := job
-		tasks = append(tasks, execTask[[]IndicatorSeries]{
-			key: "fig10/" + job,
-			run: func(x *Exec) ([]IndicatorSeries, error) {
-				return replayIndicators(env, x, job, AllIndicators, 2)
-			},
+		tasks = append(tasks, func(x *Exec) ([]IndicatorSeries, error) {
+			return replayIndicators(env, x, job, AllIndicators, 2)
 		})
 	}
 	results, err := runGrid(env, tasks)

@@ -110,7 +110,7 @@ func FleetRobustness(env *Env) (*FleetRobustnessResult, error) {
 		cell cell
 		res  *fleet.Result
 	}
-	var tasks []execTask[repOut]
+	var tasks []func(x *Exec) (repOut, error)
 	for _, load := range fleetLoads {
 		for _, fault := range fleetFaults {
 			scenario := load.name + "/" + fault.name
@@ -118,37 +118,34 @@ func FleetRobustness(env *Env) (*FleetRobustnessResult, error) {
 				for rep := 0; rep < fleetReps; rep++ {
 					load, fault, d, rep := load, fault, d, rep
 					key := fmt.Sprintf("fleet/%s/%s/%d", scenario, d.name(), rep)
-					tasks = append(tasks, execTask[repOut]{
-						key: key,
-						run: func(x *Exec) (repOut, error) {
-							cfg := fleet.Config{
-								// Per-rep seeds are shared across scenarios and
-								// disciplines: comparisons are paired on the
-								// same offer stream.
-								Seed:        stats.DeriveSeed(env.Seed, "fleet-rep", fmt.Sprint(rep)),
-								Arrivals:    16,
-								LoadFactor:  load.factor,
-								Budget:      60,
-								Arbitration: d.Arb,
-								Guarded:     d.Guarded,
-								Models:      models,
-								Engine:      x.engine,
-							}
-							if fault.outage {
-								cfg.RackOutages = []cluster.RackOutage{{
-									At: 12 * time.Minute, FirstMachine: 0, Machines: 11,
-									Duration: 20 * time.Minute,
-								}}
-							}
-							if fault.drift {
-								cfg.DriftEvery = 4
-							}
-							res, err := fleet.Run(cfg)
-							if err != nil {
-								return repOut{}, fmt.Errorf("%s: %w", key, err)
-							}
-							return repOut{cell: cell{scenario, d.name()}, res: res}, nil
-						},
+					tasks = append(tasks, func(x *Exec) (repOut, error) {
+						cfg := fleet.Config{
+							// Per-rep seeds are shared across scenarios and
+							// disciplines: comparisons are paired on the
+							// same offer stream.
+							Seed:        stats.DeriveSeed(env.Seed, "fleet-rep", fmt.Sprint(rep)),
+							Arrivals:    16,
+							LoadFactor:  load.factor,
+							Budget:      60,
+							Arbitration: d.Arb,
+							Guarded:     d.Guarded,
+							Models:      models,
+							Engine:      x.engine,
+						}
+						if fault.outage {
+							cfg.RackOutages = []cluster.RackOutage{{
+								At: 12 * time.Minute, FirstMachine: 0, Machines: 11,
+								Duration: 20 * time.Minute,
+							}}
+						}
+						if fault.drift {
+							cfg.DriftEvery = 4
+						}
+						res, err := fleet.Run(cfg)
+						if err != nil {
+							return repOut{}, fmt.Errorf("%s: %w", key, err)
+						}
+						return repOut{cell: cell{scenario, d.name()}, res: res}, nil
 					})
 				}
 			}

@@ -171,33 +171,30 @@ func RobustnessFlight(env *Env, cfg RobustnessConfig) (*RobustnessResult, error)
 		rec *flight.Record
 	}
 	var replays grid.Cache[flight.ReplayOutcome]
-	var tasks []execTask[cell]
+	var tasks []func(x *Exec) (cell, error)
 	for _, sc := range scenarios {
 		for _, v := range RobustnessVariants {
 			for s := 0; s < seedsPerCell; s++ {
 				sc, v, s := sc, v, s
-				tasks = append(tasks, execTask[cell]{
-					key: fmt.Sprintf("robust/%s/%s/%d", sc.Name, v.Name, s),
-					run: func(x *Exec) (cell, error) {
-						r := SLORun{
-							Job:         job,
-							Deadline:    short,
-							Policy:      v.Policy,
-							Guarded:     v.Guarded,
-							Seed:        stats.DeriveSeed(env.Seed, "robust", job, sc.Name, fmt.Sprint(s)),
-							InputScale:  1,
-							Drifts:      sc.Drifts,
-							RackOutages: sc.RackOutages,
-							Contention:  sc.Contention,
-						}
-						o, rec, err := env.RunFlight(x, r, FlightConfig{
-							Level:            cfg.Flight,
-							ReplayCandidates: cfg.ReplayCandidates,
-							replayKey:        fmt.Sprintf("robust/%s/%d", sc.Name, s),
-							replays:          &replays,
-						})
-						return cell{out: o, rec: rec}, err
-					},
+				tasks = append(tasks, func(x *Exec) (cell, error) {
+					r := SLORun{
+						Job:         job,
+						Deadline:    short,
+						Policy:      v.Policy,
+						Guarded:     v.Guarded,
+						Seed:        stats.DeriveSeed(env.Seed, "robust", job, sc.Name, fmt.Sprint(s)),
+						InputScale:  1,
+						Drifts:      sc.Drifts,
+						RackOutages: sc.RackOutages,
+						Contention:  sc.Contention,
+					}
+					o, rec, err := env.RunFlight(x, r, FlightConfig{
+						Level:            cfg.Flight,
+						ReplayCandidates: cfg.ReplayCandidates,
+						replayKey:        fmt.Sprintf("robust/%s/%d", sc.Name, s),
+						replays:          &replays,
+					})
+					return cell{out: o, rec: rec}, err
 				})
 			}
 		}

@@ -27,6 +27,7 @@ import (
 	"github.com/jockeysim/jockey/internal/cluster"
 	"github.com/jockeysim/jockey/internal/control"
 	"github.com/jockeysim/jockey/internal/core"
+	"github.com/jockeysim/jockey/internal/eventq"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/utility"
@@ -220,26 +221,19 @@ type fleetJob struct {
 	finalized   bool
 }
 
-// dueEntry indexes one pending offer by the earliest epoch it may be
-// considered: its arrival time, or its deferred retry time.
-type dueEntry struct {
-	due time.Duration
-	id  int // offer id, the total order within one due time
-	fj  *fleetJob
-}
-
 type replay struct {
 	cfg    *Config
 	models *ModelCache
 	c      *cluster.Cluster
 
-	// due is a min-heap (by due time, then offer id) over offers not yet
-	// admitted or rejected. Epochs where nothing is due pay one peek
-	// instead of a scan of every pending offer, so epoch cost tracks
-	// active jobs, not admitted-plus-waiting ones. dueScratch collects the
-	// offers that fire in one epoch for re-sorting into offer order.
-	due        []dueEntry
-	dueScratch []dueEntry
+	// due queues every offer not yet admitted or rejected at the earliest
+	// epoch it may be considered: its arrival time, or its deferred retry
+	// time. Epochs where nothing is due pay one peek instead of a scan of
+	// every pending offer, so epoch cost tracks active jobs, not
+	// admitted-plus-waiting ones. dueScratch collects the offers that fire
+	// in one epoch for re-sorting into offer order.
+	due        eventq.Queue[*fleetJob]
+	dueScratch []*fleetJob
 	active     []*fleetJob // admitted and unfinished, in admission order
 
 	// Incremental admission bookkeeping: demandCache is the committed load
@@ -302,12 +296,12 @@ func Run(cfg Config) (*Result, error) {
 			Arrival:  arr.at,
 			Deadline: arr.deadline,
 		}
-		r.duePush(dueEntry{due: arr.at, id: arr.id, fj: &fleetJob{
+		r.due.Push(arr.at, &fleetJob{
 			arr:  arr,
 			jk:   jk,
 			prof: prof,
 			rec:  &r.res.Jobs[i],
-		}})
+		})
 	}
 
 	clusterCfg := cluster.Config{
@@ -369,7 +363,7 @@ func (r *replay) epoch(now time.Duration) bool {
 		})
 	}
 	r.last = now
-	if len(r.due) == 0 && len(r.active) == 0 {
+	if r.due.Len() == 0 && len(r.active) == 0 {
 		return r.unhold(false)
 	}
 	return true
@@ -477,11 +471,11 @@ func (r *replay) releaseFinished(now time.Duration) {
 }
 
 // admitDue processes, in offer order, every pending job whose arrival (or
-// deferred retry) time has come. The due heap hands over exactly the
+// deferred retry) time has come. The due queue hands over exactly the
 // offers that fire this epoch, so an epoch where nothing is due costs one
 // peek — not a scan of every job still waiting in backoff.
 func (r *replay) admitDue(now time.Duration) {
-	if len(r.due) == 0 || r.due[0].due > now {
+	if at, ok := r.due.Peek(); !ok || at > now {
 		return
 	}
 	// The committed-load sum is O(active): take it once for the whole
@@ -489,62 +483,19 @@ func (r *replay) admitDue(now time.Duration) {
 	// re-summing under every offer.
 	r.demandCache = r.demand()
 	r.dueScratch = r.dueScratch[:0]
-	for len(r.due) > 0 && r.due[0].due <= now {
-		r.dueScratch = append(r.dueScratch, r.duePop())
+	for at, ok := r.due.Peek(); ok && at <= now; at, ok = r.due.Peek() {
+		_, fj, _ := r.due.Pop()
+		r.dueScratch = append(r.dueScratch, fj)
 	}
 	// Offers firing together are considered in offer order — the order
-	// the retired full pending scan used — not in (due, id) pop order.
-	sort.Slice(r.dueScratch, func(i, j int) bool { return r.dueScratch[i].id < r.dueScratch[j].id })
-	for _, e := range r.dueScratch {
-		if !r.tryAdmit(now, e.fj) {
-			// Deferred: back into the heap at its next retry time.
-			r.duePush(dueEntry{due: e.fj.nextTry, id: e.id, fj: e.fj})
+	// the retired full pending scan used — not in queue pop order.
+	sort.Slice(r.dueScratch, func(i, j int) bool { return r.dueScratch[i].arr.id < r.dueScratch[j].arr.id })
+	for _, fj := range r.dueScratch {
+		if !r.tryAdmit(now, fj) {
+			// Deferred: back into the queue at its next retry time.
+			r.due.Push(fj.nextTry, fj)
 		}
 	}
-}
-
-func dueLess(a, b dueEntry) bool {
-	if a.due != b.due {
-		return a.due < b.due
-	}
-	return a.id < b.id
-}
-
-func (r *replay) duePush(e dueEntry) {
-	r.due = append(r.due, e)
-	c := len(r.due) - 1
-	for c > 0 {
-		p := (c - 1) / 2
-		if !dueLess(r.due[c], r.due[p]) {
-			break
-		}
-		r.due[c], r.due[p] = r.due[p], r.due[c]
-		c = p
-	}
-}
-
-func (r *replay) duePop() dueEntry {
-	top := r.due[0]
-	n := len(r.due) - 1
-	r.due[0] = r.due[n]
-	r.due = r.due[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if rt := l + 1; rt < n && dueLess(r.due[rt], r.due[l]) {
-			m = rt
-		}
-		if !dueLess(r.due[m], r.due[i]) {
-			break
-		}
-		r.due[i], r.due[m] = r.due[m], r.due[i]
-		i = m
-	}
-	return top
 }
 
 // tryAdmit resolves one due offer: admit, reject, or (returning false)

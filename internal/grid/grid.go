@@ -1,122 +1,100 @@
-// Package grid executes a grid of independent tasks — the (job × seed ×
-// knob × policy) fan-out every experiment in this repository is made of —
-// across a bounded worker pool, deterministically.
+// Package grid is the repository's one worker pool. Every parallel fan-out
+// runs on it: the (alloc, run) simulations of a C(p, a) build, the forward
+// runs of one online prediction, and the (job × seed × knob × policy) grid
+// points of every experiment.
 //
-// The determinism contract (DESIGN.md, "The grid executor") is the same
-// discipline internal/model uses for parallel C(p, a) construction, applied
-// one level up:
+// The determinism contract (DESIGN.md, "The grid executor"):
 //
-//   - every task has a unique string key; its seed is derived as
-//     stats.DeriveSeed(master, key), never from worker identity or
-//     scheduling order;
-//   - workers claim tasks with an atomic counter, so the set of claimed
-//     indices is always a prefix of the task list;
-//   - results are merged in task-index order, so the returned slice is
-//     bit-identical at any worker count, including 1.
-//
-// Tasks additionally receive their worker index so callers can give each
-// worker private scratch state (a reusable cluster.Engine, for example)
-// without synchronization: a worker runs one task at a time.
+//   - workers claim item indices from one shared counter, so the claimed
+//     indices are always a prefix of [0, n), and every claimed item runs to
+//     completion;
+//   - after the first failure no worker claims another item, so Run returns
+//     the error of the lowest failing index at any worker count;
+//   - items receive their worker index only so callers can give each worker
+//     private scratch state (a reusable sim.Runner or cluster.Engine)
+//     without synchronization: a worker runs one item at a time. Results
+//     must depend on the item index alone; callers derive seeds from it and
+//     write each item's result to its own slot.
 package grid
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"github.com/jockeysim/jockey/internal/stats"
 )
 
-// Task is one grid point.
-type Task[T any] struct {
-	// Key identifies the task; it must be unique within one Run call. The
-	// task's seed is stats.DeriveSeed(master, Key), so the key — not the
-	// execution order — determines the task's randomness.
-	Key string
-	// Run executes the task. seed is the task's derived seed; worker is the
-	// index of the executing worker in [0, Workers(parallelism, len(tasks))),
-	// for callers that keep per-worker scratch state. ctx is canceled when
-	// another task fails; long tasks may check it to stop early.
-	Run func(ctx context.Context, seed uint64, worker int) (T, error)
-}
-
-// Workers resolves a parallelism knob against a task count: 0 (or negative)
-// means runtime.GOMAXPROCS(0), and the pool is never larger than the number
-// of tasks nor smaller than 1. Callers sizing per-worker state should use
-// this so their slice matches the pool Run actually creates.
-func Workers(parallelism, tasks int) int {
+// Workers resolves a parallelism knob against an item count: 0 (or
+// negative) means runtime.GOMAXPROCS(0), and the pool is never larger than
+// the number of items nor smaller than 1. Callers sizing per-worker state
+// should use this so their slice matches the pool Run actually creates.
+func Workers(parallelism, n int) int {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > tasks {
-		parallelism = tasks
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	return parallelism
+	return max(1, min(parallelism, n))
 }
 
-// Run executes all tasks and returns their results in task order. Results
-// are bit-identical at any parallelism (given tasks that honor their seed
-// discipline); see the package comment for the contract.
-//
-// On failure Run cancels the context passed to still-running tasks, stops
-// claiming new tasks, waits for in-flight tasks, and returns the error of
-// the lowest-index failed task it observed. When several tasks fail, which
-// failures are observed (rather than skipped) can depend on the worker
-// count, so only a nil error makes the results meaningful. If ctx is
-// canceled externally, Run returns ctx's error.
-func Run[T any](ctx context.Context, master uint64, parallelism int, tasks []Task[T]) ([]T, error) {
-	if len(tasks) == 0 {
-		return nil, ctx.Err()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make([]T, len(tasks))
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		firstErr error
-		errIdx   int
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < errIdx {
-			firstErr, errIdx = err, i
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	workers := Workers(parallelism, len(tasks))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(tasks) || ctx.Err() != nil {
-					return
-				}
-				v, err := tasks[i].Run(ctx, stats.DeriveSeed(master, tasks[i].Key), worker)
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				results[i] = v
+// Run calls fn(worker, i) for every i in [0, n) on Workers(parallelism, n)
+// workers, worker being the executing worker's index. It returns nil once
+// every item has succeeded; otherwise it stops handing out items, waits for
+// the claimed ones, and returns the error of the lowest failing index. With
+// one worker the items run inline, in index order, on the caller's
+// goroutine.
+func Run(n, parallelism int, fn func(worker, i int) error) error {
+	workers := Workers(parallelism, n)
+	if workers == 1 {
+		for i := range n {
+			if err := fn(0, i); err != nil {
+				return err
 			}
-		}(w)
+		}
+		return nil
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	p := &pool{n: n, fn: fn}
+	p.wg.Add(workers)
+	for w := range workers {
+		go p.work(w)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	p.wg.Wait()
+	return p.err
+}
+
+// pool is one parallel Run's shared state, kept in a single value so that
+// it escapes to the heap as one allocation.
+type pool struct {
+	n      int
+	fn     func(worker, i int) error
+	next   atomic.Int64
+	stop   atomic.Bool
+	mu     sync.Mutex // guards err and errIdx
+	err    error
+	errIdx int
+	wg     sync.WaitGroup
+}
+
+func (p *pool) work(worker int) {
+	defer p.wg.Done()
+	for !p.stop.Load() {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
+			return
+		}
+		if err := p.fn(worker, i); err != nil {
+			p.fail(i, err)
+			return
+		}
 	}
-	return results, nil
+}
+
+// fail records item i's error if it is the lowest so far and stops further
+// claims. Items claimed before the stop still finish, and every index below
+// a claimed one was claimed too, so the lowest recorded failure is the
+// lowest failing index overall.
+func (p *pool) fail(i int, err error) {
+	p.mu.Lock()
+	if p.err == nil || i < p.errIdx {
+		p.err, p.errIdx = err, i
+	}
+	p.mu.Unlock()
+	p.stop.Store(true)
 }

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,42 +11,33 @@ import (
 	"github.com/jockeysim/jockey/internal/stats"
 )
 
-// mixTasks builds n tasks whose results depend only on their key-derived
-// seed, plus per-worker scratch accumulation to prove workers never share
-// scratch state (the -race build would catch sharing).
-func mixTasks(n, workers int, scratch []uint64) []Task[uint64] {
-	tasks := make([]Task[uint64], n)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task[uint64]{
-			Key: fmt.Sprintf("task/%d", i),
-			Run: func(_ context.Context, seed uint64, worker int) (uint64, error) {
-				if worker < 0 || worker >= workers {
-					return 0, fmt.Errorf("worker index %d out of [0, %d)", worker, workers)
-				}
-				if scratch != nil {
-					scratch[worker] += seed // un-synchronized: workers must be disjoint
-				}
-				return stats.SplitMix64(seed + uint64(i)), nil
-			},
+// mix runs n items whose results depend only on their index, plus
+// per-worker scratch accumulation to prove workers never share scratch
+// state (the -race build would catch sharing).
+func mix(t *testing.T, n, par int) []uint64 {
+	t.Helper()
+	workers := Workers(par, n)
+	scratch := make([]uint64, workers)
+	out := make([]uint64, n)
+	err := Run(n, par, func(worker, i int) error {
+		if worker < 0 || worker >= workers {
+			return fmt.Errorf("worker index %d out of [0, %d)", worker, workers)
 		}
+		out[i] = stats.SplitMix64(uint64(i))
+		scratch[worker] += out[i] // un-synchronized: workers must be disjoint
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("parallelism %d: %v", par, err)
 	}
-	return tasks
+	return out
 }
 
 func TestRunBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	const n, master = 37, uint64(99)
-	var want []uint64
-	for _, par := range []int{1, 4, 8} {
-		scratch := make([]uint64, Workers(par, n))
-		got, err := Run(context.Background(), master, par, mixTasks(n, Workers(par, n), scratch))
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
+	const n = 37
+	want := mix(t, n, 1)
+	for _, par := range []int{4, 8} {
+		got := mix(t, n, par)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("parallelism %d: result[%d] = %d, want %d", par, i, got[i], want[i])
@@ -56,25 +46,43 @@ func TestRunBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestRunSeedsDerivedFromKey(t *testing.T) {
-	const master = uint64(7)
-	tasks := []Task[uint64]{{
-		Key: "alpha",
-		Run: func(_ context.Context, seed uint64, _ int) (uint64, error) { return seed, nil },
-	}}
-	got, err := Run(context.Background(), master, 1, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := stats.DeriveSeed(master, "alpha"); got[0] != want {
-		t.Fatalf("seed = %d, want DeriveSeed(master, key) = %d", got[0], want)
+// TestRunCoversAllIndices: every index runs exactly once at any worker
+// count, including worker counts above the item count.
+func TestRunCoversAllIndices(t *testing.T) {
+	for _, workers := range []int{1, 3, 8, 100} {
+		const n = 37
+		counts := make([]int32, n)
+		done := make(chan error)
+		go func() {
+			done <- Run(n, workers, func(_, i int) error {
+				// Each index is owned by exactly one worker, so a plain
+				// increment is race-free by construction (and the -race CI
+				// job verifies that claim).
+				counts[i]++
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: Run did not finish", workers)
+		}
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
+			}
+		}
 	}
 }
 
 func TestRunEmpty(t *testing.T) {
-	got, err := Run[int](context.Background(), 1, 4, nil)
-	if err != nil || got != nil {
-		t.Fatalf("Run(no tasks) = %v, %v; want nil, nil", got, err)
+	for _, par := range []int{1, 4} {
+		if err := Run(0, par, func(int, int) error { return errors.New("called") }); err != nil {
+			t.Fatalf("Run(0 items, parallelism %d) = %v, want nil", par, err)
+		}
 	}
 }
 
@@ -83,7 +91,7 @@ func TestWorkers(t *testing.T) {
 		t.Errorf("Workers(4, 100) = %d, want 4", w)
 	}
 	if w := Workers(8, 3); w != 3 {
-		t.Errorf("Workers(8, 3) = %d, want 3 (clamped to task count)", w)
+		t.Errorf("Workers(8, 3) = %d, want 3 (clamped to item count)", w)
 	}
 	if w := Workers(0, 5); w < 1 || w > 5 {
 		t.Errorf("Workers(0, 5) = %d, want in [1, 5]", w)
@@ -93,62 +101,41 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-// TestRunErrorCancelsRemainingTasks pins the cancellation satellite: a
-// failing grid point must stop the remaining workers promptly — tasks after
-// the failure are never executed, and a blocked in-flight task sees its
-// context canceled rather than the grid draining to completion first.
-func TestRunErrorCancelsRemainingTasks(t *testing.T) {
-	boom := errors.New("boom")
-	var executed atomic.Int64
-	blocked := make(chan struct{})
-	tasks := make([]Task[int], 16)
-	tasks[0] = Task[int]{Key: "blocker", Run: func(ctx context.Context, _ uint64, _ int) (int, error) {
-		close(blocked)
-		<-ctx.Done() // must be released by task 1's failure, not by grid completion
-		return 0, nil
-	}}
-	tasks[1] = Task[int]{Key: "failer", Run: func(_ context.Context, _ uint64, _ int) (int, error) {
-		<-blocked // ensure the blocker holds worker 0 first
-		return 0, boom
-	}}
-	for i := 2; i < len(tasks); i++ {
-		tasks[i] = Task[int]{Key: fmt.Sprintf("after/%d", i), Run: func(_ context.Context, _ uint64, _ int) (int, error) {
-			executed.Add(1)
-			return 0, nil
-		}}
-	}
-	_, err := Run(context.Background(), 1, 2, tasks)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the task failure", err)
-	}
-	if n := executed.Load(); n != 0 {
-		t.Fatalf("%d tasks after the failure executed; cancellation should have skipped them all", n)
-	}
-}
-
-func TestRunReportsLowestObservedFailure(t *testing.T) {
-	tasks := make([]Task[int], 8)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task[int]{Key: fmt.Sprint(i), Run: func(_ context.Context, _ uint64, _ int) (int, error) {
-			if i >= 3 {
-				return 0, fmt.Errorf("task %d failed", i)
+// TestRunReportsLowestFailure pins the failure contract: items 3 and up
+// fail, and item 3 (when other workers exist) holds its worker until a
+// later item has failed first. Run must still return item 3's error, since
+// every index below a claimed one is claimed and finishes. A serial run
+// must claim nothing after the failure.
+func TestRunReportsLowestFailure(t *testing.T) {
+	const n = 16
+	for _, par := range []int{1, 2, 8} {
+		var after atomic.Int64 // items above 3 that ran
+		laterFailed := make(chan struct{})
+		var once sync.Once
+		err := Run(n, par, func(_, i int) error {
+			switch {
+			case i < 3:
+				return nil
+			case i == 3:
+				if Workers(par, n) > 1 {
+					select {
+					case <-laterFailed:
+					case <-time.After(10 * time.Second):
+						t.Errorf("parallelism %d: no later item failed while item 3 ran", par)
+					}
+				}
+			default:
+				after.Add(1)
+				defer once.Do(func() { close(laterFailed) })
 			}
-			return i, nil
-		}}
-	}
-	_, err := Run(context.Background(), 1, 1, tasks)
-	if err == nil || err.Error() != "task 3 failed" {
-		t.Fatalf("err = %v, want the serial-order first failure (task 3)", err)
-	}
-}
-
-func TestRunExternalCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Run(ctx, 1, 4, mixTasks(8, Workers(4, 8), nil))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+			return fmt.Errorf("item %d failed", i)
+		})
+		if err == nil || err.Error() != "item 3 failed" {
+			t.Fatalf("parallelism %d: err = %v, want item 3's error", par, err)
+		}
+		if par == 1 && after.Load() != 0 {
+			t.Fatalf("serial run claimed %d items after the failure", after.Load())
+		}
 	}
 }
 

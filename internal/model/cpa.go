@@ -2,14 +2,12 @@ package model
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"github.com/jockeysim/jockey/internal/grid"
 	"github.com/jockeysim/jockey/internal/invariant"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/progress"
@@ -36,10 +34,11 @@ type CPAConfig struct {
 	// Seed drives the simulations.
 	Seed uint64
 	// Parallelism bounds the worker pool that runs the offline simulations
-	// (default runtime.GOMAXPROCS(0)). The table is bit-identical at any
-	// value: each (alloc, run) cell derives its RNG seed independently of
-	// the others, workers only fill their own cell's sample slice, and the
-	// slices are folded into the table in fixed index order afterwards.
+	// (0 or negative = GOMAXPROCS, the default). The table is bit-identical
+	// at any value: each (alloc, run) cell derives its RNG seed
+	// independently of the others, workers only fill their own cell's
+	// sample slice, and the slices are folded into the table in fixed index
+	// order afterwards.
 	Parallelism int
 }
 
@@ -66,51 +65,7 @@ func (c *CPAConfig) fill() error {
 	if c.ReservoirCap <= 0 {
 		c.ReservoirCap = 64
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	return nil
-}
-
-// runParallel invokes fn(i) for every i in [0, n) on up to `workers`
-// goroutines, pulling indices from a shared atomic counter. fn must only
-// write state owned by index i.
-func runParallel(n, workers int, fn func(int)) {
-	runParallelWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// runParallelWorkers is runParallel with the executing worker's identity
-// (0 <= worker < workers) passed to fn, so callers can hand each worker
-// its own reusable scratch state — e.g. one sim.Runner per worker, since
-// Runners are cheap to reuse but not concurrency-safe. Worker identity
-// must not influence results (the index-derived seeds and the
-// deterministic merge guarantee that for the model builds).
-func runParallelWorkers(n, workers int, fn func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // CPA is the precomputed table of remaining-completion-time distributions
@@ -177,13 +132,12 @@ func buildCPAs(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig, out
 	// goroutines. Each worker writes only its own cell's cellObs slots
 	// (cellObs[idx*k+j] holds indicator j's observations of cell idx), and
 	// holds one reusable simulation engine plus one sample scratch buffer —
-	// worker identity touches memory reuse only, never results. A worker
-	// takes its cells in ascending order and keeps its first error, so the
-	// error returned is that of the lowest failing cell, whoever ran it.
+	// worker identity touches memory reuse only, never results. grid.Run
+	// returns the error of the lowest failing cell, whoever ran it.
 	nCells := len(allocs) * cfg.RunsPerAlloc
 	cellObs := make([][]obs, nCells*k)
-	workers := make([]*cpaWorker, cfg.Parallelism)
-	runParallelWorkers(nCells, cfg.Parallelism, func(worker, idx int) {
+	workers := make([]*cpaWorker, grid.Workers(cfg.Parallelism, nCells))
+	err := grid.Run(nCells, cfg.Parallelism, func(worker, idx int) error {
 		w := workers[worker]
 		if w == nil {
 			w = newCPAWorker(inds)
@@ -200,10 +154,7 @@ func buildCPAs(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig, out
 			OnSample:    w.onSample,
 		})
 		if err != nil {
-			if w.err == nil {
-				w.err, w.errCell = err, idx
-			}
-			return
+			return err
 		}
 		buf := make([]obs, 0, len(w.samples)+2*k)
 		for j := range k {
@@ -221,14 +172,8 @@ func buildCPAs(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig, out
 			buf = append(buf, obs{bucket: cfg.Buckets, v: 0})
 			cellObs[idx*k+j] = buf[start:len(buf):len(buf)]
 		}
+		return nil
 	})
-	var err error
-	errCell := nCells
-	for _, w := range workers {
-		if w != nil && w.err != nil && w.errCell < errCell {
-			err, errCell = w.err, w.errCell
-		}
-	}
 	if err != nil {
 		return err
 	}
@@ -315,9 +260,6 @@ type cpaWorker struct {
 	// is snapshot s under indicator j.
 	samples  []progressSample
 	onSample func(sim.Snapshot)
-	// err is the error of the first failing cell this worker ran, errCell.
-	err     error
-	errCell int
 }
 
 type progressSample struct {

@@ -3,11 +3,11 @@ package model
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"time"
 
+	"github.com/jockeysim/jockey/internal/grid"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/sim"
 	"github.com/jockeysim/jockey/internal/stats"
@@ -65,10 +65,10 @@ func NewOnlineSim(p *profile.Profile, runs int, seed uint64) (*OnlineSim, error)
 }
 
 // SetParallelism bounds the worker pool that executes the forward
-// simulations of one query (0 or negative = runtime.GOMAXPROCS(0), the
-// default). Predictions are bit-identical at any value: each forward run's
-// seed depends only on (seed, state, alloc, run index), workers write
-// disjoint result slots, and results are collected in run-index order.
+// simulations of one query (0 or negative = GOMAXPROCS, the default).
+// Predictions are bit-identical at any value: each forward run's seed
+// depends only on (seed, state, alloc, run index), workers write disjoint
+// result slots, and results are collected in run-index order.
 // OnlineSim itself is not safe for concurrent queries; the knob parallelizes
 // the simulations inside a single query.
 func (o *OnlineSim) SetParallelism(n int) { o.par = n }
@@ -116,13 +116,7 @@ func (o *OnlineSim) samples(st State, a int) []time.Duration {
 	if s, ok := o.memoSamples[a]; ok {
 		return s
 	}
-	workers := o.par
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > o.runs {
-		workers = o.runs
-	}
+	workers := grid.Workers(o.par, o.runs)
 	if len(o.runners) < workers {
 		o.runners = append(o.runners, make([]*sim.Runner, workers-len(o.runners))...)
 	}
@@ -134,7 +128,8 @@ func (o *OnlineSim) samples(st State, a int) []time.Duration {
 	succeeded := o.succeeded[:o.runs]
 	clear(succeeded)
 	aLabel := strconv.Itoa(a)
-	runParallelWorkers(o.runs, workers, func(worker, r int) {
+	// The runs never fail: a stalled one only leaves its slot unsucceeded.
+	_ = grid.Run(o.runs, workers, func(worker, r int) error {
 		rn := o.runners[worker]
 		if rn == nil {
 			rn = sim.NewRunner()
@@ -150,10 +145,11 @@ func (o *OnlineSim) samples(st State, a int) []time.Duration {
 		if err != nil {
 			// A stalled forward simulation means the state vector is
 			// inconsistent with the plan; treat as "no information".
-			return
+			return nil
 		}
 		completions[r] = completion
 		succeeded[r] = true
+		return nil
 	})
 	out := make([]time.Duration, 0, o.runs)
 	for r := 0; r < o.runs; r++ {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -92,44 +93,14 @@ func TestOnlineSimParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCPAParallelismDefault: a zero/negative knob falls back to GOMAXPROCS
-// rather than serializing or panicking.
+// TestCPAParallelismDefault: a zero or negative knob sizes the pool by
+// GOMAXPROCS rather than serializing or panicking, and builds the same
+// table as one worker.
 func TestCPAParallelismDefault(t *testing.T) {
-	cfg := CPAConfig{Allocs: []int{1}}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Parallelism < 1 {
-		t.Fatalf("filled Parallelism = %d, want >= 1", cfg.Parallelism)
-	}
-}
-
-// TestRunParallelCoversAllIndices exercises the work-distribution helper
-// directly: every index must be visited exactly once at any worker count,
-// including worker counts above the item count.
-func TestRunParallelCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 3, 8, 100} {
-		const n = 37
-		counts := make([]int32, n)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			runParallel(n, workers, func(i int) {
-				// Each index is owned by exactly one worker, so a plain
-				// increment is race-free by construction (and the -race CI
-				// job verifies that claim).
-				counts[i]++
-			})
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("workers=%d: runParallel did not finish", workers)
-		}
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
+	want := buildCPAWithParallelism(t, 1)
+	for _, par := range []int{0, -1} {
+		if got := buildCPAWithParallelism(t, par); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Parallelism %d: table differs from the Parallelism 1 build", par)
 		}
 	}
 }

@@ -7,9 +7,12 @@
 //	experiments [-seed N] [-out DIR] [-quick] [-run LIST] [-parallelism N] [-parallel N]
 //	            [-flight-level none|decisions|counterfactual] [-flight DIR]
 //
-// -run selects a comma-separated subset of:
-// table1,fig1,table2,fig3,fig4,fig5,fig6,table3,fig7,fig8,fig9,fig10,fig11,fig12,fig13,ext1,ext2,robustness,fleet
-// (fig4 and fig5 share one set of runs and always run together).
+// The artifacts and their quick and full run counts come from one
+// registry, experiments.Artifacts, which runs them in this order. -run
+// selects a comma-separated, case-insensitive subset of:
+// table1,fig1,table2,fig3,fig4,fig5,fig6,table3,fig7,fig8,fig9,fig10,fig11,fig12,ext1,ext2,robustness,fleet,fig13
+// (fig4 and fig5 share one set of runs and always run together). An
+// unknown name exits with status 1 and lists the valid names.
 package main
 
 import (
@@ -29,7 +32,7 @@ func main() {
 		seed  = flag.Uint64("seed", 1, "master seed for all experiments")
 		out   = flag.String("out", "", "directory for result files (default: stdout only)")
 		quick = flag.Bool("quick", false, "smaller run counts (for smoke testing)")
-		run   = flag.String("run", "", "comma-separated experiment subset (default: all)")
+		run   = flag.String("run", "", "comma-separated subset of "+strings.Join(experiments.RunNames(), ",")+" (default: all)")
 		par   = flag.Int("parallelism", 0, "worker pool size for offline model simulations (0 = GOMAXPROCS); results are identical at any value")
 		gpar  = flag.Int("parallel", 0, "worker pool size for experiment grid points (0 = GOMAXPROCS); results are identical at any value")
 
@@ -41,221 +44,39 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	want := map[string]bool{}
-	if *run != "" {
-		for _, name := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(strings.ToLower(name))] = true
-		}
+	artifacts, err := experiments.Select(*run)
+	if err != nil {
+		fatal(err)
 	}
-	selected := func(name string) bool { return len(want) == 0 || want[name] }
+	if *flightDir == "" {
+		*flightDir = *out
+	}
 
 	env := experiments.NewEnv(*seed)
 	env.Parallelism = *par
 	env.GridParallel = *gpar
-	seeds := 3
-	t1runs := 12
-	fig8Runs := 3
-	if *quick {
-		seeds = 1
-		t1runs = 6
-		fig8Runs = 1
-	}
-
-	emit := func(name, content string) {
-		fmt.Println(content)
-		if *out != "" {
-			path := filepath.Join(*out, name+".txt")
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	opts := experiments.Options{Quick: *quick, Flight: flightLevel}
+	for _, a := range artifacts {
+		step(a.Title)
+		files, err := a.Run(env, opts)
+		if err != nil {
+			fatal(err)
+		}
+		for _, f := range files {
+			dir := *out
+			switch f.Kind {
+			case experiments.TableFile:
+				fmt.Println(f.Text)
+			case experiments.FlightFile:
+				dir = *flightDir
+			}
+			if dir == "" {
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, f.Name), []byte(f.Text), 0o644); err != nil {
 				fatal(err)
 			}
 		}
-	}
-
-	if selected("table1") {
-		step("Table 1: recurring-job completion-time variance")
-		t1, err := experiments.RecurringVariance(env, experiments.Table1Config{RunsPerJob: t1runs})
-		if err != nil {
-			fatal(err)
-		}
-		emit("table1", t1.Render())
-	}
-	if selected("fig1") {
-		step("Figure 1: inter-job dependencies")
-		f1, err := experiments.Dependencies(env, 5000)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig1", f1.Render())
-	}
-	if selected("table2") {
-		step("Table 2: evaluation job statistics")
-		t2, err := experiments.JobStatistics(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit("table2", t2.Render())
-	}
-	if selected("fig3") {
-		step("Figure 3: stage graphs")
-		f3, err := experiments.StageGraphs(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig3", f3.Render())
-		if *out != "" {
-			for job, dot := range f3.DOT {
-				path := filepath.Join(*out, "fig3-job"+job+".dot")
-				if err := os.WriteFile(path, []byte(dot), 0o644); err != nil {
-					fatal(err)
-				}
-			}
-		}
-	}
-	if selected("fig4") || selected("fig5") {
-		step("Figures 4 & 5: policy comparison (the slow one)")
-		cmp, err := experiments.PolicyComparison(env, experiments.ComparisonConfig{SeedsPerCase: seeds})
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig4", cmp.RenderFig4())
-		emit("fig5", cmp.RenderFig5())
-	}
-	if selected("fig6") {
-		step("Figure 6: adaptation time-lapses")
-		f6, err := experiments.Timelapses(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig6", f6.Render())
-		if *out != "" {
-			for i, c := range f6.Cases {
-				var b strings.Builder
-				if err := c.Outcome.Trace.WriteTimelineCSV(&b); err != nil {
-					fatal(err)
-				}
-				path := filepath.Join(*out, fmt.Sprintf("fig6-%c-job%s.csv", 'a'+i, c.Job))
-				if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-					fatal(err)
-				}
-			}
-		}
-	}
-	if selected("table3") {
-		step("Table 3: training vs heavier actual runs")
-		t3, err := experiments.TrainingVsActual(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit("table3", t3.Render())
-	}
-	if selected("fig7") {
-		step("Figure 7: deadline changes")
-		f7, err := experiments.DeadlineChanges(env, nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig7", f7.Render())
-	}
-	if selected("fig8") {
-		step("Figure 8: prediction accuracy")
-		f8, err := experiments.PredictionAccuracy(env, nil, fig8Runs)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig8", f8.Render())
-	}
-	if selected("fig9") {
-		step("Figure 9: indicator traces")
-		f9, err := experiments.IndicatorTraces(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig9", f9.Render())
-	}
-	if selected("fig10") {
-		step("Figure 10: indicator comparison")
-		f10, err := experiments.IndicatorComparison(env, nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig10", f10.Render())
-	}
-	if selected("fig11") {
-		step("Figure 11: sensitivity analysis")
-		f11, err := experiments.Sensitivity(env, nil, seeds)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig11", f11.Render())
-	}
-	if selected("fig12") {
-		step("Figure 12: slack sweep")
-		f12, err := experiments.SlackSweep(env, nil, seeds)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig12", f12.Render())
-	}
-	if selected("ext1") {
-		step("Extension E1: online simulation vs precomputed table")
-		e1, err := experiments.OnlineVsTable(env, nil, seeds)
-		if err != nil {
-			fatal(err)
-		}
-		emit("ext1", e1.Render())
-	}
-	if selected("ext2") {
-		step("Extension E2: admission control")
-		e2, err := experiments.AdmissionControl(env, 8)
-		if err != nil {
-			fatal(err)
-		}
-		emit("ext2", e2.Render())
-	}
-	if selected("robustness") {
-		step("Robustness: guard rails under injected faults")
-		rb, err := experiments.RobustnessFlight(env, experiments.RobustnessConfig{
-			Job:          "B",
-			SeedsPerCell: seeds,
-			Flight:       flightLevel,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		emit("robustness", rb.Render())
-		dir := *flightDir
-		if dir == "" {
-			dir = *out
-		}
-		if dir != "" {
-			for _, fr := range rb.Records {
-				var b strings.Builder
-				if err := fr.Record.WriteJSON(&b); err != nil {
-					fatal(err)
-				}
-				name := fmt.Sprintf("flight-robust-%s-%s-%d.json", fr.Scenario, fr.Policy, fr.Seed)
-				if err := os.WriteFile(filepath.Join(dir, name), []byte(b.String()), 0o644); err != nil {
-					fatal(err)
-				}
-			}
-		}
-	}
-	if selected("fleet") {
-		step("Fleet: multi-job arbitration robustness grid")
-		fl, err := experiments.FleetRobustness(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fleet", fl.Render())
-	}
-	if selected("fig13") {
-		step("Figure 13: hysteresis sweep")
-		f13, err := experiments.HysteresisSweep(env, nil, seeds)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig13", f13.Render())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/invariant"
 	"github.com/jockeysim/jockey/internal/model"
+	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/trace"
 	"github.com/jockeysim/jockey/internal/utility"
@@ -1187,7 +1188,7 @@ func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed b
 	jr.accrueAlloc(c.now)
 	attempt := jr.deps.Attempt(r.Stage, r.Task)
 	initDelay, exec, fails := jr.p.Stages[r.Stage].SampleAttempt(jr.rng, jr.driftFactor[r.Stage],
-		attempt < maxClusterAttempts-1)
+		attempt < profile.MaxAttempts-1)
 	st := &c.store
 	s := st.alloc()
 	st.job[s] = int32(jr.id)
@@ -1238,6 +1239,3 @@ func localityFraction(jr *jobRun) float64 {
 	}
 	return float64(jr.localDone) / float64(jr.rootDone)
 }
-
-// maxClusterAttempts bounds re-execution of a failing task.
-const maxClusterAttempts = 30

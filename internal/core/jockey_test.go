@@ -8,7 +8,6 @@ import (
 	"github.com/jockeysim/jockey/internal/cluster"
 	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/profile"
-	"github.com/jockeysim/jockey/internal/sim"
 	"github.com/jockeysim/jockey/internal/stats"
 )
 
@@ -237,5 +236,4 @@ func TestMinStageIndicatorUsesConstrainedRun(t *testing.T) {
 	if mid <= 0 || mid >= 1 {
 		t.Errorf("mid progress = %v", mid)
 	}
-	_ = sim.DefaultMaxAttempts // keep the sim import meaningful
 }

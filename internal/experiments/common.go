@@ -1,7 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§2 and §5). Each experiment is a function returning a typed
 // result with a Render method that prints the same rows/series the paper
-// reports; cmd/experiments and the repository's benchmarks drive them.
+// reports. Artifacts lists them in run order with their quick and full run
+// counts and output files; cmd/experiments runs that list, and the
+// repository's benchmarks drive the experiments too.
 //
 // The shared Env builds, per run: a ground-truth job (package workload), a
 // training execution on an idle cluster slice (from which Jockey's profile
@@ -83,11 +85,9 @@ type Env struct {
 }
 
 type trainEntry struct {
-	prof  *profile.Profile
-	trace *clusterTrace
+	prof *profile.Profile
+	res  cluster.Result
 }
-
-type clusterTrace = cluster.Result
 
 // NewEnv builds the standard environment of §5.1.
 func NewEnv(seed uint64) *Env {
@@ -139,7 +139,7 @@ func (e *Env) TrainingResult(job string) (cluster.Result, error) {
 	if err != nil {
 		return cluster.Result{}, err
 	}
-	return *te.trace, nil
+	return te.res, nil
 }
 
 // training builds the training run single-flight per job. The build calls
@@ -179,7 +179,7 @@ func (e *Env) training(job string) (*trainEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &trainEntry{prof: prof, trace: &res}, nil
+		return &trainEntry{prof: prof, res: res}, nil
 	})
 }
 
@@ -305,7 +305,7 @@ type SLORun struct {
 	fixedAlloc int
 }
 
-// SLOJobStart is when Env.Run submits the tracked SLO job: it arrives into a
+// SLOJobStart is when RunExec submits the tracked SLO job: it arrives into a
 // cluster warmed up by 15 minutes of background load. Cluster-clock
 // perturbations (RackOutages, Contention) should be placed relative to it.
 const SLOJobStart = 15 * time.Minute
@@ -412,13 +412,44 @@ func NewExec() *Exec {
 	return &Exec{engine: cluster.NewEngine(), bgPool: workload.NewBackgroundPool()}
 }
 
-// Run executes one SLO run on a freshly built, background-loaded cluster.
-func (e *Env) Run(r SLORun) (Outcome, error) {
-	return e.RunExec(NewExec(), r)
+// reset readies x's engine as env's cluster under cfg, with env's machine
+// count and slots and machine failures every 90 minutes per machine on
+// average, and pre-schedules bg's background fleet on it unless bg is nil.
+func (x *Exec) reset(env *Env, cfg cluster.Config, bg *workload.BackgroundConfig) (*cluster.Cluster, error) {
+	cfg.Machines, cfg.SlotsPerMachine, cfg.MachineMTBF = env.Machines, env.Slots, 90*time.Minute
+	c, err := x.engine.Reset(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if bg != nil {
+		if _, err := x.bgPool.SubmitBackground(c, *bg); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
-// RunExec is Run on a reusable execution context: same results, but
-// repeated calls recycle the cluster's arenas instead of reallocating them.
+// completion replays job, tracked, on x's cluster readied by reset and
+// returns its completion time.
+func (x *Exec) completion(env *Env, cfg cluster.Config, bg *workload.BackgroundConfig, job cluster.JobConfig) (time.Duration, error) {
+	c, err := x.reset(env, cfg, bg)
+	if err != nil {
+		return 0, err
+	}
+	job.Tracked = true
+	h, err := c.Submit(job)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.Run(); err != nil {
+		return 0, err
+	}
+	return h.Result().Completion, nil
+}
+
+// RunExec executes one SLO run on x's background-loaded cluster. Results
+// are the same on a fresh Exec and on one reused across runs, which
+// recycles the cluster's arenas instead of reallocating them.
 func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 	if r.Deadline <= 0 {
 		return Outcome{}, fmt.Errorf("experiments: run needs a deadline")
@@ -457,24 +488,18 @@ func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 			rp.SetRecorder(r.Flight)
 		}
 	}
-	c, err := x.engine.Reset(cluster.Config{
-		Machines:        e.Machines,
-		SlotsPerMachine: e.Slots,
-		MachineMTBF:     90 * time.Minute,
-		Seed:            stats.DeriveSeed(e.Seed, "run-cluster", r.Job, fmt.Sprint(r.Seed)),
-		RackOutages:     r.RackOutages,
-		Contention:      r.Contention,
-	})
-	if err != nil {
-		return Outcome{}, err
-	}
 	bg := e.Background
 	bg.Seed = stats.DeriveSeed(e.Seed, "run-bg", r.Job, fmt.Sprint(r.Seed))
 	// Runs happen on different "days": the interfering load level varies
 	// run to run, which is what an adaptive policy must cope with.
 	bgRng := stats.NewRNG(stats.DeriveSeed(e.Seed, "run-bg-level", r.Job, fmt.Sprint(r.Seed)))
 	bg.MeanInterarrival = time.Duration(float64(bg.MeanInterarrival) * (0.6 + 0.9*bgRng.Float64()))
-	if _, err := x.bgPool.SubmitBackground(c, bg); err != nil {
+	c, err := x.reset(e, cluster.Config{
+		Seed:        stats.DeriveSeed(e.Seed, "run-cluster", r.Job, fmt.Sprint(r.Seed)),
+		RackOutages: r.RackOutages,
+		Contention:  r.Contention,
+	}, &bg)
+	if err != nil {
 		return Outcome{}, err
 	}
 	// Some runs coincide with a large high-priority tenant claiming a big

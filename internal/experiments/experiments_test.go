@@ -78,19 +78,19 @@ func TestDeadlinesOrdered(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := sharedEnv.Run(SLORun{Job: "A", Policy: PolicyJockey}); err == nil {
+	if _, err := sharedEnv.RunExec(NewExec(), SLORun{Job: "A", Policy: PolicyJockey}); err == nil {
 		t.Error("missing deadline must fail")
 	}
-	if _, err := sharedEnv.Run(SLORun{Job: "A", Deadline: time.Hour, Policy: "bogus"}); err == nil {
+	if _, err := sharedEnv.RunExec(NewExec(), SLORun{Job: "A", Deadline: time.Hour, Policy: "bogus"}); err == nil {
 		t.Error("unknown policy must fail")
 	}
-	if _, err := sharedEnv.Run(SLORun{Job: "ZZ", Deadline: time.Hour, Policy: PolicyJockey}); err == nil {
+	if _, err := sharedEnv.RunExec(NewExec(), SLORun{Job: "ZZ", Deadline: time.Hour, Policy: PolicyJockey}); err == nil {
 		t.Error("unknown job must fail")
 	}
 	// Knobs pass straight through to control.Config, whose range checks
 	// reject them instead of silently running at the defaults.
 	for _, k := range []Knobs{{Slack: -1}, {Hysteresis: -0.5}} {
-		_, err := sharedEnv.Run(SLORun{Job: "A", Deadline: time.Hour, Policy: PolicyJockey, Knobs: k})
+		_, err := sharedEnv.RunExec(NewExec(), SLORun{Job: "A", Deadline: time.Hour, Policy: PolicyJockey, Knobs: k})
 		if err == nil {
 			t.Errorf("Knobs%+v must fail", k)
 		}
@@ -107,7 +107,7 @@ func TestRunValidation(t *testing.T) {
 		{SLORun{Policy: PolicyJockey, Guarded: true, Knobs: Knobs{OnlinePredictor: true}}, "OnlinePredictor"},
 	} {
 		c.r.Job, c.r.Deadline = "A", time.Hour
-		_, err := sharedEnv.Run(c.r)
+		_, err := sharedEnv.RunExec(NewExec(), c.r)
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("policy %s, guarded %v, online %v: err = %v, want one naming %s",
 				c.r.Policy, c.r.Guarded, c.r.Knobs.OnlinePredictor, err, c.field)
@@ -118,11 +118,11 @@ func TestRunValidation(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	short, _, _ := sharedEnv.Deadlines("B")
 	r := SLORun{Job: "B", Deadline: short, Policy: PolicyJockey, Seed: 11}
-	a, err := sharedEnv.Run(r)
+	a, err := sharedEnv.RunExec(NewExec(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sharedEnv.Run(r)
+	b, err := sharedEnv.RunExec(NewExec(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestOnlinePredictorKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := sharedEnv.Run(SLORun{
+	o, err := sharedEnv.RunExec(NewExec(), SLORun{
 		Job:      "B",
 		Deadline: short,
 		Policy:   PolicyJockey,

@@ -32,7 +32,9 @@ type ExtensionResult struct {
 // OnlineVsTable runs each job under the Jockey controller twice — once
 // indexing the precomputed C(p, a) table, once re-simulating forward from
 // the live state at every decision — and compares SLO outcomes, cluster
-// impact and decision cost.
+// impact and decision cost. Decision cost is wall clock per run, so the
+// runs stay serial, one at a time on one reused Exec: concurrent runs
+// would bill each other's CPU time.
 func OnlineVsTable(env *Env, jobs []string, seedsPerJob int) (*ExtensionResult, error) {
 	if len(jobs) == 0 {
 		jobs = []string{"B", "E"}
@@ -41,6 +43,7 @@ func OnlineVsTable(env *Env, jobs []string, seedsPerJob int) (*ExtensionResult, 
 		seedsPerJob = 2
 	}
 	out := &ExtensionResult{}
+	x := NewExec()
 	for _, job := range jobs {
 		short, _, err := env.Deadlines(job)
 		if err != nil {
@@ -52,7 +55,7 @@ func OnlineVsTable(env *Env, jobs []string, seedsPerJob int) (*ExtensionResult, 
 			seed := stats.DeriveSeed(env.Seed, "ext-online", job, fmt.Sprint(s))
 			for _, online := range []bool{false, true} {
 				start := time.Now()
-				o, err := env.Run(SLORun{
+				o, err := env.RunExec(x, SLORun{
 					Job:      job,
 					Deadline: short,
 					Policy:   PolicyJockey,

@@ -8,7 +8,6 @@ import (
 	"github.com/jockeysim/jockey/internal/invariant"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
-	"github.com/jockeysim/jockey/internal/workload"
 )
 
 // AdmissionOutcome summarizes one mode of the admission-control experiment.
@@ -44,85 +43,89 @@ func AdmissionControl(env *Env, offers int) (*ExtensionE2, error) {
 		job      string
 		deadline time.Duration
 		start    time.Duration
+		fits     bool // admitted by the fit check
 	}
 	jobs := []string{"B", "C", "E", "F"}
 	rng := stats.NewRNG(stats.DeriveSeed(env.Seed, "ext2"))
+	out := &ExtensionE2{}
 	var stream []offer
+	committed := 0
 	for i := 0; i < offers; i++ {
 		name := jobs[rng.IntN(len(jobs))]
 		short, _, err := env.Deadlines(name)
 		if err != nil {
 			return nil, err
 		}
-		stream = append(stream, offer{
+		of := offer{
 			job:      name,
 			deadline: time.Duration(float64(short) * (0.9 + 0.3*rng.Float64())),
 			start:    time.Duration(i) * 4 * time.Minute,
-		})
-	}
-
-	out := &ExtensionE2{}
-	for _, gate := range []bool{true, false} {
-		mode := "admit-everything"
-		if gate {
-			mode = "admission-control"
 		}
-		c, err := cluster.New(cluster.Config{
-			Machines:        env.Machines,
-			SlotsPerMachine: env.Slots,
-			MachineMTBF:     90 * time.Minute,
-			Seed:            stats.DeriveSeed(env.Seed, "ext2-cluster", mode),
-		})
+		// The fit check reads only the model, so it decides before either
+		// replay runs.
+		jk, err := env.Runtime(name, "")
 		if err != nil {
 			return nil, err
 		}
-		bg := env.Background
-		bg.Seed = stats.DeriveSeed(env.Seed, "ext2-bg", mode)
-		if _, err := workload.SubmitBackground(c, bg); err != nil {
-			return nil, err
+		if need, ok := jk.RequiredAllocation(of.deadline); ok && need <= env.MaxTokens-committed {
+			committed += need
+			of.fits = true
+		} else {
+			out.Rejected = append(out.Rejected, fmt.Sprintf("%s-%d", name, i))
 		}
-		committed := 0
-		o := AdmissionOutcome{Mode: mode, Offered: len(stream)}
-		var handles []*cluster.Handle
-		for i, of := range stream {
-			jk, err := env.Runtime(of.job, "")
+		stream = append(stream, of)
+	}
+
+	// Both modes replay the same stream, each on its own seeds.
+	var tasks []func(x *Exec) (AdmissionOutcome, error)
+	for _, mode := range []string{"admission-control", "admit-everything"} {
+		tasks = append(tasks, func(x *Exec) (AdmissionOutcome, error) {
+			bg := env.Background
+			bg.Seed = stats.DeriveSeed(env.Seed, "ext2-bg", mode)
+			c, err := x.reset(env, cluster.Config{Seed: stats.DeriveSeed(env.Seed, "ext2-cluster", mode)}, &bg)
 			if err != nil {
-				return nil, err
+				return AdmissionOutcome{}, err
 			}
-			if gate {
-				need, ok := jk.RequiredAllocation(of.deadline)
-				if !ok || need > env.MaxTokens-committed {
-					out.Rejected = append(out.Rejected, fmt.Sprintf("%s-%d", of.job, i))
+			var handles []*cluster.Handle
+			for _, of := range stream {
+				if mode == "admission-control" && !of.fits {
 					continue
 				}
-				committed += need
+				jk, err := env.Runtime(of.job, "")
+				if err != nil {
+					return AdmissionOutcome{}, err
+				}
+				pol, err := jk.Policy(of.deadline)
+				if err != nil {
+					return AdmissionOutcome{}, err
+				}
+				h, err := c.Submit(cluster.JobConfig{
+					Profile:  mustGround(env, of.job),
+					Policy:   pol,
+					Deadline: of.deadline,
+					Start:    of.start,
+					Tracked:  true,
+				})
+				if err != nil {
+					return AdmissionOutcome{}, err
+				}
+				handles = append(handles, h)
 			}
-			pol, err := jk.Policy(of.deadline)
-			if err != nil {
-				return nil, err
+			if err := c.Run(); err != nil {
+				return AdmissionOutcome{}, err
 			}
-			h, err := c.Submit(cluster.JobConfig{
-				Profile:  mustGround(env, of.job),
-				Policy:   pol,
-				Deadline: of.deadline,
-				Start:    of.start,
-				Tracked:  true,
-			})
-			if err != nil {
-				return nil, err
+			o := AdmissionOutcome{Mode: mode, Offered: len(stream), Admitted: len(handles)}
+			for _, h := range handles {
+				if h.Result().Met {
+					o.Met++
+				}
 			}
-			handles = append(handles, h)
-			o.Admitted++
-		}
-		if err := c.Run(); err != nil {
-			return nil, err
-		}
-		for _, h := range handles {
-			if h.Result().Met {
-				o.Met++
-			}
-		}
-		out.Outcomes = append(out.Outcomes, o)
+			return o, nil
+		})
+	}
+	var err error
+	if out.Outcomes, err = runGrid(env, tasks); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -49,22 +49,26 @@ func Timelapses(env *Env) (*Fig6, error) {
 		{Label: "(b) slow stage, job E", Job: "E", Deadline: shortE, InputScale: 1.25},
 		{Label: "(c) over-provisioned, job G", Job: "G", Deadline: longG, InputScale: 0.75},
 	}
-	f := &Fig6{}
+	var tasks []func(x *Exec) (Outcome, error)
 	for i, c := range cases {
-		o, err := env.Run(SLORun{
-			Job:        c.Job,
-			Deadline:   c.Deadline,
-			Policy:     PolicyJockey,
-			Seed:       uint64(100 + i),
-			InputScale: c.InputScale,
+		tasks = append(tasks, func(x *Exec) (Outcome, error) {
+			return env.RunExec(x, SLORun{
+				Job:        c.Job,
+				Deadline:   c.Deadline,
+				Policy:     PolicyJockey,
+				Seed:       uint64(100 + i),
+				InputScale: c.InputScale,
+			})
 		})
-		if err != nil {
-			return nil, err
-		}
-		c.Outcome = o
-		f.Cases = append(f.Cases, c)
 	}
-	return f, nil
+	outcomes, err := runGrid(env, tasks)
+	if err != nil {
+		return nil, err
+	}
+	for i := range cases {
+		cases[i].Outcome = outcomes[i]
+	}
+	return &Fig6{Cases: cases}, nil
 }
 
 // Timeline returns the allocation timeline of case i.

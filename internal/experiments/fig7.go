@@ -37,103 +37,92 @@ type Fig7 struct {
 // DeadlineChanges runs each job once per manipulation: ten minutes after
 // start, the deadline is halved, doubled, or tripled; Jockey must meet the
 // new deadline, raising the allocation for cuts and releasing resources for
-// extensions.
+// extensions. The (job, manipulation) runs execute on runGrid.
 func DeadlineChanges(env *Env, jobs []string) (*Fig7, error) {
 	if len(jobs) == 0 {
 		jobs = DefaultJobs
 	}
-	f := &Fig7{}
+	const changeAt = 10 * time.Minute
+	kinds := []DeadlineChangeKind{HalveDeadline, DoubleDeadline, TripleDeadline}
+	var tasks []func(x *Exec) (Outcome, error)
 	for _, job := range jobs {
-		_, long, err := env.Deadlines(job)
-		if err != nil {
-			return nil, err
-		}
-		for _, kind := range []DeadlineChangeKind{HalveDeadline, DoubleDeadline, TripleDeadline} {
-			var newDeadline time.Duration
-			switch kind {
-			case HalveDeadline:
-				newDeadline = long / 2
-			case DoubleDeadline:
-				newDeadline = 2 * long
-			case TripleDeadline:
-				newDeadline = 3 * long
-			}
-			changeAt := 10 * time.Minute
-			o, err := env.Run(SLORun{
-				Job:      job,
-				Deadline: long,
-				Policy:   PolicyJockey,
-				// Pin the input size: this experiment isolates deadline
-				// adaptation from input drift.
-				InputScale: 1.0,
-				Seed:       stats.DeriveSeed(env.Seed, "fig7", job, string(kind)),
-				DeadlineChanges: []cluster.DeadlineChange{
-					{At: changeAt, Deadline: newDeadline},
-				},
-			})
-			if err != nil {
-				return nil, err
-			}
-			var before, after []float64
-			for _, p := range o.Trace.Timeline {
-				if p.T < changeAt {
-					before = append(before, float64(p.Granted))
-				} else {
-					after = append(after, float64(p.Granted))
+		for _, kind := range kinds {
+			tasks = append(tasks, func(x *Exec) (Outcome, error) {
+				_, long, err := env.Deadlines(job)
+				if err != nil {
+					return Outcome{}, err
 				}
-			}
-			f.Runs = append(f.Runs, Fig7Run{
-				Job:         job,
-				Kind:        kind,
-				Outcome:     o,
-				AllocBefore: stats.Mean(before),
-				AllocAfter:  stats.Mean(after),
+				newDeadline := map[DeadlineChangeKind]time.Duration{
+					HalveDeadline: long / 2, DoubleDeadline: 2 * long, TripleDeadline: 3 * long,
+				}[kind]
+				return env.RunExec(x, SLORun{
+					Job:      job,
+					Deadline: long,
+					Policy:   PolicyJockey,
+					// Pin the input size: this experiment isolates deadline
+					// adaptation from input drift.
+					InputScale: 1.0,
+					Seed:       stats.DeriveSeed(env.Seed, "fig7", job, string(kind)),
+					DeadlineChanges: []cluster.DeadlineChange{
+						{At: changeAt, Deadline: newDeadline},
+					},
+				})
 			})
 		}
+	}
+	outcomes, err := runGrid(env, tasks)
+	if err != nil {
+		return nil, err
+	}
+	f := &Fig7{}
+	for i, o := range outcomes {
+		var before, after []float64
+		for _, p := range o.Trace.Timeline {
+			if p.T < changeAt {
+				before = append(before, float64(p.Granted))
+			} else {
+				after = append(after, float64(p.Granted))
+			}
+		}
+		f.Runs = append(f.Runs, Fig7Run{
+			Job:         jobs[i/len(kinds)],
+			Kind:        kinds[i%len(kinds)],
+			Outcome:     o,
+			AllocBefore: stats.Mean(before),
+			AllocAfter:  stats.Mean(after),
+		})
 	}
 	return f, nil
 }
 
-// Summary aggregates per manipulation: met count and average allocation
-// change (positive = increased).
-func (f *Fig7) Summary() map[DeadlineChangeKind](struct {
+// Fig7Summary aggregates the runs of one manipulation.
+type Fig7Summary struct {
 	Runs, Met   int
 	AllocChange float64 // mean relative change of granted allocation
-}) {
-	type agg struct {
-		Runs, Met   int
-		AllocChange float64
-	}
-	sums := map[DeadlineChangeKind]*agg{}
+}
+
+// Summary aggregates per manipulation: met count and average allocation
+// change (positive = increased).
+func (f *Fig7) Summary() map[DeadlineChangeKind]Fig7Summary {
+	out := map[DeadlineChangeKind]Fig7Summary{}
 	counts := map[DeadlineChangeKind]int{}
 	for _, r := range f.Runs {
-		a := sums[r.Kind]
-		if a == nil {
-			a = &agg{}
-			sums[r.Kind] = a
-		}
-		a.Runs++
+		s := out[r.Kind]
+		s.Runs++
 		if r.Outcome.Met {
-			a.Met++
+			s.Met++
 		}
 		if r.AllocBefore > 0 {
-			a.AllocChange += r.AllocAfter/r.AllocBefore - 1
+			s.AllocChange += r.AllocAfter/r.AllocBefore - 1
 			counts[r.Kind]++
 		}
+		out[r.Kind] = s
 	}
-	out := map[DeadlineChangeKind](struct {
-		Runs, Met   int
-		AllocChange float64
-	}){}
-	for k, a := range sums {
-		change := 0.0
+	for k, s := range out {
 		if counts[k] > 0 {
-			change = a.AllocChange / float64(counts[k])
+			s.AllocChange /= float64(counts[k])
+			out[k] = s
 		}
-		out[k] = struct {
-			Runs, Met   int
-			AllocChange float64
-		}{a.Runs, a.Met, change}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/cluster"
@@ -29,7 +30,7 @@ type Fig8 struct {
 // PredictionAccuracy reproduces §5.3: both predictors are initialized from
 // a single training run, then each job is executed RunsPerPoint times at
 // each allocation of the grid; the worst-case prediction is compared to the
-// slowest actual run.
+// slowest actual run. The (allocation, job, run) executions run on runGrid.
 func PredictionAccuracy(env *Env, jobs []string, runsPerPoint int) (*Fig8, error) {
 	if len(jobs) == 0 {
 		jobs = DefaultJobs
@@ -38,6 +39,28 @@ func PredictionAccuracy(env *Env, jobs []string, runsPerPoint int) (*Fig8, error
 		runsPerPoint = 3
 	}
 	allocs := []int{20, 30, 40, 50, 60, 70, 80, 90}
+	var tasks []func(x *Exec) (time.Duration, error)
+	for _, alloc := range allocs {
+		for _, job := range jobs {
+			for r := 0; r < runsPerPoint; r++ {
+				// An actual execution at a controlled allocation on an idle
+				// slice (the paper's dedicated experiments).
+				tasks = append(tasks, func(x *Exec) (time.Duration, error) {
+					ground, err := env.Ground(job)
+					if err != nil {
+						return 0, err
+					}
+					seed := stats.DeriveSeed(env.Seed, "fig8", job, fmt.Sprint(alloc), fmt.Sprint(r))
+					return x.completion(env, cluster.Config{Seed: seed}, nil,
+						cluster.JobConfig{Profile: ground, Guarantee: alloc, NoSpare: true})
+				})
+			}
+		}
+	}
+	completions, err := runGrid(env, tasks)
+	if err != nil {
+		return nil, err
+	}
 	f := &Fig8{}
 	var simAll, amdahlAll []float64
 	for _, alloc := range allocs {
@@ -51,39 +74,9 @@ func PredictionAccuracy(env *Env, jobs []string, runsPerPoint int) (*Fig8, error
 			if err != nil {
 				return nil, err
 			}
-			ground, err := env.Ground(job)
-			if err != nil {
-				return nil, err
-			}
-			// Actual executions at this allocation on an idle slice (the
-			// paper's dedicated experiments), keeping the slowest.
-			var slowest time.Duration
-			for r := 0; r < runsPerPoint; r++ {
-				c, err := cluster.New(cluster.Config{
-					Machines:        env.Machines,
-					SlotsPerMachine: env.Slots,
-					MachineMTBF:     90 * time.Minute,
-					Seed:            stats.DeriveSeed(env.Seed, "fig8", job, fmt.Sprint(alloc), fmt.Sprint(r)),
-				})
-				if err != nil {
-					return nil, err
-				}
-				h, err := c.Submit(cluster.JobConfig{
-					Profile:   ground,
-					Guarantee: alloc,
-					Tracked:   true,
-					NoSpare:   true, // controlled-allocation measurement run
-				})
-				if err != nil {
-					return nil, err
-				}
-				if err := c.Run(); err != nil {
-					return nil, err
-				}
-				if got := h.Result().Completion; got > slowest {
-					slowest = got
-				}
-			}
+			// The slowest of the point's actual executions.
+			slowest := slices.Max(completions[:runsPerPoint])
+			completions = completions[runsPerPoint:]
 			simPred := jk.PredictLatency(jk.Model().SnapAlloc(alloc), 1.0)
 			amdahlPred := model.NewAmdahl(train).Estimate(make([]float64, train.Job.NumStages()), alloc)
 			simErrs = append(simErrs, relErr(simPred, slowest))

@@ -51,37 +51,21 @@ func replayIndicators(env *Env, x *Exec, job string, inds []core.IndicatorName, 
 
 	var states []model.State
 	var times []time.Duration
-	c, err := x.engine.Reset(cluster.Config{
-		Machines:        env.Machines,
-		SlotsPerMachine: env.Slots,
-		MachineMTBF:     90 * time.Minute,
-		Seed:            stats.DeriveSeed(env.Seed, "fig910", job, fmt.Sprint(seed)),
-	})
-	if err != nil {
-		return nil, err
-	}
 	bg := env.Background
 	bg.Seed = stats.DeriveSeed(env.Seed, "fig910-bg", job, fmt.Sprint(seed))
-	if _, err := x.bgPool.SubmitBackground(c, bg); err != nil {
-		return nil, err
-	}
-	h, err := c.Submit(cluster.JobConfig{
-		Profile:   ground,
-		Guarantee: alloc,
-		Start:     15 * time.Minute,
-		Tracked:   true,
-		OnSample: func(at time.Duration, st model.State) {
-			states = append(states, st)
-			times = append(times, at)
-		},
-	})
+	actual, err := x.completion(env, cluster.Config{Seed: stats.DeriveSeed(env.Seed, "fig910", job, fmt.Sprint(seed))}, &bg,
+		cluster.JobConfig{
+			Profile:   ground,
+			Guarantee: alloc,
+			Start:     15 * time.Minute,
+			OnSample: func(at time.Duration, st model.State) {
+				states = append(states, st)
+				times = append(times, at)
+			},
+		})
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Run(); err != nil {
-		return nil, err
-	}
-	actual := h.Result().Completion
 
 	var out []IndicatorSeries
 	for _, ind := range inds {

@@ -5,15 +5,17 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/jockeysim/jockey/internal/flight"
 )
 
-// TestRobustnessFlightGolden pins the CI smoke's robustness grid (job B, one
-// seed per cell, counterfactual flight recording, master seed 1 — what
-// `experiments -quick -run robustness -flight-level counterfactual` runs)
+// TestRobustnessFlightGolden pins the CI smoke's robustness grid: the
+// registry's robustness artifact at the quick run counts (job B, one seed
+// per cell) with counterfactual flight recording on master seed 1, what
+// `experiments -quick -run robustness -flight-level counterfactual` runs,
 // against a committed golden: the rendered table plus one SHA-256 per flight
 // record, in the format `sha256sum` prints for the CLI's
 // flight-robust-<scenario>-<policy>-<seed>.json files. Its ticks cover every
@@ -24,23 +26,16 @@ import (
 // replaces the golden with the output this test prints on a mismatch.
 func TestRobustnessFlightGolden(t *testing.T) {
 	const path = "testdata/robustness_quick.golden"
-	rb, err := RobustnessFlight(NewEnv(1), RobustnessConfig{
-		Job:          "B",
-		SeedsPerCell: 1,
-		Flight:       flight.LevelCounterfactual,
-	})
+	i := slices.IndexFunc(Artifacts, func(a Artifact) bool { return a.Names[0] == "robustness" })
+	files, err := Artifacts[i].Run(NewEnv(1), Options{Quick: true, Flight: flight.LevelCounterfactual})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	got.WriteString(strings.TrimRight(rb.Render(), "\n"))
+	got.WriteString(strings.TrimRight(files[0].Text, "\n"))
 	got.WriteString("\n\n")
-	for _, fr := range rb.Records {
-		var b bytes.Buffer
-		if err := fr.Record.WriteJSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&got, "%x  flight-robust-%s-%s-%d.json\n", sha256.Sum256(b.Bytes()), fr.Scenario, fr.Policy, fr.Seed)
+	for _, f := range files[1:] {
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256([]byte(f.Text)), f.Name)
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
@@ -51,76 +46,32 @@ func TestRobustnessFlightGolden(t *testing.T) {
 	}
 }
 
-// TestQuickArtifactsGolden pins every artifact `experiments -quick -out DIR`
-// writes (one seed per case, six Table 1 runs, one Figure 8 run) against a
-// committed golden of one SHA-256 per file, in the CLI's order and under
-// the CLI's file names, run on the tests' shared Env. E1's decision costs
-// are wall-clock measurements, so they are zeroed before rendering, as the
-// benchmark's paper workload zeroes them. A mismatch prints the new digest
-// list and the full text of every artifact whose digest changed; a
+// TestQuickArtifactsGolden pins every file of every registry artifact at
+// the quick run counts (what `experiments -quick -out DIR` writes) against
+// a committed golden of one SHA-256 per file, in run order and under the
+// CLI's file names, run on the tests' shared Env. E1's decision costs are
+// wall-clock measurements, so its table is re-rendered with them zeroed,
+// as the benchmark's paper workload zeroes them. A mismatch prints the new
+// digest list and the full text of every file whose digest changed; a
 // deliberate behaviour change replaces the golden with that list.
 func TestQuickArtifactsGolden(t *testing.T) {
 	t.Parallel()
 	const path = "testdata/quick_artifacts.golden"
-	env := sharedEnv
-	var names, outs []string
-	add := func(name, out string) {
-		names = append(names, name)
-		outs = append(outs, out)
-	}
-	render := func(name string) func(r interface{ Render() string }, err error) {
-		return func(r interface{ Render() string }, err error) {
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			add(name+".txt", r.Render())
+	var files []File
+	for _, a := range Artifacts {
+		fs, err := a.Run(sharedEnv, Options{Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", a.Names[0], err)
 		}
-	}
-	render("table1")(RecurringVariance(env, Table1Config{RunsPerJob: 6}))
-	render("fig1")(Dependencies(env, 5000))
-	render("table2")(JobStatistics(env))
-	f3, err := StageGraphs(env)
-	render("fig3")(f3, err)
-	for _, job := range DefaultJobs {
-		add("fig3-job"+job+".dot", f3.DOT[job])
-	}
-	cmp, err := PolicyComparison(env, ComparisonConfig{SeedsPerCase: 1})
-	if err != nil {
-		t.Fatalf("fig4: %v", err)
-	}
-	add("fig4.txt", cmp.RenderFig4())
-	add("fig5.txt", cmp.RenderFig5())
-	f6, err := Timelapses(env)
-	render("fig6")(f6, err)
-	for i, c := range f6.Cases {
-		var b strings.Builder
-		if err := c.Outcome.Trace.WriteTimelineCSV(&b); err != nil {
-			t.Fatal(err)
+		if a.Names[0] == "ext1" {
+			fs[0].Text = zeroWallClock(t, fs[0].Text)
 		}
-		add(fmt.Sprintf("fig6-%c-job%s.csv", 'a'+i, c.Job), b.String())
+		files = append(files, fs...)
 	}
-	render("table3")(TrainingVsActual(env))
-	render("fig7")(DeadlineChanges(env, nil))
-	render("fig8")(PredictionAccuracy(env, nil, 1))
-	render("fig9")(IndicatorTraces(env))
-	render("fig10")(IndicatorComparison(env, nil))
-	render("fig11")(Sensitivity(env, nil, 1))
-	render("fig12")(SlackSweep(env, nil, 1))
-	e1, err := OnlineVsTable(env, nil, 1)
-	if err == nil {
-		for i := range e1.Rows {
-			e1.Rows[i].TableDecisionUs, e1.Rows[i].OnlineDecision = 0, 0
-		}
-	}
-	render("ext1")(e1, err)
-	render("ext2")(AdmissionControl(env, 8))
-	render("robustness")(RobustnessFlight(env, RobustnessConfig{Job: "B", SeedsPerCell: 1}))
-	render("fleet")(FleetRobustness(env))
-	render("fig13")(HysteresisSweep(env, nil, 1))
 
 	var got bytes.Buffer
-	for i, out := range outs {
-		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256([]byte(out)), names[i])
+	for _, f := range files {
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256([]byte(f.Text)), f.Name)
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
@@ -131,8 +82,42 @@ func TestQuickArtifactsGolden(t *testing.T) {
 	}
 	t.Errorf("quick artifacts differ from %s; this build renders:\n%s", path, got.String())
 	for i, line := range strings.SplitAfter(got.String(), "\n") {
-		if i < len(outs) && !strings.Contains(string(want), line) {
-			t.Logf("%s:\n%s", names[i], outs[i])
+		if i < len(files) && !strings.Contains(string(want), line) {
+			t.Logf("%s:\n%s", files[i].Name, files[i].Text)
 		}
 	}
+}
+
+// zeroWallClock re-renders E1's table with its last two columns, the
+// wall-clock µs per decision, set to zero: the text ExtensionResult.Render
+// returns for rows whose decision costs are zero. Column bounds come from
+// the separator line; renderTable pads by runes, so cells are cut by rune.
+func zeroWallClock(t *testing.T, text string) string {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	sep := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "---") })
+	if sep < 1 {
+		t.Fatalf("E1 table has no header:\n%s", text)
+	}
+	var widths []int
+	for _, dashes := range strings.Fields(lines[sep]) {
+		widths = append(widths, len(dashes))
+	}
+	cells := func(line string) []string {
+		rs := []rune(line)
+		out := make([]string, len(widths))
+		at := 0
+		for i, w := range widths {
+			out[i] = strings.TrimSpace(string(rs[min(at, len(rs)):min(at+w, len(rs))]))
+			at += w + 2
+		}
+		return out
+	}
+	var rows [][]string
+	for _, l := range lines[sep+1:] {
+		row := cells(l)
+		row[len(row)-2], row[len(row)-1] = "0", "0"
+		rows = append(rows, row)
+	}
+	return renderTable(strings.Join(lines[:sep-1], "\n"), cells(lines[sep-1]), rows)
 }

@@ -34,7 +34,7 @@ func TestGuardBeatsUnguardedUnderDrift(t *testing.T) {
 	for s := 0; s < seeds; s++ {
 		seed := stats.DeriveSeed(env.Seed, "robust", "B", "drift-2x", fmt.Sprint(s))
 		for _, guarded := range []bool{false, true} {
-			o, err := env.Run(SLORun{
+			o, err := env.RunExec(NewExec(), SLORun{
 				Job:        "B",
 				Deadline:   short,
 				Policy:     PolicyJockey,
@@ -79,7 +79,7 @@ func TestGuardedRunDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := env.Run(SLORun{
+		o, err := env.RunExec(NewExec(), SLORun{
 			Job:        "B",
 			Deadline:   short,
 			Policy:     PolicyJockey,

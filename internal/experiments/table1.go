@@ -6,7 +6,6 @@ import (
 
 	"github.com/jockeysim/jockey/internal/cluster"
 	"github.com/jockeysim/jockey/internal/stats"
-	"github.com/jockeysim/jockey/internal/workload"
 )
 
 // Table1Config sizes the recurring-job variance experiment (§2.3).
@@ -42,61 +41,50 @@ type Table1 struct {
 // cluster — with fluctuating background load, spare capacity, failures and
 // varying input sizes — and computes the CoV of completion times, plus the
 // CoV restricted to runs with near-identical inputs (Table 1's second row).
+// The (job, run) points run on runGrid.
 func RecurringVariance(env *Env, cfg Table1Config) (*Table1, error) {
 	cfg.fill()
-	t1 := &Table1{}
+	// Two thirds of the runs use near-identical input (±5%), so the
+	// "similar input" cluster has enough members for a stable CoV; the rest
+	// vary substantially, as §2.3 observes.
+	similarInput := func(run int) bool { return run%3 != 2 }
+	var tasks []func(x *Exec) (time.Duration, error)
 	for _, job := range cfg.Jobs {
-		ground, err := env.Ground(job)
-		if err != nil {
-			return nil, err
-		}
-		guarantee := 8 // a production job's modest fixed guarantee
-		var all, similar []time.Duration
 		for run := 0; run < cfg.RunsPerJob; run++ {
-			rng := stats.NewRNG(stats.DeriveSeed(env.Seed, "t1", job, fmt.Sprint(run)))
-			// Two thirds of the runs use near-identical input (±5%), so the
-			// "similar input" cluster has enough members for a stable CoV;
-			// the rest vary substantially, as §2.3 observes.
-			similarInput := run%3 != 2
-			var scale float64
-			if similarInput {
-				scale = 0.95 + 0.1*rng.Float64()
-			} else {
-				scale = 0.6 + 0.9*rng.Float64()
-			}
-			c, err := cluster.New(cluster.Config{
-				Machines:        env.Machines,
-				SlotsPerMachine: env.Slots,
-				MachineMTBF:     90 * time.Minute,
-				Seed:            stats.DeriveSeed(env.Seed, "t1-cluster", job, fmt.Sprint(run)),
+			tasks = append(tasks, func(x *Exec) (time.Duration, error) {
+				ground, err := env.Ground(job)
+				if err != nil {
+					return 0, err
+				}
+				rng := stats.NewRNG(stats.DeriveSeed(env.Seed, "t1", job, fmt.Sprint(run)))
+				lo, width := 0.6, 0.9
+				if similarInput(run) {
+					lo, width = 0.95, 0.1
+				}
+				scale := lo + width*rng.Float64()
+				bg := env.Background
+				bg.Seed = stats.DeriveSeed(env.Seed, "t1-bg", job, fmt.Sprint(run))
+				// Recurrences run on different days: the rest of the cluster
+				// is sometimes quiet, sometimes slammed (§2.3-§2.4 — the
+				// paper's dominant variance source is fluctuating spare
+				// capacity).
+				bg.MeanInterarrival = time.Duration(float64(bg.MeanInterarrival) * (0.8 + 1.4*rng.Float64()))
+				// A production job's modest fixed guarantee.
+				return x.completion(env, cluster.Config{Seed: stats.DeriveSeed(env.Seed, "t1-cluster", job, fmt.Sprint(run))}, &bg,
+					cluster.JobConfig{Profile: ground.Scale(scale), Guarantee: 8, Start: 15 * time.Minute})
 			})
-			if err != nil {
-				return nil, err
-			}
-			bg := env.Background
-			bg.Seed = stats.DeriveSeed(env.Seed, "t1-bg", job, fmt.Sprint(run))
-			// Recurrences run on different days: the rest of the cluster is
-			// sometimes quiet, sometimes slammed (§2.3-§2.4 — the paper's
-			// dominant variance source is fluctuating spare capacity).
-			bg.MeanInterarrival = time.Duration(float64(bg.MeanInterarrival) * (0.8 + 1.4*rng.Float64()))
-			if _, err := workload.SubmitBackground(c, bg); err != nil {
-				return nil, err
-			}
-			h, err := c.Submit(cluster.JobConfig{
-				Profile:   ground.Scale(scale),
-				Guarantee: guarantee,
-				Start:     15 * time.Minute,
-				Tracked:   true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := c.Run(); err != nil {
-				return nil, err
-			}
-			completion := h.Result().Completion
+		}
+	}
+	completions, err := runGrid(env, tasks)
+	if err != nil {
+		return nil, err
+	}
+	t1 := &Table1{}
+	for j := range cfg.Jobs {
+		var all, similar []time.Duration
+		for run, completion := range completions[j*cfg.RunsPerJob : (j+1)*cfg.RunsPerJob] {
 			all = append(all, completion)
-			if similarInput {
+			if similarInput(run) {
 				similar = append(similar, completion)
 			}
 		}

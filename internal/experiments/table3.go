@@ -54,21 +54,27 @@ func TrainingVsActual(env *Env) (*Table3, error) {
 	if err != nil {
 		return nil, err
 	}
-	t3 := &Table3{}
-	t3.Columns = append(t3.Columns, summarizeRun("training", trainRes.Trace, 0, true))
-	for i, scale := range []float64{1.9, 1.5} {
-		o, err := env.Run(SLORun{
-			Job:        "F",
-			Deadline:   short,
-			Policy:     PolicyJockey,
-			Seed:       uint64(200 + i),
-			InputScale: scale,
+	scales := []float64{1.9, 1.5}
+	var tasks []func(x *Exec) (Outcome, error)
+	for i, scale := range scales {
+		tasks = append(tasks, func(x *Exec) (Outcome, error) {
+			return env.RunExec(x, SLORun{
+				Job:        "F",
+				Deadline:   short,
+				Policy:     PolicyJockey,
+				Seed:       uint64(200 + i),
+				InputScale: scale,
+			})
 		})
-		if err != nil {
-			return nil, err
-		}
+	}
+	outcomes, err := runGrid(env, tasks)
+	if err != nil {
+		return nil, err
+	}
+	t3 := &Table3{Columns: []Table3Column{summarizeRun("training", trainRes.Trace, 0, true)}}
+	for i, o := range outcomes {
 		t3.Columns = append(t3.Columns,
-			summarizeRun(fmt.Sprintf("job %d (×%.1f work)", i+1, scale), o.Trace, o.Deadline, o.Met))
+			summarizeRun(fmt.Sprintf("job %d (×%.1f work)", i+1, scales[i]), o.Trace, o.Deadline, o.Met))
 	}
 	return t3, nil
 }

@@ -43,6 +43,11 @@ type StageProfile struct {
 	LongestTask time.Duration
 }
 
+// MaxAttempts bounds the attempts of one task in both simulators, sim and
+// cluster: an attempt numbered MaxAttempts-1 never fails, so a pathological
+// failure probability cannot hang a run.
+const MaxAttempts = 30
+
 // SampleAttempt draws one task attempt from the stage's distributions, in
 // this order: the queue delay, the service time (multiplied by drift), and,
 // if mayFail and the stage can fail, the failure draw. A failing attempt

@@ -136,7 +136,7 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 // state, sampling — Completion must return Run's completion time and hand
 // OnSample the same snapshots, from fresh and from reused Runners alike.
 func TestCompletionMatchesRun(t *testing.T) {
-	profiles := []*profile.Profile{noisyRunnerProfile(t), fixedProfile(t)}
+	profiles := []*profile.Profile{noisyRunnerProfile(t), fixedProfile(t), doomedProfile()}
 	rng := stats.NewRNG(20121)
 	reusedRun, reusedCompletion := NewRunner(), NewRunner()
 	for i := 0; i < 60; i++ {
@@ -146,7 +146,6 @@ func TestCompletionMatchesRun(t *testing.T) {
 			Alloc:           1 + rng.IntN(50),
 			Seed:            rng.Uint64(),
 			DisableFailures: rng.IntN(5) == 0,
-			MaxAttempts:     rng.IntN(4),
 		}
 		if rng.IntN(2) == 0 {
 			cfg.InitialFracDone = make([]float64, p.Job.NumStages())

@@ -30,10 +30,6 @@ import (
 	"github.com/jockeysim/jockey/internal/trace"
 )
 
-// DefaultMaxAttempts bounds re-execution of a repeatedly failing task so a
-// pathological failure probability cannot hang the simulation.
-const DefaultMaxAttempts = 20
-
 // Snapshot is the observable job state handed to sampling callbacks.
 type Snapshot struct {
 	Time     time.Duration
@@ -54,8 +50,6 @@ type Config struct {
 	// infinite-resource critical-path runs behind the minstage-inf
 	// indicator).
 	DisableFailures bool
-	// MaxAttempts bounds per-task attempts; 0 means DefaultMaxAttempts.
-	MaxAttempts int
 	// SampleEvery, if positive, invokes OnSample at this period during the
 	// run (the paper samples per minute).
 	SampleEvery time.Duration
@@ -136,7 +130,6 @@ type Runner struct {
 	p       *profile.Profile
 	now     time.Duration
 	running int
-	maxA    int
 }
 
 // NewRunner returns an empty Runner; arenas are sized lazily by the first
@@ -186,10 +179,6 @@ func (r *Runner) exec(cfg Config, record bool) error {
 	r.cfg = cfg
 	r.p = cfg.Profile
 	r.record = record
-	r.maxA = cfg.MaxAttempts
-	if r.maxA <= 0 {
-		r.maxA = DefaultMaxAttempts
-	}
 	r.reset()
 	return r.run()
 }
@@ -260,7 +249,7 @@ func (r *Runner) dispatch() {
 
 //jockey:hotpath
 func (r *Runner) startTask(stage, task int) {
-	mayFail := !r.cfg.DisableFailures && r.deps.Attempt(stage, task) < r.maxA-1
+	mayFail := !r.cfg.DisableFailures && r.deps.Attempt(stage, task) < profile.MaxAttempts-1
 	initDelay, exec, fails := r.p.Stages[stage].SampleAttempt(r.rng, 1, mayFail)
 	i := r.deps.Index(stage, task)
 	r.dispatchedAt[i] = r.now

@@ -194,19 +194,29 @@ func TestDisableFailures(t *testing.T) {
 	}
 }
 
-func TestMaxAttemptsBoundsRetries(t *testing.T) {
+// doomedProfile fails nearly every attempt, so its tasks run into
+// profile.MaxAttempts.
+func doomedProfile() *profile.Profile {
 	job := dag.NewBuilder("doomed").Stage("only", 3).MustBuild()
-	p := profile.MustNew(job, []profile.StageProfile{
+	return profile.MustNew(job, []profile.StageProfile{
 		{Exec: stats.Point{V: time.Second}, FailureProb: 0.999},
 	})
-	tr, err := NewRunner().Run(Config{Profile: p, Alloc: 3, Seed: 1, MaxAttempts: 5})
+}
+
+func TestMaxAttemptsBoundsRetries(t *testing.T) {
+	tr, err := NewRunner().Run(Config{Profile: doomedProfile(), Alloc: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := 0
 	for _, e := range tr.Events {
-		if e.Attempt >= 5 {
-			t.Errorf("attempt %d exceeds MaxAttempts", e.Attempt)
+		if e.Attempt >= profile.MaxAttempts {
+			t.Errorf("attempt %d exceeds profile.MaxAttempts", e.Attempt)
 		}
+		last = max(last, e.Attempt)
+	}
+	if last != profile.MaxAttempts-1 {
+		t.Errorf("last attempt %d, want the cap's %d", last, profile.MaxAttempts-1)
 	}
 	// The job must still complete (last attempt always succeeds).
 	if tr.Completion == 0 {

@@ -82,20 +82,13 @@ func (c *BackgroundConfig) fill() error {
 	return nil
 }
 
-// SubmitBackground pre-schedules a fleet of background jobs on the cluster
-// and returns how many were submitted. Call before cluster.Run.
-func SubmitBackground(c *cluster.Cluster, cfg BackgroundConfig) (int, error) {
-	return submitBackground(c, cfg, nil)
-}
-
-// BackgroundPool caches background-job plans and profiles across fleets, so
-// repeated runs over the same BackgroundConfig (an experiment grid worker
-// re-simulating the same environment hundreds of times) stop rebuilding a
-// DAG and a profile per job. Cached jobs carry canonical shape-derived names
-// ("bg-120", "bgb-120") instead of the per-fleet bg0000 numbering; cluster
-// dynamics are name-independent (per-job randomness derives from the
-// submission id, never the name), so pooled and fresh fleets replay
-// bit-identically — TestBackgroundPoolBitIdentical pins this.
+// BackgroundPool submits background fleets and caches their plans and
+// profiles across fleets, so repeated runs over the same BackgroundConfig
+// (an experiment grid worker re-simulating the same environment hundreds
+// of times) stop rebuilding a DAG and a profile per job. Jobs carry
+// canonical shape-derived names ("bg-120", "bgb-120"); a fleet replays
+// bit-identically from a fresh pool and from one reused across fleets —
+// TestBackgroundPoolBitIdentical pins this.
 //
 // Reusing plans also makes every background jobRun poolable by a
 // cluster.Engine, which keys its arenas on plan identity.
@@ -117,9 +110,44 @@ func NewBackgroundPool() *BackgroundPool {
 	}
 }
 
-// SubmitBackground is SubmitBackground with the pool's cached profiles.
+// SubmitBackground pre-schedules a fleet of background jobs on the cluster
+// and returns how many were submitted. Call before cluster.Run.
 func (p *BackgroundPool) SubmitBackground(c *cluster.Cluster, cfg BackgroundConfig) (int, error) {
-	return submitBackground(c, cfg, p)
+	if err := cfg.fill(); err != nil {
+		return 0, err
+	}
+	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "background"))
+	n := 0
+	for at := time.Duration(0); at < cfg.Horizon; {
+		gap := time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
+		if cfg.BurstAmplitude > 1 {
+			if (at/cfg.BurstPeriod)%2 == 0 {
+				gap = time.Duration(float64(gap) / cfg.BurstAmplitude)
+			} else {
+				gap = time.Duration(float64(gap) * cfg.BurstAmplitude)
+			}
+		}
+		at += gap
+		if at >= cfg.Horizon {
+			break
+		}
+		tasks := cfg.TasksLo + rng.IntN(cfg.TasksHi-cfg.TasksLo+1)
+		barrier := rng.Float64() < cfg.BarrierProb
+		prof, err := p.profileFor(&cfg, tasks, barrier)
+		if err != nil {
+			return n, err
+		}
+		guarantee := cfg.GuaranteeLo + rng.IntN(cfg.GuaranteeHi-cfg.GuaranteeLo+1)
+		if _, err := c.Submit(cluster.JobConfig{
+			Profile:   prof,
+			Guarantee: guarantee,
+			Start:     at,
+		}); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
 }
 
 // Shape returns the pooled canonical profile for one background job shape:
@@ -155,13 +183,7 @@ func (p *BackgroundPool) profileFor(cfg *BackgroundConfig, tasks int, barrier bo
 	if prof, ok := cache[tasks]; ok {
 		return prof, nil
 	}
-	var name string
-	if barrier {
-		name = fmt.Sprintf("bgb-%d", tasks)
-	} else {
-		name = fmt.Sprintf("bg-%d", tasks)
-	}
-	prof, err := buildBackgroundProfile(cfg, name, tasks, barrier)
+	prof, err := buildBackgroundProfile(cfg, tasks, barrier)
 	if err != nil {
 		return nil, err
 	}
@@ -169,11 +191,12 @@ func (p *BackgroundPool) profileFor(cfg *BackgroundConfig, tasks int, barrier bo
 	return prof, nil
 }
 
-// buildBackgroundProfile constructs one background job's plan and profile.
-// It draws nothing from any RNG: callers can cache its result without
-// shifting the fleet generator's stream.
-func buildBackgroundProfile(cfg *BackgroundConfig, name string, tasks int, barrier bool) (*profile.Profile, error) {
+// buildBackgroundProfile constructs one background job's plan and profile,
+// named after its shape. It draws nothing from any RNG: callers can cache
+// its result without shifting the fleet generator's stream.
+func buildBackgroundProfile(cfg *BackgroundConfig, tasks int, barrier bool) (*profile.Profile, error) {
 	if barrier {
+		name := fmt.Sprintf("bgb-%d", tasks)
 		reducers := tasks / 8
 		if reducers < 1 {
 			reducers = 1
@@ -188,54 +211,8 @@ func buildBackgroundProfile(cfg *BackgroundConfig, name string, tasks int, barri
 			{Exec: stats.Scaled{Base: cfg.TaskDuration, Factor: 2}, Queue: DefaultQueueDelay(), FailureProb: 0.01},
 		})
 	}
-	job := dag.NewBuilder(name).Stage("map", tasks).MustBuild()
+	job := dag.NewBuilder(fmt.Sprintf("bg-%d", tasks)).Stage("map", tasks).MustBuild()
 	return profile.New(job, []profile.StageProfile{
 		{Exec: cfg.TaskDuration, Queue: DefaultQueueDelay(), FailureProb: 0.01},
 	})
-}
-
-func submitBackground(c *cluster.Cluster, cfg BackgroundConfig, pool *BackgroundPool) (int, error) {
-	if err := cfg.fill(); err != nil {
-		return 0, err
-	}
-	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "background"))
-	n := 0
-	for at := time.Duration(0); at < cfg.Horizon; {
-		gap := time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
-		if cfg.BurstAmplitude > 1 {
-			if (at/cfg.BurstPeriod)%2 == 0 {
-				gap = time.Duration(float64(gap) / cfg.BurstAmplitude)
-			} else {
-				gap = time.Duration(float64(gap) * cfg.BurstAmplitude)
-			}
-		}
-		at += gap
-		if at >= cfg.Horizon {
-			break
-		}
-		tasks := cfg.TasksLo + rng.IntN(cfg.TasksHi-cfg.TasksLo+1)
-		barrier := rng.Float64() < cfg.BarrierProb
-		var (
-			p   *profile.Profile
-			err error
-		)
-		if pool != nil {
-			p, err = pool.profileFor(&cfg, tasks, barrier)
-		} else {
-			p, err = buildBackgroundProfile(&cfg, fmt.Sprintf("bg%04d", n), tasks, barrier)
-		}
-		if err != nil {
-			return n, err
-		}
-		guarantee := cfg.GuaranteeLo + rng.IntN(cfg.GuaranteeHi-cfg.GuaranteeLo+1)
-		if _, err := c.Submit(cluster.JobConfig{
-			Profile:   p,
-			Guarantee: guarantee,
-			Start:     at,
-		}); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
 }

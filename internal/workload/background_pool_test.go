@@ -51,17 +51,16 @@ func poolProbe(t *testing.T, submit func(*cluster.Cluster, BackgroundConfig) (in
 	return r, c.Now()
 }
 
-// TestBackgroundPoolBitIdentical pins the pool's name-independence claim: a
-// fleet submitted through a (reused) pool replays exactly like one built
-// from scratch, because per-job cluster randomness derives from submission
-// ids, not plan names.
+// TestBackgroundPoolBitIdentical pins the pool's reuse claim: a fleet
+// submitted through a pool reused across fleets replays exactly like one
+// submitted through a fresh pool.
 func TestBackgroundPoolBitIdentical(t *testing.T) {
-	wantRes, wantNow := poolProbe(t, SubmitBackground)
+	wantRes, wantNow := poolProbe(t, NewBackgroundPool().SubmitBackground)
 	pool := NewBackgroundPool()
 	for round := 0; round < 2; round++ {
 		gotRes, gotNow := poolProbe(t, pool.SubmitBackground)
 		if gotRes != wantRes || gotNow != wantNow {
-			t.Fatalf("round %d: pooled fleet diverged from fresh:\n got %+v @ %v\nwant %+v @ %v",
+			t.Fatalf("round %d: reused pool's fleet diverged from a fresh pool's:\n got %+v @ %v\nwant %+v @ %v",
 				round, gotRes, gotNow, wantRes, wantNow)
 		}
 	}

@@ -167,7 +167,7 @@ func TestSubmitBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := SubmitBackground(c, BackgroundConfig{
+	n, err := NewBackgroundPool().SubmitBackground(c, BackgroundConfig{
 		MeanInterarrival: time.Minute,
 		Horizon:          30 * time.Minute,
 		BurstAmplitude:   1, // steady Poisson arrivals
@@ -181,7 +181,7 @@ func TestSubmitBackground(t *testing.T) {
 	}
 	// Deterministic for the same seed.
 	c2, _ := cluster.New(cluster.Config{Machines: 10, SlotsPerMachine: 4, Seed: 1})
-	n2, err := SubmitBackground(c2, BackgroundConfig{
+	n2, err := NewBackgroundPool().SubmitBackground(c2, BackgroundConfig{
 		MeanInterarrival: time.Minute,
 		Horizon:          30 * time.Minute,
 		BurstAmplitude:   1,
@@ -196,7 +196,7 @@ func TestSubmitBackgroundBursts(t *testing.T) {
 	// With the default 3× burst amplitude, the busy half of each period
 	// sees far more arrivals than the quiet half.
 	c, _ := cluster.New(cluster.Config{Machines: 10, SlotsPerMachine: 4, Seed: 1})
-	n, err := SubmitBackground(c, BackgroundConfig{
+	n, err := NewBackgroundPool().SubmitBackground(c, BackgroundConfig{
 		MeanInterarrival: time.Minute,
 		Horizon:          80 * time.Minute, // one busy + one quiet phase
 		Seed:             3,
@@ -208,7 +208,7 @@ func TestSubmitBackgroundBursts(t *testing.T) {
 	if n < 60 || n > 250 {
 		t.Errorf("submitted %d jobs, want bursty total ~130", n)
 	}
-	if _, err := SubmitBackground(c, BackgroundConfig{BurstAmplitude: 0.5}); err == nil {
+	if _, err := NewBackgroundPool().SubmitBackground(c, BackgroundConfig{BurstAmplitude: 0.5}); err == nil {
 		t.Error("amplitude < 1 must fail")
 	}
 }
@@ -221,7 +221,7 @@ func TestSubmitBackgroundValidation(t *testing.T) {
 		{BarrierProb: 2},
 	}
 	for i, cfg := range bad {
-		if _, err := SubmitBackground(c, cfg); err == nil {
+		if _, err := NewBackgroundPool().SubmitBackground(c, cfg); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}

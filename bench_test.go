@@ -12,12 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/jockeysim/jockey/internal/cluster"
-	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/progress"
-	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/utility"
 	"github.com/jockeysim/jockey/internal/workload"
 )
@@ -185,51 +182,6 @@ func BenchmarkAblationOnlineSim(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationSpeculation measures straggler mitigation (§4.4's
-// "aggressiveness of mitigating stragglers" knob) on a straggler-heavy job:
-// the reported completion shows duplicates trimming the tail.
-func BenchmarkAblationSpeculation(b *testing.B) {
-	job := daggen(b)
-	p, err := profile.New(job, []profile.StageProfile{
-		{Exec: stats.Truncated{Base: stats.Lognormal{Mu: 2.3, Sigma: 1.6}, Max: 10 * time.Minute}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, th := range []float64{0, 2} {
-		name := "off"
-		if th > 0 {
-			name = "threshold2x"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last time.Duration
-			for i := 0; i < b.N; i++ {
-				c, err := cluster.New(cluster.Config{Machines: 10, SlotsPerMachine: 2, Seed: 42})
-				if err != nil {
-					b.Fatal(err)
-				}
-				h, err := c.Submit(cluster.JobConfig{
-					Profile: p, Guarantee: 10, Deadline: 2 * time.Hour,
-					Tracked: true, SpeculativeThreshold: th,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := c.Run(); err != nil {
-					b.Fatal(err)
-				}
-				last = h.Result().Completion
-			}
-			b.ReportMetric(last.Minutes(), "completion-min")
-		})
-	}
-}
-
-func daggen(b *testing.B) *dag.Job {
-	b.Helper()
-	return dag.NewBuilder("strag").Stage("work", 60).MustBuild()
 }
 
 func benchUtility() utility.Fn { return utility.Deadline(40 * time.Minute) }

@@ -194,13 +194,6 @@ type JobConfig struct {
 	// spare capacity. Used for controlled-allocation measurement runs
 	// (§2.4's "restricted to using guaranteed capacity only").
 	NoSpare bool
-	// SpeculativeThreshold enables Mantri-style straggler mitigation (the
-	// §4.4 "aggressiveness of mitigating stragglers" knob): when a task has
-	// been executing longer than threshold × its stage's p90 service time,
-	// a duplicate copy is launched on otherwise-idle spare capacity and the
-	// first finisher wins. Zero disables speculation. Values below 1 are
-	// rejected (they would duplicate healthy tasks).
-	SpeculativeThreshold float64
 	// DeadlineChanges, if any, must be sorted ascending by At.
 	DeadlineChanges []DeadlineChange
 	// Drifts injects per-stage runtime drift mid-run (see StageDrift) —
@@ -249,9 +242,6 @@ type Result struct {
 	SpareTaskFraction float64
 	// Evictions counts spare tasks killed to make room for guaranteed work.
 	Evictions int
-	// Duplicates counts speculative straggler copies launched (0 unless
-	// SpeculativeThreshold was set).
-	Duplicates int
 	// LocalityFraction is the fraction of the job's successful root-stage
 	// (extract) task attempts that executed on a machine holding a replica
 	// of their input partition. 0 for jobs without root-stage tasks is
@@ -336,15 +326,12 @@ type Cluster struct {
 	// over one cluster's lifetime; without this index each reschedule pays
 	// O(admitted) even when a handful of jobs are running.
 	live []*jobRun
-	// ready and spec are the subsets of live the dispatchers walk, both in
-	// live order: ready holds the jobs with ready work (syncReady), spec the
-	// jobs that speculate. On a fleet replay most live jobs have no ready
-	// work at any one pass, and a walk over ready costs only the jobs that
-	// can take a slot. Picks
-	// that break ties by job order (spare round-robin, speculation,
-	// eviction) compare job ids explicitly.
+	// ready is the subset of live the dispatchers walk, in live order: the
+	// jobs with ready work (syncReady). On a fleet replay most live jobs have
+	// no ready work at any one pass, and a walk over ready costs only the
+	// jobs that can take a slot. Picks that break ties by job order (spare
+	// round-robin, eviction) compare job ids explicitly.
 	ready []*jobRun
-	spec  []*jobRun
 
 	// dirty heads the intrusive stack (jobRun.dirtyNext) of jobs whose
 	// class partition the next reclassify must repair.
@@ -378,8 +365,8 @@ type Cluster struct {
 	upCount   int
 	upCap     int // Σ slots over up machines (Capacity without the scan)
 
-	// store holds all live task attempts; totalRunning counts primary (non-
-	// duplicate) attempts cluster-wide for utilization accounting.
+	// store holds all live task attempts; totalRunning counts them
+	// cluster-wide for utilization accounting.
 	store        taskStore
 	totalRunning int
 
@@ -433,7 +420,6 @@ func (c *Cluster) init(cfg Config) error {
 	c.jobs = c.jobs[:0] // arenas were recycled by Engine.Reset
 	c.live = c.live[:0]
 	c.ready = c.ready[:0]
-	c.spec = c.spec[:0]
 	c.dirty = nil
 	c.frac = c.contentionFrac()
 	c.spareTops = c.spareTops[:0]
@@ -513,10 +499,6 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 		return nil, fmt.Errorf("cluster: job %q has neither a policy nor a fixed guarantee",
 			cfg.Profile.Job.Name)
 	}
-	if cfg.SpeculativeThreshold != 0 && cfg.SpeculativeThreshold < 1 {
-		return nil, fmt.Errorf("cluster: job %q speculative threshold %v must be >= 1 (or 0 to disable)",
-			cfg.Profile.Job.Name, cfg.SpeculativeThreshold)
-	}
 	if cfg.Weight < 0 {
 		return nil, fmt.Errorf("cluster: job %q has negative weight %d", cfg.Profile.Job.Name, cfg.Weight)
 	}
@@ -573,15 +555,6 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 	return &Handle{id: id, c: c, cfg: cfg}, nil
 }
 
-// SLODefaults returns a ready-to-use candidate allocation grid 1..max.
-func SLODefaults(max int) []int {
-	out := make([]int, max)
-	for i := range out {
-		out[i] = i + 1
-	}
-	return out
-}
-
 // stageTooLargeError rejects a plan whose stage holds more tasks than the
 // engine's int32 task indices can name.
 type stageTooLargeError struct {
@@ -634,19 +607,16 @@ type jobRun struct {
 	// queued times; prepare rewinds it.
 	deps dag.Tracker
 
-	// slot and dupSlot map [stage][task] to the store slot of the running
-	// primary attempt / speculative duplicate (-1 when none) — the O(1)
-	// lookup that replaces the running/dups maps of earlier engines.
-	slot    [][]int32
-	dupSlot [][]int32
-	// prim and dups list the job's running primaries and speculative
-	// duplicates (always spare-class), each in taskStore.less order. The
+	// slot maps [stage][task] to the store slot of the task's running
+	// attempt (-1 when none) — the O(1) lookup that replaces the running map
+	// of earlier engines. A task has at most one running attempt.
+	slot [][]int32
+	// prim lists the job's running attempts in taskStore.less order. The
 	// guaranteed class is a prefix of prim: its first guarCount attempts,
-	// ending at guarLast (-1 when empty). So the oldest spare primary follows
+	// ending at guarLast (-1 when empty). So the oldest spare attempt follows
 	// guarLast and the youngest is prim's tail, when that is not guarLast.
-	// liveRunning counts primaries; the spare count is liveRunning-guarCount.
+	// liveRunning counts prim; the spare count is liveRunning-guarCount.
 	prim        slotList
-	dups        slotList
 	guarLast    int32
 	liveRunning int
 	guarCount   int
@@ -660,7 +630,6 @@ type jobRun struct {
 	spareTop int32
 	topPos   int32
 
-	stageP90 []time.Duration // per stage, the service-time p90 (speculation trigger)
 	// driftFactor multiplies each stage's sampled service times (1 until a
 	// StageDrift fires; drifts compound multiplicatively).
 	driftFactor []float64
@@ -673,7 +642,6 @@ type jobRun struct {
 	spareDone   int
 	guarDone    int
 	evictions   int
-	duplicates  int     // speculative copies launched
 	spareCredit float64 // smoothed-weighted-round-robin deficit counter
 	rootDone    int     // successful root-stage attempts
 	localDone   int     // ... that ran on a replica machine
@@ -689,11 +657,8 @@ func newArena(job *dag.Job) *jobRun {
 	jr := &jobRun{job: job}
 	n := job.NumStages()
 	jr.slot = make([][]int32, n)
-	jr.dupSlot = make([][]int32, n)
 	for s := 0; s < n; s++ {
-		tasks := job.Stages[s].Tasks
-		jr.slot[s] = make([]int32, tasks)
-		jr.dupSlot[s] = make([]int32, tasks)
+		jr.slot[s] = make([]int32, job.Stages[s].Tasks)
 	}
 	jr.deps.Init(job)
 	jr.driftFactor = make([]float64, n)
@@ -722,7 +687,6 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.deps.Reset()
 	jr.inReady = false
 	jr.prim = slotList{-1, -1}
-	jr.dups = slotList{-1, -1}
 	jr.guarLast = -1
 	jr.liveRunning = 0
 	jr.guarCount = 0
@@ -734,13 +698,6 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 		jr.driftFactor[s] = 1
 		for t := range jr.slot[s] {
 			jr.slot[s][t] = -1
-			jr.dupSlot[s][t] = -1
-		}
-	}
-	jr.stageP90 = jr.stageP90[:0]
-	if cfg.SpeculativeThreshold > 0 {
-		for s := 0; s < jr.job.NumStages(); s++ {
-			jr.stageP90 = append(jr.stageP90, cfg.Profile.Stages[s].Exec.Quantile(0.9))
 		}
 	}
 	jr.lastAllocAt = 0
@@ -750,7 +707,6 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.spareDone = 0
 	jr.guarDone = 0
 	jr.evictions = 0
-	jr.duplicates = 0
 	jr.spareCredit = 0
 	jr.rootDone = 0
 	jr.localDone = 0

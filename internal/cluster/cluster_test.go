@@ -451,6 +451,15 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// SLODefaults returns a ready-to-use candidate allocation grid 1..max.
+func SLODefaults(max int) []int {
+	out := make([]int, max)
+	for i := range out {
+		out[i] = i + 1
+	}
+	return out
+}
+
 func TestSLODefaults(t *testing.T) {
 	g := SLODefaults(3)
 	if len(g) != 3 || g[0] != 1 || g[2] != 3 {
@@ -479,37 +488,31 @@ func TestLateSubmitClampsToNow(t *testing.T) {
 	}
 }
 
-// TestCrossJobTiesGoToLowerJobID pins the tie-breaks that used to follow
+// TestCrossJobTiesGoToLowerJobID pins the tie-break that used to follow
 // from walking live jobs in id order. The live list now holds tracked jobs
-// first, so each pick below sees the tracked job 1 before the untracked
-// job 0, and must still choose job 0 on an exact tie, as the id-ordered
-// walk did.
+// first, so the spare pick below sees the tracked job 1 before the
+// untracked job 0, and must still choose job 0 on an exact credit tie, as
+// the id-ordered walk did.
 func TestCrossJobTiesGoToLowerJobID(t *testing.T) {
-	setup := func(slots int, spec float64) *Cluster {
-		t.Helper()
-		c, err := New(Config{Machines: 1, SlotsPerMachine: slots, Seed: 1})
-		if err != nil {
+	c, err := New(Config{Machines: 1, SlotsPerMachine: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bigJob(t, "twin", 4, time.Minute)
+	for _, tracked := range []bool{false, true} {
+		if _, err := c.Submit(JobConfig{Profile: p, Guarantee: 1, Tracked: tracked}); err != nil {
 			t.Fatal(err)
 		}
-		p := bigJob(t, "twin", 4, time.Minute)
-		for _, tracked := range []bool{false, true} {
-			if _, err := c.Submit(JobConfig{Profile: p, Guarantee: 1, Tracked: tracked,
-				SpeculativeThreshold: spec}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, jr := range c.jobs {
-			jr.arrived = true
-			c.liveAdd(jr)
-		}
-		if c.live[0].id != 1 {
-			t.Fatal("the tracked job should lead the live list")
-		}
-		return c
+	}
+	for _, jr := range c.jobs {
+		jr.arrived = true
+		c.liveAdd(jr)
+	}
+	if c.live[0].id != 1 {
+		t.Fatal("the tracked job should lead the live list")
 	}
 
 	// Spare round-robin: both jobs accrue equal credit for the one slot.
-	c := setup(1, 0)
 	for _, jr := range c.jobs {
 		jr.deps.MarkReady(0, 0, 0)
 		c.syncReady(jr)
@@ -519,136 +522,66 @@ func TestCrossJobTiesGoToLowerJobID(t *testing.T) {
 		t.Error("the spare slot went to job 1 on a credit tie, want job 0")
 	}
 
-	// Speculation: identical stragglers (same start, stage, task and p90)
-	// tie on ratio and on taskStore.less.
-	c = setup(3, 1.5)
-	for _, jr := range c.jobs {
-		c.startTask(jr, dag.TaskRef{}, 0, false)
-	}
-	c.now = time.Hour
-	if !c.dispatchDuplicate(0) {
-		t.Fatal("no straggler qualified for speculation")
-	}
-	if c.jobs[0].dupSlot[0][0] < 0 || c.jobs[1].dupSlot[0][0] >= 0 {
-		t.Error("the speculative copy went to job 1 on an exact tie, want job 0")
-	}
 }
 
-// TestEvictionSeesOrphanedDuplicate: a speculative duplicate whose primary
-// died with its machine is the job's only running attempt. It started
-// after the last pass, so only reclassify can seat it in the spare-top
-// heap, and it must do so even though the job has no running primary.
-func TestEvictionSeesOrphanedDuplicate(t *testing.T) {
-	c, err := New(Config{Machines: 2, SlotsPerMachine: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit(JobConfig{Profile: bigJob(t, "spec", 4, time.Minute), Guarantee: 1,
-		SpeculativeThreshold: 1.5}); err != nil {
-		t.Fatal(err)
-	}
-	jr := c.jobs[0]
-	jr.arrived = true
-	c.liveAdd(jr)
-	c.startTask(jr, dag.TaskRef{}, 0, true)
-	c.reclassify()
-	c.now = time.Hour
-	if !c.dispatchDuplicate(1) {
-		t.Fatal("no straggler qualified for speculation")
-	}
-	c.killMachine(0) // the guaranteed primary dies; the duplicate carries on
-	c.reclassify()
-	checkAgainstRef(c)
-	if s, job := c.youngestSpare(); job != jr || s != jr.dupSlot[0][0] {
-		t.Errorf("eviction pick = slot %d, want the orphaned duplicate %d", s, jr.dupSlot[0][0])
-	}
-}
-
-// TestGuaranteedPassServesVictimsInLiveOrder pins the order in which one
-// guaranteed pass serves jobs when a guaranteed start evicts another job's
-// spare attempt and so requeues the victim's task mid-pass. The rule is the
-// walk over every live job in live order: a victim that sorts after the job
-// it was evicted for is served in the same pass, one that sorts before it
-// waits for the next pass. Only an orphaned duplicate can be evicted from a
-// job below its guarantee (a job with a spare primary holds its whole
-// guarantee), so each case builds one on a cluster of four one-slot
-// machines:
-//
-//   - the victim (guarantee 1, speculating) ran its one task on machine 3
-//     and a duplicate of it on machine 0; machine 3 then failed;
-//   - the filler (guarantee 1) runs its two tasks on machines 1 and 2, the
-//     second on a spare token;
-//   - the arriving job (guarantee 1, one task) needs a guaranteed slot.
-//
-// By the live-walk rule, the arriving job evicts the youngest spare, the
-// duplicate, and starts on machine 0. A victim after it then evicts the
-// filler's spare and starts on machine 2 in the same pass; a victim before
-// it holds its requeued task until the next pass does the same.
-func TestGuaranteedPassServesVictimsInLiveOrder(t *testing.T) {
+// TestGuaranteedPassVictimKeepsGuarantee pins the rule dispatchGuaranteed
+// documents: a job whose spare attempt a guaranteed start evicts keeps its
+// whole effective guarantee, so the pass that evicted it never starts its
+// requeued task, whether the victim sorts before or after the job it was
+// evicted for. Each case fills a cluster of two one-slot machines with the
+// victim's two tasks, the first guaranteed and the second spare, and then
+// lets a job with a one-task guarantee arrive.
+func TestGuaranteedPassVictimKeepsGuarantee(t *testing.T) {
 	for _, tc := range []struct {
-		name                     string
-		arriving, victim, filler int
-		victimServed             bool
+		name             string
+		arriving, victim int
+		guarantee        int
+		contention       []ContentionWindow
 	}{
-		{"victim after", 0, 1, 2, true},
-		{"victim before", 1, 0, 2, false},
+		{"victim after", 0, 1, 1, nil},
+		{"victim before", 1, 0, 1, nil},
+		// Guarantee 2 at half contention is an effective guarantee of 1.
+		{"victim under contention", 0, 1, 2, []ContentionWindow{{From: 0, To: time.Hour, Frac: 0.5}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(Config{Machines: 4, SlotsPerMachine: 1, Seed: 1})
+			c, err := New(Config{Machines: 2, SlotsPerMachine: 1, Seed: 1, Contention: tc.contention})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfgs := make([]JobConfig, 3)
-			cfgs[tc.arriving] = JobConfig{Profile: bigJob(t, "arriving", 1, time.Minute), Guarantee: 1}
-			cfgs[tc.victim] = JobConfig{Profile: bigJob(t, "victim", 1, time.Minute), Guarantee: 1,
-				SpeculativeThreshold: 1.5}
-			cfgs[tc.filler] = JobConfig{Profile: bigJob(t, "filler", 2, time.Minute), Guarantee: 1}
+			cfgs := make([]JobConfig, 2)
+			cfgs[tc.arriving] = JobConfig{Profile: bigJob(t, "arriving", 1, time.Minute), Guarantee: tc.guarantee}
+			cfgs[tc.victim] = JobConfig{Profile: bigJob(t, "victim", 2, time.Minute), Guarantee: tc.guarantee}
 			for _, cfg := range cfgs {
 				if _, err := c.Submit(cfg); err != nil {
 					t.Fatal(err)
 				}
 			}
-			arriving, victim, filler := c.jobs[tc.arriving], c.jobs[tc.victim], c.jobs[tc.filler]
-			for _, jr := range []*jobRun{victim, filler} {
-				jr.arrived = true
-				c.liveAdd(jr)
-			}
-			c.startTask(victim, dag.TaskRef{}, 3, true)
-			c.startTask(filler, dag.TaskRef{Task: 0}, 1, false)
-			c.startTask(filler, dag.TaskRef{Task: 1}, 2, false)
+			arriving, victim := c.jobs[tc.arriving], c.jobs[tc.victim]
+			victim.arrived = true
+			c.liveAdd(victim)
+			c.startTask(victim, dag.TaskRef{Task: 0}, 0, true)
+			c.startTask(victim, dag.TaskRef{Task: 1}, 1, false)
 			c.reclassify()
-			c.now = time.Hour
-			if !c.dispatchDuplicate(0) {
-				t.Fatal("no straggler qualified for speculation")
+			if eff := c.effectiveGuarantee(victim); eff != 1 || victim.guarCount != 1 || victim.liveRunning != 2 {
+				t.Fatalf("set-up: victim runs %d attempts, %d guaranteed, effective guarantee %d; want 2, 1, 1",
+					victim.liveRunning, victim.guarCount, eff)
 			}
-			c.killMachine(3)
 
-			machine := func(jr *jobRun, task int) int {
-				if s := jr.slot[0][task]; s >= 0 {
-					return int(c.store.machine[s])
-				}
-				return -1
-			}
-			check := func(pass string, victimMachine, fillerReady int) {
-				t.Helper()
-				if got := machine(arriving, 0); got != 0 {
-					t.Errorf("%s: the arriving job runs on machine %d, want 0", pass, got)
-				}
-				if got := machine(victim, 0); got != victimMachine {
-					t.Errorf("%s: the victim runs on machine %d, want %d", pass, got, victimMachine)
-				}
-				if got := filler.deps.Len(); got != fillerReady {
-					t.Errorf("%s: the filler has %d ready tasks, want %d", pass, got, fillerReady)
-				}
-			}
 			c.handleArrival(tc.arriving)
-			if tc.victimServed {
-				check("arrival pass", 2, 1)
-				return
+			if s := arriving.slot[0][0]; s < 0 || c.store.machine[s] != 1 {
+				t.Fatalf("the arriving job did not take the spare attempt's machine 1 (slot %d)", s)
 			}
-			check("arrival pass", -1, 0)
-			c.reschedule()
-			check("next pass", 2, 1)
+			if victim.evictions != 1 || victim.slot[0][1] >= 0 || victim.deps.Len() != 1 {
+				t.Fatalf("victim: %d evictions, task 1 in slot %d, %d ready tasks; want 1, none, 1",
+					victim.evictions, victim.slot[0][1], victim.deps.Len())
+			}
+			if eff := c.effectiveGuarantee(victim); victim.guarCount != eff {
+				t.Errorf("victim holds %d guaranteed attempts after the eviction, effective guarantee %d",
+					victim.guarCount, eff)
+			}
+			if s := victim.slot[0][0]; s < 0 || c.store.flags[s]&flagGuar == 0 {
+				t.Errorf("the victim's guaranteed attempt lost its slot or class (slot %d)", s)
+			}
 		})
 	}
 }
@@ -694,5 +627,58 @@ func TestResultIndependentOfNoTrace(t *testing.T) {
 	traced.Trace = nil
 	if traced != untraced {
 		t.Errorf("Result depends on NoTrace:\n traced   %+v\n untraced %+v", traced, untraced)
+	}
+}
+
+func TestWeightedSpareSharing(t *testing.T) {
+	// Two identical jobs with weights 1 and 3 contend for spare capacity on
+	// a saturated cluster: the heavy job should complete ~3x faster.
+	mk := func(name string, tasks int) *profile.Profile {
+		job := dag.NewBuilder(name).Stage("work", tasks).MustBuild()
+		return profile.MustNew(job, []profile.StageProfile{
+			{Exec: stats.Point{V: 10 * time.Second}},
+		})
+	}
+	c, _ := New(Config{Machines: 4, SlotsPerMachine: 2, Seed: 1})
+	light, err := c.Submit(JobConfig{Profile: mk("light", 200), Guarantee: 1, Weight: 1, Tracked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy, err := c.Submit(JobConfig{Profile: mk("heavy", 200), Guarantee: 1, Weight: 3, Tracked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// While both jobs are pending, the heavy one should accumulate roughly
+	// three times the completions. Compare completions at the moment the
+	// first job finishes.
+	first := light.Result().Completion + light.Result().Start
+	if h := heavy.Result().Completion + heavy.Result().Start; h < first {
+		first = h
+	}
+	count := func(r Result) int {
+		n := 0
+		for _, e := range r.Trace.Events {
+			if !e.Failed && e.Ended <= first-light.Result().Start {
+				n++
+			}
+		}
+		return n
+	}
+	lightDone, heavyDone := count(light.Result()), count(heavy.Result())
+	ratio := float64(heavyDone) / float64(lightDone)
+	if ratio < 2.0 || ratio > 4.5 {
+		t.Errorf("weighted sharing ratio = %.2f (heavy %d vs light %d), want ~3",
+			ratio, heavyDone, lightDone)
+	}
+}
+
+func TestWeightValidation(t *testing.T) {
+	c, _ := New(Config{})
+	p := bigJob(t, "w", 2, time.Second)
+	if _, err := c.Submit(JobConfig{Profile: p, Guarantee: 1, Weight: -1}); err == nil {
+		t.Error("negative weight must fail")
 	}
 }

@@ -24,7 +24,6 @@ const (
 	evMachineFail
 	evMachineRecover
 	evJobSample
-	evSpecTick
 	evStageDrift
 	evRackOutage
 	evContention
@@ -43,7 +42,6 @@ type event struct {
 	arg     int32 // machine (evMachineRecover), or index into DeadlineChanges, Drifts, or RackOutages
 	kind    evKind
 	failed  bool
-	dup     bool // the attempt is a speculative duplicate
 }
 
 // Run processes events until every tracked job has completed and every Hold
@@ -80,8 +78,6 @@ func (c *Cluster) Run() error {
 			c.handleMachineRecover(int(ev.arg))
 		case evJobSample:
 			c.handleJobSample(int(ev.job))
-		case evSpecTick:
-			c.handleSpecTick(int(ev.job))
 		case evStageDrift:
 			c.handleStageDrift(ev)
 		case evRackOutage:
@@ -167,9 +163,6 @@ func (c *Cluster) handleArrival(id int) {
 		}
 		c.q.Push(c.now+jr.cfg.SamplePeriod, event{kind: evJobSample, job: int32(id)})
 	}
-	if jr.cfg.SpeculativeThreshold > 0 {
-		c.q.Push(c.now+specTickPeriod, event{kind: evSpecTick, job: int32(id)})
-	}
 	for i, d := range jr.cfg.Drifts {
 		if d.At == 0 {
 			// A drift at the very start must cover the arrival dispatch too.
@@ -178,23 +171,6 @@ func (c *Cluster) handleArrival(id int) {
 		}
 		c.q.Push(jr.start+d.At, event{kind: evStageDrift, job: int32(id), arg: int32(i)})
 	}
-	c.reschedule()
-}
-
-// specTickPeriod is how often speculation-enabled jobs re-check for
-// stragglers even when no other event fires (the tail of a job is exactly
-// when the event queue goes quiet).
-const specTickPeriod = 15 * time.Second
-
-//jockey:hotpath
-func (c *Cluster) handleSpecTick(id int) {
-	jr := c.jobs[id]
-	// Stop the tick chain the moment the job can no longer speculate: a
-	// completed (or unspeculated) job must not keep the event queue alive.
-	if jr.completed || jr.deps.Left() == 0 || jr.cfg.SpeculativeThreshold <= 0 {
-		return
-	}
-	c.q.Push(c.now+specTickPeriod, event{kind: evSpecTick, job: int32(id)})
 	c.reschedule()
 }
 
@@ -371,42 +347,20 @@ func (c *Cluster) handleTaskEnd(ev event) {
 	jr := c.jobs[ev.job]
 	st := &c.store
 	stage, task := int(ev.stage), int(ev.task)
-	var s int32
-	if ev.dup {
-		s = jr.dupSlot[stage][task]
-	} else {
-		s = jr.slot[stage][task]
-	}
+	s := jr.slot[stage][task]
 	if s < 0 || st.attempt[s] != ev.attempt {
-		return // stale event: the attempt was evicted, killed, or outraced
+		return // stale event: the attempt was evicted or killed
 	}
 	jr.accrueAlloc(c.now)
 	machine := int(st.machine[s])
 	spawnedGuar := st.flags[s]&flagSpawnGuar != 0
 	c.detach(jr, s)
 	c.recordAttempt(jr, s, c.now, ev.failed)
-	// The other live copy of the task, if any (the duplicate when the
-	// primary just ended, or vice versa).
-	var sibling int32
-	if ev.dup {
-		sibling = jr.slot[stage][task]
-	} else {
-		sibling = jr.dupSlot[stage][task]
-	}
 	if ev.failed {
 		st.release(s)
-		if sibling >= 0 {
-			// The other copy carries on; nothing to requeue.
-			c.reschedule()
-			return
-		}
 		c.requeue(jr, stage, task)
 		c.reschedule()
 		return
-	}
-	if sibling >= 0 {
-		// This copy won the race: cancel the loser, discarding its work.
-		c.cancelCopy(jr, sibling)
 	}
 	if spawnedGuar {
 		jr.guarDone++
@@ -461,8 +415,8 @@ func (c *Cluster) recordAttempt(jr *jobRun, s int32, ended time.Duration, failed
 }
 
 // cmpLive is the live order: tracked jobs before untracked ones, each in
-// job-id (submission) order. Every job list the cluster keeps sorted (live,
-// ready, spec) is in this order, so walking one serves SLO jobs first.
+// job-id (submission) order. Both job lists the cluster keeps sorted (live
+// and ready) are in this order, so walking one serves SLO jobs first.
 //
 //jockey:hotpath
 func cmpLive(a, b *jobRun) int {
@@ -490,27 +444,20 @@ func removeLive(list []*jobRun, jr *jobRun) []*jobRun {
 	return slices.Delete(list, i, i+1)
 }
 
-// liveAdd inserts an arriving job into the live index, and into the
-// speculation list when it speculates. It also reserves room in the ready
-// index for every live job, so that syncReady never grows it. Arrival
-// events can fire out of submission order when Start times differ.
-// O(live), once per job lifetime.
+// liveAdd inserts an arriving job into the live index. It also reserves
+// room in the ready index for every live job, so that syncReady never grows
+// it. Arrival events can fire out of submission order when Start times
+// differ. O(live), once per job lifetime.
 func (c *Cluster) liveAdd(jr *jobRun) {
 	c.live = insertLive(c.live, jr)
-	if jr.cfg.SpeculativeThreshold > 0 {
-		c.spec = insertLive(c.spec, jr)
-	}
 	c.ready = slices.Grow(c.ready, len(c.live)-len(c.ready))
 }
 
-// liveRemove drops a completed job from the live index and the speculation
-// list. A completed job has no ready work, so the ready index no longer
-// holds it. O(live), once per job lifetime.
+// liveRemove drops a completed job from the live index. A completed job has
+// no ready work, so the ready index no longer holds it. O(live), once per
+// job lifetime.
 func (c *Cluster) liveRemove(jr *jobRun) {
 	c.live = removeLive(c.live, jr)
-	if jr.cfg.SpeculativeThreshold > 0 {
-		c.spec = removeLive(c.spec, jr)
-	}
 }
 
 // syncReady restores the job's ready-index membership after its ready
@@ -574,7 +521,6 @@ func (c *Cluster) completeJob(jr *jobRun) {
 		UsedTokenSeconds:   jr.usedSecs,
 		SpareTaskFraction:  spareFrac,
 		Evictions:          jr.evictions,
-		Duplicates:         jr.duplicates,
 		LocalityFraction:   localityFraction(jr),
 		Trace:              jr.result.Trace,
 	}
@@ -638,29 +584,23 @@ func (c *Cluster) victimLess(a, b int32) bool {
 // table, its job list (moving the guaranteed boundary back when it removes
 // the boundary attempt), the spare-top heap, the machine task list, the
 // machine's used count, and the running totals — leaving the slot readable
-// until released. Detaching a primary changes its job's running count, so
-// the job is queued for reclassification.
+// until released. Detaching changes the job's running count, so the job is
+// queued for reclassification.
 //
 //jockey:hotpath
 func (c *Cluster) detach(jr *jobRun, s int32) {
 	st := &c.store
-	stage, task := st.stage[s], st.task[s]
-	if st.flags[s]&flagDup != 0 {
-		jr.dupSlot[stage][task] = -1
-		st.unlink(&jr.dups, s)
-	} else {
-		jr.slot[stage][task] = -1
-		if st.flags[s]&flagGuar != 0 {
-			jr.guarCount--
-			if s == jr.guarLast {
-				jr.guarLast = st.prevJ[s]
-			}
+	jr.slot[st.stage[s]][st.task[s]] = -1
+	if st.flags[s]&flagGuar != 0 {
+		jr.guarCount--
+		if s == jr.guarLast {
+			jr.guarLast = st.prevJ[s]
 		}
-		st.unlink(&jr.prim, s)
-		jr.liveRunning--
-		c.totalRunning--
-		c.markDirty(jr)
 	}
+	st.unlink(&jr.prim, s)
+	jr.liveRunning--
+	c.totalRunning--
+	c.markDirty(jr)
 	c.refreshTop(jr)
 	mi := int(st.machine[s])
 	if prev := st.prevM[s]; prev >= 0 {
@@ -695,39 +635,16 @@ func (c *Cluster) attachMachine(mi int, s int32) {
 	}
 }
 
-// cancelCopy kills the losing copy of a speculated task: its slot frees and
-// its work is discarded, but the task is NOT requeued (the winner already
-// completed it).
-func (c *Cluster) cancelCopy(jr *jobRun, s int32) {
-	c.detach(jr, s)
-	c.recordAttempt(jr, s, c.now, true)
-	c.store.release(s)
-}
-
-// evictTask kills a running task attempt: its work is lost and the pending
-// end event becomes stale. The task re-queues unless another copy of it is
-// still running.
+// evictTask kills a running task attempt: its work is lost, the pending end
+// event becomes stale, and the task re-queues.
 func (c *Cluster) evictTask(jr *jobRun, s int32) {
 	jr.accrueAlloc(c.now)
 	st := &c.store
 	stage, task := int(st.stage[s]), int(st.task[s])
 	jr.evictions++
-	if st.flags[s]&flagDup != 0 {
-		c.cancelCopy(jr, s)
-		if jr.slot[stage][task] < 0 {
-			// The duplicate was the only live copy (the primary had already
-			// failed or been evicted): requeue the task.
-			c.requeue(jr, stage, task)
-		}
-		return
-	}
 	c.detach(jr, s)
 	c.recordAttempt(jr, s, c.now, true)
 	st.release(s)
-	if jr.dupSlot[stage][task] >= 0 {
-		// The duplicate carries on; no requeue.
-		return
-	}
 	c.requeue(jr, stage, task)
 }
 
@@ -825,11 +742,11 @@ var checkPass func(c *Cluster)
 
 // reclassify restores, per job, the invariant that the guaranteed class is
 // exactly the job's min(effectiveGuarantee(), running) earliest-started
-// primaries (by the taskStore.less total order) and everything else is
+// attempts (by the taskStore.less total order) and everything else is
 // spare. Only jobs in the dirty set are visited: the invariant can only
-// break where a primary started or ended, the guarantee was re-set, or the
+// break where an attempt started or ended, the guarantee was re-set, or the
 // contention factor moved, and each of those marks the job. The job's
-// primaries are listed in less order with the guaranteed class a prefix of
+// attempts are listed in less order with the guaranteed class a prefix of
 // the list, so the repair moves the boundary one attempt at a time: back,
 // unflagging the latest-started guaranteed attempt, while the class is too
 // big; forward, flagging the earliest-started spare, while it is too small.
@@ -842,9 +759,6 @@ func (c *Cluster) reclassify() {
 		c.dirty = jr.dirtyNext
 		jr.dirtyNext = nil
 		jr.dirty = false
-		// A job with no running primary (every job that is not live, too)
-		// runs none of the loops below, but may still hold a duplicate
-		// whose spare top is stale.
 		target := min(c.effectiveGuarantee(jr), jr.liveRunning)
 		for jr.guarCount > target {
 			st.flags[jr.guarLast] &^= flagGuar
@@ -869,13 +783,17 @@ func (c *Cluster) reclassify() {
 // admission control promised them their guarantees, so they win when
 // guarantees are over-subscribed.
 //
-// Serving a job can drop it from the index, and an eviction inside the
-// pass can requeue a victim's task and so insert the victim. After each job
-// the cursor moves to the first ready job that sorts after it: by position
-// while the job still stands at the cursor, else through readyAfter. So the
-// pass visits jobs in live order: a victim that sorts after the job it was
-// evicted for is served in this pass, and one that sorts before it waits
-// for the next pass.
+// An eviction inside the pass never gives its victim a guaranteed start.
+// The victim ran a spare attempt, so after reclassify its guaranteed class
+// held its whole effective guarantee; the evicted attempt was spare, so the
+// class stays whole. The victim's requeued task waits for dispatchSpare or
+// the next pass, wherever the victim sorts in live order.
+//
+// Serving a job can drop it from the index, and an eviction can requeue a
+// victim's task and so insert the victim. After each job the cursor moves
+// to the first ready job that sorts after it: by position while the job
+// still stands at the cursor, else through readyAfter. So the pass visits
+// jobs in live order, each at most once.
 //
 //jockey:hotpath
 func (c *Cluster) dispatchGuaranteed() {
@@ -941,21 +859,20 @@ func (c *Cluster) youngestSpare() (int32, *jobRun) {
 }
 
 // refreshTop re-derives the job's spare top — its latest-started spare
-// attempt, the later of its two list tails, counting the primary tail only
-// when it is spare — and re-seats the job in the cluster's spare-top heap
-// when it changed. detach calls it eagerly, since an eviction inside
-// dispatchGuaranteed must be seen by the next pick and a released slot must
-// not stay a heap key. A start (startTask, startDuplicate) only marks its
-// job dirty, and reclassify refreshes it before the next pass's first pick;
-// until then the heap is ordered by the job's older top, a live attempt
-// whose key does not change.
+// attempt: the tail of its attempt list when that is spare — and re-seats
+// the job in the cluster's spare-top heap when it changed. detach calls it
+// eagerly, since an eviction inside dispatchGuaranteed must be seen by the
+// next pick and a released slot must not stay a heap key. A start
+// (startTask) only marks its job dirty, and reclassify refreshes it before
+// the next pass's first pick; until then the heap is ordered by the job's
+// older top, a live attempt whose key does not change.
 //
 //jockey:hotpath
 func (c *Cluster) refreshTop(jr *jobRun) {
 	st := &c.store
-	top := jr.dups.tail
-	if p := jr.prim.tail; p >= 0 && st.flags[p]&flagGuar == 0 && (top < 0 || st.less(top, p)) {
-		top = p
+	top := jr.prim.tail
+	if top >= 0 && st.flags[top]&flagGuar != 0 {
+		top = -1
 	}
 	old := jr.spareTop
 	if top == old {
@@ -1064,7 +981,7 @@ func (c *Cluster) topRemove(jr *jobRun) {
 // lower job id, so the pick does not depend on the order the jobs are
 // walked in.
 func (c *Cluster) dispatchSpare() {
-	if len(c.ready) == 0 && len(c.spec) == 0 {
+	if len(c.ready) == 0 {
 		return
 	}
 	idle := 0
@@ -1087,12 +1004,7 @@ func (c *Cluster) dispatchSpare() {
 			}
 		}
 		if pick == nil {
-			// No fresh work anywhere: spend truly idle slots on speculative
-			// duplicates of straggling tasks.
-			if !c.dispatchDuplicate(mi) {
-				return
-			}
-			continue
+			return // only NoSpare jobs have ready work
 		}
 		pick.spareCredit -= totalWeight
 		r, _ := pick.deps.Pop()
@@ -1106,81 +1018,6 @@ func (c *Cluster) dispatchSpare() {
 			invariant.Assertf(false, "cluster: spare dispatch runaway at t=%v (machine %d)", c.now, mi)
 		}
 	}
-}
-
-// dispatchDuplicate launches a speculative copy of the most-overdue
-// straggler (across the live jobs in the speculation list) on the given
-// machine. It returns false if no task qualifies, at once when no live job
-// speculates. Candidates are every unspeculated running primary; the scan
-// keeps a strict best under a total order (ratio, then taskStore.before),
-// so the winner does not depend on the order jobs or tasks are walked in.
-//
-//jockey:hotpath
-func (c *Cluster) dispatchDuplicate(mi int) bool {
-	st := &c.store
-	worst := int32(-1)
-	var worstJob *jobRun
-	var worstRatio float64
-	for _, jr := range c.spec {
-		th := jr.cfg.SpeculativeThreshold
-		for s := jr.prim.head; s >= 0; s = st.nextJ[s] {
-			if jr.dupSlot[st.stage[s]][st.task[s]] >= 0 {
-				continue // already speculated
-			}
-			p90 := jr.stageP90[st.stage[s]]
-			if p90 <= 0 {
-				continue
-			}
-			elapsed := c.now - st.execStart[s]
-			ratio := float64(elapsed) / float64(p90)
-			if ratio < th {
-				continue
-			}
-			// Deterministic despite scan order: strictly-better ratio wins;
-			// exact ties resolve by task identity, then job id.
-			if worst < 0 || ratio > worstRatio ||
-				(ratio == worstRatio && st.before(s, worst)) {
-				worst, worstJob, worstRatio = s, jr, ratio
-			}
-		}
-	}
-	if worst < 0 {
-		return false
-	}
-	c.startDuplicate(worstJob, worst, mi)
-	return true
-}
-
-//jockey:hotpath
-func (c *Cluster) startDuplicate(jr *jobRun, orig int32, machine int) {
-	jr.accrueAlloc(c.now)
-	st := &c.store
-	stage, task := int(st.stage[orig]), int(st.task[orig])
-	attempt := st.attempt[orig]
-	initDelay, exec, fails := jr.p.Stages[stage].SampleAttempt(jr.rng, jr.driftFactor[stage], true)
-	s := st.alloc()
-	st.job[s] = int32(jr.id)
-	st.stage[s] = int32(stage)
-	st.task[s] = int32(task)
-	st.attempt[s] = attempt
-	st.machine[s] = int32(machine)
-	st.startedAt[s] = c.now
-	st.execStart[s] = c.now + initDelay
-	st.flags[s] = flagDup // duplicates are always spare-class
-	jr.dupSlot[stage][task] = s
-	st.link(&jr.dups, s)
-	c.markDirty(jr) // reclassify refreshes the job's spare top
-	jr.duplicates++
-	c.attachMachine(machine, s)
-	c.q.Push(c.now+initDelay+exec, event{
-		kind:    evTaskEnd,
-		job:     int32(jr.id),
-		stage:   int32(stage),
-		task:    int32(task),
-		attempt: attempt,
-		failed:  fails,
-		dup:     true,
-	})
 }
 
 //jockey:hotpath
@@ -1208,7 +1045,7 @@ func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed b
 	if guaranteed {
 		// dispatchGuaranteed starts work only while the guaranteed class is
 		// smaller than the guarantee, which after reclassify means it holds
-		// every primary; so the class grows to the whole list.
+		// every running attempt; so the class grows to the whole list.
 		jr.guarCount++
 		jr.guarLast = jr.prim.tail
 	} else if g := jr.guarLast; g >= 0 && st.less(s, g) {

@@ -18,10 +18,10 @@ import (
 // do not maintain, and sorted by taskStore.less; from that:
 //
 //   - checkRankPartition requires each live job's guaranteed flags on
-//     exactly its first min(effective guarantee, running) primaries, and
-//     its two lists to hold exactly its primaries and duplicates, in order;
-//   - checkLive pins the live index, the ready index, the speculation list
-//     and each job's spare top and place in the spare-top heap;
+//     exactly its first min(effective guarantee, running) attempts, and
+//     its list to hold exactly those attempts, in order;
+//   - checkLive pins the live index, the ready index and each job's spare
+//     top and place in the spare-top heap;
 //   - refYoungestSpare, a scan over the gathered spare attempts with jobs
 //     in id order, must pick the spare-top heap's root.
 //
@@ -53,7 +53,7 @@ func refEffectiveGuarantee(c *Cluster, jr *jobRun) int {
 var refSlots []int32
 
 // refLiveAttempts gathers every live attempt from the machine task lists,
-// sorted by job, then primaries before duplicates, then taskStore.less.
+// sorted by job, then taskStore.less.
 func refLiveAttempts(c *Cluster) []int32 {
 	st := &c.store
 	all := refSlots[:0]
@@ -64,9 +64,6 @@ func refLiveAttempts(c *Cluster) []int32 {
 	}
 	slices.SortFunc(all, func(a, b int32) int {
 		if d := cmp.Compare(st.job[a], st.job[b]); d != 0 {
-			return d
-		}
-		if d := cmp.Compare(st.flags[a]&flagDup, st.flags[b]&flagDup); d != 0 {
 			return d
 		}
 		if st.less(a, b) {
@@ -82,18 +79,13 @@ func refLiveAttempts(c *Cluster) []int32 {
 }
 
 // refJobAttempts splits the gathered attempts of job id, which lead all,
-// into its primaries and duplicates, and returns the rest.
-func refJobAttempts(c *Cluster, all []int32, id int) (prim, dups, rest []int32) {
-	st := &c.store
+// from the rest.
+func refJobAttempts(c *Cluster, all []int32, id int) (mine, rest []int32) {
 	n := 0
-	for n < len(all) && st.job[all[n]] == int32(id) {
+	for n < len(all) && c.store.job[all[n]] == int32(id) {
 		n++
 	}
-	np := 0
-	for np < n && st.flags[all[np]]&flagDup == 0 {
-		np++
-	}
-	return all[:np], all[np:n], all[n:]
+	return all[:n], all[n:]
 }
 
 // refTarget is the size of the job's guaranteed class in the rank partition.
@@ -103,56 +95,46 @@ func refTarget(c *Cluster, jr *jobRun, prim []int32) int {
 
 // refSpareTop is the job's latest-started spare attempt in the rank
 // partition (-1 when it has none).
-func refSpareTop(c *Cluster, jr *jobRun, prim, dups []int32) int32 {
-	top := int32(-1)
+func refSpareTop(c *Cluster, jr *jobRun, prim []int32) int32 {
 	if refTarget(c, jr, prim) < len(prim) {
-		top = prim[len(prim)-1]
+		return prim[len(prim)-1]
 	}
-	if n := len(dups); n > 0 && (top < 0 || c.store.less(top, dups[n-1])) {
-		top = dups[n-1]
-	}
-	return top
+	return -1
 }
 
 // checkList requires list l to hold exactly want, in order, with
 // consistent back links.
-func checkList(st *taskStore, name string, l slotList, want []int32) error {
+func checkList(st *taskStore, l slotList, want []int32) error {
 	prev := int32(-1)
 	s := l.head
 	for i, w := range want {
 		if s != w {
-			return fmt.Errorf("%s list position %d holds slot %d, want %d", name, i, s, w)
+			return fmt.Errorf("list position %d holds slot %d, want %d", i, s, w)
 		}
 		if st.prevJ[s] != prev {
-			return fmt.Errorf("%s list slot %d links back to %d, want %d", name, s, st.prevJ[s], prev)
+			return fmt.Errorf("list slot %d links back to %d, want %d", s, st.prevJ[s], prev)
 		}
 		prev, s = s, st.nextJ[s]
 	}
 	if s >= 0 || l.tail != prev {
-		return fmt.Errorf("%s list runs past its %d attempts (next %d, tail %d, want %d)", name, len(want), s, l.tail, prev)
+		return fmt.Errorf("list runs past its %d attempts (next %d, tail %d, want %d)", len(want), s, l.tail, prev)
 	}
 	return nil
 }
 
 // checkRankPartition requires the job's guaranteed flags, counts, boundary
-// and lists to match the rank partition of its gathered attempts: the
-// first min(effective guarantee, running) primaries guaranteed, the rest
-// spare.
-func checkRankPartition(c *Cluster, jr *jobRun, prim, dups []int32) error {
+// and list to match the rank partition of its gathered attempts: the first
+// min(effective guarantee, running) attempts guaranteed, the rest spare.
+func checkRankPartition(c *Cluster, jr *jobRun, prim []int32) error {
 	st := &c.store
 	target := refTarget(c, jr, prim)
 	if jr.liveRunning != len(prim) || jr.guarCount != target {
-		return fmt.Errorf("liveRunning %d, guarCount %d; %d primaries run, rank partition guarantees %d",
+		return fmt.Errorf("liveRunning %d, guarCount %d; %d attempts run, rank partition guarantees %d",
 			jr.liveRunning, jr.guarCount, len(prim), target)
 	}
 	for i, s := range prim {
 		if guar := st.flags[s]&flagGuar != 0; guar != (i < target) {
-			return fmt.Errorf("primary slot %d of rank %d has flags %b, want guaranteed %t", s, i, st.flags[s], i < target)
-		}
-	}
-	for _, s := range dups {
-		if st.flags[s]&flagGuar != 0 {
-			return fmt.Errorf("duplicate slot %d has flags %b", s, st.flags[s])
+			return fmt.Errorf("slot %d of rank %d has flags %b, want guaranteed %t", s, i, st.flags[s], i < target)
 		}
 	}
 	last := int32(-1)
@@ -162,16 +144,13 @@ func checkRankPartition(c *Cluster, jr *jobRun, prim, dups []int32) error {
 	if jr.guarLast != last {
 		return fmt.Errorf("guaranteed boundary at slot %d, want %d", jr.guarLast, last)
 	}
-	if err := checkList(st, "primary", jr.prim, prim); err != nil {
-		return err
-	}
-	return checkList(st, "duplicate", jr.dups, dups)
+	return checkList(st, jr.prim, prim)
 }
 
 // checkLive pins the job indexes against the job table and the gathered
 // attempts: live is the tracked live jobs, then the untracked ones, each in
-// id order; ready is, in the same order, the live jobs with ready work, and
-// spec the live jobs that speculate; only live jobs run attempts; and the
+// id order; ready is, in the same order, the live jobs with ready work;
+// only live jobs run attempts; and the
 // heap holds exactly the jobs with a spare attempt, each at its recorded
 // position with its from-scratch spare top.
 func checkLive(c *Cluster, all []int32) error {
@@ -182,7 +161,6 @@ func checkLive(c *Cluster, all []int32) error {
 	}{
 		{"live", c.live, func(*jobRun) bool { return true }},
 		{"ready", c.ready, func(jr *jobRun) bool { return jr.deps.Len() > 0 }},
-		{"spec", c.spec, func(jr *jobRun) bool { return jr.cfg.SpeculativeThreshold > 0 }},
 	}
 	for _, ix := range indexes {
 		i := 0
@@ -209,12 +187,12 @@ func checkLive(c *Cluster, all []int32) error {
 	}
 	inHeap := 0
 	for _, jr := range c.jobs {
-		var prim, dups []int32
-		prim, dups, all = refJobAttempts(c, all, jr.id)
-		if (!jr.arrived || jr.completed) && len(prim)+len(dups) > 0 {
-			return fmt.Errorf("job %d is not live but runs %d attempts", jr.id, len(prim)+len(dups))
+		var prim []int32
+		prim, all = refJobAttempts(c, all, jr.id)
+		if (!jr.arrived || jr.completed) && len(prim) > 0 {
+			return fmt.Errorf("job %d is not live but runs %d attempts", jr.id, len(prim))
 		}
-		top := refSpareTop(c, jr, prim, dups)
+		top := refSpareTop(c, jr, prim)
 		if jr.spareTop != top {
 			return fmt.Errorf("job %d spare top %d, want %d", jr.id, jr.spareTop, top)
 		}
@@ -242,9 +220,9 @@ func refYoungestSpare(c *Cluster, all []int32) (int32, *jobRun) {
 	best := int32(-1)
 	var bestJob *jobRun
 	for _, jr := range c.jobs {
-		var prim, dups []int32
-		prim, dups, all = refJobAttempts(c, all, jr.id)
-		if cand := refSpareTop(c, jr, prim, dups); cand >= 0 && (best < 0 || c.store.less(best, cand)) {
+		var prim []int32
+		prim, all = refJobAttempts(c, all, jr.id)
+		if cand := refSpareTop(c, jr, prim); cand >= 0 && (best < 0 || c.store.less(best, cand)) {
 			best, bestJob = cand, jr
 		}
 	}
@@ -269,9 +247,9 @@ func checkAgainstRef(c *Cluster) {
 	}
 	rest := all
 	for _, jr := range c.jobs {
-		var prim, dups []int32
-		prim, dups, rest = refJobAttempts(c, rest, jr.id)
-		if err := checkRankPartition(c, jr, prim, dups); err != nil {
+		var prim []int32
+		prim, rest = refJobAttempts(c, rest, jr.id)
+		if err := checkRankPartition(c, jr, prim); err != nil {
 			fail("job %d: %v", jr.id, err)
 		}
 	}

@@ -113,8 +113,8 @@ func TestConservationProperty(t *testing.T) {
 
 // TestCombinedFaultInvariants piles every disruption the simulator can
 // produce onto one run — random machine failures, a rack outage, a token
-// contention window, mid-run runtime drift, speculation, and deadline
-// changes — and checks that the bookkeeping invariants survive and the run
+// contention window, mid-run runtime drift and deadline changes — and
+// checks that the bookkeeping invariants survive and the run
 // replays bit-identically.
 func TestCombinedFaultInvariants(t *testing.T) {
 	build := func() (*Cluster, *Handle) {
@@ -154,7 +154,6 @@ func TestCombinedFaultInvariants(t *testing.T) {
 		h, err := c.Submit(JobConfig{
 			Profile: p, Guarantee: 8, Deadline: 20 * time.Minute,
 			Tracked: true, Start: 20 * time.Second,
-			SpeculativeThreshold: 1.5,
 			Drifts: []StageDrift{
 				{At: 30 * time.Second, Stage: 0, Factor: 1.7},
 				{At: time.Minute, Stage: -1, Factor: 1.3},
@@ -195,16 +194,26 @@ func TestCombinedFaultInvariants(t *testing.T) {
 			t.Fatalf("task %v completed %d times", key, n)
 		}
 	}
-	// Timestamps sane under every fault class at once; primary attempts of
-	// the same task strictly ordered (speculative duplicates share the
-	// primary's attempt number, so ordering applies per attempt number).
-	lastEnd := map[[3]int]time.Duration{}
+	// Timestamps sane under every fault class at once; a task runs one
+	// attempt at a time, so its attempts are numbered 0, 1, 2, ... in the
+	// order they end, and each is dispatched no earlier than the one before
+	// it ended.
+	type prevAttempt struct {
+		n     int
+		ended time.Duration
+	}
+	prev := map[[2]int]prevAttempt{}
 	for _, e := range tr.Events {
 		if e.Queued < 0 || e.Dispatched < e.Queued || e.Started < e.Dispatched || e.Ended < e.Started {
 			t.Fatalf("bad timestamps: %+v", e)
 		}
-		key := [3]int{e.Stage, e.Task, e.Attempt}
-		lastEnd[key] = e.Ended
+		key := [2]int{e.Stage, e.Task}
+		p := prev[key]
+		if e.Attempt != p.n || e.Dispatched < p.ended {
+			t.Fatalf("task %v attempt %d dispatched at %v; want attempt %d dispatched at or after %v",
+				key, e.Attempt, e.Dispatched, p.n, p.ended)
+		}
+		prev[key] = prevAttempt{n: e.Attempt + 1, ended: e.Ended}
 	}
 	// Barrier: reduces only dispatch after all 40 maps are done.
 	var mapDone time.Duration
@@ -224,18 +233,14 @@ func TestCombinedFaultInvariants(t *testing.T) {
 	if r.AllocTokenSeconds <= 0 || r.UsedTokenSeconds <= 0 {
 		t.Fatalf("degenerate accounting: alloc=%v used=%v", r.AllocTokenSeconds, r.UsedTokenSeconds)
 	}
-	// The perturbations actually bit: evictions from the outages and
-	// duplicates from speculation.
+	// The perturbations actually bit: evictions from the outages.
 	if r.Evictions == 0 {
 		t.Error("combined-fault run recorded no evictions")
-	}
-	if r.Duplicates == 0 {
-		t.Error("combined-fault run recorded no speculative duplicates")
 	}
 	// Determinism: an identical second run replays bit-identically.
 	r2 := run()
 	if r.Completion != r2.Completion || r.Evictions != r2.Evictions ||
-		r.Duplicates != r2.Duplicates || r.AllocTokenSeconds != r2.AllocTokenSeconds {
+		r.AllocTokenSeconds != r2.AllocTokenSeconds {
 		t.Fatalf("combined-fault run not deterministic:\n%+v\n%+v", r, r2)
 	}
 	if len(tr.Events) != len(r2.Trace.Events) {

@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/jockeysim/jockey/internal/control"
+	"github.com/jockeysim/jockey/internal/model"
+	"github.com/jockeysim/jockey/internal/utility"
 )
 
 func TestPerturbationConfigValidation(t *testing.T) {
@@ -202,12 +206,11 @@ func TestPerturbedRunDeterministic(t *testing.T) {
 		}
 		return runOne(t, ccfg, JobConfig{
 			Profile: fixedJob(t, "det"), Guarantee: 6,
-			Drifts:               []StageDrift{{At: 30 * time.Second, Stage: -1, Factor: 1.5}},
-			SpeculativeThreshold: 2,
+			Drifts: []StageDrift{{At: 30 * time.Second, Stage: -1, Factor: 1.5}},
 		})
 	}
 	a, b := run(), run()
-	if a.Completion != b.Completion || a.Evictions != b.Evictions || a.Duplicates != b.Duplicates {
+	if a.Completion != b.Completion || a.Evictions != b.Evictions {
 		t.Fatalf("perturbed runs diverged: %+v vs %+v", a, b)
 	}
 	if len(a.Trace.Events) != len(b.Trace.Events) {
@@ -215,41 +218,40 @@ func TestPerturbedRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestSpecTickStopsAfterCompletion(t *testing.T) {
-	c, err := New(Config{Machines: 4, SlotsPerMachine: 2, Seed: 9})
+// TestEventChainsStopAfterCompletion: the periodic events a job schedules
+// for itself (control ticks and OnSample ticks) must stop once it completes,
+// or a finished job would keep the event queue alive. A Hold keeps Run going
+// past the job's completion, so Run returns only when the queue drains, or
+// at MaxSimTime if a chain re-queues itself forever.
+func TestEventChainsStopAfterCompletion(t *testing.T) {
+	c, err := New(Config{Machines: 4, SlotsPerMachine: 2, Seed: 9, MaxSimTime: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.Submit(JobConfig{
-		Profile: fixedJob(t, "spec"), Guarantee: 8, Tracked: true,
-		SpeculativeThreshold: 3,
+	p := fixedJob(t, "chains")
+	pol, err := control.NewController(control.Config{
+		Predictor:  model.NewAmdahl(p),
+		Utility:    utility.Deadline(10 * time.Minute),
+		Candidates: SLODefaults(8),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(); err != nil {
+	h, err := c.Submit(JobConfig{
+		Profile: p, Policy: pol, Deadline: 10 * time.Minute, Tracked: true,
+		ControlPeriod: 15 * time.Second,
+		SamplePeriod:  15 * time.Second, OnSample: func(time.Duration, model.State) {},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	c.Hold()
+	err = c.Run()
 	if !h.Done() {
 		t.Fatal("job did not complete")
 	}
-	// Drain the queue: every remaining spec tick must be a no-op, so the
-	// queue empties instead of self-perpetuating.
-	for i := 0; ; i++ {
-		if i > 100 {
-			t.Fatalf("event queue still has %d events after 100 pops — spec ticks re-queuing after completion", c.q.Len())
-		}
-		at, ev, ok := c.q.Pop()
-		if !ok {
-			break
-		}
-		c.now = at
-		if ev.kind == evSpecTick {
-			c.handleSpecTick(int(ev.job))
-		}
-	}
-	if c.q.Len() != 0 {
-		t.Fatalf("queue not drained: %d events left", c.q.Len())
+	if err == nil || !strings.Contains(err.Error(), "event queue drained") {
+		t.Fatalf("Run after completion = %v, want the drained-queue error", err)
 	}
 }
 

@@ -14,14 +14,14 @@ import (
 )
 
 // reuseScenario is deliberately demanding: machine MTBF failures, a rack
-// outage, a contention window, speculation, a mid-run deadline change, stage
-// drift, a controlled SLO job, and two submissions sharing one plan (so the
-// arena pool must hold multiple live arenas for the same *dag.Job).
+// outage, a contention window, a mid-run deadline change, stage drift, a
+// controlled SLO job, and two submissions sharing one plan (so the arena
+// pool must hold multiple live arenas for the same *dag.Job).
 type reuseScenario struct {
-	cfg  Config
-	fg   *profile.Profile
-	bg   *profile.Profile
-	spec *profile.Profile
+	cfg   Config
+	fg    *profile.Profile
+	bg    *profile.Profile
+	drift *profile.Profile
 }
 
 func newReuseScenario(t testing.TB) *reuseScenario {
@@ -40,8 +40,8 @@ func newReuseScenario(t testing.TB) *reuseScenario {
 	bg := profile.MustNew(bgJob, []profile.StageProfile{
 		{Exec: stats.LognormalFromMedian(20*time.Second, time.Minute), FailureProb: 0.02},
 	})
-	specJob := dag.NewBuilder("spec").Stage("work", 30).MustBuild()
-	spec := profile.MustNew(specJob, []profile.StageProfile{
+	driftJob := dag.NewBuilder("drift").Stage("work", 30).MustBuild()
+	drift := profile.MustNew(driftJob, []profile.StageProfile{
 		{Exec: stats.LognormalFromMedian(10*time.Second, 45*time.Second)},
 	})
 	return &reuseScenario{
@@ -54,9 +54,9 @@ func newReuseScenario(t testing.TB) *reuseScenario {
 			RackOutages:     []RackOutage{{At: 2 * time.Minute, FirstMachine: 0, Machines: 3, Duration: time.Minute}},
 			Contention:      []ContentionWindow{{From: 3 * time.Minute, To: 5 * time.Minute, Frac: 0.5}},
 		},
-		fg:   fg,
-		bg:   bg,
-		spec: spec,
+		fg:    fg,
+		bg:    bg,
+		drift: drift,
 	}
 }
 
@@ -74,8 +74,8 @@ func (s *reuseScenario) run(t testing.TB, c *Cluster) ([]Result, time.Duration, 
 	submit(JobConfig{Profile: s.bg, Guarantee: 4})
 	submit(JobConfig{Profile: s.bg, Guarantee: 2, Weight: 2, Start: 90 * time.Second})
 	hs := []*Handle{
-		submit(JobConfig{Profile: s.spec, Guarantee: 3, Deadline: 12 * time.Minute,
-			Tracked: true, SpeculativeThreshold: 1.5, Start: 30 * time.Second,
+		submit(JobConfig{Profile: s.drift, Guarantee: 3, Deadline: 12 * time.Minute,
+			Tracked: true, Start: 30 * time.Second,
 			Drifts: []StageDrift{{At: 2 * time.Minute, Stage: -1, Factor: 1.5}}}),
 	}
 	pol, err := control.NewController(control.Config{

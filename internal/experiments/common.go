@@ -24,6 +24,7 @@ import (
 	"github.com/jockeysim/jockey/internal/grid"
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
+	"github.com/jockeysim/jockey/internal/sim"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/trace"
 	"github.com/jockeysim/jockey/internal/utility"
@@ -85,8 +86,8 @@ type Env struct {
 }
 
 type trainEntry struct {
-	prof *profile.Profile
-	res  cluster.Result
+	prof  *profile.Profile
+	trace *trace.JobTrace
 }
 
 // NewEnv builds the standard environment of §5.1.
@@ -132,29 +133,31 @@ func (e *Env) Training(job string) (*profile.Profile, error) {
 	return te.prof, nil
 }
 
-// TrainingResult returns the cluster result of the training run (Table 3's
-// "training job" column).
-func (e *Env) TrainingResult(job string) (cluster.Result, error) {
+// TrainingTrace returns the task trace of the training run (Table 2's
+// measured columns and Table 3's "training" column).
+func (e *Env) TrainingTrace(job string) (*trace.JobTrace, error) {
 	te, err := e.training(job)
 	if err != nil {
-		return cluster.Result{}, err
+		return nil, err
 	}
-	return te.res, nil
+	return te.trace, nil
 }
 
 // training builds the training run single-flight per job. The build calls
 // Ground — a different Cache, so no lock is held across the nesting.
+//
+// The run is a controlled one at exactly the training allocation: a lone
+// Tracked NoSpare job at Guarantee TrainAlloc on an idle, failure-free
+// cluster. Such a job runs exactly as sim.Runner does at that allocation,
+// seeded with the cluster's derived seed for job 0 (DESIGN.md §5, pinned by
+// TestSimMatchesLoneClusterJob and FuzzSimMatchesCluster), so the run is
+// simulated directly. The equality needs Machines × Slots >= TrainAlloc,
+// which NewEnv's shape meets. The Runner is used once, so its trace is the
+// entry's to keep; the entry keeps a copy of the trace header, because a
+// pointer into the Runner would keep all of the Runner's arenas alive.
 func (e *Env) training(job string) (*trainEntry, error) {
 	return e.trains.Get(job, func() (*trainEntry, error) {
 		ground, err := e.Ground(job)
-		if err != nil {
-			return nil, err
-		}
-		c, err := cluster.New(cluster.Config{
-			Machines:        e.Machines,
-			SlotsPerMachine: e.Slots,
-			Seed:            stats.DeriveSeed(e.Seed, "train-cluster", job),
-		})
 		if err != nil {
 			return nil, err
 		}
@@ -162,24 +165,20 @@ func (e *Env) training(job string) (*trainEntry, error) {
 		if e.TrainScale > 0 && e.TrainScale != 1 {
 			trainGround = ground.Scale(e.TrainScale)
 		}
-		h, err := c.Submit(cluster.JobConfig{
-			Profile:   trainGround,
-			Guarantee: e.TrainAlloc,
-			Tracked:   true,
-			NoSpare:   true, // a controlled run at exactly the training allocation
+		run, err := sim.NewRunner().Run(sim.Config{
+			Profile: trainGround,
+			Alloc:   e.TrainAlloc,
+			Seed:    stats.DeriveSeed(stats.DeriveSeed(e.Seed, "train-cluster", job), "job", "0"),
 		})
 		if err != nil {
 			return nil, err
 		}
-		if err := c.Run(); err != nil {
-			return nil, err
-		}
-		res := h.Result()
-		prof, err := profile.FromTrace(ground.Job, res.Trace)
+		tr := *run
+		prof, err := profile.FromTrace(ground.Job, &tr)
 		if err != nil {
 			return nil, err
 		}
-		return &trainEntry{prof: prof, res: res}, nil
+		return &trainEntry{prof: prof, trace: &tr}, nil
 	})
 }
 
@@ -291,7 +290,6 @@ type SLORun struct {
 	// cluster clock; the SLO job arrives at SLOJobStart).
 	RackOutages []cluster.RackOutage
 	Contention  []cluster.ContentionWindow
-	OnSample    func(at time.Duration, st model.State)
 	// Flight, if non-nil, receives one control.DecisionRecord per control
 	// tick of the SLO job's policy. Only policies that support recording
 	// emit (the Jockey controller and its guarded variant); recording never
@@ -526,7 +524,6 @@ func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 		Tracked:         true,
 		DeadlineChanges: r.DeadlineChanges,
 		Drifts:          r.Drifts,
-		OnSample:        r.OnSample,
 		OnTaskEvent:     onTask,
 	})
 	if err != nil {

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/jockeysim/jockey/internal/cluster"
 	"github.com/jockeysim/jockey/internal/core"
 	"github.com/jockeysim/jockey/internal/stats"
+	"github.com/jockeysim/jockey/internal/workload"
 )
 
 // sharedEnv is reused across tests: building runtimes is the expensive part
@@ -226,6 +228,43 @@ func TestJobStatistics(t *testing.T) {
 	}
 	if !strings.Contains(t2.Render(), "Table 2") {
 		t.Error("render broken")
+	}
+}
+
+// TestTrainingTraceMatchesClusterRun pins that the training run simulated
+// by Env.training is the run the cluster engine would execute: one Tracked
+// NoSpare job at Guarantee TrainAlloc on an idle cluster of the env's shape,
+// at the env's training cluster seed.
+func TestTrainingTraceMatchesClusterRun(t *testing.T) {
+	for _, spec := range workload.TableTwo {
+		got, err := sharedEnv.TrainingTrace(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ground, err := sharedEnv.Ground(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cluster.New(cluster.Config{
+			Machines:        sharedEnv.Machines,
+			SlotsPerMachine: sharedEnv.Slots,
+			Seed:            stats.DeriveSeed(sharedEnv.Seed, "train-cluster", spec.Name),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.Submit(cluster.JobConfig{Profile: ground.Scale(sharedEnv.TrainScale),
+			Guarantee: sharedEnv.TrainAlloc, Tracked: true, NoSpare: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := h.Result().Trace; !reflect.DeepEqual(got, want) {
+			t.Errorf("job %s: the training trace (%d events, completion %v) differs from the cluster run's (%d events, completion %v)",
+				spec.Name, len(got.Events), got.Completion, len(want.Events), want.Completion)
+		}
 	}
 }
 

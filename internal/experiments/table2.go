@@ -33,7 +33,7 @@ type Table2 struct {
 func JobStatistics(env *Env) (*Table2, error) {
 	t2 := &Table2{}
 	for _, spec := range workload.TableTwo {
-		res, err := env.TrainingResult(spec.Name)
+		tr, err := env.TrainingTrace(spec.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +41,6 @@ func JobStatistics(env *Env) (*Table2, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr := res.Trace
 		all := tr.AllExecSamples()
 		row := Table2Row{
 			Job:             spec.Name,

@@ -46,7 +46,7 @@ func summarizeRun(name string, tr *trace.JobTrace, deadline time.Duration, met b
 // needing ~1.9× the work (job 1, expected to finish barely late) and one
 // needing ~1.5× (job 2, expected on time thanks to adaptation).
 func TrainingVsActual(env *Env) (*Table3, error) {
-	trainRes, err := env.TrainingResult("F")
+	train, err := env.TrainingTrace("F")
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func TrainingVsActual(env *Env) (*Table3, error) {
 	if err != nil {
 		return nil, err
 	}
-	t3 := &Table3{Columns: []Table3Column{summarizeRun("training", trainRes.Trace, 0, true)}}
+	t3 := &Table3{Columns: []Table3Column{summarizeRun("training", train, 0, true)}}
 	for i, o := range outcomes {
 		t3.Columns = append(t3.Columns,
 			summarizeRun(fmt.Sprintf("job %d (×%.1f work)", i+1, scales[i]), o.Trace, o.Deadline, o.Met))

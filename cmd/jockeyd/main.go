@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	jockeyd [-seed N] [-arbitration fifo|fair-share|utility-greedy]
-//	        [-guarded] [-no-containment]
+//	jockeyd [-seed N] [-arbitration fifo|fair-share|utility-greedy] [-guarded]
 //	        [-arrivals N] [-mean-interarrival D] [-load F] [-max-defer N]
 //	        [-machines N] [-slots N] [-budget N] [-epoch D]
 //	        [-drift-every N] [-drift-factor F]
@@ -47,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Uint64("seed", 1, "master seed for arrivals, cluster, and models")
 		arb     = fs.String("arbitration", "utility-greedy", "arbitration discipline: fifo, fair-share, or utility-greedy")
 		guarded = fs.Bool("guarded", false, "wrap each controller in a guard (requires utility-greedy)")
-		noCont  = fs.Bool("no-containment", false, "let guard-panic latches bid their full max allocation (requires -guarded)")
 
 		arrivals = fs.Int("arrivals", 0, "number of job offers (0 = default)")
 		meanIA   = fs.Duration("mean-interarrival", 0, "mean arrival gap before load scaling (0 = default)")
@@ -82,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		LoadFactor:       *load,
 		Arbitration:      fleet.Arbitration(*arb),
 		Guarded:          *guarded,
-		NoContainment:    *noCont,
 		MaxDefers:        *maxDefer,
 		DriftEvery:       *driftEvery,
 		DriftFactor:      *driftFactor,

@@ -9,8 +9,9 @@
 //	pol, _ := jk.Policy(time.Hour)            // full Jockey
 //	cluster.Submit(cluster.JobConfig{Profile: groundTruth, Policy: pol, ...})
 //
-// Baselines for the paper's comparisons come from StaticPolicy ("Jockey w/o
-// adaptation"), AmdahlPolicy ("Jockey w/o simulator") and MaxPolicy.
+// The paper's comparison baselines ("Jockey w/o adaptation", "Jockey w/o
+// simulator", max allocation) are built by internal/experiments from a
+// runtime's Model and Grid.
 package core
 
 import (
@@ -66,7 +67,6 @@ type Jockey struct {
 	p         *profile.Profile
 	indicator progress.Indicator
 	cpa       *model.CPA
-	amdahl    *model.Amdahl
 }
 
 // New builds the Jockey runtime for a profiled job, running the offline
@@ -115,8 +115,7 @@ func NewIndicators(p *profile.Profile, opts Options, names ...IndicatorName) ([]
 	if err != nil {
 		return nil, err
 	}
-	// The grid and the Amdahl model are read-only, so the runtimes share them.
-	amdahl := model.NewAmdahl(p)
+	// The grid is read-only, so the runtimes share it.
 	out := make([]*Jockey, len(names))
 	for j, name := range names {
 		o := opts
@@ -127,7 +126,6 @@ func NewIndicators(p *profile.Profile, opts Options, names ...IndicatorName) ([]
 			p:         p,
 			indicator: inds[j],
 			cpa:       cpas[j],
-			amdahl:    amdahl,
 		}
 	}
 	return out, nil
@@ -196,25 +194,20 @@ func (j *Jockey) Model() *model.CPA { return j.cpa }
 // Grid returns the candidate allocation grid.
 func (j *Jockey) Grid() []int { return j.grid }
 
-func (j *Jockey) controlConfig(pred model.Predictor, u utility.Fn) control.Config {
-	return control.Config{Predictor: pred, Utility: u, Candidates: j.grid}
+func (j *Jockey) controlConfig(deadline time.Duration) control.Config {
+	return control.Config{Predictor: j.cpa, Utility: utility.Deadline(deadline), Candidates: j.grid}
 }
 
 // Policy returns a fresh full-Jockey controller for the given deadline.
 // Policies carry per-run state; build one per execution.
 func (j *Jockey) Policy(deadline time.Duration) (control.Policy, error) {
-	return j.PolicyWithUtility(utility.Deadline(deadline))
-}
-
-// PolicyWithUtility is Policy with an explicit utility curve.
-func (j *Jockey) PolicyWithUtility(u utility.Fn) (control.Policy, error) {
-	return control.NewController(j.controlConfig(j.cpa, u))
+	return control.NewController(j.controlConfig(deadline))
 }
 
 // GuardedPolicy wraps the full Jockey controller in the model-staleness
 // guard-rail layer: see Guard.
 func (j *Jockey) GuardedPolicy(deadline time.Duration) (*control.Guard, error) {
-	ctrl, err := control.NewController(j.controlConfig(j.cpa, utility.Deadline(deadline)))
+	ctrl, err := control.NewController(j.controlConfig(deadline))
 	if err != nil {
 		return nil, err
 	}
@@ -262,23 +255,6 @@ func (j *Jockey) Guard(ctrl *control.Controller) (*control.Guard, error) {
 	})
 }
 
-// StaticPolicy returns the "Jockey w/o adaptation" baseline: the simulator
-// model picks one allocation up front and never adapts.
-func (j *Jockey) StaticPolicy(deadline time.Duration) (control.Policy, error) {
-	return control.NewStatic(j.controlConfig(j.cpa, utility.Deadline(deadline)))
-}
-
-// AmdahlPolicy returns the "Jockey w/o simulator" baseline: dynamic control
-// driven by the analytic Amdahl's-Law model.
-func (j *Jockey) AmdahlPolicy(deadline time.Duration) (control.Policy, error) {
-	return control.NewController(j.controlConfig(j.amdahl, utility.Deadline(deadline)))
-}
-
-// MaxPolicy returns the max-allocation baseline at the grid's maximum.
-func (j *Jockey) MaxPolicy() (control.Policy, error) {
-	return control.NewMaxAllocation(j.grid[len(j.grid)-1])
-}
-
 // PredictLatency returns the q-quantile of the modelled end-to-end latency
 // at a fixed allocation (progress 0).
 func (j *Jockey) PredictLatency(alloc int, q float64) time.Duration {
@@ -303,11 +279,4 @@ func (j *Jockey) RequiredAllocation(deadline time.Duration) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Fits is the admission-control check of §1: can this job meet its deadline
-// with at most `available` guaranteed tokens left in the cluster?
-func (j *Jockey) Fits(deadline time.Duration, available int) bool {
-	need, ok := j.RequiredAllocation(deadline)
-	return ok && need <= available
 }

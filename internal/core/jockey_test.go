@@ -144,41 +144,6 @@ func TestFeasibleAndRequiredAllocation(t *testing.T) {
 	if _, ok := jk.RequiredAllocation(10 * time.Second); ok {
 		t.Error("impossible deadline must not fit")
 	}
-	if !jk.Fits(30*time.Minute, 1) {
-		t.Error("job should fit in 1 spare token at a loose deadline")
-	}
-	if jk.Fits(3*time.Minute, 1) {
-		t.Error("tight deadline must not fit in 1 token")
-	}
-}
-
-func TestPoliciesConstructAndDiffer(t *testing.T) {
-	jk := newJockey(t)
-	full, err := jk.Policy(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	static, err := jk.StaticPolicy(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	amdahl, err := jk.AmdahlPolicy(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	max, err := jk.MaxPolicy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, p := range []interface{ Name() string }{full, static, amdahl, max} {
-		names[p.Name()] = true
-	}
-	for _, want := range []string{"jockey", "jockey-static", "jockey-amdahl", "max-allocation"} {
-		if !names[want] {
-			t.Errorf("missing policy %q (got %v)", want, names)
-		}
-	}
 }
 
 func TestEndToEndOnCluster(t *testing.T) {

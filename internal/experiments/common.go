@@ -101,9 +101,6 @@ func NewEnv(seed uint64) *Env {
 		TrainScale: 1.15,
 		Background: workload.BackgroundConfig{
 			MeanInterarrival: 78 * time.Second,
-			Horizon:          6 * time.Hour,
-			GuaranteeLo:      1,
-			GuaranteeHi:      3,
 			Seed:             stats.DeriveSeed(seed, "bg"),
 		},
 	}

@@ -117,6 +117,26 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestPoliciesConstructAndDiffer pins the four policies of the paper's
+// comparison to the controllers buildPolicy builds for them.
+func TestPoliciesConstructAndDiffer(t *testing.T) {
+	want := map[PolicyKind]string{
+		PolicyJockey: "jockey",
+		PolicyStatic: "jockey-static",
+		PolicyAmdahl: "jockey-amdahl",
+		PolicyMax:    "max-allocation",
+	}
+	for _, kind := range AllPolicies {
+		pol, err := sharedEnv.buildPolicy(SLORun{Job: "A", Deadline: time.Hour, Policy: kind})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if pol.Name() != want[kind] {
+			t.Errorf("policy %s builds %q, want %q", kind, pol.Name(), want[kind])
+		}
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	short, _, _ := sharedEnv.Deadlines("B")
 	r := SLORun{Job: "B", Deadline: short, Policy: PolicyJockey, Seed: 11}

@@ -51,7 +51,7 @@ func (r *replay) arbitrate(now time.Duration) (granted, latched int) {
 //
 //jockey:hotpath
 func (r *replay) fairShare(budget int) {
-	cap := r.models.MaxTokens()
+	cap := DefaultMaxTokens
 	for _, fj := range r.active {
 		fj.grant = 0
 		// The baseline's notion of desire stays its reservation: the gap
@@ -99,7 +99,7 @@ type bidder struct {
 // Latched (guard-panic) jobs are served first off the top: under
 // containment their panic grant is capped at the admission reservation —
 // the promise the arbiter actually made — so one sick job cannot starve
-// feasible peers; with NoContainment the latch bids the whole grid top.
+// feasible peers.
 // Everyone else starts at the floor (the smallest grid allocation) and the
 // remaining budget goes, step by step, to the job whose next candidate
 // jump buys the most utility per token. Ties break in admission order.
@@ -121,17 +121,11 @@ func (r *replay) waterFill(now time.Duration, budget int) (latched int) {
 			// the guard bids its panic grant. Containment keeps the job's
 			// admission reservation — the promise the arbiter actually
 			// made — off the top, and lets the panic soak up only budget
-			// left over after every healthy peer is served. Without
-			// containment the full panic bid comes off the top first, and
-			// peers get whatever survives.
+			// left over after every healthy peer is served.
 			fj.latched = true
 			fj.wanted = d.Granted
-			if r.cfg.NoContainment {
-				fj.grant = min(d.Granted, remaining)
-			} else {
-				fj.grant = min(fj.reservation, remaining)
-				latchedJobs = append(latchedJobs, fj)
-			}
+			fj.grant = min(fj.reservation, remaining)
+			latchedJobs = append(latchedJobs, fj)
 			remaining -= fj.grant
 			latched++
 			continue

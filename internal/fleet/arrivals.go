@@ -71,7 +71,7 @@ func genArrivals(cfg *Config, models *ModelCache) ([]arrival, error) {
 		// The deadline budget is tightness × the model's predicted latency
 		// at the mid-grid allocation, rounded to whole seconds so rendered
 		// records stay readable.
-		base := jk.PredictLatency(jk.Model().SnapAlloc(models.MaxTokens()/2), 1.0)
+		base := jk.PredictLatency(jk.Model().SnapAlloc(DefaultMaxTokens/2), 1.0)
 		deadline := time.Duration(tight * float64(base)).Round(time.Second)
 		drift := cfg.DriftEvery > 0 && (i+1)%cfg.DriftEvery == 0
 		arrivals = append(arrivals, arrival{

@@ -79,10 +79,6 @@ type Config struct {
 	// Guarded wraps each job's controller in control.Guard. Only valid
 	// with UtilityGreedy.
 	Guarded bool
-	// NoContainment lets a panicking guard's max-allocation latch bid for
-	// the whole grid top instead of being capped at the job's admission
-	// reservation — the failure mode the containment test measures.
-	NoContainment bool
 	// MaxDefers bounds how many times one admission may be deferred before
 	// it is rejected outright (default 8; negative is an error; FIFO never
 	// defers).
@@ -171,9 +167,6 @@ func (c *Config) fill() error {
 	}
 	if c.Guarded && c.Arbitration != UtilityGreedy {
 		return fmt.Errorf("fleet: guarded mode requires utility-greedy arbitration, got %q", c.Arbitration)
-	}
-	if c.NoContainment && !c.Guarded {
-		return fmt.Errorf("fleet: NoContainment only applies to guarded mode")
 	}
 	if c.MaxDefers == 0 {
 		c.MaxDefers = 8
@@ -397,7 +390,7 @@ func (r *replay) abort(err error) {
 func (r *replay) demand() int {
 	sum := 0
 	for _, fj := range r.active {
-		if fj.latched && !r.cfg.NoContainment {
+		if fj.latched {
 			sum += fj.reservation
 			continue
 		}

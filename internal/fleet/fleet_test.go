@@ -111,8 +111,7 @@ func TestFleetSharedModelCacheBitIdentical(t *testing.T) {
 
 // The containment latch: with one drifting job driving its guard into
 // max-allocation panic, containment keeps every feasible peer on its
-// deadline (zero induced misses), while letting the panic off the leash
-// starves a peer into missing.
+// deadline (zero induced misses).
 func TestFleetGuardPanicContainment(t *testing.T) {
 	base := Config{
 		Seed:        4,
@@ -137,21 +136,6 @@ func TestFleetGuardPanicContainment(t *testing.T) {
 	}
 	if panics == 0 {
 		t.Fatalf("contained run: expected at least one guard panic, got none")
-	}
-
-	// Without containment the latch's full max-allocation bid stays in the
-	// committed demand and squeezes the budget, starving peers either of
-	// tokens or of admission altogether. Both channels are induced misses.
-	unleashed := base
-	unleashed.NoContainment = true
-	peerMisses := 0
-	for _, rec := range mustRun(t, unleashed).Jobs {
-		if !rec.Drift && !rec.Met {
-			peerMisses++
-		}
-	}
-	if peerMisses == 0 {
-		t.Fatalf("uncontained run: expected the unleashed panic latch to starve at least one peer")
 	}
 }
 
@@ -206,7 +190,6 @@ func TestFleetConfigValidation(t *testing.T) {
 	}{
 		{Config{Arbitration: "priority"}, "arbitration"},
 		{Config{Guarded: true, Arbitration: FIFO}, "guarded"},
-		{Config{NoContainment: true}, "NoContainment"},
 		{Config{Budget: -1}, "budget"},
 		{Config{LoadFactor: -2}, "load factor"},
 		{Config{MaxDefers: -1}, "MaxDefers"},

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/jockeysim/jockey/internal/core"
 	"github.com/jockeysim/jockey/internal/grid"
@@ -13,7 +12,7 @@ import (
 
 // Shape identifies a recurring-job family: the plan (task count, optional
 // reduce barrier) comes from the canonical background shapes of
-// workload.BackgroundPool, and Scale is the quantized input-size multiplier
+// workload.ShapeProfile, and Scale is the quantized input-size multiplier
 // of this recurrence. Two jobs with the same Shape share one profile pointer
 // and one C(p, a) model.
 type Shape struct {
@@ -50,13 +49,9 @@ func (s Shape) Key() string {
 // triggered the build, so shared and private caches produce bit-identical
 // models.
 type ModelCache struct {
-	seed         uint64
-	maxTokens    int
-	runsPerAlloc int
-	parallelism  int
+	seed        uint64
+	parallelism int
 
-	mu       sync.Mutex // guards pool (BackgroundPool is not concurrency-safe)
-	pool     *workload.BackgroundPool
 	profiles grid.Cache[*profile.Profile]
 	models   grid.Cache[*core.Jockey]
 }
@@ -66,41 +61,35 @@ type ModelCache struct {
 // cluster by asking: containment of a panicking guard is the arbiter's job.
 const DefaultMaxTokens = 40
 
+// modelRunsPerAlloc is the offline C(p, a) sample count per allocation of
+// every fleet model.
+const modelRunsPerAlloc = 4
+
 // NewModelCache returns an empty shape-keyed model store. All model
 // randomness derives from seed.
 func NewModelCache(seed uint64) *ModelCache {
-	return &ModelCache{
-		seed:         seed,
-		maxTokens:    DefaultMaxTokens,
-		runsPerAlloc: 4,
-		pool:         workload.NewBackgroundPool(),
-	}
+	return &ModelCache{seed: seed}
 }
 
 // SetParallelism bounds the worker pool of offline C(p, a) builds (0 =
 // GOMAXPROCS). Models are bit-identical at any value.
 func (m *ModelCache) SetParallelism(n int) { m.parallelism = n }
 
-// MaxTokens returns the top of the per-job candidate allocation grid.
-func (m *ModelCache) MaxTokens() int { return m.maxTokens }
-
 // Profile returns the shared ground-truth profile for a shape. The pointer
 // is stable across calls (and so is its *dag.Job plan), which lets reusable
 // cluster engines pool arenas across every job of the shape.
 func (m *ModelCache) Profile(s Shape) (*profile.Profile, error) {
 	return m.profiles.Get(s.Key(), func() (*profile.Profile, error) {
-		m.mu.Lock()
-		base, err := m.pool.Shape(workload.BackgroundConfig{}, s.Tasks, s.Barrier)
-		m.mu.Unlock()
+		if s.Scale == 0 || s.Scale == 1 {
+			return workload.ShapeProfile(s.Tasks, s.Barrier)
+		}
+		base, err := m.Profile(Shape{Tasks: s.Tasks, Barrier: s.Barrier})
 		if err != nil {
 			return nil, err
 		}
-		if s.Scale != 0 && s.Scale != 1 {
-			// Scale keeps the plan pointer, so scaled profiles still pool
-			// engine arenas with their unscaled siblings.
-			base = base.Scale(s.Scale)
-		}
-		return base, nil
+		// Scale keeps the plan pointer, so scaled profiles still pool
+		// engine arenas with their unscaled siblings.
+		return base.Scale(s.Scale), nil
 	})
 }
 
@@ -113,8 +102,8 @@ func (m *ModelCache) Model(s Shape) (*core.Jockey, error) {
 			return nil, err
 		}
 		return core.New(p, core.Options{
-			MaxTokens:    m.maxTokens,
-			RunsPerAlloc: m.runsPerAlloc,
+			MaxTokens:    DefaultMaxTokens,
+			RunsPerAlloc: modelRunsPerAlloc,
 			Seed:         stats.DeriveSeed(m.seed, "fleet-model", s.Key()),
 			Parallelism:  m.parallelism,
 		})

@@ -14,11 +14,6 @@ type BlendOptions struct {
 	// makes the prior count as one full training run of the stage, 0.5 lets
 	// live data dominate twice as fast, 2 makes the prior twice as sticky.
 	PriorWeight float64
-	// MinStageSamples is the number of successful live observations a stage
-	// needs before its prior statistics are touched at all (default 3).
-	// Stages below it keep the prior verbatim, so early in a run only the
-	// stages actually observed get refreshed.
-	MinStageSamples int
 	// ScaleUnobserved extrapolates a job-wide runtime drift to stages with
 	// too few live observations: their prior execution distributions are
 	// scaled by the count-weighted mean live/prior runtime ratio of the
@@ -28,12 +23,15 @@ type BlendOptions struct {
 	ScaleUnobserved bool
 }
 
+// minStageSamples is the number of successful live observations a stage
+// needs before Blend touches its prior statistics at all. Stages below it
+// keep the prior verbatim, so early in a run only the stages actually
+// observed get refreshed.
+const minStageSamples = 3
+
 func (o *BlendOptions) fill() {
 	if o.PriorWeight <= 0 {
 		o.PriorWeight = 1
-	}
-	if o.MinStageSamples <= 0 {
-		o.MinStageSamples = 3
 	}
 }
 
@@ -47,7 +45,7 @@ func (o *BlendOptions) fill() {
 // aggregates (T_s, Q_s, l_s) are recomputed from the blended distributions.
 //
 // The live trace may be partial (a running job): stages with fewer than
-// MinStageSamples successful observations keep their prior statistics.
+// minStageSamples successful observations keep their prior statistics.
 // Blend is the data path of online re-profiling (see control.Guard).
 func Blend(prior *Profile, live *trace.JobTrace, opts BlendOptions) (*Profile, error) {
 	if prior == nil || live == nil {
@@ -74,7 +72,7 @@ func Blend(prior *Profile, live *trace.JobTrace, opts BlendOptions) (*Profile, e
 	for s := 0; s < n; s++ {
 		exec := live.ExecSamples(s)
 		execs[s] = exec
-		if len(exec) < opts.MinStageSamples {
+		if len(exec) < minStageSamples {
 			continue
 		}
 		priorMean := prior.Stages[s].Exec.Mean()
@@ -98,7 +96,7 @@ func Blend(prior *Profile, live *trace.JobTrace, opts BlendOptions) (*Profile, e
 	for s := range stages {
 		sp := prior.Stages[s]
 		exec := execs[s]
-		if len(exec) < opts.MinStageSamples {
+		if len(exec) < minStageSamples {
 			if opts.ScaleUnobserved && drift > 0 && drift != 1 {
 				stages[s] = StageProfile{
 					Exec:        stats.Scaled{Base: sp.Exec, Factor: drift},
@@ -118,7 +116,7 @@ func Blend(prior *Profile, live *trace.JobTrace, opts BlendOptions) (*Profile, e
 			Exec:  stats.NewEmpirical(append(discretize(sp.Exec, priorN), exec...)),
 			Queue: sp.Queue,
 		}
-		if inits := live.InitSamples(s); len(inits) >= opts.MinStageSamples {
+		if inits := live.InitSamples(s); len(inits) >= minStageSamples {
 			blended.Queue = stats.NewEmpirical(append(discretize(sp.Queue, priorN), inits...))
 		}
 		// Failure probability: pool prior pseudo-attempts with live attempts.

@@ -79,12 +79,12 @@ func TestBlendMinStageSamples(t *testing.T) {
 		{Exec: stats.Point{V: 10 * time.Second}},
 		{Exec: stats.Point{V: 10 * time.Second}},
 	})
-	got, err := Blend(prior, liveTrace(2), BlendOptions{MinStageSamples: 3})
+	got, err := Blend(prior, liveTrace(2), BlendOptions{})
 	if err != nil {
 		t.Fatalf("Blend: %v", err)
 	}
 	if m := got.Stages[0].Exec.Mean(); m != 10*time.Second {
-		t.Fatalf("stage below MinStageSamples moved: mean = %v", m)
+		t.Fatalf("stage below minStageSamples moved: mean = %v", m)
 	}
 }
 

@@ -14,7 +14,6 @@
 package progress
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/profile"
@@ -174,13 +173,6 @@ func (c CriticalPath) Remaining(fs []float64) time.Duration {
 	return remainingCP(c.ls, c.Ls, fs)
 }
 
-// RemainingCriticalPath exposes S_t for one-shot callers. Per-tick callers
-// should hold a NewCriticalPath instead: this convenience form rebuilds the
-// stage vectors on every call.
-func RemainingCriticalPath(p *profile.Profile, fs []float64) time.Duration {
-	return NewCriticalPath(p).Remaining(fs)
-}
-
 // Span is the normalized [begin, end] interval of one stage's activity
 // within a reference run, used by the minstage indicators (the paper's tb_s
 // and te_s).
@@ -246,22 +238,4 @@ func (m *minstage) Progress(fs []float64) float64 {
 		return 1
 	}
 	return clamp01(best)
-}
-
-// All returns every indicator the paper evaluates, in its Table (Fig. 10)
-// order, given the profile and the two reference runs that parameterize the
-// minstage variants.
-func All(p *profile.Profile, prevRun, infRun *trace.JobTrace) ([]Indicator, error) {
-	if prevRun == nil || infRun == nil {
-		return nil, fmt.Errorf("progress: All requires a previous run and an unconstrained run")
-	}
-	n := p.Job.NumStages()
-	return []Indicator{
-		NewTotalWorkWithQ(p),
-		NewTotalWork(p),
-		NewVertexFrac(p),
-		NewCP(p),
-		NewMinStage(SpansFromTrace(prevRun, n)),
-		NewMinStageInf(SpansFromTrace(infRun, n)),
-	}, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/profile"
-	"github.com/jockeysim/jockey/internal/sim"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/trace"
 )
@@ -95,14 +94,14 @@ func TestCPIndicator(t *testing.T) {
 }
 
 func TestRemainingCriticalPath(t *testing.T) {
-	p := testProfile(t)
-	if got := RemainingCriticalPath(p, []float64{0, 0}); got != 30*time.Second {
+	cp := NewCriticalPath(testProfile(t))
+	if got := cp.Remaining([]float64{0, 0}); got != 30*time.Second {
 		t.Errorf("S_0 = %v, want 30s", got)
 	}
-	if got := RemainingCriticalPath(p, []float64{1, 0.5}); got != 10*time.Second {
+	if got := cp.Remaining([]float64{1, 0.5}); got != 10*time.Second {
 		t.Errorf("S_t = %v, want 10s", got)
 	}
-	if got := RemainingCriticalPath(p, []float64{1, 1}); got != 0 {
+	if got := cp.Remaining([]float64{1, 1}); got != 0 {
 		t.Errorf("S_t = %v, want 0", got)
 	}
 }
@@ -148,37 +147,6 @@ func TestSpansFromTrace(t *testing.T) {
 	// Missing stage gets the conservative full span.
 	if spans[2].Begin != 0 || spans[2].End != 1 {
 		t.Errorf("span 2 = %+v", spans[2])
-	}
-}
-
-func TestAll(t *testing.T) {
-	p := testProfile(t)
-	run, err := sim.NewRunner().Run(sim.Config{Profile: p, Alloc: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf, err := sim.RunInfinite(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inds, err := All(p, run, inf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inds) != 6 {
-		t.Fatalf("expected 6 indicators, got %d", len(inds))
-	}
-	names := map[string]bool{}
-	for _, ind := range inds {
-		names[ind.Name()] = true
-	}
-	for _, want := range []string{"totalworkWithQ", "totalwork", "vertexfrac", "cp", "minstage", "minstage-inf"} {
-		if !names[want] {
-			t.Errorf("missing indicator %q", want)
-		}
-	}
-	if _, err := All(p, nil, inf); err == nil {
-		t.Error("nil run must fail")
 	}
 }
 

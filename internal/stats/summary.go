@@ -145,15 +145,6 @@ func Summarize(values []float64) Summary {
 	}
 }
 
-// SummarizeDurations computes a Summary of the durations, in seconds.
-func SummarizeDurations(ds []time.Duration) Summary {
-	vs := make([]float64, len(ds))
-	for i, d := range ds {
-		vs[i] = d.Seconds()
-	}
-	return Summarize(vs)
-}
-
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f p50=%.3f p90=%.3f p99=%.3f",
 		s.N, s.Mean, s.StdDev, s.P50, s.P90, s.P99)

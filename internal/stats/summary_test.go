@@ -86,13 +86,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSummarizeDurations(t *testing.T) {
-	s := SummarizeDurations([]time.Duration{time.Second, 3 * time.Second})
-	if s.Mean != 2 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-}
-
 func TestCoVDurations(t *testing.T) {
 	got := CoVDurations([]time.Duration{2 * time.Second, 4 * time.Second, 4 * time.Second,
 		4 * time.Second, 5 * time.Second, 5 * time.Second, 7 * time.Second, 9 * time.Second})

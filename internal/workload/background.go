@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/cluster"
@@ -13,73 +12,45 @@ import (
 
 // BackgroundConfig describes the non-SLO jobs that share the cluster and
 // make spare capacity fluctuate. Arrivals are Poisson; sizes, durations and
-// guarantees vary per job.
+// guarantees vary per job. Everything but the arrival rate and the seed is
+// the fixed shape of §5.1's environment (see the constants below).
 type BackgroundConfig struct {
 	// MeanInterarrival between job submissions (default 3 minutes).
 	MeanInterarrival time.Duration
-	// Horizon: jobs arrive in [0, Horizon) (default 2 hours).
-	Horizon time.Duration
-	// TasksLo/TasksHi bound the per-job task count (default 50..400).
-	TasksLo, TasksHi int
-	// TaskDuration is the per-task service-time distribution
-	// (default lognormal, median 20s / p90 90s).
-	TaskDuration stats.Distribution
-	// GuaranteeLo/GuaranteeHi bound each job's guaranteed tokens
-	// (default 2..8).
-	GuaranteeLo, GuaranteeHi int
-	// BarrierProb is the chance a background job carries a reduce stage
-	// (default 0.5), adding barrier-induced burstiness.
-	BarrierProb float64
-	// BurstPeriod and BurstAmplitude modulate the arrival rate with a
-	// square wave: during the busy half of each period arrivals come
-	// BurstAmplitude× faster, during the quiet half BurstAmplitude× slower.
-	// This makes spare capacity fluctuate the way the paper observes (§2.4:
-	// 5%–80% of an SLO job's vertices ran on spare tokens depending on the
-	// moment). Defaults: 40 minutes, 3×. Amplitude 1 disables bursts.
-	BurstPeriod    time.Duration
-	BurstAmplitude float64
 	// Seed drives the generator.
 	Seed uint64
 }
 
-func (c *BackgroundConfig) fill() error {
+// The fixed shape of the background fleet.
+const (
+	// Jobs arrive in [0, bgHorizon).
+	bgHorizon = 6 * time.Hour
+	// Per-job task count and guaranteed tokens are uniform on these bounds.
+	bgTasksLo, bgTasksHi         = 50, 400
+	bgGuaranteeLo, bgGuaranteeHi = 1, 3
+	// bgBarrierProb is the chance a background job carries a reduce stage,
+	// adding barrier-induced burstiness.
+	bgBarrierProb = 0.5
+	// The arrival rate follows a square wave: during the busy half of each
+	// bgBurstPeriod arrivals come bgBurstAmplitude× faster, during the quiet
+	// half bgBurstAmplitude× slower. This makes spare capacity fluctuate the
+	// way the paper observes (§2.4: 5%–80% of an SLO job's vertices ran on
+	// spare tokens depending on the moment).
+	bgBurstPeriod    = 40 * time.Minute
+	bgBurstAmplitude = 3
+)
+
+// bgTaskDuration is the per-task service time of every background job
+// (lognormal, median 20s / p90 90s). Typed as the interface so building a
+// profile does not box the struct again.
+var bgTaskDuration stats.Distribution = stats.LognormalFromMedian(20*time.Second, 90*time.Second)
+
+// fill applies the default arrival rate; a zero gap would never advance the
+// arrival clock.
+func (c *BackgroundConfig) fill() {
 	if c.MeanInterarrival <= 0 {
 		c.MeanInterarrival = 3 * time.Minute
 	}
-	if c.Horizon <= 0 {
-		c.Horizon = 2 * time.Hour
-	}
-	if c.TasksLo == 0 && c.TasksHi == 0 {
-		c.TasksLo, c.TasksHi = 50, 400
-	}
-	if c.TasksLo < 1 || c.TasksHi < c.TasksLo {
-		return fmt.Errorf("workload: bad background task bounds [%d, %d]", c.TasksLo, c.TasksHi)
-	}
-	if c.TaskDuration == nil {
-		c.TaskDuration = stats.LognormalFromMedian(20*time.Second, 90*time.Second)
-	}
-	if c.GuaranteeLo == 0 && c.GuaranteeHi == 0 {
-		c.GuaranteeLo, c.GuaranteeHi = 2, 8
-	}
-	if c.GuaranteeLo < 1 || c.GuaranteeHi < c.GuaranteeLo {
-		return fmt.Errorf("workload: bad background guarantee bounds [%d, %d]", c.GuaranteeLo, c.GuaranteeHi)
-	}
-	if c.BarrierProb == 0 {
-		c.BarrierProb = 0.5
-	}
-	if c.BarrierProb < 0 || c.BarrierProb > 1 {
-		return fmt.Errorf("workload: barrier probability %v out of [0,1]", c.BarrierProb)
-	}
-	if c.BurstPeriod <= 0 {
-		c.BurstPeriod = 40 * time.Minute
-	}
-	if c.BurstAmplitude == 0 {
-		c.BurstAmplitude = 3
-	}
-	if c.BurstAmplitude < 1 {
-		return fmt.Errorf("workload: burst amplitude %v must be >= 1", c.BurstAmplitude)
-	}
-	return nil
 }
 
 // BackgroundPool submits background fleets and caches their plans and
@@ -91,13 +62,9 @@ func (c *BackgroundConfig) fill() error {
 // TestBackgroundPoolBitIdentical pins this.
 //
 // Reusing plans also makes every background jobRun poolable by a
-// cluster.Engine, which keys its arenas on plan identity.
-//
-// A pool assumes a fixed task-duration distribution: if a fleet arrives with
-// a different TaskDuration, the cache is discarded and rebuilt for the new
-// one. A pool is not safe for concurrent use (one per grid worker).
+// cluster.Engine, which keys its arenas on plan identity. A pool is not
+// safe for concurrent use (one per grid worker).
 type BackgroundPool struct {
-	taskDur stats.Distribution
 	plain   map[int]*profile.Profile // key: map-stage task count
 	barrier map[int]*profile.Profile
 }
@@ -113,31 +80,27 @@ func NewBackgroundPool() *BackgroundPool {
 // SubmitBackground pre-schedules a fleet of background jobs on the cluster
 // and returns how many were submitted. Call before cluster.Run.
 func (p *BackgroundPool) SubmitBackground(c *cluster.Cluster, cfg BackgroundConfig) (int, error) {
-	if err := cfg.fill(); err != nil {
-		return 0, err
-	}
+	cfg.fill()
 	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "background"))
 	n := 0
-	for at := time.Duration(0); at < cfg.Horizon; {
+	for at := time.Duration(0); at < bgHorizon; {
 		gap := time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
-		if cfg.BurstAmplitude > 1 {
-			if (at/cfg.BurstPeriod)%2 == 0 {
-				gap = time.Duration(float64(gap) / cfg.BurstAmplitude)
-			} else {
-				gap = time.Duration(float64(gap) * cfg.BurstAmplitude)
-			}
+		if (at/bgBurstPeriod)%2 == 0 {
+			gap = time.Duration(float64(gap) / bgBurstAmplitude)
+		} else {
+			gap = time.Duration(float64(gap) * bgBurstAmplitude)
 		}
 		at += gap
-		if at >= cfg.Horizon {
+		if at >= bgHorizon {
 			break
 		}
-		tasks := cfg.TasksLo + rng.IntN(cfg.TasksHi-cfg.TasksLo+1)
-		barrier := rng.Float64() < cfg.BarrierProb
-		prof, err := p.profileFor(&cfg, tasks, barrier)
+		tasks := bgTasksLo + rng.IntN(bgTasksHi-bgTasksLo+1)
+		barrier := rng.Float64() < bgBarrierProb
+		prof, err := p.profileFor(tasks, barrier)
 		if err != nil {
 			return n, err
 		}
-		guarantee := cfg.GuaranteeLo + rng.IntN(cfg.GuaranteeHi-cfg.GuaranteeLo+1)
+		guarantee := bgGuaranteeLo + rng.IntN(bgGuaranteeHi-bgGuaranteeLo+1)
 		if _, err := c.Submit(cluster.JobConfig{
 			Profile:   prof,
 			Guarantee: guarantee,
@@ -150,32 +113,9 @@ func (p *BackgroundPool) SubmitBackground(c *cluster.Cluster, cfg BackgroundConf
 	return n, nil
 }
 
-// Shape returns the pooled canonical profile for one background job shape:
-// `tasks` map tasks, optionally followed by an all-to-all reduce stage
-// (barrier), with cfg's task-duration distribution. The profile carries the
-// canonical shape-derived name ("bg-N" / "bgb-N") and a stable plan pointer,
-// so repeated calls share one *dag.Job and cluster engines can pool arenas
-// for it. The fleet arbiter draws its SLO-job shapes from here.
-func (p *BackgroundPool) Shape(cfg BackgroundConfig, tasks int, barrier bool) (*profile.Profile, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	if tasks < 1 {
-		return nil, fmt.Errorf("workload: shape needs at least one task, got %d", tasks)
-	}
-	return p.profileFor(&cfg, tasks, barrier)
-}
-
 // profileFor returns the pooled profile for a job shape, building and
 // caching it on first use.
-func (p *BackgroundPool) profileFor(cfg *BackgroundConfig, tasks int, barrier bool) (*profile.Profile, error) {
-	// DeepEqual, not ==: Distribution implementations may be non-comparable
-	// (empirical distributions hold slices), which would make == panic.
-	if p.taskDur == nil || !reflect.DeepEqual(p.taskDur, cfg.TaskDuration) {
-		clear(p.plain)
-		clear(p.barrier)
-		p.taskDur = cfg.TaskDuration
-	}
+func (p *BackgroundPool) profileFor(tasks int, barrier bool) (*profile.Profile, error) {
 	cache := p.plain
 	if barrier {
 		cache = p.barrier
@@ -183,7 +123,7 @@ func (p *BackgroundPool) profileFor(cfg *BackgroundConfig, tasks int, barrier bo
 	if prof, ok := cache[tasks]; ok {
 		return prof, nil
 	}
-	prof, err := buildBackgroundProfile(cfg, tasks, barrier)
+	prof, err := ShapeProfile(tasks, barrier)
 	if err != nil {
 		return nil, err
 	}
@@ -191,10 +131,16 @@ func (p *BackgroundPool) profileFor(cfg *BackgroundConfig, tasks int, barrier bo
 	return prof, nil
 }
 
-// buildBackgroundProfile constructs one background job's plan and profile,
-// named after its shape. It draws nothing from any RNG: callers can cache
-// its result without shifting the fleet generator's stream.
-func buildBackgroundProfile(cfg *BackgroundConfig, tasks int, barrier bool) (*profile.Profile, error) {
+// ShapeProfile builds the canonical plan and profile of one background job
+// shape: `tasks` map tasks, optionally followed by an all-to-all reduce
+// stage (barrier), named after the shape ("bg-N" / "bgb-N"). It draws
+// nothing from any RNG, so callers can cache its result without shifting a
+// fleet generator's stream. The fleet arbiter draws its SLO-job shapes from
+// here.
+func ShapeProfile(tasks int, barrier bool) (*profile.Profile, error) {
+	if tasks < 1 {
+		return nil, fmt.Errorf("workload: shape needs at least one task, got %d", tasks)
+	}
 	if barrier {
 		name := fmt.Sprintf("bgb-%d", tasks)
 		reducers := tasks / 8
@@ -207,12 +153,12 @@ func buildBackgroundProfile(cfg *BackgroundConfig, tasks int, barrier bool) (*pr
 			Edge("map", "reduce", dag.AllToAll).
 			MustBuild()
 		return profile.New(job, []profile.StageProfile{
-			{Exec: cfg.TaskDuration, Queue: DefaultQueueDelay(), FailureProb: 0.01},
-			{Exec: stats.Scaled{Base: cfg.TaskDuration, Factor: 2}, Queue: DefaultQueueDelay(), FailureProb: 0.01},
+			{Exec: bgTaskDuration, Queue: DefaultQueueDelay(), FailureProb: 0.01},
+			{Exec: stats.Scaled{Base: bgTaskDuration, Factor: 2}, Queue: DefaultQueueDelay(), FailureProb: 0.01},
 		})
 	}
 	job := dag.NewBuilder(fmt.Sprintf("bg-%d", tasks)).Stage("map", tasks).MustBuild()
 	return profile.New(job, []profile.StageProfile{
-		{Exec: cfg.TaskDuration, Queue: DefaultQueueDelay(), FailureProb: 0.01},
+		{Exec: bgTaskDuration, Queue: DefaultQueueDelay(), FailureProb: 0.01},
 	})
 }

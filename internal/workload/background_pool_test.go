@@ -19,13 +19,7 @@ func poolProbe(t *testing.T, submit func(*cluster.Cluster, BackgroundConfig) (in
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := BackgroundConfig{
-		MeanInterarrival: 30 * time.Second,
-		Horizon:          20 * time.Minute,
-		TasksLo:          10,
-		TasksHi:          60,
-		Seed:             11,
-	}
+	cfg := BackgroundConfig{MeanInterarrival: 30 * time.Second, Seed: 11}
 	if _, err := submit(c, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +65,11 @@ func TestBackgroundPoolBitIdentical(t *testing.T) {
 // cluster.Engine's arena keying) across fleets.
 func TestBackgroundPoolReusesProfiles(t *testing.T) {
 	pool := NewBackgroundPool()
-	cfg := BackgroundConfig{}
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	a, err := pool.profileFor(&cfg, 100, true)
+	a, err := pool.profileFor(100, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pool.profileFor(&cfg, 100, true)
+	b, err := pool.profileFor(100, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,21 +79,11 @@ func TestBackgroundPoolReusesProfiles(t *testing.T) {
 	if a.Job.Name != "bgb-100" {
 		t.Errorf("canonical name = %q, want bgb-100", a.Job.Name)
 	}
-	plain, err := pool.profileFor(&cfg, 100, false)
+	plain, err := pool.profileFor(100, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain == a || plain.Job.Name != "bg-100" {
 		t.Errorf("barrier and plain shapes must cache separately, got %q", plain.Job.Name)
-	}
-	// A different task-duration distribution invalidates the cache.
-	cfg2 := cfg
-	cfg2.TaskDuration = stats.Point{V: 5 * time.Second}
-	c, err := pool.profileFor(&cfg2, 100, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Error("cache survived a TaskDuration change")
 	}
 }

@@ -14,19 +14,23 @@ import (
 type PipelineConfig struct {
 	// Jobs in the window (default 5000, "all jobs over three days").
 	Jobs int
-	// Window length (default 72h).
-	Window time.Duration
-	// Groups is the number of business groups (default 12).
-	Groups int
-	// DependentFraction is the fraction of jobs that read at least one
-	// earlier job's output (the paper observes 10.2%; default 0.102).
-	DependentFraction float64
-	// MeanGap is the median-targeted gap between a job and its dependents
-	// (default 10 minutes; gaps are lognormal around it).
-	MeanGap time.Duration
 	// Seed drives the generator.
 	Seed uint64
 }
+
+// The fixed shape of the dependency graph.
+const (
+	// pipelineWindow is the observation window: three days.
+	pipelineWindow = 72 * time.Hour
+	// pipelineGroups is the number of business groups.
+	pipelineGroups = 12
+	// dependentFraction of jobs read at least one earlier job's output (the
+	// paper observes 10.2%).
+	dependentFraction = 0.102
+	// meanGap is the median-targeted gap between a job and its dependents;
+	// gaps are lognormal around it.
+	meanGap = 10 * time.Minute
+)
 
 func (c *PipelineConfig) fill() error {
 	if c.Jobs == 0 {
@@ -34,24 +38,6 @@ func (c *PipelineConfig) fill() error {
 	}
 	if c.Jobs < 2 {
 		return fmt.Errorf("workload: pipeline graph needs at least 2 jobs")
-	}
-	if c.Window <= 0 {
-		c.Window = 72 * time.Hour
-	}
-	if c.Groups == 0 {
-		c.Groups = 12
-	}
-	if c.Groups < 1 {
-		return fmt.Errorf("workload: need at least one business group")
-	}
-	if c.DependentFraction == 0 {
-		c.DependentFraction = 0.102
-	}
-	if c.DependentFraction < 0 || c.DependentFraction > 1 {
-		return fmt.Errorf("workload: dependent fraction %v out of [0,1]", c.DependentFraction)
-	}
-	if c.MeanGap <= 0 {
-		c.MeanGap = 10 * time.Minute
 	}
 	return nil
 }
@@ -88,11 +74,11 @@ func GeneratePipelines(cfg PipelineConfig) (*PipelineStats, error) {
 	popularity := make([]float64, n)  // preferential-attachment weight
 	parents := make([][]int, n)       // direct inputs of each job
 	children := make([][]int, n)      // direct dependents
-	gapDist := stats.LognormalFromMedian(cfg.MeanGap, 6*cfg.MeanGap)
+	gapDist := stats.LognormalFromMedian(meanGap, 6*meanGap)
 
 	for i := 0; i < n; i++ {
-		start[i] = time.Duration(rng.Float64() * float64(cfg.Window))
-		group[i] = rng.IntN(cfg.Groups)
+		start[i] = time.Duration(rng.Float64() * float64(pipelineWindow))
+		group[i] = rng.IntN(pipelineGroups)
 		popularity[i] = 1
 		// A few percent of jobs produce core shared datasets (web index,
 		// clickstream) that many pipelines read.
@@ -105,7 +91,7 @@ func GeneratePipelines(cfg PipelineConfig) (*PipelineStats, error) {
 	var gaps []time.Duration
 	var recentDependents []int // tail of the pipeline chains being extended
 	for i := 1; i < n; i++ {
-		if rng.Float64() >= cfg.DependentFraction {
+		if rng.Float64() >= dependentFraction {
 			continue
 		}
 		// This job depends on 1-3 earlier jobs. Most dependencies extend an

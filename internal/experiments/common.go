@@ -31,40 +31,61 @@ import (
 	"github.com/jockeysim/jockey/internal/workload"
 )
 
-// PolicyKind selects one of the four evaluated allocation policies.
+// PolicyKind selects the allocation policy of an SLO run.
 type PolicyKind string
 
-// The four policies of §5.1.
 const (
+	// The four policies of §5.1.
 	PolicyJockey PolicyKind = "jockey"          // simulator model + adaptation
 	PolicyStatic PolicyKind = "jockey-no-adapt" // simulator model, fixed quota
 	PolicyAmdahl PolicyKind = "jockey-no-sim"   // Amdahl model + adaptation
 	PolicyMax    PolicyKind = "max-allocation"  // all tokens, all the time
+
+	// PolicyJockeyGuarded wraps the Jockey controller in the
+	// model-staleness guard rails (control.Guard), fed live task events
+	// from the cluster.
+	PolicyJockeyGuarded PolicyKind = "jockey-guarded"
+	// PolicyJockeyOnline drives the Jockey controller with online forward
+	// simulation (model.OnlineSim, the §4.4 enhancement) instead of the
+	// precomputed C(p, a) table.
+	PolicyJockeyOnline PolicyKind = "jockey-online"
 )
 
-// AllPolicies lists the policies in the paper's presentation order.
+// AllPolicies lists the four §5.1 policies in the paper's presentation
+// order.
 var AllPolicies = []PolicyKind{PolicyJockey, PolicyStatic, PolicyAmdahl, PolicyMax}
+
+// The standard environment of §5.1.
+const (
+	// machines × slots is the cluster's capacity. The SLO job's policies
+	// may use up to maxTokens; background guarantees use part of the rest.
+	machines, slots = 30, 5
+	// maxTokens is the top of the candidate allocation grid (the paper's
+	// experiments guarantee up to 100 tokens).
+	maxTokens = 100
+	// trainAlloc is the fixed allocation of training runs.
+	trainAlloc = 50
+	// trainScale is the input scale of the training run. The paper builds
+	// Jockey's offline distributions "using the largest observed input"
+	// (§4.4) so the model over-provisions and adaptation releases; 1.15 is
+	// in the upper half of the per-run jitter range [0.8, 1.5).
+	trainScale = 1.15
+	// bgMeanInterarrival is the mean gap between background job arrivals
+	// of the interfering load, before a run's per-day level factor.
+	bgMeanInterarrival = 78 * time.Second
+)
+
+// Env.training simulates the training run on sim.Runner, which equals a lone
+// cluster job only on a cluster that holds the whole training allocation.
+// This constant overflows uint, a compile error, unless
+// machines × slots >= trainAlloc.
+const _ uint = machines*slots - trainAlloc
 
 // Env is the shared experimental environment. The zero value is not usable;
 // construct with NewEnv.
 type Env struct {
 	// Seed is the master seed all sub-seeds derive from.
 	Seed uint64
-	// Machines × Slots defines cluster capacity. The SLO job's policies may
-	// use up to MaxTokens; background guarantees use part of the rest.
-	Machines, Slots int
-	// MaxTokens is the top of the candidate allocation grid (the paper's
-	// experiments guarantee up to 100 tokens).
-	MaxTokens int
-	// TrainAlloc is the fixed allocation of training runs.
-	TrainAlloc int
-	// TrainScale is the input scale of the training run. The paper builds
-	// Jockey's offline distributions "using the largest observed input"
-	// (§4.4) so the model over-provisions and adaptation releases; 1.4 is
-	// near the top of the per-run jitter range.
-	TrainScale float64
-	// Background configures the interfering load.
-	Background workload.BackgroundConfig
 	// Parallelism bounds the worker pools of offline C(p, a) builds and of
 	// online forward prediction (0 = runtime.GOMAXPROCS(0)). Results are
 	// bit-identical at any value, so experiments stay reproducible.
@@ -80,8 +101,7 @@ type Env struct {
 	// concurrent grid workers needing the same model share one construction.
 	grounds  grid.Cache[*profile.Profile] // ground truth by job name
 	trains   grid.Cache[*trainEntry]      // training run by job name
-	runtimes grid.Cache[*core.Jockey]     // by job name + indicator
-	others   grid.Cache[[]*core.Jockey]   // by job name: AllIndicators[1:]
+	runtimes grid.Cache[[]*core.Jockey]   // by job name, in AllIndicators order
 	surge    grid.Cache[*profile.Profile] // the big-tenant surge profile
 }
 
@@ -92,18 +112,7 @@ type trainEntry struct {
 
 // NewEnv builds the standard environment of §5.1.
 func NewEnv(seed uint64) *Env {
-	return &Env{
-		Seed:       seed,
-		Machines:   30,
-		Slots:      5,
-		MaxTokens:  100,
-		TrainAlloc: 50,
-		TrainScale: 1.15,
-		Background: workload.BackgroundConfig{
-			MeanInterarrival: 78 * time.Second,
-			Seed:             stats.DeriveSeed(seed, "bg"),
-		},
-	}
+	return &Env{Seed: seed}
 }
 
 // Ground returns the ground-truth profile of a Table 2 job ("A".."G"),
@@ -144,27 +153,24 @@ func (e *Env) TrainingTrace(job string) (*trace.JobTrace, error) {
 // Ground — a different Cache, so no lock is held across the nesting.
 //
 // The run is a controlled one at exactly the training allocation: a lone
-// Tracked NoSpare job at Guarantee TrainAlloc on an idle, failure-free
+// Tracked NoSpare job at Guarantee trainAlloc on an idle, failure-free
 // cluster. Such a job runs exactly as sim.Runner does at that allocation,
 // seeded with the cluster's derived seed for job 0 (DESIGN.md §5, pinned by
 // TestSimMatchesLoneClusterJob and FuzzSimMatchesCluster), so the run is
-// simulated directly. The equality needs Machines × Slots >= TrainAlloc,
-// which NewEnv's shape meets. The Runner is used once, so its trace is the
-// entry's to keep; the entry keeps a copy of the trace header, because a
-// pointer into the Runner would keep all of the Runner's arenas alive.
+// simulated directly. The equality needs machines × slots >= trainAlloc,
+// which a constant check enforces at compile time. The Runner is used
+// once, so its trace is the entry's to keep; the entry keeps a copy of the
+// trace header, because a pointer into the Runner would keep all of the
+// Runner's arenas alive.
 func (e *Env) training(job string) (*trainEntry, error) {
 	return e.trains.Get(job, func() (*trainEntry, error) {
 		ground, err := e.Ground(job)
 		if err != nil {
 			return nil, err
 		}
-		trainGround := ground
-		if e.TrainScale > 0 && e.TrainScale != 1 {
-			trainGround = ground.Scale(e.TrainScale)
-		}
 		run, err := sim.NewRunner().Run(sim.Config{
-			Profile: trainGround,
-			Alloc:   e.TrainAlloc,
+			Profile: ground.Scale(trainScale),
+			Alloc:   trainAlloc,
 			Seed:    stats.DeriveSeed(stats.DeriveSeed(e.Seed, "train-cluster", job), "job", "0"),
 		})
 		if err != nil {
@@ -180,45 +186,38 @@ func (e *Env) training(job string) (*trainEntry, error) {
 }
 
 // Runtime returns (building and caching on first use) the Jockey runtime
-// for a job under the given indicator. Builds are single-flight per
-// (job, indicator): concurrent grid workers needing the same model block on
-// one construction, while hits for other models return immediately.
-//
-// The default totalworkWithQ runtime is built alone. The first request for
-// any other indicator of a job builds the other five of AllIndicators
-// together, from one pass of offline simulations under the default
-// runtime's Options.Seed, so all six tables come from the same simulated
-// runs.
+// for a job under the given indicator ("" is totalworkWithQ). The first
+// request for a job builds its runtimes under all six AllIndicators
+// together, from one pass of offline simulations under the seed of the
+// default runtime, so all six tables come from the same simulated runs;
+// each equals its own core.New build under that seed. Builds are
+// single-flight per job: concurrent grid workers needing the same job's
+// models block on one construction, while hits for other jobs return
+// immediately.
 func (e *Env) Runtime(job string, ind core.IndicatorName) (*core.Jockey, error) {
 	if ind == "" {
 		ind = core.TotalWorkWithQ
 	}
-	key := job + "/" + string(ind)
-	return e.runtimes.Get(key, func() (*core.Jockey, error) {
+	i := slices.Index(AllIndicators, ind)
+	if i < 0 {
+		return nil, fmt.Errorf("experiments: job %s: unknown indicator %q", job, ind)
+	}
+	js, err := e.runtimes.Get(job, func() ([]*core.Jockey, error) {
 		train, err := e.Training(job)
 		if err != nil {
 			return nil, err
 		}
-		opts := core.Options{
-			Indicator:    ind,
-			MaxTokens:    e.MaxTokens,
+		return core.NewIndicators(train, core.Options{
+			MaxTokens:    maxTokens,
 			RunsPerAlloc: 8,
 			Seed:         stats.DeriveSeed(e.Seed, "jockey", job, string(core.TotalWorkWithQ)),
 			Parallelism:  e.Parallelism,
-		}
-		others := AllIndicators[1:]
-		i := slices.Index(others, ind)
-		if i < 0 {
-			return core.New(train, opts)
-		}
-		js, err := e.others.Get(job, func() ([]*core.Jockey, error) {
-			return core.NewIndicators(train, opts, others...)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return js[i], nil
+		}, AllIndicators...)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return js[i], nil
 }
 
 // Deadlines returns the short and long deadlines used for a job: the short
@@ -230,7 +229,7 @@ func (e *Env) Deadlines(job string) (short, long time.Duration, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	base := jk.PredictLatency(jk.Model().SnapAlloc(e.MaxTokens/2), 1.0)
+	base := jk.PredictLatency(jk.Model().SnapAlloc(maxTokens/2), 1.0)
 	// Leave headroom for the control loop's slack (×1.2) and dead zone
 	// (3 min): a deadline must be comfortably above the achievable latency
 	// for "minimum allocation that meets it" to be a meaningful choice.
@@ -252,11 +251,6 @@ type Knobs struct {
 	DeadZone   time.Duration
 	Period     time.Duration
 	Indicator  core.IndicatorName
-	// OnlinePredictor drives the Jockey controller with online forward
-	// simulation (model.OnlineSim, the §4.4 enhancement) instead of the
-	// precomputed C(p, a) table. Only valid with PolicyJockey and without
-	// SLORun.Guarded; RunExec rejects the other combinations.
-	OnlinePredictor bool
 }
 
 // SLORun describes one experiment run.
@@ -276,10 +270,6 @@ type SLORun struct {
 	// trained at scale 1.
 	InputScale      float64
 	DeadlineChanges []cluster.DeadlineChange
-	// Guarded wraps the Jockey controller in the model-staleness guard-rail
-	// layer (control.Guard), fed live task events from the cluster. Only
-	// valid with PolicyJockey; RunExec rejects it on any other policy.
-	Guarded bool
 	// Drifts injects per-stage runtime drift into the SLO job (offsets
 	// relative to job start, i.e. SLOJobStart on the cluster clock).
 	Drifts []cluster.StageDrift
@@ -314,7 +304,7 @@ type Outcome struct {
 	// AboveOracle is the fraction of the allocation integral above the
 	// oracle's (§5.1's cluster-impact metric).
 	AboveOracle float64
-	// GuardEvents records the guard-rail transitions of a Guarded run
+	// GuardEvents records the guard-rail transitions of a guarded run
 	// (reprofiles, fallbacks, panics, recoveries); nil when unguarded.
 	GuardEvents []control.GuardEvent
 }
@@ -352,28 +342,26 @@ func (e *Env) buildPolicy(r SLORun) (control.Policy, error) {
 	}
 	switch r.Policy {
 	case PolicyJockey:
-		if r.Guarded {
-			cfg.Predictor = jk.Model()
-			ctrl, err := control.NewController(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return jk.Guard(ctrl)
-		}
-		if r.Knobs.OnlinePredictor {
-			train, err := e.Training(r.Job)
-			if err != nil {
-				return nil, err
-			}
-			online, err := model.NewOnlineSim(train, 5, stats.DeriveSeed(e.Seed, "online", r.Job))
-			if err != nil {
-				return nil, err
-			}
-			online.SetParallelism(e.Parallelism)
-			cfg.Predictor = online
-			return control.NewController(cfg)
-		}
 		cfg.Predictor = jk.Model()
+		return control.NewController(cfg)
+	case PolicyJockeyGuarded:
+		cfg.Predictor = jk.Model()
+		ctrl, err := control.NewController(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return jk.Guard(ctrl)
+	case PolicyJockeyOnline:
+		train, err := e.Training(r.Job)
+		if err != nil {
+			return nil, err
+		}
+		online, err := model.NewOnlineSim(train, 5, stats.DeriveSeed(e.Seed, "online", r.Job))
+		if err != nil {
+			return nil, err
+		}
+		online.SetParallelism(e.Parallelism)
+		cfg.Predictor = online
 		return control.NewController(cfg)
 	case PolicyStatic:
 		cfg.Predictor = jk.Model()
@@ -386,9 +374,9 @@ func (e *Env) buildPolicy(r SLORun) (control.Policy, error) {
 		cfg.Predictor = model.NewAmdahl(train)
 		return control.NewController(cfg)
 	case PolicyMax:
-		return control.NewMaxAllocation(e.MaxTokens)
+		return control.NewMaxAllocation(maxTokens)
 	default:
-		return nil, fmt.Errorf("experiments: unknown policy %q", r.Policy)
+		return nil, fmt.Errorf("experiments: job %s: unknown policy %q", r.Job, r.Policy)
 	}
 }
 
@@ -407,11 +395,12 @@ func NewExec() *Exec {
 	return &Exec{engine: cluster.NewEngine(), bgPool: workload.NewBackgroundPool()}
 }
 
-// reset readies x's engine as env's cluster under cfg, with env's machine
-// count and slots and machine failures every 90 minutes per machine on
-// average, and pre-schedules bg's background fleet on it unless bg is nil.
-func (x *Exec) reset(env *Env, cfg cluster.Config, bg *workload.BackgroundConfig) (*cluster.Cluster, error) {
-	cfg.Machines, cfg.SlotsPerMachine, cfg.MachineMTBF = env.Machines, env.Slots, 90*time.Minute
+// reset readies x's engine as the environment's cluster under cfg, with
+// its machine count and slots and machine failures every 90 minutes per
+// machine on average, and pre-schedules bg's background fleet on it unless
+// bg is nil.
+func (x *Exec) reset(cfg cluster.Config, bg *workload.BackgroundConfig) (*cluster.Cluster, error) {
+	cfg.Machines, cfg.SlotsPerMachine, cfg.MachineMTBF = machines, slots, 90*time.Minute
 	c, err := x.engine.Reset(cfg)
 	if err != nil {
 		return nil, err
@@ -424,10 +413,20 @@ func (x *Exec) reset(env *Env, cfg cluster.Config, bg *workload.BackgroundConfig
 	return c, nil
 }
 
+// background is the interfering load of one replay: Poisson background
+// jobs seeded by seed, arriving level times as far apart on average as the
+// standard bgMeanInterarrival.
+func background(seed uint64, level float64) *workload.BackgroundConfig {
+	return &workload.BackgroundConfig{
+		MeanInterarrival: time.Duration(float64(bgMeanInterarrival) * level),
+		Seed:             seed,
+	}
+}
+
 // completion replays job, tracked, on x's cluster readied by reset and
 // returns its completion time.
-func (x *Exec) completion(env *Env, cfg cluster.Config, bg *workload.BackgroundConfig, job cluster.JobConfig) (time.Duration, error) {
-	c, err := x.reset(env, cfg, bg)
+func (x *Exec) completion(cfg cluster.Config, bg *workload.BackgroundConfig, job cluster.JobConfig) (time.Duration, error) {
+	c, err := x.reset(cfg, bg)
 	if err != nil {
 		return 0, err
 	}
@@ -448,14 +447,6 @@ func (x *Exec) completion(env *Env, cfg cluster.Config, bg *workload.BackgroundC
 func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 	if r.Deadline <= 0 {
 		return Outcome{}, fmt.Errorf("experiments: run needs a deadline")
-	}
-	switch {
-	case r.Guarded && r.Policy != PolicyJockey:
-		return Outcome{}, fmt.Errorf("experiments: SLORun.Guarded needs policy %q, not %q", PolicyJockey, r.Policy)
-	case r.Knobs.OnlinePredictor && r.Policy != PolicyJockey:
-		return Outcome{}, fmt.Errorf("experiments: Knobs.OnlinePredictor needs policy %q, not %q", PolicyJockey, r.Policy)
-	case r.Guarded && r.Knobs.OnlinePredictor:
-		return Outcome{}, fmt.Errorf("experiments: SLORun.Guarded and Knobs.OnlinePredictor cannot be combined (the guard drives its own model ladder)")
 	}
 	ground, err := e.Ground(r.Job)
 	if err != nil {
@@ -483,17 +474,15 @@ func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 			rp.SetRecorder(r.Flight)
 		}
 	}
-	bg := e.Background
-	bg.Seed = stats.DeriveSeed(e.Seed, "run-bg", r.Job, fmt.Sprint(r.Seed))
 	// Runs happen on different "days": the interfering load level varies
 	// run to run, which is what an adaptive policy must cope with.
 	bgRng := stats.NewRNG(stats.DeriveSeed(e.Seed, "run-bg-level", r.Job, fmt.Sprint(r.Seed)))
-	bg.MeanInterarrival = time.Duration(float64(bg.MeanInterarrival) * (0.6 + 0.9*bgRng.Float64()))
-	c, err := x.reset(e, cluster.Config{
+	bg := background(stats.DeriveSeed(e.Seed, "run-bg", r.Job, fmt.Sprint(r.Seed)), 0.6+0.9*bgRng.Float64())
+	c, err := x.reset(cluster.Config{
 		Seed:        stats.DeriveSeed(e.Seed, "run-cluster", r.Job, fmt.Sprint(r.Seed)),
 		RackOutages: r.RackOutages,
 		Contention:  r.Contention,
-	}, &bg)
+	}, bg)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -53,14 +53,13 @@ func OnlineVsTable(env *Env, jobs []string, seedsPerJob int) (*ExtensionResult, 
 		var tRel, oRel, tAbove, oAbove, tCost, oCost []float64
 		for s := 0; s < seedsPerJob; s++ {
 			seed := stats.DeriveSeed(env.Seed, "ext-online", job, fmt.Sprint(s))
-			for _, online := range []bool{false, true} {
+			for _, pol := range []PolicyKind{PolicyJockey, PolicyJockeyOnline} {
 				start := time.Now()
 				o, err := env.RunExec(x, SLORun{
 					Job:      job,
 					Deadline: short,
-					Policy:   PolicyJockey,
+					Policy:   pol,
 					Seed:     seed,
-					Knobs:    Knobs{OnlinePredictor: online},
 				})
 				elapsed := time.Since(start)
 				if err != nil {
@@ -71,7 +70,7 @@ func OnlineVsTable(env *Env, jobs []string, seedsPerJob int) (*ExtensionResult, 
 					n = 1
 				}
 				perDecision := float64(elapsed.Microseconds()) / float64(n)
-				if online {
+				if pol == PolicyJockeyOnline {
 					row.Runs++
 					if o.Met {
 						row.OnlineMet++

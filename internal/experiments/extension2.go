@@ -67,7 +67,7 @@ func AdmissionControl(env *Env, offers int) (*ExtensionE2, error) {
 		if err != nil {
 			return nil, err
 		}
-		if need, ok := jk.RequiredAllocation(of.deadline); ok && need <= env.MaxTokens-committed {
+		if need, ok := jk.RequiredAllocation(of.deadline); ok && need <= maxTokens-committed {
 			committed += need
 			of.fits = true
 		} else {
@@ -80,9 +80,8 @@ func AdmissionControl(env *Env, offers int) (*ExtensionE2, error) {
 	var tasks []func(x *Exec) (AdmissionOutcome, error)
 	for _, mode := range []string{"admission-control", "admit-everything"} {
 		tasks = append(tasks, func(x *Exec) (AdmissionOutcome, error) {
-			bg := env.Background
-			bg.Seed = stats.DeriveSeed(env.Seed, "ext2-bg", mode)
-			c, err := x.reset(env, cluster.Config{Seed: stats.DeriveSeed(env.Seed, "ext2-cluster", mode)}, &bg)
+			bg := background(stats.DeriveSeed(env.Seed, "ext2-bg", mode), 1)
+			c, err := x.reset(cluster.Config{Seed: stats.DeriveSeed(env.Seed, "ext2-cluster", mode)}, bg)
 			if err != nil {
 				return AdmissionOutcome{}, err
 			}

@@ -47,13 +47,12 @@ func replayIndicators(env *Env, x *Exec, job string, inds []core.IndicatorName, 
 	if err != nil {
 		return nil, err
 	}
-	alloc := jkDefault.Model().SnapAlloc(env.MaxTokens / 2)
+	alloc := jkDefault.Model().SnapAlloc(maxTokens / 2)
 
 	var states []model.State
 	var times []time.Duration
-	bg := env.Background
-	bg.Seed = stats.DeriveSeed(env.Seed, "fig910-bg", job, fmt.Sprint(seed))
-	actual, err := x.completion(env, cluster.Config{Seed: stats.DeriveSeed(env.Seed, "fig910", job, fmt.Sprint(seed))}, &bg,
+	bg := background(stats.DeriveSeed(env.Seed, "fig910-bg", job, fmt.Sprint(seed)), 1)
+	actual, err := x.completion(cluster.Config{Seed: stats.DeriveSeed(env.Seed, "fig910", job, fmt.Sprint(seed))}, bg,
 		cluster.JobConfig{
 			Profile:   ground,
 			Guarantee: alloc,

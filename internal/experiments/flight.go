@@ -29,14 +29,6 @@ func (fc *FlightConfig) fill() {
 	}
 }
 
-// policyLabel names the run's policy as reported in flight records.
-func policyLabel(r SLORun) string {
-	if r.Policy == PolicyJockey && r.Guarded {
-		return "jockey-guarded"
-	}
-	return string(r.Policy)
-}
-
 // RunFlight is RunExec with the decision flight recorder attached: it
 // returns the run's outcome plus its flight record (nil at LevelNone). At
 // LevelCounterfactual the finished run is replayed under constant hindsight
@@ -50,7 +42,7 @@ func (e *Env) RunFlight(x *Exec, r SLORun, fc FlightConfig) (Outcome, *flight.Re
 	fc.fill()
 	rec := flight.NewRecorder(flight.Config{
 		Job:      r.Job,
-		Policy:   policyLabel(r),
+		Policy:   string(r.Policy),
 		Level:    fc.Level,
 		Deadline: r.Deadline,
 	})

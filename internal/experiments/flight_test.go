@@ -20,8 +20,7 @@ func flightDriftRun(env *Env, t *testing.T) SLORun {
 	return SLORun{
 		Job:        "B",
 		Deadline:   short,
-		Policy:     PolicyJockey,
-		Guarded:    true,
+		Policy:     PolicyJockeyGuarded,
 		Seed:       stats.DeriveSeed(env.Seed, "robust", "B", "drift-2x", "0"),
 		InputScale: 1,
 		Drifts:     driftScenario(short),

@@ -62,21 +62,9 @@ func DefaultRobustnessScenarios(deadline time.Duration) []RobustnessScenario {
 	}
 }
 
-// robustnessVariant is one policy column of the grid.
-type robustnessVariant struct {
-	Name    string
-	Policy  PolicyKind
-	Guarded bool
-}
-
 // RobustnessVariants lists the compared policies: Jockey with and without the
 // guard-rail layer, plus the paper's Amdahl and max-allocation baselines.
-var RobustnessVariants = []robustnessVariant{
-	{Name: "jockey-guarded", Policy: PolicyJockey, Guarded: true},
-	{Name: "jockey", Policy: PolicyJockey},
-	{Name: string(PolicyAmdahl), Policy: PolicyAmdahl},
-	{Name: string(PolicyMax), Policy: PolicyMax},
-}
+var RobustnessVariants = []PolicyKind{PolicyJockeyGuarded, PolicyJockey, PolicyAmdahl, PolicyMax}
 
 // RobustnessRow aggregates one (scenario, policy) cell.
 type RobustnessRow struct {
@@ -180,8 +168,7 @@ func RobustnessFlight(env *Env, cfg RobustnessConfig) (*RobustnessResult, error)
 					r := SLORun{
 						Job:         job,
 						Deadline:    short,
-						Policy:      v.Policy,
-						Guarded:     v.Guarded,
+						Policy:      v,
 						Seed:        stats.DeriveSeed(env.Seed, "robust", job, sc.Name, fmt.Sprint(s)),
 						InputScale:  1,
 						Drifts:      sc.Drifts,
@@ -207,7 +194,7 @@ func RobustnessFlight(env *Env, cfg RobustnessConfig) (*RobustnessResult, error)
 	i := 0
 	for _, sc := range scenarios {
 		for _, v := range RobustnessVariants {
-			row := RobustnessRow{Scenario: sc.Name, Policy: v.Name}
+			row := RobustnessRow{Scenario: sc.Name, Policy: string(v)}
 			var rels, aboves, churns, tokRegrets []float64
 			gaps := newAttributionTally()
 			for s := 0; s < seedsPerCell; s++ {
@@ -233,7 +220,7 @@ func RobustnessFlight(env *Env, cfg RobustnessConfig) (*RobustnessResult, error)
 				}
 				if rec != nil {
 					out.Records = append(out.Records, RobustnessRecord{
-						Scenario: sc.Name, Policy: v.Name, Seed: s, Record: rec,
+						Scenario: sc.Name, Policy: string(v), Seed: s, Record: rec,
 					})
 					if cf := rec.Counterfactual; cf != nil {
 						if cf.DeadlineRegret > 0 {

@@ -33,12 +33,12 @@ func TestGuardBeatsUnguardedUnderDrift(t *testing.T) {
 	const seeds = 4
 	for s := 0; s < seeds; s++ {
 		seed := stats.DeriveSeed(env.Seed, "robust", "B", "drift-2x", fmt.Sprint(s))
-		for _, guarded := range []bool{false, true} {
+		for _, pol := range []PolicyKind{PolicyJockey, PolicyJockeyGuarded} {
+			guarded := pol == PolicyJockeyGuarded
 			o, err := env.RunExec(NewExec(), SLORun{
 				Job:        "B",
 				Deadline:   short,
-				Policy:     PolicyJockey,
-				Guarded:    guarded,
+				Policy:     pol,
 				Seed:       seed,
 				InputScale: 1, // isolate the injected drift
 				Drifts:     drift,
@@ -82,8 +82,7 @@ func TestGuardedRunDeterministicAcrossParallelism(t *testing.T) {
 		o, err := env.RunExec(NewExec(), SLORun{
 			Job:        "B",
 			Deadline:   short,
-			Policy:     PolicyJockey,
-			Guarded:    true,
+			Policy:     PolicyJockeyGuarded,
 			Seed:       stats.DeriveSeed(env.Seed, "robust", "B", "drift-2x", "0"),
 			InputScale: 1,
 			Drifts:     driftScenario(short),

@@ -62,15 +62,13 @@ func RecurringVariance(env *Env, cfg Table1Config) (*Table1, error) {
 					lo, width = 0.95, 0.1
 				}
 				scale := lo + width*rng.Float64()
-				bg := env.Background
-				bg.Seed = stats.DeriveSeed(env.Seed, "t1-bg", job, fmt.Sprint(run))
 				// Recurrences run on different days: the rest of the cluster
 				// is sometimes quiet, sometimes slammed (§2.3-§2.4 — the
 				// paper's dominant variance source is fluctuating spare
 				// capacity).
-				bg.MeanInterarrival = time.Duration(float64(bg.MeanInterarrival) * (0.8 + 1.4*rng.Float64()))
+				bg := background(stats.DeriveSeed(env.Seed, "t1-bg", job, fmt.Sprint(run)), 0.8+1.4*rng.Float64())
 				// A production job's modest fixed guarantee.
-				return x.completion(env, cluster.Config{Seed: stats.DeriveSeed(env.Seed, "t1-cluster", job, fmt.Sprint(run))}, &bg,
+				return x.completion(cluster.Config{Seed: stats.DeriveSeed(env.Seed, "t1-cluster", job, fmt.Sprint(run))}, bg,
 					cluster.JobConfig{Profile: ground.Scale(scale), Guarantee: 8, Start: 15 * time.Minute})
 			})
 		}

@@ -192,6 +192,18 @@ func (t *Tracker) Pop() (TaskRef, bool) {
 	return r, true
 }
 
+// Peek returns the oldest ready task without dequeuing it, so a caller
+// that may fail to place the task leaves the FIFO and its queued time as
+// they were.
+//
+//jockey:hotpath
+func (t *Tracker) Peek() (TaskRef, bool) {
+	if t.head >= len(t.ready) {
+		return TaskRef{}, false
+	}
+	return t.ready[t.head], true
+}
+
 // Len returns the number of queued ready tasks.
 //
 //jockey:hotpath

@@ -73,38 +73,6 @@ func BenchmarkOnlineSim(b *testing.B) {
 
 // --- ablation benchmarks (design choices in DESIGN.md §5) ---
 
-// BenchmarkAblationBucketWidth compares C(p, a) progress-bucket widths: too
-// few buckets blur early and late progress together; the reported error is
-// the relative difference between the model's half-progress prediction and
-// the fine-grained reference.
-func BenchmarkAblationBucketWidth(b *testing.B) {
-	p := workload.MustGenerate(mustSpec(b, "E"), 1)
-	ind := progress.NewTotalWorkWithQ(p)
-	build := func(buckets int, seed uint64) *model.CPA {
-		c, err := model.BuildCPA(p, ind, model.CPAConfig{
-			Allocs:       []int{10, 40},
-			RunsPerAlloc: 6,
-			Buckets:      buckets,
-			Seed:         seed,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	st := model.State{FracDone: halfDone(p)}
-	for _, buckets := range []int{10, 100, 400} {
-		b.Run(fmtInt(buckets), func(b *testing.B) {
-			var last time.Duration
-			for i := 0; i < b.N; i++ {
-				c := build(buckets, 7)
-				last = c.Remaining(st, 40, 0.9)
-			}
-			b.ReportMetric(last.Seconds(), "half-progress-pred-s")
-		})
-	}
-}
-
 // BenchmarkAblationRunsPerAlloc compares how many offline simulations feed
 // each allocation: more runs tighten the worst-case estimate.
 func BenchmarkAblationRunsPerAlloc(b *testing.B) {

@@ -35,6 +35,10 @@ import (
 	"github.com/jockeysim/jockey/internal/utility"
 )
 
+// maxSimTime aborts a run whose next event lies beyond this simulated
+// horizon: a guard against misconfigured workloads.
+const maxSimTime = 240 * time.Hour
+
 // Config describes the simulated cluster.
 type Config struct {
 	// Machines is the number of servers (default 25).
@@ -48,9 +52,6 @@ type Config struct {
 	MachineRecovery stats.Distribution
 	// Seed drives all cluster randomness.
 	Seed uint64
-	// MaxSimTime aborts a run that exceeds this simulated horizon
-	// (default 10 days) — a guard against misconfigured workloads.
-	MaxSimTime time.Duration
 	// RackOutages schedules correlated multi-machine failures (a rack or
 	// container losing power/network), unlike the independent failures MTBF
 	// models. Used to manufacture conditions a training run never saw.
@@ -126,9 +127,6 @@ func (c *Config) fill() error {
 	if c.MachineRecovery == nil {
 		c.MachineRecovery = stats.Exponential{MeanValue: 5 * time.Minute}
 	}
-	if c.MaxSimTime <= 0 {
-		c.MaxSimTime = 240 * time.Hour
-	}
 	for i, r := range c.RackOutages {
 		if r.At < 0 || r.Duration <= 0 {
 			return fmt.Errorf("cluster: rack outage %d needs At >= 0 and Duration > 0, got At=%v Duration=%v",
@@ -202,14 +200,9 @@ type JobConfig struct {
 	// OnTaskEvent, if set, observes every completed task attempt as it
 	// happens — the live feed the guard-rail layer (control.Guard) blends
 	// into its profile for online re-profiling. Fires for Tracked and
-	// untracked jobs alike.
+	// untracked jobs alike. A Tracked job's state at any past time can be
+	// read back from its Result.Trace (progress.FracDoneAt).
 	OnTaskEvent func(e trace.TaskEvent)
-	// OnSample, if set, observes the job's state every SamplePeriod
-	// (default 1 minute), independent of any policy. Used by experiments
-	// that replay progress indicators offline.
-	OnSample func(at time.Duration, st model.State)
-	// SamplePeriod is the OnSample period (default 1 minute).
-	SamplePeriod time.Duration
 	// NoTrace suppresses the task-event trace of a Tracked job. The run
 	// still blocks Run until completion and produces a full Result; only
 	// Result.Trace stays nil. Reused-engine benchmarks and steady-state
@@ -307,8 +300,9 @@ func (c *Cluster) Unhold() {
 	}
 }
 
-// Cluster is the simulator instance. Create with New (one-shot) or via
-// Engine.Reset (reusable arenas), submit jobs, then Run.
+// Cluster is the simulator instance. Create with New (a fresh Engine's
+// cluster) or Engine.Reset (an engine reused across runs), submit jobs,
+// then Run.
 type Cluster struct {
 	cfg    Config
 	rng    *rand.Rand
@@ -378,8 +372,8 @@ type Cluster struct {
 	availSecs    float64
 	lastUtilTime time.Duration
 
-	// eng is non-nil when this cluster is owned by a reusable Engine, which
-	// then pools jobRun arenas across runs.
+	// eng is the Engine that owns this cluster and pools its jobRun arenas
+	// across runs.
 	eng *Engine
 
 	// Scheduling scratch buffers, reused across events so the hot path
@@ -389,18 +383,13 @@ type Cluster struct {
 	scratchReplicas []int
 }
 
-// New creates an empty cluster.
-func New(cfg Config) (*Cluster, error) {
-	c := &Cluster{}
-	if err := c.init(cfg); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
+// New creates an empty cluster: the cluster of a fresh Engine, for a caller
+// that runs it once.
+func New(cfg Config) (*Cluster, error) { return NewEngine().Reset(cfg) }
 
-// init (re)initializes the cluster for cfg. It is shared by New and
-// Engine.Reset; on the reuse path every backing array keeps its capacity
-// and the RNG stream after the reseed is bit-identical to a fresh one.
+// init (re)initializes the cluster for cfg, for Engine.Reset. On a reused
+// engine every backing array keeps its capacity and the RNG stream after
+// the reseed is bit-identical to a fresh one.
 func (c *Cluster) init(cfg Config) error {
 	if err := cfg.fill(); err != nil {
 		return err
@@ -539,10 +528,7 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 		}
 	}
 	id := len(c.jobs)
-	var jr *jobRun
-	if c.eng != nil {
-		jr = c.eng.takeArena(cfg.Profile.Job)
-	}
+	jr := c.eng.takeArena(cfg.Profile.Job)
 	if jr == nil {
 		jr = newArena(cfg.Profile.Job)
 	}

@@ -25,7 +25,11 @@ import (
 //   - the replay is byte-identical on the event queue's heap and calendar
 //     regimes;
 //   - it is byte-identical on a fresh cluster and on a reused engine, over
-//     two rounds so the second runs on pooled arenas.
+//     two rounds so the second runs on pooled arenas;
+//   - extra scheduling passes change nothing: with one job that neither a
+//     controller nor the epoch hook drives put under a constant policy
+//     that ticks every 7 s, every tracked job gets the same task events and
+//     completion.
 func FuzzClusterReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("jockey"))
@@ -43,6 +47,12 @@ func FuzzClusterReplay(f *testing.F) {
 		for round := 0; round < 2; round++ {
 			if got := sc.replay(t, eng.Reset, round == 1); got != want {
 				t.Fatalf("reused engine round %d diverged from a fresh cluster:\n got %s\nwant %s", round, got, want)
+			}
+		}
+		if ticked := sc.undriven(); ticked >= 0 {
+			want := renderTracked(sc.run(t, New, false, -1))
+			if got := renderTracked(sc.run(t, New, false, ticked)); got != want {
+				t.Fatalf("job %d under a constant 7 s policy changed the tracked jobs:\n got %s\nwant %s", ticked, got, want)
 			}
 		}
 	})
@@ -85,7 +95,6 @@ func genScenario(t *testing.T, data []byte) *fuzzScenario {
 		SlotsPerMachine: 1 + fb.intn(3),
 		Seed:            uint64(fb.intn(256)),
 		MachineRecovery: stats.Point{V: 30*time.Second + fb.secs(6)},
-		MaxSimTime:      24 * time.Hour,
 	}}
 	if fb.intn(3) == 0 {
 		sc.cfg.MachineMTBF = 2*time.Minute + fb.secs(48)
@@ -173,9 +182,56 @@ func genProfile(t *testing.T, fb *fuzzBytes, name string) *profile.Profile {
 	return p
 }
 
+// undriven returns the first job that neither a controller nor the epoch
+// hook drives, or -1 when there is none.
+func (sc *fuzzScenario) undriven() int {
+	if sc.epochs {
+		return -1
+	}
+	for i, p := range sc.policy {
+		if !p {
+			return i
+		}
+	}
+	return -1
+}
+
 // replay runs the scenario on a cluster from mk (New or Engine.Reset),
 // optionally on the calendar regime, and renders everything it produced.
 func (sc *fuzzScenario) replay(t *testing.T, mk func(Config) (*Cluster, error), calendar bool) string {
+	c, hs, runErr := sc.run(t, mk, calendar, -1)
+	var b strings.Builder
+	fmt.Fprintf(&b, "err=%v now=%v util=%b\n", runErr, c.Now(), c.Utilization())
+	for i, h := range hs {
+		r := h.Result()
+		tr := r.Trace
+		r.Trace = nil
+		fmt.Fprintf(&b, "job %d done=%v %+v\n", i, h.Done(), r)
+		if tr != nil {
+			fmt.Fprintf(&b, "trace %+v\n", *tr)
+		}
+	}
+	return b.String()
+}
+
+// renderTracked renders what a run promises its tracked jobs whatever the
+// number of scheduling passes: the Run error, and each tracked job's
+// completion and task events.
+func renderTracked(_ *Cluster, hs []*Handle, runErr error) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "err=%v\n", runErr)
+	for i, h := range hs {
+		if r := h.Result(); r.Trace != nil {
+			fmt.Fprintf(&b, "job %d done=%v completion=%v events=%+v\n", i, h.Done(), r.Completion, r.Trace.Events)
+		}
+	}
+	return b.String()
+}
+
+// run replays the scenario on a cluster from mk, optionally on the calendar
+// regime. Job ticked, unless it is -1, runs under a constant policy at its
+// own guarantee that ticks every 7 s.
+func (sc *fuzzScenario) run(t *testing.T, mk func(Config) (*Cluster, error), calendar bool, ticked int) (*Cluster, []*Handle, error) {
 	cfg := sc.cfg
 	var hs []*Handle
 	if sc.epochs {
@@ -210,25 +266,21 @@ func (sc *fuzzScenario) replay(t *testing.T, mk func(Config) (*Cluster, error), 
 			jc.Policy = pol
 			jc.ControlPeriod = 30 * time.Second
 		}
+		if i == ticked {
+			pol, err := control.NewMaxAllocation(jc.Guarantee)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jc.Policy = pol
+			jc.ControlPeriod = 7 * time.Second
+		}
 		h, err := c.Submit(jc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hs = append(hs, h)
 	}
-	runErr := c.Run()
-	var b strings.Builder
-	fmt.Fprintf(&b, "err=%v now=%v util=%b\n", runErr, c.Now(), c.Utilization())
-	for i, h := range hs {
-		r := h.Result()
-		tr := r.Trace
-		r.Trace = nil
-		fmt.Fprintf(&b, "job %d done=%v %+v\n", i, h.Done(), r)
-		if tr != nil {
-			fmt.Fprintf(&b, "trace %+v\n", *tr)
-		}
-	}
-	return b.String()
+	return c, hs, c.Run()
 }
 
 // forceCalendar moves the cluster's event queue onto its calendar regime.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/jockeysim/jockey/internal/dag"
-	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
 )
@@ -261,15 +260,7 @@ func TestNoSpareNeverExceedsGuarantee(t *testing.T) {
 		{Exec: stats.Point{V: 10 * time.Second}},
 	})
 	c, _ := New(Config{Machines: 10, SlotsPerMachine: 4, Seed: 1})
-	var maxRunning int
-	h, err := c.Submit(JobConfig{
-		Profile: p, Guarantee: 6, Tracked: true, NoSpare: true,
-		SamplePeriod: time.Second,
-		OnSample: func(_ time.Duration, st model.State) {
-			// running count is not in State; use the trace afterwards.
-			_ = st
-		},
-	})
+	h, err := c.Submit(JobConfig{Profile: p, Guarantee: 6, Tracked: true, NoSpare: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,43 +273,5 @@ func TestNoSpareNeverExceedsGuarantee(t *testing.T) {
 	// 40 tasks / 6 tokens = 7 waves of 10s.
 	if got := h.Result().Completion; got != 70*time.Second {
 		t.Errorf("completion = %v, want 70s", got)
-	}
-	_ = maxRunning
-}
-
-func TestOnSampleHook(t *testing.T) {
-	job := dag.NewBuilder("s").Stage("work", 20).MustBuild()
-	p := profile.MustNew(job, []profile.StageProfile{
-		{Exec: stats.Point{V: 10 * time.Second}},
-	})
-	c, _ := New(Config{Machines: 5, SlotsPerMachine: 2, Seed: 1})
-	var samples []model.State
-	var times []time.Duration
-	_, err := c.Submit(JobConfig{
-		Profile: p, Guarantee: 5, Tracked: true,
-		SamplePeriod: 15 * time.Second,
-		OnSample: func(at time.Duration, st model.State) {
-			times = append(times, at)
-			samples = append(samples, st)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) == 0 {
-		t.Fatal("no samples")
-	}
-	for i, at := range times {
-		if want := time.Duration(i+1) * 15 * time.Second; at != want {
-			t.Errorf("sample %d at %v, want %v", i, at, want)
-		}
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].FracDone[0] < samples[i-1].FracDone[0] {
-			t.Error("progress decreased")
-		}
 	}
 }

@@ -219,12 +219,12 @@ func TestPerturbedRunDeterministic(t *testing.T) {
 }
 
 // TestEventChainsStopAfterCompletion: the periodic events a job schedules
-// for itself (control ticks and OnSample ticks) must stop once it completes,
-// or a finished job would keep the event queue alive. A Hold keeps Run going
-// past the job's completion, so Run returns only when the queue drains, or
-// at MaxSimTime if a chain re-queues itself forever.
+// for itself (control ticks) must stop once it completes, or a finished job
+// would keep the event queue alive. A Hold keeps Run going past the job's
+// completion, so Run returns only when the queue drains, or at the maximum
+// simulated time if a chain re-queues itself forever.
 func TestEventChainsStopAfterCompletion(t *testing.T) {
-	c, err := New(Config{Machines: 4, SlotsPerMachine: 2, Seed: 9, MaxSimTime: time.Hour})
+	c, err := New(Config{Machines: 4, SlotsPerMachine: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,6 @@ func TestEventChainsStopAfterCompletion(t *testing.T) {
 	h, err := c.Submit(JobConfig{
 		Profile: p, Policy: pol, Deadline: 10 * time.Minute, Tracked: true,
 		ControlPeriod: 15 * time.Second,
-		SamplePeriod:  15 * time.Second, OnSample: func(time.Duration, model.State) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,13 +255,13 @@ func TestEventChainsStopAfterCompletion(t *testing.T) {
 }
 
 func TestRunErrorNamesUnfinishedJobs(t *testing.T) {
-	// An impossible job (more guaranteed work than sim time) must name
-	// itself in the Run error.
-	c, err := New(Config{Machines: 1, SlotsPerMachine: 1, Seed: 1, MaxSimTime: time.Minute})
+	// An impossible job (more guaranteed work than sim time: 300 hours on
+	// one slot) must name itself in the Run error.
+	c, err := New(Config{Machines: 1, SlotsPerMachine: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(JobConfig{Profile: bigJob(t, "hopeless", 100, time.Hour), Guarantee: 1, Tracked: true}); err != nil {
+	if _, err := c.Submit(JobConfig{Profile: bigJob(t, "hopeless", 2, 150*time.Hour), Guarantee: 1, Tracked: true}); err != nil {
 		t.Fatal(err)
 	}
 	err = c.Run()

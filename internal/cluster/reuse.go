@@ -20,9 +20,10 @@ import (
 //   - the event queue, machine arrays, and spare-top heap keep their capacity
 //     across Reset.
 //
-// A reset engine is bit-identical in behavior to cluster.New with the same
-// Config: RNG reseeding reproduces fresh streams, and pooled state is fully
-// reinitialized (pinned by TestEngineReuseBitIdentical).
+// New is a fresh engine's first Reset, and a reset engine is bit-identical
+// in behavior to it with the same Config: RNG reseeding reproduces fresh
+// streams, and pooled state is fully reinitialized (pinned by
+// TestEngineReuseBitIdentical).
 //
 // An Engine is not safe for concurrent use; the intended pattern is one
 // Engine per grid worker (internal/grid gives tasks their worker index for

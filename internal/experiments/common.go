@@ -423,22 +423,22 @@ func background(seed uint64, level float64) *workload.BackgroundConfig {
 	}
 }
 
-// completion replays job, tracked, on x's cluster readied by reset and
-// returns its completion time.
-func (x *Exec) completion(cfg cluster.Config, bg *workload.BackgroundConfig, job cluster.JobConfig) (time.Duration, error) {
+// replay runs job, tracked, on x's cluster readied by reset and returns its
+// result.
+func (x *Exec) replay(cfg cluster.Config, bg *workload.BackgroundConfig, job cluster.JobConfig) (cluster.Result, error) {
 	c, err := x.reset(cfg, bg)
 	if err != nil {
-		return 0, err
+		return cluster.Result{}, err
 	}
 	job.Tracked = true
 	h, err := c.Submit(job)
 	if err != nil {
-		return 0, err
+		return cluster.Result{}, err
 	}
 	if err := c.Run(); err != nil {
-		return 0, err
+		return cluster.Result{}, err
 	}
-	return h.Result().Completion, nil
+	return h.Result(), nil
 }
 
 // RunExec executes one SLO run on x's background-loaded cluster. Results

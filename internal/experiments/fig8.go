@@ -51,8 +51,9 @@ func PredictionAccuracy(env *Env, jobs []string, runsPerPoint int) (*Fig8, error
 						return 0, err
 					}
 					seed := stats.DeriveSeed(env.Seed, "fig8", job, fmt.Sprint(alloc), fmt.Sprint(r))
-					return x.completion(cluster.Config{Seed: seed}, nil,
+					r, err := x.replay(cluster.Config{Seed: seed}, nil,
 						cluster.JobConfig{Profile: ground, Guarantee: alloc, NoSpare: true})
+					return r.Completion, err
 				})
 			}
 		}

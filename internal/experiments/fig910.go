@@ -7,6 +7,7 @@ import (
 	"github.com/jockeysim/jockey/internal/cluster"
 	"github.com/jockeysim/jockey/internal/core"
 	"github.com/jockeysim/jockey/internal/model"
+	"github.com/jockeysim/jockey/internal/progress"
 	"github.com/jockeysim/jockey/internal/stats"
 )
 
@@ -35,9 +36,9 @@ type IndicatorSeries struct {
 }
 
 // replayIndicators runs one fixed-allocation execution of the job on a
-// loaded cluster, recording the per-minute stage fractions, then evaluates
-// every requested indicator on the same state series — so all indicators
-// see the identical run, as in §5.4.
+// loaded cluster, reads its per-minute stage fractions back from the run's
+// trace, then evaluates every requested indicator on the same state series
+// — so all indicators see the identical run, as in §5.4.
 func replayIndicators(env *Env, x *Exec, job string, inds []core.IndicatorName, seed uint64) ([]IndicatorSeries, error) {
 	ground, err := env.Ground(job)
 	if err != nil {
@@ -49,21 +50,16 @@ func replayIndicators(env *Env, x *Exec, job string, inds []core.IndicatorName, 
 	}
 	alloc := jkDefault.Model().SnapAlloc(maxTokens / 2)
 
-	var states []model.State
-	var times []time.Duration
 	bg := background(stats.DeriveSeed(env.Seed, "fig910-bg", job, fmt.Sprint(seed)), 1)
-	actual, err := x.completion(cluster.Config{Seed: stats.DeriveSeed(env.Seed, "fig910", job, fmt.Sprint(seed))}, bg,
-		cluster.JobConfig{
-			Profile:   ground,
-			Guarantee: alloc,
-			Start:     15 * time.Minute,
-			OnSample: func(at time.Duration, st model.State) {
-				states = append(states, st)
-				times = append(times, at)
-			},
-		})
+	run, err := x.replay(cluster.Config{Seed: stats.DeriveSeed(env.Seed, "fig910", job, fmt.Sprint(seed))}, bg,
+		cluster.JobConfig{Profile: ground, Guarantee: alloc, Start: 15 * time.Minute})
 	if err != nil {
 		return nil, err
+	}
+	actual := run.Completion
+	var states []model.State
+	for at := time.Minute; at < actual; at += time.Minute {
+		states = append(states, model.State{Elapsed: at, FracDone: progress.FracDoneAt(run.Trace, ground, at)})
 	}
 
 	var out []IndicatorSeries
@@ -73,13 +69,13 @@ func replayIndicators(env *Env, x *Exec, job string, inds []core.IndicatorName, 
 			return nil, err
 		}
 		s := IndicatorSeries{Indicator: ind, ActualCompletion: actual}
-		for i, st := range states {
+		for _, st := range states {
 			p := jk.Indicator().Progress(st.FracDone)
 			rem := jk.Model().Remaining(st, alloc, 1.0)
 			s.Points = append(s.Points, IndicatorTracePoint{
-				T:         times[i],
+				T:         st.Elapsed,
 				Progress:  p,
-				Predicted: times[i] + rem,
+				Predicted: st.Elapsed + rem,
 			})
 		}
 		s.computeMetrics(actual)

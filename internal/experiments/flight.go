@@ -7,13 +7,14 @@ import (
 	"github.com/jockeysim/jockey/internal/grid"
 )
 
+// replayCandidates is how many constant allocations the counterfactual
+// analyzer replays, spanning the policy's candidate grid.
+const replayCandidates = 6
+
 // FlightConfig tunes decision flight recording on top of an SLORun.
 type FlightConfig struct {
 	// Level selects recording depth (LevelNone returns no record).
 	Level flight.Level
-	// ReplayCandidates is how many constant allocations the counterfactual
-	// analyzer replays, spanning the policy's candidate grid (default 6).
-	ReplayCandidates int
 	// replayKey and replays, when both set, share replay outcomes across
 	// runs through a single-flight cache. A replay's outcome depends only on
 	// (job, deadline, seed, faults, alloc) — not on the recorded policy — so
@@ -21,12 +22,6 @@ type FlightConfig struct {
 	// replays.
 	replayKey string
 	replays   *grid.Cache[flight.ReplayOutcome]
-}
-
-func (fc *FlightConfig) fill() {
-	if fc.ReplayCandidates <= 0 {
-		fc.ReplayCandidates = 6
-	}
 }
 
 // RunFlight is RunExec with the decision flight recorder attached: it
@@ -39,7 +34,6 @@ func (e *Env) RunFlight(x *Exec, r SLORun, fc FlightConfig) (Outcome, *flight.Re
 		o, err := e.RunExec(x, r)
 		return o, nil, err
 	}
-	fc.fill()
 	rec := flight.NewRecorder(flight.Config{
 		Job:      r.Job,
 		Policy:   string(r.Policy),
@@ -57,7 +51,7 @@ func (e *Env) RunFlight(x *Exec, r SLORun, fc FlightConfig) (Outcome, *flight.Re
 		if err != nil {
 			return Outcome{}, nil, err
 		}
-		cands := flight.SpanCandidates(jk.Grid(), fc.ReplayCandidates)
+		cands := flight.SpanCandidates(jk.Grid(), replayCandidates)
 		actual := flight.ReplayOutcome{
 			Completion:        o.Completion,
 			Met:               o.Met,

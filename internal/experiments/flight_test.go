@@ -45,7 +45,7 @@ func TestFlightGoldenAcrossParallelismAndReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three runtime caches")
 	}
-	fc := FlightConfig{Level: flight.LevelCounterfactual, ReplayCandidates: 3}
+	fc := FlightConfig{Level: flight.LevelCounterfactual}
 	var golden []byte
 	for _, par := range []int{1, 4, 8} {
 		env := NewEnv(7)
@@ -153,9 +153,7 @@ func TestFlightReplayExactAtFixedAlloc(t *testing.T) {
 		Met:               o.Met,
 		AllocTokenSeconds: o.AllocTokenSeconds,
 	}
-	fc := FlightConfig{}
-	fc.fill()
-	reg, err := flight.Counterfactual(nil, actual, []int{alloc}, env.flightReplayer(x, r, fc))
+	reg, err := flight.Counterfactual(nil, actual, []int{alloc}, env.flightReplayer(x, r, FlightConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +176,9 @@ func TestRobustnessFlightAttributesDriftMiss(t *testing.T) {
 		t.Skip("runs the full robustness grid with hindsight replays")
 	}
 	res, err := RobustnessFlight(sharedEnv, RobustnessConfig{
-		Job:              "B",
-		SeedsPerCell:     1,
-		Flight:           flight.LevelCounterfactual,
-		ReplayCandidates: 4,
+		Job:          "B",
+		SeedsPerCell: 1,
+		Flight:       flight.LevelCounterfactual,
 	})
 	if err != nil {
 		t.Fatal(err)

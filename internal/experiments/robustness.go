@@ -106,8 +106,6 @@ type RobustnessConfig struct {
 	// LevelCounterfactual each run also gets a hindsight regret report, the
 	// rows gain regret columns, and Records carries the per-run files.
 	Flight flight.Level
-	// ReplayCandidates tunes the counterfactual replays (see FlightConfig).
-	ReplayCandidates int
 }
 
 // RobustnessRecord is one run's flight record with its grid coordinates.
@@ -176,10 +174,9 @@ func RobustnessFlight(env *Env, cfg RobustnessConfig) (*RobustnessResult, error)
 						Contention:  sc.Contention,
 					}
 					o, rec, err := env.RunFlight(x, r, FlightConfig{
-						Level:            cfg.Flight,
-						ReplayCandidates: cfg.ReplayCandidates,
-						replayKey:        fmt.Sprintf("robust/%s/%d", sc.Name, s),
-						replays:          &replays,
+						Level:     cfg.Flight,
+						replayKey: fmt.Sprintf("robust/%s/%d", sc.Name, s),
+						replays:   &replays,
 					})
 					return cell{out: o, rec: rec}, err
 				})

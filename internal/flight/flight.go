@@ -66,8 +66,9 @@ func ParseLevel(s string) (Level, error) {
 // field). Bump only with a migration note in DESIGN.md §12.
 const SchemaVersion = 1
 
-// DefaultTopK is how many alternative candidates a tick keeps by default.
-const DefaultTopK = 3
+// TopK is how many alternative candidates a tick keeps (the record's top_k
+// field).
+const TopK = 3
 
 // Candidate is one retained candidate evaluation of a tick.
 type Candidate struct {
@@ -133,8 +134,6 @@ type Config struct {
 	Level Level
 	// Deadline is the run's SLO (stored for the analyzer and readers).
 	Deadline time.Duration
-	// TopK bounds the candidates kept per tick (default DefaultTopK).
-	TopK int
 }
 
 // Recorder implements control.Recorder, accumulating a Record. Install it
@@ -146,9 +145,6 @@ type Recorder struct {
 
 // NewRecorder builds a recorder for one run.
 func NewRecorder(cfg Config) *Recorder {
-	if cfg.TopK <= 0 {
-		cfg.TopK = DefaultTopK
-	}
 	lvl := cfg.Level
 	if lvl == LevelNone {
 		lvl = LevelDecisions
@@ -159,7 +155,7 @@ func NewRecorder(cfg Config) *Recorder {
 		Policy:   cfg.Policy,
 		Level:    lvl.String(),
 		Deadline: cfg.Deadline,
-		TopK:     cfg.TopK,
+		TopK:     TopK,
 	}}
 }
 
@@ -175,7 +171,7 @@ func (r *Recorder) RecordDecision(d *control.DecisionRecord) {
 		Deviation:  d.Deviation,
 		Predicted:  d.Predicted,
 		Regret:     decisionRegret(d),
-		Candidates: topK(d.Candidates, r.rec.TopK),
+		Candidates: topK(d.Candidates, TopK),
 	})
 }
 

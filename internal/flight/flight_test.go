@@ -24,7 +24,7 @@ func TestParseLevelRoundTrip(t *testing.T) {
 }
 
 func TestRecorderTopKAndRegret(t *testing.T) {
-	rec := NewRecorder(Config{Job: "B", Policy: "jockey", Deadline: 20 * time.Minute, TopK: 2})
+	rec := NewRecorder(Config{Job: "B", Policy: "jockey", Deadline: 20 * time.Minute})
 	d := &control.DecisionRecord{
 		At:       time.Minute,
 		Decision: control.Decision{Raw: 50, Granted: 10, Mechanism: control.MechHysteresis},
@@ -32,6 +32,7 @@ func TestRecorderTopKAndRegret(t *testing.T) {
 			{Alloc: 10, Utility: 0.2, Predicted: 30 * time.Minute},
 			{Alloc: 50, Utility: 0.9, Predicted: 15 * time.Minute},
 			{Alloc: 100, Utility: 0.9, Predicted: 12 * time.Minute},
+			{Alloc: 5, Utility: 0.1, Predicted: 50 * time.Minute},
 		},
 	}
 	rec.RecordDecision(d)
@@ -43,12 +44,12 @@ func TestRecorderTopKAndRegret(t *testing.T) {
 		t.Fatalf("got %d ticks, want 1", len(r.Ticks))
 	}
 	tick := r.Ticks[0]
-	if len(tick.Candidates) != 2 {
-		t.Fatalf("got %d candidates, want top 2", len(tick.Candidates))
+	if TopK != 3 || len(tick.Candidates) != TopK {
+		t.Fatalf("got %d candidates, want the top %d of 4", len(tick.Candidates), TopK)
 	}
 	// Best first; the utility tie at 0.9 breaks toward the smaller alloc.
-	if tick.Candidates[0].Alloc != 50 || tick.Candidates[1].Alloc != 100 {
-		t.Errorf("top-2 = %d, %d; want 50, 100", tick.Candidates[0].Alloc, tick.Candidates[1].Alloc)
+	if c := tick.Candidates; c[0].Alloc != 50 || c[1].Alloc != 100 || c[2].Alloc != 10 {
+		t.Errorf("top 3 = %d, %d, %d; want 50, 100, 10", c[0].Alloc, c[1].Alloc, c[2].Alloc)
 	}
 	if tick.Candidates[0].Utility != 0.9 {
 		t.Errorf("retained candidate aliases the borrowed scratch (utility %v)", tick.Candidates[0].Utility)

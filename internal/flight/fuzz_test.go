@@ -17,7 +17,7 @@ import (
 func seedRecord() *flight.Record {
 	rec := flight.NewRecorder(flight.Config{
 		Job: "B", Policy: "jockey-guarded", Level: flight.LevelCounterfactual,
-		Deadline: 35 * time.Minute, TopK: 2,
+		Deadline: 35 * time.Minute,
 	})
 	rec.RecordDecision(&control.DecisionRecord{
 		At: time.Minute,

@@ -16,6 +16,15 @@ import (
 	"github.com/jockeysim/jockey/internal/utility"
 )
 
+// Table shape: progress is cut into buckets cells of 1% (cell buckets holds
+// p = 1, completion), and each cell keeps a reservoir of at most
+// reservoirCap remaining-time samples. Progress is sampled every
+// sim.SamplePeriod of each simulated run.
+const (
+	buckets      = 100
+	reservoirCap = 64
+)
+
 // CPAConfig parameterizes construction of the C(p, a) table.
 type CPAConfig struct {
 	// Allocs is the grid of candidate allocations to simulate. Required,
@@ -24,13 +33,6 @@ type CPAConfig struct {
 	// RunsPerAlloc is how many simulations feed each allocation's
 	// distributions (default 10).
 	RunsPerAlloc int
-	// SampleEvery is the progress-sampling period within each simulated run
-	// (default 30s; the paper records per discrete time step).
-	SampleEvery time.Duration
-	// Buckets is the number of progress cells (default 100, i.e. 1% cells).
-	Buckets int
-	// ReservoirCap bounds the samples kept per cell (default 64).
-	ReservoirCap int
 	// Seed drives the simulations.
 	Seed uint64
 	// Parallelism bounds the worker pool that runs the offline simulations
@@ -56,15 +58,6 @@ func (c *CPAConfig) fill() error {
 	if c.RunsPerAlloc <= 0 {
 		c.RunsPerAlloc = 10
 	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 30 * time.Second
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 100
-	}
-	if c.ReservoirCap <= 0 {
-		c.ReservoirCap = 64
-	}
 	return nil
 }
 
@@ -74,7 +67,6 @@ func (c *CPAConfig) fill() error {
 type CPA struct {
 	indicator progress.Indicator
 	allocs    []int
-	buckets   int
 	// vals holds every cell's retained remaining-time samples back to back,
 	// row by row: cell i = ai*(buckets+1) + b (allocation index ai,
 	// progress bucket b) is vals[offs[i]:offs[i+1]]. Every cell is sorted
@@ -147,11 +139,10 @@ func buildCPAs(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig, out
 		run := idx % cfg.RunsPerAlloc
 		w.samples = w.samples[:0]
 		completion, err := w.r.Completion(sim.Config{
-			Profile:     p,
-			Alloc:       alloc,
-			Seed:        stats.DeriveSeed(cfg.Seed, "cpa", strconv.Itoa(alloc), strconv.Itoa(run)),
-			SampleEvery: cfg.SampleEvery,
-			OnSample:    w.onSample,
+			Profile:  p,
+			Alloc:    alloc,
+			Seed:     stats.DeriveSeed(cfg.Seed, "cpa", strconv.Itoa(alloc), strconv.Itoa(run)),
+			OnSample: w.onSample,
 		})
 		if err != nil {
 			return err
@@ -166,10 +157,10 @@ func buildCPAs(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig, out
 				if remaining < 0 {
 					continue
 				}
-				buf = append(buf, obs{bucket: bucketOf(w.samples[s].p, cfg.Buckets), v: remaining})
+				buf = append(buf, obs{bucket: bucketOf(w.samples[s].p), v: remaining})
 			}
 			// Completion itself: progress 1 has zero remaining time.
-			buf = append(buf, obs{bucket: cfg.Buckets, v: 0})
+			buf = append(buf, obs{bucket: buckets, v: 0})
 			cellObs[idx*k+j] = buf[start:len(buf):len(buf)]
 		}
 		return nil
@@ -186,12 +177,12 @@ func buildCPAs(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig, out
 // mergeCPA builds indicator j's table from the observations of every
 // (alloc, run) cell, cellObs[idx*k+j], in fixed index order.
 func mergeCPA(ind progress.Indicator, allocs []int, cfg CPAConfig, cellObs [][]obs, k, j int) *CPA {
-	c := &CPA{indicator: ind, allocs: allocs, buckets: cfg.Buckets}
+	c := &CPA{indicator: ind, allocs: allocs}
 	nCells := len(cellObs) / k
-	// Phase 2 — size the table: a cell keeps min(seen, ReservoirCap)
+	// Phase 2 — size the table: a cell keeps min(seen, reservoirCap)
 	// samples, so counting every cell's observations fixes each cell's
 	// offset before any value is placed.
-	nb := c.buckets + 1
+	nb := buckets + 1
 	seen := make([]int64, len(c.allocs)*nb)
 	for idx := range nCells {
 		row := idx / cfg.RunsPerAlloc * nb
@@ -201,7 +192,7 @@ func mergeCPA(ind progress.Indicator, allocs []int, cfg CPAConfig, cellObs [][]o
 	}
 	c.offs = make([]int, len(seen)+1)
 	for i, n := range seen {
-		c.offs[i+1] = c.offs[i] + int(min(n, int64(cfg.ReservoirCap)))
+		c.offs[i+1] = c.offs[i] + int(min(n, reservoirCap))
 	}
 	c.vals = make([]time.Duration, c.offs[len(seen)])
 	// Phase 3 — deterministic merge: replay reservoir sampling (Vitter's
@@ -213,15 +204,14 @@ func mergeCPA(ind progress.Indicator, allocs []int, cfg CPAConfig, cellObs [][]o
 	// table does not depend on which other indicators shared its pass.
 	clear(seen)
 	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "cpa-reservoir"))
-	capacity := int64(cfg.ReservoirCap)
 	for idx := range nCells {
 		row := idx / cfg.RunsPerAlloc * nb
 		for _, o := range cellObs[idx*k+j] {
 			i := row + o.bucket
 			seen[i]++
-			if seen[i] <= capacity {
+			if seen[i] <= reservoirCap {
 				c.vals[c.offs[i]+int(seen[i])-1] = o.v
-			} else if r := rng.Int64N(seen[i]); r < capacity {
+			} else if r := rng.Int64N(seen[i]); r < reservoirCap {
 				c.vals[c.offs[i]+int(r)] = o.v
 			}
 		}
@@ -282,12 +272,9 @@ func newCPAWorker(inds []progress.Indicator) *cpaWorker {
 // cell returns cell i's samples (see CPA.vals).
 func (c *CPA) cell(i int) []time.Duration { return c.vals[c.offs[i]:c.offs[i+1]] }
 
-func (c *CPA) bucket(p float64) int { return bucketOf(p, c.buckets) }
-
 // bucketOf maps progress p ∈ [0, 1] to one of buckets+1 cells, clamping
-// out-of-range values. It is a free function so simulation workers can
-// bucket their own samples without sharing CPA state.
-func bucketOf(p float64, buckets int) int {
+// out-of-range values.
+func bucketOf(p float64) int {
 	if p <= 0 {
 		return 0
 	}
@@ -343,18 +330,18 @@ func (c *CPA) samplesAt(p float64, a int) []time.Duration {
 //
 //jockey:hotpath
 func (c *CPA) findCell(p float64, a int) (cell int, ok bool) {
-	base := c.snapIndex(a) * (c.buckets + 1)
+	base := c.snapIndex(a) * (buckets + 1)
 	// row[b] and row[b+1] bound bucket b's samples.
-	row := c.offs[base : base+c.buckets+2]
-	b := c.bucket(p)
+	row := c.offs[base : base+buckets+2]
+	b := bucketOf(p)
 	if row[b+1] > row[b] {
 		return base + b, true
 	}
-	for d := 1; d <= c.buckets; d++ {
+	for d := 1; d <= buckets; d++ {
 		if lo := b - d; lo >= 0 && row[lo+1] > row[lo] {
 			return base + lo, true
 		}
-		if hi := b + d; hi <= c.buckets && row[hi+1] > row[hi] {
+		if hi := b + d; hi <= buckets && row[hi+1] > row[hi] {
 			return base + hi, true
 		}
 	}
@@ -369,7 +356,7 @@ func (c *CPA) readOnly(i int, vs []time.Duration) []time.Duration {
 	if invariant.Debug && c.sums != nil {
 		invariant.Assertf(invariant.ChecksumDurations(vs) == c.sums[i],
 			"model: C(p,a) cell (alloc=%d, bucket=%d) mutated since build; cell slices are read-only",
-			c.allocs[i/(c.buckets+1)], i%(c.buckets+1))
+			c.allocs[i/(buckets+1)], i%(buckets+1))
 	}
 	return vs
 }

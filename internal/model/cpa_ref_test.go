@@ -62,9 +62,9 @@ func buildCPAReference(t testing.TB, p *profile.Profile, ind progress.Indicator,
 	}
 	cells := make([][]*reservoir, len(cfg.Allocs))
 	for ai := range cells {
-		cells[ai] = make([]*reservoir, cfg.Buckets+1)
+		cells[ai] = make([]*reservoir, buckets+1)
 		for b := range cells[ai] {
-			cells[ai][b] = newReservoir(cfg.ReservoirCap)
+			cells[ai][b] = newReservoir(reservoirCap)
 		}
 	}
 	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "cpa-reservoir"))
@@ -77,10 +77,9 @@ func buildCPAReference(t testing.TB, p *profile.Profile, ind progress.Indicator,
 			}
 			var samples []sample
 			tr, err := r.Run(sim.Config{
-				Profile:     p,
-				Alloc:       alloc,
-				Seed:        stats.DeriveSeed(cfg.Seed, "cpa", strconv.Itoa(alloc), strconv.Itoa(run)),
-				SampleEvery: cfg.SampleEvery,
+				Profile: p,
+				Alloc:   alloc,
+				Seed:    stats.DeriveSeed(cfg.Seed, "cpa", strconv.Itoa(alloc), strconv.Itoa(run)),
 				OnSample: func(s sim.Snapshot) {
 					samples = append(samples, sample{t: s.Time, p: ind.Progress(s.FracDone)})
 				},
@@ -91,10 +90,10 @@ func buildCPAReference(t testing.TB, p *profile.Profile, ind progress.Indicator,
 			cells[ai][0].Add(tr.Completion, rng)
 			for _, s := range samples {
 				if rem := tr.Completion - s.t; rem >= 0 {
-					cells[ai][bucketOf(s.p, cfg.Buckets)].Add(rem, rng)
+					cells[ai][bucketOf(s.p)].Add(rem, rng)
 				}
 			}
-			cells[ai][cfg.Buckets].Add(0, rng)
+			cells[ai][buckets].Add(0, rng)
 		}
 	}
 	for ai := range cells {
@@ -105,10 +104,23 @@ func buildCPAReference(t testing.TB, p *profile.Profile, ind progress.Indicator,
 	return cells
 }
 
+// evicts reports whether some cell of a reference build saw more than
+// reservoirCap observations, so that the build replaced retained samples.
+func evicts(cells [][]*reservoir) bool {
+	for _, row := range cells {
+		for _, rv := range row {
+			if rv.Seen() > reservoirCap {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // cpaFromCells lays hand-made per-cell samples out the way BuildCPA does;
-// cells[ai][b] must already be sorted.
+// cells[ai] must hold buckets+1 cells, each already sorted.
 func cpaFromCells(ind progress.Indicator, allocs []int, cells [][][]time.Duration) *CPA {
-	c := &CPA{indicator: ind, allocs: allocs, buckets: len(cells[0]) - 1, offs: []int{0}}
+	c := &CPA{indicator: ind, allocs: allocs, offs: []int{0}}
 	for _, row := range cells {
 		for _, vs := range row {
 			c.vals = append(c.vals, vs...)
@@ -122,7 +134,7 @@ func cpaFromCells(ind progress.Indicator, allocs []int, cells [][][]time.Duratio
 // reservoir's retained samples.
 func diffCPA(t *testing.T, label string, want [][]*reservoir, got *CPA) {
 	t.Helper()
-	nb := got.buckets + 1
+	nb := buckets + 1
 	if len(got.offs) != len(want)*nb+1 {
 		t.Fatalf("%s: %d cells, want %d", label, len(got.offs)-1, len(want)*nb)
 	}
@@ -156,9 +168,10 @@ func failingQueueProfile(t testing.TB) *profile.Profile {
 }
 
 // TestCPAMatchesReservoirReference diffs BuildCPA against the retired
-// reservoir build cell by cell, across profiles, indicators, reservoir
-// capacities small enough that replacement runs in most cells, and worker
-// counts.
+// reservoir build cell by cell, across profiles, indicators and worker
+// counts. More runs per allocation than a cell's reservoir holds make every
+// build replace retained samples: the first and the last progress cell take
+// one observation per run.
 func TestCPAMatchesReservoirReference(t *testing.T) {
 	type fixture struct {
 		name string
@@ -176,36 +189,22 @@ func TestCPAMatchesReservoirReference(t *testing.T) {
 			progress.NewVertexFrac(f.p),
 		}
 		for _, ind := range indicators {
-			for _, capacity := range []int{2, 4, 0} {
-				cfg := CPAConfig{
-					Allocs:       []int{1, 3, 8, 30},
-					RunsPerAlloc: 5,
-					SampleEvery:  7 * time.Second,
-					Buckets:      20,
-					ReservoirCap: capacity,
-					Seed:         77,
+			cfg := CPAConfig{
+				Allocs:       []int{1, 3, 8, 30},
+				RunsPerAlloc: reservoirCap + 6,
+				Seed:         77,
+			}
+			want := buildCPAReference(t, f.p, ind, cfg)
+			if !evicts(want) {
+				t.Fatalf("%s/%s: no cell overflowed; the replacement path is untested", f.name, ind.Name())
+			}
+			for _, par := range []int{1, 4, 8} {
+				cfg.Parallelism = par
+				got, err := BuildCPA(f.p, ind, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := buildCPAReference(t, f.p, ind, cfg)
-				if capacity > 0 {
-					replaced := false
-					for ai := range want {
-						for _, rv := range want[ai] {
-							replaced = replaced || rv.Seen() > int64(capacity)
-						}
-					}
-					if !replaced {
-						t.Fatalf("%s/%s/cap %d: no cell overflowed; the replacement path is untested",
-							f.name, ind.Name(), capacity)
-					}
-				}
-				for _, par := range []int{1, 4, 8} {
-					cfg.Parallelism = par
-					got, err := BuildCPA(f.p, ind, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffCPA(t, f.name+"/"+ind.Name()+"/cap "+strconv.Itoa(capacity)+"/par "+strconv.Itoa(par), want, got)
-				}
+				diffCPA(t, f.name+"/"+ind.Name()+"/par "+strconv.Itoa(par), want, got)
 			}
 		}
 	}

@@ -33,7 +33,9 @@ func threeStageProfile(t testing.TB) *profile.Profile {
 
 // TestSharedPassMatchesSingleBuilds: every table of one k-indicator build
 // is exactly the table a single-indicator build with the same CPAConfig
-// makes, at any worker count — sharing the simulations changes no draw.
+// makes, at any worker count — sharing the simulations changes no draw,
+// including the reservoir replacements that more runs per allocation than
+// a cell holds force.
 func TestSharedPassMatchesSingleBuilds(t *testing.T) {
 	p := threeStageProfile(t)
 	ref, err := sim.NewRunner().Run(sim.Config{Profile: p, Alloc: 8, Seed: 3})
@@ -49,11 +51,12 @@ func TestSharedPassMatchesSingleBuilds(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		cfg := CPAConfig{
 			Allocs:       []int{2, 6, 20},
-			RunsPerAlloc: 5,
-			SampleEvery:  10 * time.Second,
-			ReservoirCap: 16,
+			RunsPerAlloc: reservoirCap + 6,
 			Seed:         9,
 			Parallelism:  par,
+		}
+		if !evicts(buildCPAReference(t, p, inds[0], cfg)) {
+			t.Fatalf("parallelism %d: no cell overflowed; the replacement path is untested", par)
 		}
 		shared, err := BuildCPAs(p, inds, cfg)
 		if err != nil {

@@ -56,7 +56,7 @@ func TestCPACellsSortedAscending(t *testing.T) {
 	c := buildCPAWithParallelism(t, 2)
 	for i := 0; i < len(c.offs)-1; i++ {
 		if vs := c.cell(i); !slices.IsSorted(vs) {
-			t.Fatalf("cell (a=%d, b=%d) unsorted: %v", c.allocs[i/(c.buckets+1)], i%(c.buckets+1), vs)
+			t.Fatalf("cell (a=%d, b=%d) unsorted: %v", c.allocs[i/(buckets+1)], i%(buckets+1), vs)
 		}
 	}
 }
@@ -132,29 +132,24 @@ func TestCPAQueryZeroAllocs(t *testing.T) {
 }
 
 // TestBuildCPAAllocsIndependentOfBuckets: the flat table costs a fixed
-// number of allocations whatever its cell count — ten times the progress
-// buckets must not add a single one (a per-cell sample object would add
-// thousands).
+// number of allocations whatever its cell count. A grid of four allocations
+// has four times the cells of a grid of one; with the same number of
+// simulations of one fixed-length job, the two builds must allocate the
+// same (a per-cell sample object would add hundreds).
 func TestBuildCPAAllocsIndependentOfBuckets(t *testing.T) {
-	p := noisyProfile(t)
+	p := detProfile(t)
 	ind := progress.NewTotalWorkWithQ(p)
-	allocsAt := func(buckets int) float64 {
-		cfg := CPAConfig{
-			Allocs:       []int{2, 5, 15, 40},
-			RunsPerAlloc: 6,
-			SampleEvery:  10 * time.Second,
-			Buckets:      buckets,
-			Seed:         42,
-			Parallelism:  1,
-		}
+	allocsAt := func(grid []int, runs int) float64 {
+		cfg := CPAConfig{Allocs: grid, RunsPerAlloc: runs, Seed: 42, Parallelism: 1}
 		return testing.AllocsPerRun(5, func() {
 			if _, err := BuildCPA(p, ind, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if a100, a1000 := allocsAt(100), allocsAt(1000); a100 != a1000 {
-		t.Errorf("BuildCPA = %v allocs at 100 buckets, %v at 1000; want equal", a100, a1000)
+	one, four := allocsAt([]int{100}, 24), allocsAt([]int{100, 200, 300, 400}, 6)
+	if one != four {
+		t.Errorf("BuildCPA = %v allocs at one allocation, %v at four; want equal", one, four)
 	}
 }
 

@@ -125,7 +125,6 @@ func buildTestCPA(t testing.TB, p *profile.Profile, allocs []int) *CPA {
 	c, err := BuildCPA(p, progress.NewTotalWorkWithQ(p), CPAConfig{
 		Allocs:       allocs,
 		RunsPerAlloc: 6,
-		SampleEvery:  10 * time.Second,
 		Seed:         42,
 	})
 	if err != nil {

@@ -17,7 +17,6 @@ func buildCPAWithParallelism(t testing.TB, par int) *CPA {
 	c, err := BuildCPA(p, progress.NewTotalWorkWithQ(p), CPAConfig{
 		Allocs:       []int{2, 5, 15, 40},
 		RunsPerAlloc: 6,
-		SampleEvery:  10 * time.Second,
 		Seed:         42,
 		Parallelism:  par,
 	})
@@ -38,7 +37,6 @@ func TestCPAParallelDeterminism(t *testing.T) {
 	ref := buildCPAReference(t, p, progress.NewTotalWorkWithQ(p), CPAConfig{
 		Allocs:       []int{2, 5, 15, 40},
 		RunsPerAlloc: 6,
-		SampleEvery:  10 * time.Second,
 		Seed:         42,
 	})
 	seq := buildCPAWithParallelism(t, 1)

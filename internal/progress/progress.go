@@ -200,6 +200,24 @@ func SpansFromTrace(tr *trace.JobTrace, numStages int) []Span {
 	return spans
 }
 
+// FracDoneAt reads a job state back from a recorded run: per stage, the
+// fraction f_s of its tasks whose successful attempt ended at or before at
+// (an offset from job start, like the trace's times). A run's trace holds
+// every completion, so this is the FracDone an observer sampling the run at
+// that time saw, without a hook in the run itself.
+func FracDoneAt(tr *trace.JobTrace, p *profile.Profile, at time.Duration) []float64 {
+	fs := make([]float64, p.Job.NumStages())
+	for _, e := range tr.Events {
+		if !e.Failed && e.Ended <= at {
+			fs[e.Stage]++
+		}
+	}
+	for s := range fs {
+		fs[s] /= float64(p.Job.Stages[s].Tasks)
+	}
+	return fs
+}
+
 type minstage struct {
 	name  string
 	spans []Span

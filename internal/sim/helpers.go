@@ -11,9 +11,9 @@ import (
 // ("a simulation of the job with no constraint on resources", §5.4).
 func RunInfinite(p *profile.Profile, seed uint64) (*trace.JobTrace, error) {
 	return NewRunner().Run(Config{
-		Profile:         p,
-		Alloc:           p.Job.TotalTasks(),
-		Seed:            seed,
-		DisableFailures: true,
+		Profile:    p,
+		Alloc:      p.Job.TotalTasks(),
+		Seed:       seed,
+		noFailures: true,
 	})
 }

@@ -50,18 +50,19 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 	small := fixedProfile(t) // different job shape, forces re-shaping mid-sequence
 	cfgs := []Config{
 		{Profile: p, Alloc: 1, Seed: 1},
-		{Profile: p, Alloc: 7, Seed: 99, SampleEvery: 15 * time.Second},
+		{Profile: p, Alloc: 7, Seed: 99},
 		{Profile: small, Alloc: 4, Seed: 5},
 		{Profile: p, Alloc: 30, Seed: 3, InitialFracDone: []float64{0.5, 0.25, 0}},
-		{Profile: p, Alloc: 80, Seed: 77, DisableFailures: true},
-		{Profile: p, Alloc: 7, Seed: 99, SampleEvery: 15 * time.Second}, // repeat of cfg 1
+		{Profile: p, Alloc: 80, Seed: 77, noFailures: true},
+		{Profile: p, Alloc: 7, Seed: 99}, // repeat of cfg 1
 	}
+	sampled := func(i int) bool { return i == 1 || i == 5 }
 	// Reference: fresh engine per run.
 	var want []*trace.JobTrace
 	var wantSnaps [][]Snapshot
 	for i, cfg := range cfgs {
 		var snaps []Snapshot
-		if cfg.SampleEvery > 0 {
+		if sampled(i) {
 			cfg.OnSample = func(s Snapshot) {
 				s.FracDone = append([]float64(nil), s.FracDone...)
 				snaps = append(snaps, s)
@@ -78,7 +79,7 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 	r := NewRunner()
 	for i, cfg := range cfgs {
 		var snaps []Snapshot
-		if cfg.SampleEvery > 0 {
+		if sampled(i) {
 			cfg.OnSample = func(s Snapshot) {
 				s.FracDone = append([]float64(nil), s.FracDone...) // Runner's buffer is callback-scoped
 				snaps = append(snaps, s)
@@ -142,10 +143,10 @@ func TestCompletionMatchesRun(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		p := profiles[rng.IntN(len(profiles))]
 		cfg := Config{
-			Profile:         p,
-			Alloc:           1 + rng.IntN(50),
-			Seed:            rng.Uint64(),
-			DisableFailures: rng.IntN(5) == 0,
+			Profile:    p,
+			Alloc:      1 + rng.IntN(50),
+			Seed:       rng.Uint64(),
+			noFailures: rng.IntN(5) == 0,
 		}
 		if rng.IntN(2) == 0 {
 			cfg.InitialFracDone = make([]float64, p.Job.NumStages())
@@ -153,12 +154,10 @@ func TestCompletionMatchesRun(t *testing.T) {
 				cfg.InitialFracDone[s] = rng.Float64() * 1.1
 			}
 		}
-		if rng.IntN(2) == 0 {
-			cfg.SampleEvery = time.Duration(1+rng.IntN(30)) * time.Second
-		}
+		sample := rng.IntN(2) == 0
 		record := func(snaps *[]Snapshot) Config {
 			c := cfg
-			if c.SampleEvery > 0 {
+			if sample {
 				c.OnSample = func(s Snapshot) {
 					s.FracDone = append([]float64(nil), s.FracDone...)
 					*snaps = append(*snaps, s)

@@ -30,6 +30,10 @@ import (
 	"github.com/jockeysim/jockey/internal/trace"
 )
 
+// SamplePeriod is how often a run hands Config.OnSample a snapshot: every
+// 30 s of simulated time, the paper's "discrete time step" for C(p, a).
+const SamplePeriod = 30 * time.Second
+
 // Snapshot is the observable job state handed to sampling callbacks.
 type Snapshot struct {
 	Time     time.Duration
@@ -46,14 +50,7 @@ type Config struct {
 	Alloc int
 	// Seed drives all randomness of this run.
 	Seed uint64
-	// DisableFailures turns off failure injection (used for the
-	// infinite-resource critical-path runs behind the minstage-inf
-	// indicator).
-	DisableFailures bool
-	// SampleEvery, if positive, invokes OnSample at this period during the
-	// run (the paper samples per minute).
-	SampleEvery time.Duration
-	// OnSample receives periodic snapshots. Ignored if SampleEvery <= 0.
+	// OnSample, if set, receives a snapshot every SamplePeriod.
 	OnSample func(Snapshot)
 	// InitialFracDone, if non-nil, starts the simulation from a partially
 	// completed job: per stage, the given fraction of tasks (rounded down)
@@ -61,6 +58,11 @@ type Config struct {
 	// running job's state (§4.4's proposed enhancement). Must be parallel
 	// to the plan's stages.
 	InitialFracDone []float64
+
+	// noFailures turns off failure injection, for RunInfinite's
+	// infinite-resource critical-path runs behind the minstage-inf
+	// indicator.
+	noFailures bool
 }
 
 func (cfg *Config) validate() error {
@@ -229,8 +231,8 @@ func (r *Runner) reset() {
 	stats.ReseedSource(r.src, r.cfg.Seed)
 	r.now = 0
 	r.running = 0
-	if r.cfg.SampleEvery > 0 && r.cfg.OnSample != nil {
-		r.q.Push(r.cfg.SampleEvery, event{kind: evSample})
+	if r.cfg.OnSample != nil {
+		r.q.Push(SamplePeriod, event{kind: evSample})
 	}
 }
 
@@ -249,7 +251,7 @@ func (r *Runner) dispatch() {
 
 //jockey:hotpath
 func (r *Runner) startTask(stage, task int) {
-	mayFail := !r.cfg.DisableFailures && r.deps.Attempt(stage, task) < profile.MaxAttempts-1
+	mayFail := !r.cfg.noFailures && r.deps.Attempt(stage, task) < profile.MaxAttempts-1
 	initDelay, exec, fails := r.p.Stages[stage].SampleAttempt(r.rng, 1, mayFail)
 	i := r.deps.Index(stage, task)
 	r.dispatchedAt[i] = r.now
@@ -272,7 +274,7 @@ func (r *Runner) run() error {
 		case evSample:
 			r.emitSample()
 			if r.deps.Left() > 0 {
-				r.q.Push(r.now+r.cfg.SampleEvery, event{kind: evSample})
+				r.q.Push(r.now+SamplePeriod, event{kind: evSample})
 			}
 		case evTaskEnd:
 			r.finishTask(ev)

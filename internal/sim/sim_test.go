@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/profile"
+	"github.com/jockeysim/jockey/internal/progress"
 	"github.com/jockeysim/jockey/internal/stats"
 )
 
@@ -185,7 +187,7 @@ func TestDisableFailures(t *testing.T) {
 	p := profile.MustNew(job, []profile.StageProfile{
 		{Exec: stats.Point{V: 10 * time.Second}, FailureProb: 0.5},
 	})
-	tr, err := NewRunner().Run(Config{Profile: p, Alloc: 10, Seed: 5, DisableFailures: true})
+	tr, err := NewRunner().Run(Config{Profile: p, Alloc: 10, Seed: 5, noFailures: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +297,6 @@ func TestSampling(t *testing.T) {
 	var snaps []Snapshot
 	_, err := NewRunner().Run(Config{
 		Profile: p, Alloc: 2, Seed: 1,
-		SampleEvery: 5 * time.Second,
 		OnSample: func(s Snapshot) {
 			s.FracDone = append([]float64(nil), s.FracDone...) // valid only during the callback
 			snaps = append(snaps, s)
@@ -307,9 +308,9 @@ func TestSampling(t *testing.T) {
 	if len(snaps) == 0 {
 		t.Fatal("no samples")
 	}
-	// Samples are 5s apart and fractions are monotone.
+	// Samples are SamplePeriod apart and fractions are monotone.
 	for i, s := range snaps {
-		if want := time.Duration(i+1) * 5 * time.Second; s.Time != want {
+		if want := time.Duration(i+1) * SamplePeriod; s.Time != want {
 			t.Errorf("sample %d at %v, want %v", i, s.Time, want)
 		}
 		if s.Running < 0 || s.Running > 2 {
@@ -326,6 +327,38 @@ func TestSampling(t *testing.T) {
 	last := snaps[len(snaps)-1]
 	if last.FracDone[0] < 1 {
 		t.Errorf("map stage should be complete near the end: %v", last.FracDone)
+	}
+}
+
+// TestFracDoneAtMatchesSnapshots: a run's trace holds the job state an
+// OnSample observer saw. At every sample time, the stage fractions read back
+// with progress.FracDoneAt must equal the snapshot's FracDone, which is what
+// lets a replay read its per-minute states from the tracked job's trace
+// instead of hooking the run. Service times are continuous, so no attempt
+// ends exactly at a sample time.
+func TestFracDoneAtMatchesSnapshots(t *testing.T) {
+	p := noisyRunnerProfile(t)
+	r := NewRunner()
+	for _, alloc := range []int{1, 5, 20, 80} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			var snaps []Snapshot
+			tr, err := r.Run(Config{Profile: p, Alloc: alloc, Seed: seed, OnSample: func(s Snapshot) {
+				s.FracDone = append([]float64(nil), s.FracDone...)
+				snaps = append(snaps, s)
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) == 0 {
+				t.Fatalf("alloc %d seed %d: no samples", alloc, seed)
+			}
+			for _, s := range snaps {
+				if got := progress.FracDoneAt(tr, p, s.Time); !reflect.DeepEqual(got, s.FracDone) {
+					t.Errorf("alloc %d seed %d at %v: trace reads back %v, snapshot holds %v",
+						alloc, seed, s.Time, got, s.FracDone)
+				}
+			}
+		}
 	}
 }
 

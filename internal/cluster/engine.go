@@ -479,6 +479,12 @@ func (c *Cluster) requeue(jr *jobRun, stage, task int) {
 func (c *Cluster) completeJob(jr *jobRun) {
 	jr.accrueAlloc(c.now)
 	jr.completed = true
+	// No tick, deadline change or task event reaches a completed job, so
+	// release its policy and callback now rather than at the engine's next
+	// Reset: an idle engine would otherwise pin every guard, controller and
+	// predictor of the last replay.
+	jr.cfg.Policy = nil
+	jr.cfg.OnTaskEvent = nil
 	c.liveRemove(jr)
 	c.setGuarantee(jr, 0)
 	completion := c.now - jr.start

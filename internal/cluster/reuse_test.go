@@ -10,6 +10,7 @@ import (
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
+	"github.com/jockeysim/jockey/internal/trace"
 	"github.com/jockeysim/jockey/internal/utility"
 )
 
@@ -170,6 +171,62 @@ func TestEngineTracesSurviveReset(t *testing.T) {
 	s.run(t, c2)
 	if len(kept.Events) != keptEvents || kept.Completion != keptCompletion {
 		t.Fatal("trace retained across Reset was mutated by a later run")
+	}
+}
+
+// TestCompletedJobReleasesPolicy pins that a completed job drops its policy
+// and task-event callback when it completes, not at the engine's next Reset,
+// so an idle engine pins no controller or guard of the last replay, while
+// its Handle still returns the full result.
+func TestCompletedJobReleasesPolicy(t *testing.T) {
+	s := newReuseScenario(t)
+	c, err := New(s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := control.NewController(control.Config{
+		Predictor:  model.NewAmdahl(s.fg),
+		Utility:    utility.Deadline(10 * time.Minute),
+		Candidates: SLODefaults(12),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	h, err := c.Submit(JobConfig{
+		Profile:       s.fg,
+		Policy:        pol,
+		OnTaskEvent:   func(trace.TaskEvent) { seen++ },
+		Deadline:      10 * time.Minute,
+		ControlPeriod: 30 * time.Second,
+		Tracked:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(JobConfig{Profile: s.bg, Guarantee: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !h.Done() {
+		t.Fatal("controlled job did not complete")
+	}
+	for _, jr := range c.jobs {
+		if jr.completed && (jr.cfg.Policy != nil || jr.cfg.OnTaskEvent != nil) {
+			t.Errorf("completed job %d still holds its policy or task-event callback", jr.id)
+		}
+	}
+	res := h.Result()
+	if res.Completion <= 0 || res.Trace == nil || res.Trace.Completion != res.Completion {
+		t.Fatalf("result lost after release: %+v", res)
+	}
+	if seen == 0 || len(res.Trace.Events) != seen {
+		t.Fatalf("trace holds %d task events, callback saw %d", len(res.Trace.Events), seen)
+	}
+	if len(res.Trace.Timeline) == 0 {
+		t.Fatal("trace holds no control decisions")
 	}
 }
 

@@ -16,7 +16,7 @@
 // With -deadline 0 the tool picks the job's standard short deadline.
 // -guard is -policy jockey-guarded: the controller wrapped in the
 // model-staleness guard rails (deviation detection, online re-profiling,
-// fallback chain); -drift-factor/-drift-at inject an all-stage service-time
+// max-allocation panic); -drift-factor/-drift-at inject an all-stage service-time
 // drift to watch the guard react. -online is -policy jockey-online: the
 // controller driven by online forward simulation instead of the C(p,a)
 // table. Either flag needs -policy jockey, and they exclude each other.

@@ -42,8 +42,8 @@ type Decision struct {
 	// Predicted is the policy's worst-case completion-time estimate
 	// T_t = elapsed + slack · C(p, granted), or 0 if not applicable.
 	Predicted time.Duration
-	// Mode names the guard-rail rung that produced the decision ("" for
-	// unguarded policies; see Guard).
+	// Mode names the guard mode that produced the decision, "primary" or
+	// "panic" ("" for unguarded policies; see Guard).
 	Mode string
 	// Deviation is the guard's normalized misprediction score at this tick
 	// (0 for unguarded policies).
@@ -294,8 +294,8 @@ func (c *Controller) smooth(st model.State, raw int) string {
 
 // SetPredictor swaps the latency predictor mid-run, keeping the smoothing
 // and dead-zone state intact so the allocation trajectory stays continuous.
-// The guard-rail layer uses it to refresh a stale model or step down the
-// fallback chain.
+// The guard-rail layer uses it to install a C(p, a) table re-profiled from
+// live observations.
 func (c *Controller) SetPredictor(p model.Predictor) { c.cfg.Predictor = p }
 
 // Predictor returns the predictor currently driving decisions.

@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/model"
@@ -10,17 +11,13 @@ import (
 	"github.com/jockeysim/jockey/internal/utility"
 )
 
-// GuardMode is one rung of the guard's fallback ladder, ordered from most to
-// least model-dependent.
+// GuardMode is the guard's state: trusting its C(p, a) table, or panicking.
 type GuardMode int
 
-// The fallback chain: the precomputed C(p, a) table (possibly rebuilt from a
-// blended profile), online forward simulation on the blended profile, the
-// analytic Amdahl model, and finally the model-free max-allocation panic.
+// The two modes: the precomputed C(p, a) table (possibly rebuilt from a
+// blended profile), and the model-free max-allocation panic.
 const (
 	GuardPrimary GuardMode = iota
-	GuardOnlineSim
-	GuardAmdahl
 	GuardPanic
 )
 
@@ -29,10 +26,6 @@ func (m GuardMode) String() string {
 	switch m {
 	case GuardPrimary:
 		return "primary"
-	case GuardOnlineSim:
-		return "online-sim"
-	case GuardAmdahl:
-		return "amdahl"
 	case GuardPanic:
 		return "panic"
 	}
@@ -43,11 +36,9 @@ func (m GuardMode) String() string {
 const (
 	// GuardEventReprofile: model rebuilt in place from the blended profile.
 	GuardEventReprofile = "reprofile"
-	// GuardEventFallback: stepped down one rung of the ladder.
-	GuardEventFallback = "fallback"
 	// GuardEventPanic: entered max-allocation panic.
 	GuardEventPanic = "panic"
-	// GuardEventRecover: left panic, restored the previous rung.
+	// GuardEventRecover: left panic, back to the C(p, a) table.
 	GuardEventRecover = "recover"
 )
 
@@ -57,7 +48,7 @@ type GuardEvent struct {
 	At time.Duration
 	// Kind is one of the GuardEvent* constants.
 	Kind string
-	// From and To are the rungs before and after the transition (equal for
+	// From and To are the modes before and after the transition (equal for
 	// "reprofile").
 	From, To GuardMode
 	// Deviation is the detector score that triggered the transition.
@@ -99,27 +90,23 @@ const (
 // GuardConfig wires a Guard around a Controller.
 type GuardConfig struct {
 	// Controller is the primary control loop (required). The guard swaps its
-	// predictor on re-profiles and fallbacks; smoothing state carries over.
+	// predictor on re-profiles; smoothing state carries over.
 	Controller *Controller
 	// Prior is the profile the primary model was built from (required): the
 	// baseline that live observations are blended into.
 	Prior *profile.Profile
 	// RebuildPrimary rebuilds the primary predictor from a blended profile
 	// (e.g. the parallel C(p, a) rebuild). generation counts rebuilds so the
-	// callee can derive a fresh deterministic seed. Nil disables the
-	// re-profiling rung.
+	// callee can derive a fresh deterministic seed. Nil disables
+	// re-profiling.
 	RebuildPrimary func(p *profile.Profile, generation int) (model.Predictor, error)
-	// NewOnlineSim builds the forward-simulation fallback predictor from a
-	// blended profile. Nil skips the rung (falls through to Amdahl).
-	NewOnlineSim func(p *profile.Profile, generation int) (model.Predictor, error)
 }
 
 // Guard is the model-staleness guard-rail layer around the Jockey control
 // loop: a deviation detector scoring the predictor's forecasts against
 // observed progress, online re-profiling that blends live task observations
-// into the prior profile and rebuilds the model mid-run, and a graceful
-// fallback chain that steps down to simpler predictors — and ultimately a
-// max-allocation panic — when confidence is low and the deadline at risk.
+// into the prior profile and rebuilds the model mid-run, and a
+// max-allocation panic when confidence is low and the deadline at risk.
 //
 // Guard implements Policy and is deterministic for a fixed seed: all inputs
 // (states, live events) arrive in event order and rebuild seeds derive from
@@ -128,12 +115,10 @@ type Guard struct {
 	cfg  GuardConfig
 	mode GuardMode
 	// maxAlloc is the panic grant: the controller's top candidate, the same
-	// token budget the rest of the chain can reach.
+	// token budget the controller can reach.
 	maxAlloc int
 	// minLive is the blend's sample floor (minLiveSamples; tests lower it).
 	minLive int
-	// panicFrom is the rung to return to when panic clears.
-	panicFrom GuardMode
 
 	live      *trace.JobTrace
 	liveOK    int            // successful (non-failed) events in live
@@ -143,10 +128,10 @@ type Guard struct {
 	slipI     int // ring index
 	prevState model.State
 	prevSet   bool
-	rebuilds  int // rebuilt-or-fallback predictor generations
+	rebuilds  int // rebuilt predictor generations
 	lastBuild time.Duration
 	builtOnce bool
-	stale     bool // latched: detector fired at least once on this rung
+	stale     bool // latched: detector fired at least once on this model
 	// alarm survives detector resets: once staleness fires it stays raised
 	// until predictions comfortably meet the deadline again, so rescue
 	// actions are not suspended while a freshly swapped model refills the
@@ -206,11 +191,11 @@ func (g *Guard) Name() string { return "jockey-guarded" }
 // ChangeUtility implements Policy, delegating to the inner controller.
 func (g *Guard) ChangeUtility(u utility.Fn) { g.cfg.Controller.ChangeUtility(u) }
 
-// Mode returns the current rung of the fallback chain.
+// Mode returns whether the guard is trusting its model or panicking.
 func (g *Guard) Mode() GuardMode { return g.mode }
 
-// Events returns a copy of the transition log (reprofiles, fallbacks,
-// panics, recoveries). The copy keeps callers from mutating — or observing
+// Events returns a copy of the transition log (reprofiles, panics,
+// recoveries). The copy keeps callers from mutating — or observing
 // later appends to — the guard's internal log.
 func (g *Guard) Events() []GuardEvent {
 	return append([]GuardEvent(nil), g.events...)
@@ -267,19 +252,10 @@ func (g *Guard) observe(st model.State) float64 {
 	return g.score()
 }
 
-// score returns |windowed mean slip|, or 0 until the window has filled.
+// score returns |windowed mean slip|, or 0 until the window has filled. A
+// model that underestimates (completion receding) and one that
+// overestimates score alike: either way it is stale.
 func (g *Guard) score() float64 {
-	mean := g.signedScore()
-	if mean < 0 {
-		return -mean
-	}
-	return mean
-}
-
-// signedScore returns the windowed mean slip with its sign (positive =
-// completion receding, the model underestimates; negative = the model
-// overestimates), or 0 until the window has filled.
-func (g *Guard) signedScore() float64 {
 	if g.slipN < len(g.slips) {
 		return 0
 	}
@@ -287,7 +263,7 @@ func (g *Guard) signedScore() float64 {
 	for _, s := range g.slips[:g.slipN] {
 		sum += s
 	}
-	return sum / float64(g.slipN)
+	return math.Abs(sum / float64(g.slipN))
 }
 
 // resetDetector clears the slip window and state baseline, giving a freshly
@@ -319,16 +295,6 @@ func (g *Guard) recentLive(now time.Duration) (*trace.JobTrace, bool) {
 	return out, ok >= g.minLive
 }
 
-// blended returns the prior profile with recent live observations blended
-// in, or the prior itself when too little recent data has accumulated.
-func (g *Guard) blended(now time.Duration) *profile.Profile {
-	live, ok := g.recentLive(now)
-	if !ok {
-		return g.cfg.Prior
-	}
-	return g.blend(live)
-}
-
 // blend returns the prior profile with the given live observations blended
 // in, or the prior itself if the blend fails.
 func (g *Guard) blend(live *trace.JobTrace) *profile.Profile {
@@ -345,7 +311,7 @@ func (g *Guard) blend(live *trace.JobTrace) *profile.Profile {
 }
 
 // deadlineAtRisk reports whether even the full token budget is predicted to
-// miss the deadline under the current (possibly degraded) model.
+// miss the deadline under the current model.
 func (g *Guard) deadlineAtRisk(st model.State) bool {
 	d := g.cfg.Controller.Deadline()
 	if d <= 0 {
@@ -354,74 +320,28 @@ func (g *Guard) deadlineAtRisk(st model.State) bool {
 	return g.cfg.Controller.PredictAt(st, g.maxAlloc) > d
 }
 
-// maybeRebuild runs the re-profiling rung: blend live stats into the prior
-// and rebuild the current rung's predictor, rate-limited by the backoff.
-// It reports whether a rebuild happened. The cheap, pure checks run first,
-// so a stale model inside the backoff costs no copy of the live trace.
-func (g *Guard) maybeRebuild(st model.State, score float64) bool {
-	if g.builtOnce && st.Elapsed-g.lastBuild < rebuildBackoff {
-		return false
-	}
-	var build func(p *profile.Profile, generation int) (model.Predictor, error)
-	switch g.mode {
-	case GuardPrimary:
-		build = g.cfg.RebuildPrimary
-	case GuardOnlineSim:
-		build = g.cfg.NewOnlineSim
-	case GuardAmdahl:
-		build = func(p *profile.Profile, _ int) (model.Predictor, error) {
-			return model.NewAmdahl(p), nil
-		}
-	}
-	if build == nil {
-		return false
+// maybeRebuild re-profiles: it blends live stats into the prior and
+// rebuilds the C(p, a) predictor, rate-limited by the backoff. The cheap,
+// pure checks run first, so a stale model inside the backoff costs no copy
+// of the live trace.
+func (g *Guard) maybeRebuild(st model.State, score float64) {
+	if g.cfg.RebuildPrimary == nil || g.builtOnce && st.Elapsed-g.lastBuild < rebuildBackoff {
+		return
 	}
 	live, ok := g.recentLive(st.Elapsed)
 	if !ok {
-		return false
+		return
 	}
 	g.rebuilds++
-	pred, err := build(g.blend(live), g.rebuilds)
+	pred, err := g.cfg.RebuildPrimary(g.blend(live), g.rebuilds)
 	if err != nil {
-		return false
+		return
 	}
 	g.cfg.Controller.SetPredictor(pred)
 	g.lastBuild = st.Elapsed
 	g.builtOnce = true
 	g.logEvent(st, GuardEventReprofile, g.mode, g.mode, score)
 	g.resetDetector()
-	return true
-}
-
-// stepDown moves one rung down the fallback chain, building the next
-// predictor from the blended profile. It reports whether a step happened.
-func (g *Guard) stepDown(st model.State, score float64) bool {
-	from := g.mode
-	for next := g.mode + 1; next <= GuardAmdahl; next++ {
-		var pred model.Predictor
-		var err error
-		switch next {
-		case GuardOnlineSim:
-			if g.cfg.NewOnlineSim == nil {
-				continue
-			}
-			g.rebuilds++
-			pred, err = g.cfg.NewOnlineSim(g.blended(st.Elapsed), g.rebuilds)
-		case GuardAmdahl:
-			pred = model.NewAmdahl(g.blended(st.Elapsed))
-		}
-		if err != nil || pred == nil {
-			continue
-		}
-		g.cfg.Controller.SetPredictor(pred)
-		g.mode = next
-		g.lastBuild = st.Elapsed
-		g.builtOnce = true
-		g.logEvent(st, GuardEventFallback, from, next, score)
-		g.resetDetector()
-		return true
-	}
-	return false
 }
 
 func (g *Guard) logEvent(st model.State, kind string, from, to GuardMode, score float64) {
@@ -435,32 +355,24 @@ func (g *Guard) logEvent(st model.State, kind string, from, to GuardMode, score 
 	})
 }
 
-// Decide implements Policy: run the deviation detector, walk the guard
-// ladder if the model has gone stale, then delegate to the controller.
+// Decide implements Policy: run the deviation detector, re-profile if the
+// model has gone stale, panic if the deadline is at risk as well, then
+// delegate to the controller.
 func (g *Guard) Decide(st model.State) Decision {
 	if g.mode == GuardPanic {
 		return g.panicDecision(st)
 	}
 	score := g.observe(st)
-	optimistic := g.signedScore() > guardThreshold
 	if score > guardThreshold {
 		g.stale = true
 		g.alarm = true
 	}
 	if g.stale {
-		// Ladder: refresh the current rung's model first. Step down to a less
-		// profile-dependent rung only when the refresh is unavailable (no data
-		// yet, backoff, no rebuild path) AND the model is still underestimating: a
-		// pessimistic model wastes tokens but cannot miss the deadline, so it
-		// only warrants a reprofile, never a downgrade.
-		if !g.maybeRebuild(st, score) && optimistic {
-			g.stepDown(st, score)
-		}
+		g.maybeRebuild(st, score)
 	}
-	// Panic is orthogonal to the ladder: whenever confidence is low and even
-	// the full budget is predicted to miss, stop trusting models entirely.
+	// Whenever confidence is low and even the full budget is predicted to
+	// miss, stop trusting the model entirely.
 	if (g.stale || g.alarm) && g.deadlineAtRisk(st) {
-		g.panicFrom = g.mode
 		g.recoverStreak = 0
 		g.logEvent(st, GuardEventPanic, g.mode, GuardPanic, score)
 		g.mode = GuardPanic
@@ -497,7 +409,7 @@ func (g *Guard) Decide(st model.State) Decision {
 // panicDecision grants the full token budget and watches for recovery: once
 // the model predicts the deadline is met at the full budget with the dead
 // zone to spare for a full detector window of consecutive ticks, the guard
-// steps back to the rung it panicked from. The dwell requirement is what
+// goes back to its C(p, a) table. The dwell requirement is what
 // keeps panic from flapping: a single optimistic prediction must not shed
 // tokens, because every release demotes in-flight tasks to spare where
 // competing guarantees can evict them mid-run.
@@ -512,10 +424,10 @@ func (g *Guard) panicDecision(st model.State) Decision {
 	}
 	if g.recoverStreak >= guardWindow {
 		g.recoverStreak = 0
-		g.mode = g.panicFrom
+		g.mode = GuardPrimary
 		g.logEvent(st, GuardEventRecover, GuardPanic, g.mode, 0)
 		g.resetDetector()
-		// Fall through to a normal decision on the restored rung, seeding the
+		// Fall through to a normal decision on the table, seeding the
 		// controller's smoothing at the panic grant so release is gradual.
 		c.smoothed = float64(g.maxAlloc)
 		c.granted = g.maxAlloc

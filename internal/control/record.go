@@ -26,7 +26,7 @@ const (
 	// MechUrgencyBoost: the guard bypassed hysteresis and jumped the grant to
 	// the raw allocation (stale model, deadline at risk).
 	MechUrgencyBoost = "urgency-boost"
-	// MechGuardPanic: the guard granted the full token budget (panic rung).
+	// MechGuardPanic: the guard granted the full token budget (panic mode).
 	MechGuardPanic = "guard-panic"
 )
 

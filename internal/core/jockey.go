@@ -219,8 +219,8 @@ func (j *Jockey) GuardedPolicy(deadline time.Duration) (*control.Guard, error) {
 // controller's predictor against observed progress, online re-profiling that
 // blends live task observations into this runtime's prior profile and
 // rebuilds the C(p, a) table mid-run (the parallel build, deterministic at
-// any Options.Parallelism), and the CPA → OnlineSim → Amdahl →
-// max-allocation fallback chain. Wire the guard's ObserveTask to
+// any Options.Parallelism), and a max-allocation panic when the model is
+// stale and even the full budget is predicted to miss. Wire the guard's ObserveTask to
 // cluster.JobConfig.OnTaskEvent so it sees live task completions.
 func (j *Jockey) Guard(ctrl *control.Controller) (*control.Guard, error) {
 	rebuild := func(p *profile.Profile, gen int) (model.Predictor, error) {
@@ -238,20 +238,10 @@ func (j *Jockey) Guard(ctrl *control.Controller) (*control.Guard, error) {
 			Parallelism:  j.opts.Parallelism,
 		})
 	}
-	onlineSim := func(p *profile.Profile, gen int) (model.Predictor, error) {
-		os, err := model.NewOnlineSim(p, 0,
-			stats.DeriveSeed(j.opts.Seed, "guard-onlinesim", fmt.Sprint(gen)))
-		if err != nil {
-			return nil, err
-		}
-		os.SetParallelism(j.opts.Parallelism)
-		return os, nil
-	}
 	return control.NewGuard(control.GuardConfig{
 		Controller:     ctrl,
 		Prior:          j.p,
 		RebuildPrimary: rebuild,
-		NewOnlineSim:   onlineSim,
 	})
 }
 

@@ -305,7 +305,7 @@ type Outcome struct {
 	// oracle's (§5.1's cluster-impact metric).
 	AboveOracle float64
 	// GuardEvents records the guard-rail transitions of a guarded run
-	// (reprofiles, fallbacks, panics, recoveries); nil when unguarded.
+	// (reprofiles, panics, recoveries); nil when unguarded.
 	GuardEvents []control.GuardEvent
 }
 

@@ -10,7 +10,7 @@ import (
 
 // flightDriftRun is the canonical recorded run: job B, guarded Jockey, 2×
 // mid-run drift — the scenario where every mechanism (hysteresis, dead zone,
-// guard ladder) has a chance to fire.
+// re-profiling, panic) has a chance to fire.
 func flightDriftRun(env *Env, t *testing.T) SLORun {
 	t.Helper()
 	short, _, err := env.Deadlines("B")

@@ -75,7 +75,7 @@ type RobustnessRow struct {
 	MeanAbove float64 // mean allocation above oracle
 	MeanChurn float64 // mean Σ|Δgranted| per run, tokens
 	// Guard transition totals across the cell (guarded rows only).
-	Reprofiles, Fallbacks, Panics int
+	Reprofiles, Panics int
 	// Counterfactual aggregates (flight level counterfactual only).
 	// HindsightMiss counts runs that missed the deadline although some
 	// constant allocation met it; MeanTokenRegret is the mean token-seconds
@@ -209,8 +209,6 @@ func RobustnessFlight(env *Env, cfg RobustnessConfig) (*RobustnessResult, error)
 					switch ev.Kind {
 					case control.GuardEventReprofile:
 						row.Reprofiles++
-					case control.GuardEventFallback:
-						row.Fallbacks++
 					case control.GuardEventPanic:
 						row.Panics++
 					}
@@ -283,7 +281,7 @@ func (r *RobustnessResult) Render() string {
 	counterfactual := r.Flight == flight.LevelCounterfactual
 	headers := []string{"scenario", "policy", "met", "miss", "rel", "above", "churn", "guard"}
 	title := fmt.Sprintf("Robustness: guard rails under injected faults (job %s, deadline %v)\n"+
-		"(guard column: reprofiles/fallbacks/panics across the cell)", r.Job, r.Deadline)
+		"(guard column: reprofiles/panics across the cell)", r.Job, r.Deadline)
 	if counterfactual {
 		headers = append(headers, "hmiss", "tok-regret", "attributed")
 		title += "\n(hmiss: avoidable misses; tok-regret: mean token-seconds above the cheapest hindsight-met allocation)"
@@ -298,7 +296,7 @@ func (r *RobustnessResult) Render() string {
 			fmt.Sprintf("%.2f", row.MeanRel),
 			pct(row.MeanAbove),
 			fmt.Sprintf("%.0f", row.MeanChurn),
-			fmt.Sprintf("%d/%d/%d", row.Reprofiles, row.Fallbacks, row.Panics),
+			fmt.Sprintf("%d/%d", row.Reprofiles, row.Panics),
 		}
 		if counterfactual {
 			attributed := row.Attributed

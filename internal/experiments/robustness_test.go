@@ -66,7 +66,7 @@ func TestGuardBeatsUnguardedUnderDrift(t *testing.T) {
 }
 
 // TestGuardedRunDeterministicAcrossParallelism: guard-rail behavior (rebuild
-// seeds, ladder transitions, allocation trajectory) must be bit-identical at
+// seeds, guard transitions, allocation trajectory) must be bit-identical at
 // any worker-pool width, since rebuild seeds derive from a generation
 // counter, not from scheduling.
 func TestGuardedRunDeterministicAcrossParallelism(t *testing.T) {
@@ -133,13 +133,13 @@ func TestRobustnessSmall(t *testing.T) {
 	}
 	// Only guarded rows may carry guard transitions.
 	for cell, r := range byCell {
-		if cell[1] != "jockey-guarded" && r.Reprofiles+r.Fallbacks+r.Panics != 0 {
+		if cell[1] != "jockey-guarded" && r.Reprofiles+r.Panics != 0 {
 			t.Errorf("%v: unguarded row has guard events", cell)
 		}
 	}
 	// Under drift the guard must at least react.
 	drifted := byCell[[2]string{"drift-2x", "jockey-guarded"}]
-	if drifted.Reprofiles+drifted.Fallbacks+drifted.Panics == 0 {
+	if drifted.Reprofiles+drifted.Panics == 0 {
 		t.Error("guarded drift cell recorded no guard activity")
 	}
 	out := res.Render()

@@ -33,7 +33,7 @@ type JobRecord struct {
 	Completion time.Duration // absolute, on the cluster clock
 	Met        bool
 	Utility    float64
-	GuardMode  string // final guard rung, "" when unguarded
+	GuardMode  string // final guard mode, "" when unguarded
 	Panics     int
 
 	// Mechanism gaps in token-seconds: how much allocation each mechanism

@@ -1,8 +1,8 @@
 // Package flight is the decision flight recorder: a zero-overhead-when-off
 // capture of every control decision — the chosen allocation, the top-K
 // alternative candidates with their predicted completion times and expected
-// utilities, and which mechanism (raw model, hysteresis, dead zone, guard
-// fallback chain, urgency boost, panic) determined the final grant — plus a
+// utilities, and which mechanism (raw model, hysteresis, dead zone, urgency
+// boost, guard panic) determined the final grant — plus a
 // counterfactual regret analyzer that replays a finished run under constant
 // hindsight allocations and attributes any regret to a named mechanism
 // ("model error vs. damping vs. guard intervention"). See DESIGN.md §12.
@@ -89,7 +89,7 @@ type Tick struct {
 	Granted int `json:"granted"`
 	// Mechanism is the control.Mech* constant that determined the grant.
 	Mechanism string `json:"mechanism"`
-	// Mode is the guard rung that produced the decision ("" when unguarded).
+	// Mode is the guard mode that produced the decision ("" when unguarded).
 	Mode string `json:"mode,omitempty"`
 	// Deviation is the guard's staleness score at the tick.
 	Deviation float64 `json:"deviation,omitempty"`

@@ -45,13 +45,12 @@ type MechanismShare struct {
 // Attribution labels: the per-tick mechanisms collapsed into the paper-level
 // question "model error vs. damping vs. guard intervention".
 const (
-	AttributionModelError    = "model-error"
-	AttributionHysteresis    = "hysteresis"
-	AttributionDeadZone      = "dead-zone"
-	AttributionGuardFallback = "guard-fallback"
-	AttributionGuardPanic    = "guard-panic"
-	AttributionUrgencyBoost  = "urgency-boost"
-	AttributionUnknown       = "unattributed"
+	AttributionModelError   = "model-error"
+	AttributionHysteresis   = "hysteresis"
+	AttributionDeadZone     = "dead-zone"
+	AttributionGuardPanic   = "guard-panic"
+	AttributionUrgencyBoost = "urgency-boost"
+	AttributionUnknown      = "unattributed"
 )
 
 // attributionOrder fixes the iteration order of attribution aggregation so
@@ -60,7 +59,6 @@ var attributionOrder = []string{
 	AttributionModelError,
 	AttributionHysteresis,
 	AttributionDeadZone,
-	AttributionGuardFallback,
 	AttributionGuardPanic,
 	AttributionUrgencyBoost,
 	AttributionUnknown,
@@ -228,10 +226,9 @@ func (r *Regret) attribute(ticks []Tick) {
 	}
 }
 
-// attributionOf collapses a tick's mechanism and guard mode into an
-// attribution label: explicit damping and guard mechanisms name themselves;
-// a model-chosen grant on a degraded rung is the guard's fallback model
-// speaking; a model-chosen grant on the primary rung is model error.
+// attributionOf collapses a tick's mechanism into an attribution label:
+// explicit damping and guard mechanisms name themselves; a model-chosen
+// grant is model error.
 func attributionOf(t Tick) string {
 	switch t.Mechanism {
 	case control.MechHysteresis:
@@ -242,9 +239,6 @@ func attributionOf(t Tick) string {
 		return AttributionUrgencyBoost
 	case control.MechGuardPanic:
 		return AttributionGuardPanic
-	}
-	if t.Mode != "" && t.Mode != "primary" {
-		return AttributionGuardFallback
 	}
 	switch t.Mechanism {
 	case control.MechModel, control.MechFirstTick:

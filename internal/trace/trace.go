@@ -53,7 +53,7 @@ type AllocPoint struct {
 	Oracle    int           // oracle allocation ⌈T/d⌉ (green line)
 	Progress  float64       // progress-indicator value in [0, 1]
 	Predicted time.Duration // policy's completion-time estimate T_t at this sample
-	Mode      string        // guard-rail rung that produced the decision ("" if unguarded)
+	Mode      string        // guard mode that produced the decision ("" if unguarded)
 	Deviation float64       // guard's misprediction score at this sample (0 if unguarded)
 }
 

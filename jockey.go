@@ -203,16 +203,17 @@ func NewMaxAllocationPolicy(tokens int) (Policy, error) {
 // is the controller's top candidate.
 type (
 	// Guard wraps a controller with deviation detection, online
-	// re-profiling and the CPA → OnlineSim → Amdahl → max-allocation
-	// fallback chain. Wire Guard.ObserveTask to JobConfig.OnTaskEvent.
+	// re-profiling of the C(p, a) table and a max-allocation panic. Wire
+	// Guard.ObserveTask to JobConfig.OnTaskEvent.
 	Guard = control.Guard
 	// GuardConfig assembles a Guard from custom parts (see Jockey.Guard for
 	// the ready-wired path).
 	GuardConfig = control.GuardConfig
-	// GuardEvent is one logged guard transition (reprofile, fallback,
-	// panic, recover).
+	// GuardEvent is one logged guard transition (reprofile, panic,
+	// recover).
 	GuardEvent = control.GuardEvent
-	// GuardMode is a rung of the fallback chain.
+	// GuardMode is the guard's state: primary (the C(p, a) table) or
+	// panic.
 	GuardMode = control.GuardMode
 	// BlendOptions tunes BlendProfiles.
 	BlendOptions = profile.BlendOptions

@@ -72,7 +72,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 // TestPublicGuardedPolicy drives the guard-rail entry point of the facade:
 // a guarded policy fed the job's live task stream runs to completion under a
-// mid-run 2x service-time drift, and every control tick reports its rung.
+// mid-run 2x service-time drift, and every control tick reports its guard mode.
 func TestPublicGuardedPolicy(t *testing.T) {
 	job := jockey.NewJobBuilder("drifting").
 		Stage("map", 40).

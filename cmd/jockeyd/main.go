@@ -6,9 +6,8 @@
 // Usage:
 //
 //	jockeyd [-seed N] [-arbitration fifo|fair-share|utility-greedy] [-guarded]
-//	        [-arrivals N] [-mean-interarrival D] [-load F] [-max-defer N]
-//	        [-machines N] [-slots N] [-budget N] [-epoch D]
-//	        [-drift-every N] [-drift-factor F]
+//	        [-arrivals N] [-mean-interarrival D] [-load F]
+//	        [-machines N] [-slots N] [-budget N] [-drift-every N]
 //	        [-outage-at D] [-outage-machines N] [-outage-duration D]
 //	        [-parallelism N] [-v]
 //
@@ -50,15 +49,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		arrivals = fs.Int("arrivals", 0, "number of job offers (0 = default)")
 		meanIA   = fs.Duration("mean-interarrival", 0, "mean arrival gap before load scaling (0 = default)")
 		load     = fs.Float64("load", 0, "load factor multiplying the arrival rate (0 = default 1)")
-		maxDefer = fs.Int("max-defer", 0, "admission deferrals before an offer is rejected (0 = default)")
 
 		machines = fs.Int("machines", 0, "cluster machines (0 = default)")
 		slots    = fs.Int("slots", 0, "slots per machine (0 = default)")
 		budget   = fs.Int("budget", 0, "global token budget (0 = cluster capacity)")
-		epoch    = fs.Duration("epoch", 0, "control epoch period (0 = default 1m)")
 
-		driftEvery  = fs.Int("drift-every", 0, "every Nth offer drifts from its profile mid-run (0 = none)")
-		driftFactor = fs.Float64("drift-factor", 0, "service-time inflation for drifting jobs (0 = default 2)")
+		driftEvery = fs.Int("drift-every", 0, "every Nth offer drifts from its profile mid-run, its service times doubled (0 = none)")
 
 		outageAt       = fs.Duration("outage-at", 0, "rack outage start (0 = no outage)")
 		outageMachines = fs.Int("outage-machines", 0, "machines lost to the outage")
@@ -74,15 +70,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Machines:         *machines,
 		SlotsPerMachine:  *slots,
 		Budget:           *budget,
-		Epoch:            *epoch,
 		Arrivals:         *arrivals,
 		MeanInterarrival: *meanIA,
 		LoadFactor:       *load,
 		Arbitration:      fleet.Arbitration(*arb),
 		Guarded:          *guarded,
-		MaxDefers:        *maxDefer,
 		DriftEvery:       *driftEvery,
-		DriftFactor:      *driftFactor,
 	}
 	if *outageAt > 0 || *outageMachines > 0 || *outageDuration > 0 {
 		cfg.RackOutages = []cluster.RackOutage{{

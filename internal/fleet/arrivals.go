@@ -21,7 +21,7 @@ type arrival struct {
 	// deadline is the SLO relative to arrival time.
 	deadline time.Duration
 	// drift marks the job's ground truth to diverge from its profile
-	// mid-run (service times inflate by the config's DriftFactor).
+	// mid-run (service times inflate by driftFactor).
 	drift bool
 }
 

@@ -51,6 +51,17 @@ const (
 // Arbitrations lists the supported disciplines in comparison order.
 var Arbitrations = []Arbitration{FIFO, FairShare, UtilityGreedy}
 
+// The replay's fixed settings.
+const (
+	// epoch is the arbitration cadence: the paper's control interval.
+	epoch = time.Minute
+	// maxDefers bounds how many times one admission may be deferred before
+	// it is rejected outright (FIFO never defers).
+	maxDefers = 8
+	// driftFactor inflates a drifting job's ground-truth service times.
+	driftFactor = 2
+)
+
 // Config parameterizes one fleet replay.
 type Config struct {
 	// Seed drives every random draw of the replay (arrival stream, cluster
@@ -63,9 +74,6 @@ type Config struct {
 	// full cluster capacity). The effective budget each epoch is
 	// min(Budget, live capacity), so outages shrink it.
 	Budget int
-	// Epoch is the arbitration cadence (default 1 minute, the paper's
-	// control interval).
-	Epoch time.Duration
 	// Arrivals is how many SLO jobs are offered (default 12).
 	Arrivals int
 	// MeanInterarrival is the mean gap between offers at load factor 1
@@ -79,18 +87,12 @@ type Config struct {
 	// Guarded wraps each job's controller in control.Guard. Only valid
 	// with UtilityGreedy.
 	Guarded bool
-	// MaxDefers bounds how many times one admission may be deferred before
-	// it is rejected outright (default 8; negative is an error; FIFO never
-	// defers).
-	MaxDefers int
 	// RackOutages forwards correlated failures to the cluster.
 	RackOutages []cluster.RackOutage
 	// DriftEvery marks every Nth arrival to drift mid-run (ground truth
-	// service times inflate by DriftFactor); 0 disables drift, negative is an
+	// service times inflate by driftFactor); 0 disables drift, negative is an
 	// error.
 	DriftEvery int
-	// DriftFactor is the drift multiplier (default 2).
-	DriftFactor float64
 	// Models supplies shared per-shape profiles and C(p, a) models. Nil
 	// builds a private cache from DeriveSeed(Seed, "fleet-models").
 	Models *ModelCache
@@ -139,9 +141,6 @@ func (c *Config) fill() error {
 	if c.Budget < 1 {
 		return fmt.Errorf("fleet: budget %d must be positive", c.Budget)
 	}
-	if c.Epoch <= 0 {
-		c.Epoch = time.Minute
-	}
 	if c.Arrivals == 0 {
 		c.Arrivals = 12
 	}
@@ -168,20 +167,8 @@ func (c *Config) fill() error {
 	if c.Guarded && c.Arbitration != UtilityGreedy {
 		return fmt.Errorf("fleet: guarded mode requires utility-greedy arbitration, got %q", c.Arbitration)
 	}
-	if c.MaxDefers == 0 {
-		c.MaxDefers = 8
-	}
-	if c.MaxDefers < 0 {
-		return fmt.Errorf("fleet: MaxDefers %d must not be negative", c.MaxDefers)
-	}
 	if c.DriftEvery < 0 {
 		return fmt.Errorf("fleet: DriftEvery %d must not be negative", c.DriftEvery)
-	}
-	if c.DriftFactor == 0 {
-		c.DriftFactor = 2
-	}
-	if c.DriftFactor <= 0 {
-		return fmt.Errorf("fleet: drift factor %v must be positive", c.DriftFactor)
 	}
 	return nil
 }
@@ -303,7 +290,7 @@ func Run(cfg Config) (*Result, error) {
 		Seed:            stats.DeriveSeed(cfg.Seed, "fleet-cluster"),
 		RackOutages:     cfg.RackOutages,
 		OnEpoch:         r.epoch,
-		EpochPeriod:     cfg.Epoch,
+		EpochPeriod:     epoch,
 	}
 	if cfg.Engine != nil {
 		r.c, err = cfg.Engine.Reset(clusterCfg)
@@ -330,7 +317,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // epoch is the arbiter's control tick, invoked by the cluster event loop
-// every cfg.Epoch. Order matters and is fixed: integrate allocation gaps
+// every epoch. Order matters and is fixed: integrate allocation gaps
 // for the interval that just ended, release finished jobs, process due
 // admissions, then re-arbitrate and actuate the grants.
 func (r *replay) epoch(now time.Duration) bool {
@@ -520,7 +507,7 @@ func (r *replay) tryAdmit(now time.Duration, fj *fleetJob) bool {
 			r.reject(fj, "no-fit")
 			return true
 		}
-		if fj.deferrals >= r.cfg.MaxDefers {
+		if fj.deferrals >= maxDefers {
 			r.reject(fj, "overload")
 			return true
 		}
@@ -528,7 +515,7 @@ func (r *replay) tryAdmit(now time.Duration, fj *fleetJob) bool {
 		// (instead of admitting into an overcommitted budget) is the
 		// graceful-degradation path under burst arrivals.
 		if fj.backoff <= 0 {
-			fj.backoff = r.cfg.Epoch
+			fj.backoff = epoch
 		} else {
 			fj.backoff *= 2
 		}
@@ -597,7 +584,7 @@ func (r *replay) admit(now time.Duration, fj *fleetJob, need int) error {
 		NoTrace:   true,
 	}
 	if fj.arr.drift {
-		jobCfg.Drifts = []cluster.StageDrift{{At: fj.relDeadline / 3, Stage: -1, Factor: r.cfg.DriftFactor}}
+		jobCfg.Drifts = []cluster.StageDrift{{At: fj.relDeadline / 3, Stage: -1, Factor: driftFactor}}
 	}
 	if r.cfg.Arbitration == UtilityGreedy {
 		ctrl, err := control.NewController(control.Config{

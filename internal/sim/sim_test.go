@@ -330,6 +330,57 @@ func TestSampling(t *testing.T) {
 	}
 }
 
+// TestSampleTiesTaskEnds pins how the sampling clock breaks a tie with a
+// task end: every task runs a whole number of SamplePeriods with no queue
+// delay or failures, so each task end lands on a sample tick. A tick is
+// ordered as if it had been queued when the previous tick fired (the first
+// one before any task starts). It comes before a task end due at the same
+// time if that task started later, and sees the task still running; it
+// comes after one that started earlier, and sees the task done.
+func TestSampleTiesTaskEnds(t *testing.T) {
+	cases := []struct {
+		exec  time.Duration
+		alloc int
+		done  time.Duration // completion time
+		want  []Snapshot
+	}{
+		{SamplePeriod, 1, 3 * SamplePeriod, []Snapshot{
+			{Time: 1 * SamplePeriod, FracDone: []float64{0}, Running: 1, Ready: 2},
+			{Time: 2 * SamplePeriod, FracDone: []float64{1.0 / 3}, Running: 1, Ready: 1},
+			{Time: 3 * SamplePeriod, FracDone: []float64{2.0 / 3}, Running: 1, Ready: 0},
+		}},
+		{SamplePeriod, 2, 2 * SamplePeriod, []Snapshot{
+			{Time: 1 * SamplePeriod, FracDone: []float64{0}, Running: 2, Ready: 1},
+			{Time: 2 * SamplePeriod, FracDone: []float64{2.0 / 3}, Running: 1, Ready: 0},
+		}},
+		// The task ending at 2·SamplePeriod started before the tick at
+		// SamplePeriod fired, so it ends before the tick at 2·SamplePeriod.
+		{2 * SamplePeriod, 2, 4 * SamplePeriod, []Snapshot{
+			{Time: 1 * SamplePeriod, FracDone: []float64{0}, Running: 2, Ready: 1},
+			{Time: 2 * SamplePeriod, FracDone: []float64{2.0 / 3}, Running: 1, Ready: 0},
+			{Time: 3 * SamplePeriod, FracDone: []float64{2.0 / 3}, Running: 1, Ready: 0},
+		}},
+	}
+	for _, c := range cases {
+		job := dag.NewBuilder("ticks").Stage("only", 3).MustBuild()
+		p := profile.MustNew(job, []profile.StageProfile{{Exec: stats.Point{V: c.exec}}})
+		var got []Snapshot
+		tr, err := NewRunner().Run(Config{Profile: p, Alloc: c.alloc, Seed: 1, OnSample: func(s Snapshot) {
+			s.FracDone = append([]float64(nil), s.FracDone...)
+			got = append(got, s)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Completion != c.done {
+			t.Errorf("exec %v alloc %d: completion %v, want %v", c.exec, c.alloc, tr.Completion, c.done)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("exec %v alloc %d: snapshots\n%+v\nwant\n%+v", c.exec, c.alloc, got, c.want)
+		}
+	}
+}
+
 // TestFracDoneAtMatchesSnapshots: a run's trace holds the job state an
 // OnSample observer saw. At every sample time, the stage fractions read back
 // with progress.FracDoneAt must equal the snapshot's FracDone, which is what

@@ -117,25 +117,26 @@ func (c *calendar[T]) pop() (item[T], bool) {
 	return c.take(), true
 }
 
-// peek returns the earliest event time without removing it. It advances the
-// frontier exactly like pop would, which affects only performance, never
-// order.
+// peek returns the earliest event's time and sequence number without
+// removing it. It advances the frontier exactly like pop would, which
+// affects only performance, never order.
 //
 //jockey:hotpath
-func (c *calendar[T]) peek() (time.Duration, bool) {
+func (c *calendar[T]) peek() (time.Duration, uint64, bool) {
 	if c.n == 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	for range c.buckets {
 		b := c.buckets[c.cur]
 		if len(b) > 0 && int64(b[0].at) < c.day+c.width {
-			return b[0].at, true
+			return b[0].at, b[0].seq, true
 		}
 		c.cur = (c.cur + 1) & c.mask
 		c.day += c.width
 	}
 	c.jumpToMin()
-	return c.buckets[c.cur][0].at, true
+	head := c.buckets[c.cur][0]
+	return head.at, head.seq, true
 }
 
 // take pops the head of the frontier bucket (which the caller has verified

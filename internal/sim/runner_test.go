@@ -106,30 +106,54 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// steadyStateAllocs checks that a warm call of run on cfg stays within the
+// allocation budget, unsampled and with an OnSample callback, which is the
+// C(p, a) build's path.
+func steadyStateAllocs(t *testing.T, cfg Config, run func(Config) error) {
+	t.Helper()
+	samples := 0
+	for _, c := range []struct {
+		name     string
+		onSample func(Snapshot)
+	}{{"unsampled", nil}, {"sampled", func(Snapshot) { samples++ }}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := cfg
+			cfg.OnSample = c.onSample
+			if err := run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// A fresh engine pays thousands of allocations per run (6838 on
+			// the job E benchmark before arena reuse); the reused engine must
+			// be orders of magnitude below that. 16 leaves headroom for rand
+			// internals while still failing loudly if any arena stops being
+			// reused.
+			if allocs > 16 {
+				t.Errorf("steady-state run = %v allocs/run, want <= 16", allocs)
+			}
+		})
+	}
+	if samples == 0 {
+		t.Error("the sampled runs took no snapshot")
+	}
+}
+
 // TestRunnerSteadyStateAllocs: once the arenas and the trace buffer have
 // reached their high-water sizes, re-running the same configuration should
-// allocate almost nothing. The engine itself is allocation-free; the only
-// remaining allocations are inside math/rand/v2's lognormal path, so the
-// budget is a small constant rather than the thousands a fresh engine pays.
+// allocate almost nothing, with or without sampling. The engine itself is
+// allocation-free; the only remaining allocations are inside math/rand/v2's
+// lognormal path, so the budget is a small constant rather than the
+// thousands a fresh engine pays.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
-	p := noisyRunnerProfile(t)
 	r := NewRunner()
-	cfg := Config{Profile: p, Alloc: 20, Seed: 42}
-	if _, err := r.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
+	steadyStateAllocs(t, Config{Profile: noisyRunnerProfile(t), Alloc: 20, Seed: 42}, func(cfg Config) error {
+		_, err := r.Run(cfg)
+		return err
 	})
-	// A fresh engine pays thousands of allocations per run (6838 on the job
-	// E benchmark before this change); the reused engine must be orders of
-	// magnitude below that. 16 leaves headroom for rand internals while
-	// still failing loudly if any arena stops being reused.
-	if allocs > 16 {
-		t.Errorf("steady-state Run = %v allocs/run, want <= 16", allocs)
-	}
 }
 
 // TestCompletionMatchesRun is the differential for the trace-free mode:
@@ -192,20 +216,12 @@ func TestCompletionMatchesRun(t *testing.T) {
 // the same budget as a warm Run (TestRunnerSteadyStateAllocs); it records
 // no trace, so it has less to grow, not more.
 func TestCompletionSteadyStateAllocs(t *testing.T) {
-	p := noisyRunnerProfile(t)
 	r := NewRunner()
-	cfg := Config{Profile: p, Alloc: 20, Seed: 42, InitialFracDone: []float64{0.3, 0.1, 0}}
-	if _, err := r.Completion(cfg); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.Completion(cfg); err != nil {
-			t.Fatal(err)
-		}
+	cfg := Config{Profile: noisyRunnerProfile(t), Alloc: 20, Seed: 42, InitialFracDone: []float64{0.3, 0.1, 0}}
+	steadyStateAllocs(t, cfg, func(cfg Config) error {
+		_, err := r.Completion(cfg)
+		return err
 	})
-	if allocs > 16 {
-		t.Errorf("steady-state Completion = %v allocs/run, want <= 16", allocs)
-	}
 }
 
 // TestStageTooLargeRejected: events carry int32 task indices, so a stage
@@ -271,6 +287,19 @@ func BenchmarkSimRun(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := r.Run(Config{Profile: p, Alloc: 20, Seed: 7}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// A reused Runner taking a snapshot every SamplePeriod, as a C(p, a)
+	// build does.
+	b.Run("sampled", func(b *testing.B) {
+		r := NewRunner()
+		var sink float64
+		cfg := Config{Profile: p, Alloc: 20, Seed: 7, OnSample: func(s Snapshot) { sink += s.FracDone[0] }}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Completion(cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,7 +14,9 @@
 // (package model). Because one table build runs thousands of simulations
 // and the online predictor re-runs them every control tick, the hot path
 // is allocation-lean: a Runner allocates its arenas once per job shape and
-// reuses them across runs, and the event queue never boxes.
+// reuses them across runs, and the event queue never boxes. The queue
+// holds only task ends: the SamplePeriod clock runs beside it, ordered
+// against task ends by (time, sequence number) as if it were queued.
 package sim
 
 import (
@@ -50,7 +52,10 @@ type Config struct {
 	Alloc int
 	// Seed drives all randomness of this run.
 	Seed uint64
-	// OnSample, if set, receives a snapshot every SamplePeriod.
+	// OnSample, if set, receives a snapshot every SamplePeriod. The clock
+	// is not queued, but it breaks ties as if it were: a snapshot due at
+	// the same time as a task end comes first exactly when that task was
+	// dispatched after the previous snapshot (any task, for the first).
 	OnSample func(Snapshot)
 	// InitialFracDone, if non-nil, starts the simulation from a partially
 	// completed job: per stage, the given fraction of tasks (rounded down)
@@ -79,21 +84,14 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// event is what the queue orders. It is 12 bytes, so a queue item with its
-// time and sequence number is 32; shape rejects a stage whose task index
-// would not fit in int32.
+// event is what the queue orders: the end of one task attempt. The
+// sampling clock is not queued (see Runner.nextSample). An event is 12
+// bytes, so a queue item with its time and sequence number is 32; shape
+// rejects a stage whose task index would not fit in int32.
 type event struct {
 	stage, task int32
-	kind        eventKind
 	failed      bool
 }
-
-type eventKind uint8
-
-const (
-	evTaskEnd eventKind = iota
-	evSample
-)
 
 // Runner is a reusable simulation engine. The first run against a job plan
 // allocates the engine's state arenas — the plan's dag.Tracker (dependency
@@ -132,6 +130,12 @@ type Runner struct {
 	p       *profile.Profile
 	now     time.Duration
 	running int
+	// The sampling clock, kept out of the queue: the next snapshot's time
+	// and the queue sequence number reserved for it where the clock's event
+	// would have been pushed, so it orders against task ends exactly as a
+	// queued event would. Used only when cfg.OnSample is set.
+	nextSample time.Duration
+	sampleSeq  uint64
 }
 
 // NewRunner returns an empty Runner; arenas are sized lazily by the first
@@ -232,7 +236,8 @@ func (r *Runner) reset() {
 	r.now = 0
 	r.running = 0
 	if r.cfg.OnSample != nil {
-		r.q.Push(SamplePeriod, event{kind: evSample})
+		r.nextSample = SamplePeriod
+		r.sampleSeq = r.q.Reserve()
 	}
 }
 
@@ -257,34 +262,47 @@ func (r *Runner) startTask(stage, task int) {
 	r.dispatchedAt[i] = r.now
 	r.startedAt[i] = r.now + initDelay
 	r.running++
-	r.q.Push(r.now+initDelay+exec, event{kind: evTaskEnd, stage: int32(stage), task: int32(task), failed: fails})
+	r.q.Push(r.now+initDelay+exec, event{stage: int32(stage), task: int32(task), failed: fails})
 }
 
 //jockey:hotpath
 func (r *Runner) run() error {
 	r.dispatch()
 	for r.deps.Left() > 0 {
+		if r.cfg.OnSample != nil && r.sampleDue() {
+			r.emitSample()
+			continue
+		}
 		at, ev, ok := r.q.Pop()
 		if !ok {
 			return fmt.Errorf("sim: job %q stalled at %v with %d tasks left (plan bug?)", //jockeyvet:ignore hotalloc cold path: a stall is a plan bug that ends the run
 				r.job.Name, r.now, r.deps.Left())
 		}
 		r.now = at
-		switch ev.kind {
-		case evSample:
-			r.emitSample()
-			if r.deps.Left() > 0 {
-				r.q.Push(r.now+SamplePeriod, event{kind: evSample})
-			}
-		case evTaskEnd:
-			r.finishTask(ev)
-		}
+		r.finishTask(ev)
 	}
 	r.tr.Completion = r.now
 	return nil
 }
 
+// sampleDue reports whether the sampling clock's next tick orders before
+// the earliest queued task end by (time, sequence number), as its event
+// would have if it were queued. With no task end queued the run has
+// stalled, which Pop reports.
+//
+//jockey:hotpath
+func (r *Runner) sampleDue() bool {
+	at, seq, ok := r.q.PeekKey()
+	return ok && (r.nextSample < at || r.nextSample == at && r.sampleSeq < seq)
+}
+
+// emitSample hands OnSample the snapshot due at nextSample and advances the
+// clock, reserving the sequence number its next tick would have been
+// pushed with.
 func (r *Runner) emitSample() {
+	r.now = r.nextSample
+	r.nextSample += SamplePeriod
+	r.sampleSeq = r.q.Reserve()
 	r.deps.FracDone(r.fracBuf)
 	r.cfg.OnSample(Snapshot{
 		Time:     r.now,

@@ -296,6 +296,22 @@ func (j *Job) TotalTasks() int {
 	return n
 }
 
+// oneToOnePairs returns the number of (producer task, consumer task) pairs
+// the plan's one-to-one edges join, the size of a Tracker's consumer
+// adjacency. DepRange gives each consumer task of an edge one producer task
+// when the consumer stage is the wider, and otherwise splits the producer
+// tasks among the consumers, so an edge joins max(producer, consumer tasks)
+// pairs.
+func (j *Job) oneToOnePairs() int {
+	n := 0
+	for _, e := range j.Edges {
+		if e.Kind == OneToOne {
+			n += max(j.Stages[e.From].Tasks, j.Stages[e.To].Tasks)
+		}
+	}
+	return n
+}
+
 // TotalInputGB sums the per-stage input sizes.
 func (j *Job) TotalInputGB() float64 {
 	var gb float64

@@ -355,14 +355,23 @@ func TestRandomJobsInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Every consumer task's dep range must be within producer bounds.
+		// Every consumer task's dep range must be within producer bounds,
+		// and the one-to-one ranges add up to oneToOnePairs.
+		pairs := 0
 		for _, e := range j.Edges {
 			for task := 0; task < j.Stages[e.To].Tasks; task++ {
 				lo, hi := j.DepRange(e, task)
 				if lo < 0 || hi > j.Stages[e.From].Tasks || hi <= lo {
 					return false
 				}
+				if e.Kind == OneToOne {
+					pairs += hi - lo
+				}
 			}
+		}
+		if pairs != j.oneToOnePairs() {
+			t.Logf("seed %d: one-to-one ranges join %d pairs, oneToOnePairs = %d", seed, pairs, j.oneToOnePairs())
+			return false
 		}
 		// Critical path with unit costs is between 1 and #stages.
 		cp := j.CriticalPath(func(int) time.Duration { return time.Second })

@@ -1,6 +1,10 @@
 package dag
 
-import "time"
+import (
+	"fmt"
+	"math"
+	"time"
+)
 
 // TaskRef names one task of a plan by stage and task index.
 type TaskRef struct{ Stage, Task int }
@@ -21,7 +25,11 @@ const readyCompactMin = 1024
 // done counts, the count of tasks left and the ready FIFO. Reset rewinds it
 // in place, so a tracker is reusable across any number of runs of its plan
 // and allocates nothing once its FIFO has reached the plan's high-water
-// ready count.
+// ready count. The FIFO starts with room for every task of the plan.
+//
+// Per-task counters and adjacency offsets are int32, which bounds a plan to
+// math.MaxInt32 tasks and as many one-to-one dependency pairs; callers
+// reject larger plans with Trackable before Init.
 //
 // The order in which tasks become ready fixes dispatch order, and so every
 // random draw of a run: Seed enqueues in (stage, task) order, and Complete
@@ -39,16 +47,37 @@ type Tracker struct {
 	// cons[consOff[i]:consOff[i+1]] lists the one-to-one consumers of flat
 	// task i: for each stage in index order, each of its one-to-one input
 	// edges in Inputs order, the consumer tasks ascending.
-	consOff  []int
+	consOff  []int32
 	cons     []TaskRef
-	baseDeps []int
+	baseDeps []int32
 
-	remDeps   []int
+	remDeps   []int32
 	done      []bool
-	attempts  []int
+	attempts  []int32
 	queuedAt  []time.Duration
 	doneCount []int
 	left      int
+}
+
+// PlanTooLargeError reports a plan with more tasks, or more one-to-one
+// dependency pairs, than a Tracker's int32 counters and offsets can name.
+type PlanTooLargeError struct {
+	Job          string
+	Tasks, Pairs int
+}
+
+func (e *PlanTooLargeError) Error() string {
+	return fmt.Sprintf("job %q has %d tasks and %d one-to-one dependency pairs; a dependency tracker supports at most %d of each",
+		e.Job, e.Tasks, e.Pairs, math.MaxInt32)
+}
+
+// Trackable returns a *PlanTooLargeError if job is too large for a Tracker.
+// It costs O(stages + edges), not O(tasks).
+func Trackable(job *Job) error {
+	if tasks, pairs := job.TotalTasks(), job.oneToOnePairs(); int64(tasks) > math.MaxInt32 || int64(pairs) > math.MaxInt32 {
+		return &PlanTooLargeError{Job: job.Name, Tasks: tasks, Pairs: pairs}
+	}
+	return nil
 }
 
 // Init shapes t for job, allocating its arrays, and resets it.
@@ -60,21 +89,23 @@ func (t *Tracker) Init(job *Job) {
 		t.off[s+1] = t.off[s] + job.Stages[s].Tasks
 	}
 	total := t.off[n]
-	t.baseDeps = make([]int, total)
+	t.baseDeps = make([]int32, total)
 	// Dependency counts: one unit per one-to-one producer task in range,
 	// plus one unit per all-to-all input edge (satisfied when the producer
 	// stage completes). The adjacency is filled in two passes, counting
-	// then placing, in the order Complete must visit it.
-	t.consOff = make([]int, total+1)
+	// then placing, in the order Complete must visit it; remDeps, which
+	// Reset overwrites, is the placing cursor.
+	t.consOff = make([]int32, total+1)
 	t.forEachOneToOne(func(producer int, _ TaskRef) { t.consOff[producer+1]++ })
 	for i := 0; i < total; i++ {
 		t.consOff[i+1] += t.consOff[i]
 	}
 	t.cons = make([]TaskRef, t.consOff[total])
-	next := append([]int(nil), t.consOff[:total]...)
+	t.remDeps = make([]int32, total)
+	copy(t.remDeps, t.consOff[:total])
 	t.forEachOneToOne(func(producer int, c TaskRef) {
-		t.cons[next[producer]] = c
-		next[producer]++
+		t.cons[t.remDeps[producer]] = c
+		t.remDeps[producer]++
 		t.baseDeps[t.off[c.Stage]+c.Task]++
 	})
 	for s := 0; s < n; s++ {
@@ -86,11 +117,13 @@ func (t *Tracker) Init(job *Job) {
 			}
 		}
 	}
-	t.remDeps = make([]int, total)
 	t.done = make([]bool, total)
-	t.attempts = make([]int, total)
+	t.attempts = make([]int32, total)
 	t.queuedAt = make([]time.Duration, total)
 	t.doneCount = make([]int, n)
+	if cap(t.ready) < total {
+		t.ready = make([]TaskRef, 0, total)
+	}
 	t.Reset()
 }
 
@@ -253,7 +286,7 @@ func (t *Tracker) Left() int { return t.left }
 // ended without completing it.
 //
 //jockey:hotpath
-func (t *Tracker) Attempt(stage, task int) int { return t.attempts[t.off[stage]+task] }
+func (t *Tracker) Attempt(stage, task int) int { return int(t.attempts[t.off[stage]+task]) }
 
 // QueuedAt returns when a task last entered the ready FIFO.
 //

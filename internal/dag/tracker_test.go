@@ -1,7 +1,9 @@
 package dag
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -56,6 +58,65 @@ func TestReadyFIFOCompaction(t *testing.T) {
 		ref, ok := tr.Pop()
 		if !ok || ref.Task != i {
 			t.Fatalf("FIFO order broken at %d: got task %d ok=%v", i, ref.Task, ok)
+		}
+	}
+}
+
+// TestFreshFIFOHoldsEveryTask pins that Init sizes the ready FIFO for the
+// whole plan, so a first run that never requeues never grows it.
+func TestFreshFIFOHoldsEveryTask(t *testing.T) {
+	j := NewBuilder("wide").Stage("m", 300).Stage("r", 40).Edge("m", "r", AllToAll).MustBuild()
+	var tr Tracker
+	tr.Init(j)
+	if cap(tr.ready) != j.TotalTasks() {
+		t.Fatalf("fresh ready FIFO has capacity %d, want the plan's %d tasks", cap(tr.ready), j.TotalTasks())
+	}
+	backing := &tr.ready[:1][0]
+	tr.Seed(0)
+	for ref, ok := tr.Pop(); ok; ref, ok = tr.Pop() {
+		tr.Complete(0, ref.Stage, ref.Task)
+	}
+	if tr.Left() != 0 || &tr.ready[:1][0] != backing {
+		t.Fatalf("run left %d tasks and moved the ready FIFO", tr.Left())
+	}
+}
+
+// TestTrackableLimits pins the int32 limits of a Tracker: a plan with more
+// than math.MaxInt32 tasks, or fewer tasks but more one-to-one dependency
+// pairs, is rejected with a PlanTooLargeError naming the job, and a plan at
+// the limits passes. Every stage fits int32 task indices.
+func TestTrackableLimits(t *testing.T) {
+	// n stages of w tasks, every earlier stage joined one-to-one to every
+	// later one: n*w tasks and n*(n-1)/2*w pairs.
+	complete := func(name string, n, w int) *Job {
+		b := NewBuilder(name)
+		for i := range n {
+			b.Stage(fmt.Sprint(i), w)
+			for from := range i {
+				b.Edge(fmt.Sprint(from), fmt.Sprint(i), OneToOne)
+			}
+		}
+		return b.MustBuild()
+	}
+	for _, tc := range []struct {
+		job          *Job
+		tasks, pairs int
+		ok           bool
+	}{
+		{NewBuilder("at-limit").Stage("a", math.MaxInt32-2).Stage("b", 2).Edge("a", "b", AllToAll).MustBuild(), math.MaxInt32, 0, true},
+		{NewBuilder("tasks").Stage("a", math.MaxInt32).Stage("b", 2).Edge("a", "b", AllToAll).MustBuild(), math.MaxInt32 + 2, 0, false},
+		{complete("pairs", 5, 1<<28), 5 << 28, 10 << 28, false},
+		{complete("pairs-at-limit", 3, 1<<29), 3 << 29, 3 << 29, true},
+	} {
+		err := Trackable(tc.job)
+		var tooLarge *PlanTooLargeError
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: Trackable = %v, want nil", tc.job.Name, err)
+		case !tc.ok && !errors.As(err, &tooLarge):
+			t.Errorf("%s: Trackable = %v, want a PlanTooLargeError", tc.job.Name, err)
+		case !tc.ok && (tooLarge.Job != tc.job.Name || tooLarge.Tasks != tc.tasks || tooLarge.Pairs != tc.pairs):
+			t.Errorf("%s: Trackable = %+v, want %d tasks and %d pairs", tc.job.Name, *tooLarge, tc.tasks, tc.pairs)
 		}
 	}
 }

@@ -248,6 +248,27 @@ func TestStageTooLargeRejected(t *testing.T) {
 	}
 }
 
+// TestPlanTooLargeRejected: the dependency tracker's counters are int32, so
+// a plan with more tasks than that, each stage within int32, is refused
+// with dag's typed error naming the job, and the Runner keeps working.
+func TestPlanTooLargeRejected(t *testing.T) {
+	job := dag.NewBuilder("huge").Stage("a", math.MaxInt32).Stage("b", 2).
+		Edge("a", "b", dag.AllToAll).MustBuild()
+	p := profile.MustNew(job, []profile.StageProfile{
+		{Exec: stats.Point{V: time.Second}},
+		{Exec: stats.Point{V: time.Second}},
+	})
+	r := NewRunner()
+	_, err := r.Completion(Config{Profile: p, Alloc: 4})
+	var tooLarge *dag.PlanTooLargeError
+	if !errors.As(err, &tooLarge) || !strings.Contains(err.Error(), `"huge"`) {
+		t.Fatalf("Completion error = %v, want a dag.PlanTooLargeError naming the job", err)
+	}
+	if _, err := r.Run(Config{Profile: fixedProfile(t), Alloc: 2, Seed: 1}); err != nil {
+		t.Errorf("valid run after a rejected plan: %v", err)
+	}
+}
+
 // TestRunnerValidation: the reusable path applies the same Config
 // validation as the one-shot wrapper.
 func TestRunnerValidation(t *testing.T) {

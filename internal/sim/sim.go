@@ -211,6 +211,9 @@ func (r *Runner) shape(job *dag.Job) error {
 			return &stageTooLargeError{job: job.Name, stage: st.Name, index: s, tasks: st.Tasks}
 		}
 	}
+	if err := dag.Trackable(job); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	r.job = job
 	r.deps.Init(job)
 	r.dispatchedAt = make([]time.Duration, r.deps.Left())

@@ -75,13 +75,38 @@ const (
 // every dispatch use it; TestDeriveSeedIntMatchesDeriveSeed pins the
 // bit-identity so placements never shift between the two spellings.
 func DeriveSeedInt(master uint64, n int) uint64 {
+	return SplitMix64(fnvInt(fnvMaster(master), n))
+}
+
+// DeriveSeedLabelInt is DeriveSeed(master, label, fmt.Sprint(n)) for n >= 0,
+// allocation-free like DeriveSeedInt: the cluster derives every submitted
+// job's seed from its id with it. TestDeriveSeedLabelIntMatchesDeriveSeed
+// pins the bit-identity.
+func DeriveSeedLabelInt(master uint64, label string, n int) uint64 {
+	h := fnvMaster(master)
+	h *= fnvPrime64 // label separator byte 0: h ^= 0 is a no-op
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= fnvPrime64
+	}
+	return SplitMix64(fnvInt(h, n))
+}
+
+// fnvMaster is the FNV-1a state after hashing master's eight little-endian
+// bytes, as DeriveSeed hashes them.
+func fnvMaster(master uint64) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < 8; i++ {
 		h ^= uint64(byte(master >> (8 * i)))
 		h *= fnvPrime64
 	}
-	// label separator byte 0: h ^= 0 is a no-op
-	h *= fnvPrime64
+	return h
+}
+
+// fnvInt continues FNV-1a state h with a label separator and the decimal
+// digits of n >= 0.
+func fnvInt(h uint64, n int) uint64 {
+	h *= fnvPrime64 // label separator byte 0: h ^= 0 is a no-op
 	var buf [20]byte
 	p := len(buf)
 	v := uint64(n)
@@ -97,5 +122,5 @@ func DeriveSeedInt(master uint64, n int) uint64 {
 		h ^= uint64(c)
 		h *= fnvPrime64
 	}
-	return SplitMix64(h)
+	return h
 }

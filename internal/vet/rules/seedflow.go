@@ -13,14 +13,15 @@ import (
 // SeedFlow is a provenance (taint) analysis over seed values. The repo's
 // reproduction guarantee requires every RNG in the deterministic packages to
 // be seeded from the experiment's master seed through the stats derivation
-// chain (DeriveSeed / DeriveSeedInt / SplitMix64 / ReseedSource); a literal
-// seed, or a seed laundered through an untracked helper, silently forks the
-// replay universe. The analysis classifies each seed expression as
+// chain (DeriveSeed / DeriveSeedInt / DeriveSeedLabelInt / SplitMix64 /
+// ReseedSource); a literal seed, or a seed laundered through an untracked
+// helper, silently forks the replay universe. The analysis classifies each
+// seed expression as
 //
-//	derived  — traceable to stats.DeriveSeed/DeriveSeedInt, a tracked
-//	           deriver helper, or a function parameter whose obligation is
-//	           pushed to the callers (making the enclosing function itself a
-//	           seed consumer);
+//	derived  — traceable to stats.DeriveSeed/DeriveSeedInt/DeriveSeedLabelInt,
+//	           a tracked deriver helper, or a function parameter whose
+//	           obligation is pushed to the callers (making the enclosing
+//	           function itself a seed consumer);
 //	dirty    — a literal, constant, or value produced by an untracked
 //	           function.
 //
@@ -32,7 +33,7 @@ import (
 // caller of A.Helper in a deterministic package subject to the check.
 var SeedFlow = &vet.Analyzer{
 	Name:      "seedflow",
-	Doc:       "RNGs in the deterministic packages must be seeded from stats.DeriveSeed/DeriveSeedInt (transitively, across packages); literal and laundered seeds break replay",
+	Doc:       "RNGs in the deterministic packages must be seeded from stats.DeriveSeed/DeriveSeedInt/DeriveSeedLabelInt (transitively, across packages); literal and laundered seeds break replay",
 	Run:       runSeedFlow,
 	FactTypes: []vet.Fact{new(SeedConsumerFact), new(SeedDeriverFact)},
 }
@@ -60,8 +61,9 @@ const statsPath = ModulePath + "/internal/stats"
 
 // intrinsicDerivers always return a derived seed.
 var intrinsicDerivers = map[string]bool{
-	statsPath + ".DeriveSeed":    true,
-	statsPath + ".DeriveSeedInt": true,
+	statsPath + ".DeriveSeed":         true,
+	statsPath + ".DeriveSeedInt":      true,
+	statsPath + ".DeriveSeedLabelInt": true,
 }
 
 // intrinsicPropagators return a derived seed exactly when the listed
@@ -284,7 +286,7 @@ func (a *seedflow) checkSeedArg(fn *types.Func, arg ast.Expr, sink string, repor
 	case clsDirty:
 		if reportHere && !a.reported[arg.Pos()] {
 			a.reported[arg.Pos()] = true
-			a.pass.Reportf(arg.Pos(), "seed reaching %s is %s; derive it from the master seed via stats.DeriveSeed/DeriveSeedInt", sink, v.reason)
+			a.pass.Reportf(arg.Pos(), "seed reaching %s is %s; derive it from the master seed via stats.DeriveSeed/DeriveSeedInt/DeriveSeedLabelInt", sink, v.reason)
 		}
 	case clsParam:
 		sig := fn.Type().(*types.Signature)

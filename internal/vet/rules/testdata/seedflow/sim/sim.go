@@ -28,7 +28,8 @@ func clean(master uint64, cfg Config) *rand.Rand {
 	c := stats.NewRNG(seedhelp.Mix(stats.DeriveSeed(master, "c")))
 	d := stats.NewRNG(subSeed(master, 4))
 	e := stats.NewRNG(cfg.Seed)
-	_ = []*rand.Rand{a, b, c, d, e}
+	f := stats.NewSource(stats.DeriveSeedLabelInt(master, "job", 6))
+	_ = []*rand.Rand{a, b, c, d, e, rand.New(f)}
 	return stats.NewRNG(stats.DeriveSeed(master, "r"))
 }
 

@@ -1,6 +1,6 @@
 // Fixture: a miniature of internal/stats, analyzed under the real
 // internal/stats import path so the seedflow intrinsics (DeriveSeed,
-// DeriveSeedInt, SplitMix64) resolve and the consumer facts for
+// DeriveSeedInt, DeriveSeedLabelInt, SplitMix64) resolve and the consumer facts for
 // NewRNG/NewSource/ReseedSource are derived exactly as they are for the
 // real package. The package itself must come out clean: every generator
 // here is parameter-seeded, which pushes the obligation to the callers.
@@ -33,6 +33,17 @@ func DeriveSeed(master uint64, labels ...string) uint64 {
 // DeriveSeedInt is the allocation-free integer-label variant.
 func DeriveSeedInt(master uint64, n int) uint64 {
 	return SplitMix64(master ^ uint64(n)*0x9e3779b97f4a7c15)
+}
+
+// DeriveSeedLabelInt is the allocation-free labelled integer variant. Its
+// body alone would not prove a derived result (the hash starts from a
+// constant); it is a deriver only because seedflow lists it as an intrinsic.
+func DeriveSeedLabelInt(master uint64, label string, n int) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * 0x100000001b3
+	}
+	return h ^ uint64(n)
 }
 
 // NewSource feeds its parameter into rand.NewPCG, making it a seed

@@ -110,6 +110,10 @@ type StageDrift struct {
 	Factor float64
 }
 
+// defaultRecovery is the default Config.MachineRecovery, boxed once so that
+// an engine's Reset allocates nothing.
+var defaultRecovery stats.Distribution = stats.Exponential{MeanValue: 5 * time.Minute}
+
 func (c *Config) fill() error {
 	if c.Machines == 0 {
 		c.Machines = 25
@@ -125,7 +129,7 @@ func (c *Config) fill() error {
 		return &machinesTooManyError{machines: c.Machines}
 	}
 	if c.MachineRecovery == nil {
-		c.MachineRecovery = stats.Exponential{MeanValue: 5 * time.Minute}
+		c.MachineRecovery = defaultRecovery
 	}
 	for i, r := range c.RackOutages {
 		if r.At < 0 || r.Duration <= 0 {
@@ -245,11 +249,11 @@ type Result struct {
 	Trace *trace.JobTrace
 }
 
-// Handle refers to a submitted job.
+// Handle refers to a submitted job. It lives in the job's pooled jobRun,
+// so it is valid only until the cluster's next Reset.
 type Handle struct {
-	id  int
-	c   *Cluster
-	cfg JobConfig
+	id int
+	c  *Cluster
 }
 
 // Done reports whether the job has completed.
@@ -259,7 +263,7 @@ func (h *Handle) Done() bool { return h.c.jobs[h.id].completed }
 func (h *Handle) Result() Result { return h.c.jobs[h.id].result }
 
 // Name returns the job's plan name.
-func (h *Handle) Name() string { return h.cfg.Profile.Job.Name }
+func (h *Handle) Name() string { return h.c.jobs[h.id].job.Name }
 
 // SetGuarantee re-sets the job's guaranteed token count mid-run — the
 // actuation knob of an external arbiter (the fleet layer) that owns the
@@ -527,18 +531,22 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 			return nil, &stageTooLargeError{job: cfg.Profile.Job.Name, stage: st.Name, index: s, tasks: st.Tasks}
 		}
 	}
+	if err := dag.Trackable(cfg.Profile.Job); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	id := len(c.jobs)
 	jr := c.eng.takeArena(cfg.Profile.Job)
 	if jr == nil {
 		jr = newArena(cfg.Profile.Job)
 	}
-	jr.prepare(id, cfg, stats.DeriveSeed(c.cfg.Seed, "job", fmt.Sprint(id)))
+	jr.prepare(id, cfg, stats.DeriveSeedLabelInt(c.cfg.Seed, "job", id))
+	jr.h = Handle{id: id, c: c}
 	c.jobs = append(c.jobs, jr)
 	if cfg.Tracked {
 		c.tracked++
 	}
 	c.q.Push(cfg.Start, event{kind: evArrival, job: int32(id)})
-	return &Handle{id: id, c: c, cfg: cfg}, nil
+	return &jr.h, nil
 }
 
 // stageTooLargeError rejects a plan whose stage holds more tasks than the
@@ -566,10 +574,12 @@ func (e *machinesTooManyError) Error() string {
 }
 
 // jobRun is the runtime state of one submitted job. It is split into an
-// arena part — everything whose size depends only on the plan (*dag.Job),
-// allocated once by newArena and poolable across runs by Engine — and
-// per-run state, (re)set in place by prepare.
+// arena part — the per-task arrays, whose size depends only on the plan
+// (*dag.Job), allocated by arrive when a job of the arena first arrives and
+// poolable across runs by Engine — and per-run state, (re)set in place by
+// prepare. A submitted job that never arrives costs only the jobRun.
 type jobRun struct {
+	h      Handle
 	id     int
 	cfg    JobConfig
 	p      *profile.Profile
@@ -590,7 +600,8 @@ type jobRun struct {
 	deadline  time.Duration
 
 	// deps tracks which tasks are done and ready, their attempt counts and
-	// queued times; prepare rewinds it.
+	// queued times. arrive initializes it, and Engine.recycle rewinds it
+	// after a run the job arrived in.
 	deps dag.Tracker
 
 	// slot maps [stage][task] to the store slot of the task's running
@@ -635,24 +646,49 @@ type jobRun struct {
 	nextChange int // index into cfg.DeadlineChanges
 }
 
-// newArena allocates the plan-shape-dependent state of a jobRun: slice
-// sizes and the dependency tracker depend only on the *dag.Job, so an arena is
+// newArena returns an unshaped arena for job, the jobRun alone: arrive gives
+// it its per-task arrays when a job of the plan first arrives. An arena is
 // reusable across runs of any job sharing that plan (profiles may differ —
 // a scaled input keeps the plan). Per-run state is set by prepare.
 func newArena(job *dag.Job) *jobRun {
-	jr := &jobRun{job: job}
-	n := job.NumStages()
-	jr.slot = make([][]int32, n)
-	for s := 0; s < n; s++ {
-		jr.slot[s] = make([]int32, job.Stages[s].Tasks)
-	}
-	jr.deps.Init(job)
-	jr.driftFactor = make([]float64, n)
-	return jr
+	return &jobRun{job: job}
 }
 
-// prepare (re)sets the per-run state for one submission, leaving the arena
-// allocations in place. The reseeded RNG stream is bit-identical to a fresh
+// arrive marks the job arrived at now. If no job of the arena has arrived
+// before, it first shapes the arena: it allocates the per-task arrays, whose
+// sizes depend only on the plan, and rewinds them. handleArrival calls it,
+// and so do tests that stage a job's arrival by hand.
+func (jr *jobRun) arrive(now time.Duration) {
+	if jr.slot == nil {
+		n := jr.job.NumStages()
+		jr.slot = make([][]int32, n)
+		for s := 0; s < n; s++ {
+			jr.slot[s] = make([]int32, jr.job.Stages[s].Tasks)
+		}
+		jr.deps.Init(jr.job)
+		jr.driftFactor = make([]float64, n)
+		jr.rewind()
+	}
+	jr.arrived = true
+	jr.start = now
+	jr.lastAllocAt = now
+}
+
+// rewind returns a shaped arena's per-task arrays to their state at arrival:
+// nothing done or running, and no drift.
+func (jr *jobRun) rewind() {
+	jr.deps.Reset()
+	for s := range jr.slot {
+		jr.driftFactor[s] = 1
+		for t := range jr.slot[s] {
+			jr.slot[s][t] = -1
+		}
+	}
+}
+
+// prepare (re)sets the per-run state for one submission. It touches no
+// per-task array: a pooled arena is either unshaped or was rewound when the
+// engine recycled it. The reseeded RNG stream is bit-identical to a fresh
 // one, so a pooled arena replays exactly like a newly allocated jobRun.
 func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.id = id
@@ -670,7 +706,6 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.result = Result{}
 	jr.guarantee = cfg.Guarantee
 	jr.deadline = cfg.Deadline
-	jr.deps.Reset()
 	jr.inReady = false
 	jr.prim = slotList{-1, -1}
 	jr.guarLast = -1
@@ -680,12 +715,6 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.dirtyNext = nil
 	jr.spareTop = -1
 	jr.topPos = -1
-	for s := range jr.slot {
-		jr.driftFactor[s] = 1
-		for t := range jr.slot[s] {
-			jr.slot[s][t] = -1
-		}
-	}
 	jr.lastAllocAt = 0
 	jr.allocSecs = 0
 	jr.usedSecs = 0

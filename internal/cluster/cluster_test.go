@@ -65,8 +65,7 @@ func TestEventIs24Bytes(t *testing.T) {
 
 // TestStageTooLargeRejected: events and the task store carry int32 task
 // indices, so Submit refuses a stage wider than that with an error naming
-// the job and the stage, before any arena is sized to it, and the cluster
-// keeps working.
+// the job and the stage, and the cluster keeps working.
 func TestStageTooLargeRejected(t *testing.T) {
 	job := dag.NewBuilder("huge").Stage("tiny", 2).Stage("wide", math.MaxInt32+1).
 		Edge("tiny", "wide", dag.AllToAll).MustBuild()
@@ -85,6 +84,34 @@ func TestStageTooLargeRejected(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.Contains(msg, `"huge"`) || !strings.Contains(msg, `"wide"`) {
 		t.Errorf("error %q does not name the job and the stage", msg)
+	}
+	h, err := c.Submit(JobConfig{Profile: fixedJob(t, "ok"), Guarantee: 2, Tracked: true})
+	if err != nil {
+		t.Fatalf("valid submit after a rejected plan: %v", err)
+	}
+	if err := c.Run(); err != nil || !h.Done() {
+		t.Errorf("valid run after a rejected plan: done %v, err %v", h.Done(), err)
+	}
+}
+
+// TestPlanTooLargeRejected: the dependency tracker's counters are int32, so
+// Submit refuses a plan with more tasks than that, each stage within int32,
+// with dag's typed error naming the job, and the cluster keeps working.
+func TestPlanTooLargeRejected(t *testing.T) {
+	job := dag.NewBuilder("huge").Stage("a", math.MaxInt32).Stage("b", 2).
+		Edge("a", "b", dag.AllToAll).MustBuild()
+	p := profile.MustNew(job, []profile.StageProfile{
+		{Exec: stats.Point{V: time.Second}},
+		{Exec: stats.Point{V: time.Second}},
+	})
+	c, err := New(Config{Machines: 2, SlotsPerMachine: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Submit(JobConfig{Profile: p, Guarantee: 2, Tracked: true})
+	var tooLarge *dag.PlanTooLargeError
+	if !errors.As(err, &tooLarge) || !strings.Contains(err.Error(), `"huge"`) {
+		t.Fatalf("Submit error = %v, want a dag.PlanTooLargeError naming the job", err)
 	}
 	h, err := c.Submit(JobConfig{Profile: fixedJob(t, "ok"), Guarantee: 2, Tracked: true})
 	if err != nil {
@@ -507,7 +534,7 @@ func TestCrossJobTiesGoToLowerJobID(t *testing.T) {
 		}
 	}
 	for _, jr := range c.jobs {
-		jr.arrived = true
+		jr.arrive(0)
 		c.liveAdd(jr)
 	}
 	if c.live[0].id != 1 {
@@ -559,7 +586,7 @@ func TestGuaranteedPassVictimKeepsGuarantee(t *testing.T) {
 				}
 			}
 			arriving, victim := c.jobs[tc.arriving], c.jobs[tc.victim]
-			victim.arrived = true
+			victim.arrive(0)
 			c.liveAdd(victim)
 			c.startTask(victim, dag.TaskRef{Task: 0}, 0, true)
 			c.startTask(victim, dag.TaskRef{Task: 1}, 1, false)

@@ -136,14 +136,13 @@ func (c *Cluster) accrueUtil(now time.Duration) {
 
 func (c *Cluster) handleArrival(id int) {
 	jr := c.jobs[id]
-	jr.arrived = true
-	jr.start = c.now
-	jr.lastAllocAt = c.now
+	jr.arrive(c.now)
 	c.liveAdd(jr)
 	if jr.cfg.Tracked && !jr.cfg.NoTrace {
 		// Traces outlive the run (results retain them), so they are always
-		// freshly allocated, never pooled.
+		// freshly allocated, never pooled. Every task ends at least once.
 		jr.result.Trace = trace.New(jr.job.Name, jr.job.NumStages())
+		jr.result.Trace.Events = make([]trace.TaskEvent, 0, jr.job.TotalTasks())
 	}
 	jr.deps.Seed(c.now)
 	c.syncReady(jr)

@@ -14,7 +14,13 @@ import (
 //   - jobRun arenas are pooled by plan identity (*dag.Job), so a workload
 //     whose plans are themselves reused across runs (workload.BackgroundPool,
 //     the experiment jobs A..G, the surge tenant) stops allocating per-job
-//     state after the first run;
+//     state once its pools cover a run's jobs. Submit does O(1) work per job
+//     and, on a warm engine, allocates nothing: an arena gets its per-task
+//     arrays (the dag.Tracker, the slot table, the drift factors) only when
+//     a job of its plan first arrives, and recycle rewinds them after a run
+//     its job arrived in. A paper replay submits background jobs over six
+//     hours and ends when its SLO job completes, so most of them never
+//     arrive and never cost a per-task array;
 //   - task-attempt state lives in the cluster's taskStore (store.go), whose
 //     flat arrays and free list keep their capacity across Reset;
 //   - the event queue, machine arrays, and spare-top heap keep their capacity
@@ -55,11 +61,15 @@ func (e *Engine) Reset(cfg Config) (*Cluster, error) {
 	return &e.c, nil
 }
 
-// recycle returns a jobRun's arena to the pool. Still-running attempt slots
-// (background jobs may be mid-flight when the last tracked job completes and
-// Run returns) need no per-job release: the whole taskStore resets with the
-// cluster.
+// recycle returns a jobRun's arena to the pool, rewinding its per-task
+// arrays if its job arrived, so a pooled arena is always clean. Still-running
+// attempts (background jobs may be mid-flight when the last tracked job
+// completes and Run returns) need no other release: the whole taskStore
+// resets with the cluster.
 func (e *Engine) recycle(jr *jobRun) {
+	if jr.arrived {
+		jr.rewind()
+	}
 	// Drop per-run references that would otherwise pin profiles, policies,
 	// and callbacks in memory between runs.
 	jr.cfg = JobConfig{}

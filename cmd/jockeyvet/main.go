@@ -1,6 +1,7 @@
 // Command jockeyvet is the repository's determinism- and performance-
-// contract checker: a vet tool with seven repo-specific analyzers
-// (walltime, globalrand, maporder, panicpath, errctx, seedflow, hotalloc —
+// contract checker: a vet tool with eight repo-specific analyzers
+// (walltime, globalrand, maporder, panicpath, errctx, seedflow, hotalloc,
+// onepool —
 // see the README table in this directory and the "Determinism contract"
 // section of DESIGN.md).
 //

@@ -1,4 +1,4 @@
-// Package rules holds the seven jockeyvet analyzers that machine-check the
+// Package rules holds the eight jockeyvet analyzers that machine-check the
 // repository's determinism and performance contracts (DESIGN.md,
 // "Determinism contract"):
 //
@@ -12,6 +12,8 @@
 //	            value derived from stats.DeriveSeed (cross-package, via facts)
 //	hotalloc    //jockey:hotpath function bodies contain no allocating
 //	            constructs
+//	onepool     no go statements, runtime.GOMAXPROCS or sync imports
+//	            outside internal/grid, the one worker pool
 //
 // Every rule honors the //jockeyvet:ignore [analyzer] <reason> escape hatch
 // (applied by the internal/vet driver, not by the individual analyzers).
@@ -67,5 +69,5 @@ func basePath(path string) string {
 
 // All returns the full suite in rule-table order.
 func All() []*vet.Analyzer {
-	return []*vet.Analyzer{Walltime, GlobalRand, MapOrder, PanicPath, ErrCtx, SeedFlow, HotAlloc}
+	return []*vet.Analyzer{Walltime, GlobalRand, MapOrder, PanicPath, ErrCtx, SeedFlow, HotAlloc, OnePool}
 }

@@ -34,6 +34,22 @@ func TestWalltimeExemptsLookalikePackagePaths(t *testing.T) {
 	vettest.RunPkg(t, "testdata/walltime/simclone", "example.com/fixtures/sim", rules.Walltime)
 }
 
+func TestOnePool(t *testing.T) {
+	vettest.Run(t, "testdata/onepool/sim", rules.OnePool)
+}
+
+// TestOnePoolAllowsGrid: internal/grid is the pool the rule routes every
+// goroutine to.
+func TestOnePoolAllowsGrid(t *testing.T) {
+	vettest.Run(t, "testdata/onepool/grid", rules.OnePool)
+}
+
+// TestOnePoolCoversHarnessPackages: unlike walltime, the rule binds every
+// package, not only the deterministic ones.
+func TestOnePoolCoversHarnessPackages(t *testing.T) {
+	vettest.Run(t, "testdata/onepool/experiments", rules.OnePool)
+}
+
 // TestSeedFlow runs the three-package provenance fixture in dependency
 // order: the stats miniature (analyzed under the real internal/stats path,
 // so the intrinsics resolve), the non-deterministic helper package whose

@@ -25,7 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync" //jockeyvet:ignore onepool a test-only fixture runner; the mutex guards its export-data cache against parallel tests
 	"testing"
 
 	"github.com/jockeysim/jockey/internal/vet"

@@ -26,22 +26,38 @@ import (
 // sub-benchmarks vary the worker-pool size; per-cell seeding plus the
 // deterministic merge make every variant build the bit-identical table, so
 // the ratio between p1 and pN is pure wall-clock speedup (bounded by the
-// machine's core count).
+// machine's core count). The pN cases build on a fresh model.Builder each
+// time; the warm-pN cases reuse one, as a guard's rebuilds do, and so
+// allocate little beyond the table itself.
 func BenchmarkCPABuild(b *testing.B) {
 	p := workload.MustGenerate(mustSpec(b, "E"), 1)
 	ind := progress.NewTotalWorkWithQ(p)
+	grid := []int{5, 10, 20, 40, 80}
+	build := func(b *testing.B, mb *model.Builder, seed uint64, par int) {
+		_, err := mb.BuildCPA(p, ind, model.CPAConfig{
+			Allocs:       grid,
+			RunsPerAlloc: 5,
+			Seed:         seed,
+			Parallelism:  par,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run("p"+strconv.Itoa(par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := model.BuildCPA(p, ind, model.CPAConfig{
-					Allocs:       []int{5, 10, 20, 40, 80},
-					RunsPerAlloc: 5,
-					Seed:         uint64(i),
-					Parallelism:  par,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				build(b, new(model.Builder), uint64(i), par)
+			}
+		})
+	}
+	for _, par := range []int{1, 4} {
+		b.Run("warm-p"+strconv.Itoa(par), func(b *testing.B) {
+			mb := new(model.Builder)
+			build(b, mb, 0, par)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				build(b, mb, uint64(i), par)
 			}
 		})
 	}
@@ -82,7 +98,7 @@ func BenchmarkAblationRunsPerAlloc(b *testing.B) {
 		b.Run(fmtInt(runs), func(b *testing.B) {
 			var worst time.Duration
 			for i := 0; i < b.N; i++ {
-				c, err := model.BuildCPA(p, ind, model.CPAConfig{
+				c, err := new(model.Builder).BuildCPA(p, ind, model.CPAConfig{
 					Allocs:       []int{40},
 					RunsPerAlloc: runs,
 					Seed:         9,
@@ -126,7 +142,7 @@ func BenchmarkAblationOnlineSim(b *testing.B) {
 	st := model.State{Elapsed: 10 * time.Minute, FracDone: halfDone(p)}
 	u := benchUtility()
 	b.Run("cpa-table", func(b *testing.B) {
-		cpa, err := model.BuildCPA(p, progress.NewTotalWorkWithQ(p), model.CPAConfig{
+		cpa, err := new(model.Builder).BuildCPA(p, progress.NewTotalWorkWithQ(p), model.CPAConfig{
 			Allocs: []int{5, 10, 20, 40, 80}, RunsPerAlloc: 6, Seed: 3,
 		})
 		if err != nil {

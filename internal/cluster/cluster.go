@@ -65,6 +65,9 @@ type Config struct {
 	// fleet layer) uses to admit jobs and re-set guarantees mid-run: the
 	// callback may call Submit and Handle.SetGuarantee; the epoch handler
 	// reschedules once afterwards. Returning false stops the epoch chain.
+	// Run drops the hook when it returns, so the epoch chain ends with the
+	// first Run and an idle Engine does not keep the hook's closure (a
+	// whole fleet replay) alive until its next Reset.
 	OnEpoch func(now time.Duration) bool
 	// EpochPeriod is the OnEpoch cadence (default 1 minute when OnEpoch is
 	// set; ignored otherwise).

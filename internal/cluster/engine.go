@@ -45,8 +45,10 @@ type event struct {
 
 // Run processes events until every tracked job has completed and every Hold
 // has been released (or the event queue drains, or the next event lies
-// beyond maxSimTime, which returns an error).
+// beyond maxSimTime, which returns an error). It then drops
+// Config.OnEpoch.
 func (c *Cluster) Run() error {
+	defer func() { c.cfg.OnEpoch = nil }()
 	for c.tracked+c.holds > 0 {
 		at, ev, ok := c.q.Pop()
 		if !ok {

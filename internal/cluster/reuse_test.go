@@ -287,6 +287,45 @@ func TestCompletedJobReleasesPolicy(t *testing.T) {
 	}
 }
 
+// TestRunReleasesEpochHook: once Run returns, the engine no longer holds
+// Config.OnEpoch. A fleet arbiter's hook closes over its whole replay (every
+// job's controller, guard and model builder), which an idle engine would
+// otherwise keep alive until its next Reset.
+func TestRunReleasesEpochHook(t *testing.T) {
+	s := newReuseScenario(t)
+	e := NewEngine()
+	var c *Cluster
+	epochs := 0
+	cfg := s.cfg
+	cfg.EpochPeriod = time.Minute
+	cfg.OnEpoch = func(now time.Duration) bool {
+		epochs++
+		if now < 5*time.Minute {
+			return true
+		}
+		c.Unhold()
+		return false
+	}
+	c, err := e.Reset(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.Submit(JobConfig{Profile: s.fg, Guarantee: 6, Tracked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Hold()
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !h.Done() || epochs != 6 {
+		t.Fatalf("job done %v after %d epochs; want done after 6", h.Done(), epochs)
+	}
+	if e.c.cfg.OnEpoch != nil {
+		t.Error("idle engine still holds the finished run's epoch hook")
+	}
+}
+
 // steadyCfg is a failure-free, policy-free configuration whose event loop
 // exercises dispatch, eviction-free completion, and locality accounting —
 // the pure hot path the allocation guard measures.

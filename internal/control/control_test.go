@@ -232,7 +232,7 @@ func TestChangeUtilityTightensDeadline(t *testing.T) {
 
 func TestControllerNameWithSimulator(t *testing.T) {
 	p, _ := testSetup(t)
-	cpa, err := model.BuildCPA(p, progress.NewTotalWorkWithQ(p), model.CPAConfig{
+	cpa, err := new(model.Builder).BuildCPA(p, progress.NewTotalWorkWithQ(p), model.CPAConfig{
 		Allocs: []int{2, 8, 20}, RunsPerAlloc: 3, Seed: 1,
 	})
 	if err != nil {

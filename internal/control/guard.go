@@ -3,8 +3,10 @@ package control
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
+	"github.com/jockeysim/jockey/internal/invariant"
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/trace"
@@ -122,7 +124,7 @@ type Guard struct {
 
 	live      *trace.JobTrace
 	liveOK    int            // successful (non-failed) events in live
-	window    trace.JobTrace // recentLive's reused result
+	window    trace.JobTrace // recentLive's reused result header
 	slips     []float64
 	slipN     int // valid entries in slips (ring fill)
 	slipI     int // ring index
@@ -203,8 +205,18 @@ func (g *Guard) Events() []GuardEvent {
 
 // ObserveTask ingests one completed task attempt from the running job. Wire
 // it to the cluster's JobConfig.OnTaskEvent so the guard can re-profile
-// online from the live trace.
+// online from the live trace. Attempts must arrive in non-decreasing Ended
+// order, as a cluster reports them; recentLive depends on it, and
+// `-tags invariantdebug` builds assert it.
 func (g *Guard) ObserveTask(e trace.TaskEvent) {
+	if invariant.Debug {
+		if n := len(g.live.Events); n > 0 {
+			last := g.live.Events[n-1].Ended
+			invariant.Assertf(e.Ended >= last,
+				"control: guard of job %s observed stage %d task %d ending at %v after an attempt ending at %v",
+				g.live.JobName, e.Stage, e.Task, e.Ended, last)
+		}
+	}
 	g.live.AddTask(e)
 	if !e.Failed {
 		g.liveOK++
@@ -276,18 +288,20 @@ func (g *Guard) resetDetector() {
 
 // recentLive returns the live trace restricted to the recency window
 // (events that completed within liveWindow of now) and whether it holds
-// enough successful observations to blend. The windowed trace is the
-// guard's reused buffer, valid until the next call.
+// enough successful observations to blend. Live events arrive in
+// non-decreasing Ended order, so the window is a suffix of the live trace:
+// the result is the guard's reused header over a view of that suffix,
+// capped so that an append copies instead of writing into the live trace,
+// and valid until the next call.
 func (g *Guard) recentLive(now time.Duration) (*trace.JobTrace, bool) {
 	cutoff := now - liveWindow
+	ev := g.live.Events
+	i := sort.Search(len(ev), func(i int) bool { return ev[i].Ended >= cutoff })
 	out := &g.window
 	out.Reset(g.live.JobName, g.live.NumStages)
+	out.Events = ev[i:len(ev):len(ev)]
 	ok := 0
-	for _, e := range g.live.Events {
-		if e.Ended < cutoff {
-			continue
-		}
-		out.AddTask(e)
+	for _, e := range out.Events {
 		if !e.Failed {
 			ok++
 		}
@@ -322,8 +336,8 @@ func (g *Guard) deadlineAtRisk(st model.State) bool {
 
 // maybeRebuild re-profiles: it blends live stats into the prior and
 // rebuilds the C(p, a) predictor, rate-limited by the backoff. The cheap,
-// pure checks run first, so a stale model inside the backoff costs no copy
-// of the live trace.
+// pure checks run first, so a stale model inside the backoff costs no
+// search of the live trace.
 func (g *Guard) maybeRebuild(st model.State, score float64) {
 	if g.cfg.RebuildPrimary == nil || g.builtOnce && st.Elapsed-g.lastBuild < rebuildBackoff {
 		return

@@ -84,9 +84,9 @@ func New(p *profile.Profile, opts Options) (*Jockey, error) {
 }
 
 // NewIndicators builds one runtime per named indicator under one Options,
-// from a single pass of offline simulations (model.BuildCPAs). Runtime j is
-// exactly New(p, opts) with opts.Indicator set to names[j]; opts.Indicator
-// itself is ignored.
+// from a single pass of offline simulations (model.Builder.BuildCPAs).
+// Runtime j is exactly New(p, opts) with opts.Indicator set to names[j];
+// opts.Indicator itself is ignored.
 func NewIndicators(p *profile.Profile, opts Options, names ...IndicatorName) ([]*Jockey, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: nil profile")
@@ -106,7 +106,7 @@ func NewIndicators(p *profile.Profile, opts Options, names ...IndicatorName) ([]
 		}
 		inds[j] = ind
 	}
-	cpas, err := model.BuildCPAs(p, inds, model.CPAConfig{
+	cpas, err := new(model.Builder).BuildCPAs(p, inds, model.CPAConfig{
 		Allocs:       grid,
 		RunsPerAlloc: opts.RunsPerAlloc,
 		Seed:         stats.DeriveSeed(opts.Seed, "cpa"),
@@ -211,7 +211,7 @@ func (j *Jockey) GuardedPolicy(deadline time.Duration) (*control.Guard, error) {
 	if err != nil {
 		return nil, err
 	}
-	return j.Guard(ctrl)
+	return j.Guard(ctrl, nil)
 }
 
 // Guard wraps a controller (any knob combination) in the model-staleness
@@ -222,7 +222,14 @@ func (j *Jockey) GuardedPolicy(deadline time.Duration) (*control.Guard, error) {
 // any Options.Parallelism), and a max-allocation panic when the model is
 // stale and even the full budget is predicted to miss. Wire the guard's ObserveTask to
 // cluster.JobConfig.OnTaskEvent so it sees live task completions.
-func (j *Jockey) Guard(ctrl *control.Controller) (*control.Guard, error) {
+//
+// The rebuilds run on b, which the caller owns for the length of one replay
+// and may share between the guards of that replay, since a replay runs one
+// rebuild at a time. A nil b gives the guard a Builder of its own.
+func (j *Jockey) Guard(ctrl *control.Controller, b *model.Builder) (*control.Guard, error) {
+	if b == nil {
+		b = new(model.Builder)
+	}
 	rebuild := func(p *profile.Profile, gen int) (model.Predictor, error) {
 		// Per-generation seeds keep rebuilds deterministic for a fixed
 		// Options.Seed no matter when staleness fires.
@@ -231,7 +238,7 @@ func (j *Jockey) Guard(ctrl *control.Controller) (*control.Guard, error) {
 		if err != nil {
 			return nil, err
 		}
-		return model.BuildCPA(p, ind, model.CPAConfig{
+		return b.BuildCPA(p, ind, model.CPAConfig{
 			Allocs:       j.grid,
 			RunsPerAlloc: j.opts.RunsPerAlloc,
 			Seed:         stats.DeriveSeed(j.opts.Seed, "guard-cpa", fmt.Sprint(gen)),

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"github.com/jockeysim/jockey/internal/cluster"
+	"github.com/jockeysim/jockey/internal/control"
 	"github.com/jockeysim/jockey/internal/dag"
+	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
 )
@@ -200,5 +202,88 @@ func TestMinStageIndicatorUsesConstrainedRun(t *testing.T) {
 	mid := ind.Progress([]float64{1, 0})
 	if mid <= 0 || mid >= 1 {
 		t.Errorf("mid progress = %v", mid)
+	}
+}
+
+// TestGuardSharedBuilderMatchesOwn: the builder a guard rebuilds on holds
+// memory only. Two drifting jobs whose guards share one builder, on a
+// builder warm from an earlier replay too, run exactly as when each guard
+// builds on a builder of its own.
+func TestGuardSharedBuilderMatchesOwn(t *testing.T) {
+	job := dag.NewBuilder("drifting").
+		Stage("map", 200).
+		Stage("reduce", 20).
+		Edge("map", "reduce", dag.AllToAll).
+		MustBuild()
+	p := profile.MustNew(job, []profile.StageProfile{
+		{Exec: stats.LognormalFromMedian(20*time.Second, 60*time.Second)},
+		{Exec: stats.LognormalFromMedian(40*time.Second, 90*time.Second)},
+	})
+	jk, err := New(p, Options{MaxTokens: 30, RunsPerAlloc: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 60 * time.Minute
+	type outcome struct {
+		res    []cluster.Result
+		events [][]control.GuardEvent
+	}
+	replay := func(builders ...*model.Builder) outcome {
+		c, err := cluster.New(cluster.Config{Machines: 8, SlotsPerMachine: 4, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hs []*cluster.Handle
+		var guards []*control.Guard
+		for i, b := range builders {
+			pol, err := jk.Policy(deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := jk.Guard(pol.(*control.Controller), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := c.Submit(cluster.JobConfig{
+				Profile:     p,
+				Policy:      g,
+				Deadline:    deadline,
+				Start:       time.Duration(i) * time.Minute,
+				Tracked:     true,
+				Drifts:      []cluster.StageDrift{{At: 5 * time.Minute, Stage: -1, Factor: 3}},
+				OnTaskEvent: g.ObserveTask,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs, guards = append(hs, h), append(guards, g)
+		}
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var o outcome
+		for i, h := range hs {
+			o.res = append(o.res, h.Result())
+			o.events = append(o.events, guards[i].Events())
+		}
+		return o
+	}
+	own := replay(nil, nil)
+	for i, evs := range own.events {
+		rebuilds := 0
+		for _, e := range evs {
+			if e.Kind == control.GuardEventReprofile {
+				rebuilds++
+			}
+		}
+		if rebuilds == 0 {
+			t.Fatalf("job %d's guard never rebuilt; the comparison needs both guards to rebuild", i)
+		}
+	}
+	shared := new(model.Builder)
+	for round := range 2 {
+		if got := replay(shared, shared); !reflect.DeepEqual(got, own) {
+			t.Errorf("round %d: guards sharing one builder ran differently from guards with their own", round)
+		}
 	}
 }

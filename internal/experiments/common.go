@@ -323,8 +323,9 @@ func AllocChurn(tl []trace.AllocPoint) int {
 	return churn
 }
 
-// buildPolicy constructs the policy for a run from the cached runtime.
-func (e *Env) buildPolicy(r SLORun) (control.Policy, error) {
+// buildPolicy constructs the policy for a run from the cached runtime. A
+// guarded policy rebuilds its C(p, a) table on b, the run's Exec's builder.
+func (e *Env) buildPolicy(r SLORun, b *model.Builder) (control.Policy, error) {
 	jk, err := e.Runtime(r.Job, r.Knobs.Indicator)
 	if err != nil {
 		return nil, err
@@ -350,7 +351,7 @@ func (e *Env) buildPolicy(r SLORun) (control.Policy, error) {
 		if err != nil {
 			return nil, err
 		}
-		return jk.Guard(ctrl)
+		return jk.Guard(ctrl, b)
 	case PolicyJockeyOnline:
 		train, err := e.Training(r.Job)
 		if err != nil {
@@ -381,13 +382,15 @@ func (e *Env) buildPolicy(r SLORun) (control.Policy, error) {
 }
 
 // Exec is one worker's reusable execution state: a cluster engine whose
-// arenas persist across runs and a background-plan pool. An Exec is not safe
+// arenas persist across runs, a background-plan pool and the C(p, a)
+// builder that guarded runs rebuild their tables on. An Exec is not safe
 // for concurrent use; runGrid hands each grid worker its own. Runs through
 // the same Exec are bit-identical to runs on freshly built clusters (pinned
 // by the cluster and workload reuse tests plus the grid golden tests).
 type Exec struct {
-	engine *cluster.Engine
-	bgPool *workload.BackgroundPool
+	engine  *cluster.Engine
+	bgPool  *workload.BackgroundPool
+	builder model.Builder
 }
 
 // NewExec returns an execution context with empty pools.
@@ -464,7 +467,7 @@ func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 	if r.fixedAlloc > 0 {
 		pol, err = control.NewMaxAllocation(r.fixedAlloc)
 	} else {
-		pol, err = e.buildPolicy(r)
+		pol, err = e.buildPolicy(r, &x.builder)
 	}
 	if err != nil {
 		return Outcome{}, err

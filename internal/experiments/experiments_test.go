@@ -123,7 +123,7 @@ func TestPoliciesConstructAndDiffer(t *testing.T) {
 		PolicyJockeyOnline:  "jockey",
 	}
 	for _, kind := range slices.Concat(AllPolicies, []PolicyKind{PolicyJockeyGuarded, PolicyJockeyOnline}) {
-		pol, err := sharedEnv.buildPolicy(SLORun{Job: "A", Deadline: time.Hour, Policy: kind})
+		pol, err := sharedEnv.buildPolicy(SLORun{Job: "A", Deadline: time.Hour, Policy: kind}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

@@ -28,6 +28,7 @@ import (
 	"github.com/jockeysim/jockey/internal/control"
 	"github.com/jockeysim/jockey/internal/core"
 	"github.com/jockeysim/jockey/internal/eventq"
+	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/utility"
@@ -205,6 +206,10 @@ type replay struct {
 	cfg    *Config
 	models *ModelCache
 	c      *cluster.Cluster
+	// builder runs every guard's C(p, a) rebuild in a guarded replay: the
+	// event loop runs one at a time, and the replay's lifetime bounds the
+	// buffers it keeps.
+	builder *model.Builder
 
 	// due queues every offer not yet admitted or rejected at the earliest
 	// epoch it may be considered: its arrival time, or its deferred retry
@@ -253,6 +258,9 @@ func Run(cfg Config) (*Result, error) {
 			Guarded:     cfg.Guarded,
 			Budget:      cfg.Budget,
 		},
+	}
+	if cfg.Guarded {
+		r.builder = new(model.Builder)
 	}
 	arrivals, err := genArrivals(&cfg, models)
 	if err != nil {
@@ -597,7 +605,7 @@ func (r *replay) admit(now time.Duration, fj *fleetJob, need int) error {
 		}
 		fj.ctrl = ctrl
 		if r.cfg.Guarded {
-			guard, err := fj.jk.Guard(ctrl)
+			guard, err := fj.jk.Guard(ctrl, r.builder)
 			if err != nil {
 				return fmt.Errorf("fleet: guard for job %d: %w", fj.arr.id, err)
 			}

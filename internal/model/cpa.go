@@ -2,9 +2,9 @@ package model
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/grid"
@@ -80,13 +80,50 @@ type CPA struct {
 	sums []uint64
 }
 
+// Builder is the reusable state of C(p, a) builds: one cpaWorker per pool
+// worker (its simulation engine and its progress samples), one observation
+// buffer per (alloc, run) cell, and the merge's counts. A warm Builder
+// allocates only what a returned table keeps. The zero Builder is ready to
+// use; a one-shot build is new(Builder).BuildCPAs(...).
+//
+// A Builder holds the high-water buffers of every build it ran, so only a
+// per-replay owner keeps one (DESIGN.md §5). It is not safe for concurrent
+// use, but a build fans its own simulations out over a worker pool.
+type Builder struct {
+	workers []*cpaWorker
+	// bufs[idx] holds every indicator's observations of (alloc, run) cell
+	// idx, and cellObs[idx*k+j] is indicator j's part of it. A cell's
+	// buffer is grown to its exact need before it is filled, so a one-shot
+	// build allocates no more than the observations, and a warm build
+	// reuses each cell's high-water buffer.
+	bufs    [][]obs
+	cellObs [][]obs
+	seen    []int64
+	// The build in flight, read by runCell; cleared when the build returns
+	// so an idle Builder pins no profile.
+	p      *profile.Profile
+	inds   []progress.Indicator
+	allocs []int
+	runs   int
+	seed   uint64
+	// one backs BuildCPA's one-indicator list; runCellFn is runCell bound
+	// once, so handing it to the worker pool allocates nothing.
+	one       [1]progress.Indicator
+	runCellFn func(worker, idx int) error
+	// The merge's reservoir generator, reseeded for every table.
+	src *rand.PCG
+	rng *rand.Rand
+}
+
 // BuildCPA runs the offline simulator across the allocation grid and builds
 // the C(p, a) table, using the supplied indicator to compute progress p —
 // the same indicator the control loop will use to index the table at
 // runtime. It is BuildCPAs with one indicator.
-func BuildCPA(p *profile.Profile, ind progress.Indicator, cfg CPAConfig) (*CPA, error) {
+func (b *Builder) BuildCPA(p *profile.Profile, ind progress.Indicator, cfg CPAConfig) (*CPA, error) {
+	b.one[0] = ind
+	defer func() { b.one[0] = nil }()
 	var out [1]*CPA
-	if err := buildCPAs(p, []progress.Indicator{ind}, cfg, out[:]); err != nil {
+	if err := b.build(p, b.one[:], cfg, out[:]); err != nil {
 		return nil, err
 	}
 	return out[0], nil
@@ -98,95 +135,113 @@ func BuildCPA(p *profile.Profile, ind progress.Indicator, cfg CPAConfig) (*CPA, 
 // each of its progress samples. Table j equals BuildCPA(p, inds[j], cfg)
 // exactly: the simulations, the reservoir seed and the merge order are the
 // same.
-func BuildCPAs(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig) ([]*CPA, error) {
+func (b *Builder) BuildCPAs(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig) ([]*CPA, error) {
 	out := make([]*CPA, len(inds))
-	if err := buildCPAs(p, inds, cfg, out); err != nil {
+	if err := b.build(p, inds, cfg, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// buildCPAs is BuildCPAs writing table j to out[j], so that a one-indicator
+// build is BuildCPAs writing table j to out[j], so that a one-indicator
 // build allocates nothing for its result beyond the table itself.
-func buildCPAs(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig, out []*CPA) error {
+func (b *Builder) build(p *profile.Profile, inds []progress.Indicator, cfg CPAConfig, out []*CPA) error {
 	if p == nil || len(inds) == 0 || slices.Contains(inds, nil) {
 		return fmt.Errorf("model: BuildCPA requires a profile and an indicator")
 	}
 	if err := cfg.fill(); err != nil {
 		return err
 	}
+	b.p, b.inds, b.runs, b.seed = p, inds, cfg.RunsPerAlloc, cfg.Seed
 	// The grid is read-only after construction, so the tables share it.
-	allocs := append([]int(nil), cfg.Allocs...)
+	b.allocs = append([]int(nil), cfg.Allocs...)
+	defer func() { b.p, b.inds, b.allocs = nil, nil, nil }()
 	k := len(inds)
 	// Phase 1 — fan out: every (alloc, run) cell is an independent
 	// simulation whose seed depends only on (Seed, alloc, run), so the
 	// worker pool can execute cells in any order on any number of
-	// goroutines. Each worker writes only its own cell's cellObs slots
-	// (cellObs[idx*k+j] holds indicator j's observations of cell idx), and
-	// holds one reusable simulation engine plus one sample scratch buffer —
-	// worker identity touches memory reuse only, never results. grid.Run
-	// returns the error of the lowest failing cell, whoever ran it.
-	nCells := len(allocs) * cfg.RunsPerAlloc
-	cellObs := make([][]obs, nCells*k)
-	workers := make([]*cpaWorker, grid.Workers(cfg.Parallelism, nCells))
-	err := grid.Run(nCells, cfg.Parallelism, func(worker, idx int) error {
-		w := workers[worker]
-		if w == nil {
-			w = newCPAWorker(inds)
-			workers[worker] = w
-		}
-		alloc := allocs[idx/cfg.RunsPerAlloc]
-		run := idx % cfg.RunsPerAlloc
-		w.samples = w.samples[:0]
-		completion, err := w.r.Completion(sim.Config{
-			Profile:  p,
-			Alloc:    alloc,
-			Seed:     stats.DeriveSeed(cfg.Seed, "cpa", strconv.Itoa(alloc), strconv.Itoa(run)),
-			OnSample: w.onSample,
-		})
-		if err != nil {
-			return err
-		}
-		buf := make([]obs, 0, len(w.samples)+2*k)
-		for j := range k {
-			start := len(buf)
-			// t = 0 with p = 0 is always a valid observation.
-			buf = append(buf, obs{bucket: 0, v: completion})
-			for s := j; s < len(w.samples); s += k {
-				remaining := completion - w.samples[s].t
-				if remaining < 0 {
-					continue
-				}
-				buf = append(buf, obs{bucket: bucketOf(w.samples[s].p), v: remaining})
-			}
-			// Completion itself: progress 1 has zero remaining time.
-			buf = append(buf, obs{bucket: buckets, v: 0})
-			cellObs[idx*k+j] = buf[start:len(buf):len(buf)]
-		}
-		return nil
-	})
-	if err != nil {
+	// goroutines. A worker fills only its own cells' buffers and
+	// observation slots; worker identity touches memory reuse only, never
+	// results. grid.Run returns the error of the lowest failing cell,
+	// whoever ran it.
+	nCells := len(b.allocs) * cfg.RunsPerAlloc
+	if nw := grid.Workers(cfg.Parallelism, nCells); len(b.workers) < nw {
+		b.workers = append(b.workers, make([]*cpaWorker, nw-len(b.workers))...)
+	}
+	if len(b.bufs) < nCells {
+		b.bufs = append(b.bufs, make([][]obs, nCells-len(b.bufs))...)
+	}
+	b.cellObs = slices.Grow(b.cellObs[:0], nCells*k)[:nCells*k]
+	if b.runCellFn == nil {
+		b.runCellFn = b.runCell
+	}
+	if err := grid.Run(nCells, cfg.Parallelism, b.runCellFn); err != nil {
 		return err
 	}
 	for j, ind := range inds {
-		out[j] = mergeCPA(ind, allocs, cfg, cellObs, k, j)
+		out[j] = b.merge(ind, k, j)
 	}
 	return nil
 }
 
-// mergeCPA builds indicator j's table from the observations of every
-// (alloc, run) cell, cellObs[idx*k+j], in fixed index order.
-func mergeCPA(ind progress.Indicator, allocs []int, cfg CPAConfig, cellObs [][]obs, k, j int) *CPA {
-	c := &CPA{indicator: ind, allocs: allocs}
-	nCells := len(cellObs) / k
+// runCell simulates (alloc, run) cell idx on worker's engine and fills the
+// cell's buffer with each indicator's observations of it.
+func (b *Builder) runCell(worker, idx int) error {
+	w := b.workers[worker]
+	if w == nil {
+		w = b.newWorker()
+		b.workers[worker] = w
+	}
+	k := len(b.inds)
+	alloc := b.allocs[idx/b.runs]
+	run := idx % b.runs
+	w.samples = w.samples[:0]
+	completion, err := w.r.Completion(sim.Config{
+		Profile:  b.p,
+		Alloc:    alloc,
+		Seed:     stats.DeriveSeedLabelInt(b.seed, "cpa", alloc, run),
+		OnSample: w.onSample,
+	})
+	if err != nil {
+		return err
+	}
+	// Every indicator's observations fit, so the appends below never move
+	// the buffer that earlier indicators' slots point into.
+	buf := slices.Grow(b.bufs[idx][:0], len(w.samples)+2*k)
+	for j := range k {
+		start := len(buf)
+		// t = 0 with p = 0 is always a valid observation.
+		buf = append(buf, obs{bucket: 0, v: completion})
+		for s := j; s < len(w.samples); s += k {
+			remaining := completion - w.samples[s].t
+			if remaining < 0 {
+				continue
+			}
+			buf = append(buf, obs{bucket: bucketOf(w.samples[s].p), v: remaining})
+		}
+		// Completion itself: progress 1 has zero remaining time.
+		buf = append(buf, obs{bucket: buckets, v: 0})
+		b.cellObs[idx*k+j] = buf[start:len(buf):len(buf)]
+	}
+	b.bufs[idx] = buf
+	return nil
+}
+
+// merge builds indicator j's table from the observations of every
+// (alloc, run) cell, in fixed index order.
+func (b *Builder) merge(ind progress.Indicator, k, j int) *CPA {
+	c := &CPA{indicator: ind, allocs: b.allocs}
+	nCells := len(b.cellObs) / k
 	// Phase 2 — size the table: a cell keeps min(seen, reservoirCap)
 	// samples, so counting every cell's observations fixes each cell's
 	// offset before any value is placed.
 	nb := buckets + 1
-	seen := make([]int64, len(c.allocs)*nb)
+	b.seen = slices.Grow(b.seen[:0], len(c.allocs)*nb)[:len(c.allocs)*nb]
+	seen := b.seen
+	clear(seen)
 	for idx := range nCells {
-		row := idx / cfg.RunsPerAlloc * nb
-		for _, o := range cellObs[idx*k+j] {
+		row := idx / b.runs * nb
+		for _, o := range b.cellObs[idx*k+j] {
 			seen[row+o.bucket]++
 		}
 	}
@@ -203,10 +258,10 @@ func mergeCPA(ind progress.Indicator, allocs []int, cfg CPAConfig, cellObs [][]o
 	// Parallelism. Every indicator's merge starts from the same seed, so a
 	// table does not depend on which other indicators shared its pass.
 	clear(seen)
-	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "cpa-reservoir"))
+	rng := b.reservoirRNG(stats.DeriveSeedLabelInt(b.seed, "cpa-reservoir"))
 	for idx := range nCells {
-		row := idx / cfg.RunsPerAlloc * nb
-		for _, o := range cellObs[idx*k+j] {
+		row := idx / b.runs * nb
+		for _, o := range b.cellObs[idx*k+j] {
 			i := row + o.bucket
 			seen[i]++
 			if seen[i] <= reservoirCap {
@@ -234,20 +289,31 @@ func mergeCPA(ind progress.Indicator, allocs []int, cfg CPAConfig, cellObs [][]o
 	return c
 }
 
+// reservoirRNG returns the merge's generator seeded with seed, created on
+// the Builder's first merge and reseeded in place after that.
+func (b *Builder) reservoirRNG(seed uint64) *rand.Rand {
+	if b.rng == nil {
+		b.src = stats.NewSource(seed)
+		b.rng = rand.New(b.src)
+	} else {
+		stats.ReseedSource(b.src, seed)
+	}
+	return b.rng
+}
+
 // obs is one remaining-time observation and the progress bucket it falls in.
 type obs struct {
 	bucket int
 	v      time.Duration
 }
 
-// cpaWorker is one BuildCPAs worker's reusable state: a simulation engine,
+// cpaWorker is one Builder worker's reusable state: a simulation engine,
 // the progress samples of the run in flight, and the one OnSample callback
 // that appends to them, built once per worker rather than once per run.
 type cpaWorker struct {
-	r    *sim.Runner
-	inds []progress.Indicator
-	// samples holds one entry per (snapshot, indicator): entry s*len(inds)+j
-	// is snapshot s under indicator j.
+	r *sim.Runner
+	// samples holds one entry per (snapshot, indicator): entry s*k+j is
+	// snapshot s under the build's indicator j.
 	samples  []progressSample
 	onSample func(sim.Snapshot)
 }
@@ -257,12 +323,14 @@ type progressSample struct {
 	p float64
 }
 
-func newCPAWorker(inds []progress.Indicator) *cpaWorker {
-	w := &cpaWorker{r: sim.NewRunner(), inds: inds}
+// newWorker returns a worker whose OnSample callback evaluates the
+// indicators of b's build in flight.
+func (b *Builder) newWorker() *cpaWorker {
+	w := &cpaWorker{r: sim.NewRunner()}
 	w.onSample = func(s sim.Snapshot) {
 		// s.FracDone is the Runner's scratch buffer; Progress consumes it
 		// inside the callback, nothing is retained.
-		for _, ind := range w.inds {
+		for _, ind := range b.inds {
 			w.samples = append(w.samples, progressSample{t: s.Time, p: ind.Progress(s.FracDone)})
 		}
 	}

@@ -200,7 +200,7 @@ func TestCPAMatchesReservoirReference(t *testing.T) {
 			}
 			for _, par := range []int{1, 4, 8} {
 				cfg.Parallelism = par
-				got, err := BuildCPA(f.p, ind, cfg)
+				got, err := new(Builder).BuildCPA(f.p, ind, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -58,7 +58,7 @@ func TestSharedPassMatchesSingleBuilds(t *testing.T) {
 		if !evicts(buildCPAReference(t, p, inds[0], cfg)) {
 			t.Fatalf("parallelism %d: no cell overflowed; the replacement path is untested", par)
 		}
-		shared, err := BuildCPAs(p, inds, cfg)
+		shared, err := new(Builder).BuildCPAs(p, inds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestSharedPassMatchesSingleBuilds(t *testing.T) {
 			t.Fatalf("parallelism %d: %d tables for %d indicators", par, len(shared), len(inds))
 		}
 		for j, ind := range inds {
-			single, err := BuildCPA(p, ind, cfg)
+			single, err := new(Builder).BuildCPA(p, ind, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -142,7 +142,7 @@ func TestBuildCPAAllocsIndependentOfBuckets(t *testing.T) {
 	allocsAt := func(grid []int, runs int) float64 {
 		cfg := CPAConfig{Allocs: grid, RunsPerAlloc: runs, Seed: 42, Parallelism: 1}
 		return testing.AllocsPerRun(5, func() {
-			if _, err := BuildCPA(p, ind, cfg); err != nil {
+			if _, err := new(Builder).BuildCPA(p, ind, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -122,7 +122,7 @@ func TestAmdahlPredictorInterface(t *testing.T) {
 
 func buildTestCPA(t testing.TB, p *profile.Profile, allocs []int) *CPA {
 	t.Helper()
-	c, err := BuildCPA(p, progress.NewTotalWorkWithQ(p), CPAConfig{
+	c, err := new(Builder).BuildCPA(p, progress.NewTotalWorkWithQ(p), CPAConfig{
 		Allocs:       allocs,
 		RunsPerAlloc: 6,
 		Seed:         42,
@@ -136,25 +136,25 @@ func buildTestCPA(t testing.TB, p *profile.Profile, allocs []int) *CPA {
 func TestBuildCPAValidation(t *testing.T) {
 	p := detProfile(t)
 	ind := progress.NewTotalWorkWithQ(p)
-	if _, err := BuildCPA(nil, ind, CPAConfig{Allocs: []int{1}}); err == nil {
+	if _, err := new(Builder).BuildCPA(nil, ind, CPAConfig{Allocs: []int{1}}); err == nil {
 		t.Error("nil profile must fail")
 	}
-	if _, err := BuildCPA(p, nil, CPAConfig{Allocs: []int{1}}); err == nil {
+	if _, err := new(Builder).BuildCPA(p, nil, CPAConfig{Allocs: []int{1}}); err == nil {
 		t.Error("nil indicator must fail")
 	}
-	if _, err := BuildCPA(p, ind, CPAConfig{}); err == nil {
+	if _, err := new(Builder).BuildCPA(p, ind, CPAConfig{}); err == nil {
 		t.Error("empty alloc grid must fail")
 	}
-	if _, err := BuildCPA(p, ind, CPAConfig{Allocs: []int{5, 3}}); err == nil {
+	if _, err := new(Builder).BuildCPA(p, ind, CPAConfig{Allocs: []int{5, 3}}); err == nil {
 		t.Error("non-ascending grid must fail")
 	}
-	if _, err := BuildCPA(p, ind, CPAConfig{Allocs: []int{0, 3}}); err == nil {
+	if _, err := new(Builder).BuildCPA(p, ind, CPAConfig{Allocs: []int{0, 3}}); err == nil {
 		t.Error("non-positive alloc must fail")
 	}
-	if _, err := BuildCPAs(p, nil, CPAConfig{Allocs: []int{1}}); err == nil {
+	if _, err := new(Builder).BuildCPAs(p, nil, CPAConfig{Allocs: []int{1}}); err == nil {
 		t.Error("an empty indicator list must fail")
 	}
-	if _, err := BuildCPAs(p, []progress.Indicator{ind, nil}, CPAConfig{Allocs: []int{1}}); err == nil {
+	if _, err := new(Builder).BuildCPAs(p, []progress.Indicator{ind, nil}, CPAConfig{Allocs: []int{1}}); err == nil {
 		t.Error("a nil indicator in the list must fail")
 	}
 }

@@ -14,7 +14,7 @@ import (
 func buildCPAWithParallelism(t testing.TB, par int) *CPA {
 	t.Helper()
 	p := noisyProfile(t)
-	c, err := BuildCPA(p, progress.NewTotalWorkWithQ(p), CPAConfig{
+	c, err := new(Builder).BuildCPA(p, progress.NewTotalWorkWithQ(p), CPAConfig{
 		Allocs:       []int{2, 5, 15, 40},
 		RunsPerAlloc: 6,
 		Seed:         42,

@@ -105,7 +105,8 @@ type event struct {
 // share one job shape and read only the completion time.
 //
 // A Runner is NOT safe for concurrent use: callers that fan simulations
-// out across goroutines hold one Runner per worker (see model.BuildCPA).
+// out across goroutines hold one Runner per worker, as model.Builder does
+// for each worker of its pool and keeps for the builds that follow.
 // A reused Runner's results are bit-identical to a fresh one's — same RNG
 // draws, same event order, same trace — pinned by
 // TestRunnerReuseBitIdentical.

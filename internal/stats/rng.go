@@ -78,18 +78,22 @@ func DeriveSeedInt(master uint64, n int) uint64 {
 	return SplitMix64(fnvInt(fnvMaster(master), n))
 }
 
-// DeriveSeedLabelInt is DeriveSeed(master, label, fmt.Sprint(n)) for n >= 0,
-// allocation-free like DeriveSeedInt: the cluster derives every submitted
-// job's seed from its id with it. TestDeriveSeedLabelIntMatchesDeriveSeed
-// pins the bit-identity.
-func DeriveSeedLabelInt(master uint64, label string, n int) uint64 {
+// DeriveSeedLabelInt is DeriveSeed(master, label, fmt.Sprint(ns[0]),
+// fmt.Sprint(ns[1]), ...) for every n >= 0, allocation-free like
+// DeriveSeedInt: the cluster derives every submitted job's seed from its id
+// with it, and a C(p, a) build each simulation's seed from its (allocation,
+// run) cell. TestDeriveSeedLabelIntMatchesDeriveSeed pins the bit-identity.
+func DeriveSeedLabelInt(master uint64, label string, ns ...int) uint64 {
 	h := fnvMaster(master)
 	h *= fnvPrime64 // label separator byte 0: h ^= 0 is a no-op
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
 		h *= fnvPrime64
 	}
-	return SplitMix64(fnvInt(h, n))
+	for _, n := range ns {
+		h = fnvInt(h, n)
+	}
+	return SplitMix64(h)
 }
 
 // fnvMaster is the FNV-1a state after hashing master's eight little-endian

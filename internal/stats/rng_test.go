@@ -24,19 +24,31 @@ func TestDeriveSeedIntMatchesDeriveSeed(t *testing.T) {
 }
 
 // TestDeriveSeedLabelIntMatchesDeriveSeed pins the same contract for the
-// labelled form the cluster seeds every job with: job seeds must never shift
-// from runs that used DeriveSeed(master, "job", fmt.Sprint(id)).
+// labelled form the cluster seeds every job with, and C(p, a) builds every
+// simulation: job seeds must never shift from runs that used
+// DeriveSeed(master, "job", fmt.Sprint(id)), nor simulation seeds from
+// DeriveSeed(master, "cpa", fmt.Sprint(alloc), fmt.Sprint(run)).
 func TestDeriveSeedLabelIntMatchesDeriveSeed(t *testing.T) {
 	masters := []uint64{0, 1, 42, 1<<32 | 7, ^uint64(0)}
 	labels := []string{"", "job", "a longer label"}
 	ns := []int{0, 1, 9, 10, 99, 12345, 1 << 20, 1<<31 - 1}
 	for _, m := range masters {
 		for _, l := range labels {
+			if got, want := DeriveSeedLabelInt(m, l), DeriveSeed(m, l); got != want {
+				t.Errorf("DeriveSeedLabelInt(%d, %q) = %d, want DeriveSeed = %d", m, l, got, want)
+			}
 			for _, n := range ns {
 				got := DeriveSeedLabelInt(m, l, n)
 				want := DeriveSeed(m, l, fmt.Sprint(n))
 				if got != want {
 					t.Errorf("DeriveSeedLabelInt(%d, %q, %d) = %d, want DeriveSeed = %d", m, l, n, got, want)
+				}
+				for _, n2 := range ns[:4] {
+					got := DeriveSeedLabelInt(m, l, n, n2)
+					want := DeriveSeed(m, l, fmt.Sprint(n), fmt.Sprint(n2))
+					if got != want {
+						t.Errorf("DeriveSeedLabelInt(%d, %q, %d, %d) = %d, want DeriveSeed = %d", m, l, n, n2, got, want)
+					}
 				}
 			}
 		}
@@ -47,6 +59,7 @@ func TestDeriveSeedIntAllocates(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() {
 		_ = DeriveSeedInt(12345, 678)
 		_ = DeriveSeedLabelInt(12345, "job", 678)
+		_ = DeriveSeedLabelInt(12345, "cpa", 100, 9)
 	}); avg != 0 {
 		t.Errorf("DeriveSeedInt or DeriveSeedLabelInt allocates %v per call, want 0", avg)
 	}

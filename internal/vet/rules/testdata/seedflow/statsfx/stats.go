@@ -38,12 +38,15 @@ func DeriveSeedInt(master uint64, n int) uint64 {
 // DeriveSeedLabelInt is the allocation-free labelled integer variant. Its
 // body alone would not prove a derived result (the hash starts from a
 // constant); it is a deriver only because seedflow lists it as an intrinsic.
-func DeriveSeedLabelInt(master uint64, label string, n int) uint64 {
+func DeriveSeedLabelInt(master uint64, label string, ns ...int) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(label); i++ {
 		h = (h ^ uint64(label[i])) * 0x100000001b3
 	}
-	return h ^ uint64(n)
+	for _, n := range ns {
+		h ^= uint64(n)
+	}
+	return h
 }
 
 // NewSource feeds its parameter into rand.NewPCG, making it a seed

@@ -215,6 +215,11 @@ type (
 	// GuardMode is the guard's state: primary (the C(p, a) table) or
 	// panic.
 	GuardMode = control.GuardMode
+	// CPABuilder is the reusable state of C(p, a) builds that Jockey.Guard
+	// runs its rebuilds on. Its zero value is ready to use; one builder
+	// may serve every guard of one replay, and a nil builder gives the
+	// guard its own.
+	CPABuilder = model.Builder
 	// BlendOptions tunes BlendProfiles.
 	BlendOptions = profile.BlendOptions
 )

@@ -47,11 +47,9 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalCapacity() != 100 {
-		t.Errorf("default capacity = %d, want 100", c.TotalCapacity())
-	}
-	if c.Capacity() != c.TotalCapacity() {
-		t.Error("all machines should start up")
+	// The default is 25 machines of 4 slots, all up at the start.
+	if c.Capacity() != 100 {
+		t.Errorf("default capacity = %d, want 100", c.Capacity())
 	}
 }
 

@@ -507,7 +507,6 @@ func (c *Cluster) completeJob(jr *jobRun) {
 		Oracle:             oracle,
 		AllocTokenSeconds:  jr.allocSecs,
 		OracleTokenSeconds: float64(oracle) * jr.deadline.Seconds(),
-		UsedTokenSeconds:   jr.usedSecs,
 		SpareTaskFraction:  spareFrac,
 		Evictions:          jr.evictions,
 		LocalityFraction:   localityFraction(jr),

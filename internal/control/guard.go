@@ -78,10 +78,6 @@ const (
 	// observations required before the prior profile is blended and a model
 	// rebuilt.
 	minLiveSamples = 20
-	// blendPriorWeight scales the prior profile's effective sample count in
-	// the blend: by the time the guard rebuilds, the detector has already
-	// proven the prior wrong, so live observations dominate.
-	blendPriorWeight = 0.25
 	// liveWindow restricts the blend to live observations that completed
 	// within this much elapsed time before the rebuild. Recency weighting is
 	// what lets the blend track a regime change instead of averaging it away:
@@ -312,12 +308,7 @@ func (g *Guard) recentLive(now time.Duration) (*trace.JobTrace, bool) {
 // blend returns the prior profile with the given live observations blended
 // in, or the prior itself if the blend fails.
 func (g *Guard) blend(live *trace.JobTrace) *profile.Profile {
-	p, err := profile.Blend(g.cfg.Prior, live, profile.BlendOptions{
-		PriorWeight: blendPriorWeight,
-		// Extrapolate an observed job-wide slowdown to the stages still ahead
-		// of the job: that is where most of the remaining time lives.
-		ScaleUnobserved: true,
-	})
+	p, err := profile.Blend(g.cfg.Prior, live)
 	if err != nil {
 		return g.cfg.Prior
 	}

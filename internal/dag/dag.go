@@ -69,7 +69,6 @@ type Job struct {
 	Stages []Stage
 	Edges  []Edge
 
-	byName  map[string]int
 	inputs  [][]Edge // per stage, incoming edges
 	outputs [][]Edge // per stage, outgoing edges
 	topo    []int    // topological order of stage indices
@@ -143,18 +142,18 @@ func (b *Builder) Build() (*Job, error) {
 	j := &Job{
 		Name:   b.name,
 		Stages: append([]Stage(nil), b.stages...),
-		byName: make(map[string]int, len(b.stages)),
 	}
+	byName := make(map[string]int, len(j.Stages))
 	for i, s := range j.Stages {
-		j.byName[s.Name] = i
+		byName[s.Name] = i
 	}
 	seen := make(map[[2]int]bool)
 	for _, e := range b.edges {
-		from, ok := j.byName[e.from]
+		from, ok := byName[e.from]
 		if !ok {
 			return nil, fmt.Errorf("dag: job %q: edge from unknown stage %q", b.name, e.from)
 		}
-		to, ok := j.byName[e.to]
+		to, ok := byName[e.to]
 		if !ok {
 			return nil, fmt.Errorf("dag: job %q: edge to unknown stage %q", b.name, e.to)
 		}
@@ -188,8 +187,7 @@ func (b *Builder) MustBuild() *Job {
 	return j
 }
 
-// topoSort computes a deterministic topological order from Stages and Edges
-// alone, so it is safe to call before the adjacency caches exist.
+// topoSort computes a deterministic topological order from Stages and Edges.
 func (j *Job) topoSort() ([]int, error) {
 	indeg := make([]int, len(j.Stages))
 	succ := make([][]int, len(j.Stages))
@@ -245,14 +243,6 @@ func mergeSorted(a, b []int) []int {
 
 // NumStages returns the number of stages.
 func (j *Job) NumStages() int { return len(j.Stages) }
-
-// StageIndex returns the index of the named stage, or -1.
-func (j *Job) StageIndex(name string) int {
-	if i, ok := j.byName[name]; ok {
-		return i
-	}
-	return -1
-}
 
 // Inputs returns the incoming edges of stage s. The slice is owned by the Job.
 func (j *Job) Inputs(s int) []Edge { return j.inputs[s] }
@@ -321,28 +311,6 @@ func (j *Job) TotalInputGB() float64 {
 	return gb
 }
 
-// Roots returns indices of stages with no inputs.
-func (j *Job) Roots() []int {
-	var out []int
-	for s := range j.Stages {
-		if len(j.inputs[s]) == 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Leaves returns indices of stages with no outputs.
-func (j *Job) Leaves() []int {
-	var out []int
-	for s := range j.Stages {
-		if len(j.outputs[s]) == 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // DepRange returns the half-open range [lo, hi) of producer task indices
 // that task `task` of the consumer depends on across edge e. For AllToAll
 // edges this is the whole producer stage. For OneToOne edges the producer's
@@ -399,32 +367,6 @@ func (j *Job) LongestPathsFrom(stageCost func(stage int) time.Duration) []time.D
 		out[s] = best + stageCost(s)
 	}
 	return out
-}
-
-// Validate re-checks the structural invariants of the job. Jobs produced by
-// Build always pass; Validate exists so deserialized or hand-constructed
-// values can be checked.
-func (j *Job) Validate() error {
-	if len(j.Stages) == 0 {
-		return fmt.Errorf("dag: job %q has no stages", j.Name)
-	}
-	for i, s := range j.Stages {
-		if s.Tasks <= 0 {
-			return fmt.Errorf("dag: job %q: stage %q (index %d) has %d tasks", j.Name, s.Name, i, s.Tasks)
-		}
-	}
-	for _, e := range j.Edges {
-		if e.From < 0 || e.From >= len(j.Stages) || e.To < 0 || e.To >= len(j.Stages) {
-			return fmt.Errorf("dag: job %q: edge %v out of range", j.Name, e)
-		}
-		if e.From == e.To {
-			return fmt.Errorf("dag: job %q: self-edge on stage %d", j.Name, e.From)
-		}
-	}
-	if _, err := j.topoSort(); err != nil {
-		return err
-	}
-	return nil
 }
 
 func (j *Job) String() string {

@@ -36,32 +36,3 @@ func (j *Job) DOT() string {
 	b.WriteString("}\n")
 	return b.String()
 }
-
-// Rebuild recomputes the internal adjacency indices and topological order
-// from the exported Stages and Edges fields. It must be called on any Job
-// that was not produced by Builder.Build (e.g. one decoded from JSON)
-// before its graph accessors are used.
-func (j *Job) Rebuild() error {
-	if err := j.Validate(); err != nil {
-		return err
-	}
-	j.byName = make(map[string]int, len(j.Stages))
-	for i, s := range j.Stages {
-		if _, dup := j.byName[s.Name]; dup {
-			return fmt.Errorf("dag: job %q: duplicate stage %q", j.Name, s.Name)
-		}
-		j.byName[s.Name] = i
-	}
-	j.inputs = make([][]Edge, len(j.Stages))
-	j.outputs = make([][]Edge, len(j.Stages))
-	for _, e := range j.Edges {
-		j.inputs[e.To] = append(j.inputs[e.To], e)
-		j.outputs[e.From] = append(j.outputs[e.From], e)
-	}
-	topo, err := j.topoSort()
-	if err != nil {
-		return err
-	}
-	j.topo = topo
-	return nil
-}

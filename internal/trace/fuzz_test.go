@@ -62,7 +62,6 @@ func FuzzTraceJSON(f *testing.F) {
 		for s := -1; s <= 2; s++ {
 			tr.ExecSamples(s)
 			tr.InitSamples(s)
-			tr.QueueSamples(s)
 			tr.FailureRate(s)
 			tr.StageWork(s)
 			tr.StageQueue(s)

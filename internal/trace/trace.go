@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -98,19 +97,6 @@ func (t *JobTrace) ExecSamples(stage int) []time.Duration {
 	for _, e := range t.Events {
 		if e.Stage == stage && !e.Failed {
 			out = append(out, e.ExecTime())
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// QueueSamples returns the queueing delays of all successful attempts in the
-// given stage, sorted ascending.
-func (t *JobTrace) QueueSamples(stage int) []time.Duration {
-	var out []time.Duration
-	for _, e := range t.Events {
-		if e.Stage == stage && !e.Failed {
-			out = append(out, e.QueueTime())
 		}
 	}
 	slices.Sort(out)
@@ -242,56 +228,6 @@ func (t *JobTrace) StageSpan(stage int) (begin, end time.Duration, ok bool) {
 		}
 	}
 	return begin, end, ok
-}
-
-// MaxParallelism returns the maximum number of simultaneously running task
-// attempts, computed by sweeping the start/end events.
-func (t *JobTrace) MaxParallelism() int {
-	type point struct {
-		at    time.Duration
-		delta int
-	}
-	pts := make([]point, 0, 2*len(t.Events))
-	for _, e := range t.Events {
-		pts = append(pts, point{e.Started, +1}, point{e.Ended, -1})
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].at != pts[j].at {
-			return pts[i].at < pts[j].at
-		}
-		return pts[i].delta < pts[j].delta // process ends before starts at ties
-	})
-	cur, best := 0, 0
-	for _, p := range pts {
-		cur += p.delta
-		if cur > best {
-			best = cur
-		}
-	}
-	return best
-}
-
-// WriteEventsCSV writes the task events as CSV.
-func (t *JobTrace) WriteEventsCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"stage", "task", "attempt", "queued_s", "dispatched_s", "started_s", "ended_s", "failed"}); err != nil {
-		return err
-	}
-	for _, e := range t.Events {
-		rec := []string{
-			strconv.Itoa(e.Stage), strconv.Itoa(e.Task), strconv.Itoa(e.Attempt),
-			fmt.Sprintf("%.3f", e.Queued.Seconds()),
-			fmt.Sprintf("%.3f", e.Dispatched.Seconds()),
-			fmt.Sprintf("%.3f", e.Started.Seconds()),
-			fmt.Sprintf("%.3f", e.Ended.Seconds()),
-			strconv.FormatBool(e.Failed),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // WriteTimelineCSV writes the allocation timeline as CSV (the data behind

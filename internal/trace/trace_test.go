@@ -35,10 +35,6 @@ func TestExecQueueSamples(t *testing.T) {
 	if ex[0] != 2*time.Second || ex[2] != 6*time.Second {
 		t.Errorf("ExecSamples = %v (want sorted 2s..6s)", ex)
 	}
-	q := tr.QueueSamples(0)
-	if len(q) != 3 || q[0] != time.Second {
-		t.Errorf("QueueSamples = %v", q)
-	}
 	if got := len(tr.AllExecSamples()); got != 4 {
 		t.Errorf("AllExecSamples len = %d", got)
 	}
@@ -93,41 +89,10 @@ func TestStageSpan(t *testing.T) {
 	}
 }
 
-func TestMaxParallelism(t *testing.T) {
-	tr := sampleTrace()
-	// At t in (2,3): tasks 0, 1 and first attempt of 2 overlap -> 3.
-	if got := tr.MaxParallelism(); got != 3 {
-		t.Errorf("MaxParallelism = %d, want 3", got)
-	}
-	if got := New("empty", 1).MaxParallelism(); got != 0 {
-		t.Errorf("empty MaxParallelism = %d", got)
-	}
-}
-
-func TestMaxParallelismBackToBack(t *testing.T) {
-	tr := New("x", 1)
-	tr.AddTask(TaskEvent{Started: 0, Ended: time.Second})
-	tr.AddTask(TaskEvent{Started: time.Second, Ended: 2 * time.Second})
-	if got := tr.MaxParallelism(); got != 1 {
-		t.Errorf("back-to-back tasks must not overlap: %d", got)
-	}
-}
-
 func TestCSVExports(t *testing.T) {
 	tr := sampleTrace()
 	tr.AddAlloc(AllocPoint{T: time.Minute, Raw: 40, Granted: 35, Running: 30, Oracle: 20,
 		Progress: 0.5, Predicted: 30 * time.Minute})
-	var ev bytes.Buffer
-	if err := tr.WriteEventsCSV(&ev); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(ev.String()), "\n")
-	if len(lines) != 6 { // header + 5 events
-		t.Fatalf("events CSV has %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "stage,task,attempt") {
-		t.Errorf("bad header: %s", lines[0])
-	}
 	var tl bytes.Buffer
 	if err := tr.WriteTimelineCSV(&tl); err != nil {
 		t.Fatal(err)

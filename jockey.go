@@ -220,8 +220,6 @@ type (
 	// may serve every guard of one replay, and a nil builder gives the
 	// guard its own.
 	CPABuilder = model.Builder
-	// BlendOptions tunes BlendProfiles.
-	BlendOptions = profile.BlendOptions
 )
 
 // NewGuard builds the guard-rail layer around a controller; most callers use
@@ -231,8 +229,8 @@ func NewGuard(cfg GuardConfig) (*Guard, error) { return control.NewGuard(cfg) }
 // BlendProfiles merges live task observations into a prior profile,
 // count-weighted — the data path of online re-profiling, usable standalone
 // for profile refresh between recurring runs.
-func BlendProfiles(prior *Profile, live *JobTrace, opts BlendOptions) (*Profile, error) {
-	return profile.Blend(prior, live, opts)
+func BlendProfiles(prior *Profile, live *JobTrace) (*Profile, error) {
+	return profile.Blend(prior, live)
 }
 
 // Utility curves (package internal/utility).

@@ -176,16 +176,7 @@ func (c *calendar[T]) jumpToMin() {
 //jockey:hotpath
 func (c *calendar[T]) heapPush(bi int, it item[T]) {
 	c.buckets[bi] = append(c.buckets[bi], it)
-	b := c.buckets[bi]
-	i := len(b) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !lessItem(b[i], b[parent]) {
-			break
-		}
-		b[i], b[parent] = b[parent], b[i]
-		i = parent
-	}
+	siftUp(c.buckets[bi])
 }
 
 // heapPop removes bucket bi's minimum.
@@ -199,21 +190,8 @@ func (c *calendar[T]) heapPop(bi int) item[T] {
 	b[n] = item[T]{} // drop references so reused capacity cannot retain T's pointers
 	b = b[:n]
 	c.buckets[bi] = b
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		least := left
-		if right := left + 1; right < n && lessItem(b[right], b[left]) {
-			least = right
-		}
-		if !lessItem(b[least], b[i]) {
-			break
-		}
-		b[i], b[least] = b[least], b[i]
-		i = least
+	if n > 0 {
+		siftDown(b)
 	}
 	return it
 }

@@ -88,10 +88,11 @@ func (q *Queue[T]) Push(at time.Duration, v T) {
 	}
 	if q.hole {
 		q.hole = false
-		q.down(it)
+		q.h[0] = it
+		siftDown(q.h)
 	} else {
 		q.h = append(q.h, it)
-		q.up(it)
+		siftUp(q.h)
 	}
 	if len(q.h) >= calendarPromoteLen {
 		q.promote()
@@ -192,23 +193,24 @@ func (q *Queue[T]) fill() {
 	}
 	q.hole = false
 	n := len(q.h) - 1
-	last := q.h[n]
+	q.h[0] = q.h[n]
 	q.h[n] = item[T]{} // drop references so reused capacity cannot retain T's pointers
 	q.h = q.h[:n]
 	if n > 0 {
-		q.down(last)
+		siftDown(q.h)
 	}
 }
 
-// up places it in the heap's last slot, which is vacant, moving ancestors
-// that order after it down into the vacancy on the way toward the root.
-// Like down, it sifts through a local copy of q.h, which the compiler need
-// not reload after every store into the backing array.
+// siftUp moves h's last item up to its place. It lifts the item out and
+// moves ancestors that order after it down into the vacancy on the way
+// toward the root.
+// Both regimes keep their heaps with siftUp and siftDown: the Queue's one
+// heap and each calendar bucket.
 //
 //jockey:hotpath
-func (q *Queue[T]) up(it item[T]) {
-	h := q.h
+func siftUp[T any](h []item[T]) {
 	i := len(h) - 1
+	it := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !lessItem(it, h[parent]) {
@@ -220,14 +222,15 @@ func (q *Queue[T]) up(it item[T]) {
 	h[i] = it
 }
 
-// down places it at the root, which is vacant, moving the lesser child up
-// into the vacancy on the way toward the leaves.
+// siftDown moves h's root item down to its place. It lifts the item out
+// and moves the lesser child up into the vacancy on the way toward the
+// leaves.
 //
 //jockey:hotpath
-func (q *Queue[T]) down(it item[T]) {
-	h := q.h
+func siftDown[T any](h []item[T]) {
 	n := len(h)
 	i := 0
+	it := h[0]
 	for {
 		least := 2*i + 1
 		if least >= n {

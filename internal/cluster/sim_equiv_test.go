@@ -75,7 +75,7 @@ func simMatchesCluster(runner *sim.Runner, p *profile.Profile, a int, cfg cluste
 		return err
 	}
 	want := h.Result()
-	got, err := runner.Run(sim.Config{Profile: p, Alloc: a, Seed: stats.DeriveSeed(cfg.Seed, "job", "0")})
+	got, err := runner.Run(sim.Config{Profile: p, Alloc: a, Seed: cluster.JobSeed(cfg.Seed, 0)})
 	if err != nil {
 		return err
 	}

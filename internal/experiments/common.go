@@ -155,7 +155,7 @@ func (e *Env) TrainingTrace(job string) (*trace.JobTrace, error) {
 // The run is a controlled one at exactly the training allocation: a lone
 // Tracked NoSpare job at Guarantee trainAlloc on an idle, failure-free
 // cluster. Such a job runs exactly as sim.Runner does at that allocation,
-// seeded with the cluster's derived seed for job 0 (DESIGN.md §5, pinned by
+// seeded with cluster.JobSeed for job 0 (DESIGN.md §5, pinned by
 // TestSimMatchesLoneClusterJob and FuzzSimMatchesCluster), so the run is
 // simulated directly. The equality needs machines × slots >= trainAlloc,
 // which a constant check enforces at compile time. The Runner is used
@@ -171,7 +171,7 @@ func (e *Env) training(job string) (*trainEntry, error) {
 		run, err := sim.NewRunner().Run(sim.Config{
 			Profile: ground.Scale(trainScale),
 			Alloc:   trainAlloc,
-			Seed:    stats.DeriveSeed(stats.DeriveSeed(e.Seed, "train-cluster", job), "job", "0"),
+			Seed:    cluster.JobSeed(stats.DeriveSeed(e.Seed, "train-cluster", job), 0),
 		})
 		if err != nil {
 			return nil, err

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-seed N] [-out DIR] [-quick] [-run LIST] [-parallelism N] [-parallel N]
-//	            [-flight-level none|decisions|counterfactual] [-flight DIR]
+//	            [-flight-level none|decisions|counterfactual]
 //
 // The artifacts and their quick and full run counts come from one
 // registry, experiments.Artifacts, which runs them in this order. -run
@@ -36,8 +36,7 @@ func main() {
 		par   = flag.Int("parallelism", 0, "worker pool size for offline model simulations (0 = GOMAXPROCS); results are identical at any value")
 		gpar  = flag.Int("parallel", 0, "worker pool size for experiment grid points (0 = GOMAXPROCS); results are identical at any value")
 
-		flightLvl = flag.String("flight-level", "none", "decision flight recorder for the robustness grid: none, decisions or counterfactual")
-		flightDir = flag.String("flight", "", "directory for per-run flight-record JSON files (default: the -out directory)")
+		flightLvl = flag.String("flight-level", "none", "decision flight recorder for the robustness grid: none, decisions or counterfactual; -out receives one JSON record per run")
 	)
 	flag.Parse()
 	flightLevel, err := flight.ParseLevel(*flightLvl)
@@ -47,9 +46,6 @@ func main() {
 	artifacts, err := experiments.Select(*run)
 	if err != nil {
 		fatal(err)
-	}
-	if *flightDir == "" {
-		*flightDir = *out
 	}
 
 	env := experiments.NewEnv(*seed)
@@ -63,17 +59,13 @@ func main() {
 			fatal(err)
 		}
 		for _, f := range files {
-			dir := *out
-			switch f.Kind {
-			case experiments.TableFile:
+			if f.Kind == experiments.TableFile {
 				fmt.Println(f.Text)
-			case experiments.FlightFile:
-				dir = *flightDir
 			}
-			if dir == "" {
+			if *out == "" {
 				continue
 			}
-			if err := os.WriteFile(filepath.Join(dir, f.Name), []byte(f.Text), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(*out, f.Name), []byte(f.Text), 0o644); err != nil {
 				fatal(err)
 			}
 		}

@@ -214,7 +214,7 @@ func TestDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.MedianGap() <= 0 {
+	if stats.QuantileDurations(f.Stats.Gaps, 0.5) <= 0 {
 		t.Error("no gap data")
 	}
 	if !strings.Contains(f.Render(), "Figure 1") {

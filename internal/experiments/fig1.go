@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/workload"
@@ -56,9 +55,4 @@ func (f *Fig1) Render() string {
 	return renderTable(title,
 		[]string{"CDF", "gap [min]", "chain length", "# dependent jobs", "# groups"},
 		rows)
-}
-
-// MedianGap is a convenience accessor used by tests.
-func (f *Fig1) MedianGap() time.Duration {
-	return stats.QuantileDurations(f.Stats.Gaps, 0.5)
 }

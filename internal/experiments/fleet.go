@@ -82,16 +82,6 @@ type FleetRobustnessResult struct {
 	Rows []FleetRow
 }
 
-// Row returns the cell for a scenario and discipline display name, or nil.
-func (r *FleetRobustnessResult) Row(scenario, discipline string) *FleetRow {
-	for i := range r.Rows {
-		if r.Rows[i].Scenario == scenario && r.Rows[i].Discipline == discipline {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // FleetRobustness sweeps load factor × fault regime × arbitration
 // discipline over deterministic multi-job fleet replays (internal/fleet)
 // and reports deadline misses, aggregate utility, and per-mechanism miss

@@ -28,6 +28,17 @@ func TestFleetRobustnessBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
+// fleetRow returns the cell for a scenario and discipline display name, or
+// nil.
+func fleetRow(r *FleetRobustnessResult, scenario, discipline string) *FleetRow {
+	for i := range r.Rows {
+		if r.Rows[i].Scenario == scenario && r.Rows[i].Discipline == discipline {
+			return &r.Rows[i]
+		}
+	}
+	return nil
+}
+
 // The headline acceptance claim: under overload plus a rack outage,
 // guarded utility-greedy arbitration misses strictly fewer deadlines than
 // FIFO admission, and never at a utility cost. Comparisons are paired —
@@ -42,8 +53,8 @@ func TestFleetRobustnessGuardedBeatsFIFOUnderOverloadOutage(t *testing.T) {
 		t.Fatalf("FleetRobustness: %v", err)
 	}
 	const scenario = "load-3x/rack-outage"
-	fifo := res.Row(scenario, "fifo")
-	guarded := res.Row(scenario, "utility-greedy+guard")
+	fifo := fleetRow(res, scenario, "fifo")
+	guarded := fleetRow(res, scenario, "utility-greedy+guard")
 	if fifo == nil || guarded == nil {
 		t.Fatalf("grid is missing the %s cells:\n%s", scenario, res.Render())
 	}

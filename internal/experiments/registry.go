@@ -32,12 +32,9 @@ type FileKind int
 const (
 	// TableFile is a rendered table: printed on stdout and written to -out.
 	TableFile FileKind = iota
-	// DataFile is a companion file (a DOT graph or a CSV timeline), written to
-	// -out only.
+	// DataFile is a companion file (a DOT graph, a CSV timeline or a
+	// per-run flight record), written to -out only.
 	DataFile
-	// FlightFile is a per-run flight record, written to -flight (default
-	// -out).
-	FlightFile
 )
 
 // File is one output file of an artifact.
@@ -142,7 +139,7 @@ var Artifacts = []Artifact{
 				return nil, err
 			}
 			name := fmt.Sprintf("flight-robust-%s-%s-%d.json", fr.Scenario, fr.Policy, fr.Seed)
-			files = append(files, File{name, FlightFile, b.String()})
+			files = append(files, File{name, DataFile, b.String()})
 		}
 		return files, nil
 	}},

@@ -27,9 +27,9 @@ func TestJockeyGolden(t *testing.T) {
 		args   []string // flags before the -flight and -save-trace outputs
 		flight bool     // also write and digest the -flight record
 	}{
-		{"jockey.golden", "job-b-guard", []string{"-job", "B", "-guard", "-drift-factor", "2", "-drift-at", "10m",
-			"-flight-level", "counterfactual"}, true},
-		{"jockey-online.golden", "job-b-online", []string{"-job", "B", "-online"}, false},
+		{"jockey.golden", "job-b-guard", []string{"-job", "B", "-policy", "jockey-guarded", "-drift-factor", "2",
+			"-drift-at", "10m", "-flight-level", "counterfactual"}, true},
+		{"jockey-online.golden", "job-b-online", []string{"-job", "B", "-policy", "jockey-online"}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

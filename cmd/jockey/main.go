@@ -8,18 +8,17 @@
 //	jockey -job F -deadline 30m -policy jockey [-seed N] [-slack 1.2]
 //	       [-hysteresis 0.2] [-deadzone 3m] [-period 1m] [-indicator totalworkWithQ]
 //	       [-scale 1.0] [-csv timeline.csv] [-parallelism N]
-//	       [-guard | -online] [-drift-factor 2.0 -drift-at 6m]
+//	       [-drift-factor 2.0 -drift-at 6m]
 //	       [-flight-level none|decisions|counterfactual] [-flight record.json]
 //
 // Policies: jockey, jockey-no-adapt, jockey-no-sim, max-allocation (the
 // four of the paper's evaluation), jockey-guarded and jockey-online.
 // With -deadline 0 the tool picks the job's standard short deadline.
-// -guard is -policy jockey-guarded: the controller wrapped in the
-// model-staleness guard rails (deviation detection, online re-profiling,
-// max-allocation panic); -drift-factor/-drift-at inject an all-stage service-time
-// drift to watch the guard react. -online is -policy jockey-online: the
-// controller driven by online forward simulation instead of the C(p,a)
-// table. Either flag needs -policy jockey, and they exclude each other.
+// jockey-guarded wraps the controller in the model-staleness guard rails
+// (deviation detection, online re-profiling, max-allocation panic);
+// -drift-factor/-drift-at inject an all-stage service-time drift to watch
+// the guard react. jockey-online drives the controller with online forward
+// simulation instead of the C(p,a) table.
 // -flight-level turns on the decision flight recorder (per-tick mechanisms
 // and top-K candidates; "counterfactual" adds hindsight constant-allocation
 // replays and a regret report); -flight writes the record as JSON.
@@ -65,22 +64,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		indicator = fs.String("indicator", "", "progress indicator (default totalworkWithQ)")
 		scale     = fs.Float64("scale", 0, "input-size scale factor (0 = per-run jitter)")
 		csvPath   = fs.String("csv", "", "write the allocation timeline as CSV to this file")
-		online    = fs.Bool("online", false, "drive the controller with online forward simulation instead of the C(p,a) table: -policy jockey-online")
 		utilSpec  = fs.String("utility", "", `custom utility curve, e.g. "deadline 60m", "soft 1h grace 20m" or "0:1, 60m:1, 70m:-1"`)
 		profOut   = fs.String("save-profile", "", "write the job's training profile as JSON to this file")
 		traceOut  = fs.String("save-trace", "", "write the run's full task trace as JSON to this file")
 		par       = fs.Int("parallelism", 0, "worker pool size for offline model simulations (0 = GOMAXPROCS); results are identical at any value")
-		guard     = fs.Bool("guard", false, "wrap the controller in the model-staleness guard rails: -policy jockey-guarded")
 		driftFac  = fs.Float64("drift-factor", 0, "inject an all-stage service-time drift of this factor (0 = none)")
 		driftAt   = fs.Duration("drift-at", 0, "when the injected drift starts, relative to job start")
 		flightLvl = fs.String("flight-level", "none", "decision flight recorder: none, decisions or counterfactual")
 		flightOut = fs.String("flight", "", "write the flight record as JSON to this file (implies -flight-level decisions)")
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
-	pol, err := policyKind(*policy, *guard, *online)
-	if err != nil {
-		return err
-	}
+	pol := experiments.PolicyKind(*policy)
 	flightLevel, err := flight.ParseLevel(*flightLvl)
 	if err != nil {
 		return err
@@ -229,25 +223,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "timeline written to %s\n", *csvPath)
 	}
 	return nil
-}
-
-// policyKind resolves -policy and its two spellings -guard (jockey-guarded)
-// and -online (jockey-online), which each stand for a variant of the jockey
-// policy.
-func policyKind(policy string, guard, online bool) (experiments.PolicyKind, error) {
-	switch {
-	case guard && online:
-		return "", fmt.Errorf("flags -guard and -online cannot be combined")
-	case (guard || online) && policy != string(experiments.PolicyJockey):
-		name := "-guard"
-		if online {
-			name = "-online"
-		}
-		return "", fmt.Errorf("flag %s needs -policy %s, not %q", name, experiments.PolicyJockey, policy)
-	case guard:
-		return experiments.PolicyJockeyGuarded, nil
-	case online:
-		return experiments.PolicyJockeyOnline, nil
-	}
-	return experiments.PolicyKind(policy), nil
 }

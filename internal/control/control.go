@@ -55,8 +55,6 @@ type Decision struct {
 
 // Policy decides a job's guaranteed token allocation at each control tick.
 type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Decide returns the allocation for the current state. It is called
 	// once per control period.
 	Decide(st model.State) Decision
@@ -150,14 +148,6 @@ func NewController(cfg Config) (*Controller, error) {
 	c := &Controller{cfg: cfg}
 	c.setUtility(cfg.Utility)
 	return c, nil
-}
-
-// Name implements Policy.
-func (c *Controller) Name() string {
-	if c.cfg.Predictor.Name() == "amdahl" {
-		return "jockey-amdahl"
-	}
-	return "jockey"
 }
 
 // ChangeUtility implements Policy, supporting mid-run deadline changes.

@@ -225,12 +225,9 @@ func TestChangeUtilityTightensDeadline(t *testing.T) {
 	if tight.Granted <= loose.Granted {
 		t.Errorf("halved deadline must raise allocation: %d -> %d", loose.Granted, tight.Granted)
 	}
-	if c.Name() != "jockey-amdahl" {
-		t.Errorf("name = %q", c.Name())
-	}
 }
 
-func TestControllerNameWithSimulator(t *testing.T) {
+func TestControllerWithSimulator(t *testing.T) {
 	p, _ := testSetup(t)
 	cpa, err := new(model.Builder).BuildCPA(p, progress.NewTotalWorkWithQ(p), model.CPAConfig{
 		Allocs: []int{2, 8, 20}, RunsPerAlloc: 3, Seed: 1,
@@ -245,9 +242,6 @@ func TestControllerNameWithSimulator(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Name() != "jockey" {
-		t.Errorf("name = %q", c.Name())
 	}
 	d := c.Decide(model.State{FracDone: []float64{0, 0}})
 	if d.Progress != 0 {
@@ -269,9 +263,6 @@ func TestStaticPolicy(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Name() != "jockey-static" {
-		t.Errorf("name = %q", s.Name())
 	}
 	first := s.Decide(model.State{FracDone: []float64{0, 0}})
 	if first.Granted != 6 {
@@ -296,9 +287,6 @@ func TestMaxAllocation(t *testing.T) {
 	m, err := NewMaxAllocation(100)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.Name() != "max-allocation" {
-		t.Errorf("name = %q", m.Name())
 	}
 	d := m.Decide(model.State{})
 	if d.Granted != 100 || d.Raw != 100 {

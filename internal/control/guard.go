@@ -183,9 +183,6 @@ func NewGuard(cfg GuardConfig) (*Guard, error) {
 	}, nil
 }
 
-// Name implements Policy.
-func (g *Guard) Name() string { return "jockey-guarded" }
-
 // ChangeUtility implements Policy, delegating to the inner controller.
 func (g *Guard) ChangeUtility(u utility.Fn) { g.cfg.Controller.ChangeUtility(u) }
 

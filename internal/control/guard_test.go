@@ -20,8 +20,6 @@ type linearPred struct {
 	K time.Duration
 }
 
-func (f linearPred) Name() string { return "linear" }
-
 func (f linearPred) Remaining(st model.State, a int, q float64) time.Duration {
 	p := st.FracDone[0]
 	if p > 1 {

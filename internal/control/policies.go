@@ -25,9 +25,6 @@ func NewStatic(cfg Config) (*Static, error) {
 	return &Static{cfg: cfg}, nil
 }
 
-// Name implements Policy.
-func (s *Static) Name() string { return "jockey-static" }
-
 // ChangeUtility implements Policy. A static quota cannot react, matching the
 // baseline's behaviour; the new curve only affects the initial decision if
 // it has not been made yet.
@@ -59,9 +56,6 @@ func NewMaxAllocation(tokens int) (*MaxAllocation, error) {
 	}
 	return &MaxAllocation{tokens: tokens}, nil
 }
-
-// Name implements Policy.
-func (m *MaxAllocation) Name() string { return "max-allocation" }
 
 // ChangeUtility implements Policy (no-op).
 func (m *MaxAllocation) ChangeUtility(utility.Fn) {}

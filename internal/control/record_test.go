@@ -16,8 +16,6 @@ type flatPredictor struct {
 	work time.Duration
 }
 
-func (f flatPredictor) Name() string { return "flat" }
-
 func (f flatPredictor) Remaining(st model.State, a int, q float64) time.Duration {
 	if a < 1 {
 		a = 1

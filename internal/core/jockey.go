@@ -24,6 +24,7 @@ import (
 	"github.com/jockeysim/jockey/internal/progress"
 	"github.com/jockeysim/jockey/internal/sim"
 	"github.com/jockeysim/jockey/internal/stats"
+	"github.com/jockeysim/jockey/internal/trace"
 	"github.com/jockeysim/jockey/internal/utility"
 )
 
@@ -152,6 +153,8 @@ func DefaultGrid(max int) []int {
 // simulator (a constrained run for minstage, an unconstrained one for
 // minstage-inf).
 func BuildIndicator(name IndicatorName, p *profile.Profile, seed uint64) (progress.Indicator, error) {
+	var ref *trace.JobTrace
+	var err error
 	switch name {
 	case TotalWorkWithQ:
 		return progress.NewTotalWorkWithQ(p), nil
@@ -166,20 +169,16 @@ func BuildIndicator(name IndicatorName, p *profile.Profile, seed uint64) (progre
 		if alloc < 1 {
 			alloc = 1
 		}
-		ref, err := sim.NewRunner().Run(sim.Config{Profile: p, Alloc: alloc, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		return progress.NewMinStage(progress.SpansFromTrace(ref, p.Job.NumStages())), nil
+		ref, err = sim.NewRunner().Run(sim.Config{Profile: p, Alloc: alloc, Seed: seed})
 	case MinStageInf:
-		ref, err := sim.RunInfinite(p, seed)
-		if err != nil {
-			return nil, err
-		}
-		return progress.NewMinStageInf(progress.SpansFromTrace(ref, p.Job.NumStages())), nil
+		ref, err = sim.RunInfinite(p, seed)
 	default:
 		return nil, fmt.Errorf("core: unknown indicator %q", name)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return progress.NewMinStage(progress.SpansFromTrace(ref, p.Job.NumStages())), nil
 }
 
 // Profile returns the job profile the runtime was built from.

@@ -10,6 +10,8 @@ import (
 	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
+	"github.com/jockeysim/jockey/internal/progress"
+	"github.com/jockeysim/jockey/internal/sim"
 	"github.com/jockeysim/jockey/internal/stats"
 )
 
@@ -96,17 +98,53 @@ func TestDefaultGrid(t *testing.T) {
 	}
 }
 
+// TestBuildIndicatorAll pins each name to its indicator by behaviour: on
+// fixed completion fractions, BuildIndicator's indicator reads what the
+// direct constructor's does. The minstage variants take their spans from a
+// run at the oracle allocation for four critical paths and from an
+// unconstrained run, and those spans differ, so the two variants must too.
 func TestBuildIndicatorAll(t *testing.T) {
 	p := detProfile(t)
-	for _, name := range []IndicatorName{TotalWorkWithQ, TotalWork, VertexFrac, CP, MinStage, MinStageInf} {
-		ind, err := BuildIndicator(name, p, 3)
+	constrained, err := sim.NewRunner().Run(sim.Config{Profile: p, Alloc: model.Oracle(p.TotalWork(), 4*p.CriticalPath()), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unconstrained, err := sim.RunInfinite(p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := progress.SpansFromTrace(constrained, p.Job.NumStages())
+	infSpans := progress.SpansFromTrace(unconstrained, p.Job.NumStages())
+	if reflect.DeepEqual(spans, infSpans) {
+		t.Fatalf("both reference runs give spans %v; the minstage variants cannot differ", spans)
+	}
+	fracs := [][]float64{{0, 0}, {0.5, 0}, {1, 0}, {1, 0.5}, {0.25, 0.75}, {1, 1}}
+	for _, c := range []struct {
+		name IndicatorName
+		want progress.Indicator
+	}{
+		{TotalWorkWithQ, progress.NewTotalWorkWithQ(p)},
+		{TotalWork, progress.NewTotalWork(p)},
+		{VertexFrac, progress.NewVertexFrac(p)},
+		{CP, progress.NewCP(p)},
+		{MinStage, progress.NewMinStage(spans)},
+		{MinStageInf, progress.NewMinStage(infSpans)},
+	} {
+		ind, err := BuildIndicator(c.name, p, 3)
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if ind.Name() != string(name) {
-			t.Errorf("indicator %q reports name %q", name, ind.Name())
+		for _, fs := range fracs {
+			if got, want := ind.Progress(fs), c.want.Progress(fs); got != want {
+				t.Errorf("%s: Progress(%v) = %v, want %v", c.name, fs, got, want)
+			}
 		}
+	}
+	minStage, _ := BuildIndicator(MinStage, p, 3)
+	minStageInf, _ := BuildIndicator(MinStageInf, p, 3)
+	if fs := []float64{0.5, 0}; minStage.Progress(fs) == minStageInf.Progress(fs) {
+		t.Errorf("minstage and minstage-inf agree at %v although their map spans are %v and %v", fs, spans[0], infSpans[0])
 	}
 	if _, err := BuildIndicator("nope", p, 1); err == nil {
 		t.Error("unknown name must fail")

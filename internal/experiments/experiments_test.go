@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"github.com/jockeysim/jockey/internal/cluster"
+	"github.com/jockeysim/jockey/internal/control"
 	"github.com/jockeysim/jockey/internal/core"
+	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/workload"
 )
@@ -111,26 +113,45 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestPoliciesConstructAndDiffer pins the four policies of the paper's
-// comparison and the two Jockey variants to the controllers buildPolicy
-// builds for them.
+// comparison and the two Jockey variants to the policy type buildPolicy
+// builds for them and the predictor type that policy decides with.
 func TestPoliciesConstructAndDiffer(t *testing.T) {
-	want := map[PolicyKind]string{
-		PolicyJockey:        "jockey",
-		PolicyStatic:        "jockey-static",
-		PolicyAmdahl:        "jockey-amdahl",
-		PolicyMax:           "max-allocation",
-		PolicyJockeyGuarded: "jockey-guarded",
-		PolicyJockeyOnline:  "jockey",
+	type built struct{ policy, predictor reflect.Type }
+	var (
+		ctrl = reflect.TypeOf(&control.Controller{})
+		cpa  = reflect.TypeOf(&model.CPA{})
+	)
+	want := map[PolicyKind]built{
+		PolicyJockey:        {ctrl, cpa},
+		PolicyStatic:        {reflect.TypeOf(&control.Static{}), cpa},
+		PolicyAmdahl:        {ctrl, reflect.TypeOf(&model.Amdahl{})},
+		PolicyMax:           {reflect.TypeOf(&control.MaxAllocation{}), nil},
+		PolicyJockeyGuarded: {reflect.TypeOf(&control.Guard{}), cpa},
+		PolicyJockeyOnline:  {ctrl, reflect.TypeOf(&model.OnlineSim{})},
 	}
 	for _, kind := range slices.Concat(AllPolicies, []PolicyKind{PolicyJockeyGuarded, PolicyJockeyOnline}) {
 		pol, err := sharedEnv.buildPolicy(SLORun{Job: "A", Deadline: time.Hour, Policy: kind}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if pol.Name() != want[kind] {
-			t.Errorf("policy %s builds %q, want %q", kind, pol.Name(), want[kind])
+		if got := (built{reflect.TypeOf(pol), predictorType(pol)}); got != want[kind] {
+			t.Errorf("policy %s builds %v, want %v", kind, got, want[kind])
 		}
 	}
+}
+
+// predictorType reads the type of the predictor a policy decides with out
+// of its unexported Config: a Controller's or Static's own, or that of the
+// Controller a Guard wraps. It is nil for a policy without one.
+func predictorType(pol control.Policy) reflect.Type {
+	cfg := reflect.ValueOf(pol).Elem().FieldByName("cfg")
+	if !cfg.IsValid() {
+		return nil
+	}
+	if c := cfg.FieldByName("Controller"); c.IsValid() {
+		cfg = c.Elem().FieldByName("cfg")
+	}
+	return cfg.FieldByName("Predictor").Elem().Type()
 }
 
 func TestRunDeterministic(t *testing.T) {

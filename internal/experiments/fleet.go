@@ -16,13 +16,6 @@ type fleetDiscipline struct {
 	Guarded bool
 }
 
-func (d fleetDiscipline) name() string {
-	if d.Guarded {
-		return string(d.Arb) + "+guard"
-	}
-	return string(d.Arb)
-}
-
 // fleetDisciplines is the comparison set: the static FIFO baseline,
 // deadline-blind fair sharing, marginal-utility water-filling, and
 // water-filling with the guard-panic containment layer.
@@ -107,7 +100,6 @@ func FleetRobustness(env *Env) (*FleetRobustnessResult, error) {
 			for _, d := range fleetDisciplines {
 				for rep := 0; rep < fleetReps; rep++ {
 					load, fault, d, rep := load, fault, d, rep
-					key := fmt.Sprintf("fleet/%s/%s/%d", scenario, d.name(), rep)
 					tasks = append(tasks, func(x *Exec) (repOut, error) {
 						cfg := fleet.Config{
 							// Per-rep seeds are shared across scenarios and
@@ -133,9 +125,9 @@ func FleetRobustness(env *Env) (*FleetRobustnessResult, error) {
 						}
 						res, err := fleet.Run(cfg)
 						if err != nil {
-							return repOut{}, fmt.Errorf("%s: %w", key, err)
+							return repOut{}, fmt.Errorf("fleet/%s/%s guarded=%v/%d: %w", scenario, d.Arb, d.Guarded, rep, err)
 						}
-						return repOut{cell: cell{scenario, d.name()}, res: res}, nil
+						return repOut{cell: cell{scenario, res.Name()}, res: res}, nil
 					})
 				}
 			}

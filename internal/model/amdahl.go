@@ -32,9 +32,6 @@ func NewAmdahl(p *profile.Profile) *Amdahl {
 	return &Amdahl{p: p, cp: progress.NewCriticalPath(p)}
 }
 
-// Name implements Predictor.
-func (m *Amdahl) Name() string { return "amdahl" }
-
 // Estimate returns the point estimate S_t + P_t/a.
 func (m *Amdahl) Estimate(fs []float64, a int) time.Duration {
 	if a < 1 {

@@ -429,9 +429,6 @@ func (c *CPA) readOnly(i int, vs []time.Duration) []time.Duration {
 	return vs
 }
 
-// Name implements Predictor.
-func (c *CPA) Name() string { return "simulator" }
-
 // Progress evaluates the table's indicator on a state.
 func (c *CPA) Progress(st State) float64 { return c.indicator.Progress(st.FracDone) }
 

@@ -71,7 +71,7 @@ func TestSharedPassMatchesSingleBuilds(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(shared[j], single) {
-				t.Errorf("parallelism %d: shared-pass %s table differs from its single build", par, ind.Name())
+				t.Errorf("parallelism %d: shared-pass table %d differs from its single build", par, j)
 			}
 		}
 		// The indicators must actually bucket differently, or the check

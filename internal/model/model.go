@@ -23,8 +23,6 @@ type State struct {
 // Predictor estimates the remaining completion time of a job and the
 // expected utility of finishing under a candidate token allocation.
 type Predictor interface {
-	// Name identifies the predictor in reports.
-	Name() string
 	// Remaining returns the q-quantile of the predicted remaining time at
 	// the given state under allocation a (q=1 is the worst case observed).
 	Remaining(st State, a int, q float64) time.Duration

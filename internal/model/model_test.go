@@ -74,9 +74,6 @@ func TestImpactAboveOracle(t *testing.T) {
 func TestAmdahlEstimate(t *testing.T) {
 	p := detProfile(t)
 	m := NewAmdahl(p)
-	if m.Name() != "amdahl" {
-		t.Errorf("name = %q", m.Name())
-	}
 	// At start: S_0 = 30+60 = 90s, P_0 = 840s.
 	got := m.Estimate([]float64{0, 0}, 10)
 	want := 90*time.Second + 84*time.Second
@@ -261,9 +258,6 @@ func TestCPAEmptyBucketWidening(t *testing.T) {
 	got := c.Remaining(st, 8, 0.5)
 	if got < 0 || got > 5*time.Minute {
 		t.Errorf("widened remaining = %v out of sane range", got)
-	}
-	if c.Indicator().Name() != "totalworkWithQ" {
-		t.Errorf("indicator = %q", c.Indicator().Name())
 	}
 	if len(c.Allocs()) != 1 || c.Allocs()[0] != 8 {
 		t.Errorf("Allocs = %v", c.Allocs())

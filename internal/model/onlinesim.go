@@ -73,9 +73,6 @@ func NewOnlineSim(p *profile.Profile, runs int, seed uint64) (*OnlineSim, error)
 // the simulations inside a single query.
 func (o *OnlineSim) SetParallelism(n int) { o.par = n }
 
-// Name implements Predictor.
-func (o *OnlineSim) Name() string { return "online-sim" }
-
 // refreshMemo recomputes the state key into the reused scratch buffer and,
 // if the state changed, invalidates the memo and rebuilds the seed-label
 // string. The rounding (1/1000 fractions, whole seconds) makes the memo

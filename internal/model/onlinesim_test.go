@@ -12,12 +12,8 @@ func TestOnlineSimValidation(t *testing.T) {
 		t.Error("nil profile must fail")
 	}
 	p := detProfile(t)
-	o, err := NewOnlineSim(p, 0, 1)
-	if err != nil {
+	if _, err := NewOnlineSim(p, 0, 1); err != nil {
 		t.Fatal(err)
-	}
-	if o.Name() != "online-sim" {
-		t.Errorf("name = %q", o.Name())
 	}
 }
 

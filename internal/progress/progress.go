@@ -22,8 +22,6 @@ import (
 
 // Indicator estimates job progress from per-stage completion fractions.
 type Indicator interface {
-	// Name identifies the indicator in reports ("totalworkWithQ", ...).
-	Name() string
 	// Progress returns the indicator value in [0, 1] given f_s, the
 	// fraction of completed tasks per stage (parallel to the plan's
 	// stages).
@@ -43,12 +41,9 @@ func clamp01(v float64) float64 {
 // weighted is the shared shape of totalworkWithQ, totalwork and vertexfrac:
 // a completion fraction weighted by per-stage constants.
 type weighted struct {
-	name    string
 	weights []float64
 	total   float64
 }
-
-func (w *weighted) Name() string { return w.name }
 
 func (w *weighted) Progress(fs []float64) float64 {
 	if w.total <= 0 {
@@ -61,12 +56,12 @@ func (w *weighted) Progress(fs []float64) float64 {
 	return clamp01(sum / w.total)
 }
 
-func newWeighted(name string, weights []float64) *weighted {
+func newWeighted(weights []float64) *weighted {
 	var total float64
 	for _, v := range weights {
 		total += v
 	}
-	return &weighted{name: name, weights: weights, total: total}
+	return &weighted{weights: weights, total: total}
 }
 
 // NewTotalWorkWithQ builds the paper's default indicator: progress is the
@@ -76,7 +71,7 @@ func NewTotalWorkWithQ(p *profile.Profile) Indicator {
 	for s, sp := range p.Stages {
 		weights[s] = (sp.TotalWork + sp.TotalQueue).Seconds()
 	}
-	return newWeighted("totalworkWithQ", weights)
+	return newWeighted(weights)
 }
 
 // NewTotalWork builds the totalwork indicator (execution time only).
@@ -85,7 +80,7 @@ func NewTotalWork(p *profile.Profile) Indicator {
 	for s, sp := range p.Stages {
 		weights[s] = sp.TotalWork.Seconds()
 	}
-	return newWeighted("totalwork", weights)
+	return newWeighted(weights)
 }
 
 // NewVertexFrac builds the vertexfrac indicator: the fraction of vertices
@@ -96,7 +91,7 @@ func NewVertexFrac(p *profile.Profile) Indicator {
 	for s := range p.Stages {
 		weights[s] = float64(p.Job.Stages[s].Tasks)
 	}
-	return newWeighted("vertexfrac", weights)
+	return newWeighted(weights)
 }
 
 // cp is the critical-path indicator: 1 − S_t/S_0 where
@@ -117,8 +112,6 @@ func NewCP(p *profile.Profile) Indicator {
 	c.s0 = remainingCP(c.ls, c.Ls, nil).Seconds()
 	return c
 }
-
-func (c *cp) Name() string { return "cp" }
 
 func (c *cp) Progress(fs []float64) float64 {
 	if c.s0 <= 0 {
@@ -219,24 +212,16 @@ func FracDoneAt(tr *trace.JobTrace, p *profile.Profile, at time.Duration) []floa
 }
 
 type minstage struct {
-	name  string
 	spans []Span
 }
 
 // NewMinStage builds the minstage indicator from spans observed in a
-// previous run of the job.
+// previous run of the job. Spans from an unconstrained (infinite-resource)
+// simulation, e.g. via sim.RunInfinite and SpansFromTrace, make it the
+// minstage-inf indicator.
 func NewMinStage(spans []Span) Indicator {
-	return &minstage{name: "minstage", spans: spans}
+	return &minstage{spans: spans}
 }
-
-// NewMinStageInf builds the minstage-inf indicator; the caller supplies
-// spans from an unconstrained (infinite-resource) simulation, e.g. via
-// sim.RunInfinite and SpansFromTrace.
-func NewMinStageInf(spans []Span) Indicator {
-	return &minstage{name: "minstage-inf", spans: spans}
-}
-
-func (m *minstage) Name() string { return m.name }
 
 func (m *minstage) Progress(fs []float64) float64 {
 	best := 1.0

@@ -28,9 +28,6 @@ func testProfile(t testing.TB) *profile.Profile {
 func TestTotalWorkWithQ(t *testing.T) {
 	p := testProfile(t)
 	ind := NewTotalWorkWithQ(p)
-	if ind.Name() != "totalworkWithQ" {
-		t.Errorf("name = %q", ind.Name())
-	}
 	if got := ind.Progress([]float64{0, 0}); got != 0 {
 		t.Errorf("empty progress = %v", got)
 	}
@@ -50,9 +47,6 @@ func TestTotalWorkIgnoresQueue(t *testing.T) {
 	if got := ind.Progress([]float64{1, 0}); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("progress = %v, want 0.5", got)
 	}
-	if ind.Name() != "totalwork" {
-		t.Errorf("name = %q", ind.Name())
-	}
 }
 
 func TestVertexFrac(t *testing.T) {
@@ -70,9 +64,6 @@ func TestVertexFrac(t *testing.T) {
 func TestCPIndicator(t *testing.T) {
 	p := testProfile(t)
 	ind := NewCP(p)
-	if ind.Name() != "cp" {
-		t.Errorf("name = %q", ind.Name())
-	}
 	// S_0 = l_map + L_map = 10 + 20 = 30s.
 	if got := ind.Progress([]float64{0, 0}); got != 0 {
 		t.Errorf("initial = %v", got)
@@ -109,9 +100,6 @@ func TestRemainingCriticalPath(t *testing.T) {
 func TestMinStage(t *testing.T) {
 	spans := []Span{{0, 0.4}, {0.4, 1}}
 	ind := NewMinStage(spans)
-	if ind.Name() != "minstage" {
-		t.Errorf("name = %q", ind.Name())
-	}
 	if got := ind.Progress([]float64{0, 0}); got != 0 {
 		t.Errorf("initial = %v", got)
 	}
@@ -125,10 +113,6 @@ func TestMinStage(t *testing.T) {
 	}
 	if got := ind.Progress([]float64{1, 1}); got != 1 {
 		t.Errorf("final = %v", got)
-	}
-	inf := NewMinStageInf(spans)
-	if inf.Name() != "minstage-inf" {
-		t.Errorf("name = %q", inf.Name())
 	}
 }
 

@@ -150,7 +150,7 @@ func (c *Config) fill() error {
 			return fmt.Errorf("cluster: contention window %d needs 0 <= From < To, got [%v, %v)",
 				i, w.From, w.To)
 		}
-		if w.Frac < 0 || w.Frac >= 1 {
+		if !(w.Frac >= 0 && w.Frac < 1) { // NaN fails too
 			return fmt.Errorf("cluster: contention window %d fraction %v out of [0, 1)", i, w.Frac)
 		}
 	}
@@ -521,8 +521,8 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 		if d.At < 0 {
 			return nil, fmt.Errorf("cluster: job %q drift %d has negative time %v", cfg.Profile.Job.Name, i, d.At)
 		}
-		if d.Factor <= 0 {
-			return nil, fmt.Errorf("cluster: job %q drift %d has non-positive factor %v", cfg.Profile.Job.Name, i, d.Factor)
+		if !(d.Factor > 0) || math.IsInf(d.Factor, 1) {
+			return nil, fmt.Errorf("cluster: job %q drift %d has factor %v, want positive and finite", cfg.Profile.Job.Name, i, d.Factor)
 		}
 		if d.Stage < -1 || d.Stage >= cfg.Profile.Job.NumStages() {
 			return nil, fmt.Errorf("cluster: drift %d references stage %d, job %q has %d stages",

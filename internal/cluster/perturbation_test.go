@@ -25,6 +25,7 @@ func TestPerturbationConfigValidation(t *testing.T) {
 		{Contention: []ContentionWindow{{From: -time.Second, To: time.Minute, Frac: 0.5}}},
 		{Contention: []ContentionWindow{{From: 0, To: time.Minute, Frac: 1}}},
 		{Contention: []ContentionWindow{{From: 0, To: time.Minute, Frac: -0.1}}},
+		{Contention: []ContentionWindow{{From: 0, To: time.Minute, Frac: math.NaN()}}},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -40,6 +41,8 @@ func TestSubmitPerturbationValidation(t *testing.T) {
 		{Profile: p, Guarantee: 1, Drifts: []StageDrift{{Stage: 2, Factor: 2}}},
 		{Profile: p, Guarantee: 1, Drifts: []StageDrift{{Stage: -2, Factor: 2}}},
 		{Profile: p, Guarantee: 1, Drifts: []StageDrift{{Stage: 0, Factor: 0}}},
+		{Profile: p, Guarantee: 1, Drifts: []StageDrift{{Stage: 0, Factor: math.NaN()}}},
+		{Profile: p, Guarantee: 1, Drifts: []StageDrift{{Stage: 0, Factor: math.Inf(1)}}},
 		{Profile: p, Guarantee: 1, Drifts: []StageDrift{{At: -time.Second, Stage: 0, Factor: 2}}},
 		{Profile: p, Guarantee: 1, DeadlineChanges: []DeadlineChange{{At: -time.Second, Deadline: time.Hour}}},
 		{Profile: p, Guarantee: 1, DeadlineChanges: []DeadlineChange{{At: time.Second}}}, // zero new deadline

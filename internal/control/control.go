@@ -14,6 +14,7 @@ package control
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/model"
@@ -103,13 +104,13 @@ func (c *Config) fill() error {
 	if c.Slack == 0 {
 		c.Slack = DefaultSlack
 	}
-	if c.Slack < 1 {
-		return fmt.Errorf("control: slack %v < 1", c.Slack)
+	if !(c.Slack >= 1) || math.IsInf(c.Slack, 1) {
+		return fmt.Errorf("control: slack %v out of [1, +Inf)", c.Slack)
 	}
 	if c.Hysteresis == 0 {
 		c.Hysteresis = DefaultHysteresis
 	}
-	if c.Hysteresis < 0 || c.Hysteresis > 1 {
+	if !(c.Hysteresis > 0 && c.Hysteresis <= 1) {
 		return fmt.Errorf("control: hysteresis %v out of (0, 1]", c.Hysteresis)
 	}
 	if c.DeadZone == 0 {

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -50,6 +51,9 @@ func TestConfigValidation(t *testing.T) {
 		{"zero candidate", Config{Predictor: pred, Utility: u, Candidates: []int{0, 2}}},
 		{"slack below 1", Config{Predictor: pred, Utility: u, Candidates: []int{1}, Slack: 0.5}},
 		{"hysteresis above 1", Config{Predictor: pred, Utility: u, Candidates: []int{1}, Hysteresis: 1.5}},
+		{"NaN slack", Config{Predictor: pred, Utility: u, Candidates: []int{1}, Slack: math.NaN()}},
+		{"infinite slack", Config{Predictor: pred, Utility: u, Candidates: []int{1}, Slack: math.Inf(1)}},
+		{"NaN hysteresis", Config{Predictor: pred, Utility: u, Candidates: []int{1}, Hysteresis: math.NaN()}},
 	}
 	for _, c := range cases {
 		if _, err := NewController(c.cfg); err == nil {

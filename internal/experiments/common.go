@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -456,9 +457,12 @@ func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 		return Outcome{}, err
 	}
 	scale := r.InputScale
-	if scale == 0 {
+	switch {
+	case scale == 0:
 		rng := stats.NewRNG(stats.DeriveSeed(e.Seed, "scale", r.Job, fmt.Sprint(r.Seed)))
 		scale = 0.8 + 0.7*rng.Float64()
+	case !(scale > 0) || math.IsInf(scale, 1):
+		return Outcome{}, fmt.Errorf("experiments: job %s: input scale %v must be positive and finite", r.Job, scale)
 	}
 	if scale != 1 {
 		ground = ground.Scale(scale)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -94,6 +95,14 @@ func TestRunValidation(t *testing.T) {
 		_, err := sharedEnv.RunExec(NewExec(), SLORun{Job: "A", Deadline: time.Hour, Policy: PolicyJockey, Knobs: k})
 		if err == nil {
 			t.Errorf("Knobs%+v must fail", k)
+		}
+	}
+	// An input scale must be positive and finite: profile.Scale panics
+	// on a negative one, and a NaN or infinite one makes nonsense times.
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+		_, err := sharedEnv.RunExec(NewExec(), SLORun{Job: "A", Deadline: time.Hour, Policy: PolicyJockey, InputScale: scale})
+		if err == nil || !strings.Contains(err.Error(), "job A") {
+			t.Errorf("InputScale %v: err = %v, want one naming job A", scale, err)
 		}
 	}
 	// A policy or indicator outside the known sets is rejected with an

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/stats"
@@ -56,14 +57,18 @@ func genArrivals(cfg *Config, models *ModelCache) ([]arrival, error) {
 	for i := 0; i < cfg.Arrivals; i++ {
 		// Draw in a fixed field order so the stream is stable under
 		// refactoring of any single field's choices.
-		gap := time.Duration(rng.ExpFloat64() * mean)
+		gap := rng.ExpFloat64() * mean
 		shape := fleetShapes[rng.IntN(len(fleetShapes))]
 		if rng.IntN(2) == 1 {
 			shape.Scale = 1.2
 		}
 		tight := fleetTightness[rng.IntN(len(fleetTightness))]
 		value := fleetValues[rng.IntN(len(fleetValues))]
-		at += gap
+		// A tiny load factor stretches the gaps past time.Duration's range.
+		if !(gap < math.MaxInt64) || time.Duration(gap) > math.MaxInt64-at {
+			return nil, fmt.Errorf("fleet: offer %d arrives after the largest time.Duration; load factor %v is too small", i, cfg.LoadFactor)
+		}
+		at += time.Duration(gap)
 		jk, err := models.Model(shape)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: model for %s: %w", shape.Key(), err)

@@ -21,6 +21,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -154,8 +155,8 @@ func (c *Config) fill() error {
 	if c.LoadFactor == 0 {
 		c.LoadFactor = 1
 	}
-	if c.LoadFactor < 0 {
-		return fmt.Errorf("fleet: load factor %v must be positive", c.LoadFactor)
+	if !(c.LoadFactor > 0) || math.IsInf(c.LoadFactor, 1) {
+		return fmt.Errorf("fleet: load factor %v must be positive and finite", c.LoadFactor)
 	}
 	if c.Arbitration == "" {
 		c.Arbitration = UtilityGreedy

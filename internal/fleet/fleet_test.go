@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -216,6 +217,10 @@ func TestFleetConfigValidation(t *testing.T) {
 		{Config{Guarded: true, Arbitration: FIFO}, "guarded"},
 		{Config{Budget: -1}, "budget"},
 		{Config{LoadFactor: -2}, "load factor"},
+		{Config{LoadFactor: math.NaN()}, "load factor"},
+		{Config{LoadFactor: math.Inf(1)}, "load factor"},
+		// Finite and positive, but the first gap overflows time.Duration.
+		{Config{LoadFactor: 1e-300}, "offer 0"},
 		{Config{DriftEvery: -3}, "DriftEvery"},
 	}
 	for _, tc := range cases {

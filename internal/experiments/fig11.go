@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/core"
@@ -45,18 +46,59 @@ type Fig11 struct {
 // Sensitivity reruns the seven jobs at one deadline under each control-loop
 // configuration (§5.5, Fig. 11).
 func Sensitivity(env *Env, jobs []string, seedsPerJob int) (*Fig11, error) {
+	cases := SensitivityCases()
+	runs := make([]knobCase, len(cases))
+	for i, cse := range cases {
+		runs[i] = knobCase{labels: []string{"fig11", cse.Name}, knobs: cse.Knobs}
+	}
+	outs, err := runKnobCases(env, jobs, seedsPerJob, runs)
+	if err != nil {
+		return nil, err
+	}
+	f := &Fig11{}
+	for i, cse := range cases {
+		row := SensitivityRow{Name: cse.Name, Runs: len(outs[i])}
+		var rels, above, medAllocs []float64
+		for _, o := range outs[i] {
+			if o.Met {
+				row.MetFrac++
+			}
+			rels = append(rels, o.RelCompletion-1)
+			above = append(above, o.AboveOracle)
+			medAllocs = append(medAllocs, medianGrantedAlloc(o))
+		}
+		row.MetFrac /= float64(row.Runs)
+		row.LatencyRel = stats.Mean(rels)
+		row.AboveOracle = stats.Mean(above)
+		row.MedianAlloc = stats.Mean(medAllocs)
+		f.Rows = append(f.Rows, row)
+	}
+	return f, nil
+}
+
+// knobCase is one row of Figs. 11–13: the labels its run seeds derive from
+// and the control-loop knobs its runs use.
+type knobCase struct {
+	labels []string
+	knobs  Knobs
+}
+
+// runKnobCases runs every job seedsPerJob times at its short deadline under
+// the Jockey policy, once per case, and returns each case's outcomes in
+// (job, seed) order. Run s of a job is seeded by the case's labels, the job
+// and s. No jobs means DefaultJobs, and no seeds three per job.
+func runKnobCases(env *Env, jobs []string, seedsPerJob int, cases []knobCase) ([][]Outcome, error) {
 	if len(jobs) == 0 {
 		jobs = DefaultJobs
 	}
 	if seedsPerJob <= 0 {
 		seedsPerJob = 3
 	}
-	cases := SensitivityCases()
 	var tasks []func(x *Exec) (Outcome, error)
-	for _, cse := range cases {
+	for _, c := range cases {
 		for _, job := range jobs {
 			for s := 0; s < seedsPerJob; s++ {
-				cse, job, s := cse, job, s
+				labels := append(slices.Clip(c.labels), job, fmt.Sprint(s))
 				tasks = append(tasks, func(x *Exec) (Outcome, error) {
 					short, _, err := env.Deadlines(job)
 					if err != nil {
@@ -66,8 +108,8 @@ func Sensitivity(env *Env, jobs []string, seedsPerJob int) (*Fig11, error) {
 						Job:      job,
 						Deadline: short,
 						Policy:   PolicyJockey,
-						Seed:     stats.DeriveSeed(env.Seed, "fig11", cse.Name, job, fmt.Sprint(s)),
-						Knobs:    cse.Knobs,
+						Seed:     stats.DeriveSeed(env.Seed, labels...),
+						Knobs:    c.knobs,
 					})
 				})
 			}
@@ -77,31 +119,12 @@ func Sensitivity(env *Env, jobs []string, seedsPerJob int) (*Fig11, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fig11{}
-	i := 0
-	for _, cse := range cases {
-		row := SensitivityRow{Name: cse.Name}
-		var rels, above, medAllocs []float64
-		for range jobs {
-			for s := 0; s < seedsPerJob; s++ {
-				o := results[i]
-				i++
-				row.Runs++
-				if o.Met {
-					row.MetFrac++
-				}
-				rels = append(rels, o.RelCompletion-1)
-				above = append(above, o.AboveOracle)
-				medAllocs = append(medAllocs, medianGrantedAlloc(o))
-			}
-		}
-		row.MetFrac /= float64(row.Runs)
-		row.LatencyRel = stats.Mean(rels)
-		row.AboveOracle = stats.Mean(above)
-		row.MedianAlloc = stats.Mean(medAllocs)
-		f.Rows = append(f.Rows, row)
+	n := len(jobs) * seedsPerJob
+	outs := make([][]Outcome, len(cases))
+	for i := range outs {
+		outs[i] = results[i*n : (i+1)*n]
 	}
-	return f, nil
+	return outs, nil
 }
 
 // medianGrantedAlloc returns the median granted allocation over a run's

@@ -26,70 +26,41 @@ type Sweep struct {
 	Rows  []SweepRow
 }
 
-// sweepValues runs the seven jobs at one deadline for every value of the
-// swept parameter.
+// sweep runs the seven jobs at one deadline for every value of the swept
+// parameter.
 func sweep(env *Env, jobs []string, seedsPerJob int, param string,
 	values []float64, knobsFor func(v float64) Knobs) (*Sweep, error) {
-	if len(jobs) == 0 {
-		jobs = DefaultJobs
+	runs := make([]knobCase, len(values))
+	for i, v := range values {
+		runs[i] = knobCase{labels: []string{"sweep", param, fmt.Sprint(v)}, knobs: knobsFor(v)}
 	}
-	if seedsPerJob <= 0 {
-		seedsPerJob = 3
-	}
-	var tasks []func(x *Exec) (Outcome, error)
-	for _, v := range values {
-		for _, job := range jobs {
-			for s := 0; s < seedsPerJob; s++ {
-				v, job, s := v, job, s
-				tasks = append(tasks, func(x *Exec) (Outcome, error) {
-					short, _, err := env.Deadlines(job)
-					if err != nil {
-						return Outcome{}, err
-					}
-					return env.RunExec(x, SLORun{
-						Job:      job,
-						Deadline: short,
-						Policy:   PolicyJockey,
-						Seed:     stats.DeriveSeed(env.Seed, "sweep", param, fmt.Sprint(v), job, fmt.Sprint(s)),
-						Knobs:    knobsFor(v),
-					})
-				})
-			}
-		}
-	}
-	results, err := runGrid(env, tasks)
+	outs, err := runKnobCases(env, jobs, seedsPerJob, runs)
 	if err != nil {
 		return nil, err
 	}
 	sw := &Sweep{Param: param}
-	i := 0
-	for _, v := range values {
-		row := SweepRow{Value: v}
+	for i, v := range values {
+		row := SweepRow{Value: v, Runs: len(outs[i])}
 		var rels, above, firsts, lasts, medians, maxes, hours []float64
-		for range jobs {
-			for s := 0; s < seedsPerJob; s++ {
-				o := results[i]
-				i++
-				row.Runs++
-				if o.Met {
-					row.MetFrac++
-				}
-				rels = append(rels, o.RelCompletion)
-				above = append(above, o.AboveOracle)
-				if tl := o.Trace.Timeline; len(tl) > 0 {
-					firsts = append(firsts, float64(tl[0].Granted))
-					lasts = append(lasts, float64(tl[len(tl)-1].Granted))
-					medians = append(medians, medianGrantedAlloc(o))
-					maxA := 0
-					for _, p := range tl {
-						if p.Granted > maxA {
-							maxA = p.Granted
-						}
-					}
-					maxes = append(maxes, float64(maxA))
-				}
-				hours = append(hours, o.AllocTokenSeconds/3600)
+		for _, o := range outs[i] {
+			if o.Met {
+				row.MetFrac++
 			}
+			rels = append(rels, o.RelCompletion)
+			above = append(above, o.AboveOracle)
+			if tl := o.Trace.Timeline; len(tl) > 0 {
+				firsts = append(firsts, float64(tl[0].Granted))
+				lasts = append(lasts, float64(tl[len(tl)-1].Granted))
+				medians = append(medians, medianGrantedAlloc(o))
+				maxA := 0
+				for _, p := range tl {
+					if p.Granted > maxA {
+						maxA = p.Granted
+					}
+				}
+				maxes = append(maxes, float64(maxA))
+			}
+			hours = append(hours, o.AllocTokenSeconds/3600)
 		}
 		row.MetFrac /= float64(row.Runs)
 		row.LatencyRel = stats.Mean(rels)

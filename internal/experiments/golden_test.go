@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -84,6 +85,56 @@ func TestQuickArtifactsGolden(t *testing.T) {
 	for i, line := range strings.SplitAfter(got.String(), "\n") {
 		if i < len(files) && !strings.Contains(string(want), line) {
 			t.Logf("%s:\n%s", files[i].Name, files[i].Text)
+		}
+	}
+}
+
+// TestFullReproductionMatchesResults runs every registry artifact at the
+// full run counts on master seed 1, what `experiments -seed 1 -out DIR`
+// writes, and diffs the files against the committed results/ directory in
+// both directions: every file written is committed, byte for byte, and
+// every committed file is written. E1's wall-clock µs columns are zeroed
+// on both sides. The runs take about ten seconds, so -short skips them.
+func TestFullReproductionMatchesResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the full reproduction takes about ten seconds")
+	}
+	t.Parallel()
+	const dir = "../../results"
+	env := NewEnv(1)
+	var files []File
+	for _, a := range Artifacts {
+		fs, err := a.Run(env, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", a.Names[0], err)
+		}
+		files = append(files, fs...)
+	}
+	text := func(name, s string) string {
+		if name == "ext1.txt" {
+			return zeroWallClock(t, s)
+		}
+		return s
+	}
+	written := make(map[string]bool, len(files))
+	for _, f := range files {
+		written[f.Name] = true
+		want, err := os.ReadFile(filepath.Join(dir, f.Name))
+		if err != nil {
+			t.Errorf("%s is written but not committed: %v", f.Name, err)
+			continue
+		}
+		if got := text(f.Name, f.Text); got != text(f.Name, string(want)) {
+			t.Errorf("results/%s differs from a seed-1 run, which writes:\n%s", f.Name, got)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !written[e.Name()] {
+			t.Errorf("results/%s is committed but no artifact writes it", e.Name())
 		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 	"github.com/jockeysim/jockey/internal/stats"
 )
 
-// SensitivityCase is one configuration row of Fig. 11.
+// SensitivityCase is one configuration row of Fig. 11 (or one swept value
+// of Figs. 12–13): the name its run seeds derive from and its knobs.
 type SensitivityCase struct {
 	Name  string
 	Knobs Knobs
@@ -47,11 +48,7 @@ type Fig11 struct {
 // configuration (§5.5, Fig. 11).
 func Sensitivity(env *Env, jobs []string, seedsPerJob int) (*Fig11, error) {
 	cases := SensitivityCases()
-	runs := make([]knobCase, len(cases))
-	for i, cse := range cases {
-		runs[i] = knobCase{labels: []string{"fig11", cse.Name}, knobs: cse.Knobs}
-	}
-	outs, err := runKnobCases(env, jobs, seedsPerJob, runs)
+	outs, err := runCases(env, jobs, seedsPerJob, []string{"fig11"}, cases)
 	if err != nil {
 		return nil, err
 	}
@@ -76,18 +73,12 @@ func Sensitivity(env *Env, jobs []string, seedsPerJob int) (*Fig11, error) {
 	return f, nil
 }
 
-// knobCase is one row of Figs. 11–13: the labels its run seeds derive from
-// and the control-loop knobs its runs use.
-type knobCase struct {
-	labels []string
-	knobs  Knobs
-}
-
-// runKnobCases runs every job seedsPerJob times at its short deadline under
-// the Jockey policy, once per case, and returns each case's outcomes in
-// (job, seed) order. Run s of a job is seeded by the case's labels, the job
-// and s. No jobs means DefaultJobs, and no seeds three per job.
-func runKnobCases(env *Env, jobs []string, seedsPerJob int, cases []knobCase) ([][]Outcome, error) {
+// runCases runs every job seedsPerJob times at its short deadline under the
+// Jockey policy with each case's knobs, the runs of Figs. 11–13, and
+// returns each case's outcomes in (job, seed) order. Run s of a job is
+// seeded by the labels, the case's name, the job and s. No jobs means
+// DefaultJobs, and no seeds three per job.
+func runCases(env *Env, jobs []string, seedsPerJob int, labels []string, cases []SensitivityCase) ([][]Outcome, error) {
 	if len(jobs) == 0 {
 		jobs = DefaultJobs
 	}
@@ -98,7 +89,7 @@ func runKnobCases(env *Env, jobs []string, seedsPerJob int, cases []knobCase) ([
 	for _, c := range cases {
 		for _, job := range jobs {
 			for s := 0; s < seedsPerJob; s++ {
-				labels := append(slices.Clip(c.labels), job, fmt.Sprint(s))
+				seed := stats.DeriveSeed(env.Seed, append(slices.Clip(labels), c.Name, job, fmt.Sprint(s))...)
 				tasks = append(tasks, func(x *Exec) (Outcome, error) {
 					short, _, err := env.Deadlines(job)
 					if err != nil {
@@ -108,8 +99,8 @@ func runKnobCases(env *Env, jobs []string, seedsPerJob int, cases []knobCase) ([
 						Job:      job,
 						Deadline: short,
 						Policy:   PolicyJockey,
-						Seed:     stats.DeriveSeed(env.Seed, labels...),
-						Knobs:    c.knobs,
+						Seed:     seed,
+						Knobs:    c.Knobs,
 					})
 				})
 			}

@@ -30,11 +30,11 @@ type Sweep struct {
 // parameter.
 func sweep(env *Env, jobs []string, seedsPerJob int, param string,
 	values []float64, knobsFor func(v float64) Knobs) (*Sweep, error) {
-	runs := make([]knobCase, len(values))
+	cases := make([]SensitivityCase, len(values))
 	for i, v := range values {
-		runs[i] = knobCase{labels: []string{"sweep", param, fmt.Sprint(v)}, knobs: knobsFor(v)}
+		cases[i] = SensitivityCase{Name: fmt.Sprint(v), Knobs: knobsFor(v)}
 	}
-	outs, err := runKnobCases(env, jobs, seedsPerJob, runs)
+	outs, err := runCases(env, jobs, seedsPerJob, []string{"sweep", param}, cases)
 	if err != nil {
 		return nil, err
 	}

@@ -143,8 +143,8 @@ func TestPoliciesConstructAndDiffer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if got := (built{reflect.TypeOf(pol), predictorType(pol)}); got != want[kind] {
-			t.Errorf("policy %s builds %v, want %v", kind, got, want[kind])
+		if got, w := (built{reflect.TypeOf(pol), predictorType(pol)}), want[kind]; got != w {
+			t.Errorf("policy %s builds %v on %v, want %v on %v", kind, got.policy, got.predictor, w.policy, w.predictor)
 		}
 	}
 }

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"github.com/jockeysim/jockey/internal/invariant"
 )
 
 // TaskRef names one task of a plan by stage and task index.
 type TaskRef struct{ Stage, Task int }
 
-// readyCompactMin is the minimum number of consumed entries before the
-// ready FIFO compacts (see Pop); small queues never pay the copy.
-const readyCompactMin = 1024
+// readyRef is a ready-ring slot: a TaskRef in 8 bytes.
+type readyRef struct{ stage, task int32 }
 
 // Tracker decides when each task of one plan may run. It is the single
 // statement of the edge rule both simulators share: a task is ready once
@@ -24,8 +25,13 @@ const readyCompactMin = 1024
 // attempt counters and the time each task last became ready, plus per-stage
 // done counts, the count of tasks left and the ready FIFO. Reset rewinds it
 // in place, so a tracker is reusable across any number of runs of its plan
-// and allocates nothing once its FIFO has reached the plan's high-water
-// ready count. The FIFO starts with room for every task of the plan.
+// and allocates nothing after Init.
+//
+// The ready FIFO is a ring with one slot per task of the plan. A task is
+// queued at most once at a time (it leaves the FIFO before it runs, and only
+// an ended attempt or a completed producer queues it again), so the ring
+// never fills past the plan's task count and never grows; `-tags
+// invariantdebug` builds assert that MarkReady finds room.
 //
 // Per-task counters and adjacency offsets are int32, which bounds a plan to
 // math.MaxInt32 tasks and as many one-to-one dependency pairs; callers
@@ -37,9 +43,10 @@ const readyCompactMin = 1024
 // consumers stage by stage in Outputs order, tasks ascending.
 type Tracker struct {
 	// The ready FIFO comes first: dispatch reads its length for every live
-	// job on every pick.
-	ready []TaskRef
-	head  int
+	// job on every pick. It holds n tasks from ready[head], wrapping at
+	// len(ready), the plan's task count.
+	n, head int
+	ready   []readyRef
 
 	job *Job
 	// off[s] is the flat index of stage s's task 0; off[n] is the task count.
@@ -122,8 +129,9 @@ func (t *Tracker) Init(job *Job) {
 	t.queuedAt = make([]time.Duration, total)
 	t.doneCount = make([]int, n)
 	if cap(t.ready) < total {
-		t.ready = make([]TaskRef, 0, total)
+		t.ready = make([]readyRef, total)
 	}
+	t.ready = t.ready[:total]
 	t.Reset()
 }
 
@@ -147,8 +155,7 @@ func (t *Tracker) forEachOneToOne(fn func(producer int, consumer TaskRef)) {
 }
 
 // Reset rewinds the per-run state for a fresh run of the plan: nothing
-// done, base dependency counts, zero attempts and an empty ready FIFO whose
-// capacity is kept.
+// done, base dependency counts, zero attempts and an empty ready FIFO.
 func (t *Tracker) Reset() {
 	copy(t.remDeps, t.baseDeps)
 	clear(t.done)
@@ -156,23 +163,25 @@ func (t *Tracker) Reset() {
 	clear(t.queuedAt)
 	clear(t.doneCount)
 	t.left = len(t.done)
-	t.ready = t.ready[:0]
-	t.head = 0
+	t.n, t.head = 0, 0
 }
 
 // PreComplete marks, per stage, the first fracs[s] of its tasks (rounded
 // down) as already done, satisfying their consumers exactly as live
-// completions would. It leaves the ready FIFO empty; Seed then enqueues
-// what the state leaves ready. fracs must be parallel to the stages.
+// completions would. A fraction of 1 or more, +Inf included, completes the
+// whole stage. It leaves the ready FIFO empty; Seed then enqueues what the
+// state leaves ready. fracs must be parallel to the stages and hold no NaN.
 func (t *Tracker) PreComplete(fracs []float64) {
 	for s, st := range t.job.Stages {
-		k := min(int(fracs[s]*float64(st.Tasks)), st.Tasks)
+		k := st.Tasks
+		if f := fracs[s]; f < 1 {
+			k = int(f * float64(st.Tasks))
+		}
 		for task := 0; task < k; task++ {
 			t.Complete(0, s, task)
 		}
 	}
-	t.ready = t.ready[:0]
-	t.head = 0
+	t.n, t.head = 0, 0
 }
 
 // Seed enqueues, in (stage, task) order, every task that is not done and
@@ -188,11 +197,27 @@ func (t *Tracker) Seed(now time.Duration) {
 }
 
 // MarkReady appends a task to the ready FIFO and stamps its queued time.
+// The task must not be queued already.
 //
 //jockey:hotpath
 func (t *Tracker) MarkReady(now time.Duration, stage, task int) {
+	if invariant.Debug && t.n == len(t.ready) {
+		t.ringFull(stage, task)
+	}
 	t.queuedAt[t.off[stage]+task] = now
-	t.ready = append(t.ready, TaskRef{stage, task})
+	i := t.head + t.n
+	if i >= len(t.ready) {
+		i -= len(t.ready)
+	}
+	t.ready[i] = readyRef{int32(stage), int32(task)}
+	t.n++
+}
+
+// ringFull reports a MarkReady that found every slot of the ready ring
+// taken: some task was queued twice.
+func (t *Tracker) ringFull(stage, task int) {
+	invariant.Assertf(false, "dag: job %s: queueing stage %d task %d into a full ready ring of %d slots",
+		t.job.Name, stage, task, len(t.ready))
 }
 
 // Requeue counts a task's ended attempt (failed, evicted or killed) and
@@ -204,25 +229,19 @@ func (t *Tracker) Requeue(now time.Duration, stage, task int) {
 	t.MarkReady(now, stage, task)
 }
 
-// Pop dequeues the oldest ready task. The FIFO is a slice plus a head
-// index; consumed entries are compacted away (a copy-down, preserving
-// order) only once at least readyCompactMin entries are dead AND they make
-// up at least half the slice, so the amortized cost per task stays O(1)
-// and the backing array stops growing at the run's high-water ready count.
+// Pop dequeues the oldest ready task.
 //
 //jockey:hotpath
 func (t *Tracker) Pop() (TaskRef, bool) {
-	if t.head >= len(t.ready) {
+	if t.n == 0 {
 		return TaskRef{}, false
 	}
 	r := t.ready[t.head]
-	t.head++
-	if t.head >= readyCompactMin && t.head*2 >= len(t.ready) {
-		n := copy(t.ready, t.ready[t.head:])
-		t.ready = t.ready[:n]
+	if t.head++; t.head == len(t.ready) {
 		t.head = 0
 	}
-	return r, true
+	t.n--
+	return TaskRef{int(r.stage), int(r.task)}, true
 }
 
 // Peek returns the oldest ready task without dequeuing it, so a caller
@@ -231,16 +250,17 @@ func (t *Tracker) Pop() (TaskRef, bool) {
 //
 //jockey:hotpath
 func (t *Tracker) Peek() (TaskRef, bool) {
-	if t.head >= len(t.ready) {
+	if t.n == 0 {
 		return TaskRef{}, false
 	}
-	return t.ready[t.head], true
+	r := t.ready[t.head]
+	return TaskRef{int(r.stage), int(r.task)}, true
 }
 
 // Len returns the number of queued ready tasks.
 //
 //jockey:hotpath
-func (t *Tracker) Len() int { return len(t.ready) - t.head }
+func (t *Tracker) Len() int { return t.n }
 
 // Complete marks a task done and enqueues every consumer it leaves with no
 // remaining dependencies: its one-to-one consumers in adjacency order, then,

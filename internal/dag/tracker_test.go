@@ -10,75 +10,146 @@ import (
 	"time"
 )
 
-// TestReadyFIFOCompaction pins the ready-queue policy: entries are served
-// strictly FIFO, compaction (copy-down at >= readyCompactMin dead entries
-// occupying >= half the slice) preserves both order and content, and Reset
-// rewinds the queue while keeping its capacity.
-func TestReadyFIFOCompaction(t *testing.T) {
-	var tr Tracker
-	tr.Init(NewBuilder("fifo").Stage("s", 4096).MustBuild())
-	// Push 3000, pop interleaved.
-	next := 0
-	popped := 0
-	for next < 3000 {
-		tr.MarkReady(0, 0, 0) // identity tracked via order
-		next++
-		if next%2 == 0 {
-			if _, ok := tr.Pop(); !ok {
-				t.Fatal("pop failed with entries pending")
+// TestReadyRingMatchesSliceFIFO diffs the ready ring against a plain slice
+// FIFO over seeded random MarkReady, Requeue, Pop, Peek and Reset sequences
+// that queue each task at most once at a time. The plans are small, so the
+// queue wraps around the end of the ring many times; the test fails if it
+// never does.
+func TestReadyRingMatchesSliceFIFO(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0))
+		b := NewBuilder("ring").Stage("a", 2+r.IntN(11))
+		if r.IntN(2) == 0 {
+			b.Stage("b", 1+r.IntN(12)).Edge("a", "b", AllToAll)
+		}
+		j := b.MustBuild()
+		var tr Tracker
+		tr.Init(j)
+		var refs []TaskRef // every task of the plan
+		for s, st := range j.Stages {
+			for task := range st.Tasks {
+				refs = append(refs, TaskRef{s, task})
 			}
-			popped++
 		}
-	}
-	for {
-		if _, ok := tr.Pop(); !ok {
-			break
+		var want []TaskRef // the reference FIFO
+		queued := make([]bool, len(refs))
+		attempts := make([]int, len(refs))
+		wrapped := false
+		for step := range 4000 {
+			switch op := r.IntN(10); {
+			case op < 4: // queue a task that is not queued, fresh or as a retry
+				k := r.IntN(len(refs))
+				if queued[k] {
+					continue
+				}
+				ref := refs[k]
+				if op < 2 {
+					tr.MarkReady(time.Duration(step), ref.Stage, ref.Task)
+				} else {
+					tr.Requeue(time.Duration(step), ref.Stage, ref.Task)
+					attempts[k]++
+				}
+				queued[k] = true
+				want = append(want, ref)
+				if got := tr.QueuedAt(ref.Stage, ref.Task); got != time.Duration(step) {
+					t.Fatalf("seed %d step %d: %v queued at %v", seed, step, ref, got)
+				}
+			case op < 8:
+				got, ok := tr.Pop()
+				if ok != (len(want) > 0) || ok && got != want[0] {
+					t.Fatalf("seed %d step %d: Pop = %v, %v; want %v", seed, step, got, ok, want)
+				}
+				if ok {
+					want = want[1:]
+					queued[tr.Index(got.Stage, got.Task)] = false
+				}
+			case op < 9:
+				got, ok := tr.Peek()
+				if ok != (len(want) > 0) || ok && got != want[0] {
+					t.Fatalf("seed %d step %d: Peek = %v, %v; want %v", seed, step, got, ok, want)
+				}
+			default:
+				if r.IntN(20) == 0 {
+					tr.Reset()
+					want = want[:0]
+					clear(queued)
+					clear(attempts)
+				}
+			}
+			if tr.Len() != len(want) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, tr.Len(), len(want))
+			}
+			wrapped = wrapped || tr.head+tr.n > len(tr.ready)
 		}
-		popped++
-	}
-	if popped != 3000 {
-		t.Fatalf("popped %d entries, want 3000", popped)
-	}
-	// Compaction must have bounded the slice: without it the backing array
-	// holds all 3000 entries; with the copy-down policy the head index can
-	// never exceed len once readyCompactMin dead entries dominate.
-	if len(tr.ready) > 2*readyCompactMin {
-		t.Errorf("ready slice holds %d entries after drain; compaction did not run", len(tr.ready))
-	}
-	// FIFO order with distinct refs across a compaction boundary.
-	capBefore := cap(tr.ready)
-	tr.Reset()
-	if tr.Len() != 0 || cap(tr.ready) != capBefore {
-		t.Fatalf("Reset left %d entries and capacity %d, want 0 and %d", tr.Len(), cap(tr.ready), capBefore)
-	}
-	for i := 0; i < 4096; i++ {
-		tr.MarkReady(0, 0, i)
-	}
-	for i := 0; i < 4096; i++ {
-		ref, ok := tr.Pop()
-		if !ok || ref.Task != i {
-			t.Fatalf("FIFO order broken at %d: got task %d ok=%v", i, ref.Task, ok)
+		for k, ref := range refs {
+			if got := tr.Attempt(ref.Stage, ref.Task); got != attempts[k] {
+				t.Fatalf("seed %d: %v at attempt %d, want %d", seed, ref, got, attempts[k])
+			}
+		}
+		if !wrapped {
+			t.Fatalf("seed %d: the queue never wrapped around the ring", seed)
 		}
 	}
 }
 
-// TestFreshFIFOHoldsEveryTask pins that Init sizes the ready FIFO for the
-// whole plan, so a first run that never requeues never grows it.
-func TestFreshFIFOHoldsEveryTask(t *testing.T) {
-	j := NewBuilder("wide").Stage("m", 300).Stage("r", 40).Edge("m", "r", AllToAll).MustBuild()
+// TestWarmTrackerAllocatesNothing: once Init has run, a whole run of
+// Reset, Seed, Pop, Requeue and Complete allocates nothing.
+func TestWarmTrackerAllocatesNothing(t *testing.T) {
+	j := NewBuilder("warm").Stage("m", 200).Stage("r", 20).Edge("m", "r", AllToAll).MustBuild()
 	var tr Tracker
 	tr.Init(j)
-	if cap(tr.ready) != j.TotalTasks() {
-		t.Fatalf("fresh ready FIFO has capacity %d, want the plan's %d tasks", cap(tr.ready), j.TotalTasks())
+	allocs := testing.AllocsPerRun(20, func() {
+		tr.Reset()
+		tr.Seed(0)
+		for ref, ok := tr.Pop(); ok; ref, ok = tr.Pop() {
+			if tr.Attempt(ref.Stage, ref.Task) < 2 {
+				tr.Requeue(1, ref.Stage, ref.Task)
+				continue
+			}
+			tr.Complete(1, ref.Stage, ref.Task)
+		}
+	})
+	if allocs != 0 || tr.Left() != 0 {
+		t.Fatalf("warm run allocated %v times and left %d tasks, want 0 and 0", allocs, tr.Left())
 	}
-	backing := &tr.ready[:1][0]
-	tr.Seed(0)
-	for ref, ok := tr.Pop(); ok; ref, ok = tr.Pop() {
-		tr.Complete(0, ref.Stage, ref.Task)
+}
+
+// TestFreshFIFOHoldsEveryTask pins the ready ring's storage: Init gives it
+// one slot per task of the plan, a requeue-heavy run neither resizes nor
+// moves it, and re-Init to a smaller plan reuses the same array, resliced to
+// the new task count.
+func TestFreshFIFOHoldsEveryTask(t *testing.T) {
+	big := NewBuilder("big").Stage("m", 300).Stage("r", 40).Edge("m", "r", AllToAll).MustBuild()
+	var tr Tracker
+	tr.Init(big)
+	if len(tr.ready) != big.TotalTasks() {
+		t.Fatalf("ready ring has %d slots after Init, want the plan's %d tasks", len(tr.ready), big.TotalTasks())
 	}
-	if tr.Left() != 0 || &tr.ready[:1][0] != backing {
-		t.Fatalf("run left %d tasks and moved the ready FIFO", tr.Left())
+	backing := &tr.ready[0]
+	drain := func() {
+		tr.Seed(0)
+		for ref, ok := tr.Pop(); ok; ref, ok = tr.Pop() {
+			if tr.Attempt(ref.Stage, ref.Task) < 3 {
+				tr.Requeue(1, ref.Stage, ref.Task)
+				continue
+			}
+			tr.Complete(1, ref.Stage, ref.Task)
+		}
+		if tr.Left() != 0 {
+			t.Fatalf("run left %d tasks", tr.Left())
+		}
 	}
+	drain()
+	if len(tr.ready) != big.TotalTasks() || &tr.ready[0] != backing {
+		t.Fatalf("requeue-heavy run left the ring at %d slots (moved: %v)", len(tr.ready), &tr.ready[0] != backing)
+	}
+	small := NewBuilder("small").Stage("m", 25).Stage("r", 5).Edge("m", "r", AllToAll).MustBuild()
+	tr.Init(small)
+	if len(tr.ready) != small.TotalTasks() || &tr.ready[0] != backing {
+		t.Fatalf("re-Init to %d tasks left the ring at %d slots (moved: %v)",
+			small.TotalTasks(), len(tr.ready), &tr.ready[0] != backing)
+	}
+	drain()
 }
 
 // TestTrackableLimits pins the int32 limits of a Tracker: a plan with more

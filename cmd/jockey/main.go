@@ -127,6 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		InputScale: *scale,
 		Utility:    u,
 		Drifts:     drifts,
+		TaskEvents: *traceOut != "",
 		Knobs: experiments.Knobs{
 			Slack:      *slack,
 			Hysteresis: *hyst,

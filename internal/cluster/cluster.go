@@ -193,7 +193,7 @@ type JobConfig struct {
 	// Start is the submission time, relative to cluster start.
 	Start time.Duration
 	// Tracked jobs keep the cluster running until they finish and get a
-	// full task-event trace. Background jobs should leave this false.
+	// trace (see NoTrace). Background jobs should leave this false.
 	Tracked bool
 	// NoSpare restricts the job to its guaranteed tokens: it never receives
 	// spare capacity. Used for controlled-allocation measurement runs
@@ -207,14 +207,18 @@ type JobConfig struct {
 	// OnTaskEvent, if set, observes every completed task attempt as it
 	// happens — the live feed the guard-rail layer (control.Guard) blends
 	// into its profile for online re-profiling. Fires for Tracked and
-	// untracked jobs alike. A Tracked job's state at any past time can be
-	// read back from its Result.Trace (progress.FracDoneAt).
+	// untracked jobs alike. A Tracked job that keeps its task events can
+	// have its state at any past time read back from its Result.Trace
+	// (progress.FracDoneAt).
 	OnTaskEvent func(e trace.TaskEvent)
-	// NoTrace suppresses the task-event trace of a Tracked job. The run
-	// still blocks Run until completion and produces a full Result; only
-	// Result.Trace stays nil. Reused-engine benchmarks and steady-state
-	// allocation guards use this, since a trace must outlive the run and
-	// therefore cannot come from a reusable arena.
+	// NoTrace stops a Tracked job from recording task events. The run
+	// still blocks Run until completion and produces a full Result. With a
+	// Policy, Result.Trace still holds the allocation timeline and the
+	// completion, with no Events; without one, Result.Trace stays nil.
+	// Runs whose callers read only the Result or the timeline set it, as do
+	// reused-engine benchmarks and steady-state allocation guards, since a
+	// trace must outlive the run and therefore cannot come from a reusable
+	// arena.
 	NoTrace bool
 }
 
@@ -246,7 +250,9 @@ type Result struct {
 	// impossible (every DAG has roots), but the field is 0 if nothing
 	// completed locally.
 	LocalityFraction float64
-	// Trace is the full record (only for Tracked jobs).
+	// Trace is the job's record: task events and allocation timeline for
+	// a Tracked job, only the timeline for a NoTrace one with a Policy, and
+	// nil otherwise.
 	Trace *trace.JobTrace
 }
 

@@ -666,10 +666,12 @@ func TestBlockedPassLeavesTaskQueued(t *testing.T) {
 	}
 }
 
-// TestResultIndependentOfNoTrace: whether a tracked job's trace is recorded
-// must not change its Result. Failures, evictions and machine losses make
-// the work the job actually did differ from its profile's, and Oracle must
-// come from the actual work either way.
+// TestResultIndependentOfNoTrace: whether a tracked job records task
+// events must not change its Result. Failures, evictions and machine losses
+// make the work the job actually did differ from its profile's, and Oracle
+// must come from the actual work either way. A NoTrace job with a policy
+// still gets the traced run's allocation timeline and completion, with no
+// events; a NoTrace job without one gets no trace at all.
 func TestResultIndependentOfNoTrace(t *testing.T) {
 	job := dag.NewBuilder("traced").Stage("map", 24).Stage("reduce", 6).
 		Edge("map", "reduce", dag.AllToAll).MustBuild()
@@ -677,14 +679,24 @@ func TestResultIndependentOfNoTrace(t *testing.T) {
 		{Exec: stats.Lognormal{Mu: 4, Sigma: 0.6}, FailureProb: 0.2},
 		{Exec: stats.Lognormal{Mu: 4.5, Sigma: 0.4}, FailureProb: 0.1},
 	})
-	var results [2]Result
-	for i, noTrace := range []bool{false, true} {
+	run := func(withPolicy, noTrace bool) Result {
 		c, err := New(Config{Machines: 6, SlotsPerMachine: 2, MachineMTBF: 20 * time.Minute, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := c.Submit(JobConfig{Profile: p, Guarantee: 4, Deadline: time.Minute,
-			Tracked: true, NoTrace: noTrace})
+		cfg := JobConfig{Profile: p, Guarantee: 4, Deadline: time.Minute, Tracked: true, NoTrace: noTrace}
+		if withPolicy {
+			cfg.ControlPeriod = 10 * time.Second
+			if cfg.Policy, err = control.NewController(control.Config{
+				Predictor:  model.NewAmdahl(p),
+				Utility:    utility.Deadline(3 * time.Minute),
+				Candidates: SLODefaults(8),
+				DeadZone:   -1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, err := c.Submit(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -694,19 +706,41 @@ func TestResultIndependentOfNoTrace(t *testing.T) {
 		if err := c.Run(); err != nil {
 			t.Fatal(err)
 		}
-		results[i] = h.Result()
+		return h.Result()
 	}
-	traced, untraced := results[0], results[1]
-	if traced.Trace == nil || untraced.Trace != nil {
-		t.Fatalf("trace recorded: %v and %v, want true and false", traced.Trace != nil, untraced.Trace != nil)
-	}
-	if traced.Evictions == 0 || traced.Oracle == model.Oracle(p.TotalWork(), traced.Deadline) {
-		t.Fatalf("the run must evict and need another oracle than the profile's (evictions %d, oracle %d)",
-			traced.Evictions, traced.Oracle)
-	}
-	traced.Trace = nil
-	if traced != untraced {
-		t.Errorf("Result depends on NoTrace:\n traced   %+v\n untraced %+v", traced, untraced)
+	for _, withPolicy := range []bool{false, true} {
+		traced, untraced := run(withPolicy, false), run(withPolicy, true)
+		if traced.Trace == nil || len(traced.Trace.Events) == 0 {
+			t.Fatalf("policy %v: the traced run recorded no task events", withPolicy)
+		}
+		if traced.Evictions == 0 || traced.Oracle == model.Oracle(p.TotalWork(), traced.Deadline) {
+			t.Fatalf("policy %v: the run must evict and need another oracle than the profile's (evictions %d, oracle %d)",
+				withPolicy, traced.Evictions, traced.Oracle)
+		}
+		if !withPolicy {
+			if untraced.Trace != nil {
+				t.Fatalf("a NoTrace job without a policy got a trace: %+v", untraced.Trace)
+			}
+		} else {
+			if untraced.Trace == nil {
+				t.Fatal("a NoTrace job with a policy got no trace")
+			}
+			if len(traced.Trace.Timeline) < 2 {
+				t.Fatalf("the policy ticked %d times, want a timeline to compare", len(traced.Trace.Timeline))
+			}
+			got, want := *untraced.Trace, *traced.Trace
+			if got.Events != nil {
+				t.Errorf("a NoTrace job recorded %d task events", len(got.Events))
+			}
+			want.Events = nil
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("the NoTrace trace differs from the traced one without events:\n traced   %+v\n untraced %+v", want, got)
+			}
+		}
+		traced.Trace, untraced.Trace = nil, nil
+		if traced != untraced {
+			t.Errorf("policy %v: Result depends on NoTrace:\n traced   %+v\n untraced %+v", withPolicy, traced, untraced)
+		}
 	}
 }
 

@@ -140,11 +140,13 @@ func (c *Cluster) handleArrival(id int) {
 	jr := c.jobs[id]
 	jr.arrive(c.now)
 	c.liveAdd(jr)
-	if jr.cfg.Tracked && !jr.cfg.NoTrace {
+	if jr.cfg.Tracked && (!jr.cfg.NoTrace || jr.cfg.Policy != nil) {
 		// Traces outlive the run (results retain them), so they are always
 		// freshly allocated, never pooled. Every task ends at least once.
 		jr.result.Trace = trace.New(jr.job.Name, jr.job.NumStages())
-		jr.result.Trace.Events = make([]trace.TaskEvent, 0, jr.job.TotalTasks())
+		if !jr.cfg.NoTrace {
+			jr.result.Trace.Events = make([]trace.TaskEvent, 0, jr.job.TotalTasks())
+		}
 	}
 	jr.deps.Seed(c.now)
 	c.syncReady(jr)
@@ -375,7 +377,8 @@ func (c *Cluster) recordAttempt(jr *jobRun, s int32, ended time.Duration, failed
 	st := &c.store
 	started := min(st.execStart[s], ended) // killed during its init delay
 	jr.work += ended - started
-	if jr.result.Trace == nil && jr.cfg.OnTaskEvent == nil {
+	record := jr.result.Trace != nil && !jr.cfg.NoTrace
+	if !record && jr.cfg.OnTaskEvent == nil {
 		return
 	}
 	stage, task := int(st.stage[s]), int(st.task[s])
@@ -389,7 +392,7 @@ func (c *Cluster) recordAttempt(jr *jobRun, s int32, ended time.Duration, failed
 		Ended:      ended - jr.start,
 		Failed:     failed,
 	}
-	if jr.result.Trace != nil {
+	if record {
 		jr.result.Trace.AddTask(e)
 	}
 	if jr.cfg.OnTaskEvent != nil {

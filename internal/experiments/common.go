@@ -283,6 +283,10 @@ type SLORun struct {
 	// emit (the Jockey controller and its guarded variant); recording never
 	// perturbs the run (pinned by TestFlightRecordingDoesNotPerturb).
 	Flight control.Recorder
+	// TaskEvents keeps the SLO job's task events in Outcome.Trace.Events.
+	// Without it the trace holds only the allocation timeline and the
+	// completion, which is all most runs read.
+	TaskEvents bool
 	// fixedAlloc, when positive, bypasses the policy and grants a constant
 	// allocation for the whole run — the counterfactual replay mode of
 	// internal/flight. Everything else (cluster, failures, background load,
@@ -515,6 +519,7 @@ func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 		ControlPeriod:   r.Knobs.Period,
 		Start:           SLOJobStart, // arrive into a warmed-up cluster
 		Tracked:         true,
+		NoTrace:         !r.TaskEvents,
 		DeadlineChanges: r.DeadlineChanges,
 		Drifts:          r.Drifts,
 		OnTaskEvent:     onTask,

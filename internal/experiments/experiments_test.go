@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -176,6 +179,49 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if a.Completion != b.Completion {
 		t.Errorf("same run diverged: %v vs %v", a.Completion, b.Completion)
+	}
+}
+
+// TestTaskEventsOnlyWhenAsked: a run records its SLO job's task events only
+// with SLORun.TaskEvents set, and leaving them out changes nothing else. The
+// events of the recorded run are pinned by a SHA-256 digest of their JSON,
+// taken before runs could leave them out.
+func TestTaskEventsOnlyWhenAsked(t *testing.T) {
+	short, _, err := sharedEnv.Deadlines("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The guarded policy also reads the live task feed, which must not
+	// depend on the recording.
+	r := SLORun{Job: "B", Deadline: short, Policy: PolicyJockeyGuarded, Seed: 11}
+	bare, err := sharedEnv.RunExec(NewExec(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.TaskEvents = true
+	full, err := sharedEnv.RunExec(NewExec(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Trace == nil || len(bare.Trace.Events) != 0 || len(bare.Trace.Timeline) == 0 {
+		t.Fatalf("without TaskEvents: trace %v, want a timeline and no events", bare.Trace)
+	}
+	data, err := json.Marshal(full.Trace.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantEvents, wantDigest = 1637, "1fdb8b25e8e0427b90f539405c532fb9cbc400a555997dacc3f1139cf6988759"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(full.Trace.Events) != wantEvents || got != wantDigest {
+		t.Errorf("with TaskEvents: %d events with digest %s, want %d with %s", len(full.Trace.Events), got, wantEvents, wantDigest)
+	}
+	want := *full.Trace
+	want.Events = nil
+	if !reflect.DeepEqual(*bare.Trace, want) {
+		t.Errorf("the trace without events differs from the recorded one:\n got  %+v\n want %+v", *bare.Trace, want)
+	}
+	bare.Trace, full.Trace = nil, nil
+	if !reflect.DeepEqual(bare, full) {
+		t.Errorf("the outcome depends on TaskEvents:\n without %+v\n with    %+v", bare, full)
 	}
 }
 

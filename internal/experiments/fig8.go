@@ -52,7 +52,7 @@ func PredictionAccuracy(env *Env, jobs []string, runsPerPoint int) (*Fig8, error
 					}
 					seed := stats.DeriveSeed(env.Seed, "fig8", job, fmt.Sprint(alloc), fmt.Sprint(r))
 					r, err := x.replay(cluster.Config{Seed: seed}, nil,
-						cluster.JobConfig{Profile: ground, Guarantee: alloc, NoSpare: true})
+						cluster.JobConfig{Profile: ground, Guarantee: alloc, NoSpare: true, NoTrace: true})
 					return r.Completion, err
 				})
 			}

@@ -73,6 +73,7 @@ func (e *Env) flightReplayer(x *Exec, r SLORun, fc FlightConfig) flight.Replayer
 	run := func(alloc int) (flight.ReplayOutcome, error) {
 		rr := r
 		rr.Flight = nil
+		rr.TaskEvents = false
 		rr.fixedAlloc = alloc
 		o, err := e.RunExec(x, rr)
 		if err != nil {

@@ -69,7 +69,7 @@ func RecurringVariance(env *Env, cfg Table1Config) (*Table1, error) {
 				bg := background(stats.DeriveSeed(env.Seed, "t1-bg", job, fmt.Sprint(run)), 0.8+1.4*rng.Float64())
 				// A production job's modest fixed guarantee.
 				r, err := x.replay(cluster.Config{Seed: stats.DeriveSeed(env.Seed, "t1-cluster", job, fmt.Sprint(run))}, bg,
-					cluster.JobConfig{Profile: ground.Scale(scale), Guarantee: 8, Start: 15 * time.Minute})
+					cluster.JobConfig{Profile: ground.Scale(scale), Guarantee: 8, Start: 15 * time.Minute, NoTrace: true})
 				return r.Completion, err
 			})
 		}

@@ -64,6 +64,7 @@ func TrainingVsActual(env *Env) (*Table3, error) {
 				Policy:     PolicyJockey,
 				Seed:       uint64(200 + i),
 				InputScale: scale,
+				TaskEvents: true,
 			})
 		})
 	}

@@ -61,7 +61,8 @@ type Config struct {
 	// completed job: per stage, the given fraction of tasks (rounded down)
 	// begins as already finished. This supports online re-simulation from a
 	// running job's state (§4.4's proposed enhancement). Must be parallel
-	// to the plan's stages.
+	// to the plan's stages; an entry may not be NaN or negative, and one of
+	// 1 or more, +Inf included, completes its stage.
 	InitialFracDone []float64
 
 	// noFailures turns off failure injection, for RunInfinite's
@@ -80,6 +81,12 @@ func (cfg *Config) validate() error {
 	if cfg.InitialFracDone != nil && len(cfg.InitialFracDone) != cfg.Profile.Job.NumStages() {
 		return fmt.Errorf("sim: InitialFracDone has %d entries; plan %q has %d stages",
 			len(cfg.InitialFracDone), cfg.Profile.Job.Name, cfg.Profile.Job.NumStages())
+	}
+	for s, f := range cfg.InitialFracDone {
+		if !(f >= 0) {
+			return fmt.Errorf("sim: plan %q: InitialFracDone[%d] is %v; a stage's done fraction cannot be NaN or negative",
+				cfg.Profile.Job.Name, s, f)
+		}
 	}
 	return nil
 }

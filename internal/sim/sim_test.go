@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -270,6 +272,49 @@ func TestInitialFracDoneLengthMismatch(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "InitialFracDone") {
 				t.Fatalf("error %q does not name InitialFracDone", err)
+			}
+		})
+	}
+}
+
+// TestInitialFracDoneValues: an entry that is NaN or negative describes no
+// state, so it is rejected with an error naming the plan and the stage; an
+// entry of 1 or more, +Inf included, completes its stage, running exactly
+// as an entry of 1 does.
+func TestInitialFracDoneValues(t *testing.T) {
+	p := fixedProfile(t) // two stages
+	whole, err := NewRunner().Run(Config{Profile: p, Alloc: 4, Seed: 1, InitialFracDone: []float64{1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		fracs []float64
+		bad   int // index of the rejected entry, or -1
+	}{
+		{name: "NaN", fracs: []float64{math.NaN(), 0}, bad: 0},
+		{name: "negative", fracs: []float64{0, -0.5}, bad: 1},
+		{name: "-Inf", fracs: []float64{math.Inf(-1), 0}, bad: 0},
+		{name: "+Inf completes the stage", fracs: []float64{math.Inf(1), 0}, bad: -1},
+		{name: "above 1 completes the stage", fracs: []float64{1.5, 0}, bad: -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := NewRunner().Run(Config{Profile: p, Alloc: 4, Seed: 1, InitialFracDone: c.fracs})
+			if c.bad < 0 {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				if tr.Completion != whole.Completion {
+					t.Fatalf("completion %v, want %v as with the stage complete", tr.Completion, whole.Completion)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("InitialFracDone %v must fail", c.fracs)
+			}
+			if want := fmt.Sprintf("InitialFracDone[%d]", c.bad); !strings.Contains(err.Error(), want) ||
+				!strings.Contains(err.Error(), p.Job.Name) {
+				t.Fatalf("error %q does not name plan %q and %s", err, p.Job.Name, want)
 			}
 		})
 	}

@@ -9,7 +9,8 @@ import (
 
 // Quantile returns the q-quantile of values using linear interpolation
 // between order statistics. It does not require the input to be sorted.
-// It returns 0 for an empty input.
+// It returns 0 for an empty input. A q of 0 or less, or NaN, gives the
+// minimum; a q of 1 or more gives the maximum.
 func Quantile(values []float64, q float64) float64 {
 	if len(values) == 0 {
 		return 0
@@ -29,7 +30,7 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 }
 
 func quantileSorted(s []float64, q float64) float64 {
-	if q <= 0 {
+	if !(q > 0) {
 		return s[0]
 	}
 	if q >= 1 {
@@ -46,12 +47,13 @@ func quantileSorted(s []float64, q float64) float64 {
 }
 
 // QuantileDurations returns the q-quantile of an ascending-sorted duration
-// slice with linear interpolation. It returns 0 for an empty input.
+// slice with linear interpolation. It returns 0 for an empty input. Like
+// Quantile, it reads a NaN q as 0, the minimum.
 func QuantileDurations(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	if q <= 0 {
+	if !(q > 0) {
 		return sorted[0]
 	}
 	if q >= 1 {

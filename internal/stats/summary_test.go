@@ -14,7 +14,7 @@ func TestQuantileBasics(t *testing.T) {
 		q    float64
 		want float64
 	}{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {-0.5, 1}, {2, 4},
+		{0, 1}, {1, 4}, {0.5, 2.5}, {-0.5, 1}, {2, 4}, {math.NaN(), 1},
 	}
 	for _, c := range cases {
 		if got := Quantile(vals, c.q); got != c.want {
@@ -44,6 +44,9 @@ func TestQuantileDurations(t *testing.T) {
 	}
 	if got := QuantileDurations(nil, 0.5); got != 0 {
 		t.Errorf("empty = %v", got)
+	}
+	if got := QuantileDurations(ds, math.NaN()); got != time.Second {
+		t.Errorf("NaN quantile = %v, want the minimum 1s", got)
 	}
 }
 

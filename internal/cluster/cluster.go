@@ -250,9 +250,9 @@ type Result struct {
 	// impossible (every DAG has roots), but the field is 0 if nothing
 	// completed locally.
 	LocalityFraction float64
-	// Trace is the job's record: task events and allocation timeline for
-	// a Tracked job, only the timeline for a NoTrace one with a Policy, and
-	// nil otherwise.
+	// Trace is a Tracked job's record: its task events unless NoTrace, and
+	// its allocation timeline when it has a Policy. It is nil for an
+	// untracked job and for a NoTrace one without a Policy.
 	Trace *trace.JobTrace
 }
 

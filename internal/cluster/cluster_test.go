@@ -54,7 +54,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestEventIs24Bytes pins the packed event layout: the queue moves every
-// event by value on each push, pop and calendar resize.
+// event by value at every sift step of a push or a pop.
 func TestEventIs24Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 24 {
 		t.Errorf("unsafe.Sizeof(event{}) = %d, want 24", got)

@@ -29,10 +29,10 @@ const (
 	evEpoch
 )
 
-// event is what the queue moves on every push, pop and calendar resize, so
-// it is packed to 24 bytes (a queue item is 40): int32 identifiers, which
-// Submit and Config validation guarantee fit, and one arg field, since no
-// event kind needs both a machine and a change index.
+// event is what the queue moves at every step of a push's or a pop's sift,
+// so it is packed to 24 bytes (a queue item is 40): int32 identifiers,
+// which Submit and Config validation guarantee fit, and one arg field,
+// since no event kind needs both a machine and a change index.
 type event struct {
 	job     int32
 	stage   int32

@@ -22,8 +22,6 @@ import (
 //   - every scheduling pass matches the classes derived from scratch by
 //     the checkPass hook of engine_ref_test.go, active in every test of
 //     this package;
-//   - the replay is byte-identical on the event queue's heap and calendar
-//     regimes;
 //   - it is byte-identical on a fresh cluster and on a reused engine, over
 //     two rounds so the second runs on pooled arenas;
 //   - extra scheduling passes change nothing: with one job that neither a
@@ -39,19 +37,16 @@ func FuzzClusterReplay(f *testing.F) {
 	f.Add([]byte(strings.Repeat("\x05\x02\x00\x01\x03\x00\x04", 12)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := genScenario(t, data)
-		want := sc.replay(t, New, false)
-		if got := sc.replay(t, New, true); got != want {
-			t.Fatalf("calendar regime diverged from the heap:\n got %s\nwant %s", got, want)
-		}
+		want := sc.replay(t, New)
 		eng := NewEngine()
 		for round := 0; round < 2; round++ {
-			if got := sc.replay(t, eng.Reset, round == 1); got != want {
+			if got := sc.replay(t, eng.Reset); got != want {
 				t.Fatalf("reused engine round %d diverged from a fresh cluster:\n got %s\nwant %s", round, got, want)
 			}
 		}
 		if ticked := sc.undriven(); ticked >= 0 {
-			want := renderTracked(sc.run(t, New, false, -1))
-			if got := renderTracked(sc.run(t, New, false, ticked)); got != want {
+			want := renderTracked(sc.run(t, New, -1))
+			if got := renderTracked(sc.run(t, New, ticked)); got != want {
 				t.Fatalf("job %d under a constant 7 s policy changed the tracked jobs:\n got %s\nwant %s", ticked, got, want)
 			}
 		}
@@ -196,10 +191,10 @@ func (sc *fuzzScenario) undriven() int {
 	return -1
 }
 
-// replay runs the scenario on a cluster from mk (New or Engine.Reset),
-// optionally on the calendar regime, and renders everything it produced.
-func (sc *fuzzScenario) replay(t *testing.T, mk func(Config) (*Cluster, error), calendar bool) string {
-	c, hs, runErr := sc.run(t, mk, calendar, -1)
+// replay runs the scenario on a cluster from mk (New or Engine.Reset) and
+// renders everything it produced.
+func (sc *fuzzScenario) replay(t *testing.T, mk func(Config) (*Cluster, error)) string {
+	c, hs, runErr := sc.run(t, mk, -1)
 	var b strings.Builder
 	fmt.Fprintf(&b, "err=%v now=%v util=%b\n", runErr, c.Now(), c.Utilization())
 	for i, h := range hs {
@@ -228,10 +223,10 @@ func renderTracked(_ *Cluster, hs []*Handle, runErr error) string {
 	return b.String()
 }
 
-// run replays the scenario on a cluster from mk, optionally on the calendar
-// regime. Job ticked, unless it is -1, runs under a constant policy at its
-// own guarantee that ticks every 7 s.
-func (sc *fuzzScenario) run(t *testing.T, mk func(Config) (*Cluster, error), calendar bool, ticked int) (*Cluster, []*Handle, error) {
+// run replays the scenario on a cluster from mk. Job ticked, unless it is
+// -1, runs under a constant policy at its own guarantee that ticks every
+// 7 s.
+func (sc *fuzzScenario) run(t *testing.T, mk func(Config) (*Cluster, error), ticked int) (*Cluster, []*Handle, error) {
 	cfg := sc.cfg
 	var hs []*Handle
 	if sc.epochs {
@@ -249,9 +244,6 @@ func (sc *fuzzScenario) run(t *testing.T, mk func(Config) (*Cluster, error), cal
 	c, err := mk(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if calendar {
-		forceCalendar(c)
 	}
 	for i, jc := range sc.jobs {
 		if sc.policy[i] {
@@ -281,20 +273,4 @@ func (sc *fuzzScenario) run(t *testing.T, mk func(Config) (*Cluster, error), cal
 		hs = append(hs, h)
 	}
 	return c, hs, c.Run()
-}
-
-// forceCalendar moves the cluster's event queue onto its calendar regime.
-// eventq promotes a queue to the calendar once it reaches 4096 events and
-// keeps it there until Reset, so a burst of events at time -1 lifts it over
-// the threshold; the burst then pops straight back off, since it sorts
-// before every real event (all at times >= 0). Insertion sequences only
-// grow, so the real events keep their relative order.
-func forceCalendar(c *Cluster) {
-	const burst = 1 << 13
-	for i := 0; i < burst; i++ {
-		c.q.Push(-1, event{})
-	}
-	for i := 0; i < burst; i++ {
-		c.q.Pop()
-	}
 }

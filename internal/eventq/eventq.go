@@ -3,34 +3,23 @@
 // simulator (internal/cluster).
 //
 // Events are ordered by time; ties are broken by insertion sequence so that
-// simulations are reproducible regardless of heap internals.
+// simulations are reproducible regardless of heap internals. Because
+// (time, seq) is a strict total order, the pop sequence is a pure function
+// of the push sequence, so one binary heap serves every queue size, from a
+// C(p, a) build's few dozen running tasks to a Cosmos-scale replay's 10⁵
+// queued events.
 //
-// The queue has two storage regimes behind one interface:
-//
-//   - a hand-rolled binary heap (the reference implementation), used below
-//     calendarPromoteLen. It replaced a container/heap adapter: the stdlib
-//     interface moves every element through `any`, which boxes one
-//     allocation per Push. This matters because the queue sits on the
-//     simulator's innermost loop: one Push+Pop per task attempt, millions
-//     per C(p, a) table build (the simulator's sampling clock is not
-//     queued; see Reserve). A Pop takes the root and leaves a hole there;
-//     the next Push drops its item into the hole and sifts it down once,
-//     instead of Pop re-heaping and Push sifting up again. Pop, Peek and
-//     PeekKey first fill a pending hole from the last item.
-//   - a bucketed calendar queue (calendar.go) with heap-ordered buckets,
-//     promoted to automatically when the queue grows past
-//     calendarPromoteLen — O(1) amortized push/pop at the event densities a
-//     Cosmos-scale replay produces (10⁵–10⁶ queued events), where the
-//     heap's log n cache-missing comparisons dominate.
-//
-// Because (time, seq) is a strict total order, the pop sequence is fully
-// determined by the push sequence and is identical across the heap, the
-// calendar, and the old container/heap adapter (pinned by the randomized
-// differential tests in eventq_ref_test.go, including a 10⁵-event run).
-// Which regime serves an operation is a pure function of the queue length
-// since the last Reset — the heap until Len first reaches
-// calendarPromoteLen, the calendar from then on — so replays are
-// bit-identical whether or not promotion happens.
+// The heap is hand-rolled. It replaced a container/heap adapter: the stdlib
+// interface moves every element through `any`, which boxes one allocation
+// per Push. This matters because the queue sits on the simulator's
+// innermost loop: one Push+Pop per task attempt, millions per C(p, a)
+// table build (the simulator's sampling clock is not queued; see Reserve).
+// A Pop takes the root and leaves a hole there; the next Push drops its
+// item into the hole and sifts it down once, instead of Pop re-heaping and
+// Push sifting up again. Pop, Peek and PeekKey first fill a pending hole
+// from the last item. The randomized differential tests in
+// eventq_ref_test.go pin the pop sequence to the old adapter's, including a
+// 10⁵-event run.
 package eventq
 
 import (
@@ -43,36 +32,14 @@ type item[T any] struct {
 	v   T
 }
 
-// calendarPromoteLen is the promotion threshold: a queue starts on the
-// reference heap and moves to the calendar when Len reaches it. Promotion
-// never changes the pop sequence; small queues keep the heap's lower
-// constant overhead. Replays sized like the paper's Table 2 experiments
-// stay well below it (the heap is faster there); a 10k-machine replay
-// crosses it during the first arrival burst. It is a variable only so that
-// tests can pin either regime (export_test.go); nothing else assigns it.
-var calendarPromoteLen = 4096
-
 // Queue is a time-ordered event queue. The zero value is ready to use.
 type Queue[T any] struct {
 	h []item[T]
-	// hole marks h[0] vacant: a heap-regime Pop takes the root and leaves
-	// its slot empty, so that a following Push can drop its item there and
-	// sift it down once instead of Pop re-heaping and Push sifting up. Only
-	// the heap regime ever has a hole.
-	hole  bool
-	seq   uint64
-	onCal bool
-	cal   calendar[T]
-}
-
-// promote moves every queued event from the heap into the calendar. Items
-// keep their (at, seq) keys, so the pop sequence is unchanged. Its only
-// caller, Push, has filled any root hole by then.
-func (q *Queue[T]) promote() {
-	q.cal.rebuild(q.h)
-	clear(q.h)
-	q.h = q.h[:0]
-	q.onCal = true
+	// hole marks h[0] vacant: a Pop takes the root and leaves its slot
+	// empty, so that a following Push can drop its item there and sift it
+	// down once instead of Pop re-heaping and Push sifting up.
+	hole bool
+	seq  uint64
 }
 
 // Push schedules v at the given time. Steady-state pushes (within the
@@ -82,10 +49,6 @@ func (q *Queue[T]) promote() {
 func (q *Queue[T]) Push(at time.Duration, v T) {
 	q.seq++
 	it := item[T]{at: at, seq: q.seq, v: v}
-	if q.onCal {
-		q.cal.push(it)
-		return
-	}
 	if q.hole {
 		q.hole = false
 		q.h[0] = it
@@ -93,9 +56,6 @@ func (q *Queue[T]) Push(at time.Duration, v T) {
 	} else {
 		q.h = append(q.h, it)
 		siftUp(q.h)
-	}
-	if len(q.h) >= calendarPromoteLen {
-		q.promote()
 	}
 }
 
@@ -116,10 +76,6 @@ func (q *Queue[T]) Reserve() uint64 {
 //
 //jockey:hotpath
 func (q *Queue[T]) Pop() (at time.Duration, v T, ok bool) {
-	if q.onCal {
-		it, ok := q.cal.pop()
-		return it.at, it.v, ok
-	}
 	q.fill()
 	if len(q.h) == 0 {
 		var zero T
@@ -144,9 +100,6 @@ func (q *Queue[T]) Peek() (at time.Duration, ok bool) {
 //
 //jockey:hotpath
 func (q *Queue[T]) PeekKey() (at time.Duration, seq uint64, ok bool) {
-	if q.onCal {
-		return q.cal.peek()
-	}
 	q.fill()
 	if len(q.h) == 0 {
 		return 0, 0, false
@@ -158,9 +111,6 @@ func (q *Queue[T]) PeekKey() (at time.Duration, seq uint64, ok bool) {
 //
 //jockey:hotpath
 func (q *Queue[T]) Len() int {
-	if q.onCal {
-		return q.cal.n
-	}
 	if q.hole {
 		return len(q.h) - 1
 	}
@@ -178,9 +128,7 @@ func (q *Queue[T]) Reset() {
 	clear(q.h) // drop references held by T
 	q.h = q.h[:0]
 	q.hole = false
-	q.cal.reset()
 	q.seq = 0
-	q.onCal = false
 }
 
 // fill closes a pending root hole with the heap's last item, the re-heap
@@ -201,11 +149,19 @@ func (q *Queue[T]) fill() {
 	}
 }
 
+// lessItem is the queue's total order: time, then insertion sequence.
+//
+//jockey:hotpath
+func lessItem[T any](a, b item[T]) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
 // siftUp moves h's last item up to its place. It lifts the item out and
 // moves ancestors that order after it down into the vacancy on the way
 // toward the root.
-// Both regimes keep their heaps with siftUp and siftDown: the Queue's one
-// heap and each calendar bucket.
 //
 //jockey:hotpath
 func siftUp[T any](h []item[T]) {

@@ -90,9 +90,6 @@ const (
 	opPeekKey
 	opReserve
 	opReset
-	// opPromote lowers the promotion threshold so that the next Push moves
-	// a heap-regime queue to the calendar, whatever root hole a Pop left.
-	opPromote
 )
 
 // step applies op to q and to the reference and returns the first
@@ -127,10 +124,6 @@ func step(q *Queue[int], ref *refQueue, op queueOp, at time.Duration, v int) err
 	case opReset:
 		q.Reset()
 		ref.Reset()
-	case opPromote:
-		if !q.onCal {
-			calendarPromoteLen = q.Len() + 1
-		}
 	}
 	if n, rn := q.Len(), ref.Len(); n != rn {
 		return fmt.Errorf("Len = %d, reference %d", n, rn)
@@ -151,69 +144,68 @@ func drain(q *Queue[int], ref *refQueue) error {
 // TestMatchesContainerHeapReference drives the boxing-free queue and the
 // old container/heap adapter with the same random interleaving of Push,
 // Pop, Peek, PeekKey, Reserve and Reset, comparing every result and Len at
-// every step, in every regime. Pushes outnumber pops so the queue grows,
-// and times cluster so that ties (seq ordering) are exercised heavily.
+// every step. Pushes outnumber pops so the queue grows, and times cluster
+// so that ties (seq ordering) are exercised heavily.
 func TestMatchesContainerHeapReference(t *testing.T) {
-	for _, regime := range Regimes {
-		t.Run(regime, func(t *testing.T) {
-			PinRegime(t, regime)
-			f := func(seed uint64, opsRaw uint16) bool {
-				rng := stats.NewRNG(seed)
-				ops := 50 + int(opsRaw)%2000
-				var q Queue[int]
-				var ref refQueue
-				for i := 0; i < ops; i++ {
-					op := opPush
-					switch r := rng.IntN(64); {
-					case r == 0:
-						op = opReset
-					case r < 8:
-						op = []queueOp{opPeek, opPeekKey, opReserve}[r%3]
-					case r < 28:
-						op = opPop
-					}
-					at := time.Duration(rng.IntN(64)) * time.Millisecond
-					if err := step(&q, &ref, op, at, i); err != nil {
-						t.Logf("op %d: %v", i, err)
-						return false
-					}
-				}
-				if err := drain(&q, &ref); err != nil {
-					t.Logf("drain: %v", err)
-					return false
-				}
-				return true
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	// The push that promotes a heap-regime queue finds a root hole left by
-	// the Pop before it.
-	t.Run("promote-with-hole", func(t *testing.T) {
-		PinRegime(t, "heap")
-		rng := stats.NewRNG(stats.DeriveSeed(2026, "promote-with-hole"))
+	f := func(seed uint64, opsRaw uint16) bool {
+		rng := stats.NewRNG(seed)
+		ops := 50 + int(opsRaw)%2000
 		var q Queue[int]
 		var ref refQueue
-		ops := []queueOp{opPop, opPromote, opPush, opPeekKey}
-		for i := 0; i < 200; i++ {
+		for i := 0; i < ops; i++ {
 			op := opPush
-			if i >= 100 {
-				op = ops[i%len(ops)]
+			switch r := rng.IntN(64); {
+			case r == 0:
+				op = opReset
+			case r < 8:
+				op = []queueOp{opPeek, opPeekKey, opReserve}[r%3]
+			case r < 28:
+				op = opPop
 			}
-			at := time.Duration(rng.IntN(32)) * time.Millisecond
+			at := time.Duration(rng.IntN(64)) * time.Millisecond
 			if err := step(&q, &ref, op, at, i); err != nil {
-				t.Fatalf("op %d (%d): %v", i, op, err)
-			}
-			if op == opPush && i >= 100 && !q.onCal {
-				t.Fatalf("op %d: the push after opPromote left the queue on the heap", i)
+				t.Logf("op %d: %v", i, err)
+				return false
 			}
 		}
 		if err := drain(&q, &ref); err != nil {
-			t.Fatalf("drain: %v", err)
+			t.Logf("drain: %v", err)
+			return false
 		}
-	})
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLargeQueueMatchesReference grows the queue to ~10⁵ events, three
+// pushes per pop, and drains it: the depth a Cosmos-scale replay's arrival
+// burst reaches. Each shard draws push times from a wider span, from
+// ties-heavy 2¹⁰ ns to 2³⁴ ns (about 17 s).
+func TestLargeQueueMatchesReference(t *testing.T) {
+	const n = 100_000
+	for shard, span := range []int64{1 << 10, 1 << 20, 1 << 30, 1 << 34} {
+		t.Run(fmt.Sprintf("shard%d", shard), func(t *testing.T) {
+			rng := stats.NewRNG(stats.DeriveSeed(2026, "large-queue", fmt.Sprint(shard)))
+			var q Queue[int]
+			var ref refQueue
+			pushed := 0
+			for i := 0; i < 4*n/3; i++ {
+				op, at := opPop, time.Duration(0)
+				if (rng.IntN(4) != 0 || ref.Len() == 0) && pushed < n {
+					pushed++
+					op, at = opPush, time.Duration(rng.Int64N(span))
+				}
+				if err := step(&q, &ref, op, at, i); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+			}
+			if err := drain(&q, &ref); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+		})
+	}
 }
 
 // fuzzOps decodes the low four bits of a fuzz byte into an op, weighted
@@ -221,23 +213,21 @@ func TestMatchesContainerHeapReference(t *testing.T) {
 var fuzzOps = [16]queueOp{
 	opPush, opPush, opPush, opPush, opPush, opPush, opPush,
 	opPop, opPop, opPop, opPop,
-	opPeek, opPeekKey, opReserve, opReset, opPromote,
+	opPeek, opPeekKey, opReserve, opReset, opPush,
 }
 
 // FuzzQueueMatchesReference is the generated form of
-// TestMatchesContainerHeapReference. The first byte pins the regime; each
-// further byte is one op, its low four bits naming the op (fuzzOps) and
-// its high four bits a push's time in milliseconds, so that ties are
-// common.
+// TestMatchesContainerHeapReference. Each byte is one op, its low four
+// bits naming the op (fuzzOps) and its high four bits a push's time in
+// milliseconds, so that ties are common.
 func FuzzQueueMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 || len(data) > 1<<14 {
+		if len(data) > 1<<14 {
 			return
 		}
-		PinRegime(t, Regimes[int(data[0])%len(Regimes)])
 		var q Queue[int]
 		var ref refQueue
-		for i, b := range data[1:] {
+		for i, b := range data {
 			op := fuzzOps[b&15]
 			at := time.Duration(b>>4) * time.Millisecond
 			if err := step(&q, &ref, op, at, i); err != nil {
@@ -358,34 +348,26 @@ func waveEntries(n int) []waveEvent {
 
 // TestArrivalWaveZeroAllocs pins the wave path allocation-free: once a
 // queue has reached its high-water capacity, a cycle of Reset, one Push per
-// event and a full drain allocates nothing, in every regime. The 5e5-event
-// wave crosses the promotion threshold under "auto" and grows the calendar
-// ring several times, so promotion and resize stage through reused
-// capacity too.
+// event and a full drain allocates nothing.
 func TestArrivalWaveZeroAllocs(t *testing.T) {
-	for _, regime := range Regimes {
-		t.Run(regime, func(t *testing.T) {
-			PinRegime(t, regime)
-			for _, n := range []int{3000, 500_000} {
-				t.Run(strconv.Itoa(n), func(t *testing.T) {
-					es := waveEntries(n)
-					var q Queue[int]
-					cycle := func() {
-						q.Reset()
-						for _, e := range es {
-							q.Push(e.at, e.v)
-						}
-						for {
-							if _, _, ok := q.Pop(); !ok {
-								break
-							}
-						}
+	for _, n := range []int{3000, 500_000} {
+		t.Run(strconv.Itoa(n), func(t *testing.T) {
+			es := waveEntries(n)
+			var q Queue[int]
+			cycle := func() {
+				q.Reset()
+				for _, e := range es {
+					q.Push(e.at, e.v)
+				}
+				for {
+					if _, _, ok := q.Pop(); !ok {
+						break
 					}
-					cycle() // reach high-water capacity
-					if allocs := testing.AllocsPerRun(3, cycle); allocs != 0 {
-						t.Fatalf("wave cycle allocated %.1f times, want 0", allocs)
-					}
-				})
+				}
+			}
+			cycle() // reach high-water capacity
+			if allocs := testing.AllocsPerRun(3, cycle); allocs != 0 {
+				t.Fatalf("wave cycle allocated %.1f times, want 0", allocs)
 			}
 		})
 	}
@@ -393,8 +375,7 @@ func TestArrivalWaveZeroAllocs(t *testing.T) {
 
 // BenchmarkArrivalWave times absorbing a 5e5-event wave into a Reset
 // queue, one Push per event. Only the pushes are timed; the drain runs with
-// the clock stopped. The wave crosses the promotion threshold mid-burst, so
-// the binary heap absorbs the first events and hands them to the calendar.
+// the clock stopped.
 func BenchmarkArrivalWave(b *testing.B) {
 	es := waveEntries(500_000)
 	var q Queue[int]

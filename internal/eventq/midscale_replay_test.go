@@ -9,7 +9,6 @@ import (
 
 	"github.com/jockeysim/jockey/internal/cluster"
 	"github.com/jockeysim/jockey/internal/dag"
-	"github.com/jockeysim/jockey/internal/eventq"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
 )
@@ -82,78 +81,54 @@ func (p *midScaleProfiles) replay(t *testing.T, c *cluster.Cluster) string {
 	return fmt.Sprintf("%+v util=%.17g", res, c.Utilization())
 }
 
-// TestEventRegimeByteIdentical is the gating smoke test for the calendar
-// queue: a mid-size replay (1k machines, ~20k concurrent tasks — large
-// enough that the default threshold promotes, and every scheduler path
-// fires) must produce byte-identical results and utilization whichever
-// storage regime serves the event queue. (time, seq) is a strict total
-// order, so any difference means the calendar reordered events. The heap
-// replay must also match the committed golden, which pins the cluster
-// engine's output across commits; a deliberate behaviour change replaces
-// the golden with the replay this test prints on a mismatch.
-func TestEventRegimeByteIdentical(t *testing.T) {
+// TestMidScaleReplayMatchesGolden replays the mid-size cluster (1k
+// machines, ~20k concurrent tasks, large enough that every scheduler path
+// fires and the event queue holds thousands of events) and checks its
+// results and utilization against the committed golden, which pins the
+// cluster engine's and the event queue's output across commits. A
+// deliberate behaviour change replaces the golden with the replay this test
+// prints on a mismatch.
+func TestMidScaleReplayMatchesGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("mid-size replay is ~100ms per regime; skipped in -short")
+		t.Skip("mid-size replay is ~100ms; skipped in -short")
 	}
-	p := newMidScaleProfiles()
-	out := map[string]string{}
-	for _, regime := range eventq.Regimes {
-		t.Run(regime, func(t *testing.T) {
-			eventq.PinRegime(t, regime)
-			c, err := cluster.New(midScaleConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[regime] = p.replay(t, c)
-		})
+	c, err := cluster.New(midScaleConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	got := newMidScaleProfiles().replay(t, c)
 	const golden = "testdata/midscale_replay.golden"
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out["heap"]; got != strings.TrimSuffix(string(want), "\n") {
-		t.Errorf("heap replay differs from %s; this build replays:\n%s", golden, got)
-	}
-	for _, regime := range eventq.Regimes[1:] {
-		if out[regime] != out["heap"] {
-			t.Errorf("heap and %s replays diverge:\n heap: %.300s\n %s: %.300s",
-				regime, out["heap"], regime, out[regime])
-		}
+	if got != strings.TrimSuffix(string(want), "\n") {
+		t.Errorf("replay differs from %s; this build replays:\n%s", golden, got)
 	}
 }
 
-// TestEventRegimeIdenticalOnEngine repeats the identity check across Engine
-// reuse: every regime on a reused engine must match a fresh cluster
-// replaying on the heap (the two axes of state reuse compose).
-func TestEventRegimeIdenticalOnEngine(t *testing.T) {
+// TestMidScaleReplayReusedEngine checks Engine reuse at mid scale: two
+// rounds on one reused engine, the second on its pooled state, must each
+// match a fresh cluster's replay byte for byte.
+func TestMidScaleReplayReusedEngine(t *testing.T) {
 	if testing.Short() {
-		t.Skip("mid-size replay is ~100ms per regime; skipped in -short")
+		t.Skip("mid-size replay is ~100ms per round; skipped in -short")
 	}
 	p := newMidScaleProfiles()
-	var want string
-	t.Run("fresh-heap", func(t *testing.T) {
-		eventq.PinRegime(t, "heap")
-		fresh, err := cluster.New(midScaleConfig())
+	fresh, err := cluster.New(midScaleConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.replay(t, fresh)
+	eng := cluster.NewEngine()
+	for i := 0; i < 2; i++ {
+		c, err := eng.Reset(midScaleConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = p.replay(t, fresh)
-	})
-	eng := cluster.NewEngine()
-	for _, regime := range eventq.Regimes {
-		t.Run("reused-"+regime, func(t *testing.T) {
-			eventq.PinRegime(t, regime)
-			for i := 0; i < 2; i++ {
-				c, err := eng.Reset(midScaleConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := p.replay(t, c); got != want {
-					t.Errorf("reused-engine %s replay %d diverges from fresh heap replay:\n want: %.300s\n  got: %.300s",
-						regime, i, want, got)
-				}
-			}
-		})
+		if got := p.replay(t, c); got != want {
+			t.Errorf("reused-engine replay %d diverges from a fresh cluster's:\n want: %.300s\n  got: %.300s",
+				i, want, got)
+		}
 	}
 }

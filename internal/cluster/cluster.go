@@ -128,8 +128,9 @@ func (c *Config) fill() error {
 		return fmt.Errorf("cluster: need at least one machine and one slot, got %d×%d",
 			c.Machines, c.SlotsPerMachine)
 	}
-	if int64(c.Machines) > math.MaxInt32 {
-		return &machinesTooManyError{machines: c.Machines}
+	// Compared as a quotient: Machines×SlotsPerMachine can overflow.
+	if c.SlotsPerMachine > math.MaxInt32/c.Machines {
+		return &capacityTooLargeError{machines: c.Machines, slots: c.SlotsPerMachine}
 	}
 	if c.MachineRecovery == nil {
 		c.MachineRecovery = defaultRecovery
@@ -571,15 +572,17 @@ func (e *stageTooLargeError) Error() string {
 		e.job, e.stage, e.index, e.tasks, math.MaxInt32)
 }
 
-// machinesTooManyError rejects a cluster with more machines than the
-// engine's int32 machine indices can name.
-type machinesTooManyError struct {
-	machines int
+// capacityTooLargeError rejects a cluster with more slots than the
+// engine's int32 slot ids and per-machine counters can name; a cluster
+// with more machines than int32 machine indices can name has more slots
+// still.
+type capacityTooLargeError struct {
+	machines, slots int
 }
 
-func (e *machinesTooManyError) Error() string {
-	return fmt.Sprintf("cluster: %d machines; the cluster supports at most %d",
-		e.machines, math.MaxInt32)
+func (e *capacityTooLargeError) Error() string {
+	return fmt.Sprintf("cluster: %d machines × %d slots per machine; the cluster supports at most %d slots in all",
+		e.machines, e.slots, math.MaxInt32)
 }
 
 // jobRun is the runtime state of one submitted job. It is split into an

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -120,16 +121,29 @@ func TestPlanTooLargeRejected(t *testing.T) {
 	}
 }
 
-// TestTooManyMachinesRejected: machine indices are int32 too, so New and
-// Engine.Reset refuse a larger cluster before sizing any machine array.
+// TestTooManyMachinesRejected: machine indices, slot ids and per-machine
+// counters are int32 too, so New and Engine.Reset refuse a cluster with
+// more machines or more slots in all than that, before sizing any machine
+// array, with an error naming both sizes. Half of math.MaxInt slots on each
+// of 4 machines overflows int, so the check must not multiply.
 func TestTooManyMachinesRejected(t *testing.T) {
-	cfg := Config{Machines: math.MaxInt32 + 1}
-	var tooMany *machinesTooManyError
-	if _, err := New(cfg); !errors.As(err, &tooMany) {
-		t.Errorf("New error = %v, want a machinesTooManyError", err)
+	for _, cfg := range []Config{
+		{Machines: math.MaxInt32 + 1, SlotsPerMachine: 1},
+		{Machines: 4, SlotsPerMachine: math.MaxInt / 2},
+		{Machines: 1 << 16, SlotsPerMachine: 1 << 15},
+	} {
+		want := fmt.Sprintf("%d machines × %d slots", cfg.Machines, cfg.SlotsPerMachine)
+		var tooLarge *capacityTooLargeError
+		if _, err := New(cfg); !errors.As(err, &tooLarge) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d×%d: New error = %v, want a capacityTooLargeError naming %q", cfg.Machines, cfg.SlotsPerMachine, err, want)
+		}
+		if _, err := NewEngine().Reset(cfg); !errors.As(err, &tooLarge) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d×%d: Engine.Reset error = %v, want a capacityTooLargeError naming %q", cfg.Machines, cfg.SlotsPerMachine, err, want)
+		}
 	}
-	if _, err := NewEngine().Reset(cfg); !errors.As(err, &tooMany) {
-		t.Errorf("Engine.Reset error = %v, want a machinesTooManyError", err)
+	// One slot per machine fewer fits.
+	if _, err := New(Config{Machines: 1 << 16, SlotsPerMachine: 1<<15 - 1}); err != nil {
+		t.Errorf("65536×32767 cluster rejected: %v", err)
 	}
 }
 

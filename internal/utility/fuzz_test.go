@@ -10,7 +10,8 @@ import (
 // FuzzUtilityParse checks that arbitrary specifications never panic the
 // parser and that every accepted curve is well formed: strictly increasing
 // vertex times and finite utility everywhere (ParseFloat would happily
-// admit NaN/Inf, which would poison expected-utility comparisons).
+// admit NaN/Inf, which would poison expected-utility comparisons). It also
+// checks that ShiftEarlier shifts every accepted curve (checkShift).
 func FuzzUtilityParse(f *testing.F) {
 	f.Add("deadline 60m")
 	f.Add("soft 60m grace 30m")
@@ -52,8 +53,51 @@ func FuzzUtilityParse(f *testing.F) {
 				t.Errorf("Utility(%v) = %v (non-finite) for %q", probe, u, s)
 			}
 		}
+		checkShift(t, pl, s)
 		if pl.String() == "" {
 			t.Errorf("accepted curve renders empty for %q", s)
 		}
 	})
+}
+
+// checkShift asserts that pl.ShiftEarlier(δ) at t equals pl at t+δ for
+// every t ≥ 0 where t+δ does not overflow. It probes deltas at, and midway
+// between, the first vertices, plus the default dead zone, and times at
+// each shifted vertex and segment midpoint. Only the copy's first segment
+// is interpolated from an interpolated value, U(δ), so the two agree to
+// within 1e-9 of the curve's largest |U|.
+func checkShift(t *testing.T, pl *PiecewiseLinear, spec string) {
+	ps := pl.Points()
+	scale := 1.0
+	for _, p := range ps {
+		scale = max(scale, math.Abs(p.U))
+	}
+	deltas := []time.Duration{0, time.Nanosecond, 3 * time.Minute, ps[len(ps)-1].T + time.Hour}
+	for i := 0; i < len(ps) && i < 4; i++ {
+		deltas = append(deltas, ps[i].T)
+		if i+1 < len(ps) {
+			deltas = append(deltas, ps[i].T+(ps[i+1].T-ps[i].T)/2)
+		}
+	}
+	for _, delta := range deltas {
+		if delta < 0 { // the +1h probe overflowed
+			continue
+		}
+		shifted := pl.ShiftEarlier(delta)
+		probes := []time.Duration{0, time.Nanosecond, time.Minute}
+		for i, p := range ps {
+			probes = append(probes, p.T-delta)
+			if i > 0 {
+				probes = append(probes, ps[i-1].T+(p.T-ps[i-1].T)/2-delta)
+			}
+		}
+		for _, x := range probes {
+			if x < 0 || x > math.MaxInt64-delta {
+				continue
+			}
+			if got, want := shifted.Utility(x), pl.Utility(x+delta); math.Abs(got-want) > 1e-9*scale {
+				t.Errorf("ShiftEarlier(%v).Utility(%v) = %v, want U(%v) = %v for %q", delta, x, got, x+delta, want, spec)
+			}
+		}
+	}
 }

@@ -97,29 +97,19 @@ func (pl *PiecewiseLinear) Utility(t time.Duration) float64 {
 }
 
 // ShiftEarlier returns a copy of the curve moved earlier in time by delta:
-// the returned curve at time t equals the original at t+delta. The control
-// loop uses this to implement the dead zone (§4.3), treating a deadline of
-// 60 minutes as one of 57.
+// the returned curve at time t ≥ 0 equals the original at t+delta. The
+// control loop uses this to implement the dead zone (§4.3), treating a
+// deadline of 60 minutes as one of 57. The copy starts at (0, U(delta)),
+// and every vertex after delta follows it, shifted.
 func (pl *PiecewiseLinear) ShiftEarlier(delta time.Duration) *PiecewiseLinear {
-	ps := make([]Point, len(pl.points))
-	for i, p := range pl.points {
-		t := p.T - delta
-		if t < 0 {
-			t = 0
-		}
-		ps[i] = Point{T: t, U: p.U}
+	// Vertices are sorted, so those after delta are a suffix.
+	rest := pl.points[sort.Search(len(pl.points), func(i int) bool { return pl.points[i].T > delta }):]
+	ps := make([]Point, 1+len(rest))
+	ps[0] = Point{T: 0, U: pl.Utility(delta)}
+	for i, p := range rest {
+		ps[i+1] = Point{T: p.T - delta, U: p.U}
 	}
-	// Clamping at zero can create duplicate times; collapse them keeping
-	// the last (worst) utility so the curve stays well formed.
-	out := ps[:0]
-	for _, p := range ps {
-		if len(out) > 0 && out[len(out)-1].T == p.T {
-			out[len(out)-1] = p
-			continue
-		}
-		out = append(out, p)
-	}
-	return &PiecewiseLinear{points: out}
+	return &PiecewiseLinear{points: ps}
 }
 
 // Points returns a copy of the curve's vertices.

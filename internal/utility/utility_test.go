@@ -82,11 +82,12 @@ func TestShiftEarlier(t *testing.T) {
 	if got := u.Utility(67 * time.Minute); math.Abs(got+1) > 1e-9 {
 		t.Errorf("U(67m) = %v, want -1", got)
 	}
-	// Shifting by more than the first positive point collapses duplicates
-	// at zero without panicking.
+	// Shifting past the first positive vertex starts the copy at the
+	// original's value there: U(2m) = 0.8, a fifth of the way down the
+	// 10-minute fall from 1 to −1.
 	v := Deadline(time.Minute).ShiftEarlier(2 * time.Minute)
-	if got := v.Utility(0); got != 1 {
-		t.Errorf("clamped curve U(0) = %v", got)
+	if got := v.Utility(0); math.Abs(got-0.8) > 1e-9 {
+		t.Errorf("shifted curve U(0) = %v, want 0.8", got)
 	}
 }
 

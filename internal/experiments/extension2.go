@@ -104,6 +104,7 @@ func AdmissionControl(env *Env, offers int) (*ExtensionE2, error) {
 					Deadline: of.deadline,
 					Start:    of.start,
 					Tracked:  true,
+					NoTrace:  true,
 				})
 				if err != nil {
 					return AdmissionOutcome{}, err

@@ -15,7 +15,6 @@ import (
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/progress"
-	"github.com/jockeysim/jockey/internal/utility"
 	"github.com/jockeysim/jockey/internal/workload"
 )
 
@@ -70,7 +69,6 @@ func BenchmarkCPABuild(b *testing.B) {
 func BenchmarkOnlineSim(b *testing.B) {
 	p := workload.MustGenerate(mustSpec(b, "B"), 1)
 	st := model.State{Elapsed: 10 * time.Minute, FracDone: halfDone(p)}
-	u := benchUtility()
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run("p"+strconv.Itoa(par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -80,7 +78,7 @@ func BenchmarkOnlineSim(b *testing.B) {
 				}
 				o.SetParallelism(par)
 				for _, a := range []int{5, 10, 20, 40, 80} {
-					o.ExpectedUtility(st, a, 1.2, u)
+					o.Samples(st, a)
 				}
 			}
 		})
@@ -106,7 +104,7 @@ func BenchmarkAblationRunsPerAlloc(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				worst = c.Remaining(model.State{FracDone: make([]float64, p.Job.NumStages())}, 40, 1.0)
+				worst = model.Remaining(c, model.State{FracDone: make([]float64, p.Job.NumStages())}, 40, 1.0)
 			}
 			b.ReportMetric(worst.Seconds(), "worst-case-pred-s")
 		})
@@ -133,14 +131,14 @@ func halfDone(p *profile.Profile) []float64 {
 
 func fmtInt(v int) string { return "n" + strconv.Itoa(v) }
 
-// BenchmarkAblationOnlineSim compares the per-decision cost of the
-// precomputed C(p,a) table against online forward simulation (§4.4's
+// BenchmarkAblationOnlineSim compares the per-decision predictor cost of
+// the precomputed C(p,a) table against online forward simulation (§4.4's
 // proposed enhancement): the table answers in microseconds, the online
-// simulator pays a fresh simulation per candidate allocation.
+// simulator pays a fresh simulation per candidate allocation. It times the
+// predictor alone; the controller's expected-utility sums are not included.
 func BenchmarkAblationOnlineSim(b *testing.B) {
 	p := workload.MustGenerate(mustSpec(b, "B"), 1)
 	st := model.State{Elapsed: 10 * time.Minute, FracDone: halfDone(p)}
-	u := benchUtility()
 	b.Run("cpa-table", func(b *testing.B) {
 		cpa, err := new(model.Builder).BuildCPA(p, progress.NewTotalWorkWithQ(p), model.CPAConfig{
 			Allocs: []int{5, 10, 20, 40, 80}, RunsPerAlloc: 6, Seed: 3,
@@ -151,7 +149,7 @@ func BenchmarkAblationOnlineSim(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, a := range cpa.Allocs() {
-				cpa.ExpectedUtility(st, a, 1.2, u)
+				cpa.Samples(st, a)
 			}
 		}
 	})
@@ -162,10 +160,8 @@ func BenchmarkAblationOnlineSim(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, a := range []int{5, 10, 20, 40, 80} {
-				o.ExpectedUtility(st, a, 1.2, u)
+				o.Samples(st, a)
 			}
 		}
 	})
 }
-
-func benchUtility() utility.Fn { return utility.Deadline(40 * time.Minute) }

@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		d = short
 		fmt.Fprintf(stderr, "using the job's standard short deadline: %v\n", d)
 	}
-	var u utility.Fn
+	var u *utility.PiecewiseLinear
 	if *utilSpec != "" {
 		var err error
 		if u, err = utility.Parse(*utilSpec); err != nil {

@@ -32,7 +32,6 @@ import (
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/trace"
-	"github.com/jockeysim/jockey/internal/utility"
 )
 
 // maxSimTime aborts a run whose next event lies beyond this simulated
@@ -756,8 +755,4 @@ func (jr *jobRun) accrueAlloc(now time.Duration) {
 		jr.allocSecs += float64(jr.guarantee) * dt
 	}
 	jr.lastAllocAt = now
-}
-
-func (jr *jobRun) currentUtility() utility.Fn {
-	return utility.Deadline(jr.deadline)
 }

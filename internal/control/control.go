@@ -3,13 +3,14 @@
 // it.
 //
 // Every control period the policy observes the job state (elapsed time and
-// per-stage completion fractions), asks a latency predictor for the expected
-// utility of each candidate allocation, and grants the minimum allocation
-// that maximizes utility — moderated by three standard control-theory
-// mechanisms: slack (multiplicative padding of latency predictions),
-// hysteresis (exponential smoothing of the allocation), and a dead zone
-// (treating the deadline as D earlier and refusing to raise the allocation
-// unless the job is at least D behind schedule).
+// per-stage completion fractions), asks a latency predictor for the
+// remaining-time sample C(p, a) of each candidate allocation, and grants the
+// minimum allocation that maximizes expected utility — moderated by three
+// standard control-theory mechanisms: slack (multiplicative padding of
+// latency predictions), hysteresis (exponential smoothing of the
+// allocation), and a dead zone (treating the deadline as D earlier and
+// refusing to raise the allocation unless the job is at least D behind
+// schedule).
 package control
 
 import (
@@ -61,7 +62,7 @@ type Policy interface {
 	Decide(st model.State) Decision
 	// ChangeUtility replaces the utility function mid-run (e.g. when the
 	// job's deadline changes, §5.2).
-	ChangeUtility(u utility.Fn)
+	ChangeUtility(u *utility.PiecewiseLinear)
 }
 
 // Config parameterizes the Jockey controller.
@@ -70,7 +71,7 @@ type Config struct {
 	// model.CPA for Jockey, model.Amdahl for "Jockey w/o simulator").
 	Predictor model.Predictor
 	// Utility is the job's utility function.
-	Utility utility.Fn
+	Utility *utility.PiecewiseLinear
 	// Candidates is the ascending set of allocations considered. Required.
 	Candidates []int
 	// Slack multiplies latency predictions (default 1.2). Set to 1 for
@@ -125,7 +126,7 @@ func (c *Config) fill() error {
 // Controller is Jockey's dynamic allocation policy.
 type Controller struct {
 	cfg      Config
-	effU     utility.Fn // utility shifted earlier by the dead zone
+	effU     *utility.PiecewiseLinear // utility shifted earlier by the dead zone
 	deadline time.Duration
 
 	started  bool
@@ -152,25 +153,21 @@ func NewController(cfg Config) (*Controller, error) {
 }
 
 // ChangeUtility implements Policy, supporting mid-run deadline changes.
-func (c *Controller) ChangeUtility(u utility.Fn) { c.setUtility(u) }
+func (c *Controller) ChangeUtility(u *utility.PiecewiseLinear) { c.setUtility(u) }
 
-func (c *Controller) setUtility(u utility.Fn) {
+func (c *Controller) setUtility(u *utility.PiecewiseLinear) {
 	c.cfg.Utility = u
 	c.effU = u
-	if pl, ok := u.(*utility.PiecewiseLinear); ok && c.cfg.DeadZone > 0 {
-		c.effU = pl.ShiftEarlier(c.cfg.DeadZone)
+	if c.cfg.DeadZone > 0 {
+		c.effU = u.ShiftEarlier(c.cfg.DeadZone)
 	}
 	c.deadline = utilityKnee(u)
 }
 
 // utilityKnee returns the latest completion time that still achieves the
 // curve's maximum utility — the effective deadline.
-func utilityKnee(u utility.Fn) time.Duration {
-	pl, ok := u.(*utility.PiecewiseLinear)
-	if !ok {
-		return 0
-	}
-	pts := pl.Points()
+func utilityKnee(u *utility.PiecewiseLinear) time.Duration {
+	pts := u.Points()
 	best := pts[0].U
 	for _, p := range pts {
 		if p.U > best {
@@ -192,14 +189,14 @@ func utilityKnee(u utility.Fn) time.Duration {
 // stages every candidate's evaluation into stage.Candidates.
 //
 //jockey:hotpath
-func (cfg *Config) argmax(st model.State, u utility.Fn, stage *DecisionRecord) int {
+func (cfg *Config) argmax(st model.State, u *utility.PiecewiseLinear, stage *DecisionRecord) int {
 	if stage != nil {
 		stage.Candidates = stage.Candidates[:0]
 	}
 	best := -1
 	bestU := 0.0
 	for _, a := range cfg.Candidates {
-		ua := cfg.Predictor.ExpectedUtility(st, a, cfg.Slack, u)
+		ua := expectedUtility(cfg.Predictor.Samples(st, a), st.Elapsed, cfg.Slack, u)
 		if stage != nil {
 			stage.Candidates = append(stage.Candidates, CandidateEval{Alloc: a, Utility: ua, Predicted: cfg.predictAt(st, a)})
 		}
@@ -208,6 +205,24 @@ func (cfg *Config) argmax(st model.State, u utility.Fn, stage *DecisionRecord) i
 		}
 	}
 	return best
+}
+
+// expectedUtility returns E[U(elapsed + slack·C)], the mean over the sorted
+// remaining-time sample C of the padded completion's utility, or
+// U(elapsed) for an empty sample. Averaging over the distribution rather
+// than a point estimate reproduces the paper's safety buffer: a heavy upper
+// tail of C(p, a) drags expected utility down near the deadline.
+//
+//jockey:hotpath
+func expectedUtility(samples []time.Duration, elapsed time.Duration, slack float64, u *utility.PiecewiseLinear) float64 {
+	if len(samples) == 0 {
+		return u.Utility(elapsed)
+	}
+	var sum float64
+	for _, rem := range samples {
+		sum += u.Utility(elapsed + time.Duration(float64(rem)*slack))
+	}
+	return sum / float64(len(samples))
 }
 
 // rawAllocation is the argmax under the dead-zone-shifted curve, staging
@@ -296,8 +311,8 @@ func (c *Controller) Predictor() model.Predictor { return c.cfg.Predictor }
 // decision).
 func (c *Controller) Granted() int { return c.granted }
 
-// Deadline returns the effective deadline derived from the utility curve's
-// knee (0 if the curve is not piecewise linear).
+// Deadline returns the effective deadline: the latest vertex of the
+// utility curve that still achieves its maximum utility.
 func (c *Controller) Deadline() time.Duration { return c.deadline }
 
 // Candidates returns the ascending candidate allocation grid.
@@ -311,7 +326,7 @@ func (c *Controller) PredictAt(st model.State, a int) time.Duration {
 
 //jockey:hotpath
 func (cfg *Config) predictAt(st model.State, a int) time.Duration {
-	rem := cfg.Predictor.Remaining(st, a, 1.0)
+	rem := model.Remaining(cfg.Predictor, st, a, 1.0)
 	return st.Elapsed + time.Duration(float64(rem)*cfg.Slack)
 }
 

@@ -13,24 +13,18 @@ import (
 )
 
 // linearPred is a synthetic predictor for a single-stage job that finishes
-// in K at any allocation: Remaining = (1 − p) · K. A job progressing at rate
-// 1/K per unit time makes it perfectly calibrated; slower progress makes it
-// stale.
+// in K at any allocation: its one sample is (1 − p) · K. A job progressing at
+// rate 1/K per unit time makes it perfectly calibrated; slower progress
+// makes it stale.
 type linearPred struct {
-	K time.Duration
+	K      time.Duration
+	sample [1]time.Duration
 }
 
-func (f linearPred) Remaining(st model.State, a int, q float64) time.Duration {
-	p := st.FracDone[0]
-	if p > 1 {
-		p = 1
-	}
-	return time.Duration((1 - p) * float64(f.K))
-}
-
-func (f linearPred) ExpectedUtility(st model.State, a int, slack float64, u utility.Fn) float64 {
-	rem := f.Remaining(st, a, 1)
-	return u.Utility(st.Elapsed + time.Duration(float64(rem)*slack))
+func (f *linearPred) Samples(st model.State, a int) []time.Duration {
+	p := min(st.FracDone[0], 1)
+	f.sample[0] = time.Duration((1 - p) * float64(f.K))
+	return f.sample[:]
 }
 
 func guardFixture(t *testing.T, deadline time.Duration, rebuild func(p *profile.Profile, gen int) (model.Predictor, error)) *Guard {
@@ -40,7 +34,7 @@ func guardFixture(t *testing.T, deadline time.Duration, rebuild func(p *profile.
 		{Exec: stats.Point{V: 2 * time.Minute}},
 	})
 	ctrl, err := NewController(Config{
-		Predictor:  linearPred{K: 60 * time.Minute},
+		Predictor:  &linearPred{K: 60 * time.Minute},
 		Utility:    utility.Deadline(deadline),
 		Candidates: []int{10, 20, 40},
 	})
@@ -124,7 +118,7 @@ func TestGuardReprofilesOnDrift(t *testing.T) {
 	rebuild := func(p *profile.Profile, gen int) (model.Predictor, error) {
 		gotGen, gotProfile = gen, p
 		// The "rebuilt" model knows about the drift: completion takes 2K.
-		return linearPred{K: 120 * time.Minute}, nil
+		return &linearPred{K: 120 * time.Minute}, nil
 	}
 	g := guardFixture(t, 300*time.Minute, rebuild)
 	g.minLive = 5
@@ -211,7 +205,7 @@ func TestNewGuardValidation(t *testing.T) {
 		t.Fatalf("NewGuard accepted nil controller")
 	}
 	ctrl, err := NewController(Config{
-		Predictor:  linearPred{K: time.Hour},
+		Predictor:  &linearPred{K: time.Hour},
 		Utility:    utility.Deadline(time.Hour),
 		Candidates: []int{10},
 	})
@@ -231,7 +225,7 @@ func TestGuardRebuildBackoffAllocatesNothing(t *testing.T) {
 	builds := 0
 	rebuild := func(p *profile.Profile, gen int) (model.Predictor, error) {
 		builds++
-		return linearPred{K: 60 * time.Minute}, nil
+		return &linearPred{K: 60 * time.Minute}, nil
 	}
 	g := guardFixture(t, 300*time.Minute, rebuild)
 	g.minLive = 5

@@ -28,7 +28,7 @@ func NewStatic(cfg Config) (*Static, error) {
 // ChangeUtility implements Policy. A static quota cannot react, matching the
 // baseline's behaviour; the new curve only affects the initial decision if
 // it has not been made yet.
-func (s *Static) ChangeUtility(u utility.Fn) {
+func (s *Static) ChangeUtility(u *utility.PiecewiseLinear) {
 	if !s.decided {
 		s.cfg.Utility = u
 	}
@@ -58,7 +58,7 @@ func NewMaxAllocation(tokens int) (*MaxAllocation, error) {
 }
 
 // ChangeUtility implements Policy (no-op).
-func (m *MaxAllocation) ChangeUtility(utility.Fn) {}
+func (m *MaxAllocation) ChangeUtility(_ *utility.PiecewiseLinear) {}
 
 // Decide implements Policy.
 func (m *MaxAllocation) Decide(model.State) Decision {

@@ -9,22 +9,17 @@ import (
 	"github.com/jockeysim/jockey/internal/utility"
 )
 
-// flatPredictor is an allocation-free, pure stand-in predictor: remaining
-// time is work/alloc, utility is the curve at the padded completion. Its
-// purity makes Decide's own allocation behavior measurable in isolation.
+// flatPredictor is an allocation-free, pure stand-in predictor: its one
+// sample is work/alloc. Its purity makes Decide's own allocation behavior
+// measurable in isolation.
 type flatPredictor struct {
-	work time.Duration
+	work   time.Duration
+	sample [1]time.Duration
 }
 
-func (f flatPredictor) Remaining(st model.State, a int, q float64) time.Duration {
-	if a < 1 {
-		a = 1
-	}
-	return f.work / time.Duration(a)
-}
-
-func (f flatPredictor) ExpectedUtility(st model.State, a int, slack float64, u utility.Fn) float64 {
-	return u.Utility(st.Elapsed + time.Duration(float64(f.Remaining(st, a, 1))*slack))
+func (f *flatPredictor) Samples(st model.State, a int) []time.Duration {
+	f.sample[0] = f.work / time.Duration(max(a, 1))
+	return f.sample[:]
 }
 
 // captureRecorder retains deep copies of every record.
@@ -41,7 +36,7 @@ func (c *captureRecorder) RecordDecision(r *DecisionRecord) {
 func newRecordController(t *testing.T, deadline time.Duration) *Controller {
 	t.Helper()
 	ctrl, err := NewController(Config{
-		Predictor:  flatPredictor{work: 500 * time.Minute},
+		Predictor:  &flatPredictor{work: 500 * time.Minute},
 		Utility:    utility.Deadline(deadline),
 		Candidates: candidates(),
 	})

@@ -255,7 +255,7 @@ func (j *Jockey) Guard(ctrl *control.Controller, b *model.Builder) (*control.Gua
 // at a fixed allocation (progress 0).
 func (j *Jockey) PredictLatency(alloc int, q float64) time.Duration {
 	st := model.State{FracDone: make([]float64, j.p.Job.NumStages())}
-	return j.cpa.Remaining(st, alloc, q)
+	return model.Remaining(j.cpa, st, alloc, q)
 }
 
 // Feasible reports whether the deadline is achievable at all: it must

@@ -263,7 +263,7 @@ type SLORun struct {
 	Knobs    Knobs
 	// Utility overrides the default utility.Deadline(Deadline) curve; the
 	// Deadline field still defines the SLO for Met and oracle accounting.
-	Utility utility.Fn
+	Utility *utility.PiecewiseLinear
 	// InputScale multiplies the job's ground-truth service times, modelling
 	// the input-size variation across runs of recurring jobs (§2.3; Table 3
 	// observes runs needing up to twice the training work). Zero samples a
@@ -335,7 +335,7 @@ func (e *Env) buildPolicy(r SLORun, b *model.Builder) (control.Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := utility.Fn(utility.Deadline(r.Deadline))
+	u := utility.Deadline(r.Deadline)
 	if r.Utility != nil {
 		u = r.Utility
 	}

@@ -71,7 +71,7 @@ func replayIndicators(env *Env, x *Exec, job string, inds []core.IndicatorName, 
 		s := IndicatorSeries{Indicator: ind, ActualCompletion: actual}
 		for _, st := range states {
 			p := jk.Indicator().Progress(st.FracDone)
-			rem := jk.Model().Remaining(st, alloc, 1.0)
+			rem := model.Remaining(jk.Model(), st, alloc, 1.0)
 			s.Points = append(s.Points, IndicatorTracePoint{
 				T:         st.Elapsed,
 				Progress:  p,

@@ -194,7 +194,7 @@ type fleetJob struct {
 	ctrl        *control.Controller
 	guard       *control.Guard
 	relDeadline time.Duration // SLO relative to admission (cluster Start)
-	util        utility.Fn
+	util        *utility.PiecewiseLinear
 	reservation int
 	grant       int
 	wanted      int       // last epoch's unconstrained desire, for gap attribution
@@ -560,7 +560,7 @@ func (r *replay) reject(fj *fleetJob, reason string) {
 // means a hopeless job's marginal utility goes to zero — at which point
 // the water-fill clamps it to the floor and hands its tokens to jobs that
 // can still win. Graceful degradation, encoded in the curve.
-func deadlineCurve(d time.Duration) (utility.Fn, error) {
+func deadlineCurve(d time.Duration) (*utility.PiecewiseLinear, error) {
 	grace := d / 4
 	if grace < 10*time.Minute {
 		grace = 10 * time.Minute

@@ -5,7 +5,6 @@ import (
 
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/progress"
-	"github.com/jockeysim/jockey/internal/utility"
 )
 
 // Amdahl is the paper's modified Amdahl's-Law predictor (§4.1): the
@@ -20,11 +19,16 @@ import (
 // It is deterministic — unlike the simulator-based CPA it captures no
 // variance from outliers, failures or barriers, which is why the paper's
 // "Jockey w/o simulator" baseline under-provisions and misses deadlines.
+//
+// Samples writes into a field, so an Amdahl is built per policy and never
+// shared across goroutines.
 type Amdahl struct {
 	p *profile.Profile
 	// cp holds the precomputed critical-path vectors so the per-tick
 	// Estimate never touches the allocator.
 	cp progress.CriticalPath
+	// sample is the one-element remaining-time sample Samples returns.
+	sample [1]time.Duration
 }
 
 // NewAmdahl builds the analytic predictor from a job profile.
@@ -55,14 +59,9 @@ func (m *Amdahl) Estimate(fs []float64, a int) time.Duration {
 	return st + pt/time.Duration(a)
 }
 
-// Remaining implements Predictor. The analytic model is a point estimate,
-// so every quantile returns the same value.
-func (m *Amdahl) Remaining(st State, a int, _ float64) time.Duration {
-	return m.Estimate(st.FracDone, a)
-}
-
-// ExpectedUtility implements Predictor using the point estimate.
-func (m *Amdahl) ExpectedUtility(st State, a int, slack float64, u utility.Fn) float64 {
-	rem := m.Estimate(st.FracDone, a)
-	return u.Utility(st.Elapsed + time.Duration(float64(rem)*slack))
+// Samples implements Predictor. The analytic model is a point estimate, so
+// the sample is the one value Estimate returns, and every quantile reads it.
+func (m *Amdahl) Samples(st State, a int) []time.Duration {
+	m.sample[0] = m.Estimate(st.FracDone, a)
+	return m.sample[:]
 }

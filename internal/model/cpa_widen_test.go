@@ -64,7 +64,7 @@ func TestSamplesAtWidening(t *testing.T) {
 func TestSamplesAtEmptyTableQuantiles(t *testing.T) {
 	c := widenCPA(t)
 	st := State{Elapsed: time.Minute, FracDone: []float64{0.5, 0.5}}
-	if got := c.Remaining(st, 4, 0.9); got != 0 {
+	if got := Remaining(c, st, 4, 0.9); got != 0 {
 		t.Errorf("Remaining on empty table = %v, want 0", got)
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"github.com/jockeysim/jockey/internal/progress"
 	"github.com/jockeysim/jockey/internal/stats"
-	"github.com/jockeysim/jockey/internal/utility"
 )
 
 // referenceRemaining reimplements the pre-presort Remaining: copy the
@@ -38,7 +37,7 @@ func TestPresortedQuantilesMatchReference(t *testing.T) {
 		for _, frac := range []float64{0, 0.1, 0.33, 0.5, 0.77, 0.99, 1} {
 			st := State{FracDone: []float64{frac, frac}}
 			for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 1} {
-				got := c.Remaining(st, a, q)
+				got := Remaining(c, st, a, q)
 				want := referenceRemaining(c, st, a, q)
 				if got != want {
 					t.Fatalf("Remaining(frac=%v, a=%d, q=%v) = %v; copy-and-sort reference = %v",
@@ -98,7 +97,7 @@ func TestOnlineSimBitIdenticalAcrossParallelism(t *testing.T) {
 		for _, st := range states {
 			for _, a := range []int{1, 6, 30} {
 				for _, q := range []float64{0, 0.5, 0.95, 1} {
-					if got, want := o.Remaining(st, a, q), seq.Remaining(st, a, q); got != want {
+					if got, want := Remaining(o, st, a, q), Remaining(seq, st, a, q); got != want {
 						t.Fatalf("par %d: Remaining(a=%d, q=%v) = %v, want %v", par, a, q, got, want)
 					}
 				}
@@ -108,27 +107,41 @@ func TestOnlineSimBitIdenticalAcrossParallelism(t *testing.T) {
 }
 
 // TestCPAQueryZeroAllocs pins the acceptance criterion: steady-state
-// Remaining and ExpectedUtility queries perform zero allocations.
+// Samples and Remaining queries perform zero allocations.
 func TestCPAQueryZeroAllocs(t *testing.T) {
 	p := noisyProfile(t)
 	c := buildTestCPA(t, p, []int{2, 5, 15, 40})
 	st := State{Elapsed: 5 * time.Minute, FracDone: []float64{0.5, 0.25}}
-	u := utility.Deadline(20 * time.Minute)
-	var sink time.Duration
+	var ssink []time.Duration
 	allocs := testing.AllocsPerRun(100, func() {
-		sink = c.Remaining(st, 15, 0.9)
+		ssink = c.Samples(st, 15)
+	})
+	if allocs != 0 {
+		t.Errorf("Samples = %v allocs/run, want 0", allocs)
+	}
+	var sink time.Duration
+	allocs = testing.AllocsPerRun(100, func() {
+		sink = Remaining(c, st, 15, 0.9)
 	})
 	if allocs != 0 {
 		t.Errorf("Remaining = %v allocs/run, want 0", allocs)
 	}
-	var fsink float64
-	allocs = testing.AllocsPerRun(100, func() {
-		fsink = c.ExpectedUtility(st, 15, 1.2, u)
+	_, _ = ssink, sink
+}
+
+// TestAmdahlSamplesZeroAllocs: the analytic predictor's one-value sample
+// lives in the predictor, so a query allocates nothing.
+func TestAmdahlSamplesZeroAllocs(t *testing.T) {
+	m := NewAmdahl(noisyProfile(t))
+	st := State{Elapsed: 5 * time.Minute, FracDone: []float64{0.5, 0.25}}
+	var sink time.Duration
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = Remaining(m, st, 15, 0.9)
 	})
 	if allocs != 0 {
-		t.Errorf("ExpectedUtility = %v allocs/run, want 0", allocs)
+		t.Errorf("Amdahl Samples = %v allocs/run, want 0", allocs)
 	}
-	_, _ = sink, fsink
+	_ = sink
 }
 
 // TestBuildCPAAllocsIndependentOfBuckets: the flat table costs a fixed
@@ -164,13 +177,13 @@ func TestOnlineSimMemoHitZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := State{Elapsed: time.Minute, FracDone: []float64{0.25, 0}}
-	o.Remaining(st, 10, 0.5) // fill the memo
+	o.Samples(st, 10) // fill the memo
 	var sink time.Duration
 	allocs := testing.AllocsPerRun(100, func() {
-		sink = o.Remaining(st, 10, 0.5)
+		sink = Remaining(o, st, 10, 0.5)
 	})
 	if allocs != 0 {
-		t.Errorf("memo-hit Remaining = %v allocs/run, want 0", allocs)
+		t.Errorf("memo-hit Samples = %v allocs/run, want 0", allocs)
 	}
 	_ = sink
 }
@@ -201,23 +214,22 @@ func TestOnlineSimSeedKeyFormat(t *testing.T) {
 }
 
 // BenchmarkCPAQuery measures the controller-facing query path on a built
-// table. The acceptance criterion is 0 allocs/op for Remaining (it was 3
-// allocs/op via copy+sort before presorting).
+// table. The acceptance criterion is 0 allocs/op for Samples and Remaining
+// (a quantile was 3 allocs/op via copy+sort before presorting).
 func BenchmarkCPAQuery(b *testing.B) {
 	p := noisyProfile(b)
 	c := buildTestCPA(b, p, []int{2, 5, 15, 40})
 	st := State{Elapsed: 5 * time.Minute, FracDone: []float64{0.5, 0.25}}
-	u := utility.Deadline(20 * time.Minute)
+	b.Run("Samples", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Samples(st, 15)
+		}
+	})
 	b.Run("Remaining", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c.Remaining(st, 15, 0.9)
-		}
-	})
-	b.Run("ExpectedUtility", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.ExpectedUtility(st, 15, 1.2, u)
+			Remaining(c, st, 15, 0.9)
 		}
 	})
 }
@@ -232,24 +244,23 @@ func BenchmarkOnlineSimTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	o.SetParallelism(1)
-	u := utility.Deadline(20 * time.Minute)
 	b.Run("tick", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// Vary elapsed so every iteration is a fresh state (a real tick).
 			st := State{Elapsed: time.Duration(i) * time.Second, FracDone: []float64{0.5, 0.25}}
 			for _, a := range []int{2, 5, 15, 40} {
-				o.ExpectedUtility(st, a, 1.2, u)
+				o.Samples(st, a)
 			}
 		}
 	})
 	b.Run("memo-hit", func(b *testing.B) {
 		st := State{Elapsed: time.Minute, FracDone: []float64{0.5, 0.25}}
-		o.ExpectedUtility(st, 15, 1.2, u)
+		o.Samples(st, 15)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o.ExpectedUtility(st, 15, 1.2, u)
+			o.Samples(st, 15)
 		}
 	})
 }

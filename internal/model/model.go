@@ -9,7 +9,7 @@ import (
 	"math"
 	"time"
 
-	"github.com/jockeysim/jockey/internal/utility"
+	"github.com/jockeysim/jockey/internal/stats"
 )
 
 // State is the observable state of a running job at control time.
@@ -20,15 +20,21 @@ type State struct {
 	FracDone []float64
 }
 
-// Predictor estimates the remaining completion time of a job and the
-// expected utility of finishing under a candidate token allocation.
+// Predictor supplies C(p, a), the distribution of a job's remaining time at
+// a state under a candidate token allocation (§4.1). The control loop, not
+// the predictor, takes its expected utility; Remaining reads its quantiles.
 type Predictor interface {
-	// Remaining returns the q-quantile of the predicted remaining time at
-	// the given state under allocation a (q=1 is the worst case observed).
-	Remaining(st State, a int, q float64) time.Duration
-	// ExpectedUtility returns E[U(Elapsed + slack · C)] over the predicted
-	// remaining-time distribution C at allocation a.
-	ExpectedUtility(st State, a int, slack float64, u utility.Fn) float64
+	// Samples returns the predicted remaining-time sample at the given
+	// state under allocation a, sorted ascending. The slice is read-only
+	// and stays valid until the predictor's next Samples call.
+	Samples(st State, a int) []time.Duration
+}
+
+// Remaining returns the q-quantile of p's remaining-time sample at the given
+// state under allocation a (q=1 is the worst case observed, and an empty
+// sample reads as 0).
+func Remaining(p Predictor, st State, a int, q float64) time.Duration {
+	return stats.QuantileDurations(p.Samples(st, a), q)
 }
 
 // Oracle returns the oracle allocation O(T, d) = ⌈T/d⌉: the minimum token

@@ -11,7 +11,6 @@ import (
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/sim"
 	"github.com/jockeysim/jockey/internal/stats"
-	"github.com/jockeysim/jockey/internal/utility"
 )
 
 // OnlineSim is the enhancement proposed in §4.4 of the paper: instead of
@@ -31,7 +30,8 @@ type OnlineSim struct {
 	par  int
 
 	// Single-entry memo: the control loop queries the same state for every
-	// candidate allocation, and Remaining/ExpectedUtility share samples.
+	// candidate allocation, and its expected utility and quantiles read the
+	// same samples.
 	// The state is identified by a fixed-size binary key (3 bytes per
 	// stage + 8 bytes of elapsed seconds) built into a reused buffer, so a
 	// memo-hit query performs no string building and no allocation; the
@@ -101,11 +101,11 @@ func (o *OnlineSim) refreshMemo(st State) {
 	clear(o.memoSamples)
 }
 
-// samples returns remaining-time samples for the state at allocation a,
-// sorted ascending, simulating forward from the state's per-stage
-// completion fractions. The returned slice is memoized and shared; callers
-// must treat it as read-only.
-func (o *OnlineSim) samples(st State, a int) []time.Duration {
+// Samples implements Predictor: remaining-time samples for the state at
+// allocation a, sorted ascending, simulating forward from the state's
+// per-stage completion fractions. The returned slice is memoized and
+// shared; callers must treat it as read-only.
+func (o *OnlineSim) Samples(st State, a int) []time.Duration {
 	if a < 1 {
 		a = 1
 	}
@@ -157,22 +157,4 @@ func (o *OnlineSim) samples(st State, a int) []time.Duration {
 	slices.Sort(out)
 	o.memoSamples[a] = out
 	return out
-}
-
-// Remaining implements Predictor.
-func (o *OnlineSim) Remaining(st State, a int, q float64) time.Duration {
-	return stats.QuantileDurations(o.samples(st, a), q)
-}
-
-// ExpectedUtility implements Predictor.
-func (o *OnlineSim) ExpectedUtility(st State, a int, slack float64, u utility.Fn) float64 {
-	s := o.samples(st, a)
-	if len(s) == 0 {
-		return u.Utility(st.Elapsed)
-	}
-	var sum float64
-	for _, rem := range s {
-		sum += u.Utility(st.Elapsed + time.Duration(float64(rem)*slack))
-	}
-	return sum / float64(len(s))
 }

@@ -26,11 +26,11 @@ func TestOnlineSimFromScratchMatchesOffline(t *testing.T) {
 	}
 	st := State{FracDone: []float64{0, 0}}
 	// At alloc 20: one map wave + reduce = 90s, deterministic.
-	if got := o.Remaining(st, 20, 0.5); got != 90*time.Second {
+	if got := Remaining(o, st, 20, 0.5); got != 90*time.Second {
 		t.Errorf("Remaining(0, 20) = %v, want 90s", got)
 	}
 	// At alloc 4: 5 waves + reduce = 210s.
-	if got := o.Remaining(st, 4, 1.0); got != 210*time.Second {
+	if got := Remaining(o, st, 4, 1.0); got != 210*time.Second {
 		t.Errorf("Remaining(0, 4) = %v, want 210s", got)
 	}
 }
@@ -43,16 +43,16 @@ func TestOnlineSimUsesPartialState(t *testing.T) {
 	}
 	// Map fully done: only the reduce wave remains (60s at alloc >= 4).
 	st := State{Elapsed: 5 * time.Minute, FracDone: []float64{1, 0}}
-	if got := o.Remaining(st, 10, 1.0); got != 60*time.Second {
+	if got := Remaining(o, st, 10, 1.0); got != 60*time.Second {
 		t.Errorf("Remaining(map done) = %v, want 60s", got)
 	}
 	// Half the map done at alloc 10: one more map wave (30s) + reduce (60s).
 	stHalf := State{FracDone: []float64{0.5, 0}}
-	if got := o.Remaining(stHalf, 10, 1.0); got != 90*time.Second {
+	if got := Remaining(o, stHalf, 10, 1.0); got != 90*time.Second {
 		t.Errorf("Remaining(half map) = %v, want 90s", got)
 	}
 	// Everything done: zero remaining.
-	if got := o.Remaining(State{FracDone: []float64{1, 1}}, 10, 1.0); got != 0 {
+	if got := Remaining(o, State{FracDone: []float64{1, 1}}, 10, 1.0); got != 0 {
 		t.Errorf("Remaining(done) = %v, want 0", got)
 	}
 }
@@ -62,13 +62,13 @@ func TestOnlineSimExpectedUtility(t *testing.T) {
 	o, _ := NewOnlineSim(p, 3, 1)
 	st := State{FracDone: []float64{0, 0}}
 	easy := utility.Deadline(time.Hour)
-	if got := o.ExpectedUtility(st, 20, 1.2, easy); got != 1 {
+	if got := meanUtility(o, st, 20, 1.2, easy); got != 1 {
 		t.Errorf("easy utility = %v", got)
 	}
 	// At a single token the 840s of serial work lands far past the
 	// 1-second deadline's 10-minute grace slope, so utility goes negative.
 	hard := utility.Deadline(time.Second)
-	if got := o.ExpectedUtility(st, 1, 1.2, hard); got >= 0 {
+	if got := meanUtility(o, st, 1, 1.2, hard); got >= 0 {
 		t.Errorf("impossible utility = %v", got)
 	}
 }
@@ -77,14 +77,14 @@ func TestOnlineSimMemo(t *testing.T) {
 	p := noisyProfile(t)
 	o, _ := NewOnlineSim(p, 4, 2)
 	st := State{Elapsed: time.Minute, FracDone: []float64{0.25, 0}}
-	a1 := o.Remaining(st, 10, 0.5)
-	a2 := o.Remaining(st, 10, 0.5)
+	a1 := Remaining(o, st, 10, 0.5)
+	a2 := Remaining(o, st, 10, 0.5)
 	if a1 != a2 {
 		t.Error("memoized query differed")
 	}
 	// Different state must refresh the memo.
 	st2 := State{Elapsed: 2 * time.Minute, FracDone: []float64{0.5, 0}}
-	b := o.Remaining(st2, 10, 0.5)
+	b := Remaining(o, st2, 10, 0.5)
 	if b >= a1 {
 		t.Errorf("more progress should predict less remaining: %v -> %v", a1, b)
 	}
@@ -101,8 +101,8 @@ func TestOnlineSimAsPredictorInController(t *testing.T) {
 	u := utility.Deadline(3 * time.Minute)
 	// 840s of work in 180s needs >= 6 tokens; utility at 4 should be worse
 	// than at 20.
-	u4 := pred.ExpectedUtility(st, 4, 1.0, u)
-	u20 := pred.ExpectedUtility(st, 20, 1.0, u)
+	u4 := meanUtility(pred, st, 4, 1.0, u)
+	u20 := meanUtility(pred, st, 20, 1.0, u)
 	if u20 <= u4 {
 		t.Errorf("utility(20)=%v should exceed utility(4)=%v", u20, u4)
 	}

@@ -49,7 +49,7 @@ func TestCPAParallelDeterminism(t *testing.T) {
 			for _, frac := range []float64{0, 0.25, 0.6, 1} {
 				st := State{FracDone: []float64{frac, frac}}
 				for _, q := range []float64{0.5, 0.9, 1.0} {
-					if got, want := p.Remaining(st, a, q), seq.Remaining(st, a, q); got != want {
+					if got, want := Remaining(p, st, a, q), Remaining(seq, st, a, q); got != want {
 						t.Fatalf("parallelism %d: Remaining(frac=%v, a=%d, q=%v) = %v, want %v",
 							par, frac, a, q, got, want)
 					}
@@ -82,7 +82,7 @@ func TestOnlineSimParallelDeterminism(t *testing.T) {
 		for _, st := range states {
 			for _, a := range []int{1, 6, 30} {
 				for _, q := range []float64{0.5, 0.95} {
-					if got, want := o.Remaining(st, a, q), seq.Remaining(st, a, q); got != want {
+					if got, want := Remaining(o, st, a, q), Remaining(seq, st, a, q); got != want {
 						t.Fatalf("parallelism %d: Remaining(a=%d, q=%v) = %v, want %v", par, a, q, got, want)
 					}
 				}

@@ -35,5 +35,5 @@ func TestMutatedCellPanicsInDebugBuild(t *testing.T) {
 			t.Fatalf("panic value %v is not an invariant.Violation", r)
 		}
 	}()
-	c.Remaining(st, 15, 0.9)
+	Remaining(c, st, 15, 0.9)
 }

@@ -233,13 +233,9 @@ func BlendProfiles(prior *Profile, live *JobTrace) (*Profile, error) {
 	return profile.Blend(prior, live)
 }
 
-// Utility curves (package internal/utility).
-type (
-	// UtilityFn maps completion time to economic utility.
-	UtilityFn = utility.Fn
-	// PiecewiseLinear is a piecewise-linear utility curve.
-	PiecewiseLinear = utility.PiecewiseLinear
-)
+// PiecewiseLinear is a piecewise-linear utility curve: it maps a job's
+// completion time to its economic utility (package internal/utility).
+type PiecewiseLinear = utility.PiecewiseLinear
 
 // DeadlineUtility builds the paper's standard deadline curve.
 func DeadlineUtility(d time.Duration) *PiecewiseLinear { return utility.Deadline(d) }
@@ -288,7 +284,9 @@ type (
 	Indicator = progress.Indicator
 	// State is the observable state of a running job.
 	State = model.State
-	// Predictor estimates remaining completion time.
+	// Predictor supplies C(p, a): Samples returns the sorted remaining-time
+	// sample at a state under an allocation. The controller computes
+	// expected utility and quantiles from it.
 	Predictor = model.Predictor
 )
 
@@ -357,9 +355,10 @@ func NewFleetModelCache(seed uint64) *FleetModelCache { return fleet.NewModelCac
 type OnlineSimPredictor = model.OnlineSim
 
 // NewOnlineSimPredictor builds the online predictor; runs forward
-// simulations per (state, allocation) query. The forward runs of one query
-// execute on a worker pool (see OnlineSimPredictor.SetParallelism); the
-// predictions are bit-identical at any pool size.
+// simulations per (state, allocation) Samples query make up its sample. The
+// forward runs of one query execute on a worker pool (see
+// OnlineSimPredictor.SetParallelism); the samples are bit-identical at any
+// pool size.
 func NewOnlineSimPredictor(p *Profile, runs int, seed uint64) (*OnlineSimPredictor, error) {
 	return model.NewOnlineSim(p, runs, seed)
 }

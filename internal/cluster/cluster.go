@@ -28,6 +28,7 @@ import (
 	"github.com/jockeysim/jockey/internal/control"
 	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/eventq"
+	"github.com/jockeysim/jockey/internal/invariant"
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
@@ -185,7 +186,8 @@ type JobConfig struct {
 	// in a lottery scheduler or the weights in a weighted fair queuing
 	// regime"). Zero means 1.
 	Weight int
-	// ControlPeriod is how often the policy runs (default 1 minute).
+	// ControlPeriod is how often the policy runs. Zero means 1 minute; a
+	// negative period is an error.
 	ControlPeriod time.Duration
 	// Deadline is the job's SLO, used for oracle accounting and the Met
 	// result. Zero means no SLO.
@@ -289,10 +291,18 @@ func (h *Handle) Guarantee() int { return h.c.jobs[h.id].guarantee }
 // per-stage completion fractions) at the cluster's current time. Before the
 // job's arrival event has fired it returns the zero state: elapsed 0 and all
 // stage fractions 0, which is exactly the state the job is in at arrival.
+// A completed job reports every stage fully done.
 func (h *Handle) State() model.State {
 	jr := h.c.jobs[h.id]
-	if !jr.arrived {
+	switch {
+	case !jr.arrived:
 		return model.State{FracDone: make([]float64, jr.job.NumStages())}
+	case jr.completed:
+		frac := make([]float64, jr.job.NumStages())
+		for s := range frac {
+			frac[s] = 1
+		}
+		return model.State{Elapsed: h.c.now - jr.start, FracDone: frac}
 	}
 	return jr.state(h.c.now)
 }
@@ -383,8 +393,8 @@ type Cluster struct {
 	availSecs    float64
 	lastUtilTime time.Duration
 
-	// eng is the Engine that owns this cluster and pools its jobRun arenas
-	// across runs.
+	// eng is the Engine that owns this cluster and pools its jobRuns and
+	// task sets.
 	eng *Engine
 
 	// Scheduling scratch buffers, reused across events so the hot path
@@ -417,7 +427,7 @@ func (c *Cluster) init(cfg Config) error {
 	c.now = 0
 	c.tracked = 0
 	c.holds = 0
-	c.jobs = c.jobs[:0] // arenas were recycled by Engine.Reset
+	c.jobs = c.jobs[:0] // Engine.Reset recycled the jobRuns
 	c.live = c.live[:0]
 	c.ready = c.ready[:0]
 	c.dirty = nil
@@ -507,7 +517,10 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 	if cfg.Weight == 0 {
 		cfg.Weight = 1
 	}
-	if cfg.ControlPeriod <= 0 {
+	if cfg.ControlPeriod < 0 {
+		return nil, fmt.Errorf("cluster: job %q has negative control period %v", cfg.Profile.Job.Name, cfg.ControlPeriod)
+	}
+	if cfg.ControlPeriod == 0 {
 		cfg.ControlPeriod = control.DefaultPeriod
 	}
 	if cfg.Start < c.now {
@@ -544,10 +557,7 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	id := len(c.jobs)
-	jr := c.eng.takeArena(cfg.Profile.Job)
-	if jr == nil {
-		jr = newArena(cfg.Profile.Job)
-	}
+	jr := c.eng.takeRun()
 	jr.prepare(id, cfg, JobSeed(c.cfg.Seed, id))
 	jr.h = Handle{id: id, c: c}
 	c.jobs = append(c.jobs, jr)
@@ -584,11 +594,12 @@ func (e *capacityTooLargeError) Error() string {
 		e.machines, e.slots, math.MaxInt32)
 }
 
-// jobRun is the runtime state of one submitted job. It is split into an
-// arena part — the per-task arrays, whose size depends only on the plan
-// (*dag.Job), allocated by arrive when a job of the arena first arrives and
-// poolable across runs by Engine — and per-run state, (re)set in place by
-// prepare. A submitted job that never arrives costs only the jobRun.
+// jobRun is the runtime state of one submitted job. Its per-task arrays
+// live in a taskSet, whose size depends only on the plan (*dag.Job): the job
+// takes one from the Engine's pool when it arrives and returns it when it
+// completes, so only live jobs hold one. The rest is per-run state, (re)set
+// in place by prepare; jobRuns are pooled by the Engine too, of any plan. A
+// submitted job that never arrives costs only the jobRun.
 type jobRun struct {
 	h      Handle
 	id     int
@@ -610,15 +621,10 @@ type jobRun struct {
 	guarantee int
 	deadline  time.Duration
 
-	// deps tracks which tasks are done and ready, their attempt counts and
-	// queued times. arrive initializes it, and Engine.recycle rewinds it
-	// after a run the job arrived in.
-	deps dag.Tracker
+	// taskSet holds the per-task arrays while the job is live: nil before
+	// arrival and after completion.
+	*taskSet
 
-	// slot maps [stage][task] to the store slot of the task's running
-	// attempt (-1 when none) — the O(1) lookup that replaces the running map
-	// of earlier engines. A task has at most one running attempt.
-	slot [][]int32
 	// prim lists the job's running attempts in taskStore.less order. The
 	// guaranteed class is a prefix of prim: its first guarCount attempts,
 	// ending at guarLast (-1 when empty). So the oldest spare attempt follows
@@ -638,10 +644,6 @@ type jobRun struct {
 	spareTop int32
 	topPos   int32
 
-	// driftFactor multiplies each stage's sampled service times (1 until a
-	// StageDrift fires; drifts compound multiplicatively).
-	driftFactor []float64
-
 	// allocation accounting
 	lastAllocAt time.Duration
 	allocSecs   float64
@@ -656,54 +658,95 @@ type jobRun struct {
 	nextChange int // index into cfg.DeadlineChanges
 }
 
-// newArena returns an unshaped arena for job, the jobRun alone: arrive gives
-// it its per-task arrays when a job of the plan first arrives. An arena is
-// reusable across runs of any job sharing that plan (profiles may differ —
-// a scaled input keeps the plan). Per-run state is set by prepare.
-func newArena(job *dag.Job) *jobRun {
-	return &jobRun{job: job}
+// taskSet is a live job's per-task state. Every array is sized by the plan
+// alone, so a set serves any job of its plan (profiles may differ — a
+// scaled input keeps the plan). The Engine pools sets by plan, rewound.
+type taskSet struct {
+	// deps tracks which tasks are done and ready, their attempt counts and
+	// queued times.
+	deps dag.Tracker
+
+	// slot maps [stage][task] to the store slot of the task's running
+	// attempt (-1 when none) — the O(1) lookup that replaces the running map
+	// of earlier engines. A task has at most one running attempt.
+	slot [][]int32
+
+	// driftFactor multiplies each stage's sampled service times (1 until a
+	// StageDrift fires; drifts compound multiplicatively).
+	driftFactor []float64
 }
 
-// arrive marks the job arrived at now. If no job of the arena has arrived
-// before, it first shapes the arena: it allocates the per-task arrays, whose
-// sizes depend only on the plan, and rewinds them. handleArrival calls it,
-// and so do tests that stage a job's arrival by hand.
-func (jr *jobRun) arrive(now time.Duration) {
-	if jr.slot == nil {
-		n := jr.job.NumStages()
-		jr.slot = make([][]int32, n)
-		for s := 0; s < n; s++ {
-			jr.slot[s] = make([]int32, jr.job.Stages[s].Tasks)
-		}
-		jr.deps.Init(jr.job)
-		jr.driftFactor = make([]float64, n)
-		jr.rewind()
+// newTaskSet allocates a rewound set for job.
+func newTaskSet(job *dag.Job) *taskSet {
+	n := job.NumStages()
+	ts := &taskSet{slot: make([][]int32, n), driftFactor: make([]float64, n)}
+	for s := range ts.slot {
+		ts.slot[s] = make([]int32, job.Stages[s].Tasks)
 	}
-	jr.arrived = true
-	jr.start = now
-	jr.lastAllocAt = now
+	ts.deps.Init(job)
+	ts.rewind()
+	return ts
 }
 
-// rewind returns a shaped arena's per-task arrays to their state at arrival:
-// nothing done or running, and no drift.
-func (jr *jobRun) rewind() {
-	jr.deps.Reset()
-	for s := range jr.slot {
-		jr.driftFactor[s] = 1
-		for t := range jr.slot[s] {
-			jr.slot[s][t] = -1
+// rewind returns the set to its state at arrival: nothing done or running,
+// and no drift.
+func (ts *taskSet) rewind() {
+	ts.deps.Reset()
+	for s := range ts.slot {
+		ts.driftFactor[s] = 1
+		for t := range ts.slot[s] {
+			ts.slot[s][t] = -1
+		}
+	}
+}
+
+// arrive marks the job arrived at the cluster's current time and gives it a
+// rewound task set of its plan. handleArrival calls it, and so do tests that
+// stage a job's arrival by hand.
+func (c *Cluster) arrive(jr *jobRun) {
+	jr.taskSet = c.eng.takeSet(jr.job)
+	jr.arrived = true
+	jr.start = c.now
+	jr.lastAllocAt = c.now
+}
+
+// release returns a completed job's task set to the engine. A completed job
+// has no running attempt and no ready task, and debug builds assert so.
+func (c *Cluster) release(jr *jobRun) {
+	if invariant.Debug {
+		jr.assertIdle()
+	}
+	c.eng.putSet(jr.job, jr.taskSet)
+	jr.taskSet = nil
+}
+
+// assertIdle checks that the job runs no attempt and has no ready task. It
+// boxes the Assertf arguments only on failure, so the allocation guards
+// hold in debug builds too.
+func (jr *jobRun) assertIdle() {
+	if jr.deps.Len() > 0 {
+		invariant.Assertf(false, "cluster: job %d (%s) returns its task set with %d ready tasks",
+			jr.id, jr.job.Name, jr.deps.Len())
+	}
+	for s, slots := range jr.slot {
+		for t, slot := range slots {
+			if slot >= 0 {
+				invariant.Assertf(false, "cluster: job %d (%s) returns its task set with stage %d task %d running in slot %d",
+					jr.id, jr.job.Name, s, t, slot)
+			}
 		}
 	}
 }
 
 // prepare (re)sets the per-run state for one submission. It touches no
-// per-task array: a pooled arena is either unshaped or was rewound when the
-// engine recycled it. The reseeded RNG stream is bit-identical to a fresh
-// one, so a pooled arena replays exactly like a newly allocated jobRun.
+// per-task array: the job has none until it arrives. The reseeded RNG
+// stream is bit-identical to a fresh one, so a pooled jobRun replays exactly
+// like a newly allocated one.
 func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.id = id
 	jr.cfg = cfg
 	jr.p = cfg.Profile
+	jr.job = cfg.Profile.Job
 	if jr.rngSrc == nil {
 		jr.rngSrc = stats.NewSource(seed)
 		jr.rng = rand.New(jr.rngSrc)

@@ -149,20 +149,32 @@ func TestTooManyMachinesRejected(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	c, _ := New(Config{})
-	if _, err := c.Submit(JobConfig{}); err == nil {
-		t.Error("nil profile must fail")
-	}
 	p := fixedJob(t, "x")
-	if _, err := c.Submit(JobConfig{Profile: p, Guarantee: -1}); err == nil {
-		t.Error("negative guarantee must fail")
+	for _, tc := range []struct {
+		name string
+		cfg  JobConfig
+		want string // a substring of the error
+	}{
+		{"nil profile", JobConfig{}, "Profile is required"},
+		{"negative guarantee", JobConfig{Profile: p, Guarantee: -1}, `job "x" has negative guarantee -1`},
+		{"no policy and no guarantee", JobConfig{Profile: p}, `job "x" has neither`},
+		{"unsorted deadline changes", JobConfig{Profile: p, Guarantee: 1, DeadlineChanges: []DeadlineChange{
+			{At: time.Minute, Deadline: time.Hour}, {At: time.Second, Deadline: time.Hour},
+		}}, `job "x" deadline change 1`},
+		{"negative control period", JobConfig{Profile: p, Guarantee: 1, ControlPeriod: -time.Minute},
+			`job "x" has negative control period -1m0s`},
+	} {
+		if _, err := c.Submit(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Submit error = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
-	if _, err := c.Submit(JobConfig{Profile: p}); err == nil {
-		t.Error("no policy and no guarantee must fail")
+	// A zero period means the default.
+	h, err := c.Submit(JobConfig{Profile: p, Guarantee: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.Submit(JobConfig{Profile: p, Guarantee: 1, DeadlineChanges: []DeadlineChange{
-		{At: time.Minute, Deadline: time.Hour}, {At: time.Second, Deadline: time.Hour},
-	}}); err == nil {
-		t.Error("unsorted deadline changes must fail")
+	if got := c.jobs[h.id].cfg.ControlPeriod; got != control.DefaultPeriod {
+		t.Errorf("zero control period became %v, want the default %v", got, control.DefaultPeriod)
 	}
 }
 
@@ -546,7 +558,7 @@ func TestCrossJobTiesGoToLowerJobID(t *testing.T) {
 		}
 	}
 	for _, jr := range c.jobs {
-		jr.arrive(0)
+		c.arrive(jr)
 		c.liveAdd(jr)
 	}
 	if c.live[0].id != 1 {
@@ -598,7 +610,7 @@ func TestGuaranteedPassVictimKeepsGuarantee(t *testing.T) {
 				}
 			}
 			arriving, victim := c.jobs[tc.arriving], c.jobs[tc.victim]
-			victim.arrive(0)
+			c.arrive(victim)
 			c.liveAdd(victim)
 			c.startTask(victim, dag.TaskRef{Task: 0}, 0, true)
 			c.startTask(victim, dag.TaskRef{Task: 1}, 1, false)

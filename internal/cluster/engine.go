@@ -138,7 +138,7 @@ func (c *Cluster) accrueUtil(now time.Duration) {
 
 func (c *Cluster) handleArrival(id int) {
 	jr := c.jobs[id]
-	jr.arrive(c.now)
+	c.arrive(jr)
 	c.liveAdd(jr)
 	if jr.cfg.Tracked && (!jr.cfg.NoTrace || jr.cfg.Policy != nil) {
 		// Traces outlive the run (results retain them), so they are always
@@ -330,6 +330,11 @@ func (c *Cluster) handleDeadlineChange(ev event) {
 
 func (c *Cluster) handleTaskEnd(ev event) {
 	jr := c.jobs[ev.job]
+	if jr.completed {
+		// A completed job has no running attempt, so the event is stale, and
+		// the job's task set has gone back to the engine.
+		return
+	}
 	st := &c.store
 	stage, task := int(ev.stage), int(ev.task)
 	s := jr.slot[stage][task]
@@ -486,10 +491,12 @@ func (c *Cluster) completeJob(jr *jobRun) {
 	// No tick, deadline change or task event reaches a completed job, so
 	// release its policy and callback now rather than at the engine's next
 	// Reset: an idle engine would otherwise pin every guard, controller and
-	// predictor of the last replay.
+	// predictor of the last replay. Its task set goes back to the engine
+	// too, for the next job of its plan to arrive.
 	jr.cfg.Policy = nil
 	jr.cfg.OnTaskEvent = nil
 	c.liveRemove(jr)
+	c.release(jr)
 	c.setGuarantee(jr, 0)
 	completion := c.now - jr.start
 	if jr.result.Trace != nil {

@@ -150,7 +150,7 @@ func checkRankPartition(c *Cluster, jr *jobRun, prim []int32) error {
 // checkLive pins the job indexes against the job table and the gathered
 // attempts: live is the tracked live jobs, then the untracked ones, each in
 // id order; ready is, in the same order, the live jobs with ready work;
-// only live jobs run attempts; and the
+// exactly the live jobs hold a task set; only live jobs run attempts; and the
 // heap holds exactly the jobs with a spare attempt, each at its recorded
 // position with its from-scratch spare top.
 func checkLive(c *Cluster, all []int32) error {
@@ -160,7 +160,7 @@ func checkLive(c *Cluster, all []int32) error {
 		in   func(jr *jobRun) bool
 	}{
 		{"live", c.live, func(*jobRun) bool { return true }},
-		{"ready", c.ready, func(jr *jobRun) bool { return jr.deps.Len() > 0 }},
+		{"ready", c.ready, func(jr *jobRun) bool { return jr.taskSet != nil && jr.deps.Len() > 0 }},
 	}
 	for _, ix := range indexes {
 		i := 0
@@ -180,9 +180,14 @@ func checkLive(c *Cluster, all []int32) error {
 		}
 	}
 	for _, jr := range c.jobs {
-		if ready := jr.deps.Len() > 0; jr.inReady != ready || ready && (!jr.arrived || jr.completed) {
-			return fmt.Errorf("job %d (arrived %t, completed %t) has %d ready tasks and ready flag %t",
-				jr.id, jr.arrived, jr.completed, jr.deps.Len(), jr.inReady)
+		live := jr.arrived && !jr.completed
+		if (jr.taskSet != nil) != live {
+			return fmt.Errorf("job %d (arrived %t, completed %t) holds a task set: %t",
+				jr.id, jr.arrived, jr.completed, jr.taskSet != nil)
+		}
+		if ready := live && jr.deps.Len() > 0; jr.inReady != ready {
+			return fmt.Errorf("job %d (arrived %t, completed %t) has ready work %t and ready flag %t",
+				jr.id, jr.arrived, jr.completed, ready, jr.inReady)
 		}
 	}
 	inHeap := 0

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,9 @@ import (
 //     the checkPass hook of engine_ref_test.go, active in every test of
 //     this package;
 //   - it is byte-identical on a fresh cluster and on a reused engine, over
-//     two rounds so the second runs on pooled arenas;
+//     two rounds so the second runs on pooled jobRuns and task sets;
+//   - jobs that share a plan, and so pass task sets on as they complete and
+//     arrive, get the results they get on their own copies of the plan;
 //   - extra scheduling passes change nothing: with one job that neither a
 //     controller nor the epoch hook drives put under a constant policy
 //     that ticks every 7 s, every tracked job gets the same task events and
@@ -43,6 +46,9 @@ func FuzzClusterReplay(f *testing.F) {
 			if got := sc.replay(t, eng.Reset); got != want {
 				t.Fatalf("reused engine round %d diverged from a fresh cluster:\n got %s\nwant %s", round, got, want)
 			}
+		}
+		if got := sc.ownPlans().replay(t, New); got != want {
+			t.Fatalf("jobs on their own copies of their plans diverged from shared plans:\n got %s\nwant %s", got, want)
 		}
 		if ticked := sc.undriven(); ticked >= 0 {
 			want := renderTracked(sc.run(t, New, -1))
@@ -136,7 +142,37 @@ func genScenario(t *testing.T, data []byte) *fuzzScenario {
 		sc.jobs = append(sc.jobs, jc)
 		sc.policy = append(sc.policy, tracked && fb.intn(3) == 0)
 	}
+	// Some jobs rerun an earlier job's plan, so that jobs of one plan pass a
+	// task set on. These choices come last, so an input the loop above reads
+	// to its end decodes as it did before they existed.
+	for i := 1; i < len(sc.jobs); i++ {
+		if fb.intn(3) != 2 {
+			continue
+		}
+		jc := &sc.jobs[i]
+		jc.Profile = sc.jobs[fb.intn(i)].Profile
+		for k := range jc.Drifts {
+			if jc.Drifts[k].Stage >= jc.Profile.Job.NumStages() {
+				jc.Drifts[k].Stage = -1
+			}
+		}
+	}
 	return sc
+}
+
+// ownPlans returns the scenario with every job on its own structurally
+// equal copy of its plan: no two jobs share a *dag.Job, so none shares a
+// task set either.
+func (sc *fuzzScenario) ownPlans() *fuzzScenario {
+	own := *sc
+	own.jobs = slices.Clone(sc.jobs)
+	for i := range own.jobs {
+		p := *own.jobs[i].Profile
+		job := *p.Job
+		p.Job = &job
+		own.jobs[i].Profile = &p
+	}
+	return &own
 }
 
 // genProfile builds a chain of one to three stages of up to 16 tasks.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 
 // reuseScenario is deliberately demanding: machine MTBF failures, a rack
 // outage, a contention window, a mid-run deadline change, stage drift, a
-// controlled SLO job, and two submissions sharing one plan (so the arena
-// pool must hold multiple live arenas for the same *dag.Job). A run may add
+// controlled SLO job, and two submissions sharing one plan (so the engine
+// must hold two task sets of one *dag.Job while both are live). A run may add
 // one more background job whose plan no other job uses (extraJob).
 type reuseScenario struct {
 	cfg   Config
@@ -144,9 +145,9 @@ func (s *reuseScenario) run(t testing.TB, c *Cluster, x extraJob) ([]Result, tim
 // TestEngineReuseBitIdentical pins the Engine contract: a reset engine
 // replays a configuration bit-identically to a fresh cluster, including
 // traces, and keeps doing so across repeated resets. The extra job's rounds
-// pin the arena pool's two states: an arena whose job never arrived stays
-// unshaped in the pool and is shaped on the next arrival, and an arena
-// whose job arrived is rewound while its plan sits out a run.
+// pin the task-set pool's two states: a job that never arrived leaves its
+// plan without a set, and a set whose job arrived stays pooled, rewound,
+// while its plan sits out a run.
 func TestEngineReuseBitIdentical(t *testing.T) {
 	s := newReuseScenario(t)
 	type outcome struct {
@@ -175,12 +176,17 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if x == extraArrives {
-			// Shaped only once a job of the plan has arrived; round 2 shapes
-			// the arena round 1's late job left unshaped, and round 6 reuses
-			// the arena whose round-5 job never arrived.
-			if pooled := eng.arenas[s.extra.Job]; len(pooled) != 1 || (pooled[0].slot != nil) != arrivedBefore {
-				t.Fatalf("round %d: want the extra plan's one pooled arena, shaped iff a job of it arrived before (%v)",
-					round, arrivedBefore)
+			// A set exists only once a job of the plan has arrived; round 2
+			// allocates the set round 1's late job never took, and round 6
+			// reuses the set round 4's job returned, which round 5's late job
+			// left pooled.
+			want := 0
+			if arrivedBefore {
+				want = 1
+			}
+			if pooled := len(eng.sets[s.extra.Job]); pooled != want {
+				t.Fatalf("round %d: the extra plan has %d pooled task sets, want %d (a job of it arrived before: %v)",
+					round, pooled, want, arrivedBefore)
 			}
 			arrivedBefore = true
 		}
@@ -326,6 +332,49 @@ func TestRunReleasesEpochHook(t *testing.T) {
 	}
 }
 
+// TestTaskSetsScaleWithConcurrency pins that a job returns its task set
+// when it completes: jobs of one plan that run one after another leave one
+// pooled set, and jobs that overlap leave one each. A completed job's
+// Handle.State reads no set: its time since arrival and every stage done.
+func TestTaskSetsScaleWithConcurrency(t *testing.T) {
+	const k = 4
+	p := fixedJob(t, "serial")
+	eng := NewEngine()
+	for _, tc := range []struct {
+		name string
+		gap  time.Duration // between starts; each job runs 30 s alone
+		sets int
+	}{
+		{"one after another", time.Minute, 1},
+		{"overlapping", 0, k},
+		{"one after another on a warm engine", time.Minute, k},
+	} {
+		c, err := eng.Reset(Config{Machines: 4, SlotsPerMachine: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := make([]*Handle, k)
+		for i := range hs {
+			if hs[i], err = c.Submit(JobConfig{Profile: p, Guarantee: 2, Tracked: true, NoTrace: true,
+				Start: time.Duration(i) * tc.gap}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(eng.sets[p.Job]); got != tc.sets {
+			t.Errorf("%s: %d jobs left %d pooled task sets, want %d", tc.name, k, got, tc.sets)
+		}
+		for i, h := range hs {
+			st := h.State()
+			if want := c.Now() - h.Result().Start; st.Elapsed != want || !slices.Equal(st.FracDone, []float64{1, 1}) {
+				t.Errorf("%s: completed job %d reports %+v, want elapsed %v and every stage done", tc.name, i, st, want)
+			}
+		}
+	}
+}
+
 // steadyCfg is a failure-free, policy-free configuration whose event loop
 // exercises dispatch, eviction-free completion, and locality accounting —
 // the pure hot path the allocation guard measures.
@@ -382,8 +431,8 @@ func TestEngineSteadyStateAllocations(t *testing.T) {
 
 // TestSubmitWithoutArrivalAllocatesNothing pins that Submit does O(1) work
 // that allocates nothing on a warm engine: a job that never arrives takes a
-// pooled arena and leaves it unshaped, with no per-task array, as the paper
-// replays' background jobs that arrive after the tracked job completes do.
+// pooled jobRun and no task set, as the paper replays' background jobs that
+// arrive after the tracked job completes do.
 func TestSubmitWithoutArrivalAllocatesNothing(t *testing.T) {
 	cfg, _, bg := steadyCfg()
 	bg.Start = 24 * time.Hour
@@ -413,9 +462,12 @@ func TestSubmitWithoutArrivalAllocatesNothing(t *testing.T) {
 		t.Errorf("a warm Submit allocates %.1f times, want 0", avg)
 	}
 	for _, jr := range c.jobs {
-		if jr.slot != nil || jr.driftFactor != nil {
-			t.Fatalf("job %d never arrived but has a shaped arena", jr.id)
+		if jr.taskSet != nil {
+			t.Fatalf("job %d never arrived but holds a task set", jr.id)
 		}
+	}
+	if len(eng.sets) != 0 {
+		t.Fatalf("jobs that never arrived left task sets of %d plans", len(eng.sets))
 	}
 }
 

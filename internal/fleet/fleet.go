@@ -69,7 +69,8 @@ type Config struct {
 	// Seed drives every random draw of the replay (arrival stream, cluster
 	// dynamics; model randomness comes from the ModelCache's own seed).
 	Seed uint64
-	// Machines and SlotsPerMachine size the cluster (default 20 × 5).
+	// Machines and SlotsPerMachine size the cluster (default 20 × 5; zero
+	// means the default, negative is an error).
 	Machines        int
 	SlotsPerMachine int
 	// Budget is the guaranteed-token budget the arbiter divides (default:
@@ -79,7 +80,7 @@ type Config struct {
 	// Arrivals is how many SLO jobs are offered (default 12).
 	Arrivals int
 	// MeanInterarrival is the mean gap between offers at load factor 1
-	// (default 4 minutes).
+	// (default 4 minutes; zero means the default, negative is an error).
 	MeanInterarrival time.Duration
 	// LoadFactor compresses the arrival process: 2 means jobs arrive twice
 	// as fast as the cluster was sized for (default 1).
@@ -131,6 +132,15 @@ type EpochStats struct {
 }
 
 func (c *Config) fill() error {
+	if c.Machines < 0 {
+		return fmt.Errorf("fleet: Machines %d must not be negative", c.Machines)
+	}
+	if c.SlotsPerMachine < 0 {
+		return fmt.Errorf("fleet: SlotsPerMachine %d must not be negative", c.SlotsPerMachine)
+	}
+	if c.MeanInterarrival < 0 {
+		return fmt.Errorf("fleet: MeanInterarrival %v must not be negative", c.MeanInterarrival)
+	}
 	if c.Machines == 0 {
 		c.Machines = 20
 	}
@@ -149,7 +159,7 @@ func (c *Config) fill() error {
 	if c.Arrivals < 1 {
 		return fmt.Errorf("fleet: need at least one arrival, got %d", c.Arrivals)
 	}
-	if c.MeanInterarrival <= 0 {
+	if c.MeanInterarrival == 0 {
 		c.MeanInterarrival = 4 * time.Minute
 	}
 	if c.LoadFactor == 0 {

@@ -222,6 +222,9 @@ func TestFleetConfigValidation(t *testing.T) {
 		// Finite and positive, but the first gap overflows time.Duration.
 		{Config{LoadFactor: 1e-300}, "offer 0"},
 		{Config{DriftEvery: -3}, "DriftEvery"},
+		{Config{MeanInterarrival: -time.Minute}, "MeanInterarrival -1m0s"},
+		{Config{Machines: -3}, "Machines -3"},
+		{Config{SlotsPerMachine: -2}, "SlotsPerMachine -2"},
 	}
 	for _, tc := range cases {
 		_, err := Run(tc.cfg)

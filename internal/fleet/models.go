@@ -77,7 +77,7 @@ func (m *ModelCache) SetParallelism(n int) { m.parallelism = n }
 
 // Profile returns the shared ground-truth profile for a shape. The pointer
 // is stable across calls (and so is its *dag.Job plan), which lets reusable
-// cluster engines pool arenas across every job of the shape.
+// cluster engines pool task sets across every job of the shape.
 func (m *ModelCache) Profile(s Shape) (*profile.Profile, error) {
 	return m.profiles.Get(s.Key(), func() (*profile.Profile, error) {
 		if s.Scale == 0 || s.Scale == 1 {
@@ -88,7 +88,7 @@ func (m *ModelCache) Profile(s Shape) (*profile.Profile, error) {
 			return nil, err
 		}
 		// Scale keeps the plan pointer, so scaled profiles still pool
-		// engine arenas with their unscaled siblings.
+		// engine task sets with their unscaled siblings.
 		return base.Scale(s.Scale), nil
 	})
 }

@@ -8,7 +8,7 @@ import (
 
 // TestModelCacheShapes pins the fleet's one source of job shapes: every
 // fleet shape's profile carries its canonical name, and its scaled sibling
-// shares the unscaled plan, so cluster engines pool arenas across both.
+// shares the unscaled plan, so cluster engines pool task sets across both.
 // Profile and Model run concurrently for distinct shapes, so the race
 // detector sees the single-flight builds (and their nested Gets) overlap.
 func TestModelCacheShapes(t *testing.T) {

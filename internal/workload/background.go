@@ -61,11 +61,11 @@ func (c *BackgroundConfig) fill() {
 // bit-identically from a fresh pool and from one reused across fleets —
 // TestBackgroundPoolBitIdentical pins this.
 //
-// Reusing plans also makes every background jobRun poolable by a
-// cluster.Engine, which keys its arenas on plan identity and gives an arena
-// its per-task arrays only when a job of the plan arrives, so the many
-// background jobs a replay submits but never reaches cost a jobRun each. A
-// pool is not safe for concurrent use (one per grid worker).
+// Reusing plans also lets a cluster.Engine reuse background jobs' task
+// sets, which it keys on plan identity. A job takes a set only when it
+// arrives, so the many background jobs a replay submits but never reaches
+// cost a jobRun each. A pool is not safe for concurrent use (one per grid
+// worker).
 type BackgroundPool struct {
 	plain   map[int]*profile.Profile // key: map-stage task count
 	barrier map[int]*profile.Profile

@@ -62,7 +62,7 @@ func TestBackgroundPoolBitIdentical(t *testing.T) {
 
 // TestBackgroundPoolReusesProfiles pins the point of the pool: the same job
 // shape yields the same *profile.Profile (and thus the same *dag.Job for
-// cluster.Engine's arena keying) across fleets.
+// cluster.Engine's task-set keying) across fleets.
 func TestBackgroundPoolReusesProfiles(t *testing.T) {
 	pool := NewBackgroundPool()
 	a, err := pool.profileFor(100, true)

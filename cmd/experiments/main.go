@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,24 +29,43 @@ import (
 )
 
 func main() {
-	var (
-		seed  = flag.Uint64("seed", 1, "master seed for all experiments")
-		out   = flag.String("out", "", "directory for result files (default: stdout only)")
-		quick = flag.Bool("quick", false, "smaller run counts (for smoke testing)")
-		run   = flag.String("run", "", "comma-separated subset of "+strings.Join(experiments.RunNames(), ",")+" (default: all)")
-		par   = flag.Int("parallelism", 0, "worker pool size for offline model simulations (0 = GOMAXPROCS); results are identical at any value")
-		gpar  = flag.Int("parallel", 0, "worker pool size for experiment grid points (0 = GOMAXPROCS); results are identical at any value")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
 
-		flightLvl = flag.String("flight-level", "none", "decision flight recorder for the robustness grid: none, decisions or counterfactual; -out receives one JSON record per run")
+// run parses args, renders the selected artifacts and writes their tables
+// to stdout and progress notes to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	// ExitOnError keeps the command's exit status 2 on a bad flag.
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed  = fs.Uint64("seed", 1, "master seed for all experiments")
+		out   = fs.String("out", "", "directory for result files (default: stdout only)")
+		quick = fs.Bool("quick", false, "smaller run counts (for smoke testing)")
+		runs  = fs.String("run", "", "comma-separated subset of "+strings.Join(experiments.RunNames(), ",")+" (default: all)")
+		par   = fs.Int("parallelism", 0, "worker pool size for offline model simulations (0 = GOMAXPROCS); results are identical at any value")
+		gpar  = fs.Int("parallel", 0, "worker pool size for experiment grid points (0 = GOMAXPROCS); results are identical at any value")
+
+		flightLvl = fs.String("flight-level", "none", "decision flight recorder for the robustness grid: none, decisions or counterfactual; -out receives one JSON record per run")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
+	start := time.Now()
+	if *par < 0 {
+		return fmt.Errorf("-parallelism %d: want 0 (GOMAXPROCS) or a positive worker count", *par)
+	}
+	if *gpar < 0 {
+		return fmt.Errorf("-parallel %d: want 0 (GOMAXPROCS) or a positive worker count", *gpar)
+	}
 	flightLevel, err := flight.ParseLevel(*flightLvl)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	artifacts, err := experiments.Select(*run)
+	artifacts, err := experiments.Select(*runs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	env := experiments.NewEnv(*seed)
@@ -53,32 +73,22 @@ func main() {
 	env.GridParallel = *gpar
 	opts := experiments.Options{Quick: *quick, Flight: flightLevel}
 	for _, a := range artifacts {
-		step(a.Title)
+		fmt.Fprintf(stderr, "[%7.1fs] %s\n", time.Since(start).Seconds(), a.Title)
 		files, err := a.Run(env, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, f := range files {
 			if f.Kind == experiments.TableFile {
-				fmt.Println(f.Text)
+				fmt.Fprintln(stdout, f.Text)
 			}
 			if *out == "" {
 				continue
 			}
 			if err := os.WriteFile(filepath.Join(*out, f.Name), []byte(f.Text), 0o644); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 	}
-}
-
-var start = time.Now()
-
-func step(msg string) {
-	fmt.Fprintf(os.Stderr, "[%7.1fs] %s\n", time.Since(start).Seconds(), msg)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	return nil
 }

@@ -74,6 +74,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		flightOut = fs.String("flight", "", "write the flight record as JSON to this file (implies -flight-level decisions)")
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
+	if *par < 0 {
+		return fmt.Errorf("-parallelism %d: want 0 (GOMAXPROCS) or a positive worker count", *par)
+	}
+	if *driftAt != 0 && *driftFac == 0 {
+		return fmt.Errorf("-drift-at %v needs a -drift-factor", *driftAt)
+	}
 	pol := experiments.PolicyKind(*policy)
 	flightLevel, err := flight.ParseLevel(*flightLvl)
 	if err != nil {
@@ -115,8 +121,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "training profile written to %s\n", *profOut)
 	}
+	// Every factor but 0 goes to the cluster, which rejects one that is not
+	// positive and finite.
 	var drifts []cluster.StageDrift
-	if *driftFac > 0 {
+	if *driftFac != 0 {
 		drifts = []cluster.StageDrift{{At: *driftAt, Stage: -1, Factor: *driftFac}}
 	}
 	out, record, err := env.RunFlight(experiments.NewExec(), experiments.SLORun{

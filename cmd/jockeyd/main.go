@@ -64,6 +64,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		verbose = fs.Bool("v", false, "stream per-epoch arbitration stats to stderr")
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
+	if *par < 0 {
+		return fmt.Errorf("-parallelism %d: want 0 (GOMAXPROCS) or a positive worker count", *par)
+	}
 
 	cfg := fleet.Config{
 		Seed:             *seed,

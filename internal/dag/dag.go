@@ -17,6 +17,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/jockeysim/jockey/internal/invariant"
@@ -71,7 +72,10 @@ type Job struct {
 
 	inputs  [][]Edge // per stage, incoming edges
 	outputs [][]Edge // per stage, outgoing edges
-	topo    []int    // topological order of stage indices
+	// oneToOneOut lists, per stage, its one-to-one outgoing edges sorted by
+	// consumer stage: the order in which a Tracker visits consumers.
+	oneToOneOut [][]Edge
+	topo        []int // topological order of stage indices
 }
 
 // Builder accumulates stages and edges and produces a validated Job.
@@ -168,9 +172,16 @@ func (b *Builder) Build() (*Job, error) {
 	}
 	j.inputs = make([][]Edge, len(j.Stages))
 	j.outputs = make([][]Edge, len(j.Stages))
+	j.oneToOneOut = make([][]Edge, len(j.Stages))
 	for _, e := range j.Edges {
 		j.inputs[e.To] = append(j.inputs[e.To], e)
 		j.outputs[e.From] = append(j.outputs[e.From], e)
+		if e.Kind == OneToOne {
+			j.oneToOneOut[e.From] = append(j.oneToOneOut[e.From], e)
+		}
+	}
+	for _, out := range j.oneToOneOut {
+		slices.SortFunc(out, func(a, b Edge) int { return a.To - b.To })
 	}
 	topo, err := j.topoSort()
 	if err != nil {
@@ -286,22 +297,6 @@ func (j *Job) TotalTasks() int {
 	return n
 }
 
-// oneToOnePairs returns the number of (producer task, consumer task) pairs
-// the plan's one-to-one edges join, the size of a Tracker's consumer
-// adjacency. DepRange gives each consumer task of an edge one producer task
-// when the consumer stage is the wider, and otherwise splits the producer
-// tasks among the consumers, so an edge joins max(producer, consumer tasks)
-// pairs.
-func (j *Job) oneToOnePairs() int {
-	n := 0
-	for _, e := range j.Edges {
-		if e.Kind == OneToOne {
-			n += max(j.Stages[e.From].Tasks, j.Stages[e.To].Tasks)
-		}
-	}
-	return n
-}
-
 // TotalInputGB sums the per-stage input sizes.
 func (j *Job) TotalInputGB() float64 {
 	var gb float64
@@ -333,6 +328,21 @@ func (j *Job) DepRange(e Edge, task int) (lo, hi int) {
 		}
 	}
 	return lo, hi
+}
+
+// consumerRange is DepRange's inverse on a one-to-one edge: the half-open
+// range [lo, hi) of consumer tasks whose DepRange holds producer task p.
+// When the producer stage is the wider (n >= m), each consumer reads a
+// contiguous block of producers, so p has exactly one consumer; otherwise
+// consumer c reads producer floor(c*n/m) alone, and those with that floor
+// equal to p form [ceil(p*m/n), ceil((p+1)*m/n)).
+func (j *Job) consumerRange(e Edge, p int) (lo, hi int) {
+	n, m := j.Stages[e.From].Tasks, j.Stages[e.To].Tasks
+	if n >= m {
+		c := ((p+1)*m - 1) / n
+		return c, c + 1
+	}
+	return (p*m + n - 1) / n, ((p+1)*m + n - 1) / n
 }
 
 // CriticalPath returns the length of the longest stage path through the job,

@@ -340,22 +340,20 @@ func TestRandomJobsInvariantsProperty(t *testing.T) {
 			}
 		}
 		// Every consumer task's dep range must be within producer bounds,
-		// and the one-to-one ranges add up to oneToOnePairs.
-		pairs := 0
+		// and consumerRange must invert the one-to-one ranges.
 		for _, e := range j.Edges {
 			for task := 0; task < j.Stages[e.To].Tasks; task++ {
 				lo, hi := j.DepRange(e, task)
 				if lo < 0 || hi > j.Stages[e.From].Tasks || hi <= lo {
 					return false
 				}
-				if e.Kind == OneToOne {
-					pairs += hi - lo
+			}
+			if e.Kind == OneToOne {
+				if err := checkConsumerRange(j, e); err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
 				}
 			}
-		}
-		if pairs != j.oneToOnePairs() {
-			t.Logf("seed %d: one-to-one ranges join %d pairs, oneToOnePairs = %d", seed, pairs, j.oneToOnePairs())
-			return false
 		}
 		// Critical path with unit costs is between 1 and #stages.
 		cp := j.CriticalPath(func(int) time.Duration { return time.Second })

@@ -19,13 +19,15 @@ type readyRef struct{ stage, task int32 }
 // every producer task in its one-to-one DepRange slices is done and every
 // all-to-all producer stage is complete.
 //
-// Init derives the plan's part once: the one-to-one consumer adjacency and
-// every task's base dependency count. The per-run part is flat, one entry
-// per task in (stage, task) order: remaining dependencies, done flags,
-// attempt counters and the time each task last became ready, plus per-stage
-// done counts, the count of tasks left and the ready FIFO. Reset rewinds it
-// in place, so a tracker is reusable across any number of runs of its plan
-// and allocates nothing after Init.
+// A Tracker stores only per-run state, flat, one entry per task in (stage,
+// task) order: remaining dependencies, done flags, attempt counters and the
+// time each task last became ready, plus per-stage done counts, the count of
+// tasks left and the ready FIFO. The plan's part follows from the Job: a
+// producer's consumers across a one-to-one edge are DepRange's inverse,
+// computed from the two stages' task counts when the producer completes,
+// and Reset derives every task's base dependency count from the same ranges.
+// Reset rewinds the state in place, so a tracker is reusable across any
+// number of runs of its plan and allocates nothing after Init.
 //
 // The ready FIFO is a ring with one slot per task of the plan. A task is
 // queued at most once at a time (it leaves the FIFO before it runs, and only
@@ -33,14 +35,15 @@ type readyRef struct{ stage, task int32 }
 // never fills past the plan's task count and never grows; `-tags
 // invariantdebug` builds assert that MarkReady finds room.
 //
-// Per-task counters and adjacency offsets are int32, which bounds a plan to
-// math.MaxInt32 tasks and as many one-to-one dependency pairs; callers
+// Per-task counters are int32, which bounds a plan to math.MaxInt32 tasks
+// (a task's dependency count never exceeds the plan's task count); callers
 // reject larger plans with Trackable before Init.
 //
 // The order in which tasks become ready fixes dispatch order, and so every
 // random draw of a run: Seed enqueues in (stage, task) order, and Complete
-// enqueues one-to-one consumers in adjacency order, then all-to-all
-// consumers stage by stage in Outputs order, tasks ascending.
+// enqueues one-to-one consumers stage by stage in ascending stage order,
+// tasks ascending, then all-to-all consumers stage by stage in Outputs
+// order, tasks ascending.
 type Tracker struct {
 	// The ready FIFO comes first: dispatch reads its length for every live
 	// job on every pick. It holds n tasks from ready[head], wrapping at
@@ -51,12 +54,6 @@ type Tracker struct {
 	job *Job
 	// off[s] is the flat index of stage s's task 0; off[n] is the task count.
 	off []int
-	// cons[consOff[i]:consOff[i+1]] lists the one-to-one consumers of flat
-	// task i: for each stage in index order, each of its one-to-one input
-	// edges in Inputs order, the consumer tasks ascending.
-	consOff  []int32
-	cons     []TaskRef
-	baseDeps []int32
 
 	remDeps   []int32
 	done      []bool
@@ -66,23 +63,23 @@ type Tracker struct {
 	left      int
 }
 
-// PlanTooLargeError reports a plan with more tasks, or more one-to-one
-// dependency pairs, than a Tracker's int32 counters and offsets can name.
+// PlanTooLargeError reports a plan with more tasks than a Tracker's int32
+// counters can name.
 type PlanTooLargeError struct {
-	Job          string
-	Tasks, Pairs int
+	Job   string
+	Tasks int
 }
 
 func (e *PlanTooLargeError) Error() string {
-	return fmt.Sprintf("job %q has %d tasks and %d one-to-one dependency pairs; a dependency tracker supports at most %d of each",
-		e.Job, e.Tasks, e.Pairs, math.MaxInt32)
+	return fmt.Sprintf("job %q has %d tasks; a dependency tracker supports at most %d",
+		e.Job, e.Tasks, math.MaxInt32)
 }
 
 // Trackable returns a *PlanTooLargeError if job is too large for a Tracker.
-// It costs O(stages + edges), not O(tasks).
+// It costs O(stages), not O(tasks).
 func Trackable(job *Job) error {
-	if tasks, pairs := job.TotalTasks(), job.oneToOnePairs(); int64(tasks) > math.MaxInt32 || int64(pairs) > math.MaxInt32 {
-		return &PlanTooLargeError{Job: job.Name, Tasks: tasks, Pairs: pairs}
+	if tasks := job.TotalTasks(); int64(tasks) > math.MaxInt32 {
+		return &PlanTooLargeError{Job: job.Name, Tasks: tasks}
 	}
 	return nil
 }
@@ -96,34 +93,7 @@ func (t *Tracker) Init(job *Job) {
 		t.off[s+1] = t.off[s] + job.Stages[s].Tasks
 	}
 	total := t.off[n]
-	t.baseDeps = make([]int32, total)
-	// Dependency counts: one unit per one-to-one producer task in range,
-	// plus one unit per all-to-all input edge (satisfied when the producer
-	// stage completes). The adjacency is filled in two passes, counting
-	// then placing, in the order Complete must visit it; remDeps, which
-	// Reset overwrites, is the placing cursor.
-	t.consOff = make([]int32, total+1)
-	t.forEachOneToOne(func(producer int, _ TaskRef) { t.consOff[producer+1]++ })
-	for i := 0; i < total; i++ {
-		t.consOff[i+1] += t.consOff[i]
-	}
-	t.cons = make([]TaskRef, t.consOff[total])
 	t.remDeps = make([]int32, total)
-	copy(t.remDeps, t.consOff[:total])
-	t.forEachOneToOne(func(producer int, c TaskRef) {
-		t.cons[t.remDeps[producer]] = c
-		t.remDeps[producer]++
-		t.baseDeps[t.off[c.Stage]+c.Task]++
-	})
-	for s := 0; s < n; s++ {
-		for _, edge := range job.Inputs(s) {
-			if edge.Kind == AllToAll {
-				for i := t.off[s]; i < t.off[s+1]; i++ {
-					t.baseDeps[i]++
-				}
-			}
-		}
-	}
 	t.done = make([]bool, total)
 	t.attempts = make([]int32, total)
 	t.queuedAt = make([]time.Duration, total)
@@ -135,35 +105,40 @@ func (t *Tracker) Init(job *Job) {
 	t.Reset()
 }
 
-// forEachOneToOne calls fn for every (producer task, consumer task) pair a
-// one-to-one edge joins, with the producer as a flat index.
-func (t *Tracker) forEachOneToOne(fn func(producer int, consumer TaskRef)) {
-	job := t.job
-	for s := range job.Stages {
-		for _, edge := range job.Inputs(s) {
-			if edge.Kind != OneToOne {
-				continue
-			}
-			for task := 0; task < job.Stages[s].Tasks; task++ {
-				lo, hi := job.DepRange(edge, task)
-				for i := lo; i < hi; i++ {
-					fn(t.off[edge.From]+i, TaskRef{s, task})
-				}
-			}
-		}
-	}
-}
-
 // Reset rewinds the per-run state for a fresh run of the plan: nothing
 // done, base dependency counts, zero attempts and an empty ready FIFO.
 func (t *Tracker) Reset() {
-	copy(t.remDeps, t.baseDeps)
+	t.baseDeps()
 	clear(t.done)
 	clear(t.attempts)
 	clear(t.queuedAt)
 	clear(t.doneCount)
 	t.left = len(t.done)
 	t.n, t.head = 0, 0
+}
+
+// baseDeps writes every task's dependency count into remDeps: one unit per
+// all-to-all input edge (satisfied when the producer stage completes), plus
+// one per producer task in each one-to-one input's DepRange. Every input
+// contributes at least one unit, and only a one-to-one input from a wider
+// producer stage contributes more, so the rest of the stage is a constant
+// fill.
+func (t *Tracker) baseDeps() {
+	for s, st := range t.job.Stages {
+		rem := t.remDeps[t.off[s]:t.off[s+1]]
+		inputs := t.job.Inputs(s)
+		for c := range rem {
+			rem[c] = int32(len(inputs))
+		}
+		for _, e := range inputs {
+			if n, m := t.job.Stages[e.From].Tasks, st.Tasks; e.Kind == OneToOne && n > m {
+				for c := range rem {
+					lo, hi := t.job.DepRange(e, c)
+					rem[c] += int32(hi - lo - 1)
+				}
+			}
+		}
+	}
 }
 
 // PreComplete marks, per stage, the first fracs[s] of its tasks (rounded
@@ -263,21 +238,23 @@ func (t *Tracker) Peek() (TaskRef, bool) {
 func (t *Tracker) Len() int { return t.n }
 
 // Complete marks a task done and enqueues every consumer it leaves with no
-// remaining dependencies: its one-to-one consumers in adjacency order, then,
-// if its stage just completed, the stage's all-to-all consumers in Outputs
-// order, tasks ascending.
+// remaining dependencies: its one-to-one consumers stage by stage in
+// ascending stage order, tasks ascending, then, if its stage just completed,
+// the stage's all-to-all consumers in Outputs order, tasks ascending.
 //
 //jockey:hotpath
 func (t *Tracker) Complete(now time.Duration, stage, task int) {
-	i := t.off[stage] + task
-	t.done[i] = true
+	t.done[t.off[stage]+task] = true
 	t.doneCount[stage]++
 	t.left--
-	for _, c := range t.cons[t.consOff[i]:t.consOff[i+1]] {
-		j := t.off[c.Stage] + c.Task
-		t.remDeps[j]--
-		if t.remDeps[j] == 0 {
-			t.MarkReady(now, c.Stage, c.Task)
+	for _, edge := range t.job.oneToOneOut[stage] {
+		base := t.off[edge.To]
+		lo, hi := t.job.consumerRange(edge, task)
+		for c := lo; c < hi; c++ {
+			t.remDeps[base+c]--
+			if t.remDeps[base+c] == 0 {
+				t.MarkReady(now, edge.To, c)
+			}
 		}
 	}
 	if t.doneCount[stage] != t.job.Stages[stage].Tasks {

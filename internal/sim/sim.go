@@ -210,9 +210,9 @@ func (e *stageTooLargeError) Error() string {
 		e.job, e.stage, e.index, e.tasks, math.MaxInt32)
 }
 
-// shape (re)builds the arenas for a new job plan: the dependency tracker,
-// which derives the consumer adjacency and base dependency counts once, and
-// the per-task time arrays. A plan it rejects leaves the Runner as it was.
+// shape (re)builds the arenas for a new job plan: the dependency tracker
+// and the per-task time arrays. A plan it rejects leaves the Runner as it
+// was.
 func (r *Runner) shape(job *dag.Job) error {
 	for s, st := range job.Stages {
 		if int64(st.Tasks) > math.MaxInt32 {

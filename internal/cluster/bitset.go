@@ -2,13 +2,15 @@ package cluster
 
 import (
 	"math/bits"
+	"slices"
 )
 
-// bitset is a two-level bitmap over machine ids: words holds one bit per
-// machine, sum one bit per non-zero word. first() therefore scans the (tiny)
-// summary level instead of all words, which keeps "lowest-index available
+// bitset is a two-level bitmap: words holds one bit per id, sum one bit per
+// non-zero word. first() and next() therefore scan the (tiny) summary level
+// instead of all words. Over machine ids it keeps "lowest-index available
 // machine" O(1)-ish at 10k machines — the indexed up-machine set that
-// replaces the full c.machines scans of earlier engines.
+// replaces the full c.machines scans of earlier engines. Over job ids it
+// holds the jobs owed guaranteed tokens (Cluster.owedTracked, owedUntracked).
 type bitset struct {
 	words []uint64
 	sum   []uint64
@@ -49,6 +51,23 @@ func (b *bitset) init(n int, all bool) {
 			b.sum[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
+}
+
+// grow extends the set to hold at least n bits, keeping its bits; the new
+// ones are clear. It reslices within the backing arrays' capacity, so a set
+// that held n bits before a shrinking init grows back without allocating.
+func (b *bitset) grow(n int) {
+	nw := (n + 63) / 64
+	if nw <= len(b.words) {
+		return
+	}
+	old := len(b.words)
+	b.words = slices.Grow(b.words, nw-old)[:nw]
+	clear(b.words[old:])
+	ns := (nw + 63) / 64
+	old = len(b.sum)
+	b.sum = slices.Grow(b.sum, ns-old)[:ns]
+	clear(b.sum[old:])
 }
 
 //jockey:hotpath
@@ -95,6 +114,34 @@ func (b *bitset) first() int {
 		return i
 	}
 	b.hint = len(b.words) << 6
+	return -1
+}
+
+// next returns the lowest set bit at or above i, or -1 when there is none.
+// Unlike first it leaves the hint cursor alone, so a walk may set and clear
+// bits behind it.
+//
+//jockey:hotpath
+func (b *bitset) next(i int) int {
+	w := i >> 6
+	if w >= len(b.words) {
+		return -1
+	}
+	if m := b.words[w] >> (uint(i) & 63); m != 0 {
+		return i + bits.TrailingZeros64(m)
+	}
+	w++
+	for si := w >> 6; si < len(b.sum); si++ {
+		sw := b.sum[si]
+		if si == w>>6 {
+			sw &= ^uint64(0) << (uint(w) & 63)
+		}
+		if sw == 0 {
+			continue
+		}
+		w = si<<6 + bits.TrailingZeros64(sw)
+		return w<<6 + bits.TrailingZeros64(b.words[w])
+	}
 	return -1
 }
 

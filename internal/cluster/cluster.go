@@ -341,12 +341,21 @@ type Cluster struct {
 	// over one cluster's lifetime; without this index each reschedule pays
 	// O(admitted) even when a handful of jobs are running.
 	live []*jobRun
-	// ready is the subset of live the dispatchers walk, in live order: the
-	// jobs with ready work (syncReady). On a fleet replay most live jobs have
-	// no ready work at any one pass, and a walk over ready costs only the
-	// jobs that can take a slot. Picks that break ties by job order (spare
+	// ready is the subset of live that dispatchSpare walks, in live order:
+	// the jobs with ready work (syncReady). On a fleet replay most live jobs
+	// have no ready work at any one pass, and a walk over ready costs only
+	// the jobs that can take a slot. Picks that break ties by job order (spare
 	// round-robin, eviction) compare job ids explicitly.
 	ready []*jobRun
+	// owedTracked and owedUntracked are the job-id sets of the owed jobs:
+	// those in ready whose guaranteed class is smaller than their effective
+	// guarantee, tracked and untracked ones apart. Walking the first and then
+	// the second in id order is the live order, so dispatchGuaranteed visits
+	// the jobs it can serve in ready's order without walking ready itself;
+	// on a full cluster almost no ready job is owed. syncOwed keeps them,
+	// from reclassify and toggleReady.
+	owedTracked   bitset
+	owedUntracked bitset
 
 	// dirty heads the intrusive stack (jobRun.dirtyNext) of jobs whose
 	// class partition the next reclassify must repair.
@@ -430,6 +439,8 @@ func (c *Cluster) init(cfg Config) error {
 	c.jobs = c.jobs[:0] // Engine.Reset recycled the jobRuns
 	c.live = c.live[:0]
 	c.ready = c.ready[:0]
+	c.owedTracked.init(0, false)
+	c.owedUntracked.init(0, false)
 	c.dirty = nil
 	c.frac = c.contentionFrac()
 	c.spareTops = c.spareTops[:0]
@@ -561,6 +572,8 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 	jr.prepare(id, cfg, JobSeed(c.cfg.Seed, id))
 	jr.h = Handle{id: id, c: c}
 	c.jobs = append(c.jobs, jr)
+	c.owedTracked.grow(len(c.jobs))
+	c.owedUntracked.grow(len(c.jobs))
 	if cfg.Tracked {
 		c.tracked++
 	}
@@ -654,8 +667,6 @@ type jobRun struct {
 	spareCredit float64 // smoothed-weighted-round-robin deficit counter
 	rootDone    int     // successful root-stage attempts
 	localDone   int     // ... that ran on a replica machine
-
-	nextChange int // index into cfg.DeadlineChanges
 }
 
 // taskSet is a live job's per-task state. Every array is sized by the plan
@@ -777,7 +788,6 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.spareCredit = 0
 	jr.rootDone = 0
 	jr.localDone = 0
-	jr.nextChange = 0
 }
 
 // state returns the job's control state. Its FracDone is freshly

@@ -612,8 +612,8 @@ func TestGuaranteedPassVictimKeepsGuarantee(t *testing.T) {
 			arriving, victim := c.jobs[tc.arriving], c.jobs[tc.victim]
 			c.arrive(victim)
 			c.liveAdd(victim)
-			c.startTask(victim, dag.TaskRef{Task: 0}, 0, true)
-			c.startTask(victim, dag.TaskRef{Task: 1}, 1, false)
+			c.startTask(victim, dag.TaskRef{Task: 0}, 0, true, c.onReplica(victim, 0, 0, 0))
+			c.startTask(victim, dag.TaskRef{Task: 1}, 1, false, c.onReplica(victim, 0, 1, 1))
 			c.reclassify()
 			if eff := c.effectiveGuarantee(victim); eff != 1 || victim.guarCount != 1 || victim.liveRunning != 2 {
 				t.Fatalf("set-up: victim runs %d attempts, %d guaranteed, effective guarantee %d; want 2, 1, 1",

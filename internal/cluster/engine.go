@@ -342,8 +342,8 @@ func (c *Cluster) handleTaskEnd(ev event) {
 		return // stale event: the attempt was evicted or killed
 	}
 	jr.accrueAlloc(c.now)
-	machine := int(st.machine[s])
 	spawnedGuar := st.flags[s]&flagSpawnGuar != 0
+	local := st.flags[s]&flagLocal != 0
 	c.detach(jr, s)
 	c.recordAttempt(jr, s, c.now, ev.failed)
 	if ev.failed {
@@ -359,11 +359,8 @@ func (c *Cluster) handleTaskEnd(ev event) {
 	}
 	if len(jr.job.Inputs(stage)) == 0 {
 		jr.rootDone++
-		for _, mi := range c.replicaMachines(jr, stage, task) {
-			if mi == machine {
-				jr.localDone++
-				break
-			}
+		if local {
+			jr.localDone++
 		}
 	}
 	st.release(s)
@@ -463,8 +460,9 @@ func (c *Cluster) syncReady(jr *jobRun) {
 	}
 }
 
-// toggleReady inserts the job into the ready index or removes it. liveAdd
-// reserved room for every live job, so an insert never grows the index.
+// toggleReady inserts the job into the ready index or removes it, and with
+// it into or out of the owed set. liveAdd reserved room for every live job,
+// so an insert never grows the index.
 //
 //jockey:hotpath
 func (c *Cluster) toggleReady(jr *jobRun) {
@@ -473,6 +471,33 @@ func (c *Cluster) toggleReady(jr *jobRun) {
 		c.ready = insertLive(c.ready, jr)
 	} else {
 		c.ready = removeLive(c.ready, jr)
+	}
+	c.syncOwed(jr)
+}
+
+// owed reports whether the job belongs in the owed set: it has ready work
+// and its guaranteed class is smaller than its effective guarantee.
+//
+//jockey:hotpath
+func (c *Cluster) owed(jr *jobRun) bool {
+	return jr.inReady && jr.guarCount < c.effectiveGuarantee(jr)
+}
+
+// syncOwed restores the job's owed-set membership. Only toggleReady and
+// reclassify call it: every other change to the job's guaranteed class or
+// effective guarantee (detach, startTask, setGuarantee, clockAdvanced)
+// marks the job dirty, and reclassify repairs it before the next pass.
+//
+//jockey:hotpath
+func (c *Cluster) syncOwed(jr *jobRun) {
+	set := &c.owedUntracked
+	if jr.cfg.Tracked {
+		set = &c.owedTracked
+	}
+	if c.owed(jr) {
+		set.set(jr.id)
+	} else {
+		set.clear(jr.id)
 	}
 }
 
@@ -699,17 +724,27 @@ func (c *Cluster) replicaMachines(jr *jobRun, stage, task int) []int {
 }
 
 // freeMachineFor returns a machine with a free slot for the given task,
-// preferring machines holding the task's input replicas; -1 if the cluster
-// is full.
+// preferring machines holding the task's input replicas, and whether it is
+// one of them — the locality startTask records, so that the attempt's end
+// need not derive the replicas again; -1 if the cluster is full. Only a root
+// task has replicas, so any other task is never local.
 //
 //jockey:hotpath
-func (c *Cluster) freeMachineFor(jr *jobRun, stage, task int) int {
+func (c *Cluster) freeMachineFor(jr *jobRun, stage, task int) (int, bool) {
 	for _, mi := range c.replicaMachines(jr, stage, task) {
 		if c.availBits.get(mi) {
-			return mi
+			return mi, true
 		}
 	}
-	return c.freeMachine()
+	return c.freeMachine(), false
+}
+
+// onReplica reports whether machine mi holds an input replica of the task:
+// the locality of a task placed on an eviction victim's machine.
+//
+//jockey:hotpath
+func (c *Cluster) onReplica(jr *jobRun, stage, task, mi int) bool {
+	return slices.Contains(c.replicaMachines(jr, stage, task), mi)
 }
 
 // freeMachine returns the lowest-indexed machine with a free slot, or -1.
@@ -773,19 +808,24 @@ func (c *Cluster) reclassify() {
 			jr.guarCount++
 		}
 		c.refreshTop(jr)
+		c.syncOwed(jr)
 	}
 }
 
 // dispatchGuaranteed starts ready tasks on guaranteed tokens. It walks the
-// ready index, which is in live order, so SLO jobs are served first:
-// admission control promised them their guarantees, so they win when
-// guarantees are over-subscribed.
+// owed set — the tracked ids, then the untracked ones, each ascending —
+// which is the ready index's live order less the jobs whose guaranteed
+// class is already whole, so SLO jobs are served first: admission control
+// promised them their guarantees, so they win when guarantees are
+// over-subscribed. On a full cluster nearly every ready job is such a job,
+// and the pass costs the jobs it can serve, not every job with ready work.
 //
-// An eviction inside the pass never gives its victim a guaranteed start.
-// The victim ran a spare attempt, so after reclassify its guaranteed class
-// held its whole effective guarantee; the evicted attempt was spare, so the
-// class stays whole. The victim's requeued task waits for dispatchSpare or
-// the next pass, wherever the victim sorts in live order.
+// An eviction inside the pass never makes its victim owed, so the walk
+// cannot miss a job the ready walk would have served. The victim ran a
+// spare attempt, so after reclassify its guaranteed class held its whole
+// effective guarantee; the evicted attempt was spare, so the class stays
+// whole, and debug builds assert so. The victim's requeued task waits for
+// dispatchSpare or the next pass.
 //
 // A task leaves its job's ready FIFO only once a free slot or a victim is
 // found. When there is neither, the pass ends and the task stays at the
@@ -794,60 +834,57 @@ func (c *Cluster) reclassify() {
 // a pass that places nothing a no-op, so a run does not depend on how many
 // passes it holds.
 //
-// Serving a job can drop it from the index, and an eviction can requeue a
-// victim's task and so insert the victim. After each job the cursor moves
-// to the first ready job that sorts after it: by position while the job
-// still stands at the cursor, else through readyAfter. So the pass visits
-// jobs in live order, each at most once.
+// Serving a job starts attempts that the set learns of at the next
+// reclassify, and can clear the job's bit when its ready work runs out; the
+// next-set-bit cursor has moved past the job either way, so the pass visits
+// each owed job once. A full cluster (every up slot running) has no free
+// machine, so the pass goes straight to the eviction pick without deriving
+// the task's replicas.
 //
 //jockey:hotpath
 func (c *Cluster) dispatchGuaranteed() {
-	for i := 0; i < len(c.ready); {
-		jr := c.ready[i]
-		eff := c.effectiveGuarantee(jr)
-		for jr.guarCount < eff && jr.deps.Len() > 0 {
-			r, _ := jr.deps.Peek()
-			mi := c.freeMachineFor(jr, r.Stage, r.Task)
-			if mi < 0 {
-				vs, vjob := c.youngestSpare()
-				if vs < 0 {
-					// Every slot is running guaranteed work. The task stays
-					// at the head of its FIFO with its queued time, so a
-					// pass that places nothing changes nothing.
-					return
+	for _, set := range [2]*bitset{&c.owedTracked, &c.owedUntracked} {
+		for id := set.next(0); id >= 0; id = set.next(id + 1) {
+			jr := c.jobs[id]
+			eff := c.effectiveGuarantee(jr)
+			for jr.guarCount < eff && jr.deps.Len() > 0 {
+				r, _ := jr.deps.Peek()
+				mi, local := -1, false
+				if c.totalRunning < c.upCap {
+					mi, local = c.freeMachineFor(jr, r.Stage, r.Task)
 				}
-				mi = int(c.store.machine[vs])
-				c.evictTask(vjob, vs)
+				if mi < 0 {
+					vs, vjob := c.youngestSpare()
+					if vs < 0 {
+						// Every slot is running guaranteed work. The task
+						// stays at the head of its FIFO with its queued
+						// time, so a pass that places nothing changes
+						// nothing.
+						return
+					}
+					mi = int(c.store.machine[vs])
+					c.evictTask(vjob, vs)
+					if invariant.Debug {
+						c.assertNotOwed(vjob)
+					}
+					local = c.onReplica(jr, r.Stage, r.Task, mi)
+				}
+				jr.deps.Pop()
+				c.syncReady(jr)
+				c.startTask(jr, r, mi, true, local)
 			}
-			jr.deps.Pop()
-			c.syncReady(jr)
-			c.startTask(jr, r, mi, true)
-		}
-		if i < len(c.ready) && c.ready[i] == jr {
-			i++
-		} else {
-			i = c.readyAfter(jr, i)
 		}
 	}
 }
 
-// readyAfter returns the position of the first ready job that sorts after
-// jr, which stood at position i when dispatchGuaranteed reached it and no
-// longer does. Usually jr left the index and its successor slid into i;
-// that is verified in O(1) against the index order. Otherwise (a victim
-// inserted before i) a binary search finds the position.
-//
-//jockey:hotpath
-func (c *Cluster) readyAfter(jr *jobRun, i int) int {
-	n := len(c.ready)
-	if (i == 0 || cmpLive(c.ready[i-1], jr) < 0) && (i == n || cmpLive(jr, c.ready[i]) < 0) {
-		return i
+// assertNotOwed checks that an eviction inside dispatchGuaranteed left its
+// victim's guaranteed class whole. It boxes the Assertf arguments only on
+// failure, so the allocation guards hold in debug builds too.
+func (c *Cluster) assertNotOwed(victim *jobRun) {
+	if c.owed(victim) {
+		invariant.Assertf(false, "cluster: evicting job %d's spare attempt at t=%v left it owed (%d of %d guaranteed)",
+			victim.id, c.now, victim.guarCount, c.effectiveGuarantee(victim))
 	}
-	i, found := slices.BinarySearchFunc(c.ready, jr, cmpLive)
-	if found {
-		i++
-	}
-	return i
 }
 
 // youngestSpare returns the most recently started spare task in the
@@ -1014,10 +1051,8 @@ func (c *Cluster) dispatchSpare() {
 		pick.spareCredit -= totalWeight
 		r, _ := pick.deps.Pop()
 		c.syncReady(pick)
-		if local := c.freeMachineFor(pick, r.Stage, r.Task); local >= 0 {
-			mi = local
-		}
-		c.startTask(pick, r, mi, false)
+		mi, local := c.freeMachineFor(pick, r.Stage, r.Task)
+		c.startTask(pick, r, mi, false, local)
 		idle++
 		if idle > 1<<20 { // guard the Assertf so its args only box on failure
 			invariant.Assertf(false, "cluster: spare dispatch runaway at t=%v (machine %d)", c.now, mi)
@@ -1026,7 +1061,7 @@ func (c *Cluster) dispatchSpare() {
 }
 
 //jockey:hotpath
-func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed bool) {
+func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed, local bool) {
 	jr.accrueAlloc(c.now)
 	attempt := jr.deps.Attempt(r.Stage, r.Task)
 	initDelay, exec, fails := jr.p.Stages[r.Stage].SampleAttempt(jr.rng, jr.driftFactor[r.Stage],
@@ -1040,10 +1075,12 @@ func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed b
 	st.machine[s] = int32(machine)
 	st.startedAt[s] = c.now
 	st.execStart[s] = c.now + initDelay
+	st.flags[s] = 0
 	if guaranteed {
 		st.flags[s] = flagGuar | flagSpawnGuar
-	} else {
-		st.flags[s] = 0
+	}
+	if local {
+		st.flags[s] |= flagLocal
 	}
 	jr.slot[r.Stage][r.Task] = s
 	st.link(&jr.prim, s)

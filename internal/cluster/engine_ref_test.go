@@ -20,8 +20,10 @@ import (
 //   - checkRankPartition requires each live job's guaranteed flags on
 //     exactly its first min(effective guarantee, running) attempts, and
 //     its list to hold exactly those attempts, in order;
-//   - checkLive pins the live index, the ready index and each job's spare
-//     top and place in the spare-top heap;
+//   - checkLive pins the live index, the ready index, the owed sets and
+//     each job's spare top and place in the spare-top heap;
+//   - checkLocality requires the local flag on exactly the attempts that
+//     run on a replica machine of their root-stage task's input;
 //   - refYoungestSpare, a scan over the gathered spare attempts with jobs
 //     in id order, must pick the spare-top heap's root.
 //
@@ -215,6 +217,52 @@ func checkLive(c *Cluster, all []int32) error {
 	if inHeap != len(c.spareTops) {
 		return fmt.Errorf("spare-top heap holds %d jobs, want %d", len(c.spareTops), inHeap)
 	}
+	return checkOwed(c)
+}
+
+// checkOwed requires the owed sets, walked as dispatchGuaranteed walks
+// them, to yield exactly the ready jobs whose guaranteed class is smaller
+// than their effective guarantee: the tracked ones from owedTracked, the
+// untracked ones from owedUntracked, each in id order.
+func checkOwed(c *Cluster) error {
+	for _, ix := range []struct {
+		name    string
+		set     *bitset
+		tracked bool
+	}{{"owedTracked", &c.owedTracked, true}, {"owedUntracked", &c.owedUntracked, false}} {
+		id := ix.set.next(0)
+		for _, jr := range c.jobs {
+			ready := jr.arrived && !jr.completed && jr.deps.Len() > 0
+			if !ready || jr.cfg.Tracked != ix.tracked || jr.guarCount >= refEffectiveGuarantee(c, jr) {
+				continue
+			}
+			if id != jr.id {
+				return fmt.Errorf("%s yields job %d where owed job %d (%d of %d guaranteed) is due",
+					ix.name, id, jr.id, jr.guarCount, refEffectiveGuarantee(c, jr))
+			}
+			id = ix.set.next(id + 1)
+		}
+		if id >= 0 {
+			return fmt.Errorf("%s holds job %d, which is not owed", ix.name, id)
+		}
+	}
+	return nil
+}
+
+// checkLocality requires each gathered attempt's local flag to say whether
+// it runs on a replica machine of its task's input; only root-stage tasks
+// have replicas.
+func checkLocality(c *Cluster, all []int32) error {
+	st := &c.store
+	for _, s := range all {
+		jr := c.jobs[st.job[s]]
+		stage, task, mi := int(st.stage[s]), int(st.task[s]), int(st.machine[s])
+		want := slices.Contains(c.replicaMachines(jr, stage, task), mi)
+		if local := st.flags[s]&flagLocal != 0; local != want {
+			return fmt.Errorf("job %d stage %d task %d on machine %d has local flag %t, want %t",
+				jr.id, stage, task, mi, local, want)
+		}
+	}
 	return nil
 }
 
@@ -248,6 +296,9 @@ func checkAgainstRef(c *Cluster) {
 	}
 	all := refLiveAttempts(c)
 	if err := checkLive(c, all); err != nil {
+		fail("%v", err)
+	}
+	if err := checkLocality(c, all); err != nil {
 		fail("%v", err)
 	}
 	rest := all

@@ -661,3 +661,73 @@ func BenchmarkEngineManyJobs(b *testing.B) {
 		}
 	}
 }
+
+// backgroundLoaded returns the shape the paper replays share: one tracked
+// job beside a background fleet on a 30 × 5 cluster, the background jobs
+// with guarantees of 1–3 and 50–400 tasks, half of them with a reduce stage,
+// arriving every 20 s.
+func backgroundLoaded() (Config, JobConfig, []JobConfig) {
+	exec := stats.LognormalFromMedian(20*time.Second, 90*time.Second)
+	plans := make([]*profile.Profile, 8)
+	for i := range plans {
+		tasks := 50 + i*50
+		if i%2 == 0 {
+			plans[i] = profile.MustNew(dag.NewBuilder("bg").Stage("map", tasks).MustBuild(),
+				[]profile.StageProfile{{Exec: exec}})
+			continue
+		}
+		job := dag.NewBuilder("bgb").
+			Stage("map", tasks).
+			Stage("reduce", tasks/8).
+			Edge("map", "reduce", dag.AllToAll).
+			MustBuild()
+		plans[i] = profile.MustNew(job, []profile.StageProfile{{Exec: exec}, {Exec: exec}})
+	}
+	bg := make([]JobConfig, 120)
+	for j := range bg {
+		bg[j] = JobConfig{Profile: plans[j*5%len(plans)], Guarantee: 1 + j%3, Start: time.Duration(j) * 20 * time.Second}
+	}
+	slo := dag.NewBuilder("slo").
+		Stage("extract", 400).
+		Stage("aggregate", 40).
+		Edge("extract", "aggregate", dag.AllToAll).
+		MustBuild()
+	fg := JobConfig{
+		Profile: profile.MustNew(slo, []profile.StageProfile{
+			{Exec: stats.LognormalFromMedian(15*time.Second, 45*time.Second)},
+			{Exec: stats.LognormalFromMedian(30*time.Second, 90*time.Second)},
+		}),
+		Guarantee: 20, Tracked: true, NoTrace: true, Start: 10 * time.Minute,
+	}
+	return Config{Machines: 30, SlotsPerMachine: 5, Seed: 3}, fg, bg
+}
+
+// BenchmarkEngineBackgroundLoaded runs backgroundLoaded on a reused engine.
+// The fleet keeps the cluster full and dozens of jobs holding ready work, so
+// a scheduling pass finds almost no job owed a guaranteed token and no free
+// slot: the pass's cost is what the owed set and the full-cluster eviction
+// path scale with.
+func BenchmarkEngineBackgroundLoaded(b *testing.B) {
+	withoutPassCheck(b)
+	cfg, fg, bg := backgroundLoaded()
+	eng := NewEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := eng.Reset(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, job := range bg {
+			if _, err := c.Submit(job); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := c.Submit(fg); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -77,6 +77,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *par < 0 {
 		return fmt.Errorf("-parallelism %d: want 0 (GOMAXPROCS) or a positive worker count", *par)
 	}
+	if *deadline < 0 {
+		return fmt.Errorf("-deadline %v: want 0 (the job's standard short deadline) or a positive duration", *deadline)
+	}
 	if *driftAt != 0 && *driftFac == 0 {
 		return fmt.Errorf("-drift-at %v needs a -drift-factor", *driftAt)
 	}

@@ -8,7 +8,8 @@ import (
 
 // TestBadFlagsRejected: a drift factor that is not positive and finite
 // reaches the cluster, which rejects it naming the job; a -drift-at without
-// a -drift-factor, and a negative -parallelism, are refused before any run.
+// a -drift-factor, a negative -parallelism and a negative -deadline are
+// refused before any run.
 // Each makes run return an error, so the command exits 1, and print no
 // timeline.
 func TestBadFlagsRejected(t *testing.T) {
@@ -22,6 +23,7 @@ func TestBadFlagsRejected(t *testing.T) {
 		{[]string{"-drift-at", "10m"}, "-drift-at 10m0s needs a -drift-factor"},
 		{[]string{"-drift-factor", "0", "-drift-at", "10m"}, "-drift-at 10m0s needs a -drift-factor"},
 		{[]string{"-parallelism", "-1"}, "-parallelism -1"},
+		{[]string{"-deadline", "-5m"}, "-deadline -5m0s"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(append([]string{"-job", "B"}, tc.args...), &stdout, &stderr)

@@ -454,7 +454,7 @@ func (x *Exec) replay(cfg cluster.Config, bg *workload.BackgroundConfig, job clu
 // recycles the cluster's arenas instead of reallocating them.
 func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 	if r.Deadline <= 0 {
-		return Outcome{}, fmt.Errorf("experiments: run needs a deadline")
+		return Outcome{}, fmt.Errorf("experiments: job %s: deadline %v must be positive", r.Job, r.Deadline)
 	}
 	ground, err := e.Ground(r.Job)
 	if err != nil {

@@ -86,8 +86,13 @@ func TestDeadlinesOrdered(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := sharedEnv.RunExec(NewExec(), SLORun{Job: "A", Policy: PolicyJockey}); err == nil {
-		t.Error("missing deadline must fail")
+	// A missing or negative deadline is rejected naming the job and the
+	// value.
+	for _, d := range []time.Duration{0, -5 * time.Minute} {
+		_, err := sharedEnv.RunExec(NewExec(), SLORun{Job: "A", Deadline: d, Policy: PolicyJockey})
+		if want := fmt.Sprintf("job A: deadline %v must be positive", d); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("deadline %v: err = %v, want one containing %q", d, err, want)
+		}
 	}
 	if _, err := sharedEnv.RunExec(NewExec(), SLORun{Job: "ZZ", Deadline: time.Hour, Policy: PolicyJockey}); err == nil {
 		t.Error("unknown job must fail")

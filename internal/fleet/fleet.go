@@ -316,7 +316,7 @@ func Run(cfg Config) (*Result, error) {
 		r.c, err = cluster.New(clusterCfg)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("fleet: cluster: %w", err)
+		return nil, fmt.Errorf("fleet: %w", err) // cluster errors name their package
 	}
 	// The hold keeps the event loop alive between admissions even when no
 	// tracked job is running (e.g. every early job rejected, later ones

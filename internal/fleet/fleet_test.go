@@ -225,6 +225,10 @@ func TestFleetConfigValidation(t *testing.T) {
 		{Config{MeanInterarrival: -time.Minute}, "MeanInterarrival -1m0s"},
 		{Config{Machines: -3}, "Machines -3"},
 		{Config{SlotsPerMachine: -2}, "SlotsPerMachine -2"},
+		// A cluster error carries one package prefix each, the fleet's
+		// and then the cluster's.
+		{Config{RackOutages: []cluster.RackOutage{{At: -time.Hour, Machines: 5, Duration: time.Hour}}},
+			"fleet: cluster: rack outage 0 needs"},
 	}
 	for _, tc := range cases {
 		_, err := Run(tc.cfg)

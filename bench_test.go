@@ -72,7 +72,7 @@ func BenchmarkOnlineSim(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run("p"+strconv.Itoa(par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				o, err := model.NewOnlineSim(p, 8, uint64(i))
+				o, err := model.NewOnlineSim(p, 8, uint64(i), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -155,7 +155,7 @@ func BenchmarkAblationOnlineSim(b *testing.B) {
 	})
 	b.Run("online-sim", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			o, err := model.NewOnlineSim(p, 3, uint64(i))
+			o, err := model.NewOnlineSim(p, 3, uint64(i), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -64,7 +64,7 @@ func TestExpectedUtilityMatchesRetiredPredictors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	online, err := model.NewOnlineSim(p, 3, 5)
+	online, err := model.NewOnlineSim(p, 3, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

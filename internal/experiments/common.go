@@ -329,7 +329,8 @@ func AllocChurn(tl []trace.AllocPoint) int {
 }
 
 // buildPolicy constructs the policy for a run from the cached runtime. A
-// guarded policy rebuilds its C(p, a) table on b, the run's Exec's builder.
+// guarded policy rebuilds its C(p, a) table, and the online policy runs its
+// forward simulations, on b, the run's Exec's builder.
 func (e *Env) buildPolicy(r SLORun, b *model.Builder) (control.Policy, error) {
 	jk, err := e.Runtime(r.Job, r.Knobs.Indicator)
 	if err != nil {
@@ -362,7 +363,7 @@ func (e *Env) buildPolicy(r SLORun, b *model.Builder) (control.Policy, error) {
 		if err != nil {
 			return nil, err
 		}
-		online, err := model.NewOnlineSim(train, 5, stats.DeriveSeed(e.Seed, "online", r.Job))
+		online, err := model.NewOnlineSim(train, 5, stats.DeriveSeed(e.Seed, "online", r.Job), b)
 		if err != nil {
 			return nil, err
 		}
@@ -388,7 +389,8 @@ func (e *Env) buildPolicy(r SLORun, b *model.Builder) (control.Policy, error) {
 
 // Exec is one worker's reusable execution state: a cluster engine whose
 // arenas persist across runs, a background-plan pool and the C(p, a)
-// builder that guarded runs rebuild their tables on. An Exec is not safe
+// builder that guarded runs rebuild their tables on and online runs
+// simulate forward on. An Exec is not safe
 // for concurrent use; runGrid hands each grid worker its own. Runs through
 // the same Exec are bit-identical to runs on freshly built clusters (pinned
 // by the cluster and workload reuse tests plus the grid golden tests).

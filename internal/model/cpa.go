@@ -79,15 +79,17 @@ type CPA struct {
 	sums []uint64
 }
 
-// Builder is the reusable state of C(p, a) builds: one cpaWorker per pool
-// worker (its simulation engine and its progress samples), one observation
-// buffer per (alloc, run) cell, and the merge's counts. A warm Builder
-// allocates only what a returned table keeps. The zero Builder is ready to
-// use; a one-shot build is new(Builder).BuildCPAs(...).
+// Builder is the reusable state of C(p, a) builds and of OnlineSim's
+// forward runs: one cpaWorker per pool worker (its simulation engine and
+// its progress samples), one observation buffer per (alloc, run) cell, the
+// merge's counts and one result slot per forward run. A warm Builder
+// allocates only what a returned table or sample keeps. The zero Builder is
+// ready to use; a one-shot build is new(Builder).BuildCPAs(...).
 //
 // A Builder holds the high-water buffers of every build it ran, so only a
 // per-replay owner keeps one (DESIGN.md §5). It is not safe for concurrent
-// use, but a build fans its own simulations out over a worker pool.
+// use, but a build or a prediction fans its own simulations out over a
+// worker pool.
 type Builder struct {
 	workers []*cpaWorker
 	// bufs[idx] holds every indicator's observations of (alloc, run) cell
@@ -98,17 +100,22 @@ type Builder struct {
 	bufs    [][]obs
 	cellObs [][]obs
 	seen    []int64
-	// The build in flight, read by runCell; cleared when the build returns
-	// so an idle Builder pins no profile.
-	p      *profile.Profile
-	inds   []progress.Indicator
-	allocs []int
-	runs   int
-	seed   uint64
-	// one backs BuildCPA's one-indicator list; runCellFn is runCell bound
-	// once, so handing it to the worker pool allocates nothing.
-	one       [1]progress.Indicator
-	runCellFn func(worker, idx int) error
+	// The build in flight, read by runCell, and the forward runs in flight,
+	// read by runForward; cleared when they return so an idle Builder pins
+	// no profile. fwdOut[r] is run r's completion, or -1 if it stalled.
+	p        *profile.Profile
+	inds     []progress.Indicator
+	allocs   []int
+	runs     int
+	seed     uint64
+	fwd      sim.Config
+	fwdLabel string
+	fwdOut   []time.Duration
+	// one backs BuildCPA's one-indicator list; runCellFn and runForwardFn
+	// are bound once, so handing them to the worker pool allocates nothing.
+	one          [1]progress.Indicator
+	runCellFn    func(worker, idx int) error
+	runForwardFn func(worker, r int) error
 	// The merge's reservoir generator, reseeded for every table.
 	src *rand.PCG
 	rng *rand.Rand
@@ -164,9 +171,7 @@ func (b *Builder) build(p *profile.Profile, inds []progress.Indicator, cfg CPACo
 	// results. grid.Run returns the error of the lowest failing cell,
 	// whoever ran it.
 	nCells := len(b.allocs) * cfg.RunsPerAlloc
-	if nw := grid.Workers(cfg.Parallelism, nCells); len(b.workers) < nw {
-		b.workers = append(b.workers, make([]*cpaWorker, nw-len(b.workers))...)
-	}
+	b.growWorkers(cfg.Parallelism, nCells)
 	if len(b.bufs) < nCells {
 		b.bufs = append(b.bufs, make([][]obs, nCells-len(b.bufs))...)
 	}
@@ -186,11 +191,7 @@ func (b *Builder) build(p *profile.Profile, inds []progress.Indicator, cfg CPACo
 // runCell simulates (alloc, run) cell idx on worker's engine and fills the
 // cell's buffer with each indicator's observations of it.
 func (b *Builder) runCell(worker, idx int) error {
-	w := b.workers[worker]
-	if w == nil {
-		w = b.newWorker()
-		b.workers[worker] = w
-	}
+	w := b.worker(worker)
 	k := len(b.inds)
 	alloc := b.allocs[idx/b.runs]
 	run := idx % b.runs
@@ -223,6 +224,43 @@ func (b *Builder) runCell(worker, idx int) error {
 		b.cellObs[idx*k+j] = buf[start:len(buf):len(buf)]
 	}
 	b.bufs[idx] = buf
+	return nil
+}
+
+// forward runs runs forward simulations of cfg on b's workers, run r seeded
+// stats.DeriveSeedLabelInt(seed, label, cfg.Alloc, r), and returns the
+// completions of the runs that did not stall, sorted ascending. A run
+// stalls when cfg's start state is inconsistent with the plan; it carries
+// no information. Each run's seed depends on its index alone and it fills
+// its own slot, so the result is the same at any parallelism.
+func (b *Builder) forward(cfg sim.Config, runs, parallelism int, seed uint64, label string) []time.Duration {
+	b.fwd, b.seed, b.fwdLabel = cfg, seed, label
+	defer func() { b.fwd, b.fwdLabel = sim.Config{}, "" }()
+	b.growWorkers(parallelism, runs)
+	b.fwdOut = slices.Grow(b.fwdOut[:0], runs)[:runs]
+	if b.runForwardFn == nil {
+		b.runForwardFn = b.runForward
+	}
+	_ = grid.Run(runs, parallelism, b.runForwardFn) // runForward never fails
+	out := make([]time.Duration, 0, runs)
+	for _, c := range b.fwdOut {
+		if c >= 0 {
+			out = append(out, c)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// runForward runs forward simulation r on worker's engine.
+func (b *Builder) runForward(worker, r int) error {
+	cfg := b.fwd
+	cfg.Seed = stats.DeriveSeedLabelInt(b.seed, b.fwdLabel, cfg.Alloc, r)
+	c, err := b.worker(worker).r.Completion(cfg)
+	if err != nil {
+		c = -1
+	}
+	b.fwdOut[r] = c
 	return nil
 }
 
@@ -319,6 +357,21 @@ type cpaWorker struct {
 type progressSample struct {
 	t time.Duration
 	p float64
+}
+
+// growWorkers makes room for the pool grid.Run starts for n items.
+func (b *Builder) growWorkers(parallelism, n int) {
+	if nw := grid.Workers(parallelism, n); len(b.workers) < nw {
+		b.workers = append(b.workers, make([]*cpaWorker, nw-len(b.workers))...)
+	}
+}
+
+// worker returns pool worker i's state, created on first use.
+func (b *Builder) worker(i int) *cpaWorker {
+	if b.workers[i] == nil {
+		b.workers[i] = b.newWorker()
+	}
+	return b.workers[i]
 }
 
 // newWorker returns a worker whose OnSample callback evaluates the

@@ -1,16 +1,12 @@
 package model
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
-	"github.com/jockeysim/jockey/internal/grid"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/sim"
-	"github.com/jockeysim/jockey/internal/stats"
 )
 
 // OnlineSim is the enhancement proposed in §4.4 of the paper: instead of
@@ -22,46 +18,44 @@ import (
 // describes when motivating the precomputed table.
 //
 // OnlineSim implements Predictor and can be swapped into the controller
-// wherever a CPA is used.
+// wherever a CPA is used. Its forward runs execute on a Builder's worker
+// pool, the one the replay's C(p, a) builds use.
 type OnlineSim struct {
 	p    *profile.Profile
 	runs int
 	seed uint64
 	par  int
+	b    *Builder
 
 	// Single-entry memo: the control loop queries the same state for every
 	// candidate allocation, and its expected utility and quantiles read the
-	// same samples.
-	// The state is identified by a fixed-size binary key (3 bytes per
-	// stage + 8 bytes of elapsed seconds) built into a reused buffer, so a
-	// memo-hit query performs no string building and no allocation; the
-	// legacy string form, which seeds the forward runs, is rebuilt only
-	// when the state actually changes (once per control tick). The
-	// memoized sample slices are sorted ascending.
-	memoKey     []byte
-	keyScratch  []byte
-	seedKey     string
+	// same samples. label names the state: "online", a 0 byte, 3 bytes per
+	// stage of progress in 1/1000ths, then the elapsed whole seconds in
+	// decimal. It is both the memo key and the forward runs' seed label. It
+	// is built in scratch and replaced only when the state changes, so a
+	// memo-hit query allocates nothing. The rounding makes the memo survive
+	// tiny float noise within a tick. The memoized sample slices are sorted
+	// ascending.
+	label       string
+	scratch     []byte
 	memoSamples map[int][]time.Duration
-
-	// Per-worker reusable simulation engines plus result scratch; sized on
-	// first use. Worker identity affects memory reuse only — seeds depend
-	// on (seed, state, alloc, run index) and results are collected in run
-	// order, so predictions are bit-identical at any parallelism.
-	runners     []*sim.Runner
-	completions []time.Duration
-	succeeded   []bool
 }
 
 // NewOnlineSim builds the online predictor; runs is the number of forward
-// simulations per (state, allocation) query (default 7).
-func NewOnlineSim(p *profile.Profile, runs int, seed uint64) (*OnlineSim, error) {
+// simulations per (state, allocation) query (default 7). The forward runs
+// execute on b, the replay's Builder; a nil b gives the predictor a Builder
+// of its own.
+func NewOnlineSim(p *profile.Profile, runs int, seed uint64, b *Builder) (*OnlineSim, error) {
 	if p == nil {
 		return nil, fmt.Errorf("model: NewOnlineSim requires a profile")
 	}
 	if runs <= 0 {
 		runs = 7
 	}
-	return &OnlineSim{p: p, runs: runs, seed: seed, memoSamples: map[int][]time.Duration{}}, nil
+	if b == nil {
+		b = new(Builder)
+	}
+	return &OnlineSim{p: p, runs: runs, seed: seed, b: b, memoSamples: map[int][]time.Duration{}}, nil
 }
 
 // SetParallelism bounds the worker pool that executes the forward
@@ -73,31 +67,20 @@ func NewOnlineSim(p *profile.Profile, runs int, seed uint64) (*OnlineSim, error)
 // the simulations inside a single query.
 func (o *OnlineSim) SetParallelism(n int) { o.par = n }
 
-// refreshMemo recomputes the state key into the reused scratch buffer and,
-// if the state changed, invalidates the memo and rebuilds the seed-label
-// string. The rounding (1/1000 fractions, whole seconds) makes the memo
-// survive tiny float noise within a tick; the seed string reproduces the
-// pre-binary-key format byte for byte so derived seeds — and therefore
-// every prediction — are unchanged.
+// refreshMemo rebuilds the state's label in scratch and, if the state
+// changed, replaces the label and invalidates the memo.
 func (o *OnlineSim) refreshMemo(st State) {
-	buf := o.keyScratch[:0]
+	buf := append(o.scratch[:0], "online\x00"...)
 	for _, f := range st.FracDone {
 		v := int(f * 1000)
 		buf = append(buf, byte(v>>8), byte(v), ',')
 	}
-	secs := int64(st.Elapsed / time.Second)
-	var sb [8]byte
-	for i := range sb {
-		sb[i] = byte(secs >> (8 * i))
-	}
-	stages := len(buf)
-	buf = append(buf, sb[:]...)
-	o.keyScratch = buf
-	if bytes.Equal(buf, o.memoKey) {
+	buf = strconv.AppendInt(buf, int64(st.Elapsed/time.Second), 10)
+	o.scratch = buf
+	if string(buf) == o.label {
 		return
 	}
-	o.memoKey = append(o.memoKey[:0], buf...)
-	o.seedKey = string(buf[:stages]) + strconv.Itoa(int(secs))
+	o.label = string(buf)
 	clear(o.memoSamples)
 }
 
@@ -113,48 +96,7 @@ func (o *OnlineSim) Samples(st State, a int) []time.Duration {
 	if s, ok := o.memoSamples[a]; ok {
 		return s
 	}
-	workers := grid.Workers(o.par, o.runs)
-	if len(o.runners) < workers {
-		o.runners = append(o.runners, make([]*sim.Runner, workers-len(o.runners))...)
-	}
-	if cap(o.completions) < o.runs {
-		o.completions = make([]time.Duration, o.runs)
-		o.succeeded = make([]bool, o.runs)
-	}
-	completions := o.completions[:o.runs]
-	succeeded := o.succeeded[:o.runs]
-	clear(succeeded)
-	aLabel := strconv.Itoa(a)
-	// The runs never fail: a stalled one only leaves its slot unsucceeded.
-	_ = grid.Run(o.runs, workers, func(worker, r int) error {
-		rn := o.runners[worker]
-		if rn == nil {
-			rn = sim.NewRunner()
-			o.runners[worker] = rn
-		}
-		seed := stats.DeriveSeed(o.seed, "online", o.seedKey, aLabel, strconv.Itoa(r))
-		completion, err := rn.Completion(sim.Config{
-			Profile:         o.p,
-			Alloc:           a,
-			Seed:            seed,
-			InitialFracDone: st.FracDone,
-		})
-		if err != nil {
-			// A stalled forward simulation means the state vector is
-			// inconsistent with the plan; treat as "no information".
-			return nil
-		}
-		completions[r] = completion
-		succeeded[r] = true
-		return nil
-	})
-	out := make([]time.Duration, 0, o.runs)
-	for r := 0; r < o.runs; r++ {
-		if succeeded[r] {
-			out = append(out, completions[r])
-		}
-	}
-	slices.Sort(out)
-	o.memoSamples[a] = out
-	return out
+	s := o.b.forward(sim.Config{Profile: o.p, Alloc: a, InitialFracDone: st.FracDone}, o.runs, o.par, o.seed, o.label)
+	o.memoSamples[a] = s
+	return s
 }

@@ -8,11 +8,11 @@ import (
 )
 
 func TestOnlineSimValidation(t *testing.T) {
-	if _, err := NewOnlineSim(nil, 3, 1); err == nil {
+	if _, err := NewOnlineSim(nil, 3, 1, nil); err == nil {
 		t.Error("nil profile must fail")
 	}
 	p := detProfile(t)
-	if _, err := NewOnlineSim(p, 0, 1); err != nil {
+	if _, err := NewOnlineSim(p, 0, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -20,7 +20,7 @@ func TestOnlineSimValidation(t *testing.T) {
 func TestOnlineSimFromScratchMatchesOffline(t *testing.T) {
 	// The deterministic job from model_test: 20×30s map, 4×60s reduce.
 	p := detProfile(t)
-	o, err := NewOnlineSim(p, 3, 1)
+	o, err := NewOnlineSim(p, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestOnlineSimFromScratchMatchesOffline(t *testing.T) {
 
 func TestOnlineSimUsesPartialState(t *testing.T) {
 	p := detProfile(t)
-	o, err := NewOnlineSim(p, 3, 1)
+	o, err := NewOnlineSim(p, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestOnlineSimUsesPartialState(t *testing.T) {
 
 func TestOnlineSimExpectedUtility(t *testing.T) {
 	p := detProfile(t)
-	o, _ := NewOnlineSim(p, 3, 1)
+	o, _ := NewOnlineSim(p, 3, 1, nil)
 	st := State{FracDone: []float64{0, 0}}
 	easy := utility.Deadline(time.Hour)
 	if got := meanUtility(o, st, 20, 1.2, easy); got != 1 {
@@ -75,7 +75,7 @@ func TestOnlineSimExpectedUtility(t *testing.T) {
 
 func TestOnlineSimMemo(t *testing.T) {
 	p := noisyProfile(t)
-	o, _ := NewOnlineSim(p, 4, 2)
+	o, _ := NewOnlineSim(p, 4, 2, nil)
 	st := State{Elapsed: time.Minute, FracDone: []float64{0.25, 0}}
 	a1 := Remaining(o, st, 10, 0.5)
 	a2 := Remaining(o, st, 10, 0.5)
@@ -95,7 +95,7 @@ func TestOnlineSimAsPredictorInController(t *testing.T) {
 	// argmin like the CPA does.
 	p := detProfile(t)
 	var pred Predictor
-	o, _ := NewOnlineSim(p, 3, 1)
+	o, _ := NewOnlineSim(p, 3, 1, nil)
 	pred = o
 	st := State{FracDone: []float64{0, 0}}
 	u := utility.Deadline(3 * time.Minute)

@@ -11,8 +11,9 @@ import (
 const gridPath = ModulePath + "/internal/grid"
 
 // OnePool keeps every goroutine of the repository in one place: grid.Run's
-// worker pool. Each parallel loop (C(p, a) cells, OnlineSim forward runs,
-// experiment grid points, fleet model warm-up) is a grid.Run whose workers
+// worker pool. Each parallel loop (a model.Builder's C(p, a) cells and
+// OnlineSim forward runs, experiment grid points, fleet model warm-up) is a
+// grid.Run whose workers
 // touch only their own slots, so its output is bit-identical at any
 // parallelism, and the pool is the only code the race detector and the
 // lowest-failing-index contract have to cover. Outside internal/grid the

@@ -356,11 +356,11 @@ type OnlineSimPredictor = model.OnlineSim
 
 // NewOnlineSimPredictor builds the online predictor; runs forward
 // simulations per (state, allocation) Samples query make up its sample. The
-// forward runs of one query execute on a worker pool (see
-// OnlineSimPredictor.SetParallelism); the samples are bit-identical at any
-// pool size.
+// forward runs of one query execute on the predictor's own worker pool
+// (see OnlineSimPredictor.SetParallelism); the samples are bit-identical at
+// any pool size.
 func NewOnlineSimPredictor(p *Profile, runs int, seed uint64) (*OnlineSimPredictor, error) {
-	return model.NewOnlineSim(p, runs, seed)
+	return model.NewOnlineSim(p, runs, seed, nil)
 }
 
 // ParseUtility builds a utility curve from its textual form:

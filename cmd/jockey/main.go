@@ -80,6 +80,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *deadline < 0 {
 		return fmt.Errorf("-deadline %v: want 0 (the job's standard short deadline) or a positive duration", *deadline)
 	}
+	if *period != 0 && *period < cluster.MinControlPeriod {
+		return fmt.Errorf("-period %v: want 0 (the default 1m) or at least %v", *period, cluster.MinControlPeriod)
+	}
 	if *driftAt != 0 && *driftFac == 0 {
 		return fmt.Errorf("-drift-at %v needs a -drift-factor", *driftAt)
 	}

@@ -24,6 +24,9 @@ func TestBadFlagsRejected(t *testing.T) {
 		{[]string{"-drift-factor", "0", "-drift-at", "10m"}, "-drift-at 10m0s needs a -drift-factor"},
 		{[]string{"-parallelism", "-1"}, "-parallelism -1"},
 		{[]string{"-deadline", "-5m"}, "-deadline -5m0s"},
+		{[]string{"-drift-factor", "1e300", "-drift-at", "1m"}, "(jobB at drift factor 1e+300)"},
+		{[]string{"-period", "1ns"}, "-period 1ns"},
+		{[]string{"-period", "-1m"}, "-period -1m0s"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(append([]string{"-job", "B"}, tc.args...), &stdout, &stderr)

@@ -39,6 +39,11 @@ import (
 // horizon: a guard against misconfigured workloads.
 const maxSimTime = 240 * time.Hour
 
+// MinControlPeriod is the shortest control period Submit accepts. A
+// replay's cost grows as 1/period, and maxSimTime bounds simulated time,
+// not control ticks, so a nanosecond period would never finish.
+const MinControlPeriod = time.Second
+
 // Config describes the simulated cluster.
 type Config struct {
 	// Machines is the number of servers (default 25).
@@ -187,7 +192,7 @@ type JobConfig struct {
 	// regime"). Zero means 1.
 	Weight int
 	// ControlPeriod is how often the policy runs. Zero means 1 minute; a
-	// negative period is an error.
+	// period below MinControlPeriod is an error.
 	ControlPeriod time.Duration
 	// Deadline is the job's SLO, used for oracle accounting and the Met
 	// result. Zero means no SLO.
@@ -533,6 +538,9 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 	}
 	if cfg.ControlPeriod == 0 {
 		cfg.ControlPeriod = control.DefaultPeriod
+	}
+	if cfg.ControlPeriod < MinControlPeriod {
+		return nil, fmt.Errorf("cluster: job %q has control period %v, below the %v floor", cfg.Profile.Job.Name, cfg.ControlPeriod, MinControlPeriod)
 	}
 	if cfg.Start < c.now {
 		cfg.Start = c.now

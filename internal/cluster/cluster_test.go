@@ -163,6 +163,10 @@ func TestSubmitValidation(t *testing.T) {
 		}}, `job "x" deadline change 1`},
 		{"negative control period", JobConfig{Profile: p, Guarantee: 1, ControlPeriod: -time.Minute},
 			`job "x" has negative control period -1m0s`},
+		{"tiny control period", JobConfig{Profile: p, Guarantee: 1, ControlPeriod: time.Nanosecond},
+			`job "x" has control period 1ns, below the 1s floor`},
+		{"control period just below the floor", JobConfig{Profile: p, Guarantee: 1, ControlPeriod: MinControlPeriod - 1},
+			`job "x" has control period 999.999999ms`},
 	} {
 		if _, err := c.Submit(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Submit error = %v, want one containing %q", tc.name, err, tc.want)
@@ -175,6 +179,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if got := c.jobs[h.id].cfg.ControlPeriod; got != control.DefaultPeriod {
 		t.Errorf("zero control period became %v, want the default %v", got, control.DefaultPeriod)
+	}
+	if _, err := c.Submit(JobConfig{Profile: p, Guarantee: 1, ControlPeriod: MinControlPeriod}); err != nil {
+		t.Errorf("control period at the floor rejected: %v", err)
 	}
 }
 

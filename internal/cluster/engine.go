@@ -105,8 +105,10 @@ func (c *Cluster) handleEpoch() {
 	c.reschedule()
 }
 
-// unfinishedTracked names the tracked jobs that have not completed, for
-// debuggable failure messages.
+// unfinishedTracked names the tracked jobs that have not completed, and the
+// largest drift factor in force on each drifted one, for debuggable failure
+// messages. A huge factor saturates service times (profile.MaxExec), so it
+// surfaces here, as a job that cannot finish.
 func (c *Cluster) unfinishedTracked() string {
 	names := ""
 	for _, jr := range c.jobs {
@@ -115,6 +117,11 @@ func (c *Cluster) unfinishedTracked() string {
 				names += ", "
 			}
 			names += jr.job.Name
+			if jr.taskSet != nil {
+				if f := slices.Max(jr.driftFactor); f != 1 {
+					names += fmt.Sprintf(" at drift factor %g", f)
+				}
+			}
 		}
 	}
 	return names

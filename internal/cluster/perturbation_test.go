@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -108,6 +109,34 @@ func TestStageDriftAppliesMidRun(t *testing.T) {
 	})
 	if late.Completion != base.Completion {
 		t.Fatalf("late drift changed completion: %v vs %v", late.Completion, base.Completion)
+	}
+}
+
+// TestHugeDriftIsAnError: a drift factor whose drifted service times
+// overflow time.Duration saturates them, so the job cannot finish and Run
+// fails naming the job and the factor, rather than wrapping the times into
+// short attempts and reporting an early completion.
+func TestHugeDriftIsAnError(t *testing.T) {
+	for _, drifts := range [][]StageDrift{
+		{{At: 0, Stage: -1, Factor: 1e300}},
+		{{At: 0, Stage: 1, Factor: 1e200}, {At: 0, Stage: 1, Factor: 1e200}},
+		{{At: 5 * time.Second, Stage: -1, Factor: 1e12}},
+	} {
+		c, err := New(Config{Machines: 4, SlotsPerMachine: 2, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Submit(JobConfig{Profile: fixedJob(t, "x"), Guarantee: 8, Tracked: true, Drifts: drifts}); err != nil {
+			t.Fatal(err)
+		}
+		err = c.Run()
+		f := 1.0
+		for _, d := range drifts {
+			f *= d.Factor
+		}
+		if want := fmt.Sprintf("(x at drift factor %g)", f); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("drifts %v: Run error = %v, want one containing %q", drifts, err, want)
+		}
 	}
 }
 

@@ -48,19 +48,28 @@ type StageProfile struct {
 // failure probability cannot hang a run.
 const MaxAttempts = 30
 
+// MaxExec is the longest service time SampleAttempt returns, about 146
+// years: a drifted time saturates there instead of overflowing into a
+// short or negative one, and a simulation clock plus MaxExec cannot wrap.
+const MaxExec = time.Duration(1 << 62)
+
 // SampleAttempt draws one task attempt from the stage's distributions, in
 // this order: the queue delay, the service time (multiplied by drift), and,
 // if mayFail and the stage can fail, the failure draw. A failing attempt
 // dies a uniform fraction of the way through its service time, drawn last,
-// and exec is that partial time. A service time that comes out zero or
-// negative is 1 ms instead.
+// and exec is that partial time. A drifted service time saturates at
+// MaxExec, and one that comes out zero or negative is 1 ms instead.
 //
 //jockey:hotpath
 func (sp *StageProfile) SampleAttempt(rng *rand.Rand, drift float64, mayFail bool) (queue, exec time.Duration, fails bool) {
 	queue = sp.Queue.Sample(rng)
 	exec = sp.Exec.Sample(rng)
 	if drift != 1 {
-		exec = time.Duration(float64(exec) * drift)
+		if d := float64(exec) * drift; d < float64(MaxExec) {
+			exec = time.Duration(d)
+		} else {
+			exec = MaxExec
+		}
 	}
 	if exec <= 0 {
 		exec = time.Millisecond

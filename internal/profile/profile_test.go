@@ -294,6 +294,20 @@ func TestProfileUnmarshalErrors(t *testing.T) {
 // TestSampleAttemptDrawOrder pins the order of SampleAttempt's draws, which
 // fixes every simulated run: queue delay, service time, then the failure
 // draw and the failed fraction. A run that may not fail draws no more.
+// TestSampleAttemptSaturatesDrift: a drifted service time too long for a
+// time.Duration is MaxExec, not a wrapped short or negative time.
+func TestSampleAttemptSaturatesDrift(t *testing.T) {
+	sp := StageProfile{Exec: stats.Point{V: 10 * time.Second}, Queue: stats.Point{}}
+	for _, drift := range []float64{1e9, 1e12, 1e300, math.Inf(1)} {
+		if _, exec, _ := sp.SampleAttempt(rand.New(rand.NewPCG(1, 1)), drift, false); exec != MaxExec {
+			t.Errorf("drift %g: exec %v, want MaxExec", drift, exec)
+		}
+	}
+	if _, exec, _ := sp.SampleAttempt(rand.New(rand.NewPCG(1, 1)), 1e8, false); exec != 1e18 {
+		t.Errorf("drift 1e8: exec %v, want 1e18ns", exec)
+	}
+}
+
 func TestSampleAttemptDrawOrder(t *testing.T) {
 	sp := StageProfile{
 		Exec:        stats.Exponential{MeanValue: 9 * time.Second},

@@ -43,8 +43,6 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-func durationToSeconds(d time.Duration) float64 { return d.Seconds() }
-
 // Point is a degenerate distribution that always returns V.
 type Point struct{ V time.Duration }
 

@@ -143,7 +143,4 @@ func TestSecondsToDurationClamps(t *testing.T) {
 	if got := secondsToDuration(1.5); got != 1500*time.Millisecond {
 		t.Errorf("1.5s -> %v", got)
 	}
-	if got := durationToSeconds(1500 * time.Millisecond); got != 1.5 {
-		t.Errorf("roundtrip: %v", got)
-	}
 }

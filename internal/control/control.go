@@ -4,10 +4,11 @@
 //
 // Every control period the policy observes the job state (elapsed time and
 // per-stage completion fractions), asks a latency predictor for the
-// remaining-time sample C(p, a) of each candidate allocation, and grants the
-// minimum allocation that maximizes expected utility — moderated by three
-// standard control-theory mechanisms: slack (multiplicative padding of
-// latency predictions), hysteresis (exponential smoothing of the
+// remaining-time sample C(p, a) of each candidate allocation in ascending
+// order, up to the first that reaches the utility curve's maximum, and
+// grants the minimum allocation that maximizes expected utility — moderated
+// by three standard control-theory mechanisms: slack (multiplicative
+// padding of latency predictions), hysteresis (exponential smoothing of the
 // allocation), and a dead zone (treating the deadline as D earlier and
 // refusing to raise the allocation unless the job is at least D behind
 // schedule).
@@ -127,18 +128,20 @@ func (c *Config) fill() error {
 type Controller struct {
 	cfg      Config
 	effU     *utility.PiecewiseLinear // utility shifted earlier by the dead zone
+	effStop  float64                  // argmax's stop utility under effU
 	deadline time.Duration
 
-	started  bool
 	smoothed float64 // A^s, kept fractional between ticks
 	granted  int
+	started  bool
 
 	// rec, when non-nil, receives one DecisionRecord per Decide call.
 	// staging makes the argmax stage each candidate's evaluation into
 	// record, the reused emit buffer; a Guard turns it on without a rec,
-	// because the guard emits the tick itself (see record.go).
-	rec     Recorder
+	// because the guard emits the tick itself (see record.go). staging
+	// sits beside started so that the two bools share one word.
 	staging bool
+	rec     Recorder
 	record  DecisionRecord
 }
 
@@ -161,6 +164,7 @@ func (c *Controller) setUtility(u *utility.PiecewiseLinear) {
 	if c.cfg.DeadZone > 0 {
 		c.effU = u.ShiftEarlier(c.cfg.DeadZone)
 	}
+	c.effStop = stopUtility(c.effU)
 	c.deadline = utilityKnee(u)
 }
 
@@ -168,12 +172,7 @@ func (c *Controller) setUtility(u *utility.PiecewiseLinear) {
 // curve's maximum utility — the effective deadline.
 func utilityKnee(u *utility.PiecewiseLinear) time.Duration {
 	pts := u.Points()
-	best := pts[0].U
-	for _, p := range pts {
-		if p.U > best {
-			best = p.U
-		}
-	}
+	best := u.Max()
 	knee := pts[0].T
 	for _, p := range pts {
 		if p.U >= best-1e-12 && p.T > knee {
@@ -183,13 +182,40 @@ func utilityKnee(u *utility.PiecewiseLinear) time.Duration {
 	return knee
 }
 
+// stopBound is the largest |max U| under which argmax stops early; see
+// stopUtility.
+const stopBound = 1
+
+// stopUtility returns the expected utility at which argmax may stop
+// scanning under u: the curve's maximum utility maxU when |maxU| ≤
+// stopBound, and +Inf (scan every candidate) otherwise.
+//
+// The stop is exact. Interpolation weighs two vertices, each at most maxU,
+// so every sample's utility — the empty sample's U(elapsed) and any padded
+// time that overflows included — exceeds maxU by at most 3 rounding units
+// of |maxU|. Rounding is monotone, so a mean over n samples exceeds maxU by
+// at most (n+4)·2⁻⁵³·|maxU|; for |maxU| ≤ 1 that is below argmax's 1e-9 tie
+// tolerance for any sample shorter than 8 million durations (a C(p,a) cell
+// holds at most 64). Once bestU ≥ maxU no later candidate can beat
+// bestU + 1e-9, so the answer is the one the full scan returns. The
+// standard curves (utility.Deadline, utility.SoftDeadline) have maxU = 1.
+func stopUtility(u *utility.PiecewiseLinear) float64 {
+	if m := u.Max(); math.Abs(m) <= stopBound {
+		return m
+	}
+	return math.Inf(1)
+}
+
 // argmax returns the minimum candidate allocation maximizing expected
 // utility under u, A^r = argmin_a { a : U_a = max_b U_b }, where utilities
-// within 1e-9 of the best count as equal. With a non-nil stage it also
-// stages every candidate's evaluation into stage.Candidates.
+// within 1e-9 of the best count as equal. It stops at the first best
+// candidate whose expected utility reaches stopU, u's stopUtility, so the
+// predictor is asked only for a prefix of the candidates. With a non-nil
+// stage it scans and stages every candidate's evaluation into
+// stage.Candidates instead.
 //
 //jockey:hotpath
-func (cfg *Config) argmax(st model.State, u *utility.PiecewiseLinear, stage *DecisionRecord) int {
+func (cfg *Config) argmax(st model.State, u *utility.PiecewiseLinear, stopU float64, stage *DecisionRecord) int {
 	if stage != nil {
 		stage.Candidates = stage.Candidates[:0]
 	}
@@ -202,6 +228,9 @@ func (cfg *Config) argmax(st model.State, u *utility.PiecewiseLinear, stage *Dec
 		}
 		if best == -1 || ua > bestU+1e-9 {
 			best, bestU = a, ua
+			if stage == nil && bestU >= stopU {
+				break
+			}
 		}
 	}
 	return best
@@ -234,7 +263,7 @@ func (c *Controller) rawAllocation(st model.State) int {
 	if c.staging {
 		stage = &c.record
 	}
-	return c.cfg.argmax(st, c.effU, stage)
+	return c.cfg.argmax(st, c.effU, c.effStop, stage)
 }
 
 // Decide implements Policy.

@@ -187,6 +187,43 @@ func TestDeadZoneHoldsWithinBand(t *testing.T) {
 	}
 }
 
+// TestDeadZoneHoldsAtDeadline pins the band's closed upper end: a
+// predicted completion at the current grant exactly at the deadline is not
+// yet D behind schedule, so the grant holds; one nanosecond later it rises.
+func TestDeadZoneHoldsAtDeadline(t *testing.T) {
+	pred := &flatPredictor{work: 60 * time.Minute}
+	c, err := NewController(Config{
+		Predictor:  pred,
+		Utility:    utility.Deadline(10 * time.Minute),
+		Candidates: candidates(),
+		Slack:      1.0,
+		Hysteresis: 1.0,
+		DeadZone:   3 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Against the shifted 7-minute deadline: 60m/a ≤ 7m -> a = 9.
+	if first := c.Decide(model.State{}); first.Granted != 9 {
+		t.Fatalf("initial grant = %d, want 9", first.Granted)
+	}
+	// 4m + 54m/9 = 10m exactly; the shifted curve wants 4m + 54m/a ≤ 7m,
+	// a = 18.
+	pred.work = 54 * time.Minute
+	st := model.State{Elapsed: 4 * time.Minute}
+	if p := c.PredictAt(st, 9); p != c.Deadline() {
+		t.Fatalf("predicted completion at the grant = %v, want the deadline %v", p, c.Deadline())
+	}
+	d := c.Decide(st)
+	if d.Raw != 18 || d.Granted != 9 || d.Mechanism != MechDeadZone {
+		t.Errorf("at the deadline: raw %d granted %d by %q, want raw 18 held at 9 by %q", d.Raw, d.Granted, d.Mechanism, MechDeadZone)
+	}
+	st.Elapsed += time.Nanosecond
+	if d := c.Decide(st); d.Granted != 18 || d.Mechanism != MechModel {
+		t.Errorf("past the deadline: granted %d by %q, want 18 by %q", d.Granted, d.Mechanism, MechModel)
+	}
+}
+
 func TestDeadZoneAllowsReleases(t *testing.T) {
 	_, pred := testSetup(t)
 	c, err := NewController(Config{

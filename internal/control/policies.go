@@ -38,7 +38,7 @@ func (s *Static) ChangeUtility(u *utility.PiecewiseLinear) {
 func (s *Static) Decide(st model.State) Decision {
 	if !s.decided {
 		s.decided = true
-		s.alloc = s.cfg.argmax(st, s.cfg.Utility, nil)
+		s.alloc = s.cfg.argmax(st, s.cfg.Utility, stopUtility(s.cfg.Utility), nil)
 	}
 	return Decision{Raw: s.alloc, Granted: s.alloc}
 }

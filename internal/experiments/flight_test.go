@@ -80,47 +80,56 @@ func TestFlightGoldenAcrossParallelismAndReuse(t *testing.T) {
 
 // TestFlightRecordingDoesNotPerturb pins the zero-interference contract
 // documented on SLORun.Flight: attaching the recorder must not change the
-// run — same completion, same grants, same guard transitions.
+// run — same completion, same grants, same guard transitions. Under
+// jockey-online a recorded tick simulates every candidate while an
+// unrecorded one stops at the first that reaches the curve's maximum
+// utility, so the online run checks that the extra forward simulations
+// change nothing either.
 func TestFlightRecordingDoesNotPerturb(t *testing.T) {
 	env := sharedEnv
-	r := flightDriftRun(env, t)
-	x := NewExec()
-	base, err := env.RunExec(x, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, rec, err := env.RunFlight(x, r, FlightConfig{Level: flight.LevelDecisions})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Completion != base.Completion || got.Met != base.Met ||
-		got.AllocTokenSeconds != base.AllocTokenSeconds {
-		t.Errorf("recording changed the outcome: %v/%v/%v vs %v/%v/%v",
-			got.Completion, got.Met, got.AllocTokenSeconds,
-			base.Completion, base.Met, base.AllocTokenSeconds)
-	}
-	if len(got.GuardEvents) != len(base.GuardEvents) {
-		t.Errorf("recording changed guard activity: %d vs %d events",
-			len(got.GuardEvents), len(base.GuardEvents))
-	}
-	if len(got.Trace.Timeline) != len(base.Trace.Timeline) {
-		t.Fatalf("recording changed the timeline: %d vs %d points",
-			len(got.Trace.Timeline), len(base.Trace.Timeline))
-	}
-	for i := range base.Trace.Timeline {
-		if got.Trace.Timeline[i] != base.Trace.Timeline[i] {
-			t.Errorf("timeline point %d diverged: %+v vs %+v",
-				i, got.Trace.Timeline[i], base.Trace.Timeline[i])
-		}
-	}
-	if rec == nil || len(rec.Ticks) == 0 {
-		t.Fatal("no flight record for a recorded run")
-	}
-	// Every tick's grant must match the timeline the cluster observed.
-	for i, tick := range rec.Ticks {
-		if tick.Mechanism == "" {
-			t.Errorf("tick %d has no mechanism", i)
-		}
+	for _, pol := range []PolicyKind{PolicyJockeyGuarded, PolicyJockeyOnline} {
+		t.Run(string(pol), func(t *testing.T) {
+			r := flightDriftRun(env, t)
+			r.Policy = pol
+			x := NewExec()
+			base, err := env.RunExec(x, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, rec, err := env.RunFlight(x, r, FlightConfig{Level: flight.LevelDecisions})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Completion != base.Completion || got.Met != base.Met ||
+				got.AllocTokenSeconds != base.AllocTokenSeconds {
+				t.Errorf("recording changed the outcome: %v/%v/%v vs %v/%v/%v",
+					got.Completion, got.Met, got.AllocTokenSeconds,
+					base.Completion, base.Met, base.AllocTokenSeconds)
+			}
+			if len(got.GuardEvents) != len(base.GuardEvents) {
+				t.Errorf("recording changed guard activity: %d vs %d events",
+					len(got.GuardEvents), len(base.GuardEvents))
+			}
+			if len(got.Trace.Timeline) != len(base.Trace.Timeline) {
+				t.Fatalf("recording changed the timeline: %d vs %d points",
+					len(got.Trace.Timeline), len(base.Trace.Timeline))
+			}
+			for i := range base.Trace.Timeline {
+				if got.Trace.Timeline[i] != base.Trace.Timeline[i] {
+					t.Errorf("timeline point %d diverged: %+v vs %+v",
+						i, got.Trace.Timeline[i], base.Trace.Timeline[i])
+				}
+			}
+			if rec == nil || len(rec.Ticks) == 0 {
+				t.Fatal("no flight record for a recorded run")
+			}
+			// Every tick's grant must match the timeline the cluster observed.
+			for i, tick := range rec.Ticks {
+				if tick.Mechanism == "" {
+					t.Errorf("tick %d has no mechanism", i)
+				}
+			}
+		})
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // parser and that every accepted curve is well formed: strictly increasing
 // vertex times and finite utility everywhere (ParseFloat would happily
 // admit NaN/Inf, which would poison expected-utility comparisons). It also
-// checks that ShiftEarlier shifts every accepted curve (checkShift).
+// checks that ShiftEarlier shifts every accepted curve (checkShift), and
+// that Max is the largest vertex value.
 func FuzzUtilityParse(f *testing.F) {
 	f.Add("deadline 60m")
 	f.Add("soft 60m grace 30m")
@@ -36,6 +37,13 @@ func FuzzUtilityParse(f *testing.F) {
 		ps := pl.Points()
 		if len(ps) < 2 {
 			t.Fatalf("accepted curve has %d points: %q", len(ps), s)
+		}
+		best := ps[0].U
+		for _, p := range ps {
+			best = max(best, p.U)
+		}
+		if pl.Max() != best {
+			t.Errorf("Max() = %v, largest vertex %v for %q", pl.Max(), best, s)
 		}
 		for i, p := range ps {
 			if i > 0 && ps[i-1].T >= p.T {

@@ -112,6 +112,18 @@ func (pl *PiecewiseLinear) ShiftEarlier(delta time.Duration) *PiecewiseLinear {
 	return &PiecewiseLinear{points: ps}
 }
 
+// Max returns the curve's maximum utility, its largest vertex value. Unlike
+// Points it does not allocate.
+func (pl *PiecewiseLinear) Max() float64 {
+	best := pl.points[0].U
+	for _, p := range pl.points {
+		if p.U > best {
+			best = p.U
+		}
+	}
+	return best
+}
+
 // Points returns a copy of the curve's vertices.
 func (pl *PiecewiseLinear) Points() []Point {
 	return append([]Point(nil), pl.points...)

@@ -617,8 +617,8 @@ func (e *capacityTooLargeError) Error() string {
 
 // jobRun is the runtime state of one submitted job. Its per-task arrays
 // live in a taskSet, whose size depends only on the plan (*dag.Job): the job
-// takes one from the Engine's pool when it arrives and returns it when it
-// completes, so only live jobs hold one. The rest is per-run state, (re)set
+// takes one from the Engine's free sets when it arrives and returns it when
+// it completes, so only live jobs hold one. The rest is per-run state, (re)set
 // in place by prepare; jobRuns are pooled by the Engine too, of any plan. A
 // submitted job that never arrives costs only the jobRun.
 type jobRun struct {
@@ -677,18 +677,20 @@ type jobRun struct {
 	localDone   int     // ... that ran on a replica machine
 }
 
-// taskSet is a live job's per-task state. Every array is sized by the plan
+// taskSet is a live job's per-task state. Its arrays are sized by a plan
 // alone, so a set serves any job of its plan (profiles may differ — a
-// scaled input keeps the plan). The Engine pools sets by plan, rewound.
+// scaled input keeps the plan), and, reshaped, any plan its arrays hold.
+// The set's plan is its tracker's. The Engine keeps free sets, rewound, on
+// one list whatever their plan.
 type taskSet struct {
 	// deps tracks which tasks are done and ready, their attempt counts and
 	// queued times.
 	deps dag.Tracker
 
-	// slot maps [stage][task] to the store slot of the task's running
+	// slot maps a task, by its deps.Index, to the store slot of its running
 	// attempt (-1 when none) — the O(1) lookup that replaces the running map
 	// of earlier engines. A task has at most one running attempt.
-	slot [][]int32
+	slot []int32
 
 	// driftFactor multiplies each stage's sampled service times (1 until a
 	// StageDrift fires; drifts compound multiplicatively).
@@ -697,31 +699,43 @@ type taskSet struct {
 
 // newTaskSet allocates a rewound set for job.
 func newTaskSet(job *dag.Job) *taskSet {
-	n := job.NumStages()
-	ts := &taskSet{slot: make([][]int32, n), driftFactor: make([]float64, n)}
-	for s := range ts.slot {
-		ts.slot[s] = make([]int32, job.Stages[s].Tasks)
-	}
+	ts := &taskSet{slot: make([]int32, job.TotalTasks()), driftFactor: make([]float64, job.NumStages())}
 	ts.deps.Init(job)
 	ts.rewind()
 	return ts
+}
+
+// holds reports whether the set's arrays have room for a plan of the given
+// task and stage counts. A set's arrays never grow: its tracker's were
+// allocated with its slot table and drift factors, for the plan it was
+// created for, and a reshape only reslices them.
+func (ts *taskSet) holds(tasks, stages int) bool {
+	return cap(ts.slot) >= tasks && cap(ts.driftFactor) >= stages
+}
+
+// reshape fits a free set that holds job to it, allocating nothing. A free
+// set is rewound, so the reshaped set's state equals newTaskSet(job)'s.
+func (ts *taskSet) reshape(job *dag.Job) {
+	ts.deps.Init(job)
+	ts.slot = ts.slot[:ts.deps.Left()]
+	ts.driftFactor = ts.driftFactor[:job.NumStages()]
 }
 
 // rewind returns the set to its state at arrival: nothing done or running,
 // and no drift.
 func (ts *taskSet) rewind() {
 	ts.deps.Reset()
-	for s := range ts.slot {
+	for i := range ts.slot {
+		ts.slot[i] = -1
+	}
+	for s := range ts.driftFactor {
 		ts.driftFactor[s] = 1
-		for t := range ts.slot[s] {
-			ts.slot[s][t] = -1
-		}
 	}
 }
 
 // arrive marks the job arrived at the cluster's current time and gives it a
-// rewound task set of its plan. handleArrival calls it, and so do tests that
-// stage a job's arrival by hand.
+// rewound task set shaped for its plan. handleArrival calls it, and so do
+// tests that stage a job's arrival by hand.
 func (c *Cluster) arrive(jr *jobRun) {
 	jr.taskSet = c.eng.takeSet(jr.job)
 	jr.arrived = true
@@ -735,7 +749,7 @@ func (c *Cluster) release(jr *jobRun) {
 	if invariant.Debug {
 		jr.assertIdle()
 	}
-	c.eng.putSet(jr.job, jr.taskSet)
+	c.eng.putSet(jr.taskSet)
 	jr.taskSet = nil
 }
 
@@ -747,9 +761,9 @@ func (jr *jobRun) assertIdle() {
 		invariant.Assertf(false, "cluster: job %d (%s) returns its task set with %d ready tasks",
 			jr.id, jr.job.Name, jr.deps.Len())
 	}
-	for s, slots := range jr.slot {
-		for t, slot := range slots {
-			if slot >= 0 {
+	for s, st := range jr.job.Stages {
+		for t := range st.Tasks {
+			if slot := jr.slot[jr.deps.Index(s, t)]; slot >= 0 {
 				invariant.Assertf(false, "cluster: job %d (%s) returns its task set with stage %d task %d running in slot %d",
 					jr.id, jr.job.Name, s, t, slot)
 			}

@@ -628,18 +628,18 @@ func TestGuaranteedPassVictimKeepsGuarantee(t *testing.T) {
 			}
 
 			c.handleArrival(tc.arriving)
-			if s := arriving.slot[0][0]; s < 0 || c.store.machine[s] != 1 {
+			if s := arriving.slot[0]; s < 0 || c.store.machine[s] != 1 {
 				t.Fatalf("the arriving job did not take the spare attempt's machine 1 (slot %d)", s)
 			}
-			if victim.evictions != 1 || victim.slot[0][1] >= 0 || victim.deps.Len() != 1 {
+			if victim.evictions != 1 || victim.slot[1] >= 0 || victim.deps.Len() != 1 {
 				t.Fatalf("victim: %d evictions, task 1 in slot %d, %d ready tasks; want 1, none, 1",
-					victim.evictions, victim.slot[0][1], victim.deps.Len())
+					victim.evictions, victim.slot[1], victim.deps.Len())
 			}
 			if eff := c.effectiveGuarantee(victim); victim.guarCount != eff {
 				t.Errorf("victim holds %d guaranteed attempts after the eviction, effective guarantee %d",
 					victim.guarCount, eff)
 			}
-			if s := victim.slot[0][0]; s < 0 || c.store.flags[s]&flagGuar == 0 {
+			if s := victim.slot[0]; s < 0 || c.store.flags[s]&flagGuar == 0 {
 				t.Errorf("the victim's guaranteed attempt lost its slot or class (slot %d)", s)
 			}
 		})

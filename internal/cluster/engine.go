@@ -344,7 +344,7 @@ func (c *Cluster) handleTaskEnd(ev event) {
 	}
 	st := &c.store
 	stage, task := int(ev.stage), int(ev.task)
-	s := jr.slot[stage][task]
+	s := jr.slot[jr.deps.Index(stage, task)]
 	if s < 0 || st.attempt[s] != ev.attempt {
 		return // stale event: the attempt was evicted or killed
 	}
@@ -620,7 +620,7 @@ func (c *Cluster) victimLess(a, b int32) bool {
 //jockey:hotpath
 func (c *Cluster) detach(jr *jobRun, s int32) {
 	st := &c.store
-	jr.slot[st.stage[s]][st.task[s]] = -1
+	jr.slot[jr.deps.Index(int(st.stage[s]), int(st.task[s]))] = -1
 	if st.flags[s]&flagGuar != 0 {
 		jr.guarCount--
 		if s == jr.guarLast {
@@ -1089,7 +1089,7 @@ func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed, 
 	if local {
 		st.flags[s] |= flagLocal
 	}
-	jr.slot[r.Stage][r.Task] = s
+	jr.slot[jr.deps.Index(r.Stage, r.Task)] = s
 	st.link(&jr.prim, s)
 	if guaranteed {
 		// dispatchGuaranteed starts work only while the guaranteed class is

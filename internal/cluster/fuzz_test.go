@@ -24,7 +24,9 @@ import (
 //     the checkPass hook of engine_ref_test.go, active in every test of
 //     this package;
 //   - it is byte-identical on a fresh cluster and on a reused engine, over
-//     two rounds so the second runs on pooled jobRuns and task sets;
+//     two rounds on an engine first warmed on a second scenario, generated
+//     from the input with every byte shifted by one, so jobs take task sets
+//     reshaped from other plans as well as sets of their own;
 //   - jobs that share a plan, and so pass task sets on as they complete and
 //     arrive, get the results they get on their own copies of the plan;
 //   - extra scheduling passes change nothing: with one job that neither a
@@ -42,6 +44,11 @@ func FuzzClusterReplay(f *testing.F) {
 		sc := genScenario(t, data)
 		want := sc.replay(t, New)
 		eng := NewEngine()
+		shifted := make([]byte, len(data))
+		for i, b := range data {
+			shifted[i] = b + 1
+		}
+		genScenario(t, shifted).replay(t, eng.Reset)
 		for round := 0; round < 2; round++ {
 			if got := sc.replay(t, eng.Reset); got != want {
 				t.Fatalf("reused engine round %d diverged from a fresh cluster:\n got %s\nwant %s", round, got, want)

@@ -17,13 +17,17 @@ import (
 //     background jobs over six hours and ends when its SLO job completes,
 //     so most of them never arrive;
 //   - task sets (the dag.Tracker, the slot table, the drift factors: every
-//     array sized by the plan) are pooled by plan identity (*dag.Job). A job
-//     takes a rewound set of its plan when it arrives and returns it when it
-//     completes, so the engine holds one set per job of a plan that was live
-//     at once, not one per job that arrived. A workload whose plans are
-//     themselves reused across runs (workload.BackgroundPool, the experiment
-//     jobs A..G, the surge tenant, a fleet's job templates) stops allocating
-//     them once its pools cover a run's peak concurrency;
+//     array sized by the plan) sit on one free list too, whatever their
+//     plan. A job takes a free set when it arrives and returns it, rewound,
+//     when it completes: the free set with the least spare capacity that
+//     holds its plan, reshaped in place unless it is of the plan, else a
+//     new one. A set never grows. A workload whose plans are themselves
+//     reused across runs (workload.BackgroundPool, the experiment jobs
+//     A..G, the surge tenant, a fleet's job templates) mostly finds a set
+//     of its own plan; one with many plan shapes, such as a background
+//     fleet's, reshapes other plans' idle sets instead of allocating its
+//     own. Either way it stops allocating sets once the free list covers a
+//     run's peak concurrency;
 //   - task-attempt state lives in the cluster's taskStore (store.go), whose
 //     flat arrays and free list keep their capacity across Reset;
 //   - the event queue, machine arrays, and spare-top heap keep their capacity
@@ -40,13 +44,11 @@ import (
 type Engine struct {
 	c    Cluster
 	runs []*jobRun
-	sets map[*dag.Job][]*taskSet
+	sets []*taskSet // free task sets, rewound, of any plan
 }
 
 // NewEngine returns an empty reusable engine.
-func NewEngine() *Engine {
-	return &Engine{sets: make(map[*dag.Job][]*taskSet)}
-}
+func NewEngine() *Engine { return new(Engine) }
 
 // Reset recycles the previous run's jobs and re-initializes the engine's
 // cluster for cfg, returning it ready for Submit/Run. The returned cluster
@@ -66,12 +68,12 @@ func (e *Engine) Reset(cfg Config) (*Cluster, error) {
 }
 
 // recycle returns a jobRun to the free list, and the task set of a job
-// still live when Run returned to its pool. Such a job's attempts
+// still live when Run returned to the free sets. Such a job's attempts
 // (background jobs may be mid-flight when the last tracked job completes)
 // need no other release: the whole taskStore resets with the cluster.
 func (e *Engine) recycle(jr *jobRun) {
 	if jr.taskSet != nil {
-		e.putSet(jr.job, jr.taskSet)
+		e.putSet(jr.taskSet)
 		jr.taskSet = nil
 	}
 	// Drop per-run references that would otherwise pin plans, profiles,
@@ -94,22 +96,51 @@ func (e *Engine) takeRun() *jobRun {
 	return jr
 }
 
-// takeSet pops a pooled task set of the plan, or allocates one when none is
-// free (the same plan can be live several times at once).
+// takeSet returns a rewound task set for job: the free set with the least
+// spare capacity that holds the plan, reshaped unless it is of the plan,
+// which wins ties; or a new set when no free set holds the plan. Taking the
+// tightest set even over a roomier one of the plan keeps the roomy sets
+// for the large plans that need them, so an engine replaying a workload
+// over and over stops adding sets. The scan runs in slice order, ties
+// otherwise going to the earlier set, so which set a job gets, and so what
+// the engine allocates, is deterministic. Nothing a replay computes depends
+// on which set a job gets: a reshaped set's state equals a new one's.
 func (e *Engine) takeSet(job *dag.Job) *taskSet {
-	s := e.sets[job]
-	n := len(s)
-	if n == 0 {
+	tasks, stages := job.TotalTasks(), job.NumStages()
+	pick, pickCost := -1, 0
+	for i, ts := range e.sets {
+		if !ts.holds(tasks, stages) {
+			continue
+		}
+		// Spare capacity first, a reshape second: 0 is a set of the plan
+		// with no spare room, which nothing beats.
+		cost := 2 * (cap(ts.slot) - tasks)
+		if ts.deps.Job() != job {
+			cost++
+		}
+		if pick < 0 || cost < pickCost {
+			pick, pickCost = i, cost
+		}
+		if cost == 0 {
+			break
+		}
+	}
+	if pick < 0 {
 		return newTaskSet(job)
 	}
-	ts := s[n-1]
-	e.sets[job] = s[:n-1]
+	ts := e.sets[pick]
+	last := len(e.sets) - 1
+	e.sets[pick] = e.sets[last]
+	e.sets[last] = nil
+	e.sets = e.sets[:last]
+	if ts.deps.Job() != job {
+		ts.reshape(job)
+	}
 	return ts
 }
 
-// putSet rewinds a task set and pools it under its plan, so a pooled set is
-// always clean.
-func (e *Engine) putSet(job *dag.Job, ts *taskSet) {
+// putSet rewinds a task set and frees it, so a free set is always clean.
+func (e *Engine) putSet(ts *taskSet) {
 	ts.rewind()
-	e.sets[job] = append(e.sets[job], ts)
+	e.sets = append(e.sets, ts)
 }

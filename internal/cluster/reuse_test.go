@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -144,10 +145,11 @@ func (s *reuseScenario) run(t testing.TB, c *Cluster, x extraJob) ([]Result, tim
 
 // TestEngineReuseBitIdentical pins the Engine contract: a reset engine
 // replays a configuration bit-identically to a fresh cluster, including
-// traces, and keeps doing so across repeated resets. The extra job's rounds
-// pin the task-set pool's two states: a job that never arrived leaves its
-// plan without a set, and a set whose job arrived stays pooled, rewound,
-// while its plan sits out a run.
+// traces, and keeps doing so across repeated resets, whichever free task
+// set, of whichever plan, each arriving job gets. The extra job's rounds
+// pin the free list's size: a job that never arrives takes no set, and the
+// set the extra job's first arrival adds stays free, rewound, through the
+// runs it sits out, so later arrivals allocate none.
 func TestEngineReuseBitIdentical(t *testing.T) {
 	s := newReuseScenario(t)
 	type outcome struct {
@@ -169,27 +171,13 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 	}
 
 	eng := NewEngine()
-	arrivedBefore := false
+	var held []int // free task sets as each round starts, and after the last
 	for round, x := range []extraJob{extraNone, extraLate, extraArrives, extraNone, extraArrives, extraLate, extraArrives} {
 		c, err := eng.Reset(s.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if x == extraArrives {
-			// A set exists only once a job of the plan has arrived; round 2
-			// allocates the set round 1's late job never took, and round 6
-			// reuses the set round 4's job returned, which round 5's late job
-			// left pooled.
-			want := 0
-			if arrivedBefore {
-				want = 1
-			}
-			if pooled := len(eng.sets[s.extra.Job]); pooled != want {
-				t.Fatalf("round %d: the extra plan has %d pooled task sets, want %d (a job of it arrived before: %v)",
-					round, pooled, want, arrivedBefore)
-			}
-			arrivedBefore = true
-		}
+		held = append(held, len(eng.sets))
 		gotRes, gotNow, gotUtil := s.run(t, c, x)
 		wantRes, wantNow, wantUtil := want[x].res, want[x].now, want[x].util
 		if gotNow != wantNow || gotUtil != wantUtil {
@@ -211,6 +199,17 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 					round, i, len(gt.Events), len(wt.Events), len(gt.Timeline), len(wt.Timeline))
 			}
 		}
+	}
+	if _, err := eng.Reset(s.cfg); err != nil {
+		t.Fatal(err)
+	}
+	held = append(held, len(eng.sets))
+	// Round 0 allocates the sets of its peak concurrency. After it, only
+	// round 2, the extra job's first arrival, adds one: round 1's late job
+	// never arrives, and rounds 4 and 6 find the sets round 2 left.
+	n := held[1]
+	if wantHeld := []int{0, n, n, n + 1, n + 1, n + 1, n + 1, n + 1}; n == 0 || !slices.Equal(held, wantHeld) {
+		t.Fatalf("free task sets as each round starts: %v, want %v", held, wantHeld)
 	}
 }
 
@@ -333,29 +332,46 @@ func TestRunReleasesEpochHook(t *testing.T) {
 }
 
 // TestTaskSetsScaleWithConcurrency pins that a job returns its task set
-// when it completes: jobs of one plan that run one after another leave one
-// pooled set, and jobs that overlap leave one each. A completed job's
-// Handle.State reads no set: its time since arrival and every stage done.
+// when it completes, and that an arriving job gets a new set only when no
+// free set holds its plan. Jobs of one plan that run one after another
+// leave one set, and jobs that overlap leave one each. Of plans of
+// different sizes run one after another, the largest first leaves one set,
+// which each later plan reshapes; the smallest first leaves one per plan on
+// a fresh engine, since no earlier set holds a later plan, and one on an
+// engine that holds a set of the largest. A completed job's Handle.State
+// reads no set: its time since arrival and every stage done.
 func TestTaskSetsScaleWithConcurrency(t *testing.T) {
 	const k = 4
 	p := fixedJob(t, "serial")
-	eng := NewEngine()
+	same := []*profile.Profile{p, p, p, p}
+	var smallest []*profile.Profile // 4, 6, 8 and 10 tasks
+	for i := range k {
+		smallest = append(smallest, mapReduceJob(t, fmt.Sprintf("mr%d", i), 2*(i+1)))
+	}
+	largest := slices.Clone(smallest)
+	slices.Reverse(largest)
+	eng, sized := NewEngine(), NewEngine()
 	for _, tc := range []struct {
-		name string
-		gap  time.Duration // between starts; each job runs 30 s alone
-		sets int
+		name  string
+		eng   *Engine
+		plans []*profile.Profile
+		gap   time.Duration // between starts; each job runs under 30 s alone
+		sets  []int         // the free sets' capacities in tasks, ascending
 	}{
-		{"one after another", time.Minute, 1},
-		{"overlapping", 0, k},
-		{"one after another on a warm engine", time.Minute, k},
+		{"one after another", eng, same, time.Minute, []int{10}},
+		{"overlapping", eng, same, 0, []int{10, 10, 10, 10}},
+		{"one after another on a warm engine", eng, same, time.Minute, []int{10, 10, 10, 10}},
+		{"largest plan first", sized, largest, time.Minute, []int{10}},
+		{"smallest plan first after the largest", sized, smallest, time.Minute, []int{10}},
+		{"smallest plan first", NewEngine(), smallest, time.Minute, []int{4, 6, 8, 10}},
 	} {
-		c, err := eng.Reset(Config{Machines: 4, SlotsPerMachine: 2, Seed: 1})
+		c, err := tc.eng.Reset(Config{Machines: 4, SlotsPerMachine: 2, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := make([]*Handle, k)
+		hs := make([]*Handle, len(tc.plans))
 		for i := range hs {
-			if hs[i], err = c.Submit(JobConfig{Profile: p, Guarantee: 2, Tracked: true, NoTrace: true,
+			if hs[i], err = c.Submit(JobConfig{Profile: tc.plans[i], Guarantee: 2, Tracked: true, NoTrace: true,
 				Start: time.Duration(i) * tc.gap}); err != nil {
 				t.Fatal(err)
 			}
@@ -363,8 +379,8 @@ func TestTaskSetsScaleWithConcurrency(t *testing.T) {
 		if err := c.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(eng.sets[p.Job]); got != tc.sets {
-			t.Errorf("%s: %d jobs left %d pooled task sets, want %d", tc.name, k, got, tc.sets)
+		if got := freeCaps(tc.eng); !slices.Equal(got, tc.sets) {
+			t.Errorf("%s: %d jobs left free task sets of %v tasks, want %v", tc.name, len(hs), got, tc.sets)
 		}
 		for i, h := range hs {
 			st := h.State()
@@ -373,6 +389,65 @@ func TestTaskSetsScaleWithConcurrency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTakeSetPicksTightestFit pins the rule an arriving job's task set
+// follows: the free set with the least spare capacity that holds the plan,
+// even over a roomier set of the plan itself, which stays free for a plan
+// that needs the room; a set of the plan on a tie; and a new set, leaving
+// the free list alone, when no free set holds the plan.
+func TestTakeSetPicksTightestFit(t *testing.T) {
+	small := mapReduceJob(t, "small", 2).Job
+	twin := mapReduceJob(t, "twin", 2).Job // small's size, another plan
+	large := mapReduceJob(t, "large", 8).Job
+	e := NewEngine()
+	roomy := newTaskSet(large)
+	roomy.reshape(small)
+	tight := newTaskSet(twin)
+	e.putSet(roomy)
+	e.putSet(tight)
+	if got := e.takeSet(small); got != tight || got.deps.Job() != small || len(got.slot) != 4 {
+		t.Fatalf("small job took the set of %d slots for %s; want the tight set, reshaped", cap(got.slot), got.deps.Job().Name)
+	}
+	if got := e.takeSet(large); got != roomy || len(got.slot) != 10 {
+		t.Fatalf("large job took a set of %d slots; want the roomy one", cap(got.slot))
+	}
+	other := newTaskSet(twin)
+	own := newTaskSet(small)
+	e.putSet(other)
+	e.putSet(own)
+	if got := e.takeSet(small); got != own {
+		t.Fatalf("small job took a set for %s over an equally tight set of its own plan", got.deps.Job().Name)
+	}
+	if got := e.takeSet(large); got == other || len(got.slot) != 10 || len(e.sets) != 1 {
+		t.Fatalf("large job took a set of %d slots and left %d free; want a new set and the small one free",
+			cap(got.slot), len(e.sets))
+	}
+}
+
+// mapReduceJob is fixedJob with maps map tasks.
+func mapReduceJob(t testing.TB, name string, maps int) *profile.Profile {
+	t.Helper()
+	job := dag.NewBuilder(name).
+		Stage("map", maps).
+		Stage("reduce", 2).
+		Edge("map", "reduce", dag.AllToAll).
+		MustBuild()
+	return profile.MustNew(job, []profile.StageProfile{
+		{Exec: stats.Point{V: 10 * time.Second}},
+		{Exec: stats.Point{V: 20 * time.Second}},
+	})
+}
+
+// freeCaps returns the capacities, in tasks, of the engine's free task
+// sets, ascending.
+func freeCaps(e *Engine) []int {
+	caps := make([]int, len(e.sets))
+	for i, ts := range e.sets {
+		caps[i] = cap(ts.slot)
+	}
+	slices.Sort(caps)
+	return caps
 }
 
 // steadyCfg is a failure-free, policy-free configuration whose event loop
@@ -467,7 +542,7 @@ func TestSubmitWithoutArrivalAllocatesNothing(t *testing.T) {
 		}
 	}
 	if len(eng.sets) != 0 {
-		t.Fatalf("jobs that never arrived left task sets of %d plans", len(eng.sets))
+		t.Fatalf("jobs that never arrived left %d task sets", len(eng.sets))
 	}
 }
 

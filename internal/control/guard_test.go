@@ -257,6 +257,53 @@ func TestGuardRebuildBackoffAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestGuardRebuildBackoffBoundary pins the backoff's exact boundary. At a
+// 30 s control period the backoff binds: a model that stays stale after a
+// rebuild refills the detector window 6 ticks (3 minutes) later, inside the
+// 4-minute backoff, so a stale tick is refused. Then maybeRebuild refuses
+// 1 ns before lastBuild + rebuildBackoff and rebuilds exactly at it.
+func TestGuardRebuildBackoffBoundary(t *testing.T) {
+	const period = 30 * time.Second
+	builds := 0
+	rebuild := func(p *profile.Profile, gen int) (model.Predictor, error) {
+		builds++
+		return &linearPred{K: 60 * time.Minute}, nil // as stale as the prior model
+	}
+	g := guardFixture(t, 300*time.Minute, rebuild)
+	g.minLive = 5
+	for i := 0; i < 40; i++ {
+		g.ObserveTask(trace.TaskEvent{
+			Stage: 0, Task: i % 10,
+			Started: time.Duration(i) * 10 * time.Second,
+			Ended:   time.Duration(i+1) * 10 * time.Second,
+		})
+	}
+	// Progress at half the model's rate: every slip is 0.5, above the
+	// threshold once the window fills.
+	state := func(e time.Duration) model.State {
+		return model.State{Elapsed: e, FracDone: []float64{e.Minutes() / 120}}
+	}
+	refused := false
+	e := time.Duration(0)
+	for builds < 1 || e+period < g.lastBuild+rebuildBackoff {
+		e += period
+		g.Decide(state(e))
+		refused = refused || builds == 1 && g.stale
+	}
+	if builds != 1 || !refused {
+		t.Fatalf("at a %v period: %d rebuilds by %v, stale tick refused %v; want 1 rebuild and a refusal",
+			period, builds, e, refused)
+	}
+	boundary := g.lastBuild + rebuildBackoff
+	if g.maybeRebuild(state(boundary-1), 1); builds != 1 {
+		t.Fatalf("rebuilt 1 ns before the backoff ends (last build %v)", g.lastBuild)
+	}
+	if g.maybeRebuild(state(boundary), 1); builds != 2 || g.lastBuild != boundary {
+		t.Fatalf("at the backoff's end %v: builds = %d, last build %v; want 2 at %v",
+			boundary, builds, g.lastBuild, boundary)
+	}
+}
+
 // TestGuardObserveReusesStateBuffer: the detector's previous-state copy is
 // refilled in place each tick instead of reallocated.
 func TestGuardObserveReusesStateBuffer(t *testing.T) {

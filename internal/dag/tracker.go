@@ -84,26 +84,38 @@ func Trackable(job *Job) error {
 	return nil
 }
 
-// Init shapes t for job, allocating its arrays, and resets it.
+// Init shapes t for job and resets it. It reslices its arrays when their
+// capacity holds the plan and allocates only those that fall short, so a
+// tracker re-Inited onto a plan no larger than one it has held allocates
+// nothing. The ready ring still has exactly one slot per task.
 func (t *Tracker) Init(job *Job) {
 	n := job.NumStages()
 	t.job = job
-	t.off = make([]int, n+1)
+	t.off = fit(t.off, n+1)
 	for s := 0; s < n; s++ {
 		t.off[s+1] = t.off[s] + job.Stages[s].Tasks
 	}
 	total := t.off[n]
-	t.remDeps = make([]int32, total)
-	t.done = make([]bool, total)
-	t.attempts = make([]int32, total)
-	t.queuedAt = make([]time.Duration, total)
-	t.doneCount = make([]int, n)
-	if cap(t.ready) < total {
-		t.ready = make([]readyRef, total)
-	}
-	t.ready = t.ready[:total]
+	t.remDeps = fit(t.remDeps, total)
+	t.done = fit(t.done, total)
+	t.attempts = fit(t.attempts, total)
+	t.queuedAt = fit(t.queuedAt, total)
+	t.doneCount = fit(t.doneCount, n)
+	t.ready = fit(t.ready, total)
 	t.Reset()
 }
+
+// fit returns s resliced to length n, or a new slice of length n when s's
+// capacity falls short. It clears nothing.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Job returns the plan t was last Inited for.
+func (t *Tracker) Job() *Job { return t.job }
 
 // Reset rewinds the per-run state for a fresh run of the plan: nothing
 // done, base dependency counts, zero attempts and an empty ready FIFO.

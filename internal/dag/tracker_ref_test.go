@@ -257,6 +257,12 @@ func fuzzPlan(data *fuzzBytes) *Job {
 // operation the two must agree on what Pop and Peek return, Len, Left, and
 // every task's Attempt and QueuedAt; the run then drains to completion
 // under the same check.
+//
+// One Tracker then runs the same operations re-Inited onto a second plan,
+// decoded from the input with every byte shifted by one, and back onto the
+// first, so it reuses its arrays for a larger plan and a smaller one (or
+// grows them for the larger first). After each re-Init it must agree with
+// the reference, Inited afresh for the plan.
 func FuzzTrackerMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 1<<12 {
@@ -264,106 +270,120 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 		}
 		data := fuzzBytes(raw)
 		job := fuzzPlan(&data)
+		shifted := make(fuzzBytes, len(raw))
+		for i, b := range raw {
+			shifted[i] = b + 1
+		}
+		other := fuzzPlan(&shifted)
 		var tr Tracker
-		var ref refTracker
-		tr.Init(job)
-		ref.Init(job)
-		tr.Seed(0)
-		ref.Seed(0)
-		var running []TaskRef // popped, neither completed nor requeued
-		pop := func() error {
-			got, ok := tr.Pop()
-			want, wantOK := ref.Pop()
-			if got != want || ok != wantOK {
-				return fmt.Errorf("Pop = %v, %v; reference %v, %v", got, ok, want, wantOK)
-			}
-			// PreComplete may complete a task before its producers, which
-			// queue it again when they complete; a done task does not run.
-			if ok && !ref.done[ref.off[got.Stage]+got.Task] {
-				running = append(running, got)
-			}
-			return nil
-		}
-		take := func(b int) TaskRef {
-			k := b % len(running)
-			ref := running[k]
-			running = append(running[:k], running[k+1:]...)
-			return ref
-		}
-		step := 0
-		check := func(op string, err error) {
-			if err == nil {
-				err = sameTrackers(&tr, &ref)
-			}
-			if err != nil {
-				t.Fatalf("step %d (%s) on %v: %v", step, op, job.Edges, err)
-			}
-		}
-		for len(data) > 0 {
-			step++
-			now := time.Duration(step)
-			switch b := data.next(); b % 8 {
-			case 0, 1, 2:
-				check("Pop", pop())
-			case 3:
-				got, ok := tr.Peek()
-				want, wantOK := ref.Peek()
-				var err error
-				if got != want || ok != wantOK {
-					err = fmt.Errorf("Peek = %v, %v; reference %v, %v", got, ok, want, wantOK)
-				}
-				check("Peek", err)
-			case 4, 5:
-				if len(running) > 0 {
-					c := take(b >> 3)
-					tr.Complete(now, c.Stage, c.Task)
-					ref.Complete(now, c.Stage, c.Task)
-				}
-				check("Complete", nil)
-			case 6:
-				if len(running) > 0 {
-					c := take(b >> 3)
-					tr.Requeue(now, c.Stage, c.Task)
-					ref.Requeue(now, c.Stage, c.Task)
-				}
-				check("Requeue", nil)
-			default:
-				tr.Reset()
-				ref.Reset()
-				running = running[:0]
-				op := "Reset"
-				if b&8 != 0 {
-					fracs := make([]float64, job.NumStages())
-					for s := range fracs {
-						fracs[s] = float64(data.next()) / 200 // above 1 completes the stage
-					}
-					tr.PreComplete(fracs)
-					ref.PreComplete(fracs)
-					op = fmt.Sprintf("Reset, PreComplete(%v)", fracs)
-				}
-				tr.Seed(now)
-				ref.Seed(now)
-				check(op, nil)
-			}
-		}
-		for {
-			step++
-			check("drain Pop", pop())
-			if len(running) == 0 {
-				if tr.Len() == 0 {
-					break
-				}
-				continue
-			}
-			c := take(0)
-			tr.Complete(time.Duration(step), c.Stage, c.Task)
-			ref.Complete(time.Duration(step), c.Stage, c.Task)
-			check("drain Complete", nil)
-		}
-		if tr.Left() != 0 {
-			t.Fatalf("drained with %d tasks left", tr.Left())
+		for i, plan := range []*Job{job, other, job} {
+			runAgainstReference(t, &tr, plan, data, i)
 		}
 	})
+}
+
+// runAgainstReference Inits tr for job and runs the operations data decodes
+// to on it and on a fresh reference tracker, checking every step. The
+// plan's index, round, names it in failures.
+func runAgainstReference(t *testing.T, tr *Tracker, job *Job, data fuzzBytes, round int) {
+	var ref refTracker
+	tr.Init(job)
+	ref.Init(job)
+	tr.Seed(0)
+	ref.Seed(0)
+	var running []TaskRef // popped, neither completed nor requeued
+	pop := func() error {
+		got, ok := tr.Pop()
+		want, wantOK := ref.Pop()
+		if got != want || ok != wantOK {
+			return fmt.Errorf("Pop = %v, %v; reference %v, %v", got, ok, want, wantOK)
+		}
+		// PreComplete may complete a task before its producers, which
+		// queue it again when they complete; a done task does not run.
+		if ok && !ref.done[ref.off[got.Stage]+got.Task] {
+			running = append(running, got)
+		}
+		return nil
+	}
+	take := func(b int) TaskRef {
+		k := b % len(running)
+		ref := running[k]
+		running = append(running[:k], running[k+1:]...)
+		return ref
+	}
+	step := 0
+	check := func(op string, err error) {
+		if err == nil {
+			err = sameTrackers(tr, &ref)
+		}
+		if err != nil {
+			t.Fatalf("plan %d, step %d (%s) on %v: %v", round, step, op, job.Edges, err)
+		}
+	}
+	for len(data) > 0 {
+		step++
+		now := time.Duration(step)
+		switch b := data.next(); b % 8 {
+		case 0, 1, 2:
+			check("Pop", pop())
+		case 3:
+			got, ok := tr.Peek()
+			want, wantOK := ref.Peek()
+			var err error
+			if got != want || ok != wantOK {
+				err = fmt.Errorf("Peek = %v, %v; reference %v, %v", got, ok, want, wantOK)
+			}
+			check("Peek", err)
+		case 4, 5:
+			if len(running) > 0 {
+				c := take(b >> 3)
+				tr.Complete(now, c.Stage, c.Task)
+				ref.Complete(now, c.Stage, c.Task)
+			}
+			check("Complete", nil)
+		case 6:
+			if len(running) > 0 {
+				c := take(b >> 3)
+				tr.Requeue(now, c.Stage, c.Task)
+				ref.Requeue(now, c.Stage, c.Task)
+			}
+			check("Requeue", nil)
+		default:
+			tr.Reset()
+			ref.Reset()
+			running = running[:0]
+			op := "Reset"
+			if b&8 != 0 {
+				fracs := make([]float64, job.NumStages())
+				for s := range fracs {
+					fracs[s] = float64(data.next()) / 200 // above 1 completes the stage
+				}
+				tr.PreComplete(fracs)
+				ref.PreComplete(fracs)
+				op = fmt.Sprintf("Reset, PreComplete(%v)", fracs)
+			}
+			tr.Seed(now)
+			ref.Seed(now)
+			check(op, nil)
+		}
+	}
+	for {
+		step++
+		check("drain Pop", pop())
+		if len(running) == 0 {
+			if tr.Len() == 0 {
+				break
+			}
+			continue
+		}
+		c := take(0)
+		tr.Complete(time.Duration(step), c.Stage, c.Task)
+		ref.Complete(time.Duration(step), c.Stage, c.Task)
+		check("drain Complete", nil)
+	}
+	if tr.Left() != 0 {
+		t.Fatalf("plan %d drained with %d tasks left", round, tr.Left())
+	}
 }
 
 // checkConsumerRange checks consumerRange against DepRange on the

@@ -136,16 +136,7 @@ func (r *replay) waterFill(now time.Duration, budget int) (latched int) {
 		for i, a := range cands {
 			util[i] = float64(fj.arr.value) * fj.util.Utility(fj.ctrl.PredictAt(st, a))
 		}
-		// The unconstrained desire is the smallest candidate that attains
-		// the curve's maximum — what the job's own controller would ask
-		// for with no fleet around it.
-		best := 0
-		for i := 1; i < len(util); i++ {
-			if util[i] > util[best]+flatEps {
-				best = i
-			}
-		}
-		fj.wanted = cands[best]
+		fj.wanted = cands[wantedRung(util)]
 		fj.grant = 0
 		r.bidders = append(r.bidders, bidder{fj: fj, cands: cands, util: util, idx: -1})
 	}
@@ -170,6 +161,20 @@ func (r *replay) waterFill(now time.Duration, budget int) (latched int) {
 	}
 	r.latchedScratch = latchedJobs[:0]
 	return latched
+}
+
+// wantedRung returns a bidder's unconstrained desire, the smallest candidate
+// that attains its curve's maximum: what the job's own controller would ask
+// for with no fleet around it. A later candidate displaces an earlier one
+// only by beating it by more than flatEps.
+func wantedRung(util []float64) int {
+	best := 0
+	for i := 1; i < len(util); i++ {
+		if util[i] > util[best]+flatEps {
+			best = i
+		}
+	}
+	return best
 }
 
 // fill seats every bidder at the floor and runs the greedy heap rounds;

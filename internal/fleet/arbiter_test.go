@@ -248,3 +248,24 @@ func maxGridRungs(t *testing.T) int {
 	}
 	return n
 }
+
+// TestWantedHonoursFlatEps: a bidder's unconstrained desire is the smallest
+// candidate within flatEps of its curve's best. Two candidates whose
+// weighted utilities differ by less than flatEps leave it at the smaller
+// one; a gain of twice flatEps moves it to the larger.
+func TestWantedHonoursFlatEps(t *testing.T) {
+	const u = 3 * 0.9 // an arrival value of 3 times a utility of 0.9
+	for _, tc := range []struct {
+		name string
+		util []float64
+		want int
+	}{
+		{"within flatEps", []float64{u, u + flatEps/2}, 0},
+		{"within flatEps of a later best", []float64{u, u + 3*flatEps, u + 3.5*flatEps}, 1},
+		{"beyond flatEps", []float64{u, u + 2*flatEps}, 1},
+	} {
+		if got := wantedRung(tc.util); got != tc.want {
+			t.Errorf("%s: wanted rung %d of utilities %v, want %d", tc.name, got, tc.util, tc.want)
+		}
+	}
+}

@@ -105,7 +105,8 @@ type event struct {
 // counts, attempts, queued times and the ready FIFO), the per-task
 // dispatch and start times, and the event queue — sized to that plan;
 // subsequent runs against the same plan (pointer-identical *dag.Job)
-// reset them in place. Run also records every task attempt into a reused
+// reset them in place, and a run against another plan re-Inits the
+// tracker on its arrays' capacity. Run also records every task attempt into a reused
 // trace, which stops growing at the plan's high-water attempt count;
 // Completion records nothing. This is the hot-path engine behind C(p, a)
 // table builds and per-tick online re-simulation, where thousands of runs
@@ -210,9 +211,9 @@ func (e *stageTooLargeError) Error() string {
 		e.job, e.stage, e.index, e.tasks, math.MaxInt32)
 }
 
-// shape (re)builds the arenas for a new job plan: the dependency tracker
-// and the per-task time arrays. A plan it rejects leaves the Runner as it
-// was.
+// shape (re)builds the arenas for a new job plan: the dependency tracker,
+// re-Inited in place on its arrays' capacity, and the per-task time
+// arrays. A plan it rejects leaves the Runner as it was.
 func (r *Runner) shape(job *dag.Job) error {
 	for s, st := range job.Stages {
 		if int64(st.Tasks) > math.MaxInt32 {

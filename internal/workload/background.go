@@ -61,8 +61,10 @@ func (c *BackgroundConfig) fill() {
 // bit-identically from a fresh pool and from one reused across fleets —
 // TestBackgroundPoolBitIdentical pins this.
 //
-// Reusing plans also lets a cluster.Engine reuse background jobs' task
-// sets, which it keys on plan identity. A job takes a set only when it
+// A cluster.Engine reuses background jobs' task sets whatever their plans:
+// an arriving job takes the tightest free set that holds its plan,
+// reshaping it unless it is of the plan, so the fleet's hundreds of shapes
+// share one free list. A job takes a set only when it
 // arrives, so the many background jobs a replay submits but never reaches
 // cost a jobRun each. A pool is not safe for concurrent use (one per grid
 // worker).

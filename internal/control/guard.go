@@ -98,6 +98,12 @@ type GuardConfig struct {
 	// callee can derive a fresh deterministic seed. Nil disables
 	// re-profiling.
 	RebuildPrimary func(p *profile.Profile, generation int) (model.Predictor, error)
+	// Builder, when non-nil, is the per-replay owner RebuildPrimary builds
+	// its C(p, a) tables on. The guard borrows its live trace's buffer from
+	// it, sized once from the plan's task count, and owns every table
+	// RebuildPrimary returns: it retires one into Builder as soon as a
+	// newer one replaces it, and the last one, with the buffer, at Close.
+	Builder *model.Builder
 }
 
 // Guard is the model-staleness guard-rail layer around the Jockey control
@@ -118,7 +124,7 @@ type Guard struct {
 	// minLive is the blend's sample floor (minLiveSamples; tests lower it).
 	minLive int
 
-	live      *trace.JobTrace
+	live      trace.JobTrace
 	liveOK    int            // successful (non-failed) events in live
 	window    trace.JobTrace // recentLive's reused result header
 	slips     []float64
@@ -126,7 +132,8 @@ type Guard struct {
 	slipI     int // ring index
 	prevState model.State
 	prevSet   bool
-	rebuilds  int // rebuilt predictor generations
+	rebuilds  int             // rebuilt predictor generations
+	rebuilt   model.Predictor // the last predictor RebuildPrimary returned
 	lastBuild time.Duration
 	builtOnce bool
 	stale     bool // latched: detector fired at least once on this model
@@ -174,13 +181,37 @@ func NewGuard(cfg GuardConfig) (*Guard, error) {
 		return nil, fmt.Errorf("control: GuardConfig.Prior is required")
 	}
 	cand := cfg.Controller.Candidates()
-	return &Guard{
+	g := &Guard{
 		cfg:      cfg,
 		maxAlloc: cand[len(cand)-1],
 		minLive:  minLiveSamples,
-		live:     trace.New(cfg.Prior.Job.Name, cfg.Prior.Job.NumStages()),
 		slips:    make([]float64, guardWindow),
-	}, nil
+	}
+	g.live.Reset(cfg.Prior.Job.Name, cfg.Prior.Job.NumStages())
+	if cfg.Builder != nil {
+		g.live.Events = cfg.Builder.TraceBuffer(cfg.Prior.Job.TotalTasks())
+	}
+	return g, nil
+}
+
+// Close ends the guard's run. With a GuardConfig.Builder, it retires the
+// last table the guard's rebuilds made and hands the live trace's buffer
+// back, for the next guard on that Builder. Neither the guard nor its
+// controller may be used afterwards; Mode and Events stay readable.
+func (g *Guard) Close() {
+	if b := g.cfg.Builder; b != nil {
+		g.retire(g.rebuilt)
+		b.RetireTrace(g.live.Events)
+	}
+	g.rebuilt = nil
+	g.live.Events = nil
+}
+
+// retire gives a table RebuildPrimary built back to the Builder.
+func (g *Guard) retire(p model.Predictor) {
+	if c, ok := p.(*model.CPA); ok && g.cfg.Builder != nil {
+		g.cfg.Builder.Retire(c)
+	}
 }
 
 // ChangeUtility implements Policy, delegating to the inner controller.
@@ -340,6 +371,8 @@ func (g *Guard) maybeRebuild(st model.State, score float64) {
 		return
 	}
 	g.cfg.Controller.SetPredictor(pred)
+	g.retire(g.rebuilt)
+	g.rebuilt = pred
 	g.lastBuild = st.Elapsed
 	g.builtOnce = true
 	g.logEvent(st, GuardEventReprofile, g.mode, g.mode, score)

@@ -7,6 +7,7 @@ import (
 	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/model"
 	"github.com/jockeysim/jockey/internal/profile"
+	"github.com/jockeysim/jockey/internal/progress"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/trace"
 	"github.com/jockeysim/jockey/internal/utility"
@@ -29,6 +30,17 @@ func (f *linearPred) Samples(st model.State, a int) []time.Duration {
 
 func guardFixture(t *testing.T, deadline time.Duration, rebuild func(p *profile.Profile, gen int) (model.Predictor, error)) *Guard {
 	t.Helper()
+	g, err := NewGuard(guardFixtureConfig(t, deadline, rebuild))
+	if err != nil {
+		t.Fatalf("NewGuard: %v", err)
+	}
+	return g
+}
+
+// guardFixtureConfig is guardFixture's GuardConfig: a 10-task one-stage
+// prior and a controller on linearPred with K = 60 minutes.
+func guardFixtureConfig(t *testing.T, deadline time.Duration, rebuild func(p *profile.Profile, gen int) (model.Predictor, error)) GuardConfig {
+	t.Helper()
 	job := dag.NewBuilder("guard-test").Stage("only", 10).MustBuild()
 	prior := profile.MustNew(job, []profile.StageProfile{
 		{Exec: stats.Point{V: 2 * time.Minute}},
@@ -41,15 +53,7 @@ func guardFixture(t *testing.T, deadline time.Duration, rebuild func(p *profile.
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	g, err := NewGuard(GuardConfig{
-		Controller:     ctrl,
-		Prior:          prior,
-		RebuildPrimary: rebuild,
-	})
-	if err != nil {
-		t.Fatalf("NewGuard: %v", err)
-	}
-	return g
+	return GuardConfig{Controller: ctrl, Prior: prior, RebuildPrimary: rebuild}
 }
 
 // tick advances the guard one control period with the given progress.
@@ -324,5 +328,66 @@ func TestGuardObserveReusesStateBuffer(t *testing.T) {
 	st.FracDone[0] = 0.9
 	if g.prevState.FracDone[0] == 0.9 {
 		t.Error("prevState aliases the caller's FracDone")
+	}
+}
+
+// TestGuardRetiresRebuiltTables: a guard with a Builder retires each
+// rebuilt table into it once a newer one replaces it, and its last one at
+// Close, with its live trace's buffer. The next guard on the Builder gets
+// that buffer back, and the next two builds go into the two retired
+// tables, so they allocate nothing.
+func TestGuardRetiresRebuiltTables(t *testing.T) {
+	b := new(model.Builder)
+	cfg := guardFixtureConfig(t, 300*time.Minute, nil)
+	ind := progress.NewTotalWork(cfg.Prior)
+	cpaCfg := model.CPAConfig{Allocs: []int{10, 20, 40}, RunsPerAlloc: 3, Seed: 8, Parallelism: 1}
+	build := func() (*model.CPA, error) { return b.BuildCPA(cfg.Prior, ind, cpaCfg) }
+	var built []*model.CPA
+	cfg.RebuildPrimary = func(*profile.Profile, int) (model.Predictor, error) {
+		c, err := build()
+		built = append(built, c)
+		return c, err
+	}
+	cfg.Builder = b
+	g, err := NewGuard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Prior.Job.TotalTasks(); cap(g.live.Events) < n {
+		t.Fatalf("live trace holds %d events, want room for the plan's %d tasks", cap(g.live.Events), n)
+	}
+	g.minLive = 5
+	for i := 0; i < 20; i++ {
+		g.ObserveTask(trace.TaskEvent{
+			Stage: 0, Task: i % 10,
+			Started: time.Duration(i) * time.Second,
+			Ended:   time.Duration(i)*time.Second + time.Minute,
+		})
+	}
+	st := model.State{Elapsed: 2 * time.Minute, FracDone: []float64{0.1}}
+	g.maybeRebuild(st, 1)
+	st.Elapsed += rebuildBackoff
+	g.maybeRebuild(st, 1)
+	if len(built) != 2 || g.cfg.Controller.Predictor() != built[1] {
+		t.Fatalf("%d rebuilds, want 2 with the controller on the last", len(built))
+	}
+	live := g.live.Events
+	g.Close()
+
+	next, err := NewGuard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next.live.Events) != 0 || &next.live.Events[:1][0] != &live[:1][0] {
+		t.Error("the next guard on the Builder did not get the closed guard's live-trace buffer")
+	}
+	// AllocsPerRun builds once before it counts, so the counted build is
+	// the second, into the second retired table.
+	if got := testing.AllocsPerRun(1, func() {
+		if _, err := build(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("build after the guard closed = %v allocs, want 0: both rebuilt tables retired", got)
 	}
 }

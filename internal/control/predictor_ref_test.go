@@ -127,3 +127,17 @@ func TestExpectedUtilityMatchesRetiredPredictors(t *testing.T) {
 		t.Error("an empty sample must read as U(elapsed)")
 	}
 }
+
+// TestExpectedUtilityEmptySample: an empty sample reads as U(elapsed)
+// exactly, at the elapsed time itself. The curve drops from 1 to 0 within
+// 1 ns of the deadline, so reading the empty sample 1 ns early or late
+// changes the value at one of the two probes.
+func TestExpectedUtilityEmptySample(t *testing.T) {
+	d := 40 * time.Minute
+	u := utility.SoftDeadline(d, time.Nanosecond)
+	for _, elapsed := range []time.Duration{d, d + time.Nanosecond} {
+		if got, want := expectedUtility(nil, elapsed, 1.2, u), u.Utility(elapsed); got != want {
+			t.Errorf("expectedUtility(nil, %v) = %v, want U(elapsed) = %v", elapsed, got, want)
+		}
+	}
+}

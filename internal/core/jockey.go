@@ -224,7 +224,10 @@ func (j *Jockey) GuardedPolicy(deadline time.Duration) (*control.Guard, error) {
 //
 // The rebuilds run on b, which the caller owns for the length of one replay
 // and may share between the guards of that replay, since a replay runs one
-// rebuild at a time. A nil b gives the guard a Builder of its own.
+// rebuild at a time. The guard retires each rebuilt table into b once a
+// newer one replaces it, and its last one and its live-trace buffer at
+// Guard.Close, so the replay's later rebuilds and guards reuse them. A nil
+// b gives the guard a Builder of its own.
 func (j *Jockey) Guard(ctrl *control.Controller, b *model.Builder) (*control.Guard, error) {
 	if b == nil {
 		b = new(model.Builder)
@@ -248,6 +251,7 @@ func (j *Jockey) Guard(ctrl *control.Controller, b *model.Builder) (*control.Gua
 		Controller:     ctrl,
 		Prior:          j.p,
 		RebuildPrimary: rebuild,
+		Builder:        b,
 	})
 }
 

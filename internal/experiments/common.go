@@ -477,6 +477,9 @@ func (e *Env) RunExec(x *Exec, r SLORun) (Outcome, error) {
 	if r.fixedAlloc > 0 {
 		pol, err = control.NewMaxAllocation(r.fixedAlloc)
 	} else {
+		// A guard retires its superseded tables into the builder for its
+		// later rebuilds; none may outlive this run (DESIGN.md §5).
+		defer x.builder.DropRetired()
 		pol, err = e.buildPolicy(r, &x.builder)
 	}
 	if err != nil {

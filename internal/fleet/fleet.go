@@ -218,7 +218,8 @@ type replay struct {
 	c      *cluster.Cluster
 	// builder runs every guard's C(p, a) rebuild in a guarded replay: the
 	// event loop runs one at a time, and the replay's lifetime bounds the
-	// buffers it keeps.
+	// buffers it keeps, the tables and live traces its guards retire
+	// included.
 	builder *model.Builder
 
 	// due queues every offer not yet admitted or rejected at the earliest
@@ -441,8 +442,8 @@ func (r *replay) integrateGaps(now time.Duration) {
 	}
 }
 
-// releaseFinished finalizes completed jobs and returns their reservations
-// to the committed pool.
+// releaseFinished finalizes completed jobs, closes their guards and
+// returns their reservations to the committed pool.
 func (r *replay) releaseFinished(now time.Duration) {
 	keep := r.active[:0]
 	for _, fj := range r.active {
@@ -462,6 +463,9 @@ func (r *replay) releaseFinished(now time.Duration) {
 					fj.rec.Panics++
 				}
 			}
+			// The job's last table and live trace go back to the
+			// replay's builder, for the guards admitted after it.
+			fj.guard.Close()
 		}
 	}
 	r.active = keep

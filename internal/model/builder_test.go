@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -101,9 +102,10 @@ func TestBuilderReuseMatchesOneShot(t *testing.T) {
 
 // TestWarmBuildCPAAllocatesOnlyTable: once a Builder has run a build of a
 // plan, the next build of it allocates only what the returned table keeps:
-// the CPA, its copy of the grid, its offsets and its values, plus the
-// checksums of -tags invariantdebug builds. The engines, samples,
-// observation arenas, cell spans and merge counts are all reused.
+// the CPA, its offsets and its values, plus the checksums of
+// -tags invariantdebug builds. The engines, samples, observation arenas,
+// cell spans and merge counts are all reused, and the table shares the
+// last build's copy of the grid.
 func TestWarmBuildCPAAllocatesOnlyTable(t *testing.T) {
 	p := threeStageProfile(t)
 	ind := progress.NewTotalWorkWithQ(p)
@@ -112,7 +114,7 @@ func TestWarmBuildCPAAllocatesOnlyTable(t *testing.T) {
 	if _, err := b.BuildCPA(p, ind, cfg); err != nil {
 		t.Fatal(err)
 	}
-	want := 4.0
+	want := 3.0
 	if invariant.Debug {
 		want++
 	}
@@ -123,5 +125,106 @@ func TestWarmBuildCPAAllocatesOnlyTable(t *testing.T) {
 	})
 	if got != want {
 		t.Errorf("warm BuildCPA = %v allocs, want %v (the table's own)", got, want)
+	}
+}
+
+// TestWarmRebuildAllocatesNothing: a warm Builder whose owner retires each
+// table before the next build of its plan builds into the retired table's
+// arrays, so a rebuild allocates nothing. In -tags invariantdebug builds a
+// retired table stays retired for good, so Retire pays a new header for
+// its arrays: 1 object.
+func TestWarmRebuildAllocatesNothing(t *testing.T) {
+	p := threeStageProfile(t)
+	ind := progress.NewTotalWorkWithQ(p)
+	cfg := CPAConfig{Allocs: []int{2, 6, 20, 100, 120}, RunsPerAlloc: 6, Seed: 3, Parallelism: 1}
+	b := new(Builder)
+	c, err := b.BuildCPA(p, ind, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Retire(c)
+	want := 0.0
+	if invariant.Debug {
+		want = 1
+	}
+	got := testing.AllocsPerRun(5, func() {
+		c, err := b.BuildCPA(p, ind, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Retire(c)
+	})
+	if got != want {
+		t.Errorf("warm rebuild into a retired table = %v allocs, want %v", got, want)
+	}
+}
+
+// TestRecycledTableMatchesFresh: a Builder that builds into tables retired
+// from other plans, grid lengths and cell sizes returns exactly the
+// cells, offsets and Samples a fresh Builder's table has. A recycled
+// table's arrays are longer than the build needs, or hold the values of
+// another plan, and none of that may show through.
+func TestRecycledTableMatchesFresh(t *testing.T) {
+	three, noisy, det := threeStageProfile(t), noisyProfile(t), detProfile(t)
+	steps := []struct {
+		p    *profile.Profile
+		inds []progress.Indicator
+		cfg  CPAConfig
+	}{
+		{noisy, []progress.Indicator{progress.NewVertexFrac(noisy)},
+			CPAConfig{Allocs: []int{1, 3, 9, 27, 81}, RunsPerAlloc: reservoirCap + 6, Seed: 4}},
+		{three, []progress.Indicator{progress.NewTotalWorkWithQ(three), progress.NewCP(three)},
+			CPAConfig{Allocs: []int{2, 6, 20}, RunsPerAlloc: 9, Seed: 9}},
+		{det, []progress.Indicator{progress.NewTotalWorkWithQ(det)},
+			CPAConfig{Allocs: []int{5}, RunsPerAlloc: 3, Seed: 5}},
+		{three, []progress.Indicator{progress.NewCP(three)},
+			CPAConfig{Allocs: []int{3, 4, 50, 60}, RunsPerAlloc: 4, Seed: 2}},
+		{noisy, []progress.Indicator{progress.NewTotalWork(noisy)},
+			CPAConfig{Allocs: []int{2, 8}, RunsPerAlloc: 20, Seed: 1}},
+	}
+	states := []State{
+		{FracDone: []float64{0, 0, 0}},
+		{FracDone: []float64{0.4, 0.1, 0}},
+		{FracDone: []float64{1, 0.7, 0.2}},
+		{FracDone: []float64{1, 1, 1}},
+	}
+	b := new(Builder)
+	var live []*CPA
+	recycled := 0
+	for round := range 3 {
+		for i, s := range steps {
+			pool := len(b.retired)
+			got, err := b.BuildCPAs(s.p, s.inds, s.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recycled += pool - len(b.retired)
+			want, err := new(Builder).BuildCPAs(s.p, s.inds, s.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				if !reflect.DeepEqual(got[j], want[j]) {
+					t.Fatalf("round %d step %d table %d: recycled table differs from a fresh Builder's", round, i, j)
+				}
+				for _, st := range states {
+					st.FracDone = st.FracDone[:s.p.Job.NumStages()]
+					for _, a := range s.cfg.Allocs {
+						if g, w := got[j].Samples(st, a), want[j].Samples(st, a); !slices.Equal(g, w) {
+							t.Fatalf("round %d step %d table %d: Samples(%v, %d) = %v, want %v", round, i, j, st.FracDone, a, g, w)
+						}
+					}
+				}
+			}
+			// Retire every table of the previous step, so the next build
+			// picks among tables of other plans and sizes.
+			for _, c := range live {
+				b.Retire(c)
+			}
+			live = got
+		}
+	}
+	if recycled < 2*len(steps) {
+		t.Errorf("%d builds went into retired tables, want at least %d", recycled, 2*len(steps))
 	}
 }

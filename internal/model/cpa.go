@@ -13,6 +13,7 @@ import (
 	"github.com/jockeysim/jockey/internal/progress"
 	"github.com/jockeysim/jockey/internal/sim"
 	"github.com/jockeysim/jockey/internal/stats"
+	"github.com/jockeysim/jockey/internal/trace"
 )
 
 // Table shape: progress is cut into buckets cells of 1% (cell buckets holds
@@ -77,6 +78,9 @@ type CPA struct {
 	vals []time.Duration
 	offs []int
 	sums []uint64
+	// retired marks, in -tags invariantdebug builds, a table given back to
+	// its Builder (Builder.Retire): reading it panics.
+	retired bool
 }
 
 // Builder is the reusable state of C(p, a) builds and of OnlineSim's
@@ -87,9 +91,12 @@ type CPA struct {
 // ready to use; a one-shot build is new(Builder).BuildCPAs(...).
 //
 // A Builder holds the high-water buffers of every build it ran, so only a
-// per-replay owner keeps one (DESIGN.md §5). It is not safe for concurrent
-// use, but a build or a prediction fans its own simulations out over a
-// worker pool.
+// per-replay owner keeps one (DESIGN.md §5). That owner also retires the
+// tables it no longer reads (Retire) and the live-trace buffers of its
+// finished guards (RetireTrace); later builds and guards reuse them, so a
+// replay's guard rebuilds allocate only up to their high-water mark. It is
+// not safe for concurrent use, but a build or a prediction fans its own
+// simulations out over a worker pool.
 type Builder struct {
 	workers []*cpaWorker
 	// bufs[idx] holds every indicator's observations of (alloc, run) cell
@@ -119,6 +126,13 @@ type Builder struct {
 	// The merge's reservoir generator, reseeded for every table.
 	src *rand.PCG
 	rng *rand.Rand
+	// grid is the last build's copy of its grid.
+	grid []int
+	// retired holds the tables Retire gave back and traces the live-trace
+	// buffers RetireTrace gave back, each scanned in slice order for the
+	// tightest fit.
+	retired []*CPA
+	traces  [][]trace.TaskEvent
 }
 
 // BuildCPA runs the offline simulator across the allocation grid and builds
@@ -158,9 +172,12 @@ func (b *Builder) build(p *profile.Profile, inds []progress.Indicator, cfg CPACo
 	if err := cfg.fill(); err != nil {
 		return err
 	}
-	b.p, b.inds, b.runs, b.seed = p, inds, cfg.RunsPerAlloc, cfg.Seed
-	// The grid is read-only after construction, so the tables share it.
-	b.allocs = append([]int(nil), cfg.Allocs...)
+	// The grid is read-only after construction, so the tables share it,
+	// and a build on the grid of b's last one shares that build's copy.
+	if !slices.Equal(b.grid, cfg.Allocs) {
+		b.grid = append([]int(nil), cfg.Allocs...)
+	}
+	b.p, b.inds, b.allocs, b.runs, b.seed = p, inds, b.grid, cfg.RunsPerAlloc, cfg.Seed
 	defer func() { b.p, b.inds, b.allocs = nil, nil, nil }()
 	k := len(inds)
 	// Phase 1 — fan out: every (alloc, run) cell is an independent
@@ -267,13 +284,13 @@ func (b *Builder) runForward(worker, r int) error {
 // merge builds indicator j's table from the observations of every
 // (alloc, run) cell, in fixed index order.
 func (b *Builder) merge(ind progress.Indicator, k, j int) *CPA {
-	c := &CPA{indicator: ind, allocs: b.allocs}
 	nCells := len(b.cellObs) / k
 	// Phase 2 — size the table: a cell keeps min(seen, reservoirCap)
 	// samples, so counting every cell's observations fixes each cell's
-	// offset before any value is placed.
+	// offset before any value is placed, and the table's size before it
+	// is taken.
 	nb := buckets + 1
-	b.seen = slices.Grow(b.seen[:0], len(c.allocs)*nb)[:len(c.allocs)*nb]
+	b.seen = slices.Grow(b.seen[:0], len(b.allocs)*nb)[:len(b.allocs)*nb]
 	seen := b.seen
 	clear(seen)
 	for idx := range nCells {
@@ -282,11 +299,16 @@ func (b *Builder) merge(ind progress.Indicator, k, j int) *CPA {
 			seen[row+o.bucket]++
 		}
 	}
-	c.offs = make([]int, len(seen)+1)
+	nVals := 0
+	for _, n := range seen {
+		nVals += int(min(n, reservoirCap))
+	}
+	c := b.table(len(seen), nVals)
+	c.indicator, c.allocs = ind, b.allocs
+	c.offs[0] = 0
 	for i, n := range seen {
 		c.offs[i+1] = c.offs[i] + int(min(n, reservoirCap))
 	}
-	c.vals = make([]time.Duration, c.offs[len(seen)])
 	// Phase 3 — deterministic merge: replay reservoir sampling (Vitter's
 	// algorithm R) over the observations in fixed (alloc, run) index order
 	// with one shared RNG — keep while the cell has room, else replace slot
@@ -294,6 +316,8 @@ func (b *Builder) merge(ind progress.Indicator, k, j int) *CPA {
 	// sequence of a sequential build, so the table is bit-identical at any
 	// Parallelism. Every indicator's merge starts from the same seed, so a
 	// table does not depend on which other indicators shared its pass.
+	// Every value slot is written, so a retired table's old values never
+	// show through.
 	clear(seen)
 	rng := b.reservoirRNG(stats.DeriveSeedLabelInt(b.seed, "cpa-reservoir"))
 	for idx := range nCells {
@@ -317,13 +341,88 @@ func (b *Builder) merge(ind progress.Indicator, k, j int) *CPA {
 		slices.Sort(c.cell(i))
 	}
 	if invariant.Debug {
-		c.sums = make([]uint64, len(seen))
 		for i := range c.sums {
 			c.sums[i] = invariant.ChecksumDurations(c.cell(i))
 		}
 	}
 	return c
 }
+
+// table returns the table merge builds nCells cells of nVals values into:
+// the retired table with the least spare room for values that holds them,
+// or a new one. Its offsets, values and debug checksums have the build's
+// lengths.
+func (b *Builder) table(nCells, nVals int) *CPA {
+	best := -1
+	for i, c := range b.retired {
+		if cap(c.offs) > nCells && cap(c.vals) >= nVals &&
+			(best < 0 || cap(c.vals) < cap(b.retired[best].vals)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		c := &CPA{offs: make([]int, nCells+1), vals: make([]time.Duration, nVals)}
+		if invariant.Debug {
+			c.sums = make([]uint64, nCells)
+		}
+		return c
+	}
+	c := b.retired[best]
+	b.retired = slices.Delete(b.retired, best, best+1)
+	c.offs, c.vals = c.offs[:nCells+1], c.vals[:nVals]
+	if invariant.Debug {
+		c.sums = slices.Grow(c.sums[:0], nCells)[:nCells]
+	}
+	return c
+}
+
+// Retire gives table c back to b: a later build on b builds its table into
+// c's offsets, values and checksums (its grid is shared and read-only).
+// c must be a table built on b that nothing reads any more — its owner has
+// swapped it out — and it is retired once. In -tags invariantdebug builds
+// c stays retired for good, so reading it (samplesAt) or retiring it again
+// panics with a message naming its grid; a new header carries its arrays
+// to the next build.
+func (b *Builder) Retire(c *CPA) {
+	if invariant.Debug {
+		if c.retired {
+			invariant.Assertf(false, "model: C(p,a) table of grid %v retired twice", c.allocs)
+		}
+		c.retired = true
+		c = &CPA{offs: c.offs, vals: c.vals, sums: c.sums}
+	}
+	b.retired = append(b.retired, c)
+}
+
+// TraceBuffer returns an empty live-trace buffer with room for n events:
+// the retired buffer with the least spare room that holds n, or a new one.
+func (b *Builder) TraceBuffer(n int) []trace.TaskEvent {
+	best := -1
+	for i, ev := range b.traces {
+		if cap(ev) >= n && (best < 0 || cap(ev) < cap(b.traces[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]trace.TaskEvent, 0, n)
+	}
+	ev := b.traces[best]
+	b.traces = slices.Delete(b.traces, best, best+1)
+	return ev
+}
+
+// RetireTrace gives a live-trace buffer back to b, for TraceBuffer to hand
+// out again. Nothing may read or append to ev afterwards.
+func (b *Builder) RetireTrace(ev []trace.TaskEvent) {
+	if cap(ev) > 0 {
+		b.traces = append(b.traces, ev[:0])
+	}
+}
+
+// DropRetired forgets every table and live-trace buffer retired into b, so
+// that none outlives the replay that retired it when b serves more than
+// one replay, as an experiments Exec's builder does.
+func (b *Builder) DropRetired() { b.retired, b.traces = nil, nil }
 
 // reservoirRNG returns the merge's generator seeded with seed, created on
 // the Builder's first merge and reseeded in place after that.
@@ -435,6 +534,10 @@ func (c *CPA) snapIndex(a int) int {
 // Debug builds (-tags invariantdebug) verify a build-time checksum of the
 // cell on every access and panic on mutation.
 func (c *CPA) samplesAt(p float64, a int) []time.Duration {
+	if invariant.Debug && c.retired {
+		// Boxing the grid allocates, so only a read that fails pays it.
+		invariant.Assertf(false, "model: read of retired C(p,a) table of grid %v", c.allocs)
+	}
 	i, ok := c.findCell(p, a)
 	if !ok {
 		return nil

@@ -42,38 +42,40 @@ func Blend(prior *Profile, live *trace.JobTrace) (*Profile, error) {
 		return nil, fmt.Errorf("profile: Blend needs a prior profile and a live trace")
 	}
 	n := prior.Job.NumStages()
-	attempts := make([]int, n)
-	failures := make([]int, n)
+	// Per stage: attempts, failed attempts, and the count and summed
+	// execution time of the successful ones, the live samples Blend pools.
+	type tally struct {
+		attempts, failures, ok int
+		exec                   time.Duration
+	}
+	tallies := make([]tally, n)
 	for _, e := range live.Events {
 		if e.Stage < 0 || e.Stage >= n {
 			return nil, fmt.Errorf("profile: live trace of %q references stage %d, job %q has %d stages",
 				live.JobName, e.Stage, prior.Job.Name, n)
 		}
-		attempts[e.Stage]++
+		t := &tallies[e.Stage]
+		t.attempts++
 		if e.Failed {
-			failures[e.Stage]++
+			t.failures++
+		} else {
+			t.ok++
+			t.exec += e.ExecTime()
 		}
 	}
 	// Job-wide drift ratio: count-weighted mean of live/prior mean runtime
 	// across observed stages, used to extrapolate to unobserved ones.
 	var ratioNum, ratioDen float64
-	execs := make([][]time.Duration, n)
-	for s := 0; s < n; s++ {
-		exec := live.ExecSamples(s)
-		execs[s] = exec
-		if len(exec) < minStageSamples {
+	for s, t := range tallies {
+		if t.ok < minStageSamples {
 			continue
 		}
 		priorMean := prior.Stages[s].Exec.Mean()
 		if priorMean <= 0 {
 			continue
 		}
-		var sum time.Duration
-		for _, d := range exec {
-			sum += d
-		}
-		liveMean := float64(sum) / float64(len(exec))
-		w := float64(len(exec))
+		liveMean := float64(t.exec) / float64(t.ok)
+		w := float64(t.ok)
 		ratioNum += w * liveMean / float64(priorMean)
 		ratioDen += w
 	}
@@ -84,8 +86,8 @@ func Blend(prior *Profile, live *trace.JobTrace) (*Profile, error) {
 	stages := make([]StageProfile, n)
 	for s := range stages {
 		sp := prior.Stages[s]
-		exec := execs[s]
-		if len(exec) < minStageSamples {
+		t := tallies[s]
+		if t.ok < minStageSamples {
 			if drift > 0 && drift != 1 {
 				stages[s] = StageProfile{
 					Exec:        stats.Scaled{Base: sp.Exec, Factor: drift},
@@ -101,25 +103,29 @@ func Blend(prior *Profile, live *trace.JobTrace) (*Profile, error) {
 		if priorN < 1 {
 			priorN = 1
 		}
-		blended := StageProfile{
-			Exec:  stats.NewEmpirical(append(discretize(sp.Exec, priorN), exec...)),
-			Queue: sp.Queue,
-		}
-		if inits := live.InitSamples(s); len(inits) >= minStageSamples {
-			blended.Queue = stats.NewEmpirical(append(discretize(sp.Queue, priorN), inits...))
+		// Each pool is priorN representative prior samples followed by the
+		// stage's live ones, gathered straight into the distribution's own
+		// slice.
+		exec := discretize(make([]time.Duration, priorN, priorN+t.ok), sp.Exec)
+		inits := discretize(make([]time.Duration, priorN, priorN+t.ok), sp.Queue)
+		for _, e := range live.Events {
+			if e.Stage == s && !e.Failed {
+				exec = append(exec, e.ExecTime())
+				inits = append(inits, e.InitTime())
+			}
 		}
 		// Failure probability: pool prior pseudo-attempts with live attempts.
-		pa, la := float64(priorN), float64(attempts[s])
-		blended.FailureProb = (sp.FailureProb*pa + float64(failures[s])) / (pa + la)
-		if blended.FailureProb >= 1 {
-			blended.FailureProb = 0.999
+		pa, la := float64(priorN), float64(t.attempts)
+		failureProb := (sp.FailureProb*pa + float64(t.failures)) / (pa + la)
+		if failureProb >= 1 {
+			failureProb = 0.999
 		}
 		// Leave aggregates zero: New refills T_s, Q_s, l_s from the blended
 		// distributions.
 		stages[s] = StageProfile{
-			Exec:        blended.Exec,
-			Queue:       blended.Queue,
-			FailureProb: blended.FailureProb,
+			Exec:        stats.EmpiricalOf(exec),
+			Queue:       stats.EmpiricalOf(inits),
+			FailureProb: failureProb,
 		}
 	}
 	out, err := New(prior.Job, stages)
@@ -130,13 +136,14 @@ func Blend(prior *Profile, live *trace.JobTrace) (*Profile, error) {
 	return out, nil
 }
 
-// discretize summarizes a distribution as n representative samples at the
-// mid-quantiles (i+0.5)/n, preserving its shape with a known sample count so
-// empirical pooling weights prior against live data correctly.
-func discretize(d stats.Distribution, n int) []time.Duration {
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = d.Quantile((float64(i) + 0.5) / float64(n))
+// discretize summarizes a distribution as n = len(dst) representative
+// samples at the mid-quantiles (i+0.5)/n, preserving its shape with a known
+// sample count so empirical pooling weights prior against live data
+// correctly. It fills dst and returns it.
+func discretize(dst []time.Duration, d stats.Distribution) []time.Duration {
+	n := len(dst)
+	for i := range dst {
+		dst[i] = d.Quantile((float64(i) + 0.5) / float64(n))
 	}
-	return out
+	return dst
 }

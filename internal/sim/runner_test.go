@@ -156,6 +156,32 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 	})
 }
 
+// TestRunnerReshapeAllocatesNothing: a warm Runner alternating between two
+// plans of different sizes and stage counts reslices its tracker, its
+// per-task time arrays and its snapshot buffer on their capacity, so a run
+// that changes the plan allocates nothing.
+func TestRunnerReshapeAllocatesNothing(t *testing.T) {
+	r := NewRunner()
+	snaps := 0
+	onSample := func(s Snapshot) { snaps += len(s.FracDone) }
+	big := Config{Profile: noisyRunnerProfile(t), Alloc: 20, Seed: 42, OnSample: onSample}
+	small := Config{Profile: fixedProfile(t), Alloc: 3, Seed: 7, OnSample: onSample}
+	run := func() {
+		for _, cfg := range []Config{small, big} {
+			if _, err := r.Completion(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(20, run); got != 0 {
+		t.Errorf("warm Runner alternating two plans = %v allocs/run, want 0", got)
+	}
+	if snaps == 0 {
+		t.Error("the runs took no snapshot")
+	}
+}
+
 // TestCompletionMatchesRun is the differential for the trace-free mode:
 // on generated configurations — failures, queue delays, partial initial
 // state, sampling — Completion must return Run's completion time and hand

@@ -105,10 +105,11 @@ type event struct {
 // counts, attempts, queued times and the ready FIFO), the per-task
 // dispatch and start times, and the event queue — sized to that plan;
 // subsequent runs against the same plan (pointer-identical *dag.Job)
-// reset them in place, and a run against another plan re-Inits the
-// tracker on its arrays' capacity. Run also records every task attempt into a reused
-// trace, which stops growing at the plan's high-water attempt count;
-// Completion records nothing. This is the hot-path engine behind C(p, a)
+// reset them in place, and a run against another plan reslices every
+// arena on its capacity, allocating only where the plan outgrows it. Run
+// also records every task attempt into a reused trace, which stops
+// growing at the plan's high-water attempt count; Completion records
+// nothing. This is the hot-path engine behind C(p, a)
 // table builds and per-tick online re-simulation, where thousands of runs
 // share one job shape and read only the completion time.
 //
@@ -211,9 +212,9 @@ func (e *stageTooLargeError) Error() string {
 		e.job, e.stage, e.index, e.tasks, math.MaxInt32)
 }
 
-// shape (re)builds the arenas for a new job plan: the dependency tracker,
-// re-Inited in place on its arrays' capacity, and the per-task time
-// arrays. A plan it rejects leaves the Runner as it was.
+// shape (re)builds the arenas for a new job plan: the dependency tracker
+// and the per-task time arrays, each resliced in place when its capacity
+// holds the plan. A plan it rejects leaves the Runner as it was.
 func (r *Runner) shape(job *dag.Job) error {
 	for s, st := range job.Stages {
 		if int64(st.Tasks) > math.MaxInt32 {
@@ -225,10 +226,20 @@ func (r *Runner) shape(job *dag.Job) error {
 	}
 	r.job = job
 	r.deps.Init(job)
-	r.dispatchedAt = make([]time.Duration, r.deps.Left())
-	r.startedAt = make([]time.Duration, r.deps.Left())
-	r.fracBuf = make([]float64, job.NumStages())
+	r.dispatchedAt = fit(r.dispatchedAt, r.deps.Left())
+	r.startedAt = fit(r.startedAt, r.deps.Left())
+	r.fracBuf = fit(r.fracBuf, job.NumStages())
 	return nil
+}
+
+// fit returns s resliced to length n, or a new slice of length n when s's
+// capacity falls short. It clears nothing: reset clears the time arrays,
+// and every snapshot overwrites fracBuf.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // reset reinitializes the per-run state in place: the tracker rewinds,

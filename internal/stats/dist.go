@@ -206,12 +206,20 @@ func NewEmpirical(samples []time.Duration) *Empirical {
 	invariant.Assertf(len(samples) > 0, "stats: NewEmpirical with no samples")
 	s := make([]time.Duration, len(samples))
 	copy(s, samples)
-	slices.Sort(s)
+	return EmpiricalOf(s)
+}
+
+// EmpiricalOf is NewEmpirical without the copy: it sorts samples in place
+// and keeps them, so the caller hands the slice over and must not touch it
+// afterwards. It is for samples the caller has just gathered.
+func EmpiricalOf(samples []time.Duration) *Empirical {
+	invariant.Assertf(len(samples) > 0, "stats: EmpiricalOf with no samples")
+	slices.Sort(samples)
 	var sum float64
-	for _, v := range s {
+	for _, v := range samples {
 		sum += float64(v)
 	}
-	return &Empirical{sorted: s, mean: time.Duration(sum / float64(len(s)))}
+	return &Empirical{sorted: samples, mean: time.Duration(sum / float64(len(samples)))}
 }
 
 // Len returns the number of underlying samples.

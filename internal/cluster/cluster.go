@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/control"
@@ -251,12 +252,6 @@ type Result struct {
 	SpareTaskFraction float64
 	// Evictions counts spare tasks killed to make room for guaranteed work.
 	Evictions int
-	// LocalityFraction is the fraction of the job's successful root-stage
-	// (extract) task attempts that executed on a machine holding a replica
-	// of their input partition. 0 for jobs without root-stage tasks is
-	// impossible (every DAG has roots), but the field is 0 if nothing
-	// completed locally.
-	LocalityFraction float64
 	// Trace is a Tracked job's record: its task events unless NoTrace, and
 	// its allocation timeline when it has a Policy. It is nil for an
 	// untracked job and for a NoTrace one without a Policy.
@@ -340,17 +335,16 @@ type Cluster struct {
 	tracked int // tracked jobs not yet completed
 	holds   int // open Hold()s keeping Run alive (the fleet arbiter's latch)
 
-	// live indexes the jobs that have arrived and not yet completed, in
-	// live order (cmpLive): tracked jobs first, then untracked ones, each in
-	// job-id (submission) order. A fleet replay admits thousands of jobs
-	// over one cluster's lifetime; without this index each reschedule pays
-	// O(admitted) even when a handful of jobs are running.
-	live []*jobRun
-	// ready is the subset of live that dispatchSpare walks, in live order:
-	// the jobs with ready work (syncReady). On a fleet replay most live jobs
-	// have no ready work at any one pass, and a walk over ready costs only
-	// the jobs that can take a slot. Picks that break ties by job order (spare
-	// round-robin, eviction) compare job ids explicitly.
+	// live counts the jobs that have arrived and not yet completed: the
+	// room arrive reserves in ready.
+	live int
+	// ready indexes the live jobs with ready work (syncReady), which
+	// dispatchSpare walks, in live order (cmpLive): tracked jobs first, then
+	// untracked ones, each in job-id (submission) order. A fleet replay
+	// admits thousands of jobs over one cluster's lifetime, and most live
+	// jobs have no ready work at any one pass, so a walk over ready costs
+	// only the jobs that can take a slot. Picks that break ties by job order
+	// (spare round-robin, eviction) compare job ids explicitly.
 	ready []*jobRun
 	// owedTracked and owedUntracked are the job-id sets of the owed jobs:
 	// those in ready whose guaranteed class is smaller than their effective
@@ -442,7 +436,7 @@ func (c *Cluster) init(cfg Config) error {
 	c.tracked = 0
 	c.holds = 0
 	c.jobs = c.jobs[:0] // Engine.Reset recycled the jobRuns
-	c.live = c.live[:0]
+	c.live = 0
 	c.ready = c.ready[:0]
 	c.owedTracked.init(0, false)
 	c.owedUntracked.init(0, false)
@@ -673,8 +667,6 @@ type jobRun struct {
 	guarDone    int
 	evictions   int
 	spareCredit float64 // smoothed-weighted-round-robin deficit counter
-	rootDone    int     // successful root-stage attempts
-	localDone   int     // ... that ran on a replica machine
 }
 
 // taskSet is a live job's per-task state. Its arrays are sized by a plan
@@ -734,9 +726,12 @@ func (ts *taskSet) rewind() {
 }
 
 // arrive marks the job arrived at the cluster's current time and gives it a
-// rewound task set shaped for its plan. handleArrival calls it, and so do
-// tests that stage a job's arrival by hand.
+// rewound task set shaped for its plan. It also reserves room in the ready
+// index for every live job, so that syncReady never grows it. handleArrival
+// calls it, and so do tests that stage a job's arrival by hand.
 func (c *Cluster) arrive(jr *jobRun) {
+	c.live++
+	c.ready = slices.Grow(c.ready, c.live-len(c.ready))
 	jr.taskSet = c.eng.takeSet(jr.job)
 	jr.arrived = true
 	jr.start = c.now
@@ -751,6 +746,7 @@ func (c *Cluster) release(jr *jobRun) {
 	}
 	c.eng.putSet(jr.taskSet)
 	jr.taskSet = nil
+	c.live--
 }
 
 // assertIdle checks that the job runs no attempt and has no ready task. It
@@ -808,8 +804,6 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.guarDone = 0
 	jr.evictions = 0
 	jr.spareCredit = 0
-	jr.rootDone = 0
-	jr.localDone = 0
 }
 
 // state returns the job's control state. Its FracDone is freshly

@@ -549,7 +549,7 @@ func TestLateSubmitClampsToNow(t *testing.T) {
 }
 
 // TestCrossJobTiesGoToLowerJobID pins the tie-break that used to follow
-// from walking live jobs in id order. The live list now holds tracked jobs
+// from walking live jobs in id order. The ready index holds tracked jobs
 // first, so the spare pick below sees the tracked job 1 before the
 // untracked job 0, and must still choose job 0 on an exact credit tie, as
 // the id-ordered walk did.
@@ -566,10 +566,6 @@ func TestCrossJobTiesGoToLowerJobID(t *testing.T) {
 	}
 	for _, jr := range c.jobs {
 		c.arrive(jr)
-		c.liveAdd(jr)
-	}
-	if c.live[0].id != 1 {
-		t.Fatal("the tracked job should lead the live list")
 	}
 
 	// Spare round-robin: both jobs accrue equal credit for the one slot.
@@ -618,9 +614,8 @@ func TestGuaranteedPassVictimKeepsGuarantee(t *testing.T) {
 			}
 			arriving, victim := c.jobs[tc.arriving], c.jobs[tc.victim]
 			c.arrive(victim)
-			c.liveAdd(victim)
-			c.startTask(victim, dag.TaskRef{Task: 0}, 0, true, c.onReplica(victim, 0, 0, 0))
-			c.startTask(victim, dag.TaskRef{Task: 1}, 1, false, c.onReplica(victim, 0, 1, 1))
+			c.startTask(victim, dag.TaskRef{Task: 0}, 0, true)
+			c.startTask(victim, dag.TaskRef{Task: 1}, 1, false)
 			c.reclassify()
 			if eff := c.effectiveGuarantee(victim); eff != 1 || victim.guarCount != 1 || victim.liveRunning != 2 {
 				t.Fatalf("set-up: victim runs %d attempts, %d guaranteed, effective guarantee %d; want 2, 1, 1",

@@ -146,7 +146,6 @@ func (c *Cluster) accrueUtil(now time.Duration) {
 func (c *Cluster) handleArrival(id int) {
 	jr := c.jobs[id]
 	c.arrive(jr)
-	c.liveAdd(jr)
 	if jr.cfg.Tracked && (!jr.cfg.NoTrace || jr.cfg.Policy != nil) {
 		// Traces outlive the run (results retain them), so they are always
 		// freshly allocated, never pooled. Every task ends at least once.
@@ -234,7 +233,8 @@ func (c *Cluster) contentionFrac() float64 {
 // The factor is a function of the clock alone, so an event popped at a
 // window boundary ahead of that boundary's own event already sees the new
 // factor; a change marks every live job dirty, because it moves every
-// job's effective guarantee.
+// job's effective guarantee. Only contention windows change the factor, so
+// the walk over every submitted job runs at their boundaries alone.
 //
 //jockey:hotpath
 func (c *Cluster) clockAdvanced() {
@@ -246,8 +246,10 @@ func (c *Cluster) clockAdvanced() {
 		return
 	}
 	c.frac = f
-	for _, jr := range c.live {
-		c.markDirty(jr)
+	for _, jr := range c.jobs {
+		if jr.arrived && !jr.completed {
+			c.markDirty(jr)
+		}
 	}
 }
 
@@ -350,7 +352,6 @@ func (c *Cluster) handleTaskEnd(ev event) {
 	}
 	jr.accrueAlloc(c.now)
 	spawnedGuar := st.flags[s]&flagSpawnGuar != 0
-	local := st.flags[s]&flagLocal != 0
 	c.detach(jr, s)
 	c.recordAttempt(jr, s, c.now, ev.failed)
 	if ev.failed {
@@ -363,12 +364,6 @@ func (c *Cluster) handleTaskEnd(ev event) {
 		jr.guarDone++
 	} else {
 		jr.spareDone++
-	}
-	if len(jr.job.Inputs(stage)) == 0 {
-		jr.rootDone++
-		if local {
-			jr.localDone++
-		}
 	}
 	st.release(s)
 	jr.deps.Complete(c.now, stage, task)
@@ -410,8 +405,8 @@ func (c *Cluster) recordAttempt(jr *jobRun, s int32, ended time.Duration, failed
 }
 
 // cmpLive is the live order: tracked jobs before untracked ones, each in
-// job-id (submission) order. Both job lists the cluster keeps sorted (live
-// and ready) are in this order, so walking one serves SLO jobs first.
+// job-id (submission) order. The ready index is kept in this order, so
+// walking it serves SLO jobs first.
 //
 //jockey:hotpath
 func cmpLive(a, b *jobRun) int {
@@ -439,22 +434,6 @@ func removeLive(list []*jobRun, jr *jobRun) []*jobRun {
 	return slices.Delete(list, i, i+1)
 }
 
-// liveAdd inserts an arriving job into the live index. It also reserves
-// room in the ready index for every live job, so that syncReady never grows
-// it. Arrival events can fire out of submission order when Start times
-// differ. O(live), once per job lifetime.
-func (c *Cluster) liveAdd(jr *jobRun) {
-	c.live = insertLive(c.live, jr)
-	c.ready = slices.Grow(c.ready, len(c.live)-len(c.ready))
-}
-
-// liveRemove drops a completed job from the live index. A completed job has
-// no ready work, so the ready index no longer holds it. O(live), once per
-// job lifetime.
-func (c *Cluster) liveRemove(jr *jobRun) {
-	c.live = removeLive(c.live, jr)
-}
-
 // syncReady restores the job's ready-index membership after its ready
 // queue changed: the index holds exactly the live jobs with ready work, so
 // only a change between empty and non-empty edits it. It is small enough to
@@ -468,7 +447,7 @@ func (c *Cluster) syncReady(jr *jobRun) {
 }
 
 // toggleReady inserts the job into the ready index or removes it, and with
-// it into or out of the owed set. liveAdd reserved room for every live job,
+// it into or out of the owed set. arrive reserved room for every live job,
 // so an insert never grows the index.
 //
 //jockey:hotpath
@@ -527,7 +506,6 @@ func (c *Cluster) completeJob(jr *jobRun) {
 	// too, for the next job of its plan to arrive.
 	jr.cfg.Policy = nil
 	jr.cfg.OnTaskEvent = nil
-	c.liveRemove(jr)
 	c.release(jr)
 	c.setGuarantee(jr, 0)
 	completion := c.now - jr.start
@@ -551,7 +529,6 @@ func (c *Cluster) completeJob(jr *jobRun) {
 		OracleTokenSeconds: float64(oracle) * jr.deadline.Seconds(),
 		SpareTaskFraction:  spareFrac,
 		Evictions:          jr.evictions,
-		LocalityFraction:   localityFraction(jr),
 		Trace:              jr.result.Trace,
 	}
 	if jr.cfg.Tracked {
@@ -731,27 +708,17 @@ func (c *Cluster) replicaMachines(jr *jobRun, stage, task int) []int {
 }
 
 // freeMachineFor returns a machine with a free slot for the given task,
-// preferring machines holding the task's input replicas, and whether it is
-// one of them — the locality startTask records, so that the attempt's end
-// need not derive the replicas again; -1 if the cluster is full. Only a root
-// task has replicas, so any other task is never local.
+// preferring machines holding the task's input replicas (only a root task
+// has them), or -1 if the cluster is full.
 //
 //jockey:hotpath
-func (c *Cluster) freeMachineFor(jr *jobRun, stage, task int) (int, bool) {
+func (c *Cluster) freeMachineFor(jr *jobRun, stage, task int) int {
 	for _, mi := range c.replicaMachines(jr, stage, task) {
 		if c.availBits.get(mi) {
-			return mi, true
+			return mi
 		}
 	}
-	return c.freeMachine(), false
-}
-
-// onReplica reports whether machine mi holds an input replica of the task:
-// the locality of a task placed on an eviction victim's machine.
-//
-//jockey:hotpath
-func (c *Cluster) onReplica(jr *jobRun, stage, task, mi int) bool {
-	return slices.Contains(c.replicaMachines(jr, stage, task), mi)
+	return c.freeMachine()
 }
 
 // freeMachine returns the lowest-indexed machine with a free slot, or -1.
@@ -856,9 +823,9 @@ func (c *Cluster) dispatchGuaranteed() {
 			eff := c.effectiveGuarantee(jr)
 			for jr.guarCount < eff && jr.deps.Len() > 0 {
 				r, _ := jr.deps.Peek()
-				mi, local := -1, false
+				mi := -1
 				if c.totalRunning < c.upCap {
-					mi, local = c.freeMachineFor(jr, r.Stage, r.Task)
+					mi = c.freeMachineFor(jr, r.Stage, r.Task)
 				}
 				if mi < 0 {
 					vs, vjob := c.youngestSpare()
@@ -874,11 +841,10 @@ func (c *Cluster) dispatchGuaranteed() {
 					if invariant.Debug {
 						c.assertNotOwed(vjob)
 					}
-					local = c.onReplica(jr, r.Stage, r.Task, mi)
 				}
 				jr.deps.Pop()
 				c.syncReady(jr)
-				c.startTask(jr, r, mi, true, local)
+				c.startTask(jr, r, mi, true)
 			}
 		}
 	}
@@ -1058,8 +1024,8 @@ func (c *Cluster) dispatchSpare() {
 		pick.spareCredit -= totalWeight
 		r, _ := pick.deps.Pop()
 		c.syncReady(pick)
-		mi, local := c.freeMachineFor(pick, r.Stage, r.Task)
-		c.startTask(pick, r, mi, false, local)
+		mi = c.freeMachineFor(pick, r.Stage, r.Task)
+		c.startTask(pick, r, mi, false)
 		idle++
 		if idle > 1<<20 { // guard the Assertf so its args only box on failure
 			invariant.Assertf(false, "cluster: spare dispatch runaway at t=%v (machine %d)", c.now, mi)
@@ -1068,7 +1034,7 @@ func (c *Cluster) dispatchSpare() {
 }
 
 //jockey:hotpath
-func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed, local bool) {
+func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed bool) {
 	jr.accrueAlloc(c.now)
 	attempt := jr.deps.Attempt(r.Stage, r.Task)
 	initDelay, exec, fails := jr.p.Stages[r.Stage].SampleAttempt(jr.rng, jr.driftFactor[r.Stage],
@@ -1085,9 +1051,6 @@ func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed, 
 	st.flags[s] = 0
 	if guaranteed {
 		st.flags[s] = flagGuar | flagSpawnGuar
-	}
-	if local {
-		st.flags[s] |= flagLocal
 	}
 	jr.slot[jr.deps.Index(r.Stage, r.Task)] = s
 	st.link(&jr.prim, s)
@@ -1117,11 +1080,4 @@ func (c *Cluster) startTask(jr *jobRun, r dag.TaskRef, machine int, guaranteed, 
 		attempt: st.attempt[s],
 		failed:  fails,
 	})
-}
-
-func localityFraction(jr *jobRun) float64 {
-	if jr.rootDone == 0 {
-		return 0
-	}
-	return float64(jr.localDone) / float64(jr.rootDone)
 }

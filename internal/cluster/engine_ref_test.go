@@ -20,10 +20,8 @@ import (
 //   - checkRankPartition requires each live job's guaranteed flags on
 //     exactly its first min(effective guarantee, running) attempts, and
 //     its list to hold exactly those attempts, in order;
-//   - checkLive pins the live index, the ready index, the owed sets and
-//     each job's spare top and place in the spare-top heap;
-//   - checkLocality requires the local flag on exactly the attempts that
-//     run on a replica machine of their root-stage task's input;
+//   - checkLive pins the live-job count, the ready index, the owed sets
+//     and each job's spare top and place in the spare-top heap;
 //   - refYoungestSpare, a scan over the gathered spare attempts with jobs
 //     in id order, must pick the spare-top heap's root.
 //
@@ -150,39 +148,34 @@ func checkRankPartition(c *Cluster, jr *jobRun, prim []int32) error {
 }
 
 // checkLive pins the job indexes against the job table and the gathered
-// attempts: live is the tracked live jobs, then the untracked ones, each in
-// id order; ready is, in the same order, the live jobs with ready work;
-// exactly the live jobs hold a task set; only live jobs run attempts; and the
-// heap holds exactly the jobs with a spare attempt, each at its recorded
-// position with its from-scratch spare top.
+// attempts: ready is the tracked live jobs with ready work, then the
+// untracked ones, each in id order, with room for every live job; the live
+// count is the number of live jobs; exactly the live jobs hold a task set;
+// only live jobs run attempts; and the heap holds exactly the jobs with a
+// spare attempt, each at its recorded position with its from-scratch spare
+// top.
 func checkLive(c *Cluster, all []int32) error {
-	indexes := []struct {
-		name string
-		list []*jobRun
-		in   func(jr *jobRun) bool
-	}{
-		{"live", c.live, func(*jobRun) bool { return true }},
-		{"ready", c.ready, func(jr *jobRun) bool { return jr.taskSet != nil && jr.deps.Len() > 0 }},
-	}
-	for _, ix := range indexes {
-		i := 0
-		for _, tracked := range []bool{true, false} {
-			for _, jr := range c.jobs {
-				if !jr.arrived || jr.completed || jr.cfg.Tracked != tracked || !ix.in(jr) {
-					continue
-				}
-				if i >= len(ix.list) || ix.list[i] != jr {
-					return fmt.Errorf("%s[%d] is not job %d", ix.name, i, jr.id)
-				}
-				i++
+	i := 0
+	for _, tracked := range []bool{true, false} {
+		for _, jr := range c.jobs {
+			if !jr.arrived || jr.completed || jr.cfg.Tracked != tracked || jr.taskSet == nil || jr.deps.Len() == 0 {
+				continue
 			}
-		}
-		if i != len(ix.list) {
-			return fmt.Errorf("%s holds %d jobs, want %d", ix.name, len(ix.list), i)
+			if i >= len(c.ready) || c.ready[i] != jr {
+				return fmt.Errorf("ready[%d] is not job %d", i, jr.id)
+			}
+			i++
 		}
 	}
+	if i != len(c.ready) {
+		return fmt.Errorf("ready holds %d jobs, want %d", len(c.ready), i)
+	}
+	nlive := 0
 	for _, jr := range c.jobs {
 		live := jr.arrived && !jr.completed
+		if live {
+			nlive++
+		}
 		if (jr.taskSet != nil) != live {
 			return fmt.Errorf("job %d (arrived %t, completed %t) holds a task set: %t",
 				jr.id, jr.arrived, jr.completed, jr.taskSet != nil)
@@ -217,6 +210,9 @@ func checkLive(c *Cluster, all []int32) error {
 	if inHeap != len(c.spareTops) {
 		return fmt.Errorf("spare-top heap holds %d jobs, want %d", len(c.spareTops), inHeap)
 	}
+	if c.live != nlive || cap(c.ready) < nlive {
+		return fmt.Errorf("live count %d and ready room %d, want %d live jobs", c.live, cap(c.ready), nlive)
+	}
 	return checkOwed(c)
 }
 
@@ -244,23 +240,6 @@ func checkOwed(c *Cluster) error {
 		}
 		if id >= 0 {
 			return fmt.Errorf("%s holds job %d, which is not owed", ix.name, id)
-		}
-	}
-	return nil
-}
-
-// checkLocality requires each gathered attempt's local flag to say whether
-// it runs on a replica machine of its task's input; only root-stage tasks
-// have replicas.
-func checkLocality(c *Cluster, all []int32) error {
-	st := &c.store
-	for _, s := range all {
-		jr := c.jobs[st.job[s]]
-		stage, task, mi := int(st.stage[s]), int(st.task[s]), int(st.machine[s])
-		want := slices.Contains(c.replicaMachines(jr, stage, task), mi)
-		if local := st.flags[s]&flagLocal != 0; local != want {
-			return fmt.Errorf("job %d stage %d task %d on machine %d has local flag %t, want %t",
-				jr.id, stage, task, mi, local, want)
 		}
 	}
 	return nil
@@ -296,9 +275,6 @@ func checkAgainstRef(c *Cluster) {
 	}
 	all := refLiveAttempts(c)
 	if err := checkLive(c, all); err != nil {
-		fail("%v", err)
-	}
-	if err := checkLocality(c, all); err != nil {
 		fail("%v", err)
 	}
 	rest := all

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -22,53 +23,59 @@ func localityJob(t testing.TB, tasks int) *profile.Profile {
 	})
 }
 
-func TestLocalityHighOnIdleCluster(t *testing.T) {
-	// Alone on an under-subscribed cluster, a job's root tasks should land
-	// on their replica machines almost always (3 replicas × 4 slots each
-	// give every task 12 preferred slots).
-	c, _ := New(Config{Machines: 20, SlotsPerMachine: 4, Seed: 1})
-	h, err := c.Submit(JobConfig{Profile: localityJob(t, 60), Guarantee: 20,
-		Deadline: time.Hour, Tracked: true})
-	if err != nil {
+// TestFreeMachineForPrefersReplicas pins the placement rule: a root task
+// takes the first of its replica machines with a free slot, in replica
+// order; with every replica full, or for a task of a later stage, which has
+// no replicas, the lowest free machine. On seven one-slot machines each
+// root task's three replicas are distinct, and each case frees exactly the
+// machines listed.
+func TestFreeMachineForPrefersReplicas(t *testing.T) {
+	const machines = 7
+	c, _ := New(Config{Machines: machines, SlotsPerMachine: 1, Seed: 1})
+	if _, err := c.Submit(JobConfig{Profile: localityJob(t, 20), Guarantee: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
+	jr := c.jobs[0]
+	free := func(ms ...int) {
+		c.availBits.init(machines, false)
+		for _, mi := range ms {
+			c.availBits.set(mi)
+		}
 	}
-	if got := h.Result().LocalityFraction; got < 0.8 {
-		t.Errorf("idle-cluster locality = %.2f, want >= 0.8", got)
-	}
-}
-
-func TestLocalityDegradesUnderContention(t *testing.T) {
-	// The same job on a cluster crammed with other work loses locality:
-	// its guaranteed tasks must take whatever slots are free.
-	runLoc := func(withLoad bool) float64 {
-		c, _ := New(Config{Machines: 20, SlotsPerMachine: 4, Seed: 2})
-		if withLoad {
-			for i := 0; i < 6; i++ {
-				bg := profile.MustNew(
-					dag.NewBuilder("bg"+string(rune('0'+i))).Stage("work", 2000).MustBuild(),
-					[]profile.StageProfile{{Exec: stats.Point{V: 30 * time.Second}}})
-				if _, err := c.Submit(JobConfig{Profile: bg, Guarantee: 12}); err != nil {
-					t.Fatal(err)
-				}
+	for task := range 20 {
+		replicas := slices.Clone(c.replicaMachines(jr, 0, task))
+		var others []int // the non-replica machines, ascending
+		for mi := range machines {
+			if !slices.Contains(replicas, mi) {
+				others = append(others, mi)
 			}
 		}
-		h, err := c.Submit(JobConfig{Profile: localityJob(t, 60), Guarantee: 8,
-			Deadline: 2 * time.Hour, Tracked: true, Start: 5 * time.Minute})
-		if err != nil {
-			t.Fatal(err)
+		for k, r := range replicas {
+			// Free replica r, every replica after it, and every other
+			// machine: the root task must take r.
+			free(append(slices.Clone(others), replicas[k:]...)...)
+			if got := c.freeMachineFor(jr, 0, task); got != r {
+				t.Errorf("task %d with replicas %v, first free replica %d: placed on machine %d", task, replicas, r, got)
+			}
 		}
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
+		free(others...)
+		if got := c.freeMachineFor(jr, 0, task); got != others[0] {
+			t.Errorf("task %d with replicas %v all full: placed on machine %d, want lowest free %d", task, replicas, got, others[0])
 		}
-		return h.Result().LocalityFraction
+		free()
+		if got := c.freeMachineFor(jr, 0, task); got != -1 {
+			t.Errorf("task %d on a full cluster: placed on machine %d, want -1", task, got)
+		}
 	}
-	idle := runLoc(false)
-	loaded := runLoc(true)
-	if loaded >= idle {
-		t.Errorf("locality should degrade under contention: idle %.2f vs loaded %.2f", idle, loaded)
+	// A non-root task has no replicas: it takes the lowest free machine,
+	// whichever machines are free.
+	for _, ms := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {3, 6}, {5}, {1, 2, 4}} {
+		free(ms...)
+		for task := range jr.job.Stages[1].Tasks {
+			if got := c.freeMachineFor(jr, 1, task); got != ms[0] {
+				t.Errorf("stage 1 task %d with machines %v free: placed on machine %d, want %d", task, ms, got, ms[0])
+			}
+		}
 	}
 }
 

@@ -41,7 +41,6 @@ type taskStore struct {
 const (
 	flagGuar      uint8 = 1 << iota // currently charged to guaranteed tokens
 	flagSpawnGuar                   // token class at dispatch, for accounting
-	flagLocal                       // runs on a replica machine of its input (root stages only)
 )
 
 // alloc hands out a slot id, recycling from the free list when possible. The

@@ -13,10 +13,9 @@ import (
 
 // Fig8Point is one allocation's average prediction error.
 type Fig8Point struct {
-	Alloc        int
-	SimErr       float64 // simulator-based predictor
-	AmdahlErr    float64 // Amdahl's-Law predictor
-	JobsMeasured int
+	Alloc     int
+	SimErr    float64 // simulator-based predictor
+	AmdahlErr float64 // Amdahl's-Law predictor
 }
 
 // Fig8 holds the prediction-accuracy curves of Figure 8.
@@ -84,10 +83,9 @@ func PredictionAccuracy(env *Env, jobs []string, runsPerPoint int) (*Fig8, error
 			amdahlErrs = append(amdahlErrs, relErr(amdahlPred, slowest))
 		}
 		p := Fig8Point{
-			Alloc:        alloc,
-			SimErr:       stats.Mean(simErrs),
-			AmdahlErr:    stats.Mean(amdahlErrs),
-			JobsMeasured: len(simErrs),
+			Alloc:     alloc,
+			SimErr:    stats.Mean(simErrs),
+			AmdahlErr: stats.Mean(amdahlErrs),
 		}
 		f.Points = append(f.Points, p)
 		simAll = append(simAll, simErrs...)

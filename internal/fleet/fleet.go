@@ -50,9 +50,6 @@ const (
 	UtilityGreedy Arbitration = "utility-greedy"
 )
 
-// Arbitrations lists the supported disciplines in comparison order.
-var Arbitrations = []Arbitration{FIFO, FairShare, UtilityGreedy}
-
 // The replay's fixed settings.
 const (
 	// epoch is the arbitration cadence: the paper's control interval.

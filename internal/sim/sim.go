@@ -40,8 +40,6 @@ const SamplePeriod = 30 * time.Second
 type Snapshot struct {
 	Time     time.Duration
 	FracDone []float64 // per stage, fraction of tasks complete (f_s)
-	Running  int       // tasks currently executing
-	Ready    int       // tasks ready but waiting for a token
 }
 
 // Config parameterizes one simulated execution.
@@ -330,8 +328,6 @@ func (r *Runner) emitSample() {
 	r.cfg.OnSample(Snapshot{
 		Time:     r.now,
 		FracDone: r.fracBuf,
-		Running:  r.running,
-		Ready:    r.deps.Len(),
 	})
 }
 

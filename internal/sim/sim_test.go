@@ -358,9 +358,6 @@ func TestSampling(t *testing.T) {
 		if want := time.Duration(i+1) * SamplePeriod; s.Time != want {
 			t.Errorf("sample %d at %v, want %v", i, s.Time, want)
 		}
-		if s.Running < 0 || s.Running > 2 {
-			t.Errorf("running = %d out of [0,2]", s.Running)
-		}
 		if i > 0 {
 			for st := range s.FracDone {
 				if s.FracDone[st] < snaps[i-1].FracDone[st] {
@@ -390,20 +387,20 @@ func TestSampleTiesTaskEnds(t *testing.T) {
 		want  []Snapshot
 	}{
 		{SamplePeriod, 1, 3 * SamplePeriod, []Snapshot{
-			{Time: 1 * SamplePeriod, FracDone: []float64{0}, Running: 1, Ready: 2},
-			{Time: 2 * SamplePeriod, FracDone: []float64{1.0 / 3}, Running: 1, Ready: 1},
-			{Time: 3 * SamplePeriod, FracDone: []float64{2.0 / 3}, Running: 1, Ready: 0},
+			{Time: 1 * SamplePeriod, FracDone: []float64{0}},
+			{Time: 2 * SamplePeriod, FracDone: []float64{1.0 / 3}},
+			{Time: 3 * SamplePeriod, FracDone: []float64{2.0 / 3}},
 		}},
 		{SamplePeriod, 2, 2 * SamplePeriod, []Snapshot{
-			{Time: 1 * SamplePeriod, FracDone: []float64{0}, Running: 2, Ready: 1},
-			{Time: 2 * SamplePeriod, FracDone: []float64{2.0 / 3}, Running: 1, Ready: 0},
+			{Time: 1 * SamplePeriod, FracDone: []float64{0}},
+			{Time: 2 * SamplePeriod, FracDone: []float64{2.0 / 3}},
 		}},
 		// The task ending at 2·SamplePeriod started before the tick at
 		// SamplePeriod fired, so it ends before the tick at 2·SamplePeriod.
 		{2 * SamplePeriod, 2, 4 * SamplePeriod, []Snapshot{
-			{Time: 1 * SamplePeriod, FracDone: []float64{0}, Running: 2, Ready: 1},
-			{Time: 2 * SamplePeriod, FracDone: []float64{2.0 / 3}, Running: 1, Ready: 0},
-			{Time: 3 * SamplePeriod, FracDone: []float64{2.0 / 3}, Running: 1, Ready: 0},
+			{Time: 1 * SamplePeriod, FracDone: []float64{0}},
+			{Time: 2 * SamplePeriod, FracDone: []float64{2.0 / 3}},
+			{Time: 3 * SamplePeriod, FracDone: []float64{2.0 / 3}},
 		}},
 	}
 	for _, c := range cases {

@@ -13,12 +13,6 @@ import (
 	"github.com/jockeysim/jockey/internal/invariant"
 )
 
-// Fn maps a job completion time to its utility.
-type Fn interface {
-	Utility(t time.Duration) float64
-	fmt.Stringer
-}
-
 // Point is one vertex of a piecewise-linear utility curve.
 type Point struct {
 	T time.Duration
@@ -78,7 +72,8 @@ func SoftDeadline(d, grace time.Duration) *PiecewiseLinear {
 	return pl
 }
 
-// Utility implements Fn by linear interpolation.
+// Utility returns the curve's utility at completion time t, by linear
+// interpolation.
 func (pl *PiecewiseLinear) Utility(t time.Duration) float64 {
 	ps := pl.points
 	if t <= ps[0].T {
